@@ -15,9 +15,12 @@
 //!
 //! Equivalence classes that are discovered to be equal (a transformation
 //! produces an expression that already exists in a different class) are
-//! *merged* through a union–find structure; expression keys are then
-//! re-canonicalized, which can cascade into further merges.
+//! *merged* through a union–find structure. Each class keeps the list of
+//! expressions that use it as an input, so a merge re-canonicalizes and
+//! re-hashes only the absorbed class's users — its fan-in, not the whole
+//! arena — and that can cascade into further merges.
 
+use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 
@@ -177,6 +180,9 @@ pub(crate) struct ExprData<M: Model> {
     /// Set when a merge cascade discovered this expression duplicates an
     /// earlier one; dead expressions are skipped everywhere.
     pub dead: bool,
+    /// Memo version at the expression's last change: its creation, a
+    /// merge that moved it into another class, or a rewrite of its inputs.
+    pub version: u64,
 }
 
 pub(crate) struct GroupData<M: Model> {
@@ -188,8 +194,12 @@ pub(crate) struct GroupData<M: Model> {
     pub logical: M::LogicalProps,
     /// Best plans and failures per interned goal.
     pub winners: FxHashMap<GoalId, Winner<M>>,
-    /// Memo version at the last structural change to this group.
+    /// Memo version at the last structural change to this group: the
+    /// newest `ExprData::version` among its members.
     pub version: u64,
+    /// Expressions with this class as an input, each listed once (retired
+    /// ones are dropped when a merge next walks the list).
+    pub users: Vec<ExprId>,
 }
 
 /// The memo structure. See the module documentation.
@@ -317,9 +327,16 @@ impl<M: Model> Memo<M> {
         self.version
     }
 
-    /// Version of the last structural change to `g`.
+    /// Version of the last structural change to `g`: a member was
+    /// created, arrived through a merge, or had its inputs rewritten.
     pub fn group_version(&self, g: GroupId) -> u64 {
         self.groups[self.repr(g).index()].version
+    }
+
+    /// Version of the last change to `e` itself: its creation, a merge
+    /// that moved it into another class, or a rewrite of its inputs.
+    pub fn expr_version(&self, e: ExprId) -> u64 {
+        self.exprs[e.index()].version
     }
 
     /// Total number of expression slots ever allocated (including dead).
@@ -512,12 +529,7 @@ impl<M: Model> Memo<M> {
     ) -> (GroupId, bool) {
         let inputs: Vec<GroupId> = inputs.iter().map(|&g| self.repr(g)).collect();
         let h = expr_hash::<M>(&op, &inputs);
-        let existing = self.index.get(&h).and_then(|bucket| {
-            bucket.iter().copied().find(|&e| {
-                let d = &self.exprs[e.index()];
-                d.op == op && d.inputs == inputs
-            })
-        });
+        let existing = self.indexed(h, &op, &inputs);
         if let Some(existing) = existing {
             let eg = self.group_of(existing);
             return match target {
@@ -549,6 +561,7 @@ impl<M: Model> Memo<M> {
                     logical: derived,
                     winners: FxHashMap::default(),
                     version: 0,
+                    users: Vec::new(),
                 });
                 self.parent.push(gid.0);
                 gid
@@ -556,45 +569,147 @@ impl<M: Model> Memo<M> {
         };
 
         let eid = ExprId(self.exprs.len() as u32);
+        self.version += 1;
+        for (i, g) in inputs.iter().enumerate() {
+            if !inputs[..i].contains(g) {
+                self.groups[g.index()].users.push(eid);
+            }
+        }
         self.exprs.push(ExprData {
             op,
             inputs,
             group,
             dead: false,
+            version: self.version,
         });
         self.groups[group.index()].exprs.push(eid);
         self.index.entry(h).or_default().push(eid);
-        self.version += 1;
         self.groups[group.index()].version = self.version;
         (group, true)
     }
 
+    /// The indexed expression with canonical key `(op, inputs)`, if any.
+    /// At most one live expression per key is indexed: the lowest id.
+    fn indexed(&self, h: u64, op: &M::Op, inputs: &[GroupId]) -> Option<ExprId> {
+        self.index.get(&h)?.iter().copied().find(|&e| {
+            let d = &self.exprs[e.index()];
+            d.op == *op && d.inputs == inputs
+        })
+    }
+
     /// Merge two equivalence classes proven equal, cascading through any
     /// further merges triggered by key re-canonicalization.
+    ///
+    /// `twins` holds the live expressions a union left with the key of a
+    /// lower-numbered expression of *another* class — proof that those
+    /// classes are equal too. The highest twin is settled first, against
+    /// whatever the index then holds for its key (the key's lowest id):
+    /// the pair a re-canonicalization of the whole arena in id order would
+    /// pick, so classes unite, and member lists grow, in that same order.
     pub(crate) fn merge(&mut self, a: GroupId, b: GroupId) {
-        let mut pending = vec![(a, b)];
-        while let Some((a, b)) = pending.pop() {
-            let ra = self.repr(a);
-            let rb = self.repr(b);
-            if ra == rb {
+        let mut twins = BinaryHeap::new();
+        self.union(a, b, &mut twins);
+        while let Some(&twin) = twins.peek() {
+            let d = &self.exprs[twin.index()];
+            let first = self
+                .indexed(expr_hash::<M>(&d.op, &d.inputs), &d.op, &d.inputs)
+                .expect("a twin's key stays indexed");
+            let (fg, tg) = (self.group_of(first), self.group_of(twin));
+            if fg == tg {
+                // True duplicate within one class: retire it.
+                twins.pop();
+                self.retire(twin);
+            } else {
+                self.union(fg, tg, &mut twins);
+            }
+        }
+    }
+
+    /// One union step: absorb the higher-numbered class into the lower,
+    /// then rewrite, re-hash and de-duplicate the absorbed class's users.
+    fn union(&mut self, a: GroupId, b: GroupId, twins: &mut BinaryHeap<ExprId>) {
+        let (ra, rb) = (self.repr(a), self.repr(b));
+        debug_assert_ne!(ra, rb, "callers merge distinct classes only");
+        // Keep the lower index as representative for stability.
+        let (keep, gone) = if ra.0 < rb.0 { (ra, rb) } else { (rb, ra) };
+        self.parent[gone.index()] = keep.0;
+        self.merges += 1;
+        self.version += 1;
+        let version = self.version;
+
+        let gone_exprs = std::mem::take(&mut self.groups[gone.index()].exprs);
+        for e in &gone_exprs {
+            let d = &mut self.exprs[e.index()];
+            d.group = keep;
+            d.version = version;
+        }
+        self.groups[keep.index()].exprs.extend(gone_exprs);
+        for (goal, w) in std::mem::take(&mut self.groups[gone.index()].winners) {
+            self.merge_winner(keep, goal, w);
+        }
+        self.groups[keep.index()].version = version;
+
+        for u in std::mem::take(&mut self.groups[gone.index()].users) {
+            if self.exprs[u.index()].dead {
                 continue;
             }
-            // Keep the lower index as representative for stability.
-            let (keep, gone) = if ra.0 < rb.0 { (ra, rb) } else { (rb, ra) };
-            self.parent[gone.index()] = keep.0;
-            self.merges += 1;
-            self.version += 1;
-
-            let gone_exprs = std::mem::take(&mut self.groups[gone.index()].exprs);
-            self.groups[keep.index()].exprs.extend(gone_exprs);
-            let gone_winners = std::mem::take(&mut self.groups[gone.index()].winners);
-            for (goal, w) in gone_winners {
-                self.merge_winner(keep, goal, w);
+            // A twin awaiting its merge is not indexed; it is only rewritten.
+            let was_indexed = self.unlink(u).is_some();
+            let d = &mut self.exprs[u.index()];
+            if !d.inputs.contains(&keep) {
+                self.groups[keep.index()].users.push(u);
             }
-            self.groups[keep.index()].version = self.version;
-
-            pending.extend(self.rebuild_index());
+            for g in &mut d.inputs {
+                if *g == gone {
+                    *g = keep;
+                }
+            }
+            d.version = version;
+            let ug = d.group;
+            self.groups[ug.index()].version = version;
+            if was_indexed {
+                self.reindex(u, twins);
+            }
         }
+    }
+
+    /// Remove `e` from the index under its stored key, if it is there.
+    fn unlink(&mut self, e: ExprId) -> Option<()> {
+        let d = &self.exprs[e.index()];
+        let h = expr_hash::<M>(&d.op, &d.inputs);
+        let bucket = self.index.get_mut(&h)?;
+        bucket.swap_remove(bucket.iter().position(|&x| x == e)?);
+        if bucket.is_empty() {
+            self.index.remove(&h);
+        }
+        Some(())
+    }
+
+    /// Index `e` under its rewritten key. If the key is taken, the lower id
+    /// keeps (or takes) the slot and the higher one is retired (same
+    /// class) or queued as a twin (the two classes are equal).
+    fn reindex(&mut self, e: ExprId, twins: &mut BinaryHeap<ExprId>) {
+        let d = &self.exprs[e.index()];
+        let h = expr_hash::<M>(&d.op, &d.inputs);
+        let Some(other) = self.indexed(h, &d.op, &d.inputs) else {
+            self.index.entry(h).or_default().push(e);
+            return;
+        };
+        if e < other {
+            let bucket = self.index.get_mut(&h).expect("bucket of an indexed key");
+            *bucket.iter_mut().find(|x| **x == other).expect("indexed") = e;
+        }
+        let later = e.max(other);
+        if self.group_of(e) == self.group_of(other) {
+            self.retire(later);
+        } else {
+            twins.push(later);
+        }
+    }
+
+    fn retire(&mut self, e: ExprId) {
+        self.exprs[e.index()].dead = true;
+        self.dead_exprs += 1;
     }
 
     /// Merge a winner entry from an absorbed group, keeping the better
@@ -625,45 +740,27 @@ impl<M: Model> Memo<M> {
         self.groups[gi].winners.insert(goal, merged);
     }
 
-    /// Re-canonicalize every live expression after a merge; returns any
-    /// newly discovered group equalities.
-    fn rebuild_index(&mut self) -> Vec<(GroupId, GroupId)> {
-        self.index.clear();
-        let mut new_merges = Vec::new();
-        for i in 0..self.exprs.len() {
-            if self.exprs[i].dead {
-                continue;
-            }
-            let inputs: Vec<GroupId> = self.exprs[i].inputs.iter().map(|&g| self.repr(g)).collect();
-            let group = self.repr(self.exprs[i].group);
-            self.exprs[i].inputs = inputs;
-            self.exprs[i].group = group;
-            let h = expr_hash::<M>(&self.exprs[i].op, &self.exprs[i].inputs);
-            let prev = self.index.get(&h).and_then(|bucket| {
-                bucket.iter().copied().find(|&e| {
-                    let d = &self.exprs[e.index()];
-                    d.op == self.exprs[i].op && d.inputs == self.exprs[i].inputs
-                })
-            });
-            match prev {
-                None => {
-                    self.index.entry(h).or_default().push(ExprId(i as u32));
-                }
-                Some(prev) => {
-                    let pg = self.repr(self.exprs[prev.index()].group);
-                    if pg != group {
-                        // Two identical expressions in different classes:
-                        // the classes are equal.
-                        new_merges.push((pg, group));
-                    } else {
-                        // True duplicate within one class: retire it.
-                        self.exprs[i].dead = true;
-                        self.dead_exprs += 1;
-                    }
-                }
-            }
+    /// Panic unless the duplicate-detection structures are consistent
+    /// (debug builds only, O(memo)): stored inputs and owners canonical, no
+    /// two live expressions with one key, every live expression indexed
+    /// exactly once and no retired one, use lists covering every reference.
+    #[cfg(debug_assertions)]
+    pub fn check_invariants(&self) {
+        let live = || (0..self.exprs.len()).filter(|&i| !self.exprs[i].dead);
+        let canonical = |g: &GroupId| self.repr(*g) == *g;
+        for i in live() {
+            let (e, d) = (ExprId(i as u32), &self.exprs[i]);
+            assert!(d.inputs.iter().all(canonical), "{e}: stale input");
+            assert!(canonical(&d.group), "{e}: stale owner");
+            let owner = &self.groups[d.group.index()];
+            assert!(owner.exprs.contains(&e) && owner.version >= d.version);
+            let h = expr_hash::<M>(&d.op, &d.inputs);
+            assert_eq!(self.indexed(h, &d.op, &d.inputs), Some(e), "{e}: twin");
+            let uses = |g: &GroupId| self.groups[g.index()].users.contains(&e);
+            assert!(d.inputs.iter().all(uses), "{e}: missing from a use list");
         }
-        new_merges
+        let indexed: usize = self.index.values().map(Vec::len).sum();
+        assert_eq!(indexed, live().count(), "retired or repeated index entry");
     }
 
     /// Rough estimate of the memo's memory footprint in bytes, for the
@@ -680,7 +777,7 @@ impl<M: Model> Memo<M> {
             .iter()
             .map(|g| {
                 size_of::<GroupData<M>>()
-                    + g.exprs.len() * size_of::<ExprId>()
+                    + (g.exprs.len() + g.users.len()) * size_of::<ExprId>()
                     + g.winners.len() * (size_of::<GoalId>() + size_of::<Winner<M>>())
                     + g.winners
                         .values()

@@ -274,7 +274,7 @@ impl<M: Model> Binding<M> {
     }
 }
 
-/// Stream every binding of `pattern` rooted at expression `expr` into the
+/// Stream the bindings of `pattern` rooted at expression `expr` into the
 /// visitor `f`, in the same lexicographic order [`match_pattern`] returns
 /// (child 0 varies slowest; within a child, member-expression order, then
 /// that member's own binding order).
@@ -290,57 +290,111 @@ impl<M: Model> Binding<M> {
 /// combination of earlier children, which only costs extra work for
 /// patterns with two or more nested `Op` children — none of the shipped
 /// models have one.
+///
+/// `since` makes the enumeration a *delta*: only bindings that contain an
+/// expression changed after that memo version ([`Memo::expr_version`]) are
+/// streamed; every other binding existed, with identical canonical content,
+/// when the memo was at `since`. Version 0 precedes every expression, so
+/// `since = 0` streams every binding.
 pub fn match_pattern_with<M: Model>(
     memo: &Memo<M>,
     pattern: &Pattern<M>,
     expr: ExprId,
+    since: u64,
     f: &mut dyn FnMut(Binding<M>),
+) {
+    match_node(memo, pattern, expr, since, &mut |b, changed| {
+        if changed {
+            f(b)
+        }
+    });
+}
+
+/// Could [`match_pattern_with`] stream anything for `pattern` at `expr`?
+/// Cheap and conservative: `expr` itself changed after `since`, or a class
+/// under one of the nested pattern positions did.
+pub(crate) fn changed_since<M: Model>(
+    memo: &Memo<M>,
+    pattern: &Pattern<M>,
+    expr: ExprId,
+    since: u64,
+) -> bool {
+    let Pattern::Op { inputs, .. } = pattern else {
+        return false;
+    };
+    let deeper = |p: &Pattern<M>, g: GroupId| {
+        p.depth() > 1
+            && memo
+                .group_exprs(g)
+                .any(|m| changed_since(memo, p, m, since))
+    };
+    memo.expr_version(expr) > since
+        || (inputs.iter().zip(memo.expr(expr).1))
+            .any(|(p, &g)| p.depth() > 0 && (memo.group_version(g) > since || deeper(p, g)))
+}
+
+/// Match one pattern node at `expr`, passing each binding to `f` together
+/// with whether any expression in it changed after `since`.
+fn match_node<M: Model>(
+    memo: &Memo<M>,
+    pattern: &Pattern<M>,
+    expr: ExprId,
+    since: u64,
+    f: &mut dyn FnMut(Binding<M>, bool),
 ) {
     // A top-level wildcard binds nothing useful; rules must have an
     // operator at the root.
     let Pattern::Op { matcher, inputs } = pattern else {
         return;
     };
-    let (op, expr_inputs) = memo.expr(expr);
-    if !matcher.matches(op) || inputs.len() != expr_inputs.len() {
+    let (op, groups) = memo.expr(expr);
+    if !matcher.matches(op) || inputs.len() != groups.len() {
         return;
     }
-    let op = op.clone();
+    let changed = memo.expr_version(expr) > since;
     let mut acc: Vec<BindingChild<M>> = Vec::with_capacity(inputs.len());
-    fill_children(memo, inputs, expr_inputs, &mut acc, &mut |children| {
-        f(Binding {
-            expr,
-            op: op.clone(),
-            children: children.to_vec(),
-        })
-    });
+    let mut emit = |children: &[BindingChild<M>], changed| {
+        let (op, children) = (op.clone(), children.to_vec());
+        f(Binding { expr, op, children }, changed)
+    };
+    fill_children(memo, inputs, groups, since, changed, &mut acc, &mut emit);
 }
 
 /// Backtracking recursion over child positions: `acc` holds bindings for
-/// positions `0..acc.len()`; once every position is bound, `emit` fires.
+/// positions `0..acc.len()`, `changed` says whether anything bound so far
+/// changed after `since`; once every position is bound, `emit` fires.
 fn fill_children<M: Model>(
     memo: &Memo<M>,
     pats: &[Pattern<M>],
     groups: &[GroupId],
+    since: u64,
+    changed: bool,
     acc: &mut Vec<BindingChild<M>>,
-    emit: &mut dyn FnMut(&[BindingChild<M>]),
+    emit: &mut dyn FnMut(&[BindingChild<M>], bool),
 ) {
     let i = acc.len();
     if i == pats.len() {
-        emit(acc);
+        emit(acc, changed);
         return;
     }
     match &pats[i] {
         Pattern::Any => {
             acc.push(BindingChild::Group(memo.repr(groups[i])));
-            fill_children(memo, pats, groups, acc, emit);
+            fill_children(memo, pats, groups, since, changed, acc, emit);
             acc.pop();
         }
         nested => {
+            // A member that is the binding's last chance to contain a
+            // change is skipped, unchanged, before anything is built.
+            let last_chance =
+                !changed && nested.depth() == 1 && pats[i + 1..].iter().all(|p| p.depth() == 0);
             for eid in memo.group_exprs(groups[i]) {
-                match_pattern_with(memo, nested, eid, &mut |b| {
+                if last_chance && memo.expr_version(eid) <= since {
+                    continue;
+                }
+                match_node(memo, nested, eid, since, &mut |b, c| {
                     acc.push(BindingChild::Bound(b));
-                    fill_children(memo, pats, groups, acc, emit);
+                    fill_children(memo, pats, groups, since, changed || c, acc, emit);
                     acc.pop();
                 });
             }
@@ -358,6 +412,6 @@ pub fn match_pattern<M: Model>(
     expr: ExprId,
 ) -> Vec<Binding<M>> {
     let mut out = Vec::new();
-    match_pattern_with(memo, pattern, expr, &mut |b| out.push(b));
+    match_pattern_with(memo, pattern, expr, 0, &mut |b| out.push(b));
     out
 }

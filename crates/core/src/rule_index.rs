@@ -19,8 +19,9 @@
 //!   index visits exactly the rules a linear scan would have visited, in
 //!   the same order, minus rules whose root matcher was going to reject
 //!   the operator anyway. Plans, costs, statistics, and trace streams are
-//!   therefore identical with the index on or off (the differential test
-//!   asserts this; the completeness proptest guards the declared sets).
+//!   therefore what a linear scan would produce (BENCH_search_baseline.json
+//!   keeps the measured history of the scan; the completeness proptest in
+//!   `tests/hotpath_differential.rs` guards the declared sets).
 
 use std::collections::HashMap;
 
@@ -31,7 +32,7 @@ use crate::pattern::Pattern;
 /// implementations).
 struct KindIndex {
     /// Every rule index, ascending: the fallback for unindexable
-    /// operators (and for `rule_index: false` runs).
+    /// operators.
     all: Vec<usize>,
     /// Rules whose root matcher declares no discriminant set (including
     /// `Any`-rooted patterns): candidates for every operator.

@@ -24,7 +24,9 @@ pub struct RuleCtx<'a, M: Model> {
 }
 
 impl<'a, M: Model> RuleCtx<'a, M> {
-    pub(crate) fn new(memo: &'a Memo<M>) -> Self {
+    /// A context over `memo`. The engine builds one per matching step;
+    /// public so rules can be driven by hand, outside a search.
+    pub fn new(memo: &'a Memo<M>) -> Self {
         RuleCtx { memo }
     }
 

@@ -8,9 +8,10 @@
 //! by promise, and pursued under a branch-and-bound cost limit.
 //!
 //! Transformations are exhausted in an up-front *exploration* fixpoint
-//! (each (expression, rule) pair fires once, with re-matching when a
-//! multi-level pattern's input classes grow). With exhaustive search this
-//! is equivalent to interleaving transformation moves — every logical
+//! (each (rule, binding) pair fires once: a multi-level pattern is
+//! re-matched only when a class under one of its nested positions changed,
+//! and then only over the bindings that contain a change). With
+//! exhaustive search this is equivalent to interleaving transformation moves — every logical
 //! expression is derived either way and the memo collapses duplicate
 //! derivations — while keeping the costing recursion strictly goal-driven:
 //! plans are derived "only for those partial queries that are considered
@@ -42,7 +43,7 @@ use crate::fxhash::FxHashSet;
 use crate::ids::{ExprId, GoalId, GroupId};
 use crate::memo::{InputGoal, Memo, Winner, WinnerPlan};
 use crate::model::Model;
-use crate::pattern::{match_pattern_with, Binding};
+use crate::pattern::{changed_since, match_pattern_with, Binding};
 use crate::plan::Plan;
 use crate::props::PhysicalProps;
 use crate::rule_index::RuleIndex;
@@ -50,8 +51,9 @@ use crate::rules::{AlgApplication, EnforcerApplication, RuleCtx, TransformationR
 use crate::stats::SearchStats;
 use crate::trace::{MemoHitKind, NullTracer, TraceEvent, Tracer};
 
-/// Version sentinel for "this (expression, rule) pair has never matched".
-const NEVER: u64 = u64::MAX;
+/// One exploration task: an expression, a transformation rule index, and
+/// the pair's watermark (0 = never matched; versions start at 1).
+type ExploreTask = (ExprId, usize, u64);
 
 /// One unit of exploration output: everything a single (expression,
 /// transformation rule) match task produced, ready for serial installation.
@@ -102,17 +104,6 @@ pub struct SearchOptions {
     /// search); any finite axis makes the search *anytime* — see the
     /// module documentation.
     pub budget: SearchBudget,
-    /// Consult the operator-indexed [`RuleIndex`] when collecting
-    /// exploration tasks and generating moves, skipping rules whose root
-    /// matcher cannot accept the expression's operator. Sound indexes do
-    /// not change plans, costs, or statistics; the flag exists as an
-    /// ablation/debug escape hatch (the differential test runs both ways).
-    pub rule_index: bool,
-    /// Use interned [`GoalId`]s directly. When disabled, every goal entry
-    /// re-derives its id from freshly cloned property vectors — the
-    /// legacy clone + full-hash cost profile — with provably identical
-    /// results. Ablation/debug escape hatch, matching `rule_index`.
-    pub goal_interning: bool,
 }
 
 impl Default for SearchOptions {
@@ -123,8 +114,6 @@ impl Default for SearchOptions {
             promise_ordering: true,
             move_limit: None,
             budget: SearchBudget::default(),
-            rule_index: true,
-            goal_interning: true,
         }
     }
 }
@@ -192,14 +181,15 @@ impl Drop for CycleGuard {
 }
 
 /// Match one (expression, transformation rule) task against a memo
-/// snapshot and collect its products. Read-only over the memo; both the
-/// serial and the parallel exploration run exactly this per task, so the
-/// two paths produce identical memos and statistics by construction.
+/// snapshot and collect its products: the bindings that contain a change
+/// since the task's watermark (every other binding already fired against
+/// identical canonical inputs). Read-only over the memo; both the serial
+/// and the parallel exploration run exactly this per task, so the two
+/// paths produce identical memos and statistics by construction.
 fn run_explore_task<M: Model>(
     memo: &Memo<M>,
     rule: &dyn TransformationRule<M>,
-    e: ExprId,
-    ri: usize,
+    (e, ri, since): ExploreTask,
 ) -> ExploreProduct<M> {
     let ctx = RuleCtx::new(memo);
     let pattern = rule.pattern();
@@ -207,7 +197,7 @@ fn run_explore_task<M: Model>(
     let mut firings = Vec::new();
     let mut subs = Vec::new();
     if root_matched {
-        match_pattern_with(memo, pattern, e, &mut |b| {
+        match_pattern_with(memo, pattern, e, since, &mut |b| {
             if rule.condition(&b, &ctx) {
                 let s = rule.apply(&b, &ctx);
                 firings.push(s.len() as u64);
@@ -248,9 +238,10 @@ pub struct Optimizer<'m, M: Model> {
     /// Operator-discriminant → candidate-rule dispatch index, built once
     /// from the model's rule sets.
     rule_index: RuleIndex,
-    /// Per-expression, per-transformation-rule memo version at the last
-    /// pattern match (`NEVER` = not yet matched).
-    watermarks: Vec<Vec<u64>>,
+    /// Memo version at the last installed pattern match of each
+    /// (expression, transformation rule) pair, 0 = not yet matched; one
+    /// row of `rule_depths.len()` entries per expression.
+    watermarks: Vec<u64>,
     /// Transformation pattern depths, cached from the model.
     rule_depths: Vec<usize>,
     /// Absolute deadline, armed from the budget at each public entry
@@ -258,8 +249,8 @@ pub struct Optimizer<'m, M: Model> {
     deadline: Option<Instant>,
     /// First budget trip, if any. Sticky: once a budget trips, this
     /// optimizer stays in greedy mode (its memo may hold greedy winners,
-    /// which are upper bounds, not optima). Use a fresh optimizer for a
-    /// fresh budget.
+    /// which are upper bounds, not optima); see [`Self::set_budget`] for
+    /// the one case a fresh budget clears it.
     tripped: Option<TripReason>,
     tracer: Box<dyn Tracer>,
 }
@@ -319,9 +310,38 @@ impl<'m, M: Model> Optimizer<'m, M> {
         self.tripped
     }
 
-    /// Arm the wall-clock deadline for a fresh top-level call.
-    fn arm_deadline(&mut self) {
-        self.deadline = self.opts.budget.deadline.map(|d| Instant::now() + d);
+    /// Replace the resource budget. A trip is forgotten only while no goal
+    /// has been completed greedily: a budget that ran out during
+    /// exploration leaves a smaller but sound memo, which a later call can
+    /// finish exploring, whereas greedy winners stay upper bounds for good.
+    pub fn set_budget(&mut self, budget: SearchBudget) {
+        self.opts.budget = budget;
+        if self.stats.greedy_goals == 0 {
+            self.tripped = None;
+        }
+    }
+
+    /// Entry of every public search call: arm the wall-clock deadline and
+    /// start the call's clock.
+    fn enter(&mut self) -> Instant {
+        let start = Instant::now();
+        self.deadline = self.opts.budget.deadline.map(|d| start + d);
+        start
+    }
+
+    /// Exit of every public search call: refresh the statistics that are
+    /// snapshots of the memo or the clock rather than running counters.
+    fn leave(&mut self, start: Instant) {
+        self.stats.elapsed += start.elapsed();
+        self.stats.exprs_created = self.memo.num_exprs();
+        self.stats.groups_created = self.memo.num_allocated_groups();
+        self.stats.group_merges = self.memo.merge_count();
+        self.stats.dead_exprs = self.memo.dead_expr_count();
+        self.stats.memo_bytes = self.memo.memory_estimate();
+        self.stats.outcome = match self.tripped {
+            None => BudgetOutcome::Exhaustive,
+            Some(r) => BudgetOutcome::Degraded(r),
+        };
     }
 
     /// Poll the budget; on the first violation, record the trip (sticky)
@@ -373,8 +393,9 @@ impl<'m, M: Model> Optimizer<'m, M> {
     /// analysis" (§4.1): Starburst's query-rewrite level as a *choice*,
     /// not a mandatory layer.
     pub fn explore(&mut self) {
-        self.arm_deadline();
+        let start = self.enter();
         self.explore_fixpoint();
+        self.leave(start);
     }
 
     /// The serial exploration fixpoint. Each pass snapshots the pending
@@ -396,12 +417,12 @@ impl<'m, M: Model> Optimizer<'m, M> {
             }
             let version_before = self.memo.version();
             let mut products = Vec::with_capacity(tasks.len());
-            for &(e, ri) in &tasks {
+            for &task in &tasks {
                 self.check_budget();
                 if self.tripped.is_some() {
                     break;
                 }
-                products.push(run_explore_task(&self.memo, rules[ri].as_ref(), e, ri));
+                products.push(run_explore_task(&self.memo, rules[task.1].as_ref(), task));
             }
             let changed = self.install_products(version_before, products);
             if !changed {
@@ -436,19 +457,19 @@ impl<'m, M: Model> Optimizer<'m, M> {
         M::PhysProps: Send + Sync,
         M::Cost: Sync,
     {
-        self.arm_deadline();
+        let start = self.enter();
         let threads = threads.max(1);
         let model = self.model;
         let rules = model.transformations();
-        loop {
+        let result = loop {
             self.check_budget();
             if self.tripped.is_some() {
-                break;
+                break Ok(());
             }
             self.stats.explore_passes += 1;
             let tasks = self.collect_explore_tasks();
             if tasks.is_empty() {
-                break;
+                break Ok(());
             }
             let version_before = self.memo.version();
             let deadline = self.deadline;
@@ -469,15 +490,15 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         let cancel = cancel.clone();
                         scope.spawn(move || -> Result<Vec<ExploreProduct<M>>, OptimizeError> {
                             let mut out = Vec::with_capacity(chunk_tasks.len());
-                            for &(e, ri) in chunk_tasks {
+                            for &task in chunk_tasks {
                                 if deadline.is_some_and(|d| Instant::now() >= d)
                                     || cancel.as_ref().is_some_and(|c| c.is_cancelled())
                                 {
                                     break;
                                 }
-                                let rule = rules[ri].as_ref();
+                                let rule = rules[task.1].as_ref();
                                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run_explore_task(memo, rule, e, ri)
+                                    run_explore_task(memo, rule, task)
                                 })) {
                                     Ok(p) => out.push(p),
                                     Err(payload) => {
@@ -508,43 +529,42 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 }
             });
             if let Some(e) = worker_error {
-                return Err(e);
+                break Err(e);
             }
-            let changed = self.install_products(version_before, products);
-            if !changed {
-                break;
+            if !self.install_products(version_before, products) {
+                break Ok(());
             }
-        }
-        Ok(())
+        };
+        self.leave(start);
+        result
     }
 
-    /// Collect the (expression, rule) pairs whose watermarks require a
-    /// (re-)match in this pass. Depth-1 patterns see only the
-    /// expression's own operator, so matching them once is exhaustive;
-    /// deeper patterns must re-match whenever the memo has grown, because
-    /// input classes may have gained members.
-    fn collect_explore_tasks(&mut self) -> Vec<(ExprId, usize)> {
-        let version = self.memo.version();
+    /// Collect the (expression, rule) pairs that require a (re-)match in
+    /// this pass, with their watermarks. Depth-1 patterns see only the
+    /// expression's own operator, so matching them once is exhaustive; a
+    /// deeper pattern is re-matched when the expression, or a class under
+    /// one of the pattern's nested positions, changed since the pair's
+    /// watermark — nothing else can give it a binding it has not fired.
+    fn collect_explore_tasks(&mut self) -> Vec<ExploreTask> {
+        let rules = self.model.transformations();
+        self.watermarks
+            .resize(self.memo.num_exprs() * rules.len(), 0);
         let mut tasks = Vec::new();
         for i in 0..self.memo.num_exprs() {
             let e = ExprId::from_index(i);
             if !self.memo.is_live(e) {
                 continue;
             }
-            self.ensure_watermarks(e);
-            // Candidate rules for this operator: the full list without
-            // the index (disc `None` maps to "all"), the indexed subset —
-            // same rules in the same ascending order minus guaranteed
-            // root-matcher rejections — with it.
-            let disc = if self.opts.rule_index {
-                self.model.op_discriminant(self.memo.expr(e).0)
-            } else {
-                None
-            };
+            // Candidate rules for this operator, ascending: every rule
+            // minus guaranteed root-matcher rejections.
+            let disc = self.model.op_discriminant(self.memo.expr(e).0);
             for &ri in self.rule_index.transform_candidates(disc) {
-                let wm = self.watermarks[e.index()][ri];
-                if wm == NEVER || (self.rule_depths[ri] > 1 && version > wm) {
-                    tasks.push((e, ri));
+                let wm = self.watermarks[i * rules.len() + ri];
+                if wm == 0
+                    || (self.rule_depths[ri] > 1
+                        && changed_since(&self.memo, rules[ri].pattern(), e, wm))
+                {
+                    tasks.push((e, ri, wm));
                 }
             }
         }
@@ -584,11 +604,10 @@ impl<'m, M: Model> Optimizer<'m, M> {
                     });
                 }
             }
-            self.ensure_watermarks(p.expr);
-            // Pass-start version: conservative for a snapshot match — the
-            // pass may install expressions this task never saw, so a
-            // deeper pattern must be allowed to re-match against them.
-            self.watermarks[p.expr.index()][p.rule_idx] = version_before;
+            // Pass-start version: the snapshot this task matched against.
+            // Whatever the pass installs is newer, so a deeper pattern
+            // re-matches against exactly what this task never saw.
+            self.watermarks[p.expr.index() * rules.len() + p.rule_idx] = version_before;
             if !p.subs.is_empty() {
                 let target = self.memo.group_of(p.expr);
                 for s in &p.subs {
@@ -598,13 +617,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
             }
         }
         changed
-    }
-
-    fn ensure_watermarks(&mut self, e: ExprId) {
-        let nrules = self.rule_depths.len();
-        while self.watermarks.len() <= e.index() {
-            self.watermarks.push(vec![NEVER; nrules]);
-        }
     }
 
     /// Optimize `root` for the required physical properties under an
@@ -619,22 +631,12 @@ impl<'m, M: Model> Optimizer<'m, M> {
         required: M::PhysProps,
         limit: Option<M::Cost>,
     ) -> Result<Plan<M>, OptimizeError> {
-        let start = Instant::now();
-        self.arm_deadline();
+        let start = self.enter();
         self.explore_fixpoint();
         let goal = self.memo.intern_goal(&required, &M::PhysProps::any());
         let had_limit = limit.is_some();
         let res = self.optimize_goal(root, goal, Limit(limit));
-        self.stats.elapsed += start.elapsed();
-        self.stats.exprs_created = self.memo.num_exprs();
-        self.stats.groups_created = self.memo.num_allocated_groups();
-        self.stats.group_merges = self.memo.merge_count();
-        self.stats.dead_exprs = self.memo.dead_expr_count();
-        self.stats.memo_bytes = self.memo.memory_estimate();
-        self.stats.outcome = match self.tripped {
-            None => BudgetOutcome::Exhaustive,
-            Some(r) => BudgetOutcome::Degraded(r),
-        };
+        self.leave(start);
         match res {
             Ok(_) => Ok(self
                 .extract_plan(root, goal)
@@ -671,15 +673,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
         limit: Limit<M::Cost>,
     ) -> Result<M::Cost, GoalFailure> {
         let group = self.memo.repr(group);
-        // Ablation escape hatch: with interning disabled, re-derive the
-        // goal id from freshly cloned property vectors on every entry —
-        // the legacy clone + full-hash cost profile, identical results.
-        let goal = if self.opts.goal_interning {
-            goal
-        } else {
-            let g = self.memo.goal(goal).clone();
-            self.memo.intern_goal(&g.required, &g.excluded)
-        };
 
         // "if the pair LogExpr and PhysProp is in the look-up table ..."
         if let Some(w) = self.memo.winner(group, goal) {
@@ -864,7 +857,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
             ref memo,
             model,
             ref mut tracer,
-            ref opts,
             ref rule_index,
             ..
         } = *self;
@@ -879,14 +871,10 @@ impl<'m, M: Model> Optimizer<'m, M> {
         // "there might be some algorithms that can deliver the logical
         // expression with the desired physical properties".
         for expr in memo.group_exprs(group) {
-            let disc = if opts.rule_index {
-                model.op_discriminant(memo.expr(expr).0)
-            } else {
-                None
-            };
+            let disc = model.op_discriminant(memo.expr(expr).0);
             for &ri in rule_index.impl_candidates(disc) {
                 let rule = &model.implementations()[ri];
-                match_pattern_with(memo, rule.pattern(), expr, &mut |binding| {
+                match_pattern_with(memo, rule.pattern(), expr, 0, &mut |binding| {
                     if !rule.condition(&binding, &ctx) {
                         return;
                     }

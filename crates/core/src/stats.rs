@@ -10,9 +10,13 @@ use std::time::Duration;
 
 use crate::budget::BudgetOutcome;
 
-/// Counters accumulated over one `find_best_plan` invocation (they keep
-/// accumulating if the same optimizer instance is reused, mirroring the
-/// paper's note that partial results currently live for a single query).
+/// Counters accumulated over one optimizer's `find_best_plan`, `explore`
+/// and `explore_parallel` calls (they keep accumulating if the same
+/// optimizer instance is reused, mirroring the paper's note that partial
+/// results currently live for a single query). The memo snapshots
+/// (`groups_created`, `exprs_created`, `group_merges`, `dead_exprs`,
+/// `memo_bytes`), `outcome` and `elapsed` are refreshed whenever one of
+/// those calls returns.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// Equivalence classes created.
@@ -61,7 +65,8 @@ pub struct SearchStats {
     /// Whether the search ran to exhaustion or degraded under its
     /// [`crate::SearchBudget`].
     pub outcome: BudgetOutcome,
-    /// Wall-clock time spent inside `find_best_plan`.
+    /// Wall-clock time spent inside `find_best_plan`, `explore` and
+    /// `explore_parallel`.
     pub elapsed: Duration,
     /// Memo memory footprint estimate after the search, in bytes.
     pub memo_bytes: usize,

@@ -305,6 +305,39 @@ fn cascading_merges_retire_duplicate_expressions() {
     assert_eq!(c1, 1.0 + 1.0 + 3.0); // scans + combine(1+2)
 }
 
+/// The statistics that are snapshots of the memo (and the clock) are
+/// refreshed at the exit of every public entry point, not only by
+/// `find_best_plan`: a rewrite-only caller reads them after `explore`.
+#[test]
+fn snapshot_stats_are_fresh_after_every_entry_point() {
+    let model = MModel::new();
+    let query = pair(wrap(leaf(1)), leaf(2));
+
+    let mut serial = Optimizer::new(&model, SearchOptions::default());
+    serial.insert_tree(&query);
+    serial.insert_tree(&pair(leaf(1), leaf(2)));
+    serial.explore();
+    let mut parallel = Optimizer::new(&model, SearchOptions::default());
+    parallel.insert_tree(&query);
+    parallel.insert_tree(&pair(leaf(1), leaf(2)));
+    parallel.explore_parallel(2).unwrap();
+
+    for (tag, opt) in [("explore", &serial), ("explore_parallel", &parallel)] {
+        let (s, m) = (opt.stats(), opt.memo());
+        assert_eq!(s.exprs_created, m.num_exprs(), "{tag}");
+        assert_eq!(s.groups_created, m.num_allocated_groups(), "{tag}");
+        assert_eq!(s.group_merges, m.merge_count(), "{tag}");
+        assert_eq!(s.dead_exprs, m.dead_expr_count(), "{tag}");
+        assert_eq!(s.memo_bytes, m.memory_estimate(), "{tag}");
+        assert!(
+            s.exprs_created > 0 && s.group_merges > 0 && s.dead_exprs > 0,
+            "{tag}"
+        );
+        assert!(s.memo_bytes > 0 && !s.elapsed.is_zero(), "{tag}");
+    }
+    assert!(serial.stats().counters_eq(parallel.stats()));
+}
+
 #[test]
 fn tracer_sees_rule_firings_and_goals() {
     let model = MModel::new();

@@ -5,7 +5,9 @@ use proptest::prelude::*;
 use volcano_core::cost::Limit;
 use volcano_core::toy::{ToyModel, ToyOp, ToyProps};
 use volcano_core::trace::MetricsTracer;
-use volcano_core::{ExprTree, Optimizer, PhysicalProps, Plan, SearchOptions};
+use volcano_core::{
+    ExprTree, GroupId, Memo, Optimizer, PhysicalProps, Plan, SearchOptions, SubstExpr,
+};
 
 type Tree = ExprTree<ToyModel>;
 
@@ -203,6 +205,111 @@ proptest! {
         let pc = ToyProps { sorted: a && b };
         if pa.satisfies(&pb) && pb.satisfies(&pc) {
             prop_assert!(pa.satisfies(&pc));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The incremental merge: after any sequence of insertions and class
+// merges the duplicate-detection index, the stored keys and the use lists
+// must be what a from-scratch re-canonicalization would leave.
+// `Memo::check_invariants` exists in debug builds only.
+// ---------------------------------------------------------------------
+
+#[cfg(debug_assertions)]
+mod incremental_merge {
+    use super::*;
+
+    /// Every table is empty, so every class derives cardinality 0 and the
+    /// toy model lets any two classes be declared equal.
+    fn empty_tables() -> ToyModel {
+        ToyModel::with_tables(&[("t0", 0), ("t1", 0), ("t2", 0), ("t3", 0)])
+    }
+
+    fn get(i: u8) -> Tree {
+        Tree::leaf(ToyOp::Get(format!("t{}", i % 4)))
+    }
+
+    fn join(a: GroupId, b: GroupId) -> SubstExpr<ToyModel> {
+        SubstExpr::Node {
+            op: ToyOp::Join,
+            inputs: vec![SubstExpr::Group(a), SubstExpr::Group(b)],
+        }
+    }
+
+    /// Two towers Select(Select(Get t)) over different tables: declaring
+    /// the tables equal leaves Select(t0)/Select(t1) as twins in
+    /// *different* classes, whose queued merge in turn makes the outer
+    /// Selects twins — each pair settled only once its merge has landed.
+    #[test]
+    fn cascade_settles_twins_of_different_classes() {
+        let m = empty_tables();
+        let mut memo: Memo<ToyModel> = Memo::new();
+        let tower = |t: Tree| Tree::new(ToyOp::Select, vec![Tree::new(ToyOp::Select, vec![t])]);
+        let top0 = memo.insert_tree(&m, &tower(get(0)));
+        let top1 = memo.insert_tree(&m, &tower(get(1)));
+        let (g0, g1) = (memo.insert_tree(&m, &get(0)), memo.insert_tree(&m, &get(1)));
+        memo.check_invariants();
+        assert_ne!(memo.repr(top0), memo.repr(top1));
+
+        assert!(memo.insert_subst(&m, &SubstExpr::Group(g1), g0));
+        memo.check_invariants();
+        assert_eq!(memo.repr(top0), memo.repr(top1));
+        assert_eq!(
+            memo.merge_count(),
+            3,
+            "tables, inner Selects, outer Selects"
+        );
+        assert_eq!(memo.dead_expr_count(), 2, "one Select retired per level");
+        assert_eq!(memo.num_groups(), 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random `insert_tree` / `insert_subst` / merge sequences over a
+        /// handful of leaves (so keys collide and merges cascade often),
+        /// checked after every step.
+        #[test]
+        fn random_insertions_and_merges_keep_the_memo_consistent(
+            steps in proptest::collection::vec((0u8..5, any::<u8>(), any::<u8>(), any::<u8>()), 1..40),
+        ) {
+            let m = empty_tables();
+            let mut memo: Memo<ToyModel> = Memo::new();
+            for i in 0..4 {
+                memo.insert_tree(&m, &get(i));
+            }
+            for (kind, x, y, z) in steps {
+                let ids = memo.group_ids();
+                let pick = |i: u8| ids[i as usize % ids.len()];
+                let (merges, exprs) = (memo.merge_count(), memo.num_exprs());
+                let changed = match kind {
+                    // A join of two classes lands in (or proves equal) a third.
+                    0 => memo.insert_subst(&m, &join(pick(x), pick(y)), pick(z)),
+                    // The same below a Select: the join gets a class of its own.
+                    1 => {
+                        let s = SubstExpr::Node { op: ToyOp::Select, inputs: vec![join(pick(x), pick(y))] };
+                        memo.insert_subst(&m, &s, pick(z))
+                    }
+                    // Two classes are declared equal outright.
+                    2 => memo.insert_subst(&m, &SubstExpr::Group(pick(x)), pick(y)),
+                    3 => {
+                        memo.insert_tree(&m, &Tree::new(ToyOp::Join, vec![get(x), get(y)]));
+                        memo.num_exprs() > exprs
+                    }
+                    _ => {
+                        memo.insert_tree(&m, &Tree::new(ToyOp::Select, vec![get(x)]));
+                        memo.num_exprs() > exprs
+                    }
+                };
+                memo.check_invariants();
+                prop_assert_eq!(
+                    changed,
+                    memo.merge_count() > merges || memo.num_exprs() > exprs,
+                    "`changed` must report exactly the structural changes"
+                );
+                prop_assert_eq!(memo.num_groups() as u64, memo.num_allocated_groups() as u64 - memo.merge_count());
+            }
         }
     }
 }

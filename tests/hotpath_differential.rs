@@ -1,13 +1,12 @@
 //! Differential tests for the search-engine hot-path machinery.
 //!
-//! The operator-indexed rule dispatch and the goal interner are pure
-//! engineering: with either (or both) force-disabled through their
-//! [`SearchOptions`] escape hatches, the optimizer must produce *exactly*
-//! the same plans, costs, and search statistics — on the toy model, on
-//! the fig4 relational workload, on the SQL golden-plan queries, and
-//! under both serial and parallel exploration. A completeness property
-//! test additionally verifies the soundness contract of the declared
-//! discriminant sets for both shipped models.
+//! Parallel exploration is pure engineering: front-loading the
+//! exploration fixpoint with [`Optimizer::explore_parallel`] must produce
+//! *exactly* the same plans, costs, and search statistics as the serial
+//! search — on the toy model and on the fig4 relational workload. A
+//! completeness property test additionally verifies the soundness
+//! contract of the discriminant sets the operator-indexed rule dispatch
+//! relies on, for both shipped models.
 
 use proptest::prelude::*;
 use volcano_bench::workload::{generate_query, WorkloadConfig};
@@ -17,23 +16,6 @@ use volcano_rel::{
     explain_plan, Catalog, ColumnDef, RelModel, RelModelOptions, RelOptimizer, RelProps,
 };
 use volcano_sql::plan_query;
-
-/// All four {rule_index, goal_interning} ablation configurations. The
-/// first entry is the production default; the rest must be observationally
-/// identical to it.
-fn configs() -> [SearchOptions; 4] {
-    let mk = |rule_index: bool, goal_interning: bool| SearchOptions {
-        rule_index,
-        goal_interning,
-        ..SearchOptions::default()
-    };
-    [
-        mk(true, true),
-        mk(false, true),
-        mk(true, false),
-        mk(false, false),
-    ]
-}
 
 // ---------------------------------------------------------------------
 // Toy model.
@@ -55,50 +37,39 @@ fn toy_chain(n: usize) -> (ToyModel, ExprTree<ToyModel>) {
     (model, e)
 }
 
-/// Optimize the toy chain under one configuration; return the observable
-/// outcome (plan shape, cost, counters).
-fn toy_outcome(
-    n: usize,
-    sorted: bool,
-    opts: SearchOptions,
-    parallel: bool,
-) -> (String, f64, SearchStats) {
+/// Optimize the toy chain after an explicit serial or parallel
+/// exploration; return the observable outcome (plan shape, cost, counters).
+fn toy_outcome(n: usize, sorted: bool, parallel: bool) -> (String, f64, SearchStats) {
     let goal = if sorted {
         ToyProps::sorted()
     } else {
         ToyProps::any()
     };
     let (model, query) = toy_chain(n);
-    let mut opt = Optimizer::new(&model, opts);
+    let mut opt = Optimizer::new(&model, SearchOptions::default());
     let root = opt.insert_tree(&query);
     if parallel {
         opt.explore_parallel(2).unwrap();
+    } else {
+        opt.explore();
     }
     let plan = opt.find_best_plan(root, goal, None).unwrap();
     (plan.compact(), plan.cost, opt.stats().clone())
 }
 
 #[test]
-fn toy_ablations_are_observationally_identical() {
+fn toy_parallel_exploration_is_observationally_identical() {
     for n in [3usize, 4, 5, 6] {
         for sorted in [false, true] {
-            for parallel in [false, true] {
-                let (bplan, bcost, bstats) = toy_outcome(n, sorted, configs()[0].clone(), parallel);
-                for opts in &configs()[1..] {
-                    let (plan, cost, stats) = toy_outcome(n, sorted, opts.clone(), parallel);
-                    let tag = format!(
-                        "n={n} sorted={sorted} parallel={parallel} \
-                         rule_index={} goal_interning={}",
-                        opts.rule_index, opts.goal_interning
-                    );
-                    assert_eq!(bplan, plan, "{tag}: plans diverged");
-                    assert!((bcost - cost).abs() < 1e-12, "{tag}: costs diverged");
-                    assert!(
-                        bstats.counters_eq(&stats),
-                        "{tag}: stats diverged\nbaseline: {bstats:?}\nablation: {stats:?}"
-                    );
-                }
-            }
+            let (splan, scost, sstats) = toy_outcome(n, sorted, false);
+            let (plan, cost, stats) = toy_outcome(n, sorted, true);
+            let tag = format!("n={n} sorted={sorted}");
+            assert_eq!(splan, plan, "{tag}: plans diverged");
+            assert!((scost - cost).abs() < 1e-12, "{tag}: costs diverged");
+            assert!(
+                sstats.counters_eq(&stats),
+                "{tag}: stats diverged\nserial: {sstats:?}\nparallel: {stats:?}"
+            );
         }
     }
 }
@@ -107,47 +78,43 @@ fn toy_ablations_are_observationally_identical() {
 // Relational model: fig4 workload.
 // ---------------------------------------------------------------------
 
-/// Optimize one generated fig4 query; return the explained plan (which
-/// embeds operator choices and costs), the plan cost, and the counters.
-fn fig4_outcome(n: usize, seed: u64, opts: SearchOptions, parallel: bool) -> (String, SearchStats) {
+/// Optimize one generated fig4 query after an explicit serial or parallel
+/// exploration; return the explained plan (which embeds operator choices
+/// and costs) and the counters.
+fn fig4_outcome(n: usize, seed: u64, parallel: bool) -> (String, SearchStats) {
     let q = generate_query(&WorkloadConfig::relations(n), seed);
     let model = RelModel::new(q.catalog.clone(), RelModelOptions::paper_fig4());
-    let mut opt = RelOptimizer::new(&model, opts);
+    let mut opt = RelOptimizer::new(&model, SearchOptions::default());
     let root = opt.insert_tree(&q.expr);
     if parallel {
         opt.explore_parallel(2).unwrap();
+    } else {
+        opt.explore();
     }
     let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
     (explain_plan(&q.catalog, &plan), opt.stats().clone())
 }
 
 #[test]
-fn fig4_ablations_are_observationally_identical() {
+fn fig4_parallel_exploration_is_observationally_identical() {
     for n in [2usize, 3, 4, 5] {
         for seed in 0..3u64 {
-            for parallel in [false, true] {
-                let (bplan, bstats) = fig4_outcome(n, seed, configs()[0].clone(), parallel);
-                for opts in &configs()[1..] {
-                    let (plan, stats) = fig4_outcome(n, seed, opts.clone(), parallel);
-                    let tag = format!(
-                        "n={n} seed={seed} parallel={parallel} \
-                         rule_index={} goal_interning={}",
-                        opts.rule_index, opts.goal_interning
-                    );
-                    assert_eq!(bplan, plan, "{tag}: plans diverged");
-                    assert!(
-                        bstats.counters_eq(&stats),
-                        "{tag}: stats diverged\nbaseline: {bstats:?}\nablation: {stats:?}"
-                    );
-                }
-            }
+            let (splan, sstats) = fig4_outcome(n, seed, false);
+            let (plan, stats) = fig4_outcome(n, seed, true);
+            let tag = format!("n={n} seed={seed}");
+            assert_eq!(splan, plan, "{tag}: plans diverged");
+            assert!(
+                sstats.counters_eq(&stats),
+                "{tag}: stats diverged\nserial: {sstats:?}\nparallel: {stats:?}"
+            );
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Relational model: SQL golden-plan queries (full default rule set,
-// including selections, projections, set operations, and aggregation).
+// The SQL golden-plan queries: the operator universe for the RuleIndex
+// completeness check (selections, projections, set operations, and
+// aggregation on top of the joins).
 // ---------------------------------------------------------------------
 
 fn sql_catalog() -> Catalog {
@@ -179,37 +146,6 @@ const SQL_QUERIES: &[&str] = &[
     "SELECT emp.dept, COUNT(*) FROM emp GROUP BY emp.dept ORDER BY emp.dept",
     "SELECT emp.dept FROM emp WHERE emp.salary < 50 UNION SELECT dept.id FROM dept",
 ];
-
-fn sql_outcome(sql: &str, opts: SearchOptions) -> (String, SearchStats) {
-    let mut catalog = sql_catalog();
-    let q = plan_query(sql, &mut catalog).expect("query must parse");
-    let model = RelModel::with_defaults(catalog.clone());
-    let mut opt = RelOptimizer::new(&model, opts);
-    let root = opt.insert_tree(&q.expr);
-    let plan = opt
-        .find_best_plan(root, RelProps::sorted(q.order_by.clone()), None)
-        .expect("query must be satisfiable");
-    (explain_plan(&catalog, &plan), opt.stats().clone())
-}
-
-#[test]
-fn sql_golden_queries_ablations_are_observationally_identical() {
-    for sql in SQL_QUERIES {
-        let (bplan, bstats) = sql_outcome(sql, configs()[0].clone());
-        for opts in &configs()[1..] {
-            let (plan, stats) = sql_outcome(sql, opts.clone());
-            let tag = format!(
-                "{sql:?} rule_index={} goal_interning={}",
-                opts.rule_index, opts.goal_interning
-            );
-            assert_eq!(bplan, plan, "{tag}: plans diverged");
-            assert!(
-                bstats.counters_eq(&stats),
-                "{tag}: stats diverged\nbaseline: {bstats:?}\nablation: {stats:?}"
-            );
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // RuleIndex completeness: for any operator the index must offer every
