@@ -209,277 +209,6 @@ fn check_search_hotpath(v: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn check_exec_workloads(v: &Json, name: &str) -> Result<(), String> {
-    let workloads = v
-        .get(name)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing {name} array"))?;
-    if workloads.is_empty() {
-        return Err(format!("{name} array is empty"));
-    }
-    for (i, w) in workloads.iter().enumerate() {
-        let ctx = |e: String| format!("{name}[{i}]: {e}");
-        w.get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{name}[{i}]: missing name"))?;
-        w.get("class")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{name}[{i}]: missing class"))?;
-        num(w, "rows").map_err(ctx)?;
-        for key in ["tuple_ms", "batch_ms", "speedup"] {
-            let x = num(w, key).map_err(ctx)?;
-            if x <= 0.0 {
-                return Err(format!("{name}[{i}]: {key} {x} <= 0"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_exec(v: &Json) -> Result<(), String> {
-    for key in ["card", "reps", "batch_size"] {
-        let x = num(v, key)?;
-        if x < 1.0 {
-            return Err(format!("{key} {x} < 1"));
-        }
-    }
-    let smoke = match v.get("smoke") {
-        Some(&Json::Bool(b)) => b,
-        _ => return Err("missing or non-boolean field \"smoke\"".to_string()),
-    };
-    check_exec_workloads(v, "workloads")?;
-    check_exec_workloads(v, "adapter_workloads")?;
-    let g = num(v, "geomean_speedup")?;
-    if g <= 0.0 {
-        return Err(format!("geomean_speedup {g} <= 0"));
-    }
-    // The acceptance gate: on a full (non-smoke) run the batch engine
-    // must beat the tuple engine by >= 2x geomean on the vectorized
-    // workloads. Smoke runs (tiny cards, debug builds) are exempt.
-    if !smoke && g < 2.0 {
-        return Err(format!(
-            "geomean_speedup {g:.2} < 2.0 on a full run (batch engine regression)"
-        ));
-    }
-    if let Some(vs) = v.get("vs_baseline") {
-        let b = num(vs, "baseline_geomean").map_err(|e| format!("vs_baseline: {e}"))?;
-        let r = num(vs, "ratio").map_err(|e| format!("vs_baseline: {e}"))?;
-        if b <= 0.0 || r <= 0.0 {
-            return Err(format!("vs_baseline: non-positive values ({b}, {r})"));
-        }
-    }
-    Ok(())
-}
-
-fn check_exec_fused(v: &Json) -> Result<(), String> {
-    for key in ["card", "reps", "batch_size", "pool_pages"] {
-        let x = num(v, key)?;
-        if x < 1.0 {
-            return Err(format!("{key} {x} < 1"));
-        }
-    }
-    // Zero is the default here (sleep-granularity floors make any
-    // nonzero latency I/O-bound), so only reject negatives.
-    let lat = num(v, "latency_us")?;
-    if lat < 0.0 {
-        return Err(format!("latency_us {lat} < 0"));
-    }
-    let smoke = match v.get("smoke") {
-        Some(&Json::Bool(b)) => b,
-        _ => return Err("missing or non-boolean field \"smoke\"".to_string()),
-    };
-    let workloads = v
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing workloads array".to_string())?;
-    if workloads.is_empty() {
-        return Err("workloads array is empty".to_string());
-    }
-    let mut saw_headline = false;
-    for (i, w) in workloads.iter().enumerate() {
-        let ctx = |e: String| format!("workloads[{i}]: {e}");
-        w.get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("workloads[{i}]: missing name"))?;
-        match w.get("class").and_then(Json::as_str) {
-            Some("headline") => saw_headline = true,
-            Some(_) => {}
-            None => return Err(format!("workloads[{i}]: missing class")),
-        }
-        num(w, "rows").map_err(ctx)?;
-        for key in ["batch_ms", "fused_ms", "speedup"] {
-            let x = num(w, key).map_err(ctx)?;
-            if x <= 0.0 {
-                return Err(format!("workloads[{i}]: {key} {x} <= 0"));
-            }
-        }
-    }
-    if !saw_headline {
-        return Err("workloads must include a headline class".to_string());
-    }
-    let g = num(v, "geomean_speedup")?;
-    if g <= 0.0 {
-        return Err(format!("geomean_speedup {g} <= 0"));
-    }
-    // The acceptance gate: on a full (non-smoke) run the fused engine
-    // must beat the batch engine by >= 1.25x geomean on the fusable
-    // headline workloads. Smoke runs (tiny cards, debug builds) are
-    // exempt.
-    if !smoke && g < 1.25 {
-        return Err(format!(
-            "geomean_speedup {g:.2} < 1.25 on a full run (fused engine regression)"
-        ));
-    }
-    Ok(())
-}
-
-fn check_exec_agg(v: &Json) -> Result<(), String> {
-    for key in ["card", "reps", "batch_size", "degree"] {
-        let x = num(v, key)?;
-        if x < 1.0 {
-            return Err(format!("{key} {x} < 1"));
-        }
-    }
-    let smoke = match v.get("smoke") {
-        Some(&Json::Bool(b)) => b,
-        _ => return Err("missing or non-boolean field \"smoke\"".to_string()),
-    };
-    let workloads = v
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing workloads array".to_string())?;
-    if workloads.is_empty() {
-        return Err("workloads array is empty".to_string());
-    }
-    let mut classes = (false, false);
-    for (i, w) in workloads.iter().enumerate() {
-        let ctx = |e: String| format!("workloads[{i}]: {e}");
-        w.get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("workloads[{i}]: missing name"))?;
-        match w.get("class").and_then(Json::as_str) {
-            Some("grouped") => classes.0 = true,
-            Some("total") => classes.1 = true,
-            other => return Err(format!("workloads[{i}]: bad class {other:?}")),
-        }
-        let rows = num(w, "rows").map_err(ctx)?;
-        if rows < 1.0 {
-            return Err(format!("workloads[{i}]: rows {rows} < 1"));
-        }
-        for key in ["tuple_ms", "batch_serial_ms", "parallel_ms", "speedup"] {
-            let x = num(w, key).map_err(ctx)?;
-            if x <= 0.0 {
-                return Err(format!("workloads[{i}]: {key} {x} <= 0"));
-            }
-        }
-    }
-    if !(classes.0 && classes.1) {
-        return Err("workloads must cover both a grouped and a total class".to_string());
-    }
-    let g = num(v, "geomean_speedup")?;
-    if g <= 0.0 {
-        return Err(format!("geomean_speedup {g} <= 0"));
-    }
-    // The acceptance gate: on a full (non-smoke) run, two-phase batch
-    // aggregation at 8 workers must beat the serial tuple engine by
-    // >= 2x geomean. Smoke runs (tiny cards, debug builds) are exempt.
-    if !smoke && g < 2.0 {
-        return Err(format!(
-            "geomean_speedup {g:.2} < 2.0 on a full run (parallel aggregation regression)"
-        ));
-    }
-    if let Some(vs) = v.get("vs_baseline") {
-        let b = num(vs, "baseline_geomean").map_err(|e| format!("vs_baseline: {e}"))?;
-        let r = num(vs, "ratio").map_err(|e| format!("vs_baseline: {e}"))?;
-        if b <= 0.0 || r <= 0.0 {
-            return Err(format!("vs_baseline: non-positive values ({b}, {r})"));
-        }
-    }
-    Ok(())
-}
-
-fn check_exec_parallel(v: &Json) -> Result<(), String> {
-    for key in ["card", "reps", "latency_us", "pool_pages"] {
-        let x = num(v, key)?;
-        if x < 1.0 {
-            return Err(format!("{key} {x} < 1"));
-        }
-    }
-    let smoke = match v.get("smoke") {
-        Some(&Json::Bool(b)) => b,
-        _ => return Err("missing or non-boolean field \"smoke\"".to_string()),
-    };
-    let workloads = v
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing workloads array".to_string())?;
-    if workloads.is_empty() {
-        return Err("workloads array is empty".to_string());
-    }
-    let mut classes = (false, false);
-    for (i, w) in workloads.iter().enumerate() {
-        let ctx = |e: String| format!("workloads[{i}]: {e}");
-        w.get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("workloads[{i}]: missing name"))?;
-        match w.get("class").and_then(Json::as_str) {
-            Some("scan") => classes.0 = true,
-            Some("join") => classes.1 = true,
-            other => return Err(format!("workloads[{i}]: bad class {other:?}")),
-        }
-        num(w, "rows").map_err(ctx)?;
-        let serial = num(w, "serial_ms").map_err(ctx)?;
-        if serial <= 0.0 {
-            return Err(format!("workloads[{i}]: serial_ms {serial} <= 0"));
-        }
-        let points = w
-            .get("threads")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("workloads[{i}]: missing threads array"))?;
-        if points.is_empty() {
-            return Err(format!("workloads[{i}]: threads array is empty"));
-        }
-        for (j, p) in points.iter().enumerate() {
-            let ctx = |e: String| format!("workloads[{i}].threads[{j}]: {e}");
-            for key in ["threads", "ms", "speedup"] {
-                let x = num(p, key).map_err(ctx)?;
-                if x <= 0.0 {
-                    return Err(format!("workloads[{i}].threads[{j}]: {key} {x} <= 0"));
-                }
-            }
-        }
-    }
-    if !(classes.0 && classes.1) {
-        return Err("workloads must cover both a scan and a join class".to_string());
-    }
-    let scaling = v
-        .get("scaling")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing scaling array".to_string())?;
-    if scaling.is_empty() {
-        return Err("scaling array is empty".to_string());
-    }
-    for (i, s) in scaling.iter().enumerate() {
-        let ctx = |e: String| format!("scaling[{i}]: {e}");
-        num(s, "threads").map_err(ctx)?;
-        num(s, "geomean_speedup").map_err(ctx)?;
-    }
-    let g = num(v, "geomean_8")?;
-    if g <= 0.0 {
-        return Err(format!("geomean_8 {g} <= 0"));
-    }
-    // The acceptance gate: on a full (non-smoke) run, 8 parallel workers
-    // must deliver >= 3x geomean speedup over the serial baseline across
-    // the scan-heavy and join-heavy workloads. Smoke runs (tiny cards
-    // that fit the buffer pool, debug builds) are exempt.
-    if !smoke && g < 3.0 {
-        return Err(format!(
-            "geomean_8 {g:.2} < 3.0 on a full run (parallel scaling regression)"
-        ));
-    }
-    Ok(())
-}
-
 fn check_plan_cache_workloads(v: &Json, name: &str) -> Result<(), String> {
     let workloads = v
         .get(name)
@@ -632,13 +361,12 @@ fn check_feedback(v: &Json) -> Result<(), String> {
         .get("engines")
         .and_then(Json::as_arr)
         .ok_or_else(|| "missing engines array".to_string())?;
-    let mut seen = (false, false, false);
+    let mut seen = (false, false);
     for (i, e) in engines.iter().enumerate() {
         let ctx = |err: String| format!("engines[{i}]: {err}");
         match e.get("engine").and_then(Json::as_str) {
             Some("tuple") => seen.0 = true,
-            Some("batch") => seen.1 = true,
-            Some("fused") => seen.2 = true,
+            Some("fused") => seen.1 = true,
             other => return Err(format!("engines[{i}]: unknown engine {other:?}")),
         }
         let k = num(e, "executions_to_converge").map_err(ctx)?;
@@ -661,8 +389,8 @@ fn check_feedback(v: &Json) -> Result<(), String> {
             }
         }
     }
-    if seen != (true, true, true) {
-        return Err("engines must cover tuple, batch, and fused".to_string());
+    if seen != (true, true) {
+        return Err("engines must cover tuple and fused".to_string());
     }
     let k = num(v, "max_executions_to_converge")?;
     if !smoke && k > 5.0 {
@@ -692,10 +420,6 @@ fn check_file(path: &str) -> Result<(), String> {
         Some("fig4") => check_fig4(&v),
         Some("budget") => check_budget(&v),
         Some("search_hotpath") => check_search_hotpath(&v),
-        Some("exec_batch") => check_exec(&v),
-        Some("exec_fused") => check_exec_fused(&v),
-        Some("exec_agg") => check_exec_agg(&v),
-        Some("exec_parallel") => check_exec_parallel(&v),
         Some("plan_cache") => check_plan_cache(&v),
         Some("serve") => check_serve(&v),
         Some("feedback") => check_feedback(&v),

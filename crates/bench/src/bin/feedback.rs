@@ -300,11 +300,7 @@ fn main() {
         "engine", "converge", "wrong ms", "converged ms", "improvement"
     );
 
-    let engines = [
-        Engine::Tuple,
-        Engine::Batch(BatchConfig::default()),
-        Engine::Fused(BatchConfig::default()),
-    ];
+    let engines = [Engine::Tuple, Engine::Fused(BatchConfig::default())];
     let mut results = Vec::new();
     for engine in engines {
         let r = run_engine(args.rows, args.reps, engine);

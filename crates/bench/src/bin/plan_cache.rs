@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use volcano_exec::Database;
+use volcano_exec::{Database, ExecOptions};
 use volcano_rel::value::Tuple;
 use volcano_rel::{Catalog, ColumnDef, Value};
 
@@ -188,19 +188,16 @@ fn sorted_copy(rows: &[Tuple]) -> Vec<Tuple> {
 fn run_workload(db: &Database, w: &Workload, reps: usize) -> WorkloadResult {
     let stmt = db.prepare(w.sql).expect("workload must prepare");
     let bind = |i: usize| vec![Value::Int(w.params[i % w.params.len()])];
+    let opts = ExecOptions::new();
+    let run = |i: usize| db.execute_prepared_opts(&stmt, &bind(i), &opts, None);
 
     // Correctness first: warm and cold must agree, and warm must be a
     // genuine hit that skipped the optimizer.
     db.set_plan_cache_enabled(false);
-    let cold_rows = db
-        .execute_prepared(&stmt, &bind(0), None)
-        .expect("cold run");
+    let cold_rows = run(0).expect("cold run").rows;
     db.set_plan_cache_enabled(true);
-    db.execute_prepared(&stmt, &bind(0), None)
-        .expect("warming run");
-    let warm = db
-        .execute_prepared_traced(&stmt, &bind(0), None, None)
-        .expect("warm run");
+    run(0).expect("warming run");
+    let warm = run(0).expect("warm run");
     assert_eq!(warm.cache, "hit", "{}: warm run missed the cache", w.name);
     assert!(
         warm.search.is_none(),
@@ -219,15 +216,15 @@ fn run_workload(db: &Database, w: &Workload, reps: usize) -> WorkloadResult {
     db.set_plan_cache_enabled(false);
     let t = Instant::now();
     for i in 0..reps {
-        std::hint::black_box(db.execute_prepared(&stmt, &bind(i), None).expect("cold"));
+        std::hint::black_box(run(i).expect("cold"));
     }
     let cold_ms = t.elapsed().as_secs_f64() * 1e3 / reps as f64;
 
     db.set_plan_cache_enabled(true);
-    db.execute_prepared(&stmt, &bind(0), None).expect("rewarm");
+    run(0).expect("rewarm");
     let t = Instant::now();
     for i in 0..reps {
-        std::hint::black_box(db.execute_prepared(&stmt, &bind(i), None).expect("warm"));
+        std::hint::black_box(run(i).expect("warm"));
     }
     let warm_ms = t.elapsed().as_secs_f64() * 1e3 / reps as f64;
 

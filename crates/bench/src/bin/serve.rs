@@ -4,7 +4,7 @@
 //! concurrent sessions: a sweep over {1, 2, 4, 8} session threads, each
 //! running the same mixed prepared workload (parameterized scans plus a
 //! hash join) against one shared [`Database`] through the serving
-//! layer's [`Session`]s.
+//! layer's [`volcano_exec::Session`]s.
 //!
 //! The database sits on a [`LatencyDisk`]: every page read carries a
 //! fixed simulated latency, and the buffer pool is deliberately smaller

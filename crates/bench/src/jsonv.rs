@@ -1,7 +1,7 @@
 //! A minimal JSON value model and recursive-descent parser — enough to
 //! validate the hand-written `BENCH_*.json` exports without pulling in a
 //! serialization crate. Not a general-purpose parser: no `\u` escapes
-//! beyond pass-through, numbers parsed via [`f64::from_str`].
+//! beyond pass-through, numbers parsed via [`f64::from_str`](std::str::FromStr::from_str).
 
 use std::collections::BTreeMap;
 use std::fmt;

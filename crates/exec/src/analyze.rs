@@ -2,7 +2,9 @@
 //! instrumentation — row counts, open/next invocation counts and
 //! wall-clock time — and report the actuals next to the optimizer's
 //! estimated cardinalities and costs, a direct check of the
-//! selectivity and cost models.
+//! selectivity and cost models. Per-operator seams exist on the tuple
+//! engine only; the vectorized engine reports per pipeline
+//! ([`execute_analyzed_fused`]).
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,8 +14,8 @@ use std::time::{Duration, Instant};
 use volcano_rel::value::Tuple;
 use volcano_rel::{Catalog, RelPlan};
 
-use crate::batch::{collect_batches, Batch, BatchOperator, BoxedBatchOperator};
-use crate::compile::{compile_batch_node, compile_node_at, BatchConfig, Built};
+use crate::batch::collect_batches;
+use crate::compile::{compile_node_at, BatchConfig};
 use crate::database::Database;
 use crate::iterator::{collect, BoxedOperator, Operator};
 
@@ -70,73 +72,6 @@ impl Operator for Instrumented {
         // that are closed more than once just overwrite with the latest
         // (cumulative) values.
         *self.cell.extra.lock().unwrap() = self.child.metrics();
-    }
-
-    fn name(&self) -> &'static str {
-        self.child.name()
-    }
-
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        self.child.metrics()
-    }
-}
-
-/// Pass-through batch operator measuring the batch operator beneath it.
-/// Counts *live* rows (so `actual_rows` is comparable across engines)
-/// and, at close, appends batch-shape statistics — batches produced,
-/// average rows per batch, selection-vector density — ahead of the
-/// operator's own kernel counters.
-struct InstrumentedBatch {
-    child: BoxedBatchOperator,
-    cell: Arc<Cell>,
-    batches: u64,
-    live_rows: u64,
-    physical_rows: u64,
-}
-
-impl BatchOperator for InstrumentedBatch {
-    fn open(&mut self) {
-        let start = Instant::now();
-        self.child.open();
-        self.cell.opens.fetch_add(1, Ordering::Relaxed);
-        self.cell
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn next_batch(&mut self, out: &mut Batch) -> bool {
-        let start = Instant::now();
-        let more = self.child.next_batch(out);
-        self.cell.next_calls.fetch_add(1, Ordering::Relaxed);
-        if more {
-            self.batches += 1;
-            self.live_rows += out.live_rows() as u64;
-            self.physical_rows += out.physical_rows() as u64;
-            self.cell
-                .rows
-                .fetch_add(out.live_rows() as u64, Ordering::Relaxed);
-        }
-        self.cell
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        more
-    }
-
-    fn close(&mut self) {
-        let start = Instant::now();
-        self.child.close();
-        self.cell
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let mut extra = vec![("batches", self.batches)];
-        if let Some(avg) = self.live_rows.checked_div(self.batches) {
-            extra.push(("avg_batch_rows", avg));
-        }
-        if let Some(pct) = (self.live_rows * 100).checked_div(self.physical_rows) {
-            extra.push(("sel_density_pct", pct));
-        }
-        extra.extend(self.child.metrics());
-        *self.cell.extra.lock().unwrap() = extra;
     }
 
     fn name(&self) -> &'static str {
@@ -386,95 +321,7 @@ pub fn execute_analyzed_at(
     }
 }
 
-/// Build the instrumented batch tree, mirroring [`instrument`] over the
-/// batch lowering. Each plan node is wrapped in the instrumentation
-/// matching its engine (batch or tuple); the adapters the lowering
-/// inserts at engine boundaries are not themselves plan nodes, so their
-/// cost lands in the parent's self time.
-fn instrument_batch(
-    db: &Database,
-    sch: &crate::database::SchemaSnapshot,
-    catalog: &Catalog,
-    plan: &RelPlan,
-    depth: usize,
-    cfg: BatchConfig,
-    counters: &mut Vec<(NodeMeasurement, Arc<Cell>)>,
-) -> Built {
-    let cell = Arc::new(Cell::default());
-    let slot = counters.len();
-    counters.push((
-        NodeMeasurement {
-            description: volcano_rel::explain::alg_description(catalog, &plan.alg),
-            operator: "",
-            depth,
-            est_rows: volcano_rel::estimate::estimated_rows(catalog, plan),
-            est_cost: plan.cost.total(),
-            actual_rows: 0,
-            opens: 0,
-            next_calls: 0,
-            elapsed: Duration::ZERO,
-            extra: Vec::new(),
-        },
-        cell.clone(),
-    ));
-    let children: Vec<Built> = plan
-        .inputs
-        .iter()
-        .map(|c| instrument_batch(db, sch, catalog, c, depth + 1, cfg, counters))
-        .collect();
-    match compile_batch_node(db, sch, plan, children, cfg) {
-        Built::B(op) => {
-            counters[slot].0.operator = op.name();
-            Built::B(Box::new(InstrumentedBatch {
-                child: op,
-                cell,
-                batches: 0,
-                live_rows: 0,
-                physical_rows: 0,
-            }))
-        }
-        Built::T(op) => {
-            counters[slot].0.operator = op.name();
-            Built::T(Box::new(Instrumented { child: op, cell }))
-        }
-    }
-}
-
-/// Execute a plan on the batch engine with per-operator
-/// instrumentation. Node measurements carry batch-shape metrics
-/// (batches, average rows per batch, selection-vector density) and
-/// per-kernel timings alongside the estimated-vs-actual columns.
-pub fn execute_analyzed_batch(
-    db: &Database,
-    catalog: &Catalog,
-    plan: &RelPlan,
-    cfg: BatchConfig,
-) -> Analyzed {
-    let sch = db.snapshot();
-    execute_analyzed_batch_at(db, &sch, catalog, plan, cfg)
-}
-
-/// [`execute_analyzed_batch`] against a caller-pinned schema snapshot
-/// (see [`execute_analyzed_at`]).
-pub fn execute_analyzed_batch_at(
-    db: &Database,
-    sch: &crate::database::SchemaSnapshot,
-    catalog: &Catalog,
-    plan: &RelPlan,
-    cfg: BatchConfig,
-) -> Analyzed {
-    let mut counters = Vec::new();
-    let schema_len = crate::compile::schema_of_at(sch, plan).len();
-    let mut op = instrument_batch(db, sch, catalog, plan, 0, cfg, &mut counters)
-        .into_batch(schema_len, cfg.batch_size);
-    let rows = collect_batches(op.as_mut());
-    Analyzed {
-        rows,
-        nodes: drain_counters(counters),
-    }
-}
-
-/// `EXPLAIN ANALYZE` output for the pipeline-fused engine: the result
+/// `EXPLAIN ANALYZE` output for the vectorized engine: the result
 /// rows plus the fused compilation/execution report (pipelines fused,
 /// operators per pipeline, fallback segments, adapters, per-pipeline
 /// row/batch/time counters).
@@ -486,12 +333,12 @@ pub struct AnalyzedFused {
     pub report: crate::fused::FusedReport,
 }
 
-/// Execute a plan on the pipeline-fused engine and report fused-pipeline
+/// Execute a plan on the vectorized engine and report fused-pipeline
 /// metrics. A fused region is a single compiled loop — there are no
 /// per-plan-node seams to instrument — so the analysis is per *pipeline*
 /// (rows, batches, wall time), not per operator. Gather regions run
-/// serially, mirroring [`execute_analyzed_batch`], so pipeline counters
-/// cover the whole input rather than one worker's share.
+/// serially, so pipeline counters cover the whole input rather than one
+/// worker's share.
 pub fn execute_analyzed_fused(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> AnalyzedFused {
     let sch = db.snapshot();
     let compiled = crate::fused::compile_fused_with(db, &sch, plan, cfg, true);
@@ -556,7 +403,7 @@ mod tests {
             "no operator-specific metrics were captured"
         );
         // Instrumented execution returns the same rows as the plain one.
-        let plain = db.execute(&plan);
+        let plain = db.execute(&plan, &crate::ExecOptions::new(), None);
         crate::naive::assert_same_rows(analyzed.rows.clone(), plain);
         // The report shows estimates next to actuals.
         let report = analyzed.report();

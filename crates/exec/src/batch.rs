@@ -2,7 +2,7 @@
 //! engine.
 //!
 //! Where the tuple engine moves one `Vec<Value>` per `next` call, the
-//! batch engine moves a [`Batch`]: one typed column vector per attribute
+//! vectorized engine moves a [`Batch`]: one typed column vector per attribute
 //! plus an optional *selection vector* naming the rows that are still
 //! live. Operators amortize their per-call overhead (virtual dispatch,
 //! bounds checks, branch mispredictions) over a configurable number of

@@ -7,8 +7,6 @@
 //! EXPLAIN-ANALYZE instrumentation uses to interpose row counters at
 //! every operator boundary.
 
-use std::sync::Arc;
-
 use volcano_rel::catalog::ColType;
 use volcano_rel::{AggSpec, AttrId, Pred, RelAlg, RelPlan, TableId};
 
@@ -16,9 +14,8 @@ use crate::batch::{BoxedBatchOperator, DEFAULT_BATCH_SIZE};
 use crate::database::{Database, SchemaSnapshot};
 use crate::iterator::BoxedOperator;
 use crate::ops::{
-    aggregate::CompiledAgg, AggMode, BatchFilter, BatchHashAggregate, BatchHashJoin, BatchProject,
-    BatchScan, BatchSource, CompiledPred, Filter, HashAggregate, HashJoin, MergeJoin, NestedLoops,
-    Project, StreamAggregate, TableScan, TupleSource,
+    aggregate::CompiledAgg, AggMode, BatchSource, CompiledPred, Filter, HashAggregate, HashJoin,
+    MergeJoin, NestedLoops, Project, StreamAggregate, TableScan, TupleSource,
 };
 use crate::ops::{HashSetOp, MergeSetOp, SetOpKind};
 
@@ -54,49 +51,37 @@ impl Default for BatchConfig {
     }
 }
 
-/// Which of the three execution engines runs a plan.
+/// Which execution engine runs a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Tuple-at-a-time Volcano iterators (`open`/`next`/`close`).
+    /// Tuple-at-a-time Volcano iterators (`open`/`next`/`close`): the
+    /// paper-faithful reference the vectorized engine is tested against.
     #[default]
     Tuple,
-    /// The vectorized batch engine: one operator per plan node,
-    /// column-at-a-time kernels over selection-vectored batches.
-    Batch(BatchConfig),
-    /// The pipeline-fused engine: maximal fusable plan segments compiled
-    /// into single [`crate::fused::FusedRegion`] operators, batch
-    /// operators for the rest.
+    /// The vectorized engine: pipelineable plan segments compiled into
+    /// [`crate::fused::FusedRegion`] operators over selection-vectored
+    /// batches, `gather(n)` subtrees run morsel-parallel, everything
+    /// else on the tuple operators behind adapters.
     Fused(BatchConfig),
 }
 
 impl Engine {
-    /// Short lowercase name (`tuple` / `batch` / `fused`) for traces and
-    /// the CLI's `SET EXECUTOR` echo.
+    /// Short lowercase name (`tuple` / `fused`) for traces and the
+    /// CLI's `SET EXECUTOR` echo.
     pub fn label(&self) -> &'static str {
         match self {
             Engine::Tuple => "tuple",
-            Engine::Batch(_) => "batch",
             Engine::Fused(_) => "fused",
         }
     }
 
-    /// The batch configuration, for the two engines that have one.
-    pub fn batch_config(&self) -> Option<BatchConfig> {
-        match self {
-            Engine::Tuple => None,
-            Engine::Batch(cfg) | Engine::Fused(cfg) => Some(*cfg),
-        }
-    }
-}
-
-impl From<Option<BatchConfig>> for Engine {
-    /// Backward-compatible lift of the pre-fused "engine" signature:
-    /// `None` was the tuple engine, `Some(cfg)` the batch engine.
-    fn from(cfg: Option<BatchConfig>) -> Self {
-        match cfg {
-            Some(cfg) => Engine::Batch(cfg),
-            None => Engine::Tuple,
-        }
+    /// The retired operator-per-node batch engine, nameable as a
+    /// constructor only: `e2e/src/sut.rs` (frozen by BENCHMARK.json) is
+    /// its one caller, and the next benchmark PR deletes both.
+    #[doc(hidden)]
+    #[allow(non_snake_case)]
+    pub fn Batch(cfg: BatchConfig) -> Engine {
+        Engine::Fused(cfg)
     }
 }
 
@@ -120,18 +105,6 @@ impl BatchConfig {
         self.fail_morsel = Some(n);
         self
     }
-}
-
-/// An executable *batch* operator tree plus its output schema.
-pub struct CompiledBatch {
-    /// The root batch operator.
-    pub operator: BoxedBatchOperator,
-    /// Output attribute ids, in column position order.
-    pub schema: Vec<AttrId>,
-    /// Scheduling counters of each morsel-parallel gather region in the
-    /// tree (empty for serial plans); live while the plan executes, for
-    /// post-run trace reporting.
-    pub gathers: Vec<Arc<crate::morsel::MorselStats>>,
 }
 
 pub(crate) fn position(schema: &[AttrId], attr: AttrId) -> usize {
@@ -293,8 +266,8 @@ pub fn compile_node_at(
         }
         // The tuple engine has no morsel-parallel path: a gather executes
         // its subtree serially, which produces the same rows (operators
-        // are degree-agnostic; the degree only matters to the batch
-        // engine's parallel lowering).
+        // are degree-agnostic; the degree only matters to the vectorized
+        // engine's morsel-parallel lowering).
         RelAlg::Gather(_) => children.remove(0),
         RelAlg::Sort(attrs) => {
             let keys = attrs
@@ -471,11 +444,7 @@ pub(crate) fn compile_at(db: &Database, sch: &SchemaSnapshot, plan: &RelPlan) ->
     }
 }
 
-// ---------------------------------------------------------------------
-// Batch-engine compilation.
-// ---------------------------------------------------------------------
-
-/// A subtree built for the batch engine: natively vectorized, or a
+/// A subtree built for the vectorized engine: natively vectorized, or a
 /// tuple operator awaiting an adapter. Keeping both forms during
 /// compilation lets the lowering insert at most one adapter per engine
 /// boundary instead of sandwiching every operator.
@@ -511,170 +480,4 @@ pub(crate) fn table_col_types(sch: &SchemaSnapshot, t: TableId) -> Vec<ColType> 
         .iter()
         .map(|c| c.ty)
         .collect()
-}
-
-/// Build the batch-engine operator for `plan`'s root over pre-built
-/// `children`, vectorizing scan, filter, projection, hash join, and
-/// hash aggregation (all three phases) natively and falling back to the
-/// tuple operator (sort, stream aggregate, set ops,
-/// merge/nested/multiway joins, index scan) behind adapters. A
-/// non-scan node is vectorized only when its inputs already are, so
-/// adapters appear exactly at the engine boundaries of the plan.
-pub(crate) fn compile_batch_node(
-    db: &Database,
-    sch: &SchemaSnapshot,
-    plan: &RelPlan,
-    mut children: Vec<Built>,
-    cfg: BatchConfig,
-) -> Built {
-    let bs = cfg.batch_size;
-    let child_schemas: Vec<Vec<AttrId>> =
-        plan.inputs.iter().map(|c| schema_of_at(sch, c)).collect();
-    match &plan.alg {
-        RelAlg::FileScan(t) => Built::B(Box::new(BatchScan::new(
-            sch.table(*t).clone(),
-            table_col_types(sch, *t),
-            None,
-            bs,
-        ))),
-        RelAlg::FilterScan(t, pred) => {
-            let schema = table_schema(sch, *t);
-            let cp = compile_pred(&schema, pred);
-            Built::B(Box::new(BatchScan::new(
-                sch.table(*t).clone(),
-                table_col_types(sch, *t),
-                Some(cp),
-                bs,
-            )))
-        }
-        RelAlg::Filter(pred) if matches!(children[0], Built::B(_)) => {
-            let cp = compile_pred(&child_schemas[0], pred);
-            let child = children.remove(0).into_batch(child_schemas[0].len(), bs);
-            Built::B(Box::new(BatchFilter::new(child, cp)))
-        }
-        RelAlg::ProjectOp(attrs) if matches!(children[0], Built::B(_)) => {
-            let positions = attrs
-                .iter()
-                .map(|&a| position(&child_schemas[0], a))
-                .collect();
-            let child = children.remove(0).into_batch(child_schemas[0].len(), bs);
-            Built::B(Box::new(BatchProject::new(child, positions)))
-        }
-        RelAlg::HybridHashJoin(p)
-            if matches!(children[0], Built::B(_)) && matches!(children[1], Built::B(_)) =>
-        {
-            let lkeys = p
-                .pairs()
-                .iter()
-                .map(|&(la, _)| position(&child_schemas[0], la))
-                .collect();
-            let rkeys = p
-                .pairs()
-                .iter()
-                .map(|&(_, ra)| position(&child_schemas[1], ra))
-                .collect();
-            let right = children.remove(1).into_batch(child_schemas[1].len(), bs);
-            let left = children.remove(0).into_batch(child_schemas[0].len(), bs);
-            Built::B(Box::new(BatchHashJoin::new(left, right, lkeys, rkeys, bs)))
-        }
-        RelAlg::HashAggregate(spec) if matches!(children[0], Built::B(_)) => {
-            let (group, aggs) = compile_agg_spec(&child_schemas[0], spec);
-            let child = children.remove(0).into_batch(child_schemas[0].len(), bs);
-            Built::B(Box::new(BatchHashAggregate::new(
-                child,
-                group,
-                aggs,
-                AggMode::Complete,
-                bs,
-            )))
-        }
-        RelAlg::PartialHashAggregate(spec, _) if matches!(children[0], Built::B(_)) => {
-            let (group, aggs) = compile_agg_spec(&child_schemas[0], spec);
-            let child = children.remove(0).into_batch(child_schemas[0].len(), bs);
-            Built::B(Box::new(BatchHashAggregate::new(
-                child,
-                group,
-                aggs,
-                AggMode::Partial,
-                bs,
-            )))
-        }
-        RelAlg::FinalHashAggregate(spec) if matches!(children[0], Built::B(_)) => {
-            let group: Vec<usize> = (0..spec.group_by.len()).collect();
-            let aggs = partial_layout_aggs(spec);
-            let child = children.remove(0).into_batch(child_schemas[0].len(), bs);
-            Built::B(Box::new(BatchHashAggregate::new(
-                child,
-                group,
-                aggs,
-                AggMode::Final,
-                bs,
-            )))
-        }
-        // A gather over pre-built children is a serial pass-through (the
-        // EXPLAIN ANALYZE path lands here: it instruments every plan node
-        // individually, which a fused parallel pipeline cannot honour).
-        // The morsel-parallel lowering happens in [`build_batch_tree`],
-        // which intercepts gather nodes *before* compiling the subtree.
-        RelAlg::Gather(_) => children.remove(0),
-        // Everything else executes tuple-at-a-time; batch subtrees are
-        // lowered through one adapter each.
-        _ => {
-            let tuple_children: Vec<BoxedOperator> =
-                children.into_iter().map(Built::into_tuple).collect();
-            Built::T(compile_node_at(db, sch, plan, tuple_children))
-        }
-    }
-}
-
-fn build_batch_tree(
-    db: &Database,
-    sch: &SchemaSnapshot,
-    plan: &RelPlan,
-    cfg: BatchConfig,
-    gathers: &mut Vec<Arc<crate::morsel::MorselStats>>,
-) -> Built {
-    // A gather node executes its subtree as morsel-driven parallel
-    // pipelines when the subtree's shape supports it; otherwise (or at
-    // degree 1) it degrades to a serial pass-through with identical
-    // results.
-    if let RelAlg::Gather(n) = &plan.alg {
-        if *n > 1 {
-            if let Some(par) = crate::morsel::compile_parallel(sch, &plan.inputs[0]) {
-                let op = crate::morsel::ParallelGather::new(Arc::new(par), *n as usize, cfg);
-                gathers.push(op.stats());
-                return Built::B(Box::new(op));
-            }
-        }
-        return build_batch_tree(db, sch, &plan.inputs[0], cfg, gathers);
-    }
-    let children: Vec<Built> = plan
-        .inputs
-        .iter()
-        .map(|c| build_batch_tree(db, sch, c, cfg, gathers))
-        .collect();
-    compile_batch_node(db, sch, plan, children, cfg)
-}
-
-/// Compile a plan for the batch engine (the current schema snapshot).
-pub fn compile_batch(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> CompiledBatch {
-    compile_batch_at(db, &db.snapshot(), plan, cfg)
-}
-
-/// [`compile_batch`] against a pinned schema snapshot.
-pub(crate) fn compile_batch_at(
-    db: &Database,
-    sch: &SchemaSnapshot,
-    plan: &RelPlan,
-    cfg: BatchConfig,
-) -> CompiledBatch {
-    let schema = schema_of_at(sch, plan);
-    let mut gathers = Vec::new();
-    let operator =
-        build_batch_tree(db, sch, plan, cfg, &mut gathers).into_batch(schema.len(), cfg.batch_size);
-    CompiledBatch {
-        operator,
-        schema,
-        gathers,
-    }
 }

@@ -23,7 +23,7 @@ use volcano_store::record::{decode_record, encode_record, Field};
 use volcano_store::{BTree, BufferPool, DiskManager, FileDisk, HeapFile, MemDisk, MetaEntry};
 
 use crate::batch::collect_batches;
-use crate::compile::{BatchConfig, Engine};
+use crate::compile::Engine;
 use crate::iterator::collect;
 use crate::plan_cache::{drift_validation, rebind_plan, CacheEntry, CacheOutcome, PlanCache};
 
@@ -170,7 +170,7 @@ pub struct PreparedOutcome {
 /// session varies call by call without touching database-wide state.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// Which engine executes the plan (tuple, batch, or fused).
+    /// Which engine executes the plan (tuple or vectorized).
     pub engine: Engine,
     /// Search budget applied when this execution has to optimize
     /// (admission control degrades overloaded traffic to anytime
@@ -202,15 +202,7 @@ impl ExecOptions {
         self
     }
 
-    /// Use the batch engine with `cfg` (`None` = tuple engine). The
-    /// pre-fused signature, kept for the common two-engine call sites;
-    /// see [`ExecOptions::with_executor`] for the general form.
-    pub fn with_engine(mut self, cfg: Option<BatchConfig>) -> Self {
-        self.engine = cfg.into();
-        self
-    }
-
-    /// Execute on `engine` (tuple, batch, or fused).
+    /// Execute on `engine`.
     pub fn with_executor(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -311,7 +303,7 @@ pub struct Database {
     /// `f64` bits so it can sit in an atomic next to the epoch.
     drift_factor: AtomicU64,
     /// Worker-pool degree the optimizer's gather enforcer may offer
-    /// (morsel-driven batch execution); `1` = serial planning.
+    /// (morsel-driven vectorized execution); `1` = serial planning.
     parallel_degree: AtomicU32,
     /// Database-wide adaptive-feedback switch (off by default: feedback
     /// changes plans, so it is strictly opt-in).
@@ -515,83 +507,21 @@ impl Database {
         }
     }
 
-    /// Execute an optimized physical plan, returning all result tuples.
-    pub fn execute(&self, plan: &RelPlan) -> Vec<Tuple> {
-        let snap = self.snapshot();
-        let mut op = crate::compile::compile_at(self, &snap, plan).operator;
-        collect(op.as_mut())
-    }
-
-    /// Execute a plan on the vectorized batch engine. For serial plans
-    /// this produces the same rows in the same order as
-    /// [`Database::execute`]; a plan with `gather(n>1)` regions produces
-    /// the same *multiset* of rows in a nondeterministic interleaving
-    /// (the differential suite enforces both).
-    pub fn execute_batch(&self, plan: &RelPlan, cfg: BatchConfig) -> Vec<Tuple> {
-        self.execute_batch_traced(plan, cfg, None)
-    }
-
-    /// [`Database::execute_batch`], plus one
-    /// [`TraceEvent::MorselPhase`] per morsel-parallel gather region in
-    /// the plan, emitted after execution completes (workers aggregate
-    /// their counters lock-free while running).
-    pub fn execute_batch_traced(
+    /// Execute an optimized physical plan on `opts.engine`, returning
+    /// all result tuples (`opts.budget` and `opts.bypass_cache` concern
+    /// planning and do not apply). Both engines produce the same
+    /// multiset of rows, in the same order for serial plans; a plan with
+    /// `gather(n>1)` regions delivers a nondeterministic interleaving on
+    /// the vectorized engine. `tracer` receives what
+    /// [`Database::execute_prepared_opts`] reports about execution.
+    pub fn execute(
         &self,
         plan: &RelPlan,
-        cfg: BatchConfig,
+        opts: &ExecOptions,
         tracer: Option<&dyn Tracer>,
     ) -> Vec<Tuple> {
-        let snap = self.snapshot();
-        let compiled = crate::compile::compile_batch_at(self, &snap, plan, cfg);
-        let mut op = compiled.operator;
-        let rows = collect_batches(op.as_mut());
-        if let Some(t) = tracer {
-            if t.enabled() {
-                for g in &compiled.gathers {
-                    t.event(TraceEvent::MorselPhase {
-                        workers: g.workers(),
-                        morsels: g.dispatched(),
-                        steals: g.stolen(),
-                    });
-                }
-            }
-        }
-        rows
-    }
-
-    /// Execute a plan on the pipeline-fused engine: same multiset of
-    /// rows as [`Database::execute`] and [`Database::execute_batch`]
-    /// (same order for serial plans), with fusable segments running as
-    /// compiled [`crate::fused::FusedRegion`] pipelines.
-    pub fn execute_fused(&self, plan: &RelPlan, cfg: BatchConfig) -> Vec<Tuple> {
-        self.execute_fused_traced(plan, cfg, None)
-    }
-
-    /// [`Database::execute_fused`], plus one
-    /// [`TraceEvent::MorselPhase`] per morsel-parallel gather region,
-    /// emitted after execution completes.
-    pub fn execute_fused_traced(
-        &self,
-        plan: &RelPlan,
-        cfg: BatchConfig,
-        tracer: Option<&dyn Tracer>,
-    ) -> Vec<Tuple> {
-        let snap = self.snapshot();
-        let compiled = crate::fused::compile_fused_at(self, &snap, plan, cfg);
-        let mut op = compiled.operator;
-        let rows = collect_batches(op.as_mut());
-        if let Some(t) = tracer {
-            if t.enabled() {
-                for g in &compiled.gathers {
-                    t.event(TraceEvent::MorselPhase {
-                        workers: g.workers(),
-                        morsels: g.dispatched(),
-                        steals: g.stolen(),
-                    });
-                }
-            }
-        }
-        rows
+        let feedback = opts.feedback || self.feedback_enabled();
+        self.run_at(&self.snapshot(), plan, opts.engine, feedback, tracer)
     }
 
     // -----------------------------------------------------------------
@@ -790,18 +720,6 @@ impl Database {
         }
     }
 
-    /// Execute a prepared statement, returning only the rows. See
-    /// [`Database::execute_prepared_traced`] for the audited form.
-    pub fn execute_prepared(
-        &self,
-        stmt: &PreparedStatement,
-        params: &[Value],
-        engine: Option<BatchConfig>,
-    ) -> Result<Vec<Tuple>, PrepareError> {
-        self.execute_prepared_traced(stmt, params, engine, None)
-            .map(|o| o.rows)
-    }
-
     /// Execute a prepared statement through the plan cache.
     ///
     /// The flow per execution: bind the full parameter vector, lower the
@@ -810,29 +728,19 @@ impl Database {
     /// with **no optimizer involvement**; the returned outcome carries
     /// `search: None` as evidence. A miss (or an entry killed by the
     /// epoch/drift guard) optimizes as usual and caches the result.
+    /// `opts` carries the per-execution controls (engine, search budget,
+    /// cache bypass, feedback).
     ///
-    /// `tracer` receives one [`TraceEvent::PlanCacheLookup`] per call.
-    pub fn execute_prepared_traced(
-        &self,
-        stmt: &PreparedStatement,
-        params: &[Value],
-        engine: Option<BatchConfig>,
-        tracer: Option<&dyn Tracer>,
-    ) -> Result<PreparedOutcome, PrepareError> {
-        self.execute_prepared_opts(
-            stmt,
-            params,
-            &ExecOptions::new().with_engine(engine),
-            tracer,
-        )
-    }
-
-    /// [`Database::execute_prepared_traced`] with full per-execution
-    /// controls (engine, search budget) — the serving layer's entry
-    /// point. The whole flow runs against one schema snapshot, so
-    /// concurrent DDL cannot make it panic half-way: a statement whose
-    /// table was dropped fails cleanly at lowering, and a drop landing
-    /// *after* the snapshot executes against the pre-drop data.
+    /// `tracer` receives one [`TraceEvent::PlanCacheLookup`] per call,
+    /// one [`TraceEvent::MorselPhase`] per morsel-parallel gather region
+    /// of the executed plan (after execution completes; workers
+    /// aggregate their counters lock-free while running), and one
+    /// [`TraceEvent::FeedbackApplied`] when feedback is on.
+    ///
+    /// The whole flow runs against one schema snapshot, so concurrent
+    /// DDL cannot make it panic half-way: a statement whose table was
+    /// dropped fails cleanly at lowering, and a drop landing *after* the
+    /// snapshot executes against the pre-drop data.
     pub fn execute_prepared_opts(
         &self,
         stmt: &PreparedStatement,
@@ -861,7 +769,7 @@ impl Database {
             }
             let (plan, stats) = self.optimize(&catalog, &q.expr, goal, opts.budget.clone())?;
             return Ok(PreparedOutcome {
-                rows: self.run_prepared(&snap, &plan, opts.engine, feedback, tracer),
+                rows: self.run_at(&snap, &plan, opts.engine, feedback, tracer),
                 cache: "bypass",
                 cost: plan.cost,
                 search: Some(stats),
@@ -889,7 +797,7 @@ impl Database {
             CacheOutcome::Hit(entry) => {
                 let plan = rebind_plan(&entry.plan, &full);
                 Ok(PreparedOutcome {
-                    rows: self.run_prepared(&snap, &plan, opts.engine, feedback, tracer),
+                    rows: self.run_at(&snap, &plan, opts.engine, feedback, tracer),
                     cache: "hit",
                     cost: entry.cost,
                     search: None,
@@ -916,7 +824,7 @@ impl Database {
                     );
                 }
                 Ok(PreparedOutcome {
-                    rows: self.run_prepared(&snap, &plan, opts.engine, feedback, tracer),
+                    rows: self.run_at(&snap, &plan, opts.engine, feedback, tracer),
                     cache: label,
                     cost: plan.cost,
                     search: Some(stats),
@@ -946,10 +854,11 @@ impl Database {
         Ok((plan, opt.stats().clone()))
     }
 
-    /// Dispatch a prepared execution: the plain engine run, or — with
-    /// feedback on — the instrumented run that harvests and merges
-    /// observed selectivities.
-    fn run_prepared(
+    /// Execute `plan` against a pinned snapshot (the one it was lowered
+    /// on). With `feedback`, the run is instrumented — per operator on
+    /// the tuple engine, per pipeline on the vectorized one — and the
+    /// observed selectivities are merged into the catalog's memory.
+    fn run_at(
         &self,
         snap: &Arc<SchemaSnapshot>,
         plan: &RelPlan,
@@ -957,76 +866,53 @@ impl Database {
         feedback: bool,
         tracer: Option<&dyn Tracer>,
     ) -> Vec<Tuple> {
-        if feedback {
-            self.run_feedback_at(snap, plan, engine, tracer)
-        } else {
-            self.run_at(snap, plan, engine)
-        }
-    }
-
-    /// Execute `plan` with per-operator (tuple/batch) or per-pipeline
-    /// (fused) instrumentation, harvest selectivity observations from
-    /// the actual cardinalities, and merge them into the catalog's
-    /// memory. Emits one [`TraceEvent::FeedbackApplied`] per execution.
-    fn run_feedback_at(
-        &self,
-        snap: &Arc<SchemaSnapshot>,
-        plan: &RelPlan,
-        engine: Engine,
-        tracer: Option<&dyn Tracer>,
-    ) -> Vec<Tuple> {
         let (rows, observations) = match engine {
             Engine::Tuple => {
-                let analyzed = crate::analyze::execute_analyzed_at(self, snap, &snap.catalog, plan);
-                let obs = volcano_rel::observations(&snap.catalog, plan, &analyzed.actual_rows());
-                (analyzed.rows, obs)
-            }
-            Engine::Batch(cfg) => {
-                let analyzed =
-                    crate::analyze::execute_analyzed_batch_at(self, snap, &snap.catalog, plan, cfg);
-                let obs = volcano_rel::observations(&snap.catalog, plan, &analyzed.actual_rows());
-                (analyzed.rows, obs)
+                if feedback {
+                    let analyzed =
+                        crate::analyze::execute_analyzed_at(self, snap, &snap.catalog, plan);
+                    let obs =
+                        volcano_rel::observations(&snap.catalog, plan, &analyzed.actual_rows());
+                    (analyzed.rows, obs)
+                } else {
+                    let mut op = crate::compile::compile_at(self, snap, plan).operator;
+                    (collect(op.as_mut()), Vec::new())
+                }
             }
             Engine::Fused(cfg) => {
-                // The fused engine measures per pipeline, not per plan
-                // node; the report's harvest hints map pipeline counters
-                // back to predicate terms and join pairs.
                 let compiled = crate::fused::compile_fused_at(self, snap, plan, cfg);
                 let mut op = compiled.operator;
                 let rows = collect_batches(op.as_mut());
-                let obs = compiled.report.observations();
+                if let Some(t) = tracer.filter(|t| t.enabled()) {
+                    for g in &compiled.gathers {
+                        t.event(TraceEvent::MorselPhase {
+                            workers: g.workers(),
+                            morsels: g.dispatched(),
+                            steals: g.stolen(),
+                        });
+                    }
+                }
+                // The pipeline counters exist either way; the report's
+                // harvest hints map them back to predicate terms and
+                // join pairs.
+                let obs = if feedback {
+                    compiled.report.observations()
+                } else {
+                    Vec::new()
+                };
                 (rows, obs)
             }
         };
-        let epoch_bumped = self.apply_feedback(&observations);
-        if let Some(t) = tracer {
-            t.event(TraceEvent::FeedbackApplied {
-                observations: observations.len() as u64,
-                epoch_bumped,
-            });
+        if feedback {
+            let epoch_bumped = self.apply_feedback(&observations);
+            if let Some(t) = tracer {
+                t.event(TraceEvent::FeedbackApplied {
+                    observations: observations.len() as u64,
+                    epoch_bumped,
+                });
+            }
         }
         rows
-    }
-
-    /// Execute `plan` against a pinned snapshot (same snapshot the plan
-    /// was lowered on).
-    fn run_at(&self, snap: &Arc<SchemaSnapshot>, plan: &RelPlan, engine: Engine) -> Vec<Tuple> {
-        match engine {
-            Engine::Tuple => {
-                let mut op = crate::compile::compile_at(self, snap, plan).operator;
-                collect(op.as_mut())
-            }
-            Engine::Batch(cfg) => {
-                let compiled = crate::compile::compile_batch_at(self, snap, plan, cfg);
-                let mut op = compiled.operator;
-                collect_batches(op.as_mut())
-            }
-            Engine::Fused(cfg) => {
-                let compiled = crate::fused::compile_fused_at(self, snap, plan, cfg);
-                let mut op = compiled.operator;
-                collect_batches(op.as_mut())
-            }
-        }
     }
 
     /// Drop a table: unregister it from the catalog (SQL over it fails
@@ -1162,6 +1048,15 @@ mod tests {
         c
     }
 
+    /// One prepared execution under the default options.
+    fn run(
+        db: &Database,
+        stmt: &PreparedStatement,
+        params: &[Value],
+    ) -> Result<PreparedOutcome, PrepareError> {
+        db.execute_prepared_opts(stmt, params, &ExecOptions::new(), None)
+    }
+
     #[test]
     fn row_roundtrip() {
         let row = vec![Value::Int(3), Value::Str("x".into())];
@@ -1217,10 +1112,10 @@ mod tests {
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
         // Auto-parameterized: the literal 4 became a slot with a default.
         assert_eq!(stmt.param_count(), 0);
-        let cold = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let cold = run(&db, &stmt, &[]).unwrap();
         assert_eq!(cold.cache, "miss");
         assert!(cold.search.is_some(), "cold run must optimize");
-        let warm = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let warm = run(&db, &stmt, &[]).unwrap();
         assert_eq!(warm.cache, "hit");
         assert!(warm.search.is_none(), "warm run must not optimize");
         assert_eq!(cold.rows, warm.rows);
@@ -1238,9 +1133,9 @@ mod tests {
         db.generate(13);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
         let tracer = CollectingTracer::new();
-        db.execute_prepared_traced(&stmt, &[], None, Some(&tracer))
+        db.execute_prepared_opts(&stmt, &[], &ExecOptions::new(), Some(&tracer))
             .unwrap();
-        db.execute_prepared_traced(&stmt, &[], None, Some(&tracer))
+        db.execute_prepared_opts(&stmt, &[], &ExecOptions::new(), Some(&tracer))
             .unwrap();
         let lookups: Vec<(u64, &'static str)> = tracer
             .take()
@@ -1264,9 +1159,7 @@ mod tests {
         let stmt = db.prepare("SELECT a FROM t WHERE a < $0").unwrap();
         assert_eq!(stmt.param_count(), 1);
         let oracle = |bound: i64| {
-            let mut rows = db
-                .execute_prepared(&stmt, &[Value::Int(bound)], None)
-                .unwrap();
+            let mut rows = run(&db, &stmt, &[Value::Int(bound)]).unwrap().rows;
             rows.sort();
             rows
         };
@@ -1287,18 +1180,18 @@ mod tests {
         let db = Database::in_memory(catalog());
         db.generate(5);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 6").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        run(&db, &stmt, &[]).unwrap();
         let before = db.epoch();
         db.bump_epoch();
         assert_eq!(db.epoch(), before + 1);
         // Stats unchanged: the drift guard revalidates in place, still a hit.
-        let out = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let out = run(&db, &stmt, &[]).unwrap();
         assert_eq!(out.cache, "hit");
         assert!(out.search.is_none());
         // Force every stale entry to re-optimize.
         db.set_drift_factor(0.0);
         db.bump_epoch();
-        let out = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let out = run(&db, &stmt, &[]).unwrap();
         assert_eq!(out.cache, "invalidated");
         assert!(out.search.is_some());
         let s = db.plan_cache().stats();
@@ -1310,13 +1203,13 @@ mod tests {
         let db = Database::in_memory(catalog());
         db.generate(2);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 5").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        run(&db, &stmt, &[]).unwrap();
         assert_eq!(db.plan_cache().len(), 1);
         assert!(db.drop_table("t"));
         assert!(!db.drop_table("t"));
         assert_eq!(db.plan_cache().len(), 0);
         // Lowering now fails before any cache probe.
-        let err = db.execute_prepared(&stmt, &[], None).unwrap_err();
+        let err = run(&db, &stmt, &[]).unwrap_err();
         assert!(matches!(err, PrepareError::Lower(_)), "{err}");
         assert_eq!(db.plan_cache().stats().lookups, 1);
     }
@@ -1343,12 +1236,12 @@ mod tests {
         let db = Database::in_memory(catalog());
         db.generate(11);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        run(&db, &stmt, &[]).unwrap();
         let s = db.feedback_stats();
         assert!(!s.enabled);
         assert_eq!((s.observations, s.applications, s.cells), (0, 0, 0));
         db.set_feedback_enabled(true);
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        run(&db, &stmt, &[]).unwrap();
         let s = db.feedback_stats();
         assert!(s.enabled);
         assert!(s.observations > 0, "{s:?}");
@@ -1404,7 +1297,7 @@ mod tests {
         db.generate(11);
         db.set_feedback_enabled(true);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        run(&db, &stmt, &[]).unwrap();
         let cells = db.feedback_stats().cells;
         assert!(cells > 0);
         let bytes = db.export_feedback();
@@ -1426,11 +1319,11 @@ mod tests {
         let db = Database::in_memory(catalog());
         db.generate(9);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 5").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        run(&db, &stmt, &[]).unwrap();
         assert_eq!(db.plan_cache().len(), 1);
         db.set_plan_cache_enabled(false);
         assert_eq!(db.plan_cache().len(), 0);
-        let out = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let out = run(&db, &stmt, &[]).unwrap();
         assert_eq!(out.cache, "bypass");
         assert!(out.search.is_some());
         // Bypassed lookups touch no counters.

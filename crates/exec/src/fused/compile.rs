@@ -1,21 +1,22 @@
-//! Lowering a physical plan to fused pipelines.
+//! Lowering a physical plan to the vectorized engine.
 //!
-//! The fused engine breaks the plan into maximal *regions* of fusable
-//! operators — scans, filters, projections, hash joins — and compiles
-//! each region into one [`FusedRegion`] operator whose pipelines run as
-//! single loops with monomorphized kernels. A hash aggregate above a
-//! fusable chain terminates the region's output pipeline in an
-//! aggregation sink, so `scan→filter→project→aggregate` runs as one
-//! loop (an aggregate over a non-fusable child runs batch-native
-//! instead — never through a tuple adapter). Other non-fusable
-//! operators (sorts, set ops, merge/nested/multiway joins, index
-//! scans) fall back to the existing tuple operators exactly as in the
-//! batch engine, with at most one adapter per genuine engine boundary;
-//! a fusable chain *above* such an operator still fuses, treating the
-//! fallback subtree as an opaque batch input.
+//! The lowering breaks the plan into maximal *regions* of pipelineable
+//! operators — scans, filters, projections, hash joins, found by the
+//! shared walk in [`crate::pipeline`] — and compiles each region into
+//! one [`FusedRegion`] operator whose pipelines run as single loops
+//! with monomorphized kernels. A region may be as small as one operator
+//! (a filter directly over a sort) or span a whole multi-join query. A
+//! hash aggregate above a pipelineable chain terminates the region's
+//! output pipeline in an aggregation sink, so
+//! `scan→filter→project→aggregate` runs as one loop (an aggregate over
+//! anything else runs batch-native instead — never through a tuple
+//! adapter). Every other operator (sorts, set ops, merge/nested/multiway
+//! joins, index scans) runs on its tuple operator, with at most one
+//! adapter per genuine engine boundary; a pipelineable chain *above*
+//! such an operator still fuses, treating the fallback subtree as an
+//! opaque batch input.
 //!
-//! Three plan-time rewrites distinguish this lowering from the batch
-//! engine's operator-per-node compilation:
+//! Three plan-time rewrites apply inside a pipeline:
 //!
 //! 1. **Filter absorption** — leading filter stages merge into the scan
 //!    predicate, so selection happens during page decode.
@@ -28,20 +29,18 @@
 //!    only the columns the query keeps, never the full build ++ probe
 //!    concatenation.
 //!
-//! `Gather(n)` nodes compile to the morsel-parallel executor (whose
-//! stage loops share the fused predicate kernels), so fused pipelines
-//! compose with work stealing unchanged.
+//! `Gather(n)` nodes compile to the morsel-parallel executor, which
+//! maps the same decomposition to its worker pipelines (and shares the
+//! predicate kernels), so regions compose with work stealing unchanged.
 
 use std::sync::Arc;
 
 use volcano_rel::catalog::ColType;
 use volcano_rel::{AggSpec, AttrId, JoinPred, Pred, RelAlg, RelPlan};
-use volcano_store::HeapFile;
 
 use crate::batch::BoxedBatchOperator;
 use crate::compile::{
-    compile_agg_spec, compile_node_at, compile_pred, partial_layout_aggs, position, schema_of_at,
-    table_col_types, table_schema, BatchConfig, Built,
+    compile_agg_spec, compile_node_at, partial_layout_aggs, schema_of_at, BatchConfig, Built,
 };
 use crate::database::{Database, SchemaSnapshot};
 use crate::fused::pred::FusedPred;
@@ -51,49 +50,7 @@ use crate::fused::region::{
 };
 use crate::kernels::agg::AggMode;
 use crate::ops::{BatchHashAggregate, CompiledPred};
-
-/// Compile-time intermediate form of a pipeline source.
-enum SourceIR {
-    /// Heap scan (predicate positions index the full table schema).
-    Scan {
-        heap: Arc<HeapFile>,
-        col_types: Vec<ColType>,
-        pred: Option<CompiledPred>,
-        /// The relational-level scan predicate, kept alongside the
-        /// compiled one so the feedback harvest can key observed
-        /// selectivities by term (see [`PipelineInfo::scan_pred`]).
-        rel_pred: Option<Pred>,
-    },
-    /// Opaque batch subtree of the given arity.
-    Input {
-        op: BoxedBatchOperator,
-        arity: usize,
-    },
-}
-
-/// Compile-time intermediate form of a pipeline stage. Rewrites operate
-/// on this level — positions are plain `usize`s — before kernels are
-/// monomorphized. Filters and probes carry their relational-level
-/// predicate for the feedback harvest hints.
-enum StageIR {
-    Filter(CompiledPred, Pred),
-    Project(Vec<usize>),
-    Probe {
-        table: usize,
-        keys: Vec<usize>,
-        build_ncols: usize,
-        join: JoinPred,
-    },
-}
-
-/// A hash-join build side awaiting lowering; its slot index is its
-/// position in the region's build list.
-struct BuildIR {
-    source: SourceIR,
-    stages: Vec<StageIR>,
-    keys: Vec<usize>,
-    ncols: usize,
-}
+use crate::pipeline::{decompose, BuildIR, SourceIR, StageIR};
 
 /// What the fused compiler did to one pipeline, with live counters.
 #[derive(Debug)]
@@ -204,20 +161,22 @@ impl FusedReport {
     }
 }
 
-/// A plan compiled for the fused engine.
+/// A plan compiled for the vectorized engine.
 pub struct CompiledFused {
     /// The root batch operator.
     pub operator: BoxedBatchOperator,
     /// Output attribute ids, in column position order.
     pub schema: Vec<AttrId>,
-    /// Morsel scheduling counters of each parallel region (as in
-    /// [`crate::compile::CompiledBatch`]).
+    /// Scheduling counters of each morsel-parallel gather region in the
+    /// tree (empty for serial plans); live while the plan executes, for
+    /// post-run trace reporting.
     pub gathers: Vec<Arc<crate::morsel::MorselStats>>,
     /// What fused, what fell back.
     pub report: FusedReport,
 }
 
-/// Compile a plan for the fused engine (the current schema snapshot).
+/// Compile a plan for the vectorized engine (the current schema
+/// snapshot).
 pub fn compile_fused(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> CompiledFused {
     compile_fused_at(db, &db.snapshot(), plan, cfg)
 }
@@ -242,7 +201,6 @@ pub(crate) fn compile_fused_with(
     cfg: BatchConfig,
     serial_gather: bool,
 ) -> CompiledFused {
-    let schema = schema_of_at(sch, plan);
     let mut f = Fuser {
         db,
         sch,
@@ -251,12 +209,7 @@ pub(crate) fn compile_fused_with(
         gathers: Vec::new(),
         report: FusedReport::default(),
     };
-    let built = f.build_tree(plan);
-    if matches!(built, Built::T(_)) {
-        // Tuple root: the final coercion below is itself an adapter.
-        f.report.adapters += 1;
-    }
-    let operator = built.into_batch(schema.len(), cfg.batch_size);
+    let (operator, schema) = f.build_batch(plan);
     CompiledFused {
         operator,
         schema,
@@ -276,11 +229,11 @@ struct Fuser<'a> {
 
 impl Fuser<'_> {
     /// Compile `plan` into a [`Built`] subtree, fusing the maximal
-    /// region rooted at each fusable node.
+    /// region rooted at each pipelineable node.
     fn build_tree(&mut self, plan: &RelPlan) -> Built {
-        // Gathers lower to the morsel-parallel executor exactly as in
-        // the batch engine; fused stages above or below compose with it
-        // through the pipeline source.
+        // A gather runs its subtree as morsel-driven parallel pipelines
+        // when the subtree's shape supports it; otherwise (or at degree
+        // 1) it degrades to a serial pass-through with identical rows.
         if let RelAlg::Gather(n) = &plan.alg {
             if *n > 1 && !self.serial_gather {
                 if let Some(par) = crate::morsel::compile_parallel(self.sch, &plan.inputs[0]) {
@@ -294,8 +247,8 @@ impl Fuser<'_> {
             return self.build_tree(&plan.inputs[0]);
         }
         // Hash aggregates terminate a fused pipeline in an aggregation
-        // sink (or run batch-native over a non-fusable child) — they
-        // never fall back to the tuple engine.
+        // sink (or run batch-native over a non-pipelineable child) —
+        // they never fall back to the tuple engine.
         match &plan.alg {
             RelAlg::HashAggregate(spec) => {
                 return self.build_aggregate(plan, spec, AggMode::Complete)
@@ -308,13 +261,12 @@ impl Fuser<'_> {
             }
             _ => {}
         }
-        let mut builds = Vec::new();
-        if let Some((source, stages)) = self.fuse_node(plan, &mut builds) {
-            return Built::B(self.lower_region(builds, source, stages, None));
+        if let Some(region) = self.build_region(plan, None) {
+            return Built::B(region);
         }
-        // Non-fusable root: compile this node on the tuple engine over
-        // recursively built children; each batch child costs exactly
-        // one adapter at this genuine engine boundary.
+        // Non-pipelineable root: compile this node on the tuple engine
+        // over recursively built children; each batch child costs
+        // exactly one adapter at this genuine engine boundary.
         let children: Vec<Built> = plan.inputs.iter().map(|c| self.build_tree(c)).collect();
         self.report.adapters += children.iter().filter(|c| matches!(c, Built::B(_))).count();
         self.report.fallback_ops.push(fallback_name(&plan.alg));
@@ -322,10 +274,21 @@ impl Fuser<'_> {
         Built::T(compile_node_at(self.db, self.sch, plan, tuple_children))
     }
 
-    /// Compile a hash aggregate. When the child subtree fuses, the
-    /// aggregation becomes the region's terminal sink — the whole
+    /// Compile `plan` to a batch operator (returned with its output
+    /// schema); a tuple root costs one adapter.
+    fn build_batch(&mut self, plan: &RelPlan) -> (BoxedBatchOperator, Vec<AttrId>) {
+        let schema = schema_of_at(self.sch, plan);
+        let built = self.build_tree(plan);
+        if matches!(built, Built::T(_)) {
+            self.report.adapters += 1;
+        }
+        (built.into_batch(schema.len(), self.cfg.batch_size), schema)
+    }
+
+    /// Compile a hash aggregate. When the child subtree is pipelineable,
+    /// the aggregation becomes the region's terminal sink — the whole
     /// `scan→filter→project→aggregate` chain runs as one loop. When it
-    /// does not (a gather, sort, or another aggregate below), the child
+    /// is not (a gather, sort, or another aggregate below), the child
     /// compiles as a batch subtree and a batch-native
     /// [`BatchHashAggregate`] runs above it; either way no tuple adapter
     /// is inserted for the aggregate itself.
@@ -340,17 +303,15 @@ impl Fuser<'_> {
             ),
             _ => compile_agg_spec(&schema_of_at(self.sch, child), spec),
         };
-        let mut builds = Vec::new();
-        if let Some((source, stages)) = self.fuse_node(child, &mut builds) {
-            let sink = AggSink { group, aggs, mode };
-            return Built::B(self.lower_region(builds, source, stages, Some(sink)));
+        let sink = AggSink {
+            group: group.clone(),
+            aggs: aggs.clone(),
+            mode,
+        };
+        if let Some(region) = self.build_region(child, Some(sink)) {
+            return Built::B(region);
         }
-        let arity = schema_of_at(self.sch, child).len();
-        let built = self.build_tree(child);
-        if matches!(built, Built::T(_)) {
-            self.report.adapters += 1;
-        }
-        let input = built.into_batch(arity, self.cfg.batch_size);
+        let (input, _) = self.build_batch(child);
         Built::B(Box::new(BatchHashAggregate::new(
             input,
             group,
@@ -360,105 +321,23 @@ impl Fuser<'_> {
         )))
     }
 
-    /// Decompose the fusable region rooted at `plan`, mirroring the
-    /// morsel lowering: hash-join build sides become [`BuildIR`]s (slot
-    /// = push index), the probe chain continues the current pipeline.
-    /// `None` means `plan`'s *root* is not fusable — callers other than
-    /// [`Fuser::fuse_input`] then fall back. Returns without side
-    /// effects in the `None` case.
-    fn fuse_node(
-        &mut self,
-        plan: &RelPlan,
-        builds: &mut Vec<BuildIR>,
-    ) -> Option<(SourceIR, Vec<StageIR>)> {
-        match &plan.alg {
-            RelAlg::FileScan(t) => Some((
-                SourceIR::Scan {
-                    heap: self.sch.table(*t).clone(),
-                    col_types: table_col_types(self.sch, *t),
-                    pred: None,
-                    rel_pred: None,
-                },
-                Vec::new(),
-            )),
-            RelAlg::FilterScan(t, pred) => {
-                let schema = table_schema(self.sch, *t);
-                Some((
-                    SourceIR::Scan {
-                        heap: self.sch.table(*t).clone(),
-                        col_types: table_col_types(self.sch, *t),
-                        pred: Some(compile_pred(&schema, pred)),
-                        rel_pred: Some(pred.clone()),
-                    },
-                    Vec::new(),
-                ))
-            }
-            RelAlg::Filter(pred) => {
-                let (src, mut stages) = self.fuse_input(&plan.inputs[0], builds);
-                let schema = schema_of_at(self.sch, &plan.inputs[0]);
-                stages.push(StageIR::Filter(compile_pred(&schema, pred), pred.clone()));
-                Some((src, stages))
-            }
-            RelAlg::ProjectOp(attrs) => {
-                let (src, mut stages) = self.fuse_input(&plan.inputs[0], builds);
-                let schema = schema_of_at(self.sch, &plan.inputs[0]);
-                stages.push(StageIR::Project(
-                    attrs.iter().map(|&a| position(&schema, a)).collect(),
-                ));
-                Some((src, stages))
-            }
-            RelAlg::HybridHashJoin(p) if !p.pairs().is_empty() => {
-                let bschema = schema_of_at(self.sch, &plan.inputs[0]);
-                let (bsrc, bstages) = self.fuse_input(&plan.inputs[0], builds);
-                let table = builds.len();
-                builds.push(BuildIR {
-                    source: bsrc,
-                    stages: bstages,
-                    keys: p
-                        .pairs()
-                        .iter()
-                        .map(|&(la, _)| position(&bschema, la))
-                        .collect(),
-                    ncols: bschema.len(),
-                });
-                let pschema = schema_of_at(self.sch, &plan.inputs[1]);
-                let (psrc, mut pstages) = self.fuse_input(&plan.inputs[1], builds);
-                pstages.push(StageIR::Probe {
-                    table,
-                    keys: p
-                        .pairs()
-                        .iter()
-                        .map(|&(_, ra)| position(&pschema, ra))
-                        .collect(),
-                    build_ncols: bschema.len(),
-                    join: p.clone(),
-                });
-                Some((psrc, pstages))
-            }
-            // Gathers, sorts, aggregates, set ops, other joins: not
-            // fusable at the root of a pipeline chain.
-            _ => None,
-        }
-    }
-
-    /// Fuse a pipeline *input*: a fusable subtree continues the chain;
-    /// anything else compiles as an opaque batch source — the one
-    /// genuine engine boundary below this pipeline.
-    fn fuse_input(
-        &mut self,
-        plan: &RelPlan,
-        builds: &mut Vec<BuildIR>,
-    ) -> (SourceIR, Vec<StageIR>) {
-        if let Some(fused) = self.fuse_node(plan, builds) {
-            return fused;
-        }
-        let arity = schema_of_at(self.sch, plan).len();
-        let built = self.build_tree(plan);
-        if matches!(built, Built::T(_)) {
-            self.report.adapters += 1;
-        }
-        let op = built.into_batch(arity, self.cfg.batch_size);
-        (SourceIR::Input { op, arity }, Vec::new())
+    /// Decompose the pipelineable region rooted at `plan` and lower it,
+    /// ending its output pipeline in `agg` if given. Inputs the walk
+    /// cannot continue through compile as opaque batch sources — the
+    /// one genuine engine boundary below their pipeline. `None`, with
+    /// nothing compiled, when `plan`'s own root is not pipelineable.
+    fn build_region(&mut self, plan: &RelPlan, agg: Option<AggSink>) -> Option<BoxedBatchOperator> {
+        let mut builds = Vec::new();
+        let sch = self.sch;
+        let chain = decompose(sch, plan, &mut builds, &mut |input| {
+            let (op, schema) = self.build_batch(input);
+            Some(SourceIR::Input {
+                op,
+                arity: schema.len(),
+            })
+        });
+        let (source, stages) = chain.ok()?;
+        Some(self.lower_region(builds, source, stages, agg))
     }
 
     /// Lower a decomposed region to the runtime operator, registering
@@ -525,7 +404,7 @@ impl Fuser<'_> {
             } => {
                 // Rewrite 1: absorb leading filters into the scan
                 // predicate (conjunct order is preserved, so the
-                // narrowing matches the batch engine exactly).
+                // narrowing matches filtering stage by stage exactly).
                 let absorb = stages
                     .iter()
                     .take_while(|s| matches!(s, StageIR::Filter(..)))

@@ -2,18 +2,17 @@
 //! whole fusable plan segment as a handful of tight loops.
 //!
 //! A region holds *build pipelines* (each ending in a serial hash-table
-//! build, mirroring [`crate::ops::BatchHashJoin`]'s build phase) and one
-//! *output pipeline*. Each pipeline is a source — a projected page scan
+//! build) and one *output pipeline*. Each pipeline is a source — a projected page scan
 //! or an opaque batch subtree — followed by a chain of [`FusedStage`]s
 //! applied batch-at-a-time with plain enum dispatch: there is no
 //! `next_batch` virtual call and no adapter hop between fused operators,
 //! and the scan decodes only the columns the pipeline actually touches
 //! (via [`decode_record_projected`]).
 //!
-//! Semantics are bit-compatible with the batch engine: predicate
+//! Semantics are bit-compatible with the tuple engine: predicate
 //! narrowing matches [`crate::kernels::apply_pred`], and probe output is
 //! build columns ++ probe columns in probe order with per-key
-//! build-insertion order, exactly as the serial hash joins document.
+//! build-insertion order, exactly as [`crate::ops::HashJoin`] documents.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -464,7 +463,7 @@ enum TableIndex {
 }
 
 /// A serial hash table built by one pipeline and probed by later ones.
-/// Build/probe semantics mirror [`crate::ops::BatchHashJoin`]: NULL keys
+/// Build/probe semantics mirror [`crate::ops::HashJoin`]: NULL keys
 /// never enter or match, equality is `Value` equality, bucket order is
 /// build-insertion order.
 pub(crate) struct FusedTable {

@@ -1,34 +1,38 @@
 //! # volcano-exec — the Volcano execution engine
 //!
-//! The demand-driven iterator model of the Volcano query processor \[4\]:
-//! every physical operator implements `open` / `next` / `close`
-//! ([`iterator::Operator`]), consuming and producing streams of tuples,
-//! with data pipelined between operators.
+//! Two engines run the optimizer's physical plans. The **tuple engine**
+//! is the demand-driven iterator model of the Volcano query processor
+//! \[4\]: every physical operator implements `open` / `next` / `close`
+//! ([`iterator::Operator`]), consuming and producing streams of tuples.
+//! It implements every algorithm, is the paper-faithful reference, and
+//! is the oracle the second engine is tested against. The **vectorized
+//! engine** runs the same plans over columnar batches with selection
+//! vectors: one lowering ([`compile_fused()`]) splits a plan into
+//! pipelines, compiles each maximal run of scans, filters, projections
+//! and hash joins into a single fused loop, ends it in an aggregation
+//! sink where an aggregate follows, and runs whatever it does not
+//! vectorize on the tuple operators behind one adapter per boundary.
+//! [`database::Database::execute`] runs a plan on either.
 //!
 //! * [`ops`] — the algorithms the optimizer chooses among: table scan,
 //!   filtered scan, filter, project, sort, merge join, hash join, nested
 //!   loops, set operations, aggregation, and the `exchange` operator for
 //!   pipeline parallelism (crossbeam channels), per the paper's
-//!   parallelism discussion.
+//!   parallelism discussion; plus the tuple↔batch adapters.
 //! * [`database`] — tables as heap files behind a buffer pool, with data
-//!   generation that honours the catalog's statistics.
-//! * [`compile()`] — lowers an optimized [`volcano_rel::RelPlan`] to an
-//!   executable operator tree, resolving attributes to positions.
-//! * [`batch`] / [`kernels`] — a second, vectorized executor over the
-//!   same physical plans: columnar batches with selection vectors,
-//!   column-at-a-time kernels, and tuple↔batch adapters so every plan
-//!   runs end-to-end under either engine with identical results
-//!   ([`compile_batch()`]).
-//! * [`fused`] — a third, pipeline-fused executor: maximal
-//!   scan→filter→project→probe plan segments compiled into single
-//!   fused-region operators with monomorphized predicate kernels and
-//!   projected record decoding, falling back to batch operators (one
-//!   adapter per genuine boundary) for everything else
-//!   ([`compile_fused()`]).
+//!   generation that honours the catalog's statistics, prepared
+//!   statements and the plan cache.
+//! * [`compile()`] — lowers an optimized [`volcano_rel::RelPlan`] to a
+//!   tuple operator tree, resolving attributes to positions.
+//! * [`batch`] / [`kernels`] — columnar batches and the
+//!   column-at-a-time kernels (predicates, key hashing, aggregation).
+//! * [`fused`] — the vectorized lowering and its runtime: fused-region
+//!   operators with monomorphized predicate kernels, projected record
+//!   decoding and terminal aggregation sinks.
 //! * [`morsel`] — morsel-driven parallel execution of `gather(n)`
-//!   regions: page-range morsels, work-stealing workers, partitioned
-//!   parallel hash joins, results streamed to the consumer over a
-//!   bounded exchange channel.
+//!   regions over the same pipeline decomposition: page-range morsels,
+//!   work-stealing workers, partitioned parallel hash joins, results
+//!   streamed to the consumer over a bounded exchange channel.
 //! * [`serve`] — the multi-session serving layer: sessions with their
 //!   own prepared statements and `SET` state over one shared
 //!   `Send + Sync` [`database::Database`], with admission control that
@@ -51,16 +55,14 @@ pub mod kernels;
 pub mod morsel;
 pub mod naive;
 pub mod ops;
+mod pipeline;
 pub mod plan_cache;
 pub mod serve;
 
-pub use analyze::{
-    execute_analyzed, execute_analyzed_batch, execute_analyzed_fused, Analyzed, AnalyzedFused,
-};
+pub use analyze::{execute_analyzed, execute_analyzed_fused, Analyzed, AnalyzedFused};
 pub use batch::{collect_batches, Batch, BatchOperator, BoxedBatchOperator, Column};
 pub use compile::{
-    compile, compile_batch, compile_node, compile_node_at, schema_of, schema_of_at, BatchConfig,
-    Compiled, CompiledBatch, Engine,
+    compile, compile_node, compile_node_at, schema_of, schema_of_at, BatchConfig, Compiled, Engine,
 };
 pub use database::{
     Database, ExecOptions, FeedbackStats, PrepareError, PreparedOutcome, PreparedStatement,

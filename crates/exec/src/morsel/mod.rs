@@ -1,4 +1,4 @@
-//! Morsel-driven parallel execution for the batch engine.
+//! Morsel-driven parallel execution for the vectorized engine.
 //!
 //! A `gather(n)` node in a physical plan marks its subtree as a
 //! *parallel region*: the optimizer placed the enforcer there because

@@ -8,7 +8,9 @@
 //! becomes its own pipeline terminating in a partitioned hash-table
 //! **build sink**, and the probe sides fuse with the scans, filters and
 //! projections around them into chains of [`Stage`]s. The last pipeline
-//! feeds the region's output.
+//! feeds the region's output. The decomposition itself is
+//! [`crate::pipeline::decompose`], shared with the serial lowering; this
+//! module only maps its IR to what the workers run.
 //!
 //! [`compile_parallel`] returns `None` when the subtree contains any
 //! other operator — the caller then degrades the gather to a serial
@@ -21,12 +23,11 @@ use volcano_rel::catalog::ColType;
 use volcano_rel::{RelAlg, RelPlan};
 use volcano_store::HeapFile;
 
-use crate::compile::{
-    compile_agg_spec, compile_pred, position, schema_of_at, table_col_types, table_schema,
-};
+use crate::compile::{compile_agg_spec, schema_of_at};
 use crate::database::SchemaSnapshot;
 use crate::fused::FusedPred;
 use crate::ops::{CompiledAgg, CompiledPred};
+use crate::pipeline::{decompose, SourceIR, StageIR};
 
 /// The scan feeding a pipeline: a heap file whose pages are dispensed as
 /// morsels, decoded straight into typed columns, with an optional fused
@@ -109,109 +110,158 @@ pub fn compile_parallel(sch: &SchemaSnapshot, plan: &RelPlan) -> Option<Parallel
     // the output pipeline in a per-worker aggregation sink: workers
     // accumulate locally across all their morsels and only group
     // summaries cross the gather.
-    if let RelAlg::PartialHashAggregate(spec, _) = &plan.alg {
-        let child = &plan.inputs[0];
-        let mut pipelines = Vec::new();
-        let (source, stages) = decompose(sch, child, &mut pipelines)?;
-        let schema = schema_of_at(sch, child);
-        let (group, aggs) = compile_agg_spec(&schema, spec);
-        pipelines.push(Pipeline {
-            source,
-            stages,
-            sink: Sink::PartialAgg { group, aggs },
-        });
-        return Some(ParallelPlan { pipelines });
-    }
-    let mut pipelines = Vec::new();
-    let (source, stages) = decompose(sch, plan, &mut pipelines)?;
-    pipelines.push(Pipeline {
-        source,
-        stages,
-        sink: Sink::Output,
-    });
+    let (chain_root, sink) = match &plan.alg {
+        RelAlg::PartialHashAggregate(spec, _) => {
+            let child = &plan.inputs[0];
+            let (group, aggs) = compile_agg_spec(&schema_of_at(sch, child), spec);
+            (child, Sink::PartialAgg { group, aggs })
+        }
+        _ => (plan, Sink::Output),
+    };
+    // Morsels are page ranges of a heap file, so every pipeline must
+    // start at a scan: any other input abandons the lowering.
+    let mut builds = Vec::new();
+    let (source, stages) = decompose(sch, chain_root, &mut builds, &mut |_| None).ok()?;
+    let mut pipelines: Vec<Pipeline> = builds
+        .into_iter()
+        .enumerate()
+        .map(|(table, b)| {
+            let sink = Sink::Build {
+                table,
+                keys: b.keys,
+                ncols: b.ncols,
+            };
+            lower_chain(b.source, b.stages, sink)
+        })
+        .collect();
+    pipelines.push(lower_chain(source, stages, sink));
     Some(ParallelPlan { pipelines })
 }
 
-/// Post-order decomposition. Hash-join build sides are pushed onto
-/// `pipelines` (their slot index is their pipeline index — every build
-/// pipeline is pushed the moment its slot is assigned, so the two
-/// counters advance in lockstep); the current pipeline's stage chain is
-/// returned and grows as the walk unwinds.
-fn decompose(
-    sch: &SchemaSnapshot,
-    plan: &RelPlan,
-    pipelines: &mut Vec<Pipeline>,
-) -> Option<(ScanSpec, Vec<Stage>)> {
-    match &plan.alg {
-        RelAlg::FileScan(t) => Some((
-            ScanSpec {
-                heap: sch.table(*t).clone(),
-                col_types: table_col_types(sch, *t),
-                pred: None,
-            },
-            Vec::new(),
-        )),
-        RelAlg::FilterScan(t, pred) => {
-            let schema = table_schema(sch, *t);
-            Some((
-                ScanSpec {
-                    heap: sch.table(*t).clone(),
-                    col_types: table_col_types(sch, *t),
-                    pred: Some(compile_pred(&schema, pred)),
-                },
-                Vec::new(),
-            ))
+/// Map one decomposed chain to its runtime form.
+fn lower_chain(source: SourceIR, stages: Vec<StageIR>, sink: Sink) -> Pipeline {
+    let SourceIR::Scan {
+        heap,
+        col_types,
+        pred,
+        ..
+    } = source
+    else {
+        unreachable!("compile_parallel refuses opaque inputs")
+    };
+    let stages = stages
+        .into_iter()
+        .map(|s| match s {
+            StageIR::Filter(pred, _) => Stage::Filter(FusedPred::compile(&pred)),
+            StageIR::Project(cols) => Stage::Project(cols),
+            StageIR::Probe { table, keys, .. } => Stage::Probe { table, keys },
+        })
+        .collect();
+    Pipeline {
+        source: ScanSpec {
+            heap,
+            col_types,
+            pred,
+        },
+        stages,
+        sink,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use volcano_core::{PhysicalProps, SearchOptions};
+    use volcano_rel::{Catalog, ColumnDef, RelModel, RelModelOptions, RelOptimizer, RelProps};
+
+    use crate::compile::BatchConfig;
+    use crate::database::Database;
+
+    /// Render a pipeline the way the fused report labels its own.
+    fn label(p: &Pipeline) -> String {
+        let mut parts = vec!["scan"];
+        parts.extend(p.stages.iter().map(|s| match s {
+            Stage::Filter(_) => "filter",
+            Stage::Project(_) => "project",
+            Stage::Probe { .. } => "probe",
+        }));
+        match p.sink {
+            Sink::Build { .. } => parts.push("build"),
+            Sink::PartialAgg { .. } => parts.push("partial_agg"),
+            Sink::Output => {}
         }
-        RelAlg::Filter(pred) => {
-            let (src, mut stages) = decompose(sch, &plan.inputs[0], pipelines)?;
-            let schema = schema_of_at(sch, &plan.inputs[0]);
-            stages.push(Stage::Filter(FusedPred::compile(&compile_pred(
-                &schema, pred,
-            ))));
-            Some((src, stages))
+        parts.join("→")
+    }
+
+    fn gather_subtrees<'a>(plan: &'a RelPlan, out: &mut Vec<&'a RelPlan>) {
+        if matches!(plan.alg, RelAlg::Gather(n) if n > 1) {
+            out.push(&plan.inputs[0]);
         }
-        RelAlg::ProjectOp(attrs) => {
-            let (src, mut stages) = decompose(sch, &plan.inputs[0], pipelines)?;
-            let schema = schema_of_at(sch, &plan.inputs[0]);
-            stages.push(Stage::Project(
-                attrs.iter().map(|&a| position(&schema, a)).collect(),
-            ));
-            Some((src, stages))
+        for input in &plan.inputs {
+            gather_subtrees(input, out);
         }
-        RelAlg::HybridHashJoin(p) if !p.pairs().is_empty() => {
-            // Build side (left) becomes its own pipeline ending in a
-            // partitioned-build sink; the probe side continues the
-            // current chain with a probe stage.
-            let bschema = schema_of_at(sch, &plan.inputs[0]);
-            let (bsrc, bstages) = decompose(sch, &plan.inputs[0], pipelines)?;
-            let table = pipelines.len();
-            pipelines.push(Pipeline {
-                source: bsrc,
-                stages: bstages,
-                sink: Sink::Build {
-                    table,
-                    keys: p
-                        .pairs()
-                        .iter()
-                        .map(|&(la, _)| position(&bschema, la))
-                        .collect(),
-                    ncols: bschema.len(),
-                },
-            });
-            let pschema = schema_of_at(sch, &plan.inputs[1]);
-            let (psrc, mut pstages) = decompose(sch, &plan.inputs[1], pipelines)?;
-            pstages.push(Stage::Probe {
-                table,
-                keys: p
-                    .pairs()
+    }
+
+    /// Both lowerings walk a gather subtree with the one shared
+    /// decomposition, so they must cut it into the same pipelines with
+    /// the same stages in the same order.
+    #[test]
+    fn parallel_and_serial_lowerings_cut_the_same_pipelines() {
+        let mut c = Catalog::new();
+        c.add_table(
+            "emp",
+            4000.0,
+            vec![
+                ColumnDef::int("id", 4000.0),
+                ColumnDef::int("dept", 20.0),
+                ColumnDef::int("salary", 100.0),
+            ],
+        );
+        c.add_table(
+            "dept",
+            20.0,
+            vec![ColumnDef::int("id", 20.0), ColumnDef::int("region", 4.0)],
+        );
+        let db = Database::in_memory(c.clone());
+        db.generate(7);
+        let sch = db.snapshot();
+        let mut compared = 0usize;
+        for sql in [
+            "SELECT emp.id FROM emp WHERE emp.salary < 50",
+            "SELECT emp.id, dept.region FROM emp, dept \
+             WHERE emp.dept = dept.id AND emp.salary < 50",
+            "SELECT emp.dept, SUM(emp.salary) FROM emp GROUP BY emp.dept",
+        ] {
+            let mut catalog = c.clone();
+            let q = volcano_sql::plan_query(sql, &mut catalog).unwrap();
+            let options = RelModelOptions::default().with_parallel_degree(8);
+            let model = RelModel::new(catalog, options);
+            let mut opt = RelOptimizer::new(&model, SearchOptions::default());
+            let root = opt.insert_tree(&q.expr);
+            let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
+            let mut subtrees = Vec::new();
+            gather_subtrees(&plan, &mut subtrees);
+            for subtree in subtrees {
+                let parallel = compile_parallel(&sch, subtree).expect("morsel-parallel shape");
+                let serial =
+                    crate::fused::compile_fused_at(&db, &sch, subtree, BatchConfig::default());
+                // The serial lowering's rewrites merge stages (`+`) but
+                // keep every one of them in the label.
+                let serial_labels: Vec<String> = serial
+                    .report
+                    .pipelines
                     .iter()
-                    .map(|&(_, ra)| position(&pschema, ra))
-                    .collect(),
-            });
-            Some((psrc, pstages))
+                    .map(|p| p.label.replace('+', "→"))
+                    .collect();
+                let parallel_labels: Vec<String> = parallel.pipelines.iter().map(label).collect();
+                assert_eq!(parallel.pipeline_count(), serial_labels.len(), "{sql}");
+                assert_eq!(parallel_labels, serial_labels, "{sql}");
+                compared += 1;
+            }
         }
-        // Sorts, aggregates, set ops, merge/nested/multiway joins, index
-        // scans, nested gathers: no morsel-parallel lowering.
-        _ => None,
+        assert!(
+            compared >= 2,
+            "too few gather plans to compare ({compared})"
+        );
     }
 }

@@ -1,13 +1,13 @@
-//! Adapters between the tuple and batch engines.
+//! Adapters between tuple operators and batch operators.
 //!
-//! [`TupleSource`] lifts any tuple-at-a-time operator into the batch
-//! engine (rows are packed into columns); [`BatchSource`] lowers a batch
+//! [`TupleSource`] lifts any tuple-at-a-time operator into a batch
+//! source (rows are packed into columns); [`BatchSource`] lowers a batch
 //! subtree back to the iterator interface (rows are materialized one at
-//! a time from the current batch). Together they let a mixed plan — a
-//! vectorized scan/filter/project/join pipeline below a tuple-only sort,
-//! aggregate, set operation, or exchange — execute end-to-end in either
-//! engine with identical results: the adapters reorder nothing and drop
-//! nothing, they only change the unit of transfer.
+//! a time from the current batch). Together they let the vectorized
+//! lowering run a mixed plan — a fused scan/filter/project/join pipeline
+//! below or above a tuple-only sort, set operation, or merge join —
+//! end-to-end with identical results: the adapters reorder nothing and
+//! drop nothing, they only change the unit of transfer.
 
 use volcano_rel::value::Tuple;
 

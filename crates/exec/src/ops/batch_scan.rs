@@ -1,5 +1,7 @@
-//! Vectorized heap-file scan, optionally with a fused predicate (the
-//! batch counterpart of [`crate::ops::TableScan`]).
+//! Vectorized scan of a page range of a heap file, optionally with a
+//! fused predicate — the source of every morsel-parallel pipeline (the
+//! serial lowering scans through [`crate::fused::FusedRegion`]'s own
+//! projected scan instead).
 //!
 //! Records are decoded *straight into typed column vectors* via the
 //! storage layer's streaming [`decode_record_fields`] — the per-row
@@ -17,7 +19,8 @@ use crate::batch::{Batch, BatchOperator};
 use crate::kernels::apply_pred;
 use crate::ops::filter::CompiledPred;
 
-/// Page-at-a-time columnar scan producing batches of a fixed size.
+/// Page-at-a-time columnar scan over an explicit page list, producing
+/// batches of a fixed size.
 pub struct BatchScan {
     heap: Arc<HeapFile>,
     /// Catalog column types, used to pre-type the output columns.
@@ -25,9 +28,8 @@ pub struct BatchScan {
     /// Fused predicate (`None` = plain scan).
     pred: Option<CompiledPred>,
     batch_size: usize,
-    /// When set, scan exactly these pages instead of the whole heap
-    /// (morsel execution drives the scan one page range at a time).
-    fixed_pages: bool,
+    /// The pages to scan (morsel execution swaps in one page range at a
+    /// time via [`BatchScan::reset_pages`]).
     pages: Vec<PageId>,
     page_idx: usize,
     /// Raw bytes of the current page's records (reused across pages, so
@@ -47,20 +49,20 @@ pub struct BatchScan {
 }
 
 impl BatchScan {
-    /// A columnar scan of `heap` whose rows have `col_types`.
-    pub fn new(
+    /// A columnar scan of `pages` of `heap`, whose rows have `col_types`.
+    pub fn with_pages(
         heap: Arc<HeapFile>,
         col_types: Vec<ColType>,
         pred: Option<CompiledPred>,
         batch_size: usize,
+        pages: Vec<PageId>,
     ) -> Self {
         BatchScan {
             heap,
             col_types,
             pred,
             batch_size: batch_size.max(1),
-            fixed_pages: false,
-            pages: Vec::new(),
+            pages,
             page_idx: 0,
             arena: Vec::new(),
             spans: Vec::new(),
@@ -73,25 +75,8 @@ impl BatchScan {
         }
     }
 
-    /// A scan restricted to an explicit page list (a morsel); `open`
-    /// keeps the given pages instead of enumerating the heap.
-    pub fn with_pages(
-        heap: Arc<HeapFile>,
-        col_types: Vec<ColType>,
-        pred: Option<CompiledPred>,
-        batch_size: usize,
-        pages: Vec<PageId>,
-    ) -> Self {
-        let mut s = Self::new(heap, col_types, pred, batch_size);
-        s.fixed_pages = true;
-        s.pages = pages;
-        s
-    }
-
-    /// Swap in a new page list and rewind (used between morsels; only
-    /// meaningful on a scan built with [`BatchScan::with_pages`]).
+    /// Swap in a new page list and rewind (used between morsels).
     pub fn reset_pages(&mut self, pages: &[PageId]) {
-        debug_assert!(self.fixed_pages, "reset_pages on a whole-heap scan");
         self.pages.clear();
         self.pages.extend_from_slice(pages);
         self.page_idx = 0;
@@ -103,9 +88,6 @@ impl BatchScan {
 
 impl BatchOperator for BatchScan {
     fn open(&mut self) {
-        if !self.fixed_pages {
-            self.pages = self.heap.pages();
-        }
         self.page_idx = 0;
         self.spans.clear();
         self.record_idx = 0;
@@ -160,9 +142,6 @@ impl BatchOperator for BatchScan {
     }
 
     fn close(&mut self) {
-        if !self.fixed_pages {
-            self.pages.clear();
-        }
         self.arena.clear();
         self.spans.clear();
         self.opened = false;

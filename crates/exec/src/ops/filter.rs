@@ -29,7 +29,7 @@ impl CompiledPred {
     }
 
     /// The `(position, op, literal)` conjuncts, for vectorized
-    /// evaluation by the batch engine's predicate kernel.
+    /// evaluation by the vectorized predicate kernels.
     pub fn terms(&self) -> &[(usize, CmpOp, Value)] {
         &self.terms
     }

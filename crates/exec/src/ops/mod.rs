@@ -3,9 +3,6 @@
 pub mod aggregate;
 pub mod batch_adapter;
 pub mod batch_aggregate;
-pub mod batch_filter;
-pub mod batch_join;
-pub mod batch_project;
 pub mod batch_scan;
 pub mod exchange;
 pub mod external_sort;
@@ -20,9 +17,6 @@ pub mod sort;
 pub use aggregate::{AggMode, CompiledAgg, HashAggregate, StreamAggregate};
 pub use batch_adapter::{BatchSource, TupleSource};
 pub use batch_aggregate::BatchHashAggregate;
-pub use batch_filter::BatchFilter;
-pub use batch_join::BatchHashJoin;
-pub use batch_project::BatchProject;
 pub use batch_scan::BatchScan;
 pub use exchange::Exchange;
 pub use external_sort::ExternalSort;

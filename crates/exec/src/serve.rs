@@ -342,7 +342,7 @@ pub struct Session {
     class: TrafficClass,
     batch_patience: Duration,
     degraded_budget: SearchBudget,
-    /// `SET EXECUTOR` — tuple, batch, or fused.
+    /// `SET EXECUTOR` — tuple or vectorized.
     engine: Engine,
     /// `SET BUDGET` — session-chosen search budget for full-quality
     /// admissions; `None` = unlimited.

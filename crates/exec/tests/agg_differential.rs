@@ -1,8 +1,8 @@
 //! Differential tests for vectorized two-phase parallel aggregation.
 //!
 //! Every aggregate query shape (grouped and grand-total, each aggregate
-//! function, NULL-bearing inputs) is executed on all three engines —
-//! tuple (the oracle), batch, and fused — across the parallel-degree
+//! function, NULL-bearing inputs) is executed on both engines — tuple
+//! (the oracle) and vectorized — across the parallel-degree
 //! ladder {1, 2, 4, 8} and batch sizes {1, default, 1024}, over skewed
 //! and high-cardinality group distributions. Whatever the
 //! configuration, the row *multiset* must be identical: integer sums
@@ -22,7 +22,8 @@
 mod common;
 
 use common::testkit::{
-    assert_same_multiset, high_cardinality_rows, skewed_rows, thread_counts, Lcg,
+    assert_same_multiset, high_cardinality_rows, run_fused, run_tuple, skewed_rows, thread_counts,
+    Lcg,
 };
 use proptest::prelude::*;
 use volcano_core::PhysicalProps;
@@ -118,17 +119,14 @@ fn assert_agg_agrees(db: &Database, sql: &str, degree: u32) {
             explain_plan(&catalog, &plan)
         );
     }
-    let tuple_rows = db.execute(&plan);
+    let tuple_rows = run_tuple(db, &plan);
     for batch_size in [Some(1), None, Some(1024)] {
         let cfg = match batch_size {
             Some(n) => BatchConfig::with_batch_size(n),
             None => BatchConfig::default(),
         };
         let tag = format!("{sql}: deg={degree} batch={batch_size:?}");
-        let batch_rows = db.execute_batch(&plan, cfg);
-        let fused_rows = db.execute_fused(&plan, cfg);
-        assert_same_multiset(&tuple_rows, &batch_rows, &format!("{tag} [batch]"));
-        assert_same_multiset(&tuple_rows, &fused_rows, &format!("{tag} [fused]"));
+        assert_same_multiset(&tuple_rows, &run_fused(db, &plan, cfg), &tag);
     }
 }
 
@@ -175,7 +173,7 @@ fn empty_input_grand_total_yields_one_row_everywhere() {
         opt.find_best_plan(root, RelProps::any(), None).unwrap()
     };
     assert_eq!(
-        db.execute(&plan),
+        run_tuple(&db, &plan),
         vec![vec![Value::Int(0), Value::Null]],
         "grand total over empty input"
     );
@@ -212,7 +210,7 @@ fn huge_integer_sums_are_exact_at_every_degree() {
         let root = opt.insert_tree(&q.expr);
         opt.find_best_plan(root, RelProps::any(), None).unwrap()
     };
-    for row in db.execute(&plan) {
+    for row in run_tuple(&db, &plan) {
         let Value::Int(k) = row[0] else {
             panic!("integer group key")
         };

@@ -1,6 +1,6 @@
 //! Concurrency stress test for the plan cache.
 //!
-//! Worker threads hammer `execute_prepared` on a small set of
+//! Worker threads hammer `execute_prepared_opts` on a small set of
 //! overlapping query shapes (so they race on the same cache entries and
 //! shards) while a chaos thread continuously bumps the stats epoch and
 //! flips cache capacity — driving the hit / revalidate / invalidate
@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use volcano_exec::Database;
+use volcano_exec::{Database, ExecOptions};
 use volcano_rel::value::Tuple;
 use volcano_rel::{Catalog, ColumnDef, Value};
 
@@ -62,8 +62,9 @@ fn concurrent_prepared_executions_reconcile() {
         for p in &param_space {
             let params: Vec<Value> = (0..stmt.param_count()).map(|_| Value::Int(*p)).collect();
             let mut rows = db
-                .execute_prepared(stmt, &params, None)
-                .expect("golden run");
+                .execute_prepared_opts(stmt, &params, &ExecOptions::new(), None)
+                .expect("golden run")
+                .rows;
             rows.sort();
             per_param.push(rows);
         }
@@ -93,8 +94,9 @@ fn concurrent_prepared_executions_reconcile() {
                         .map(|_| Value::Int(param_space[p]))
                         .collect();
                     let mut rows = db
-                        .execute_prepared(stmt, &params, None)
-                        .expect("concurrent execution");
+                        .execute_prepared_opts(stmt, &params, &ExecOptions::new(), None)
+                        .expect("concurrent execution")
+                        .rows;
                     rows.sort();
                     assert_eq!(
                         rows, golden[s][p],

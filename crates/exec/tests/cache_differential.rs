@@ -1,9 +1,9 @@
 //! Differential fuzz suite for the plan cache.
 //!
 //! Seeded random parameterized queries are executed two ways — through
-//! `prepare` / `execute_prepared` (plan cache on) and through a cold
+//! `prepare` / `execute_prepared_opts` (plan cache on) and through a cold
 //! parse → lower → optimize → execute oracle that never touches the
-//! cache — under both the tuple and the vectorized batch engine. All
+//! cache — under both the tuple and the vectorized engine. All
 //! four paths must produce identical row *multisets*, and the identical
 //! row *sequence* whenever the query carries an ORDER BY.
 //!
@@ -27,11 +27,11 @@
 
 mod common;
 
-use common::testkit::{diff_catalog as catalog, sorted_copy};
+use common::testkit::{diff_catalog as catalog, run_prepared, run_tuple, sorted_copy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use volcano_core::SearchOptions;
-use volcano_exec::{BatchConfig, Database};
+use volcano_exec::{BatchConfig, Database, Engine};
 use volcano_rel::value::Tuple;
 use volcano_rel::{RelModel, RelOptimizer, RelProps, Value};
 use volcano_sql::{lower_with_params, parse};
@@ -168,7 +168,7 @@ fn oracle_rows(db: &Database, sql: &str, params: &[Value]) -> Result<Vec<Tuple>,
     let plan = opt
         .find_best_plan(root, RelProps::sorted(q.order_by.clone()), None)
         .map_err(|e| format!("oracle optimize: {e}"))?;
-    Ok(db.execute(&plan))
+    Ok(run_tuple(db, &plan))
 }
 
 /// Run every parameter vector of a case through the cached path (both
@@ -194,14 +194,12 @@ fn run_case(db: &Database, case: &Case) -> Result<(), String> {
             db.prepare(&run_sql)
                 .map_err(|e| format!("re-prepare failed: {e}"))?
         };
-        let tuple = db
-            .execute_prepared_traced(&stmt, &params, None, None)
+        let tuple = run_prepared(db, &stmt, &params, Engine::Tuple)
             .map_err(|e| format!("run {run}: prepared (tuple) failed: {e}"))?;
-        let batch = db
-            .execute_prepared_traced(&stmt, &params, Some(BatchConfig::default()), None)
-            .map_err(|e| format!("run {run}: prepared (batch) failed: {e}"))?;
+        let fused = run_prepared(db, &stmt, &params, Engine::Fused(BatchConfig::default()))
+            .map_err(|e| format!("run {run}: prepared (vectorized) failed: {e}"))?;
         if run > 0 {
-            for (engine, out) in [("tuple", &tuple), ("batch", &batch)] {
+            for (engine, out) in [("tuple", &tuple), ("vectorized", &fused)] {
                 if out.cache != "hit" || out.search.is_some() {
                     return Err(format!(
                         "run {run} ({engine}): expected a warm hit with no search, got {} (searched: {})",
@@ -217,9 +215,9 @@ fn run_case(db: &Database, case: &Case) -> Result<(), String> {
                     "run {run}: tuple engine ordered rows diverge from oracle"
                 ));
             }
-            if batch.rows != want {
+            if fused.rows != want {
                 return Err(format!(
-                    "run {run}: batch engine ordered rows diverge from oracle"
+                    "run {run}: vectorized engine ordered rows diverge from oracle"
                 ));
             }
         } else {
@@ -229,9 +227,9 @@ fn run_case(db: &Database, case: &Case) -> Result<(), String> {
                     "run {run}: tuple engine multiset diverges from oracle"
                 ));
             }
-            if sorted_copy(&batch.rows) != want {
+            if sorted_copy(&fused.rows) != want {
                 return Err(format!(
-                    "run {run}: batch engine multiset diverges from oracle"
+                    "run {run}: vectorized engine multiset diverges from oracle"
                 ));
             }
         }

@@ -17,9 +17,12 @@
 //!   cache counters always reconcile (`hits + misses + invalidations
 //!   == lookups`).
 
+mod common;
+
+use common::testkit::{run_prepared, run_tuple};
 use proptest::prelude::*;
 use volcano_core::SearchOptions;
-use volcano_exec::Database;
+use volcano_exec::{Database, Engine};
 use volcano_rel::value::Tuple;
 use volcano_rel::{Catalog, ColumnDef, RelModel, RelOptimizer, RelProps, Value};
 use volcano_sql::{lower_with_params, parse};
@@ -61,7 +64,7 @@ fn oracle_rows(db: &Database, sql: &str, params: &[Value]) -> Result<Vec<Tuple>,
     let plan = opt
         .find_best_plan(root, RelProps::sorted(q.order_by.clone()), None)
         .map_err(|e| e.to_string())?;
-    Ok(db.execute(&plan))
+    Ok(run_tuple(db, &plan))
 }
 
 fn sorted_copy(rows: &[Tuple]) -> Vec<Tuple> {
@@ -102,7 +105,7 @@ proptest! {
                     let params: Vec<Value> = (0..stmt.param_count())
                         .map(|_| Value::Int(arg))
                         .collect();
-                    let got = db.execute_prepared(stmt, &params, None);
+                    let got = run_prepared(&db, stmt, &params, Engine::Tuple).map(|o| o.rows);
                     if emp_dropped && TOUCHES_EMP[idx] {
                         // (a) dropped object: must fail at lowering, not
                         // serve a cached plan.
@@ -177,9 +180,7 @@ fn stats_growth_forces_reoptimization() {
     let stmt = db
         .prepare("SELECT emp.id FROM emp, dept WHERE emp.dept = dept.id AND emp.salary < $0")
         .unwrap();
-    let cold = db
-        .execute_prepared_traced(&stmt, &[Value::Int(25)], None, None)
-        .unwrap();
+    let cold = run_prepared(&db, &stmt, &[Value::Int(25)], Engine::Tuple).unwrap();
     assert_eq!(cold.cache, "miss");
 
     let emp = db.catalog().table_by_name("emp").unwrap().id;
@@ -192,18 +193,14 @@ fn stats_growth_forces_reoptimization() {
     db.refresh_stats();
     assert!(db.catalog().table(emp).card > 3000.0);
 
-    let after = db
-        .execute_prepared_traced(&stmt, &[Value::Int(25)], None, None)
-        .unwrap();
+    let after = run_prepared(&db, &stmt, &[Value::Int(25)], Engine::Tuple).unwrap();
     assert_eq!(
         after.cache, "invalidated",
         "10x data growth must re-optimize, not serve the stale template"
     );
     assert!(after.search.is_some());
     // The re-optimized entry is current again: next execution hits.
-    let warm = db
-        .execute_prepared_traced(&stmt, &[Value::Int(25)], None, None)
-        .unwrap();
+    let warm = run_prepared(&db, &stmt, &[Value::Int(25)], Engine::Tuple).unwrap();
     assert_eq!(warm.cache, "hit");
     assert!(warm.search.is_none());
     let s = db.plan_cache().stats();
@@ -225,12 +222,10 @@ fn stale_prepared_statement_after_drop_errors_cleanly() {
         .prepare("SELECT emp.id FROM emp WHERE emp.salary < $0")
         .unwrap();
     // Warm the cache so a stale template exists when the table goes.
-    db.execute_prepared(&stmt, &[Value::Int(25)], None).unwrap();
+    run_prepared(&db, &stmt, &[Value::Int(25)], Engine::Tuple).unwrap();
     assert!(db.drop_table("emp"));
 
-    let err = db
-        .execute_prepared(&stmt, &[Value::Int(25)], None)
-        .unwrap_err();
+    let err = run_prepared(&db, &stmt, &[Value::Int(25)], Engine::Tuple).unwrap_err();
     assert!(
         matches!(err, PrepareError::Lower(_)),
         "expected a lowering error, got {err}"
@@ -273,11 +268,9 @@ fn unchanged_stats_revalidate_without_reoptimizing() {
     let stmt = db
         .prepare("SELECT emp.id FROM emp WHERE emp.salary < $0 ORDER BY emp.id")
         .unwrap();
-    db.execute_prepared(&stmt, &[Value::Int(30)], None).unwrap();
+    run_prepared(&db, &stmt, &[Value::Int(30)], Engine::Tuple).unwrap();
     db.refresh_stats();
-    let out = db
-        .execute_prepared_traced(&stmt, &[Value::Int(12)], None, None)
-        .unwrap();
+    let out = run_prepared(&db, &stmt, &[Value::Int(12)], Engine::Tuple).unwrap();
     assert_eq!(out.cache, "hit", "unchanged stats must not invalidate");
     assert!(out.search.is_none());
     assert_eq!(db.plan_cache().stats().invalidations, 0);

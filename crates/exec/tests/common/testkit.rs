@@ -1,6 +1,6 @@
 //! The differential/concurrency test kit.
 //!
-//! Every cross-engine suite (`batch_differential`, `cache_differential`,
+//! Every cross-engine suite (`fused_differential`, `cache_differential`,
 //! `parallel_differential`, ...) compares engines over the same golden
 //! catalog and query list, with the same multiset/order discipline:
 //! row *multisets* must always match, and the row *sequence* must match
@@ -10,11 +10,13 @@
 
 use volcano_bench::workload::{generate_query, WorkloadConfig};
 use volcano_core::{PhysicalProps, SearchOptions};
-use volcano_exec::Database;
+use volcano_exec::{
+    BatchConfig, Database, Engine, ExecOptions, PrepareError, PreparedOutcome, PreparedStatement,
+};
 use volcano_rel::value::Tuple;
 use volcano_rel::{
     explain_plan, Catalog, ColumnDef, RelExpr, RelModel, RelModelOptions, RelOptimizer, RelPlan,
-    RelProps,
+    RelProps, Value,
 };
 use volcano_sql::plan_query;
 
@@ -51,6 +53,32 @@ pub const SQL_QUERIES: &[&str] = &[
     "SELECT emp.dept, COUNT(*) FROM emp GROUP BY emp.dept ORDER BY emp.dept",
     "SELECT emp.dept FROM emp WHERE emp.salary < 50 UNION SELECT dept.id FROM dept",
 ];
+
+/// Execute `plan` on the tuple engine — the oracle of every suite.
+pub fn run_tuple(db: &Database, plan: &RelPlan) -> Vec<Tuple> {
+    db.execute(plan, &ExecOptions::new(), None)
+}
+
+/// Execute `plan` on the vectorized engine under `cfg`.
+pub fn run_fused(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> Vec<Tuple> {
+    let opts = ExecOptions::new().with_executor(Engine::Fused(cfg));
+    db.execute(plan, &opts, None)
+}
+
+/// One prepared execution through the plan cache on `engine`.
+pub fn run_prepared(
+    db: &Database,
+    stmt: &PreparedStatement,
+    params: &[Value],
+    engine: Engine,
+) -> Result<PreparedOutcome, PrepareError> {
+    db.execute_prepared_opts(
+        stmt,
+        params,
+        &ExecOptions::new().with_executor(engine),
+        None,
+    )
+}
 
 /// A copy of `rows` in canonical (sorted) order, for multiset
 /// comparison.

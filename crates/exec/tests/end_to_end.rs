@@ -4,7 +4,7 @@
 //! plan the optimizer picked.
 
 use volcano_core::{PhysicalProps, SearchOptions};
-use volcano_exec::{assert_same_rows, evaluate_logical, Database};
+use volcano_exec::{assert_same_rows, evaluate_logical, Database, ExecOptions};
 use volcano_rel::builder::{aggregate, difference, intersect, join_on, project, select_one, union};
 use volcano_rel::{
     AggFunc, AggSpec, Catalog, Cmp, ColumnDef, QueryBuilder, RelExpr, RelModel, RelModelOptions,
@@ -122,7 +122,7 @@ fn sorted_output_is_actually_sorted() {
     let plan = opt
         .find_best_plan(root, RelProps::sorted(vec![key]), None)
         .unwrap();
-    let rows = db.execute(&plan);
+    let rows = db.execute(&plan, &ExecOptions::new(), None);
     assert_eq!(rows.len(), 200);
     // salary is column 2.
     for w in rows.windows(2) {
@@ -242,7 +242,7 @@ fn grand_total_on_empty_table() {
         let mut opt = RelOptimizer::new(&model, SearchOptions::default());
         let root = opt.insert_tree(&expr);
         let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
-        db.execute(&plan)
+        db.execute(&plan, &ExecOptions::new(), None)
     };
     assert_eq!(got, vec![vec![Value::Int(0), Value::Null]]);
 }
@@ -279,7 +279,7 @@ fn exchange_produces_same_rows() {
     let mut opt = RelOptimizer::new(&model, SearchOptions::default());
     let root = opt.insert_tree(&expr);
     let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
-    let direct = db.execute(&plan);
+    let direct = db.execute(&plan, &ExecOptions::new(), None);
     let compiled = compile(&db, &plan);
     let mut exchanged = Exchange::new(compiled.operator, 64);
     let via_thread = collect(&mut exchanged);
@@ -305,7 +305,7 @@ fn io_counters_reflect_scans() {
     let mut opt = RelOptimizer::new(&model, SearchOptions::default());
     let root = opt.insert_tree(&q.scan("big"));
     let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
-    let rows = db.execute(&plan);
+    let rows = db.execute(&plan, &ExecOptions::new(), None);
     assert_eq!(rows.len(), 2000);
     let (reads, _) = db.io_stats();
     // ~100 bytes per row, 4 KiB pages → ≈ 40 rows/page → ≈ 50+ pages.
@@ -329,7 +329,7 @@ fn external_sort_spills_through_the_full_pipeline() {
     let plan = opt
         .find_best_plan(root, RelProps::sorted(vec![key]), None)
         .unwrap();
-    let rows = db.execute(&plan);
+    let rows = db.execute(&plan, &ExecOptions::new(), None);
     assert_eq!(rows.len(), 200);
     for w in rows.windows(2) {
         assert!(w[0][2] <= w[1][2], "spilled sort output must be ordered");

@@ -16,7 +16,7 @@
 //! database whose selectivity memory is primed directly with the true
 //! hot-key fraction, so its very first plan is what a clairvoyant
 //! optimizer would pick. Convergence must happen within K = 5
-//! executions on every engine (tuple, batch, fused), results must stay
+//! executions on both engines (tuple, vectorized), results must stay
 //! the same multiset throughout, and with feedback OFF the plan must
 //! never move — the ablation that pins "feedback off reproduces today's
 //! behaviour bit-identically" at the executor level.
@@ -95,12 +95,8 @@ fn populated_db() -> (Database, f64) {
     (db, sel)
 }
 
-fn engines() -> [Engine; 3] {
-    [
-        Engine::Tuple,
-        Engine::Batch(BatchConfig::default()),
-        Engine::Fused(BatchConfig::default()),
-    ]
+fn engines() -> [Engine; 2] {
+    [Engine::Tuple, Engine::Fused(BatchConfig::default())]
 }
 
 fn explain(db: &Database, plan: &RelPlan) -> String {
@@ -219,11 +215,6 @@ fn assert_converges(engine: Engine) {
 #[test]
 fn tuple_engine_converges_to_the_oracle_plan() {
     assert_converges(Engine::Tuple);
-}
-
-#[test]
-fn batch_engine_converges_to_the_oracle_plan() {
-    assert_converges(Engine::Batch(BatchConfig::default()));
 }
 
 #[test]

@@ -1,36 +1,45 @@
-//! Differential tests for the pipeline-fused engine (the third engine).
+//! Differential tests for the vectorized engine.
 //!
 //! Every golden SQL query and fig4-style generated plan is executed on
-//! all three engines — tuple (the oracle), batch, and fused — across
-//! batch sizes {1, default, 1024} and the parallel-degree ladder
-//! (`VOLCANO_THREADS` pins one degree per CI leg). Whatever the
-//! configuration, the fused engine must produce the identical row
-//! *multiset*; at degree 1 the exact sequence must match the tuple
-//! engine, and under a sort goal the delivered order must hold at every
-//! degree (only sort-key ties may reorder under parallelism).
+//! both engines — tuple (the oracle) and vectorized — across batch
+//! sizes {1, 4, default, 1024} and the parallel-degree ladder
+//! (`VOLCANO_THREADS` pins one degree per CI leg). Batch size 1 is the
+//! degenerate case whose behaviour must collapse to tuple-at-a-time
+//! semantics. Whatever the configuration, the vectorized engine must
+//! produce the identical row *multiset*; at degree 1 the exact sequence
+//! must match the tuple engine, and under a sort goal the delivered
+//! order must hold at every degree (only sort-key ties may reorder
+//! under parallelism).
 //!
 //! The fallback-coverage tests pin the engine-boundary discipline:
-//! non-fusable operators (sort, set ops) execute correctly through at
-//! most one adapter per genuine engine boundary, with the fusable
-//! segments around them still fused. Hash aggregates never fall back —
-//! they terminate a fused pipeline in an aggregation sink (or run
-//! batch-native over a non-fusable child).
+//! non-pipelineable operators (sort, set ops) execute correctly through
+//! at most one adapter per genuine engine boundary, with the
+//! pipelineable segments around them still fused — down to regions of
+//! a single operator sitting directly on such an input. Hash aggregates
+//! never fall back — they terminate a fused pipeline in an aggregation
+//! sink (or run batch-native over a non-pipelineable child).
 
 mod common;
 
 use common::testkit::{
-    assert_same_multiset, fig4_inputs, optimize_plan, sql_cases, thread_counts, SQL_QUERIES,
+    assert_same_multiset, diff_catalog, fig4_inputs, optimize_drift_guarded, optimize_plan,
+    run_fused, run_tuple, sql_cases, thread_counts, SQL_QUERIES,
 };
+use volcano_core::PhysicalProps;
 use volcano_exec::{
     collect_batches, compile_fused, schema_of, BatchConfig, Database, Engine, ExecOptions,
 };
 use volcano_rel::value::Tuple;
-use volcano_rel::{RelModel, RelModelOptions, RelPlan};
+use volcano_rel::{
+    AggFunc, AggSpec, AttrId, Cmp, ColumnDef, JoinPred, Pred, RelAlg, RelModel, RelModelOptions,
+    RelPlan, RelProps,
+};
+use volcano_sql::plan_query;
 
-/// The batch-size axis: degenerate single-row batches, the engine
-/// default, and an explicit large batch.
-fn batch_sizes() -> [Option<usize>; 3] {
-    [Some(1), None, Some(1024)]
+/// The batch-size axis: degenerate single-row batches, a size that
+/// splits every page, the engine default, and an explicit large batch.
+fn batch_sizes() -> [Option<usize>; 4] {
+    [Some(1), Some(4), None, Some(1024)]
 }
 
 fn config(batch_size: Option<usize>) -> BatchConfig {
@@ -52,10 +61,10 @@ fn assert_sorted_on(rows: &[Tuple], key_positions: &[usize], tag: &str) {
     }
 }
 
-/// Run `plan` on all three engines at every batch size and assert the
+/// Run `plan` on both engines at every batch size and assert the
 /// cross-engine discipline holds.
-fn assert_three_engines_agree(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
-    let tuple_rows = db.execute(plan);
+fn assert_engines_agree(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
+    let tuple_rows = run_tuple(db, plan);
     let key_positions: Vec<usize> = {
         let schema = schema_of(db, plan);
         plan.delivered
@@ -70,24 +79,16 @@ fn assert_three_engines_agree(db: &Database, plan: &RelPlan, tag: &str, degree: 
             .collect()
     };
     for batch_size in batch_sizes() {
-        let cfg = config(batch_size);
-        let batch_rows = db.execute_batch(plan, cfg);
-        let fused_rows = db.execute_fused(plan, cfg);
+        let fused_rows = run_fused(db, plan, config(batch_size));
         let mtag = format!("{tag}: deg={degree} batch={batch_size:?}");
-        assert_same_multiset(&tuple_rows, &batch_rows, &format!("{mtag} [batch]"));
-        assert_same_multiset(&tuple_rows, &fused_rows, &format!("{mtag} [fused]"));
+        assert_same_multiset(&tuple_rows, &fused_rows, &mtag);
         if !key_positions.is_empty() {
-            assert_sorted_on(&batch_rows, &key_positions, &format!("{mtag} [batch]"));
-            assert_sorted_on(&fused_rows, &key_positions, &format!("{mtag} [fused]"));
+            assert_sorted_on(&fused_rows, &key_positions, &mtag);
         }
         if degree == 1 {
             assert_eq!(
                 tuple_rows, fused_rows,
-                "{mtag}: serial fused execution must be sequence-identical to the tuple engine"
-            );
-            assert_eq!(
-                batch_rows, fused_rows,
-                "{mtag}: serial fused execution must be sequence-identical to the batch engine"
+                "{mtag}: serial vectorized execution must be sequence-identical to the tuple engine"
             );
         }
     }
@@ -98,16 +99,16 @@ fn options(degree: u32) -> RelModelOptions {
 }
 
 #[test]
-fn sql_golden_queries_agree_on_all_three_engines() {
+fn sql_golden_queries_agree_on_both_engines() {
     for degree in thread_counts() {
         for case in sql_cases(options(degree)) {
-            assert_three_engines_agree(&case.db, &case.plan, &case.tag, degree);
+            assert_engines_agree(&case.db, &case.plan, &case.tag, degree);
         }
     }
 }
 
 #[test]
-fn fig4_plans_agree_on_all_three_engines() {
+fn fig4_plans_agree_on_both_engines() {
     for input in fig4_inputs(&[2, 3], 0..2, false) {
         for degree in thread_counts() {
             let model = RelModel::new(
@@ -116,13 +117,13 @@ fn fig4_plans_agree_on_all_three_engines() {
             );
             let tag = format!("{} deg={degree}", input.tag);
             let plan = optimize_plan(&model, &input.expr, input.goal.clone(), &tag);
-            assert_three_engines_agree(&input.db, &plan, &tag, degree);
+            assert_engines_agree(&input.db, &plan, &tag, degree);
         }
     }
 }
 
-/// Sorted goals: the fused engine must deliver the sort order at every
-/// degree — parallelism and fusion may never leak through the sort.
+/// Sorted goals: the vectorized engine must deliver the sort order at
+/// every degree — parallelism and fusion may never leak through the sort.
 #[test]
 fn fig4_sorted_goals_preserve_order_on_fused() {
     for input in fig4_inputs(&[2], 0..2, true) {
@@ -137,7 +138,294 @@ fn fig4_sorted_goals_preserve_order_on_fused() {
                 !plan.delivered.sort.is_empty(),
                 "{tag}: expected a sort-delivering plan"
             );
-            assert_three_engines_agree(&input.db, &plan, &tag, degree);
+            assert_engines_agree(&input.db, &plan, &tag, degree);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Serial plans under the exploration drift guard: each query is
+// optimized twice — serial and parallel exploration must pick the same
+// plan — before the engines are compared on it.
+// ---------------------------------------------------------------------
+
+#[test]
+fn drift_guarded_sql_golden_queries_agree() {
+    for sql in SQL_QUERIES {
+        let mut catalog = diff_catalog();
+        let q = plan_query(sql, &mut catalog).expect("query must parse");
+        let model = RelModel::with_defaults(catalog.clone());
+        let goal = RelProps::sorted(q.order_by.clone());
+        let plan = optimize_drift_guarded(&model, &q.expr, goal, &catalog, sql);
+        let db = Database::in_memory(catalog);
+        db.generate(42);
+        assert_engines_agree(&db, &plan, sql, 1);
+    }
+}
+
+#[test]
+fn drift_guarded_fig4_plans_agree() {
+    for input in fig4_inputs(&[2, 3], 0..3, false) {
+        let model = RelModel::new(input.catalog.clone(), RelModelOptions::paper_fig4());
+        let plan = optimize_drift_guarded(
+            &model,
+            &input.expr,
+            input.goal.clone(),
+            &input.catalog,
+            &input.tag,
+        );
+        assert_engines_agree(&input.db, &plan, &input.tag, 1);
+    }
+}
+
+/// The same fig4 workload, but demanding a sorted result: the root plan
+/// carries a sort property, so the engines must agree on exact row
+/// order (not just the multiset).
+#[test]
+fn drift_guarded_fig4_sorted_goal_agrees() {
+    for input in fig4_inputs(&[2], 0..2, true) {
+        let model = RelModel::new(input.catalog.clone(), RelModelOptions::paper_fig4());
+        let plan = optimize_drift_guarded(
+            &model,
+            &input.expr,
+            input.goal.clone(),
+            &input.catalog,
+            &input.tag,
+        );
+        assert!(
+            !plan.delivered.sort.is_empty(),
+            "{}: expected a sort-delivering plan",
+            input.tag
+        );
+        assert_engines_agree(&input.db, &plan, &input.tag, 1);
+    }
+}
+
+// ---------------------------------------------------------------------
+// One-operator regions: a filter, projection, hash join or hash
+// aggregate sitting *directly on* an input the vectorized lowering does
+// not pipeline. The optimizer rarely produces these shapes, so the
+// plans are assembled by hand.
+// ---------------------------------------------------------------------
+
+/// A hand-assembled plan node; costs and group are carried over from
+/// `like` (execution reads neither).
+fn node(like: &RelPlan, alg: RelAlg, inputs: Vec<RelPlan>, delivered: RelProps) -> RelPlan {
+    RelPlan {
+        alg,
+        delivered,
+        inputs,
+        ..like.clone()
+    }
+}
+
+#[test]
+fn single_operator_regions_over_opaque_inputs_agree() {
+    let mut catalog = diff_catalog();
+    catalog.add_table(
+        "ix",
+        500.0,
+        vec![
+            ColumnDef::int("k", 500.0).indexed(),
+            ColumnDef::int("v", 10.0),
+        ],
+    );
+    let attr = |t: &str, c: &str| {
+        let table = catalog.table_by_name(t).unwrap();
+        table.columns.iter().find(|col| col.name == c).unwrap().attr
+    };
+    let table = |t: &str| catalog.table_by_name(t).unwrap().id;
+    let (emp_id, emp_dept, emp_salary) = (
+        attr("emp", "id"),
+        attr("emp", "dept"),
+        attr("emp", "salary"),
+    );
+    let (dept_id, dept_region) = (attr("dept", "id"), attr("dept", "region"));
+    let (ix_k, ix_v) = (attr("ix", "k"), attr("ix", "v"));
+    let db = Database::in_memory(catalog.clone());
+    db.generate(42);
+
+    // Any optimized plan serves as the template for cost and group.
+    let model = RelModel::with_defaults(catalog.clone());
+    let like = {
+        let q = plan_query("SELECT emp.id FROM emp", &mut catalog.clone()).unwrap();
+        optimize_plan(&model, &q.expr, RelProps::any(), "template")
+    };
+    let scan = |t: &str| node(&like, RelAlg::FileScan(table(t)), vec![], RelProps::any());
+    let sort = |input: RelPlan, keys: Vec<AttrId>| {
+        node(
+            &like,
+            RelAlg::Sort(keys.clone()),
+            vec![input],
+            RelProps::sorted(keys),
+        )
+    };
+
+    // The four non-pipelineable inputs, each with: the attribute a
+    // filter and an aggregate read, a projection of its schema, and a
+    // join key into `dept` (emp-shaped inputs) or `region`.
+    struct Opaque {
+        name: &'static str,
+        plan: RelPlan,
+        value: AttrId,
+        project: Vec<AttrId>,
+        join: (AttrId, &'static str, AttrId),
+    }
+    let region_id = attr("region", "id");
+    let opaque = vec![
+        Opaque {
+            name: "sort",
+            plan: sort(scan("emp"), vec![emp_salary]),
+            value: emp_salary,
+            project: vec![emp_salary, emp_id],
+            join: (emp_dept, "dept", dept_id),
+        },
+        Opaque {
+            name: "merge_join",
+            plan: node(
+                &like,
+                RelAlg::MergeJoin(JoinPred::eq(emp_dept, dept_id)),
+                vec![
+                    sort(scan("emp"), vec![emp_dept]),
+                    sort(scan("dept"), vec![dept_id]),
+                ],
+                RelProps::sorted(vec![emp_dept]),
+            ),
+            value: emp_dept,
+            project: vec![emp_dept, dept_region, emp_id],
+            join: (dept_region, "region", region_id),
+        },
+        Opaque {
+            name: "index_scan",
+            plan: node(
+                &like,
+                RelAlg::IndexScan(table("ix"), ix_k),
+                vec![],
+                RelProps::sorted(vec![ix_k]),
+            ),
+            value: ix_k,
+            project: vec![ix_k],
+            join: (ix_v, "region", region_id),
+        },
+        Opaque {
+            name: "hash_union",
+            plan: node(
+                &like,
+                RelAlg::HashUnion,
+                vec![
+                    node(
+                        &like,
+                        RelAlg::ProjectOp(vec![emp_dept]),
+                        vec![scan("emp")],
+                        RelProps::any(),
+                    ),
+                    node(
+                        &like,
+                        RelAlg::ProjectOp(vec![dept_id]),
+                        vec![scan("dept")],
+                        RelProps::any(),
+                    ),
+                ],
+                RelProps::any(),
+            ),
+            value: emp_dept,
+            project: vec![emp_dept],
+            join: (emp_dept, "dept", dept_id),
+        },
+    ];
+
+    for o in opaque {
+        let order = o.plan.delivered.clone();
+        let (key, other, other_key) = o.join;
+        let spec = AggSpec {
+            group_by: vec![o.value],
+            aggs: vec![
+                (AggFunc::CountStar, AttrId(9_000)),
+                (AggFunc::Sum(o.value), AttrId(9_001)),
+            ],
+        };
+        let shapes = [
+            // A filter keeps its input's order.
+            (
+                "filter",
+                node(
+                    &like,
+                    RelAlg::Filter(Pred::single(Cmp::lt(o.value, 12i64))),
+                    vec![o.plan.clone()],
+                    order.clone(),
+                ),
+            ),
+            // So does a projection that keeps the leading sort key.
+            (
+                "project",
+                node(
+                    &like,
+                    RelAlg::ProjectOp(o.project.clone()),
+                    vec![o.plan.clone()],
+                    order.clone(),
+                ),
+            ),
+            (
+                "join_build",
+                node(
+                    &like,
+                    RelAlg::HybridHashJoin(JoinPred::eq(key, other_key)),
+                    vec![o.plan.clone(), scan(other)],
+                    RelProps::any(),
+                ),
+            ),
+            (
+                "join_probe",
+                node(
+                    &like,
+                    RelAlg::HybridHashJoin(JoinPred::eq(other_key, key)),
+                    vec![scan(other), o.plan.clone()],
+                    RelProps::any(),
+                ),
+            ),
+            // Groups come out in table order, which the engines need
+            // not share: a sort above pins the sequence.
+            (
+                "aggregate",
+                sort(
+                    node(
+                        &like,
+                        RelAlg::HashAggregate(spec),
+                        vec![o.plan.clone()],
+                        RelProps::any(),
+                    ),
+                    vec![o.value],
+                ),
+            ),
+        ];
+        for (shape, plan) in shapes {
+            let tag = format!("{shape} over {}", o.name);
+            let compiled = compile_fused(&db, &plan, BatchConfig::default());
+            let report = &compiled.report;
+            assert!(
+                report.fallback_segments() >= 1,
+                "{tag}: the input must run on the tuple operators"
+            );
+            if shape == "aggregate" {
+                assert_eq!(report.agg_sinks, 0, "{tag}: no chain to sink into");
+            } else {
+                // The operator above the input is a region of its own,
+                // fed through the one adapter at the boundary.
+                assert!(
+                    report
+                        .pipelines
+                        .iter()
+                        .any(|p| p.label.starts_with("tuple_to_batch→")),
+                    "{tag}: expected a pipeline sourced from the opaque input, got {:?}",
+                    report
+                        .pipelines
+                        .iter()
+                        .map(|p| &p.label)
+                        .collect::<Vec<_>>()
+                );
+            }
+            assert!(!run_tuple(&db, &plan).is_empty(), "{tag}: vacuous case");
+            assert_engines_agree(&db, &plan, &tag, 1);
         }
     }
 }
@@ -161,7 +449,7 @@ fn fallback_operators_fuse_around_with_bounded_adapters() {
         let mut op = compiled.operator;
         let rows = collect_batches(op.as_mut());
         assert_eq!(
-            case.db.execute(&case.plan),
+            run_tuple(&case.db, &case.plan),
             rows,
             "{}: fused execution through fallbacks diverged",
             case.tag
@@ -239,7 +527,7 @@ fn fusable_plans_compile_adapter_free() {
     );
     let mut op = compiled.operator;
     let rows = collect_batches(op.as_mut());
-    assert_eq!(case.db.execute(&case.plan), rows, "{sql}");
+    assert_eq!(run_tuple(&case.db, &case.plan), rows, "{sql}");
 }
 
 /// The prepared-statement / plan-cache path inherits the fused engine:

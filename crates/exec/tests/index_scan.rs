@@ -3,7 +3,7 @@
 //! without any sort operator at all.
 
 use volcano_core::{PhysicalProps, SearchOptions};
-use volcano_exec::{assert_same_rows, evaluate_logical, Database};
+use volcano_exec::{assert_same_rows, evaluate_logical, Database, ExecOptions};
 use volcano_rel::builder::join_on;
 use volcano_rel::{
     Catalog, ColumnDef, QueryBuilder, RelAlg, RelModel, RelOptimizer, RelPlan, RelProps,
@@ -149,6 +149,6 @@ fn index_scan_skips_deleted_rows() {
     let model = RelModel::with_defaults(c);
     let q = QueryBuilder::new(model.catalog());
     let plan = optimize(&model, &q.scan("t"), RelProps::sorted(vec![k]));
-    let rows = db.execute(&plan);
+    let rows = db.execute(&plan, &ExecOptions::new(), None);
     assert_eq!(rows.len(), 8, "deleted rows must not resurface");
 }

@@ -10,8 +10,8 @@
 //!    dead worker poisons nothing.
 //!
 //! 2. **Concurrent parallel executions under cache chaos.** Four
-//!    threads hammer prepared statements through the parallel batch
-//!    engine while a chaos thread bumps the stats epoch, forcing
+//!    threads hammer prepared statements through the parallel
+//!    vectorized engine while a chaos thread bumps the stats epoch, forcing
 //!    constant plan re-validation. Every execution must return the
 //!    correct rows and the plan-cache counters must reconcile exactly:
 //!    `hits + misses + invalidations == lookups`.
@@ -21,8 +21,10 @@ mod common;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use common::testkit::{assert_same_multiset, sorted_copy, sql_cases, DiffCase};
-use volcano_exec::{BatchConfig, Database};
+use common::testkit::{
+    assert_same_multiset, run_fused, run_prepared, run_tuple, sorted_copy, sql_cases, DiffCase,
+};
+use volcano_exec::{BatchConfig, Database, Engine};
 use volcano_rel::value::Tuple;
 use volcano_rel::{RelAlg, RelModelOptions, RelPlan, Value};
 
@@ -58,13 +60,13 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 fn injected_worker_panic_fails_cleanly_and_poisons_nothing() {
     for case in gather_cases() {
         let DiffCase { db, plan, tag } = &case;
-        let expected = db.execute(plan);
+        let expected = run_tuple(db, plan);
         // Several injection points: the very first morsel (dies during
         // a build pipeline if the gather has one), and later ones (dies
         // mid-probe / mid-scan).
         for fail_at in [1u64, 2, 5] {
             let cfg = BatchConfig::default().with_fail_morsel(fail_at);
-            let result = catch_unwind(AssertUnwindSafe(|| db.execute_batch(plan, cfg)));
+            let result = catch_unwind(AssertUnwindSafe(|| run_fused(db, plan, cfg)));
             let payload = match result {
                 Err(p) => p,
                 Ok(rows) => {
@@ -84,14 +86,14 @@ fn injected_worker_panic_fails_cleanly_and_poisons_nothing() {
                 "{tag}: fail_at={fail_at}: unexpected panic: {msg}"
             );
             // The failure is repeatable, not a race artifact.
-            let again = catch_unwind(AssertUnwindSafe(|| db.execute_batch(plan, cfg)));
+            let again = catch_unwind(AssertUnwindSafe(|| run_fused(db, plan, cfg)));
             assert!(
                 again.is_err(),
                 "{tag}: fail_at={fail_at}: injection did not reproduce"
             );
             // And the database is unharmed: the next clean run over the
             // same buffer pool and heap files is complete and correct.
-            let rows = db.execute_batch(plan, BatchConfig::default());
+            let rows = run_fused(db, plan, BatchConfig::default());
             assert_same_multiset(&expected, &rows, &format!("{tag}: after fail_at={fail_at}"));
         }
     }
@@ -103,9 +105,9 @@ fn injected_worker_panic_fails_cleanly_and_poisons_nothing() {
 fn unreached_injection_is_inert() {
     for case in gather_cases() {
         let DiffCase { db, plan, tag } = &case;
-        let expected = db.execute(plan);
+        let expected = run_tuple(db, plan);
         let cfg = BatchConfig::default().with_fail_morsel(u64::MAX);
-        let rows = db.execute_batch(plan, cfg);
+        let rows = run_fused(db, plan, cfg);
         assert_same_multiset(&expected, &rows, &format!("{tag}: fail_at=MAX"));
     }
 }
@@ -126,7 +128,7 @@ fn concurrent_parallel_executions_reconcile_under_epoch_chaos() {
     let db = Database::in_memory(common::testkit::diff_catalog());
     db.generate(23);
     db.set_parallel_degree(4);
-    let cfg = BatchConfig::default();
+    let engine = Engine::Fused(BatchConfig::default());
     let stmts: Vec<_> = SHAPES
         .iter()
         .map(|s| db.prepare(s).expect("prepare"))
@@ -142,9 +144,9 @@ fn concurrent_parallel_executions_reconcile_under_epoch_chaos() {
         let mut per_param = Vec::new();
         for p in &param_space {
             let params: Vec<Value> = (0..stmt.param_count()).map(|_| Value::Int(*p)).collect();
-            let rows = db
-                .execute_prepared(stmt, &params, Some(cfg))
-                .expect("golden run");
+            let rows = run_prepared(&db, stmt, &params, engine)
+                .expect("golden run")
+                .rows;
             per_param.push(sorted_copy(&rows));
         }
         golden.push(per_param);
@@ -170,9 +172,9 @@ fn concurrent_parallel_executions_reconcile_under_epoch_chaos() {
                     let params: Vec<Value> = (0..stmt.param_count())
                         .map(|_| Value::Int(param_space[p]))
                         .collect();
-                    let rows = db
-                        .execute_prepared(stmt, &params, Some(cfg))
-                        .expect("concurrent parallel execution");
+                    let rows = run_prepared(db, stmt, &params, engine)
+                        .expect("concurrent parallel execution")
+                        .rows;
                     assert_eq!(
                         sorted_copy(&rows),
                         golden[s][p],

@@ -1,11 +1,11 @@
 //! Differential tests for morsel-driven parallel execution.
 //!
 //! The same golden SQL queries and fig4-style generated plans as the
-//! serial batch differential, but optimized at parallel degrees
+//! serial vectorized differential, but optimized at parallel degrees
 //! {1, 2, 4, 8} (so gather plans appear when the optimizer judges them
 //! cheaper) and executed at morsel granularities of one page, the
 //! engine default, and one whole-table morsel. Whatever the degree and
-//! granularity, the parallel batch engine must produce the identical
+//! granularity, the parallel vectorized engine must produce the identical
 //! row *multiset* as the serial tuple engine — with the exact sequence
 //! at degree 1, and the delivered sort order intact at every degree
 //! (the sort sits above the gather, so parallelism must never leak
@@ -17,7 +17,8 @@
 mod common;
 
 use common::testkit::{
-    assert_same_multiset, fig4_inputs, morsel_sizes, optimize_plan, sql_cases, thread_counts,
+    assert_same_multiset, fig4_inputs, morsel_sizes, optimize_plan, run_fused, run_tuple,
+    sql_cases, thread_counts,
 };
 use volcano_exec::{schema_of, BatchConfig, Database};
 use volcano_rel::value::Tuple;
@@ -36,13 +37,13 @@ fn assert_sorted_on(rows: &[Tuple], key_positions: &[usize], tag: &str) {
 }
 
 /// Execute `plan` under the tuple engine (the serial oracle) and the
-/// batch engine at every morsel granularity; assert the multisets
+/// vectorized engine at every morsel granularity; assert the multisets
 /// always agree, the sequence agrees at degree 1, and the delivered
 /// sort order holds at every degree.
 fn assert_parallel_agrees(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
     // The tuple engine executes a gather as a serial pass-through, so
     // the same (possibly parallel) plan serves as its own oracle.
-    let tuple_rows = db.execute(plan);
+    let tuple_rows = run_tuple(db, plan);
     let key_positions: Vec<usize> = {
         let schema = schema_of(db, plan);
         plan.delivered
@@ -68,7 +69,7 @@ fn assert_parallel_agrees(db: &Database, plan: &RelPlan, tag: &str, degree: u32)
             Some(pages) => BatchConfig::default().with_morsel_pages(pages),
             None => BatchConfig::default(),
         };
-        let rows = db.execute_batch(plan, cfg);
+        let rows = run_fused(db, plan, cfg);
         let mtag = format!("{tag}: deg={degree} morsel={morsel:?}");
         assert_same_multiset(&tuple_rows, &rows, &mtag);
         if !key_positions.is_empty() {
@@ -167,7 +168,7 @@ fn parallel_degree_produces_gather_plans() {
 /// through the claim-a-partition loop.
 #[test]
 fn hash_join_partition_merge_runs_in_parallel() {
-    use volcano_exec::{collect_batches, compile_batch};
+    use volcano_exec::{collect_batches, compile_fused};
     use volcano_rel::RelAlg;
 
     fn join_under_gather(plan: &RelPlan, under: bool) -> bool {
@@ -182,8 +183,8 @@ fn hash_join_partition_merge_runs_in_parallel() {
         if !join_under_gather(&case.plan, false) {
             continue;
         }
-        let oracle = case.db.execute(&case.plan);
-        let compiled = compile_batch(&case.db, &case.plan, BatchConfig::default());
+        let oracle = run_tuple(&case.db, &case.plan);
+        let compiled = compile_fused(&case.db, &case.plan, BatchConfig::default());
         let mut op = compiled.operator;
         let rows = collect_batches(op.as_mut());
         assert_same_multiset(&oracle, &rows, &case.tag);
@@ -212,5 +213,59 @@ fn hash_join_partition_merge_runs_in_parallel() {
     assert!(
         builds_checked > 0,
         "no parallel hash-join build appeared among the golden queries at degree 8"
+    );
+}
+
+/// A traced *prepared* execution reports its parallel regions: one
+/// `MorselPhase` per gather, beside the one `PlanCacheLookup`. (The
+/// prepared path used to drop the tracer before execution, so only
+/// plan-level executions ever reported morsel scheduling.)
+#[test]
+fn traced_prepared_execution_reports_morsel_phases() {
+    use common::testkit::{diff_catalog, SQL_QUERIES};
+    use volcano_core::trace::{CollectingTracer, TraceEvent};
+    use volcano_exec::{Engine, ExecOptions};
+    use volcano_rel::RelAlg;
+
+    fn gathers(plan: &RelPlan) -> usize {
+        usize::from(matches!(plan.alg, RelAlg::Gather(n) if n > 1))
+            + plan.inputs.iter().map(gathers).sum::<usize>()
+    }
+
+    let db = Database::in_memory(diff_catalog());
+    db.generate(42);
+    db.set_parallel_degree(4);
+    let opts = ExecOptions::new().with_executor(Engine::Fused(BatchConfig::default()));
+    let mut parallel_plans = 0usize;
+    for sql in SQL_QUERIES {
+        let stmt = db.prepare(sql).expect("prepare");
+        let tracer = CollectingTracer::new();
+        let out = db
+            .execute_prepared_opts(&stmt, &[], &opts, Some(&tracer))
+            .expect("execute");
+        let events = tracer.take();
+        let lookups = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::PlanCacheLookup { .. }))
+            .count();
+        assert_eq!(lookups, 1, "{sql}: one cache probe per execution");
+        let workers: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::MorselPhase { workers, .. } => Some(*workers),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            workers.len(),
+            gathers(&out.plan),
+            "{sql}: one MorselPhase per parallel region"
+        );
+        assert!(workers.iter().all(|&w| w == 4), "{sql}: {workers:?}");
+        parallel_plans += usize::from(!workers.is_empty());
+    }
+    assert!(
+        parallel_plans >= 1,
+        "no golden query planned a gather at degree 4"
     );
 }

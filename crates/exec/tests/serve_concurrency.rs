@@ -364,9 +364,8 @@ fn feedback_under_chaos_reconciles_exactly() {
                 1 => TrafficClass::Batch,
                 _ => TrafficClass::Background,
             });
-            session.set_executor(match w % 3 {
+            session.set_executor(match w % 2 {
                 0 => Engine::Tuple,
-                1 => Engine::Batch(BatchConfig::default()),
                 _ => Engine::Fused(BatchConfig::default()),
             });
             let db = db.clone();

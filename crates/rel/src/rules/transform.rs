@@ -422,7 +422,7 @@ impl TransformationRule<RelModel> for SelectMerge {
 /// per-worker partial phase and a serial merge phase. Every supported
 /// aggregate decomposes: SUM/MIN/MAX merge with themselves, COUNT(*)
 /// merges by summing partial counts, and AVG ships a `(sum, count)`
-/// pair (see [`AggSpec::partial_attrs`]). The rewrite is only *useful*
+/// pair (see [`crate::AggSpec::partial_attrs`]). The rewrite is only *useful*
 /// under a parallel model — the partial class's sole implementation
 /// demands a parallel input, so the optimizer prices it against the
 /// serial single-phase plan and the gather enforcer decides placement —

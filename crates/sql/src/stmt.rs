@@ -56,33 +56,25 @@ pub enum BudgetSetting {
 ///
 /// ```text
 /// SET EXECUTOR TUPLE;                -- classic tuple-at-a-time iterators
-/// SET EXECUTOR BATCH;                -- vectorized engine, default batch size
-/// SET EXECUTOR BATCH 4096;           -- vectorized engine, explicit batch size
-/// SET EXECUTOR BATCH PARALLEL 8;     -- morsel-driven parallel, 8 workers
-/// SET EXECUTOR BATCH 4096 PARALLEL 8; -- both knobs at once
-/// SET EXECUTOR BATCH PARALLEL 1;     -- back to serial batch execution
-/// SET EXECUTOR FUSED;                -- pipeline-fused engine
-/// SET EXECUTOR FUSED 4096 PARALLEL 8; -- fused, with the same knobs
+/// SET EXECUTOR FUSED;                -- vectorized engine, default batch size
+/// SET EXECUTOR FUSED 4096;           -- vectorized engine, explicit batch size
+/// SET EXECUTOR FUSED PARALLEL 8;     -- morsel-driven parallel, 8 workers
+/// SET EXECUTOR FUSED 4096 PARALLEL 8; -- both knobs at once
+/// SET EXECUTOR FUSED PARALLEL 1;     -- back to serial vectorized execution
+/// SET EXECUTOR BATCH ...;            -- older spelling of FUSED, same engine
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorSetting {
     /// The tuple-at-a-time iterator engine.
     Tuple,
-    /// The vectorized batch engine, with an optional batch size
-    /// (`None` = the engine default).
-    Batch {
+    /// The vectorized engine (`FUSED` or `BATCH`), with an optional
+    /// batch size (`None` = the engine default).
+    Fused {
         /// Rows per batch, if given explicitly.
         batch_size: Option<usize>,
         /// Morsel-driven parallel degree, if given explicitly
         /// (`None` = leave the current degree unchanged; `Some(1)`
         /// explicitly reverts to serial execution).
-        parallel: Option<u32>,
-    },
-    /// The pipeline-fused engine, with the same knobs as `Batch`.
-    Fused {
-        /// Rows per batch, if given explicitly.
-        batch_size: Option<usize>,
-        /// Morsel-driven parallel degree, if given explicitly.
         parallel: Option<u32>,
     },
 }
@@ -129,7 +121,7 @@ pub enum Statement {
     /// search effort; tripped budgets degrade to greedy completion and
     /// still return a valid (if possibly suboptimal) plan.
     SetBudget(BudgetSetting),
-    /// `SET EXECUTOR TUPLE | BATCH [n]`: choose the execution engine
+    /// `SET EXECUTOR TUPLE | FUSED [n] [PARALLEL k]`: choose the execution engine
     /// for subsequent queries (results are engine-invariant; only the
     /// unit of transfer between operators changes).
     SetExecutor(ExecutorSetting),
@@ -526,7 +518,7 @@ fn parse_set_budget(toks: &[Token]) -> Result<Statement, ParseError> {
 
 const EXECUTOR_USAGE: &str = "SET EXECUTOR <TUPLE|BATCH|FUSED [n] [PARALLEL k]>";
 
-/// Parse the shared `[n] [PARALLEL k]` tail of a batch/fused executor.
+/// Parse the `[n] [PARALLEL k]` tail of the vectorized executor.
 fn parse_executor_knobs(rest: &[Token]) -> Result<(Option<usize>, Option<u32>), ParseError> {
     match rest {
         [] => Ok((None, None)),
@@ -542,14 +534,7 @@ fn parse_executor_knobs(rest: &[Token]) -> Result<(Option<usize>, Option<u32>), 
 fn parse_set_executor(toks: &[Token]) -> Result<Statement, ParseError> {
     let setting = match toks {
         [_, _, t] if t.is_kw("tuple") => ExecutorSetting::Tuple,
-        [_, _, t, rest @ ..] if t.is_kw("batch") => {
-            let (batch_size, parallel) = parse_executor_knobs(rest)?;
-            ExecutorSetting::Batch {
-                batch_size,
-                parallel,
-            }
-        }
-        [_, _, t, rest @ ..] if t.is_kw("fused") => {
+        [_, _, t, rest @ ..] if t.is_kw("fused") || t.is_kw("batch") => {
             let (batch_size, parallel) = parse_executor_knobs(rest)?;
             ExecutorSetting::Fused {
                 batch_size,
@@ -659,62 +644,21 @@ mod tests {
             parse_statement("SET EXECUTOR TUPLE").unwrap(),
             Statement::SetExecutor(ExecutorSetting::Tuple)
         );
-        assert_eq!(
-            parse_statement("set executor batch").unwrap(),
-            Statement::SetExecutor(ExecutorSetting::Batch {
-                batch_size: None,
-                parallel: None
-            })
-        );
-        assert_eq!(
-            parse_statement("SET EXECUTOR BATCH 4096").unwrap(),
-            Statement::SetExecutor(ExecutorSetting::Batch {
-                batch_size: Some(4096),
-                parallel: None
-            })
-        );
-        assert_eq!(
-            parse_statement("SET EXECUTOR BATCH PARALLEL 8").unwrap(),
-            Statement::SetExecutor(ExecutorSetting::Batch {
-                batch_size: None,
-                parallel: Some(8)
-            })
-        );
-        assert_eq!(
-            parse_statement("set executor batch 4096 parallel 4").unwrap(),
-            Statement::SetExecutor(ExecutorSetting::Batch {
-                batch_size: Some(4096),
-                parallel: Some(4)
-            })
-        );
-        assert_eq!(
-            parse_statement("SET EXECUTOR FUSED").unwrap(),
+        let vectorized = |batch_size, parallel| {
             Statement::SetExecutor(ExecutorSetting::Fused {
-                batch_size: None,
-                parallel: None
+                batch_size,
+                parallel,
             })
-        );
-        assert_eq!(
-            parse_statement("set executor fused 512").unwrap(),
-            Statement::SetExecutor(ExecutorSetting::Fused {
-                batch_size: Some(512),
-                parallel: None
-            })
-        );
-        assert_eq!(
-            parse_statement("SET EXECUTOR FUSED PARALLEL 8").unwrap(),
-            Statement::SetExecutor(ExecutorSetting::Fused {
-                batch_size: None,
-                parallel: Some(8)
-            })
-        );
-        assert_eq!(
-            parse_statement("SET EXECUTOR FUSED 1024 PARALLEL 4").unwrap(),
-            Statement::SetExecutor(ExecutorSetting::Fused {
-                batch_size: Some(1024),
-                parallel: Some(4)
-            })
-        );
+        };
+        // `BATCH` and `FUSED` are two spellings of the one vectorized
+        // engine, with the same knobs.
+        for kw in ["batch", "FUSED"] {
+            let parsed = |tail: &str| parse_statement(&format!("SET EXECUTOR {kw}{tail}")).unwrap();
+            assert_eq!(parsed(""), vectorized(None, None));
+            assert_eq!(parsed(" 4096"), vectorized(Some(4096), None));
+            assert_eq!(parsed(" PARALLEL 8"), vectorized(None, Some(8)));
+            assert_eq!(parsed(" 1024 parallel 4"), vectorized(Some(1024), Some(4)));
+        }
         assert!(parse_statement("SET EXECUTOR").is_err());
         assert!(parse_statement("SET EXECUTOR ROW").is_err());
         assert!(parse_statement("SET EXECUTOR BATCH 0").is_err());

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example end_to_end`
 
 use volcano::core::{PhysicalProps, SearchOptions};
-use volcano::exec::{assert_same_rows, evaluate_logical, Database};
+use volcano::exec::{assert_same_rows, evaluate_logical, Database, ExecOptions};
 use volcano::rel::{Catalog, ColumnDef, RelModel, RelOptimizer, RelProps};
 use volcano::sql::plan_query;
 
@@ -53,8 +53,8 @@ fn main() {
     println!("=== chosen plan (estimated {}) ===", plan.cost);
     println!("{}", plan.explain());
 
-    // Execute.
-    let rows = db.execute(&plan);
+    // Execute (the default options run the tuple iterator engine).
+    let rows = db.execute(&plan, &ExecOptions::new(), None);
     let (reads, writes) = db.io_stats();
     println!("result: {} rows", rows.len());
     println!("observed physical I/O: {reads} page reads, {writes} page writes");

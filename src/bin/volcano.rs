@@ -24,7 +24,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use volcano::core::{SearchBudget, SearchOptions};
-use volcano::exec::{BatchConfig, Database, Engine, Server, ServerConfig, Session, TrafficClass};
+use volcano::exec::{
+    BatchConfig, Database, Engine, ExecOptions, Server, ServerConfig, Session, TrafficClass,
+};
 use volcano::rel::catalog::ColType;
 use volcano::rel::{
     explain_expr, explain_plan, Catalog, ColumnDef, RelModel, RelModelOptions, RelOptimizer,
@@ -48,10 +50,11 @@ struct Shell {
     /// greedy completion instead of failing. Mirrored into the session
     /// (it may be set before the database exists).
     budget: SearchBudget,
-    /// Execution engine for subsequent queries (tuple, batch, or
-    /// fused). Mirrored into the session.
+    /// Execution engine for subsequent queries (tuple or vectorized).
+    /// Mirrored into the session.
     executor: Engine,
-    /// Morsel-driven parallel degree for the batch engine (1 = serial).
+    /// Morsel-driven parallel degree for the vectorized engine (1 =
+    /// serial).
     /// The optimizer sees it as a physical property: at degree > 1 it
     /// weighs gather plans against serial ones and keeps whichever is
     /// cheaper.
@@ -185,13 +188,9 @@ impl Shell {
                 match setting {
                     ExecutorSetting::Tuple => {
                         self.executor = Engine::Tuple;
-                        println!("executor: tuple-at-a-time");
+                        println!("executor: {}", self.executor.label());
                     }
-                    ExecutorSetting::Batch {
-                        batch_size,
-                        parallel,
-                    }
-                    | ExecutorSetting::Fused {
+                    ExecutorSetting::Fused {
                         batch_size,
                         parallel,
                     } => {
@@ -199,10 +198,7 @@ impl Shell {
                             Some(n) => BatchConfig::with_batch_size(n),
                             None => BatchConfig::default(),
                         };
-                        self.executor = match setting {
-                            ExecutorSetting::Fused { .. } => Engine::Fused(cfg),
-                            _ => Engine::Batch(cfg),
-                        };
+                        self.executor = Engine::Fused(cfg);
                         if let Some(degree) = parallel {
                             self.parallel_degree = degree.max(1);
                             if let Some(session) = &self.session {
@@ -259,9 +255,9 @@ impl Shell {
                     let stats_json = opt.stats().to_json();
                     let executor = self.executor;
                     let db = self.db();
-                    // The fused engine has no per-plan-node seams to
-                    // instrument: report per-pipeline metrics instead of
-                    // the per-operator table.
+                    // The vectorized engine has no per-plan-node seams
+                    // to instrument: report per-pipeline metrics instead
+                    // of the per-operator table.
                     if let Engine::Fused(cfg) = executor {
                         let analyzed = volcano::exec::execute_analyzed_fused(&db, &plan, cfg);
                         println!("-- analyze ({} result rows) --", analyzed.rows.len());
@@ -270,12 +266,7 @@ impl Shell {
                         }
                         return Ok(());
                     }
-                    let analyzed = match executor {
-                        Engine::Batch(cfg) => {
-                            volcano::exec::execute_analyzed_batch(&db, &catalog, &plan, cfg)
-                        }
-                        _ => volcano::exec::execute_analyzed(&db, &catalog, &plan),
-                    };
+                    let analyzed = volcano::exec::execute_analyzed(&db, &catalog, &plan);
                     println!("-- analyze ({} result rows) --", analyzed.rows.len());
                     print!("{}", analyzed.report());
                     // Machine-readable export: per-operator measurements
@@ -319,11 +310,7 @@ impl Shell {
                         opt.stats().outcome
                     );
                 }
-                let rows = match executor {
-                    Engine::Tuple => db.execute(&plan),
-                    Engine::Batch(cfg) => db.execute_batch(&plan, cfg),
-                    Engine::Fused(cfg) => db.execute_fused(&plan, cfg),
-                };
+                let rows = db.execute(&plan, &ExecOptions::new().with_executor(executor), None);
                 for row in &rows {
                     let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
                     println!("{}", cells.join(" | "));

@@ -173,3 +173,41 @@ fn cost_limit_catches_unreasonable_queries() {
     assert!(ok2, "{stderr2}");
     assert!(stdout.contains("cost limit off"), "{stdout}");
 }
+
+/// `SET EXECUTOR BATCH` and `SET EXECUTOR FUSED` are two spellings of
+/// the one vectorized engine: same echo, same rows as the tuple engine,
+/// and a per-pipeline (not per-operator) EXPLAIN ANALYZE.
+#[test]
+fn set_executor_selects_one_vectorized_engine() {
+    let script = |setting: &str| {
+        format!(
+            "CREATE TABLE t (x INT DISTINCT 50, y INT DISTINCT 5) CARD 300;\
+             GENERATE SEED 3;\
+             {setting}\
+             SELECT x FROM t WHERE y < 2 ORDER BY x;\
+             EXPLAIN ANALYZE SELECT x FROM t WHERE y < 2;"
+        )
+    };
+    let rows = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|l| l.trim().parse::<i64>().is_ok())
+            .map(str::to_string)
+            .collect()
+    };
+    let (tuple, stderr, ok) = run_script(&script("SET EXECUTOR TUPLE;"));
+    assert!(ok, "{stderr}");
+    assert!(tuple.contains("executor: tuple"), "{tuple}");
+    assert!(tuple.contains("-- json --"), "{tuple}");
+    assert!(!rows(&tuple).is_empty(), "{tuple}");
+    for keyword in ["BATCH", "FUSED"] {
+        let (out, stderr, ok) = run_script(&script(&format!("SET EXECUTOR {keyword} 64;")));
+        assert!(ok, "{keyword}: {stderr}");
+        assert!(
+            out.contains("executor: fused (batch size 64, parallel degree 1)"),
+            "{keyword}: {out}"
+        );
+        assert_eq!(rows(&tuple), rows(&out), "{keyword}");
+        assert!(out.contains("fused: 1 pipeline(s)"), "{keyword}: {out}");
+    }
+}
