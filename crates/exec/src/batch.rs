@@ -177,6 +177,34 @@ impl Column {
         }
     }
 
+    /// Push the value at each physical row of `live` onto the matching
+    /// row of `rows` (the row-materialization kernel).
+    pub fn append_to_rows(&self, live: &[u32], rows: &mut [Tuple]) {
+        macro_rules! typed {
+            ($data:ident, $valid:ident, $make:expr) => {
+                for (row, &i) in rows.iter_mut().zip(live) {
+                    let i = i as usize;
+                    row.push(if $valid[i] {
+                        $make(&$data[i])
+                    } else {
+                        Value::Null
+                    });
+                }
+            };
+        }
+        match self {
+            Column::Int { data, valid } => typed!(data, valid, |x: &i64| Value::Int(*x)),
+            Column::Float { data, valid } => typed!(data, valid, |x: &f64| Value::float(*x)),
+            Column::Bool { data, valid } => typed!(data, valid, |x: &bool| Value::Bool(*x)),
+            Column::Str { data, valid } => typed!(data, valid, |x: &String| Value::Str(x.clone())),
+            Column::Any(v) => {
+                for (row, &i) in rows.iter_mut().zip(live) {
+                    row.push(v[i as usize].clone());
+                }
+            }
+        }
+    }
+
     /// Rebuild `self` as [`Column::Any`] holding its current values.
     fn demote(&mut self) {
         if matches!(self, Column::Any(_)) {
@@ -585,14 +613,22 @@ pub trait BatchOperator: Send {
 /// A boxed batch operator tree.
 pub type BoxedBatchOperator = Box<dyn BatchOperator>;
 
-/// Drain a batch operator into row tuples (opens and closes it).
+/// Drain a batch operator into row tuples (opens and closes it). Each
+/// batch's rows are reserved at once (`extend` over an exact-size
+/// iterator) and filled a column at a time, so the column variant is
+/// matched once per batch, not once per value.
 pub fn collect_batches(op: &mut dyn BatchOperator) -> Vec<Tuple> {
     op.open();
-    let mut out = Vec::new();
+    let mut out: Vec<Tuple> = Vec::new();
     let mut batch = Batch::default();
+    let mut scratch = Vec::new();
     while op.next_batch(&mut batch) {
-        for i in 0..batch.live_rows() {
-            out.push(batch.row_at_live(i));
+        let live = batch.live_indices(&mut scratch);
+        let base = out.len();
+        let width = batch.columns.len();
+        out.extend(live.iter().map(|_| Vec::with_capacity(width)));
+        for col in &batch.columns {
+            col.append_to_rows(live, &mut out[base..]);
         }
     }
     op.close();

@@ -5,37 +5,39 @@
 //! shared walk in [`crate::pipeline`] — and compiles each region into
 //! one [`FusedRegion`] operator whose pipelines run as single loops
 //! with monomorphized kernels. A region may be as small as one operator
-//! (a filter directly over a sort) or span a whole multi-join query. A
-//! hash aggregate above a pipelineable chain terminates the region's
-//! output pipeline in an aggregation sink, so
-//! `scan→filter→project→aggregate` runs as one loop (an aggregate over
-//! anything else runs batch-native instead — never through a tuple
-//! adapter). Every other operator (sorts, set ops, merge/nested/multiway
-//! joins, index scans) runs on its tuple operator, with at most one
-//! adapter per genuine engine boundary; a pipelineable chain *above*
-//! such an operator still fuses, treating the fallback subtree as an
-//! opaque batch input.
+//! (a filter directly over a sort) or span a whole multi-join query.
+//! Every aggregate — hash, stream, partial, final — terminates its
+//! input's region in an aggregation sink, so
+//! `scan→filter→project→aggregate` runs as one loop; over an input that
+//! is not pipelineable (a sort, a gather, another aggregate) the region
+//! is that opaque input feeding the sink. A stream aggregate may share
+//! the hash sink because the group table emits groups in first-seen
+//! order, which over key-sorted input *is* key order. Every other
+//! operator (sorts, set ops, merge/nested/multiway joins, index scans)
+//! runs on its tuple operator, with at most one adapter per genuine
+//! engine boundary; a pipelineable chain *above* such an operator still
+//! fuses, treating the fallback subtree as an opaque batch input.
 //!
-//! Three plan-time rewrites apply inside a pipeline:
+//! Three plan-time rewrites shape a pipeline:
 //!
-//! 1. **Filter absorption** — leading filter stages merge into the scan
-//!    predicate, so selection happens during page decode.
-//! 2. **Scan projection pushdown** — when only filters precede the
-//!    first projection, the scan decodes exactly the columns the
-//!    pipeline touches (via `decode_record_projected`); skipped string
-//!    payloads are never UTF-8 validated or copied.
-//! 3. **Probe/project fusion** — a projection directly above a hash
-//!    probe folds into the probe's output map, so join results gather
-//!    only the columns the query keeps, never the full build ++ probe
-//!    concatenation.
+//! 1. **Filter absorption** (here) — leading filter stages merge into
+//!    the scan predicate, so selection happens during page decode.
+//! 2. **Column demand** ([`crate::pipeline`]'s backward pass) — every
+//!    scan decodes exactly the columns its pipeline's sink, filters and
+//!    probes read (via `decode_record_projected`; skipped string
+//!    payloads are never UTF-8 validated or copied), and every build
+//!    table stores its keys plus the columns its prober gathers.
+//! 3. **Probe/project fusion** ([`crate::pipeline`]) — a probe carries an
+//!    output map, so a join gathers only the columns read above it,
+//!    never the full build ++ probe concatenation.
 //!
 //! `Gather(n)` nodes compile to the morsel-parallel executor, which
-//! maps the same decomposition to its worker pipelines (and shares the
-//! predicate kernels), so regions compose with work stealing unchanged.
+//! maps the same pruned decomposition to its worker pipelines (and
+//! shares the scan and predicate kernels), so regions compose with work
+//! stealing unchanged.
 
 use std::sync::Arc;
 
-use volcano_rel::catalog::ColType;
 use volcano_rel::{AggSpec, AttrId, JoinPred, Pred, RelAlg, RelPlan};
 
 use crate::batch::BoxedBatchOperator;
@@ -45,12 +47,11 @@ use crate::compile::{
 use crate::database::{Database, SchemaSnapshot};
 use crate::fused::pred::FusedPred;
 use crate::fused::region::{
-    AggSink, FusedPipeline, FusedRegion, FusedScan, FusedSource, FusedStage, PipelineStats,
-    ProbeCol,
+    FusedPipeline, FusedRegion, FusedScan, FusedSource, FusedStage, PipelineStats,
 };
 use crate::kernels::agg::AggMode;
-use crate::ops::{BatchHashAggregate, CompiledPred};
-use crate::pipeline::{decompose, BuildIR, SourceIR, StageIR};
+use crate::ops::CompiledPred;
+use crate::pipeline::{AggSink, Region, SourceIR, StageIR};
 
 /// What the fused compiler did to one pipeline, with live counters.
 #[derive(Debug)]
@@ -64,6 +65,10 @@ pub struct PipelineInfo {
     pub build: bool,
     /// Execution counters, shared with the running region.
     pub stats: Arc<PipelineStats>,
+    /// Full-table-width mask of the columns the source scan decodes —
+    /// what the pipeline's sink, filters and probes read. `None` when
+    /// the source is an opaque input.
+    pub decoded: Option<Vec<bool>>,
     /// The relational predicate the pipeline's source scan applies
     /// (original scan predicate plus any absorbed leading filters).
     /// Observed scan selectivity is `stats.source_out / stats.source_rows`.
@@ -80,7 +85,8 @@ pub struct PipelineInfo {
 pub struct FusedReport {
     /// Every fused pipeline, across all regions of the plan.
     pub pipelines: Vec<PipelineInfo>,
-    /// Names of plan operators that fell back to the tuple engine.
+    /// Names of plan operators that fell back to the tuple engine
+    /// (never an aggregate: those are always sinks).
     pub fallback_ops: Vec<&'static str>,
     /// Adapter hops inserted at engine boundaries.
     pub adapters: usize,
@@ -147,8 +153,12 @@ impl FusedReport {
             out.push(format!("  fallback ops: {}", self.fallback_ops.join(", ")));
         }
         for (i, p) in self.pipelines.iter().enumerate() {
+            let cols = p.decoded.as_ref().map_or(String::new(), |keep| {
+                let k = keep.iter().filter(|&&k| k).count();
+                format!(" · cols {k}/{}", keep.len())
+            });
             out.push(format!(
-                "  pipeline {i}{}: {} · {} op(s) fused · {} rows · {} batches · {} ns",
+                "  pipeline {i}{}: {}{cols} · {} op(s) fused · {} rows · {} batches · {} ns",
                 if p.build { " [build]" } else { "" },
                 p.label,
                 p.operators,
@@ -246,11 +256,12 @@ impl Fuser<'_> {
             }
             return self.build_tree(&plan.inputs[0]);
         }
-        // Hash aggregates terminate a fused pipeline in an aggregation
-        // sink (or run batch-native over a non-pipelineable child) —
-        // they never fall back to the tuple engine.
+        // Every aggregate is the sink of its input's region — none ever
+        // runs on the tuple engine. A stream aggregate shares the hash
+        // sink: groups leave in first-seen order, which over its
+        // key-sorted input is the key order it must deliver.
         match &plan.alg {
-            RelAlg::HashAggregate(spec) => {
+            RelAlg::HashAggregate(spec) | RelAlg::StreamAggregate(spec) => {
                 return self.build_aggregate(plan, spec, AggMode::Complete)
             }
             RelAlg::PartialHashAggregate(spec, _) => {
@@ -285,13 +296,10 @@ impl Fuser<'_> {
         (built.into_batch(schema.len(), self.cfg.batch_size), schema)
     }
 
-    /// Compile a hash aggregate. When the child subtree is pipelineable,
-    /// the aggregation becomes the region's terminal sink — the whole
-    /// `scan→filter→project→aggregate` chain runs as one loop. When it
-    /// is not (a gather, sort, or another aggregate below), the child
-    /// compiles as a batch subtree and a batch-native
-    /// [`BatchHashAggregate`] runs above it; either way no tuple adapter
-    /// is inserted for the aggregate itself.
+    /// Compile an aggregate as the terminal sink of its input's region:
+    /// a pipelineable input runs `scan→filter→project→aggregate` as one
+    /// loop, any other input (a gather, sort, or another aggregate)
+    /// feeds the sink as the region's opaque source.
     fn build_aggregate(&mut self, plan: &RelPlan, spec: &AggSpec, mode: AggMode) -> Built {
         let child = &plan.inputs[0];
         let (group, aggs) = match mode {
@@ -303,71 +311,42 @@ impl Fuser<'_> {
             ),
             _ => compile_agg_spec(&schema_of_at(self.sch, child), spec),
         };
-        let sink = AggSink {
-            group: group.clone(),
-            aggs: aggs.clone(),
-            mode,
-        };
-        if let Some(region) = self.build_region(child, Some(sink)) {
-            return Built::B(region);
-        }
-        let (input, _) = self.build_batch(child);
-        Built::B(Box::new(BatchHashAggregate::new(
-            input,
-            group,
-            aggs,
-            mode,
-            self.cfg.batch_size,
-        )))
+        let sink = AggSink { group, aggs, mode };
+        let region = self.build_region(child, Some(sink));
+        Built::B(region.expect("an aggregate's input always lowers"))
     }
 
     /// Decompose the pipelineable region rooted at `plan` and lower it,
     /// ending its output pipeline in `agg` if given. Inputs the walk
     /// cannot continue through compile as opaque batch sources — the
     /// one genuine engine boundary below their pipeline. `None`, with
-    /// nothing compiled, when `plan`'s own root is not pipelineable.
+    /// nothing compiled, when there is no sink and `plan`'s own root is
+    /// not pipelineable.
     fn build_region(&mut self, plan: &RelPlan, agg: Option<AggSink>) -> Option<BoxedBatchOperator> {
-        let mut builds = Vec::new();
         let sch = self.sch;
-        let chain = decompose(sch, plan, &mut builds, &mut |input| {
+        let region = Region::lower(sch, plan, agg, &mut |input| {
             let (op, schema) = self.build_batch(input);
             Some(SourceIR::Input {
                 op,
                 arity: schema.len(),
             })
-        });
-        let (source, stages) = chain.ok()?;
-        Some(self.lower_region(builds, source, stages, agg))
-    }
-
-    /// Lower a decomposed region to the runtime operator, registering
-    /// every pipeline in the report.
-    fn lower_region(
-        &mut self,
-        builds: Vec<BuildIR>,
-        source: SourceIR,
-        stages: Vec<StageIR>,
-        agg: Option<AggSink>,
-    ) -> BoxedBatchOperator {
-        let table_shapes: Vec<(usize, Vec<usize>)> =
-            builds.iter().map(|b| (b.ncols, b.keys.clone())).collect();
+        })?;
         // Build pipelines land in the report at `first + slot`, before
         // the output pipeline — harvest hints use those indices.
         let first = self.report.pipelines.len();
-        let build_pipes: Vec<FusedPipeline> = builds
+        let (build_pipes, table_shapes) = region
+            .builds
             .into_iter()
             .map(|b| {
-                let hints = harvest_hints(&b.source, &b.stages, first);
-                let pipe = self.lower_pipeline(b.source, b.stages, true);
-                self.set_hints(hints);
-                pipe
+                (
+                    self.lower_pipeline(b.source, b.stages, true, first),
+                    b.table,
+                )
             })
-            .collect();
-        let hints = harvest_hints(&source, &stages, first);
-        let output = self.lower_pipeline(source, stages, false);
-        self.set_hints(hints);
-        let mut region = FusedRegion::new(build_pipes, output, table_shapes, self.cfg.batch_size);
-        if let Some(sink) = agg {
+            .unzip();
+        let output = self.lower_pipeline(region.source, region.stages, false, first);
+        let mut fused = FusedRegion::new(build_pipes, output, table_shapes, self.cfg.batch_size);
+        if let Some(sink) = region.agg {
             let info = self.report.pipelines.last_mut().expect("output pipeline");
             info.label.push('→');
             info.label.push_str(match sink.mode {
@@ -377,131 +356,88 @@ impl Fuser<'_> {
             });
             info.operators += 1;
             self.report.agg_sinks += 1;
-            region = region.with_agg(sink);
+            fused = fused.with_agg(sink);
         }
-        Box::new(region)
+        Some(Box::new(fused))
     }
 
-    /// Lower one pipeline: apply the rewrites (filter absorption, scan
-    /// projection pushdown, probe/project fusion), monomorphize the
-    /// kernels, and record the pipeline in the report.
+    /// Lower one pruned pipeline: absorb leading filters into the scan
+    /// predicate, monomorphize the kernels, and record the pipeline in
+    /// the report (`first` is the report index of its region's first
+    /// build pipeline).
     fn lower_pipeline(
         &mut self,
         source: SourceIR,
         mut stages: Vec<StageIR>,
         build: bool,
+        first: usize,
     ) -> FusedPipeline {
-        // Plan operators this pipeline covers, before rewrites merge
-        // them: the source, each stage, and the build sink if any.
-        let operators = 1 + stages.len() + usize::from(build);
-        let mut absorbed_filters = false;
-        let (src, mut width) = match source {
+        let (scan_pred, probe_join) = harvest_hints(&source, &stages, first);
+        // Plan operators this pipeline covers, before rewrites merged
+        // them: the source, each stage (plus a probe's folded
+        // projection, below), and the build sink if any.
+        let mut operators = 1 + stages.len() + usize::from(build);
+        let mut label = String::new();
+        let mut decoded = None;
+        let src = match source {
             SourceIR::Scan {
                 heap,
-                mut col_types,
+                col_types,
+                keep,
                 mut pred,
                 rel_pred: _,
             } => {
-                // Rewrite 1: absorb leading filters into the scan
-                // predicate (conjunct order is preserved, so the
-                // narrowing matches filtering stage by stage exactly).
+                // Conjunct order is preserved, so the narrowing matches
+                // filtering stage by stage exactly.
                 let absorb = stages
                     .iter()
                     .take_while(|s| matches!(s, StageIR::Filter(..)))
                     .count();
+                label.push_str(if absorb > 0 { "scan+filter" } else { "scan" });
                 for stage in stages.drain(..absorb) {
                     let StageIR::Filter(cp, _) = stage else {
                         unreachable!()
                     };
-                    absorbed_filters = true;
                     let mut terms = pred.map(|p| p.terms().to_vec()).unwrap_or_default();
                     terms.extend(cp.terms().iter().cloned());
                     pred = Some(CompiledPred::new(terms));
                 }
-                // Rewrite 2: when a projection is the first non-filter
-                // stage, decode only the columns the pipeline touches.
-                let keep = prune_scan(&mut col_types, &mut pred, &mut stages);
-                let w = col_types.len();
-                (
-                    FusedSource::Scan(FusedScan::new(
-                        heap,
-                        col_types,
-                        keep,
-                        pred.map(|p| FusedPred::compile(&p)),
-                    )),
-                    w,
-                )
+                decoded = Some(keep.clone());
+                let pred = pred.map(|p| FusedPred::compile(&p));
+                FusedSource::Scan(FusedScan::new(heap, col_types, keep, pred))
             }
-            SourceIR::Input { op, arity } => (FusedSource::Input(op), arity),
+            SourceIR::Input { op, .. } => {
+                label.push_str(op.name());
+                FusedSource::Input(op)
+            }
         };
-        // Lower the remaining stages, fusing `probe → project` pairs
-        // into the probe's output map (rewrite 3).
-        let mut lowered: Vec<FusedStage> = Vec::new();
-        let mut labels: Vec<&'static str> = Vec::new();
-        let mut i = 0;
-        while i < stages.len() {
-            match &stages[i] {
-                StageIR::Filter(cp, _) => {
-                    lowered.push(FusedStage::Filter(FusedPred::compile(cp)));
-                    labels.push("filter");
-                }
-                StageIR::Project(cols) => {
-                    width = cols.len();
-                    lowered.push(FusedStage::Project(cols.clone()));
-                    labels.push("project");
-                }
-                StageIR::Probe {
-                    table,
-                    keys,
-                    build_ncols,
-                    join: _,
-                } => {
-                    let (out, label) = match stages.get(i + 1) {
-                        Some(StageIR::Project(cols)) => {
-                            let map = cols
-                                .iter()
-                                .map(|&c| {
-                                    if c < *build_ncols {
-                                        ProbeCol::Build(c)
-                                    } else {
-                                        ProbeCol::Probe(c - build_ncols)
-                                    }
-                                })
-                                .collect::<Vec<_>>();
-                            width = map.len();
-                            i += 1; // consume the project
-                            (map, "probe+project")
-                        }
-                        _ => {
-                            let map = (0..*build_ncols)
-                                .map(ProbeCol::Build)
-                                .chain((0..width).map(ProbeCol::Probe))
-                                .collect::<Vec<_>>();
-                            width = map.len();
-                            (map, "probe")
-                        }
-                    };
-                    lowered.push(FusedStage::Probe {
-                        table: *table,
-                        keys: keys.clone(),
+        let stages = stages
+            .into_iter()
+            .map(|stage| {
+                label.push('→');
+                match stage {
+                    StageIR::Filter(cp, _) => {
+                        label.push_str("filter");
+                        FusedStage::Filter(FusedPred::compile(&cp))
+                    }
+                    StageIR::Project(cols) => {
+                        label.push_str("project");
+                        FusedStage::Project(cols)
+                    }
+                    StageIR::Probe {
+                        table,
+                        keys,
                         out,
-                    });
-                    labels.push(label);
+                        projected,
+                        join: _,
+                    } => {
+                        label.push_str(if projected { "probe+project" } else { "probe" });
+                        operators += usize::from(projected);
+                        FusedStage::Probe { table, keys, out }
+                    }
                 }
-            }
-            i += 1;
-        }
-        let _ = width;
-        let mut label = String::new();
-        label.push_str(match &src {
-            FusedSource::Scan(_) if absorbed_filters => "scan+filter",
-            FusedSource::Scan(_) => "scan",
-            FusedSource::Input(op) => op.name(),
-        });
-        for l in &labels {
-            label.push('→');
-            label.push_str(l);
-        }
+            })
+            .collect();
         if build {
             label.push_str("→build");
         }
@@ -511,22 +447,15 @@ impl Fuser<'_> {
             operators,
             build,
             stats: stats.clone(),
-            scan_pred: None,
-            probe_join: None,
+            decoded,
+            scan_pred,
+            probe_join,
         });
         FusedPipeline {
             source: src,
-            stages: lowered,
+            stages,
             stats,
         }
-    }
-
-    /// Attach harvest hints to the pipeline most recently registered by
-    /// [`Fuser::lower_pipeline`].
-    fn set_hints(&mut self, hints: (Option<Pred>, Option<(JoinPred, usize)>)) {
-        let info = self.report.pipelines.last_mut().expect("pipeline pushed");
-        info.scan_pred = hints.0;
-        info.probe_join = hints.1;
     }
 }
 
@@ -573,95 +502,6 @@ fn harvest_hints(
     (scan_pred, probe_join)
 }
 
-/// Scan projection pushdown: when every stage before the first
-/// projection is a filter, restrict the scan to the union of the
-/// columns used by the scan predicate, those filters, and the
-/// projection — remapping all their positions into the pruned space —
-/// and return the full-width keep mask for the projected decoder.
-/// `None` leaves the scan untouched (no projection to push down, a
-/// probe intervenes, or nothing prunable).
-fn prune_scan(
-    col_types: &mut Vec<ColType>,
-    pred: &mut Option<CompiledPred>,
-    stages: &mut Vec<StageIR>,
-) -> Option<Vec<bool>> {
-    let first_non_filter = stages
-        .iter()
-        .position(|s| !matches!(s, StageIR::Filter(..)))
-        .unwrap_or(stages.len());
-    let Some(StageIR::Project(project)) = stages.get(first_non_filter) else {
-        return None;
-    };
-    let n = col_types.len();
-    let mut keep = vec![false; n];
-    if let Some(p) = pred {
-        for &(pos, _, _) in p.terms() {
-            keep[pos] = true;
-        }
-    }
-    for s in &stages[..first_non_filter] {
-        let StageIR::Filter(cp, _) = s else {
-            unreachable!()
-        };
-        for &(pos, _, _) in cp.terms() {
-            keep[pos] = true;
-        }
-    }
-    for &c in project {
-        keep[c] = true;
-    }
-    let kept = keep.iter().filter(|&&k| k).count();
-    if kept == n {
-        return None;
-    }
-    // Old position → pruned position.
-    let mut remap = vec![usize::MAX; n];
-    let mut next = 0;
-    for (old, &k) in keep.iter().enumerate() {
-        if k {
-            remap[old] = next;
-            next += 1;
-        }
-    }
-    *col_types = col_types
-        .iter()
-        .zip(&keep)
-        .filter(|&(_, &k)| k)
-        .map(|(&t, _)| t)
-        .collect();
-    if let Some(p) = pred.take() {
-        *pred = Some(CompiledPred::new(
-            p.terms()
-                .iter()
-                .map(|&(pos, op, ref lit)| (remap[pos], op, lit.clone()))
-                .collect(),
-        ));
-    }
-    for s in stages[..first_non_filter].iter_mut() {
-        let StageIR::Filter(cp, _) = s else {
-            unreachable!()
-        };
-        *cp = CompiledPred::new(
-            cp.terms()
-                .iter()
-                .map(|&(pos, op, ref lit)| (remap[pos], op, lit.clone()))
-                .collect(),
-        );
-    }
-    let StageIR::Project(project) = &mut stages[first_non_filter] else {
-        unreachable!()
-    };
-    for c in project.iter_mut() {
-        *c = remap[*c];
-    }
-    // An identity projection over the pruned scan is a no-op: the scan
-    // now *produces* the projected schema.
-    if project.len() == kept && project.iter().enumerate().all(|(i, &c)| i == c) {
-        stages.remove(first_non_filter);
-    }
-    Some(keep)
-}
-
 /// Display name of a plan operator the fused engine does not fuse.
 fn fallback_name(alg: &RelAlg) -> &'static str {
     match alg {
@@ -682,109 +522,9 @@ fn fallback_name(alg: &RelAlg) -> &'static str {
         RelAlg::MergeUnion => "merge_union",
         RelAlg::MergeIntersect => "merge_intersect",
         RelAlg::MergeDifference => "merge_difference",
-        RelAlg::HashAggregate(_) => "hash_aggregate",
-        RelAlg::StreamAggregate(_) => "stream_aggregate",
-        RelAlg::PartialHashAggregate(..) => "partial_hash_aggregate",
-        RelAlg::FinalHashAggregate(_) => "final_hash_aggregate",
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use volcano_rel::{CmpOp, Value};
-
-    fn int_types(n: usize) -> Vec<ColType> {
-        vec![ColType::Int; n]
-    }
-
-    /// Placeholder relational predicate for stage IR under test —
-    /// `prune_scan` only looks at the compiled positions.
-    fn rel_true() -> Pred {
-        Pred::conj(Vec::new())
-    }
-
-    #[test]
-    fn prune_keeps_pred_filter_and_project_columns() {
-        // Table of 6 columns; scan pred on 0, filter on 2, project 4.
-        let mut types = int_types(6);
-        let mut pred = Some(CompiledPred::new(vec![(0, CmpOp::Gt, Value::Int(1))]));
-        let mut stages = vec![
-            StageIR::Filter(
-                CompiledPred::new(vec![(2, CmpOp::Lt, Value::Int(9))]),
-                rel_true(),
-            ),
-            StageIR::Project(vec![4]),
-        ];
-        let keep = prune_scan(&mut types, &mut pred, &mut stages).expect("prunable");
-        assert_eq!(keep, vec![true, false, true, false, true, false]);
-        assert_eq!(types.len(), 3);
-        assert_eq!(
-            pred.as_ref().unwrap().terms(),
-            &[(0, CmpOp::Gt, Value::Int(1))]
-        );
-        let StageIR::Filter(f, _) = &stages[0] else {
-            panic!("filter survives")
-        };
-        assert_eq!(f.terms(), &[(1, CmpOp::Lt, Value::Int(9))]);
-        let StageIR::Project(p) = &stages[1] else {
-            panic!("project survives")
-        };
-        assert_eq!(p, &[2]);
-    }
-
-    #[test]
-    fn prune_drops_identity_projection() {
-        // Project [0, 2] over 4 columns, no predicates: the pruned scan
-        // produces exactly the projected schema, so the stage vanishes.
-        let mut types = int_types(4);
-        let mut pred = None;
-        let mut stages = vec![StageIR::Project(vec![0, 2])];
-        let keep = prune_scan(&mut types, &mut pred, &mut stages).expect("prunable");
-        assert_eq!(keep, vec![true, false, true, false]);
-        assert_eq!(types.len(), 2);
-        assert!(stages.is_empty(), "identity projection dropped");
-    }
-
-    #[test]
-    fn prune_preserves_permuting_projection() {
-        let mut types = int_types(4);
-        let mut pred = None;
-        let mut stages = vec![StageIR::Project(vec![3, 1])];
-        prune_scan(&mut types, &mut pred, &mut stages).expect("prunable");
-        let StageIR::Project(p) = &stages[0] else {
-            panic!("permutation survives")
-        };
-        assert_eq!(p, &[1, 0], "positions remapped into pruned space");
-    }
-
-    #[test]
-    fn prune_bails_without_projection_or_with_probe_first() {
-        let mut types = int_types(3);
-        let mut pred = None;
-        let mut stages = vec![StageIR::Filter(
-            CompiledPred::new(vec![(0, CmpOp::Eq, Value::Int(1))]),
-            rel_true(),
-        )];
-        assert!(prune_scan(&mut types, &mut pred, &mut stages).is_none());
-        let mut stages = vec![
-            StageIR::Probe {
-                table: 0,
-                keys: vec![0],
-                build_ncols: 2,
-                join: JoinPred::eq(AttrId(0), AttrId(2)),
-            },
-            StageIR::Project(vec![0]),
-        ];
-        assert!(prune_scan(&mut types, &mut pred, &mut stages).is_none());
-        assert_eq!(types.len(), 3, "untouched on bail");
-    }
-
-    #[test]
-    fn prune_bails_when_everything_is_needed() {
-        let mut types = int_types(2);
-        let mut pred = Some(CompiledPred::new(vec![(1, CmpOp::Ne, Value::Int(0))]));
-        let mut stages = vec![StageIR::Project(vec![0, 1])];
-        assert!(prune_scan(&mut types, &mut pred, &mut stages).is_none());
+        RelAlg::HashAggregate(_)
+        | RelAlg::StreamAggregate(_)
+        | RelAlg::PartialHashAggregate(..)
+        | RelAlg::FinalHashAggregate(_) => unreachable!("every aggregate is a region's sink"),
     }
 }

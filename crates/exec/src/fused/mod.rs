@@ -2,8 +2,8 @@
 //!
 //! Where the tuple engine interprets the plan one `next()` call per
 //! row, this engine compiles each maximal pipelineable plan segment —
-//! scans, filters, projections, hash joins, and a hash aggregate on top
-//! — into a single [`FusedRegion`] operator at plan-compile time.
+//! scans, filters, projections, hash joins, and any aggregate on top —
+//! into a single [`FusedRegion`] operator at plan-compile time.
 //! Inside a region there is no virtual dispatch and no adapter: each
 //! pipeline is one loop per batch that decodes only the columns it
 //! touches, evaluates predicate conjuncts through kernels monomorphized
@@ -28,4 +28,5 @@ mod region;
 pub use compile::{compile_fused, CompiledFused, FusedReport, PipelineInfo};
 pub(crate) use compile::{compile_fused_at, compile_fused_with};
 pub use pred::FusedPred;
+pub(crate) use region::FusedScan;
 pub use region::{FusedRegion, PipelineStats};

@@ -2,12 +2,13 @@
 //! whole fusable plan segment as a handful of tight loops.
 //!
 //! A region holds *build pipelines* (each ending in a serial hash-table
-//! build) and one *output pipeline*. Each pipeline is a source — a projected page scan
-//! or an opaque batch subtree — followed by a chain of [`FusedStage`]s
-//! applied batch-at-a-time with plain enum dispatch: there is no
-//! `next_batch` virtual call and no adapter hop between fused operators,
-//! and the scan decodes only the columns the pipeline actually touches
-//! (via [`decode_record_projected`]).
+//! build) and one *output pipeline*, which streams its rows or folds
+//! them into an aggregation sink. Each pipeline is a source — a
+//! projected page scan or an opaque batch subtree — followed by a chain
+//! of [`FusedStage`]s applied batch-at-a-time with plain enum dispatch:
+//! there is no `next_batch` virtual call and no adapter hop between
+//! fused operators, and the scan decodes only the columns the demand
+//! pass of [`crate::pipeline`] kept (via [`decode_record_projected`]).
 //!
 //! Semantics are bit-compatible with the tuple engine: predicate
 //! narrowing matches [`crate::kernels::apply_pred`], and probe output is
@@ -26,23 +27,9 @@ use volcano_store::{HeapFile, PageId};
 
 use crate::batch::{Batch, BatchOperator, BoxedBatchOperator, Column};
 use crate::fused::pred::FusedPred;
-use crate::kernels::agg::{AggMode, CompiledAgg, GroupScratch, GroupTable};
+use crate::kernels::agg::{AggMode, GroupScratch, GroupTable};
 use crate::kernels::hash_join_keys;
-
-/// A terminal aggregation sink: instead of streaming rows out, the
-/// output pipeline folds them into a [`GroupTable`] inside the fused
-/// loop — `scan→filter→project→aggregate` runs as one loop with zero
-/// intermediate operator dispatch — and the region then streams the
-/// group results.
-pub(crate) struct AggSink {
-    /// Group-by column positions in the pipeline's row shape (for the
-    /// `Final` phase these are the leading partial-layout columns).
-    pub(crate) group: Vec<usize>,
-    /// The aggregates, resolved to input column positions.
-    pub(crate) aggs: Vec<CompiledAgg>,
-    /// Phase: one-shot, per-worker partial, or partial-merging final.
-    pub(crate) mode: AggMode,
-}
+use crate::pipeline::{AggSink, ProbeCol, TableShape};
 
 /// Counters of one fused pipeline, shared with the compile-time report
 /// so `EXPLAIN ANALYZE` can read them after the region has executed.
@@ -123,17 +110,19 @@ pub(crate) struct FusedScan {
 }
 
 impl FusedScan {
+    /// A scan of `heap` producing the columns the full-width mask `keep`
+    /// selects, whose types are `col_types`.
     pub(crate) fn new(
         heap: Arc<HeapFile>,
         col_types: Vec<ColType>,
-        keep: Option<Vec<bool>>,
+        keep: Vec<bool>,
         pred: Option<FusedPred>,
     ) -> Self {
         let all_int = col_types.iter().all(|t| matches!(t, ColType::Int));
         FusedScan {
             heap,
             col_types,
-            keep,
+            keep: Some(keep).filter(|k| !k.iter().all(|&c| c)),
             all_int,
             pred,
             pages: Vec::new(),
@@ -149,13 +138,25 @@ impl FusedScan {
         self.page_idx = 0;
     }
 
+    /// Scan exactly `pages` next (a morsel worker's page range).
+    pub(crate) fn reset_pages(&mut self, pages: &[PageId]) {
+        self.pages.clear();
+        self.pages.extend_from_slice(pages);
+        self.page_idx = 0;
+    }
+
     /// Decode whole pages into `out` until at least `batch_size` rows
     /// are staged, and apply the scan predicate; `false` when the heap
     /// is exhausted. The page is the atomic decode unit — it stays
     /// pinned for exactly one pass — so a batch may exceed `batch_size`
     /// by up to one page of rows. `stats` receives the pre-/post-
     /// predicate row counts the feedback harvest reads.
-    fn fill(&mut self, out: &mut Batch, batch_size: usize, stats: &PipelineStats) -> bool {
+    pub(crate) fn fill(
+        &mut self,
+        out: &mut Batch,
+        batch_size: usize,
+        stats: &PipelineStats,
+    ) -> bool {
         out.clear();
         if out.columns.len() != self.col_types.len() {
             *out = Batch::for_types(&self.col_types);
@@ -169,7 +170,8 @@ impl FusedScan {
             let keep = self.keep.as_deref();
             let all_int = self.all_int;
             self.heap.for_page_records(page, |bytes| {
-                if all_int && decode_int_row(bytes, keep, cols) {
+                // Nothing is read (`COUNT(*)`): the record only counts.
+                if cols.is_empty() || (all_int && decode_int_row(bytes, keep, cols)) {
                     rows += 1;
                     return;
                 }
@@ -302,15 +304,6 @@ pub(crate) enum FusedSource {
     /// Opaque batch subtree (a non-fusable segment feeding this
     /// pipeline — the single genuine engine boundary below it).
     Input(BoxedBatchOperator),
-}
-
-/// Where a probe output column comes from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ProbeCol {
-    /// Column `i` of the build table.
-    Build(usize),
-    /// Column `j` of the probe-side batch.
-    Probe(usize),
 }
 
 /// One fused step, applied to the pipeline's current batch in place.
@@ -468,21 +461,21 @@ enum TableIndex {
 /// build-insertion order.
 pub(crate) struct FusedTable {
     cols: Vec<Column>,
-    keys: Vec<usize>,
+    shape: TableShape,
     index: TableIndex,
     rows: u32,
 }
 
 impl FusedTable {
-    fn new(ncols: usize, keys: Vec<usize>) -> Self {
-        let index = if keys.len() == 1 {
+    fn new(shape: &TableShape) -> Self {
+        let index = if shape.keys.len() == 1 {
             TableIndex::Int(IntIndex::new())
         } else {
             TableIndex::Generic(FxHashMap::default())
         };
         FusedTable {
-            cols: (0..ncols).map(|_| Column::any()).collect(),
-            keys,
+            cols: shape.cols.iter().map(|_| Column::any()).collect(),
+            shape: shape.clone(),
             index,
             rows: 0,
         }
@@ -494,7 +487,7 @@ impl FusedTable {
             return 0;
         }
         if matches!(self.index, TableIndex::Int(_))
-            && !matches!(batch.columns[self.keys[0]], Column::Int { .. })
+            && !matches!(batch.columns[self.shape.keys[0]], Column::Int { .. })
         {
             // The key column stopped arriving typed (demoted data):
             // re-index what was built so far under value hashing.
@@ -502,7 +495,7 @@ impl FusedTable {
         }
         match &mut self.index {
             TableIndex::Int(idx) => {
-                let Column::Int { data, valid } = &batch.columns[self.keys[0]] else {
+                let Column::Int { data, valid } = &batch.columns[self.shape.keys[0]] else {
                     unreachable!("migrated above")
                 };
                 s.keep.clear();
@@ -516,7 +509,7 @@ impl FusedTable {
                 }
             }
             TableIndex::Generic(buckets) => {
-                hash_join_keys(batch, &self.keys, &mut s.hashes, &mut s.sel);
+                hash_join_keys(batch, &self.shape.keys, &mut s.hashes, &mut s.sel);
                 s.live.clear();
                 s.live.extend_from_slice(batch.live_indices(&mut s.sel));
                 s.keep.clear();
@@ -531,8 +524,8 @@ impl FusedTable {
                 }
             }
         }
-        for (dst, src) in self.cols.iter_mut().zip(&batch.columns) {
-            dst.gather_from(src, Some(&s.keep));
+        for (dst, &src) in self.cols.iter_mut().zip(&self.shape.cols) {
+            dst.gather_from(&batch.columns[src], Some(&s.keep));
         }
         self.rows += s.keep.len() as u32;
         s.keep.len() as u64
@@ -544,9 +537,11 @@ impl FusedTable {
     fn migrate_to_generic(&mut self) {
         let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
         for row in 0..self.rows {
-            if let Some(h) =
-                crate::kernels::hash::fold_value(0, &self.cols[self.keys[0]], row as usize)
-            {
+            if let Some(h) = crate::kernels::hash::fold_value(
+                0,
+                &self.cols[self.shape.table_keys[0]],
+                row as usize,
+            ) {
                 buckets.entry(h).or_default().push(row);
             }
         }
@@ -555,7 +550,8 @@ impl FusedTable {
 
     /// Does build row `b` share exactly the key of probe row `p`?
     fn keys_match(&self, b: u32, probe: &Batch, probe_keys: &[usize], p: u32) -> bool {
-        self.keys
+        self.shape
+            .table_keys
             .iter()
             .zip(probe_keys)
             .all(|(&bk, &pk)| self.cols[bk].rows_eq(b as usize, &probe.columns[pk], p as usize))
@@ -688,8 +684,8 @@ pub struct FusedRegion {
     /// earlier slot, never a later one).
     builds: Vec<FusedPipeline>,
     output: FusedPipeline,
-    /// Table shapes: `(ncols, keys)` per build slot.
-    table_shapes: Vec<(usize, Vec<usize>)>,
+    /// What each build slot's table stores.
+    table_shapes: Vec<TableShape>,
     tables: Vec<FusedTable>,
     batch_size: usize,
     tmp: Batch,
@@ -715,7 +711,7 @@ impl FusedRegion {
     pub(crate) fn new(
         builds: Vec<FusedPipeline>,
         output: FusedPipeline,
-        table_shapes: Vec<(usize, Vec<usize>)>,
+        table_shapes: Vec<TableShape>,
         batch_size: usize,
     ) -> Self {
         debug_assert_eq!(builds.len(), table_shapes.len());
@@ -831,11 +827,7 @@ impl FusedRegion {
 
 impl BatchOperator for FusedRegion {
     fn open(&mut self) {
-        self.tables = self
-            .table_shapes
-            .iter()
-            .map(|(ncols, keys)| FusedTable::new(*ncols, keys.clone()))
-            .collect();
+        self.tables = self.table_shapes.iter().map(FusedTable::new).collect();
         let mut work = Batch::default();
         for (slot, pipe) in self.builds.iter_mut().enumerate() {
             let t0 = Instant::now();

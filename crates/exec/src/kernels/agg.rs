@@ -1,10 +1,10 @@
 //! Vectorized grouped aggregation: the shared accumulator state machine
 //! and the columnar group table behind every aggregate in every engine.
 //!
-//! Three layers share this module so their results agree bit-for-bit:
-//! the tuple [`HashAggregate`](crate::ops::HashAggregate), the batch
-//! [`BatchHashAggregate`](crate::ops::BatchHashAggregate), and the fused
-//! pipeline's terminal aggregation sink. The contract has three parts:
+//! Every aggregate shares this module so results agree bit-for-bit: the
+//! tuple [`HashAggregate`](crate::ops::HashAggregate), the vectorized
+//! engine's terminal aggregation sink, and the morsel workers' partial
+//! sinks. The contract has three parts:
 //!
 //! * **Exact integer sums.** [`SumState`] accumulates `Int` inputs in
 //!   `i64` with checked overflow, promoting to `f64` only when the exact
@@ -50,6 +50,30 @@ pub enum CompiledAgg {
     Max(usize),
     /// `AVG(col at position)`.
     Avg(usize),
+}
+
+impl CompiledAgg {
+    /// The input column position (`None` for `COUNT(*)`).
+    pub fn input(&self) -> Option<usize> {
+        match *self {
+            CompiledAgg::CountStar => None,
+            CompiledAgg::Sum(p)
+            | CompiledAgg::Min(p)
+            | CompiledAgg::Max(p)
+            | CompiledAgg::Avg(p) => Some(p),
+        }
+    }
+
+    /// The same aggregate reading position `at[p]` instead of `p`.
+    pub fn map_input(self, at: &[usize]) -> Self {
+        match self {
+            CompiledAgg::CountStar => self,
+            CompiledAgg::Sum(p) => CompiledAgg::Sum(at[p]),
+            CompiledAgg::Min(p) => CompiledAgg::Min(at[p]),
+            CompiledAgg::Max(p) => CompiledAgg::Max(at[p]),
+            CompiledAgg::Avg(p) => CompiledAgg::Avg(at[p]),
+        }
+    }
 }
 
 /// Which phase of a (possibly split) aggregation an operator computes.
@@ -383,6 +407,15 @@ impl GroupTable {
         group_of: &mut Vec<u32>,
     ) {
         group_of.clear();
+        if keys.is_empty() {
+            // Grand total: every row belongs to the one group (which an
+            // empty batch must not create — see `ensure_grand_total`).
+            if !live.is_empty() {
+                self.ensure_grand_total();
+            }
+            group_of.resize(live.len(), 0);
+            return;
+        }
         group_of.reserve(live.len());
         for &r in live {
             let r = r as usize;
@@ -423,8 +456,8 @@ impl GroupTable {
         scratch: &mut GroupScratch,
     ) -> usize {
         let GroupScratch { sel, group_of } = scratch;
-        let live: Vec<u32> = batch.live_indices(sel).to_vec();
-        self.assign_groups(batch, keys, &live, group_of);
+        let live = batch.live_indices(sel);
+        self.assign_groups(batch, keys, live, group_of);
         let naggs = self.template.len();
         for (j, agg) in aggs.iter().enumerate() {
             match *agg {
@@ -553,8 +586,8 @@ impl GroupTable {
         let key_positions: Vec<usize> = (0..nkeys).collect();
         let positions = partial_positions(nkeys, aggs);
         let GroupScratch { sel, group_of } = scratch;
-        let live: Vec<u32> = batch.live_indices(sel).to_vec();
-        self.assign_groups(batch, &key_positions, &live, group_of);
+        let live = batch.live_indices(sel);
+        self.assign_groups(batch, &key_positions, live, group_of);
         let naggs = self.template.len();
         for (k, &r) in live.iter().enumerate() {
             let r = r as usize;

@@ -30,9 +30,10 @@ use volcano_core::fxhash::FxHashMap;
 
 use crate::batch::{Batch, BatchOperator, Column};
 use crate::compile::BatchConfig;
+use crate::fused::{FusedPred, FusedScan, PipelineStats};
 use crate::kernels::agg::{GroupScratch, GroupTable};
 use crate::kernels::hash_join_keys;
-use crate::ops::BatchScan;
+use crate::pipeline::{ProbeCol, TableShape};
 
 use super::plan::{ParallelPlan, Pipeline, Sink, Stage};
 use super::{partition_pages, MorselStats, StealQueue, DEFAULT_MORSEL_PAGES};
@@ -52,11 +53,8 @@ struct JoinPart {
 /// An immutable partitioned hash-join table, shared by all probers.
 pub(crate) struct JoinTable {
     parts: Vec<JoinPart>,
-    /// Build-side key column positions (for exact-match verification).
+    /// Key column positions in the table (for exact-match verification).
     keys: Vec<usize>,
-    /// Build-side column count (fixes output shape when the build side
-    /// is empty).
-    ncols: usize,
 }
 
 /// Per-worker partition buffer filled during the build phase.
@@ -93,10 +91,17 @@ impl Scratch {
 }
 
 impl JoinTable {
-    /// Probe every live row of `input` and materialize matches into
-    /// `out` (build columns ++ probe columns). Row order interleaves
+    /// Probe every live row of `input` and materialize the columns
+    /// `cols` names of each match into `out`. Row order interleaves
     /// partitions, which is fine: the region delivers no order.
-    fn probe_into(&self, input: &Batch, probe_keys: &[usize], out: &mut Batch, s: &mut Scratch) {
+    fn probe_into(
+        &self,
+        input: &Batch,
+        probe_keys: &[usize],
+        cols: &[ProbeCol],
+        out: &mut Batch,
+        s: &mut Scratch,
+    ) {
         hash_join_keys(input, probe_keys, &mut s.hashes, &mut s.sel);
         s.live.clear();
         s.live.extend_from_slice(input.live_indices(&mut s.sel));
@@ -122,17 +127,17 @@ impl JoinTable {
                 }
             }
         }
-        out.reset_columns(self.ncols + input.columns.len());
+        out.reset_columns(cols.len());
         let mut total = 0usize;
         for (p, (pb, pp)) in s.pairs.iter().enumerate() {
             if pb.is_empty() {
                 continue;
             }
-            for (o, src) in self.parts[p].cols.iter().enumerate() {
-                out.columns[o].gather_from(src, Some(pb));
-            }
-            for (j, src) in input.columns.iter().enumerate() {
-                out.columns[self.ncols + j].gather_from(src, Some(pp));
+            for (dst, col) in out.columns.iter_mut().zip(cols) {
+                match *col {
+                    ProbeCol::Build(i) => dst.gather_from(&self.parts[p].cols[i], Some(pb)),
+                    ProbeCol::Probe(j) => dst.gather_from(&input.columns[j], Some(pp)),
+                }
             }
             total += pb.len();
         }
@@ -140,10 +145,10 @@ impl JoinTable {
     }
 }
 
-/// Scatter the live, non-NULL-keyed rows of `batch` into the worker's
-/// per-partition buffers.
-fn partition_batch(batch: &Batch, keys: &[usize], locals: &mut [PartBuffer], s: &mut Scratch) {
-    hash_join_keys(batch, keys, &mut s.hashes, &mut s.sel);
+/// Scatter the stored columns of the live, non-NULL-keyed rows of
+/// `batch` into the worker's per-partition buffers.
+fn partition_batch(batch: &Batch, shape: &TableShape, locals: &mut [PartBuffer], s: &mut Scratch) {
+    hash_join_keys(batch, &shape.keys, &mut s.hashes, &mut s.sel);
     s.live.clear();
     s.live.extend_from_slice(batch.live_indices(&mut s.sel));
     for (ps, ph) in s.part_sel.iter_mut().zip(s.part_hash.iter_mut()) {
@@ -161,10 +166,11 @@ fn partition_batch(batch: &Batch, keys: &[usize], locals: &mut [PartBuffer], s: 
         if s.part_sel[p].is_empty() {
             continue;
         }
+        let stored = || shape.cols.iter().map(|&c| &batch.columns[c]);
         if buf.cols.is_empty() {
-            buf.cols = batch.columns.iter().map(Column::empty_like).collect();
+            buf.cols = stored().map(Column::empty_like).collect();
         }
-        for (dst, src) in buf.cols.iter_mut().zip(&batch.columns) {
+        for (dst, src) in buf.cols.iter_mut().zip(stored()) {
             dst.gather_from(src, Some(&s.part_sel[p]));
         }
         buf.hashes.extend_from_slice(&s.part_hash[p]);
@@ -206,20 +212,22 @@ fn run_pipeline(
     emit: &mut dyn FnMut(&mut Batch) -> bool,
 ) {
     let pages = pipe.source.heap.pages();
-    let mut scan = BatchScan::with_pages(
+    let mut scan = FusedScan::new(
         pipe.source.heap.clone(),
         pipe.source.col_types.clone(),
-        pipe.source.pred.clone(),
-        batch_size,
-        Vec::new(),
+        pipe.source.keep.clone(),
+        pipe.source.pred.as_ref().map(FusedPred::compile),
     );
+    // The scan's row counters feed the serial engine's feedback harvest;
+    // a worker sees only its morsels, so here they are dropped.
+    let stats = PipelineStats::default();
     let mut s = Scratch::new();
     let mut cur = Batch::default();
     let mut tmp = Batch::default();
     while let Some(m) = queue.pop(worker) {
         let end = m.end.min(pages.len());
         scan.reset_pages(&pages[m.start.min(end)..end]);
-        while scan.next_batch(&mut cur) {
+        while scan.fill(&mut cur, batch_size, &stats) {
             for stage in &pipe.stages {
                 if cur.live_rows() == 0 {
                     break;
@@ -237,8 +245,8 @@ fn run_pipeline(
                         tmp.set_physical_rows(cur.live_rows());
                         std::mem::swap(&mut cur, &mut tmp);
                     }
-                    Stage::Probe { table, keys } => {
-                        tables[*table].probe_into(&cur, keys, &mut tmp, &mut s);
+                    Stage::Probe { table, keys, out } => {
+                        tables[*table].probe_into(&cur, keys, out, &mut tmp, &mut s);
                         std::mem::swap(&mut cur, &mut tmp);
                     }
                 }
@@ -256,8 +264,7 @@ fn run_pipeline(
 fn build_table(
     pipe: &Pipeline,
     tables: &[Arc<JoinTable>],
-    keys: &[usize],
-    ncols: usize,
+    shape: &TableShape,
     degree: usize,
     morsel_pages: usize,
     batch_size: usize,
@@ -286,7 +293,7 @@ fn build_table(
                         (0..PARTITIONS).map(|_| PartBuffer::default()).collect();
                     let mut s = Scratch::new();
                     run_pipeline(pipe, tables, queue, w, batch_size, &mut |b| {
-                        partition_batch(b, keys, &mut locals, &mut s);
+                        partition_batch(b, shape, &mut locals, &mut s);
                         true
                     });
                     collected.lock().unwrap().push(locals);
@@ -328,8 +335,7 @@ fn build_table(
     });
     JoinTable {
         parts: parts.into_iter().map(|m| m.into_inner().unwrap()).collect(),
-        keys: keys.to_vec(),
-        ncols,
+        keys: shape.table_keys.clone(),
     }
 }
 
@@ -372,6 +378,7 @@ impl ParallelGather {
         let degree = degree.max(1);
         let stats = Arc::new(MorselStats::default());
         stats.set_workers(degree as u32);
+        stats.set_scan_columns(plan.scan_columns());
         ParallelGather {
             plan,
             degree,
@@ -411,15 +418,14 @@ impl BatchOperator for ParallelGather {
             .expect("a parallel plan has at least its output pipeline");
         let mut tables: Vec<Arc<JoinTable>> = Vec::new();
         for pipe in builds {
-            let Sink::Build { table, keys, ncols } = &pipe.sink else {
+            let Sink::Build { table, shape } = &pipe.sink else {
                 unreachable!("non-terminal pipelines end in a build sink")
             };
             debug_assert_eq!(*table, tables.len(), "build slots are pipeline indices");
             tables.push(Arc::new(build_table(
                 pipe,
                 &tables,
-                keys,
-                *ncols,
+                shape,
                 self.degree,
                 self.morsel_pages,
                 self.batch_size,
@@ -521,6 +527,8 @@ impl BatchOperator for ParallelGather {
             ("morsels_stolen", self.stats.stolen()),
             ("partition_merges", self.stats.partition_merges()),
             ("merge_workers", u64::from(self.stats.merge_workers())),
+            ("cols_decoded", u64::from(self.stats.scan_columns().0)),
+            ("cols_total", u64::from(self.stats.scan_columns().1)),
             ("batches", self.batches_out),
             ("rows", self.rows_out),
         ]

@@ -91,6 +91,7 @@ pub struct MorselStats {
     workers: AtomicU32,
     partition_merges: AtomicU64,
     merge_workers: AtomicU32,
+    scan_columns: (AtomicU32, AtomicU32),
 }
 
 impl MorselStats {
@@ -111,6 +112,22 @@ impl MorselStats {
 
     pub(crate) fn set_workers(&self, n: u32) {
         self.workers.store(n, Ordering::Relaxed);
+    }
+
+    /// `(k, n)`: the region's scans decode `k` of their tables' `n`
+    /// columns (summed over its pipelines) — what its sinks, filters
+    /// and probes read.
+    pub fn scan_columns(&self) -> (u32, u32) {
+        let (decoded, total) = &self.scan_columns;
+        (
+            decoded.load(Ordering::Relaxed),
+            total.load(Ordering::Relaxed),
+        )
+    }
+
+    pub(crate) fn set_scan_columns(&self, (decoded, total): (usize, usize)) {
+        self.scan_columns.0.store(decoded as u32, Ordering::Relaxed);
+        self.scan_columns.1.store(total as u32, Ordering::Relaxed);
     }
 
     /// Count one dispatch; returns the cumulative dispatch count

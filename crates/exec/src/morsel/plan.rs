@@ -8,9 +8,10 @@
 //! becomes its own pipeline terminating in a partitioned hash-table
 //! **build sink**, and the probe sides fuse with the scans, filters and
 //! projections around them into chains of [`Stage`]s. The last pipeline
-//! feeds the region's output. The decomposition itself is
-//! [`crate::pipeline::decompose`], shared with the serial lowering; this
-//! module only maps its IR to what the workers run.
+//! feeds the region's output. The decomposition itself, and the demand
+//! pass that narrows every scan and build table to the columns read, is
+//! [`crate::pipeline::Region::lower`], shared with the serial lowering;
+//! this module only maps its IR to what the workers run.
 //!
 //! [`compile_parallel`] returns `None` when the subtree contains any
 //! other operator — the caller then degrades the gather to a serial
@@ -26,15 +27,21 @@ use volcano_store::HeapFile;
 use crate::compile::{compile_agg_spec, schema_of_at};
 use crate::database::SchemaSnapshot;
 use crate::fused::FusedPred;
+use crate::kernels::agg::AggMode;
 use crate::ops::{CompiledAgg, CompiledPred};
-use crate::pipeline::{decompose, SourceIR, StageIR};
+use crate::pipeline::{AggSink, ProbeCol, Region, SourceIR, StageIR, TableShape};
 
 /// The scan feeding a pipeline: a heap file whose pages are dispensed as
-/// morsels, decoded straight into typed columns, with an optional fused
-/// predicate (mirrors [`crate::ops::BatchScan`]).
+/// morsels; each worker decodes the columns `keep` selects straight into
+/// typed columns and applies the predicate (its own
+/// [`crate::fused::FusedScan`] over the morsel's pages).
 pub(crate) struct ScanSpec {
     pub(crate) heap: Arc<HeapFile>,
+    /// Types of the produced columns.
     pub(crate) col_types: Vec<ColType>,
+    /// Full-table-width mask of the columns to decode.
+    pub(crate) keep: Vec<bool>,
+    /// Scan predicate over the produced columns.
     pub(crate) pred: Option<CompiledPred>,
 }
 
@@ -46,13 +53,14 @@ pub(crate) enum Stage {
     Filter(FusedPred),
     /// Gather a subset/permutation of columns.
     Project(Vec<usize>),
-    /// Probe the partitioned hash table built by an earlier pipeline;
-    /// output columns are build ++ probe, as in the serial hash join.
+    /// Probe the partitioned hash table built by an earlier pipeline.
     Probe {
         /// Index of the build pipeline (= its table slot).
         table: usize,
         /// Probe-side key column positions.
         keys: Vec<usize>,
+        /// Which side each output column is gathered from.
+        out: Vec<ProbeCol>,
     },
 }
 
@@ -62,11 +70,8 @@ pub(crate) enum Sink {
     Build {
         /// Table slot this pipeline fills (equals its pipeline index).
         table: usize,
-        /// Build-side key column positions.
-        keys: Vec<usize>,
-        /// Build-side column count (fixes the output shape even when
-        /// the build side turns out empty).
-        ncols: usize,
+        /// The key and stored columns of the pipeline's batches.
+        shape: TableShape,
     },
     /// Accumulate rows into a worker-local group table; each worker
     /// emits its groups as *partial* aggregate rows (the layout of
@@ -100,6 +105,14 @@ impl ParallelPlan {
     pub fn pipeline_count(&self) -> usize {
         self.pipelines.len()
     }
+
+    /// Columns the region's scans decode and the columns their tables
+    /// have, summed over the pipelines.
+    pub fn scan_columns(&self) -> (usize, usize) {
+        let keeps = || self.pipelines.iter().map(|p| &p.source.keep);
+        let decoded = keeps().flatten().filter(|&&k| k).count();
+        (decoded, keeps().map(Vec::len).sum())
+    }
 }
 
 /// Lower the subtree under a gather node to parallel pipelines, or
@@ -110,31 +123,32 @@ pub fn compile_parallel(sch: &SchemaSnapshot, plan: &RelPlan) -> Option<Parallel
     // the output pipeline in a per-worker aggregation sink: workers
     // accumulate locally across all their morsels and only group
     // summaries cross the gather.
-    let (chain_root, sink) = match &plan.alg {
+    let (chain_root, agg) = match &plan.alg {
         RelAlg::PartialHashAggregate(spec, _) => {
             let child = &plan.inputs[0];
             let (group, aggs) = compile_agg_spec(&schema_of_at(sch, child), spec);
-            (child, Sink::PartialAgg { group, aggs })
+            let mode = AggMode::Partial;
+            (child, Some(AggSink { group, aggs, mode }))
         }
-        _ => (plan, Sink::Output),
+        _ => (plan, None),
     };
     // Morsels are page ranges of a heap file, so every pipeline must
     // start at a scan: any other input abandons the lowering.
-    let mut builds = Vec::new();
-    let (source, stages) = decompose(sch, chain_root, &mut builds, &mut |_| None).ok()?;
-    let mut pipelines: Vec<Pipeline> = builds
+    let region = Region::lower(sch, chain_root, agg, &mut |_| None)?;
+    let mut pipelines: Vec<Pipeline> = region
+        .builds
         .into_iter()
         .enumerate()
         .map(|(table, b)| {
-            let sink = Sink::Build {
-                table,
-                keys: b.keys,
-                ncols: b.ncols,
-            };
-            lower_chain(b.source, b.stages, sink)
+            let shape = b.table;
+            lower_chain(b.source, b.stages, Sink::Build { table, shape })
         })
         .collect();
-    pipelines.push(lower_chain(source, stages, sink));
+    let sink = match region.agg {
+        Some(AggSink { group, aggs, .. }) => Sink::PartialAgg { group, aggs },
+        None => Sink::Output,
+    };
+    pipelines.push(lower_chain(region.source, region.stages, sink));
     Some(ParallelPlan { pipelines })
 }
 
@@ -143,6 +157,7 @@ fn lower_chain(source: SourceIR, stages: Vec<StageIR>, sink: Sink) -> Pipeline {
     let SourceIR::Scan {
         heap,
         col_types,
+        keep,
         pred,
         ..
     } = source
@@ -154,13 +169,16 @@ fn lower_chain(source: SourceIR, stages: Vec<StageIR>, sink: Sink) -> Pipeline {
         .map(|s| match s {
             StageIR::Filter(pred, _) => Stage::Filter(FusedPred::compile(&pred)),
             StageIR::Project(cols) => Stage::Project(cols),
-            StageIR::Probe { table, keys, .. } => Stage::Probe { table, keys },
+            StageIR::Probe {
+                table, keys, out, ..
+            } => Stage::Probe { table, keys, out },
         })
         .collect();
     Pipeline {
         source: ScanSpec {
             heap,
             col_types,
+            keep,
             pred,
         },
         stages,
@@ -202,9 +220,9 @@ mod tests {
         }
     }
 
-    /// Both lowerings walk a gather subtree with the one shared
-    /// decomposition, so they must cut it into the same pipelines with
-    /// the same stages in the same order.
+    /// Both lowerings consume the one shared, pruned decomposition, so
+    /// they must cut a gather subtree into the same pipelines with the
+    /// same stages in the same order, decoding the same columns.
     #[test]
     fn parallel_and_serial_lowerings_cut_the_same_pipelines() {
         let mut c = Catalog::new();
@@ -225,12 +243,13 @@ mod tests {
         let db = Database::in_memory(c.clone());
         db.generate(7);
         let sch = db.snapshot();
-        let mut compared = 0usize;
+        let (mut compared, mut pruned) = (0usize, 0usize);
         for sql in [
             "SELECT emp.id FROM emp WHERE emp.salary < 50",
             "SELECT emp.id, dept.region FROM emp, dept \
              WHERE emp.dept = dept.id AND emp.salary < 50",
             "SELECT emp.dept, SUM(emp.salary) FROM emp GROUP BY emp.dept",
+            "SELECT COUNT(*) FROM emp, dept WHERE emp.dept = dept.id",
         ] {
             let mut catalog = c.clone();
             let q = volcano_sql::plan_query(sql, &mut catalog).unwrap();
@@ -245,23 +264,42 @@ mod tests {
                 let parallel = compile_parallel(&sch, subtree).expect("morsel-parallel shape");
                 let serial =
                     crate::fused::compile_fused_at(&db, &sch, subtree, BatchConfig::default());
-                // The serial lowering's rewrites merge stages (`+`) but
-                // keep every one of them in the label.
+                // The serial lowering absorbs leading filters into the
+                // scan (`scan+filter`) but keeps them in the label; a
+                // projection folded into a probe is no stage on either
+                // side.
                 let serial_labels: Vec<String> = serial
                     .report
                     .pipelines
                     .iter()
-                    .map(|p| p.label.replace('+', "→"))
+                    .map(|p| p.label.replace("+project", "").replace('+', "→"))
                     .collect();
                 let parallel_labels: Vec<String> = parallel.pipelines.iter().map(label).collect();
                 assert_eq!(parallel.pipeline_count(), serial_labels.len(), "{sql}");
                 assert_eq!(parallel_labels, serial_labels, "{sql}");
+                let serial_decoded: Vec<_> = serial
+                    .report
+                    .pipelines
+                    .iter()
+                    .map(|p| p.decoded.clone().expect("scan-sourced"))
+                    .collect();
+                let parallel_decoded: Vec<_> = parallel
+                    .pipelines
+                    .iter()
+                    .map(|p| p.source.keep.clone())
+                    .collect();
+                assert_eq!(parallel_decoded, serial_decoded, "{sql}");
+                pruned += usize::from(serial_decoded.iter().flatten().any(|&k| !k));
                 compared += 1;
             }
         }
         assert!(
             compared >= 2,
             "too few gather plans to compare ({compared})"
+        );
+        assert!(
+            pruned >= 2,
+            "too few plans leave a column unread ({pruned})"
         );
     }
 }

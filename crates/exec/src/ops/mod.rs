@@ -2,8 +2,6 @@
 
 pub mod aggregate;
 pub mod batch_adapter;
-pub mod batch_aggregate;
-pub mod batch_scan;
 pub mod exchange;
 pub mod external_sort;
 pub mod filter;
@@ -16,8 +14,6 @@ pub mod sort;
 
 pub use aggregate::{AggMode, CompiledAgg, HashAggregate, StreamAggregate};
 pub use batch_adapter::{BatchSource, TupleSource};
-pub use batch_aggregate::BatchHashAggregate;
-pub use batch_scan::BatchScan;
 pub use exchange::Exchange;
 pub use external_sort::ExternalSort;
 pub use filter::{CompiledPred, Filter};

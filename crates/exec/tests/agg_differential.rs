@@ -22,8 +22,8 @@
 mod common;
 
 use common::testkit::{
-    assert_same_multiset, high_cardinality_rows, run_fused, run_tuple, skewed_rows, thread_counts,
-    Lcg,
+    assert_same_multiset, batch_configs, high_cardinality_rows, mixed_db, mixed_plan, run_fused,
+    run_tuple, skewed_rows, thread_counts, Lcg, MIXED_AGG_QUERIES,
 };
 use proptest::prelude::*;
 use volcano_core::PhysicalProps;
@@ -177,6 +177,40 @@ fn empty_input_grand_total_yields_one_row_everywhere() {
         vec![vec![Value::Int(0), Value::Null]],
         "grand total over empty input"
     );
+    // A grand total is a stream aggregate (no keys, nothing to sort);
+    // its vectorized sink must return that one row too.
+    fn streams(p: &RelPlan) -> bool {
+        matches!(p.alg, RelAlg::StreamAggregate(_)) || p.inputs.iter().any(streams)
+    }
+    assert!(streams(&plan), "expected a stream aggregate");
+    for cfg in batch_configs() {
+        assert_eq!(run_fused(&db, &plan, cfg), run_tuple(&db, &plan));
+    }
+}
+
+/// Aggregates over string, float and NULL-bearing columns read only
+/// their group keys and inputs — a bare `COUNT(*)` reads nothing — in
+/// the serial sink and in the per-worker partial sinks alike: every
+/// degree and batch size must return the tuple engine's multiset.
+#[test]
+fn mixed_type_aggregates_agree_across_engines_and_degrees() {
+    let db = mixed_db();
+    let mut parallel = 0usize;
+    for degree in thread_counts() {
+        for sql in MIXED_AGG_QUERIES {
+            let plan = mixed_plan(sql, degree);
+            parallel += usize::from(is_two_phase(&plan));
+            let tuple_rows = run_tuple(&db, &plan);
+            assert!(!tuple_rows.is_empty(), "{sql}: vacuous case");
+            for cfg in batch_configs() {
+                let tag = format!("{sql}: deg={degree} batch={}", cfg.batch_size);
+                assert_same_multiset(&tuple_rows, &run_fused(&db, &plan, cfg), &tag);
+            }
+        }
+    }
+    if thread_counts().iter().any(|&n| n > 1) {
+        assert!(parallel > 0, "no mixed aggregate ran two-phase");
+    }
 }
 
 /// Integer sums must be exact past 2^53 — and identical under

@@ -365,3 +365,124 @@ pub fn correlated_pairs(n: usize, groups: i64, noise: f64, seed: u64) -> Vec<(i6
 pub fn converges_within(k: usize, mut attempt: impl FnMut(usize) -> bool) -> Option<usize> {
     (1..=k).find(|&i| attempt(i))
 }
+
+// ---------------------------------------------------------------------
+// Mixed-type fixture (column pruning).
+// ---------------------------------------------------------------------
+
+/// `mix(s STR, k INT, f FLOAT, g INT, note STR)` and
+/// `grp(id INT, label STR, w FLOAT)`: strings first and last, a float in
+/// the middle, NULLs in `k`, `f` and `note` — so whichever columns a
+/// query leaves unread, the decoder has to step over every field type
+/// at the start, in the middle and at the end of the record. The
+/// statistics claim a large `mix` so parallel models choose gathers.
+pub fn mixed_catalog() -> Catalog {
+    let float = |name: &str, distinct: f64| ColumnDef {
+        ty: volcano_rel::catalog::ColType::Float,
+        ..ColumnDef::int(name, distinct)
+    };
+    let mut c = Catalog::new();
+    c.add_table(
+        "mix",
+        1_000_000.0,
+        vec![
+            ColumnDef::str("s", 6, 7.0),
+            ColumnDef::int("k", 13.0),
+            float("f", 40.0),
+            ColumnDef::int("g", 8.0),
+            ColumnDef::str("note", 12, 50.0),
+        ],
+    );
+    c.add_table(
+        "grp",
+        8.0,
+        vec![
+            ColumnDef::int("id", 8.0),
+            ColumnDef::str("label", 8, 8.0),
+            float("w", 8.0),
+        ],
+    );
+    c
+}
+
+/// [`mixed_catalog`] populated: 3 000 `mix` rows (several pages), every
+/// float a multiple of 0.25 so sums are exact in any order.
+pub fn mixed_db() -> Database {
+    let catalog = mixed_catalog();
+    let (mix, grp) = (
+        catalog.table_by_name("mix").unwrap().id,
+        catalog.table_by_name("grp").unwrap().id,
+    );
+    let db = Database::in_memory(catalog);
+    let mut rng = Lcg(17);
+    let or_null = |null: bool, v: Value| if null { Value::Null } else { v };
+    for i in 0..3_000i64 {
+        let r = rng.next() as i64;
+        db.insert(
+            mix,
+            vec![
+                Value::str(format!("s{}", r % 7)),
+                or_null(r % 11 == 0, Value::Int(r % 13)),
+                or_null(r % 17 == 0, Value::float((r % 40) as f64 * 0.25)),
+                Value::Int(i % 8),
+                or_null(r % 5 == 0, Value::str(format!("note-{:03}", r % 50))),
+            ],
+        );
+    }
+    for id in 0..8i64 {
+        db.insert(
+            grp,
+            vec![
+                Value::Int(id),
+                Value::str(format!("g{}", id % 3)),
+                Value::float(id as f64 * 0.5),
+            ],
+        );
+    }
+    db
+}
+
+/// Scan / filter / project / join statements over the mixed tables,
+/// each leaving columns unread at the first, a middle and the last
+/// position of some record.
+pub const MIXED_SCAN_QUERIES: &[&str] = &[
+    "SELECT mix.k, mix.g FROM mix WHERE mix.g < 5",
+    "SELECT mix.s, mix.note FROM mix WHERE mix.k < 6",
+    "SELECT mix.f FROM mix",
+    "SELECT mix.note, mix.s FROM mix WHERE mix.f < 3.0",
+    "SELECT mix.note, grp.w FROM mix, grp WHERE mix.g = grp.id",
+    "SELECT grp.label, mix.f FROM mix, grp WHERE mix.k = grp.id AND mix.g < 6",
+];
+
+/// Aggregates over the mixed tables: string and NULL-bearing group
+/// keys, float sums, string extrema, a bare `COUNT(*)` (nothing is
+/// decoded), and aggregates above a filter and a join.
+pub const MIXED_AGG_QUERIES: &[&str] = &[
+    "SELECT mix.s, COUNT(*), SUM(mix.f) FROM mix GROUP BY mix.s",
+    "SELECT mix.k, MIN(mix.note), MAX(mix.f) FROM mix GROUP BY mix.k",
+    "SELECT COUNT(*) FROM mix",
+    "SELECT COUNT(*), AVG(mix.g), MAX(mix.note) FROM mix WHERE mix.f < 3.0",
+    "SELECT grp.label, COUNT(*), SUM(mix.k) FROM mix, grp WHERE mix.g = grp.id GROUP BY grp.label",
+    "SELECT mix.g, SUM(mix.k) FROM mix GROUP BY mix.g ORDER BY mix.g",
+];
+
+/// Optimize `sql` over [`mixed_catalog`] at parallel `degree`, with the
+/// statement's ORDER BY as the goal.
+pub fn mixed_plan(sql: &str, degree: u32) -> RelPlan {
+    let mut catalog = mixed_catalog();
+    let q = plan_query(sql, &mut catalog).expect("query must parse");
+    let options = RelModelOptions::default().with_parallel_degree(degree);
+    let model = RelModel::new(catalog, options);
+    optimize_plan(&model, &q.expr, RelProps::sorted(q.order_by.clone()), sql)
+}
+
+/// The batch-size axis: degenerate single-row batches, a size that
+/// splits every page, the engine default, and an explicit large batch.
+pub fn batch_configs() -> [BatchConfig; 4] {
+    [
+        BatchConfig::with_batch_size(1),
+        BatchConfig::with_batch_size(4),
+        BatchConfig::default(),
+        BatchConfig::with_batch_size(1024),
+    ]
+}

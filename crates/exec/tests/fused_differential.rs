@@ -15,15 +15,17 @@
 //! non-pipelineable operators (sort, set ops) execute correctly through
 //! at most one adapter per genuine engine boundary, with the
 //! pipelineable segments around them still fused — down to regions of
-//! a single operator sitting directly on such an input. Hash aggregates
-//! never fall back — they terminate a fused pipeline in an aggregation
-//! sink (or run batch-native over a non-pipelineable child).
+//! a single operator sitting directly on such an input. Aggregates —
+//! hash and stream alike — never fall back: each is the aggregation
+//! sink of its input's region, over an opaque source where that input
+//! is not pipelineable.
 
 mod common;
 
 use common::testkit::{
-    assert_same_multiset, diff_catalog, fig4_inputs, optimize_drift_guarded, optimize_plan,
-    run_fused, run_tuple, sql_cases, thread_counts, SQL_QUERIES,
+    assert_same_multiset, batch_configs, diff_catalog, fig4_inputs, mixed_db, mixed_plan,
+    optimize_drift_guarded, optimize_plan, run_fused, run_tuple, sql_cases, thread_counts,
+    MIXED_AGG_QUERIES, MIXED_SCAN_QUERIES, SQL_QUERIES,
 };
 use volcano_core::PhysicalProps;
 use volcano_exec::{
@@ -35,19 +37,6 @@ use volcano_rel::{
     RelPlan, RelProps,
 };
 use volcano_sql::plan_query;
-
-/// The batch-size axis: degenerate single-row batches, a size that
-/// splits every page, the engine default, and an explicit large batch.
-fn batch_sizes() -> [Option<usize>; 4] {
-    [Some(1), Some(4), None, Some(1024)]
-}
-
-fn config(batch_size: Option<usize>) -> BatchConfig {
-    match batch_size {
-        Some(n) => BatchConfig::with_batch_size(n),
-        None => BatchConfig::default(),
-    }
-}
 
 /// Assert `rows` are non-decreasing on the given key column positions.
 fn assert_sorted_on(rows: &[Tuple], key_positions: &[usize], tag: &str) {
@@ -78,9 +67,9 @@ fn assert_engines_agree(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
             })
             .collect()
     };
-    for batch_size in batch_sizes() {
-        let fused_rows = run_fused(db, plan, config(batch_size));
-        let mtag = format!("{tag}: deg={degree} batch={batch_size:?}");
+    for cfg in batch_configs() {
+        let fused_rows = run_fused(db, plan, cfg);
+        let mtag = format!("{tag}: deg={degree} batch={}", cfg.batch_size);
         assert_same_multiset(&tuple_rows, &fused_rows, &mtag);
         if !key_positions.is_empty() {
             assert_sorted_on(&fused_rows, &key_positions, &mtag);
@@ -383,6 +372,18 @@ fn single_operator_regions_over_opaque_inputs_agree() {
                     RelProps::any(),
                 ),
             ),
+            // A stream aggregate reads its input in key order and must
+            // hand the groups on in that order: the vectorized sink
+            // emits groups first-seen, which is the same thing.
+            (
+                "stream_aggregate",
+                node(
+                    &like,
+                    RelAlg::StreamAggregate(spec.clone()),
+                    vec![sort(o.plan.clone(), vec![o.value])],
+                    RelProps::sorted(vec![o.value]),
+                ),
+            ),
             // Groups come out in table order, which the engines need
             // not share: a sort above pins the sequence.
             (
@@ -406,24 +407,36 @@ fn single_operator_regions_over_opaque_inputs_agree() {
                 report.fallback_segments() >= 1,
                 "{tag}: the input must run on the tuple operators"
             );
-            if shape == "aggregate" {
-                assert_eq!(report.agg_sinks, 0, "{tag}: no chain to sink into");
-            } else {
-                // The operator above the input is a region of its own,
-                // fed through the one adapter at the boundary.
+            // The operator above the input is a region of its own, fed
+            // through the one adapter at the boundary — the aggregate as
+            // that region's sink, straight over the opaque source.
+            let sourced = if shape.ends_with("aggregate") {
+                assert_eq!(report.agg_sinks, 1, "{tag}: the aggregate is a sink");
                 assert!(
-                    report
-                        .pipelines
+                    !report
+                        .fallback_ops
                         .iter()
-                        .any(|p| p.label.starts_with("tuple_to_batch→")),
-                    "{tag}: expected a pipeline sourced from the opaque input, got {:?}",
-                    report
-                        .pipelines
-                        .iter()
-                        .map(|p| &p.label)
-                        .collect::<Vec<_>>()
+                        .any(|op| op.contains("aggregate")),
+                    "{tag}: no aggregate runs on the tuple engine"
                 );
-            }
+                "tuple_to_batch→agg"
+            } else {
+                // No `→stage` required: an identity projection over the
+                // input is pruned away, leaving the source alone.
+                "tuple_to_batch"
+            };
+            assert!(
+                report
+                    .pipelines
+                    .iter()
+                    .any(|p| p.label.starts_with(sourced)),
+                "{tag}: expected a pipeline sourced from the opaque input, got {:?}",
+                report
+                    .pipelines
+                    .iter()
+                    .map(|p| &p.label)
+                    .collect::<Vec<_>>()
+            );
             assert!(!run_tuple(&db, &plan).is_empty(), "{tag}: vacuous case");
             assert_engines_agree(&db, &plan, &tag, 1);
         }
@@ -599,4 +612,97 @@ fn degraded_search_executes_on_fused_engine() {
     // ORDER BY makes the sequence deterministic.
     assert_eq!(oracle.rows, degraded.rows, "degraded fused run diverged");
     assert!(!degraded.rows.is_empty(), "query should return rows");
+}
+
+/// Column demand: over tables with string, float and NULL-bearing
+/// columns, statements that leave the first, a middle or the last
+/// column unread must decode fewer columns than the table has and
+/// still return the tuple engine's exact rows at every batch size.
+#[test]
+fn unread_columns_of_every_type_are_pruned_without_changing_rows() {
+    let db = mixed_db();
+    for sql in MIXED_SCAN_QUERIES.iter().chain(MIXED_AGG_QUERIES) {
+        let plan = mixed_plan(sql, 1);
+        let report = compile_fused(&db, &plan, BatchConfig::default()).report;
+        let masks: Vec<_> = report.pipelines.iter().flat_map(|p| &p.decoded).collect();
+        // (A scan feeding a tuple operator has to produce whole rows.)
+        assert!(
+            !report.fallback_ops.is_empty() || masks.iter().any(|keep| keep.iter().any(|&k| !k)),
+            "{sql}: some scan must skip a column, got {masks:?}"
+        );
+        assert!(!run_tuple(&db, &plan).is_empty(), "{sql}: vacuous case");
+        // The engines' hash aggregates need not share a group order:
+        // only a delivered sort pins the sequence there.
+        let exact = !MIXED_AGG_QUERIES.contains(sql) || !plan.delivered.sort.is_empty();
+        assert_engines_agree(&db, &plan, sql, if exact { 1 } else { 0 });
+    }
+    // `COUNT(*)` alone reads nothing: the scan still counts the rows.
+    let plan = mixed_plan("SELECT COUNT(*) FROM mix", 1);
+    let report = compile_fused(&db, &plan, BatchConfig::default()).report;
+    assert_eq!(report.pipelines[0].decoded, Some(vec![false; 5]));
+    assert_eq!(
+        run_tuple(&db, &plan),
+        vec![vec![volcano_rel::Value::Int(3_000)]]
+    );
+}
+
+/// The six statement shapes of the `analytic_*` benchmark workloads stay
+/// on the vectorized engine: nothing falls back but `filter_sort`'s
+/// sort (one adapter on each side of it), and every scan is narrowed to
+/// the columns its statement reads.
+#[test]
+fn analytic_statement_shapes_stay_vectorized_and_pruned() {
+    let mut catalog = volcano_rel::Catalog::new();
+    let mut sales: Vec<ColumnDef> = ["id", "a", "b", "c", "d", "k", "g", "q"]
+        .iter()
+        .map(|n| ColumnDef::int(n, 100.0))
+        .collect();
+    sales.push(ColumnDef::str("note", 16, 1_000.0));
+    catalog.add_table("sales", 200_000.0, sales);
+    catalog.add_table(
+        "dim",
+        20_000.0,
+        vec![ColumnDef::int("id", 20_000.0), ColumnDef::int("r", 10.0)],
+    );
+    let db = Database::in_memory(catalog.clone());
+    // (statement, fallback operators, adapters, columns decoded per scan)
+    let shapes: [(&str, &[&str], usize, &[usize]); 6] = [
+        ("SELECT sales.a, sales.b FROM sales", &[], 0, &[2]),
+        ("SELECT sales.a FROM sales WHERE sales.c < 2", &[], 0, &[2]),
+        (
+            "SELECT sales.b, dim.r FROM sales, dim WHERE sales.k = dim.id",
+            &[],
+            0,
+            &[2, 2],
+        ),
+        (
+            "SELECT sales.g, SUM(sales.q) FROM sales GROUP BY sales.g",
+            &[],
+            0,
+            &[2],
+        ),
+        ("SELECT COUNT(*), SUM(sales.q) FROM sales", &[], 0, &[1]),
+        (
+            "SELECT sales.id, sales.b FROM sales WHERE sales.c < 2 ORDER BY sales.id",
+            &["sort"],
+            2,
+            &[3],
+        ),
+    ];
+    for (sql, fallbacks, adapters, decoded) in shapes {
+        let q = plan_query(sql, &mut catalog.clone()).unwrap();
+        let model = RelModel::with_defaults(catalog.clone());
+        let goal = RelProps::sorted(q.order_by.clone());
+        let plan = optimize_plan(&model, &q.expr, goal, sql);
+        let report = compile_fused(&db, &plan, BatchConfig::default()).report;
+        assert_eq!(report.fallback_ops, fallbacks, "{sql}");
+        assert_eq!(report.adapters, adapters, "{sql}");
+        let counts: Vec<usize> = report
+            .pipelines
+            .iter()
+            .flat_map(|p| &p.decoded)
+            .map(|keep| keep.iter().filter(|&&k| k).count())
+            .collect();
+        assert_eq!(counts, decoded, "{sql}: columns decoded per scan");
+    }
 }

@@ -17,12 +17,12 @@
 mod common;
 
 use common::testkit::{
-    assert_same_multiset, fig4_inputs, morsel_sizes, optimize_plan, run_fused, run_tuple,
-    sql_cases, thread_counts,
+    assert_same_multiset, batch_configs, fig4_inputs, mixed_db, mixed_plan, morsel_sizes,
+    optimize_plan, run_fused, run_tuple, sql_cases, thread_counts, MIXED_SCAN_QUERIES,
 };
-use volcano_exec::{schema_of, BatchConfig, Database};
+use volcano_exec::{compile_fused, schema_of, BatchConfig, Database};
 use volcano_rel::value::Tuple;
-use volcano_rel::{RelModel, RelModelOptions, RelPlan};
+use volcano_rel::{RelAlg, RelModel, RelModelOptions, RelPlan};
 
 /// Assert `rows` are non-decreasing on the given key column positions.
 fn assert_sorted_on(rows: &[Tuple], key_positions: &[usize], tag: &str) {
@@ -268,4 +268,43 @@ fn traced_prepared_execution_reports_morsel_phases() {
         parallel_plans >= 1,
         "no golden query planned a gather at degree 4"
     );
+}
+
+/// Morsel workers decode only what their pipeline reads: each mixed-type
+/// statement, run under a `gather(n)`, must compile to a parallel region
+/// and return the tuple engine's multiset at every batch size, with
+/// strings, floats and NULLs among the columns skipped and kept.
+#[test]
+fn workers_prune_unread_columns_of_every_type() {
+    let db = mixed_db();
+    for degree in thread_counts().into_iter().filter(|&n| n > 1) {
+        for sql in MIXED_SCAN_QUERIES {
+            let serial = mixed_plan(sql, 1);
+            let plan = RelPlan {
+                alg: RelAlg::Gather(degree),
+                inputs: vec![serial.clone()],
+                ..serial
+            };
+            let tag = format!("{sql}: gather({degree})");
+            let compiled = compile_fused(&db, &plan, BatchConfig::default());
+            assert_eq!(
+                compiled.report.parallel_regions, 1,
+                "{tag}: must run on the workers"
+            );
+            let (decoded, total) = compiled.gathers[0].scan_columns();
+            assert!(
+                0 < decoded && decoded < total,
+                "{tag}: cols {decoded}/{total}"
+            );
+            let tuple_rows = run_tuple(&db, &plan);
+            for cfg in batch_configs() {
+                let rows = run_fused(&db, &plan, cfg.with_morsel_pages(2));
+                assert_same_multiset(
+                    &tuple_rows,
+                    &rows,
+                    &format!("{tag} batch={}", cfg.batch_size),
+                );
+            }
+        }
+    }
 }

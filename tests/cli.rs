@@ -211,3 +211,29 @@ fn set_executor_selects_one_vectorized_engine() {
         assert!(out.contains("fused: 1 pipeline(s)"), "{keyword}: {out}");
     }
 }
+
+/// EXPLAIN ANALYZE on the vectorized engine says how many of a table's
+/// columns each scan decoded: an aggregate reads its keys and inputs, a
+/// bare `COUNT(*)` nothing at all, and neither leaves the engine.
+#[test]
+fn explain_analyze_reports_decoded_columns_per_scan() {
+    let (out, stderr, ok) = run_script(
+        "CREATE TABLE t (x INT DISTINCT 50, y INT DISTINCT 5, z INT DISTINCT 9) CARD 300;\
+         GENERATE SEED 3;\
+         SET EXECUTOR FUSED 64;\
+         EXPLAIN ANALYZE SELECT y, SUM(z) FROM t GROUP BY y;\
+         EXPLAIN ANALYZE SELECT COUNT(*) FROM t;",
+    );
+    assert!(ok, "{stderr}");
+    for golden in [
+        "pipeline 0: scan→agg · cols 2/3 · 2 op(s) fused · 300 rows",
+        "pipeline 0: scan→agg · cols 0/3 · 2 op(s) fused · 300 rows",
+    ] {
+        assert!(out.contains(golden), "missing {golden:?} in:\n{out}");
+    }
+    assert_eq!(
+        out.matches("0 fallback segment(s), 0 adapter(s)").count(),
+        2
+    );
+    assert_eq!(out.matches("1 agg sink(s)").count(), 2, "{out}");
+}
