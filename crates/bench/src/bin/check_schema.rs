@@ -145,207 +145,6 @@ fn check_budget(v: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn check_search_hotpath(v: &Json) -> Result<(), String> {
-    num(v, "queries_per_level")?;
-    let reps = num(v, "reps")?;
-    if reps < 1.0 {
-        return Err(format!("reps {reps} < 1"));
-    }
-    let levels = v
-        .get("levels")
-        .and_then(Json::as_arr)
-        .ok_or("missing levels array")?;
-    if levels.is_empty() {
-        return Err("levels array is empty".to_string());
-    }
-    for (i, level) in levels.iter().enumerate() {
-        let ctx = |e: String| format!("levels[{i}]: {e}");
-        let rels = num(level, "relations").map_err(ctx)?;
-        if rels < 2.0 {
-            return Err(format!("levels[{i}]: relations {rels} < 2"));
-        }
-        for key in [
-            "queries",
-            "opt_s_mean",
-            "probe_ns",
-            "moves_per_s",
-            "goals_per_s",
-            "peak_memo_bytes",
-            "cost_checksum",
-        ] {
-            let x = num(level, key).map_err(ctx)?;
-            if x < 0.0 {
-                return Err(format!("levels[{i}]: {key} is negative ({x})"));
-            }
-        }
-        let search = level
-            .get("search")
-            .ok_or(format!("levels[{i}]: missing search"))?;
-        check_search_stats(search).map_err(ctx)?;
-    }
-    // The speedup block is optional (present only with --baseline), but
-    // when it exists the factors must be positive and the geomean sane.
-    if let Some(speedup) = v.get("speedup") {
-        let per = speedup
-            .get("per_level")
-            .and_then(Json::as_arr)
-            .ok_or("speedup: missing per_level array")?;
-        if per.is_empty() {
-            return Err("speedup.per_level is empty".to_string());
-        }
-        for (i, pt) in per.iter().enumerate() {
-            let ctx = |e: String| format!("speedup.per_level[{i}]: {e}");
-            num(pt, "relations").map_err(ctx)?;
-            let s = num(pt, "speedup").map_err(ctx)?;
-            if s <= 0.0 {
-                return Err(format!("speedup.per_level[{i}]: factor {s} <= 0"));
-            }
-        }
-        let g = num(speedup, "geomean").map_err(|e| format!("speedup: {e}"))?;
-        if g <= 0.0 {
-            return Err(format!("speedup.geomean {g} <= 0"));
-        }
-    }
-    Ok(())
-}
-
-fn check_plan_cache_workloads(v: &Json, name: &str) -> Result<(), String> {
-    let workloads = v
-        .get(name)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing {name} array"))?;
-    if workloads.is_empty() {
-        return Err(format!("{name} array is empty"));
-    }
-    for (i, w) in workloads.iter().enumerate() {
-        let ctx = |e: String| format!("{name}[{i}]: {e}");
-        w.get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{name}[{i}]: missing name"))?;
-        w.get("class")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{name}[{i}]: missing class"))?;
-        num(w, "rows").map_err(ctx)?;
-        for key in ["cold_ms", "warm_ms", "speedup"] {
-            let x = num(w, key).map_err(ctx)?;
-            if x <= 0.0 {
-                return Err(format!("{name}[{i}]: {key} {x} <= 0"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_plan_cache(v: &Json) -> Result<(), String> {
-    for key in ["card", "reps"] {
-        let x = num(v, key)?;
-        if x < 1.0 {
-            return Err(format!("{key} {x} < 1"));
-        }
-    }
-    let smoke = match v.get("smoke") {
-        Some(&Json::Bool(b)) => b,
-        _ => return Err("missing or non-boolean field \"smoke\"".to_string()),
-    };
-    check_plan_cache_workloads(v, "workloads")?;
-    check_plan_cache_workloads(v, "short_workloads")?;
-    let g = num(v, "geomean_speedup")?;
-    if g <= 0.0 {
-        return Err(format!("geomean_speedup {g} <= 0"));
-    }
-    // The acceptance gate: on a full (non-smoke) run, warm-cache serving
-    // must beat cold planning by >= 5x geomean on the join-order-bound
-    // workloads. Smoke runs (tiny cards, debug builds) are exempt.
-    if !smoke && g < 5.0 {
-        return Err(format!(
-            "geomean_speedup {g:.2} < 5.0 on a full run (plan cache regression)"
-        ));
-    }
-    let stats = v
-        .get("cache_stats")
-        .ok_or_else(|| "missing cache_stats".to_string())?;
-    let mut parts = [0.0; 4];
-    for (slot, key) in ["lookups", "hits", "misses", "invalidations"]
-        .iter()
-        .enumerate()
-    {
-        parts[slot] = num(stats, key).map_err(|e| format!("cache_stats: {e}"))?;
-    }
-    if parts[0] != parts[1] + parts[2] + parts[3] {
-        return Err(format!(
-            "cache_stats do not reconcile: {} lookups != {} hits + {} misses + {} invalidations",
-            parts[0], parts[1], parts[2], parts[3]
-        ));
-    }
-    if parts[1] <= 0.0 {
-        return Err("cache_stats: a benchmark run must record hits".to_string());
-    }
-    Ok(())
-}
-
-fn check_serve(v: &Json) -> Result<(), String> {
-    for key in ["card", "ops_per_session", "latency_us", "pool_pages"] {
-        let x = num(v, key)?;
-        if x < 1.0 {
-            return Err(format!("{key} {x} < 1"));
-        }
-    }
-    let smoke = match v.get("smoke") {
-        Some(&Json::Bool(b)) => b,
-        _ => return Err("missing or non-boolean field \"smoke\"".to_string()),
-    };
-    let points = v
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing points array".to_string())?;
-    if points.is_empty() {
-        return Err("points array is empty".to_string());
-    }
-    let mut prev_sessions = 0.0;
-    for (i, p) in points.iter().enumerate() {
-        let ctx = |e: String| format!("points[{i}]: {e}");
-        let sessions = num(p, "sessions").map_err(ctx)?;
-        if sessions <= prev_sessions {
-            return Err(format!(
-                "points[{i}]: sessions {sessions} not strictly increasing"
-            ));
-        }
-        prev_sessions = sessions;
-        for key in ["wall_ms", "plans_per_sec", "p50_ms", "p99_ms"] {
-            let x = num(p, key).map_err(ctx)?;
-            if x <= 0.0 {
-                return Err(format!("points[{i}]: {key} {x} <= 0"));
-            }
-        }
-        let p50 = num(p, "p50_ms").map_err(ctx)?;
-        let p99 = num(p, "p99_ms").map_err(ctx)?;
-        if p99 < p50 {
-            return Err(format!("points[{i}]: p99 {p99} < p50 {p50}"));
-        }
-        let degraded = num(p, "degraded").map_err(ctx)?;
-        if degraded < 0.0 {
-            return Err(format!("points[{i}]: degraded {degraded} < 0"));
-        }
-    }
-    if points.len() < 2 {
-        return Err("points must sweep at least two session counts".to_string());
-    }
-    let g = num(v, "scaling_8")?;
-    if g <= 0.0 {
-        return Err(format!("scaling_8 {g} <= 0"));
-    }
-    // The acceptance gate: on a full (non-smoke) run, 8 concurrent
-    // sessions must deliver >= 2x the single-session throughput (the
-    // I/O-overlap regime the serving layer exists for). Smoke runs
-    // (tiny cards that fit the buffer pool, debug builds) are exempt.
-    if !smoke && g < 2.0 {
-        return Err(format!(
-            "scaling_8 {g:.2} < 2.0 on a full run (serving concurrency regression)"
-        ));
-    }
-    Ok(())
-}
-
 fn check_feedback(v: &Json) -> Result<(), String> {
     for key in ["rows", "reps"] {
         let x = num(v, key)?;
@@ -419,9 +218,6 @@ fn check_file(path: &str) -> Result<(), String> {
     match v.get("benchmark").and_then(Json::as_str) {
         Some("fig4") => check_fig4(&v),
         Some("budget") => check_budget(&v),
-        Some("search_hotpath") => check_search_hotpath(&v),
-        Some("plan_cache") => check_plan_cache(&v),
-        Some("serve") => check_serve(&v),
         Some("feedback") => check_feedback(&v),
         Some(other) => Err(format!("unknown benchmark tag {other:?}")),
         None => Err("missing \"benchmark\" tag".to_string()),

@@ -19,9 +19,9 @@
 //!   index visits exactly the rules a linear scan would have visited, in
 //!   the same order, minus rules whose root matcher was going to reject
 //!   the operator anyway. Plans, costs, statistics, and trace streams are
-//!   therefore what a linear scan would produce (BENCH_search_baseline.json
-//!   keeps the measured history of the scan; the completeness proptest in
-//!   `tests/hotpath_differential.rs` guards the declared sets).
+//!   therefore what a linear scan would produce (EXPERIMENTS.md and git
+//!   history keep the scan's measured timings; the completeness proptest
+//!   in `tests/hotpath_differential.rs` guards the declared sets).
 
 use std::collections::HashMap;
 

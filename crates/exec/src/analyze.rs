@@ -336,12 +336,12 @@ pub struct AnalyzedFused {
 /// Execute a plan on the vectorized engine and report fused-pipeline
 /// metrics. A fused region is a single compiled loop — there are no
 /// per-plan-node seams to instrument — so the analysis is per *pipeline*
-/// (rows, batches, wall time), not per operator. Gather regions run
-/// serially, so pipeline counters cover the whole input rather than one
-/// worker's share.
+/// (rows, batches, time), not per operator. The plan runs as it really
+/// runs: every cursor of a region of degree `n` counts into its
+/// pipeline's shared counters, so they cover the whole input.
 pub fn execute_analyzed_fused(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> AnalyzedFused {
     let sch = db.snapshot();
-    let compiled = crate::fused::compile_fused_with(db, &sch, plan, cfg, true);
+    let compiled = crate::fused::compile_fused_at(db, &sch, plan, cfg);
     let mut op = compiled.operator;
     let rows = collect_batches(op.as_mut());
     AnalyzedFused {

@@ -60,7 +60,7 @@ pub enum Engine {
     Tuple,
     /// The vectorized engine: pipelineable plan segments compiled into
     /// [`crate::fused::FusedRegion`] operators over selection-vectored
-    /// batches, `gather(n)` subtrees run morsel-parallel, everything
+    /// batches, run at the degree a `gather(n)` gives them, everything
     /// else on the tuple operators behind adapters.
     Fused(BatchConfig),
 }
@@ -264,10 +264,10 @@ pub fn compile_node_at(
                 .collect();
             Box::new(Project::new(children.remove(0), positions))
         }
-        // The tuple engine has no morsel-parallel path: a gather executes
+        // The tuple engine runs everything at degree 1: a gather executes
         // its subtree serially, which produces the same rows (operators
         // are degree-agnostic; the degree only matters to the vectorized
-        // engine's morsel-parallel lowering).
+        // engine's regions).
         RelAlg::Gather(_) => children.remove(0),
         RelAlg::Sort(attrs) => {
             let keys = attrs

@@ -9,8 +9,8 @@
 //! Every aggregate — hash, stream, partial, final — terminates its
 //! input's region in an aggregation sink, so
 //! `scan→filter→project→aggregate` runs as one loop; over an input that
-//! is not pipelineable (a sort, a gather, another aggregate) the region
-//! is that opaque input feeding the sink. A stream aggregate may share
+//! is not pipelineable (a sort, another aggregate) the region is that
+//! opaque input feeding the sink. A stream aggregate may share
 //! the hash sink because the group table emits groups in first-seen
 //! order, which over key-sorted input *is* key order. Every other
 //! operator (sorts, set ops, merge/nested/multiway joins, index scans)
@@ -31,10 +31,14 @@
 //!    output map, so a join gathers only the columns read above it,
 //!    never the full build ++ probe concatenation.
 //!
-//! `Gather(n)` nodes compile to the morsel-parallel executor, which
-//! maps the same pruned decomposition to its worker pipelines (and
-//! shares the scan and predicate kernels), so regions compose with work
-//! stealing unchanged.
+//! A `Gather(n)` node is not an operator of its own: it is the *degree*
+//! of the region below it — or, directly under an aggregate, of the
+//! region the aggregate ends — so the demand pass walks from the sink to
+//! the scans across it. The same lowering serves every degree; a region
+//! of degree `n` needs every pipeline to start at a scan (morsels are
+//! page ranges), and a gather over anything else is a serial
+//! pass-through, which is always correct: the degree is a performance
+//! property, not a semantic one.
 
 use std::sync::Arc;
 
@@ -47,7 +51,7 @@ use crate::compile::{
 use crate::database::{Database, SchemaSnapshot};
 use crate::fused::pred::FusedPred;
 use crate::fused::region::{
-    FusedPipeline, FusedRegion, FusedScan, FusedSource, FusedStage, PipelineStats,
+    FusedPipeline, FusedRegion, FusedScan, FusedSource, FusedStage, PipelineStats, RegionPlan,
 };
 use crate::kernels::agg::AggMode;
 use crate::ops::CompiledPred;
@@ -63,7 +67,10 @@ pub struct PipelineInfo {
     pub operators: usize,
     /// Does this pipeline feed a hash-table build?
     pub build: bool,
-    /// Execution counters, shared with the running region.
+    /// Degree of the pipeline's region: the cursors that run it.
+    pub degree: usize,
+    /// Execution counters, shared with every cursor of the running
+    /// region, so they cover the whole input at any degree.
     pub stats: Arc<PipelineStats>,
     /// Full-table-width mask of the columns the source scan decodes —
     /// what the pipeline's sink, filters and probes read. `None` when
@@ -90,7 +97,7 @@ pub struct FusedReport {
     pub fallback_ops: Vec<&'static str>,
     /// Adapter hops inserted at engine boundaries.
     pub adapters: usize,
-    /// Morsel-parallel gather regions in the plan.
+    /// Regions of degree > 1 (one per `gather(n)` that took effect).
     pub parallel_regions: usize,
     /// Terminal aggregation sinks fused into region output pipelines.
     pub agg_sinks: usize,
@@ -157,8 +164,12 @@ impl FusedReport {
                 let k = keep.iter().filter(|&&k| k).count();
                 format!(" · cols {k}/{}", keep.len())
             });
+            let degree = match p.degree {
+                1 => String::new(),
+                n => format!(" ×{n}"),
+            };
             out.push(format!(
-                "  pipeline {i}{}: {}{cols} · {} op(s) fused · {} rows · {} batches · {} ns",
+                "  pipeline {i}{}{degree}: {}{cols} · {} op(s) fused · {} rows · {} batches · {} ns",
                 if p.build { " [build]" } else { "" },
                 p.label,
                 p.operators,
@@ -177,8 +188,8 @@ pub struct CompiledFused {
     pub operator: BoxedBatchOperator,
     /// Output attribute ids, in column position order.
     pub schema: Vec<AttrId>,
-    /// Scheduling counters of each morsel-parallel gather region in the
-    /// tree (empty for serial plans); live while the plan executes, for
+    /// Scheduling counters of each region of degree > 1 in the tree
+    /// (empty for serial plans); live while the plan executes, for
     /// post-run trace reporting.
     pub gathers: Vec<Arc<crate::morsel::MorselStats>>,
     /// What fused, what fell back.
@@ -198,24 +209,10 @@ pub(crate) fn compile_fused_at(
     plan: &RelPlan,
     cfg: BatchConfig,
 ) -> CompiledFused {
-    compile_fused_with(db, sch, plan, cfg, false)
-}
-
-/// Full-control entry point: `serial_gather` degrades every gather node
-/// to a serial pass-through (the EXPLAIN ANALYZE path uses this so the
-/// per-pipeline counters cover the whole input, not a worker's share).
-pub(crate) fn compile_fused_with(
-    db: &Database,
-    sch: &SchemaSnapshot,
-    plan: &RelPlan,
-    cfg: BatchConfig,
-    serial_gather: bool,
-) -> CompiledFused {
     let mut f = Fuser {
         db,
         sch,
         cfg,
-        serial_gather,
         gathers: Vec::new(),
         report: FusedReport::default(),
     };
@@ -232,7 +229,6 @@ struct Fuser<'a> {
     db: &'a Database,
     sch: &'a SchemaSnapshot,
     cfg: BatchConfig,
-    serial_gather: bool,
     gathers: Vec<Arc<crate::morsel::MorselStats>>,
     report: FusedReport,
 }
@@ -241,20 +237,23 @@ impl Fuser<'_> {
     /// Compile `plan` into a [`Built`] subtree, fusing the maximal
     /// region rooted at each pipelineable node.
     fn build_tree(&mut self, plan: &RelPlan) -> Built {
-        // A gather runs its subtree as morsel-driven parallel pipelines
-        // when the subtree's shape supports it; otherwise (or at degree
-        // 1) it degrades to a serial pass-through with identical rows.
+        // A gather is the degree of the region below it. Under a partial
+        // aggregate that region ends in the per-worker sink.
         if let RelAlg::Gather(n) = &plan.alg {
-            if *n > 1 && !self.serial_gather {
-                if let Some(par) = crate::morsel::compile_parallel(self.sch, &plan.inputs[0]) {
-                    let op =
-                        crate::morsel::ParallelGather::new(Arc::new(par), *n as usize, self.cfg);
-                    self.gathers.push(op.stats());
-                    self.report.parallel_regions += 1;
-                    return Built::B(Box::new(op));
+            let child = &plan.inputs[0];
+            if *n > 1 {
+                let region = match &child.alg {
+                    RelAlg::PartialHashAggregate(spec, _) => {
+                        let sink = self.agg_sink(&child.inputs[0], spec, AggMode::Partial);
+                        self.build_region(&child.inputs[0], Some(sink), *n as usize)
+                    }
+                    _ => self.build_region(child, None, *n as usize),
+                };
+                if let Some(region) = region {
+                    return Built::B(region);
                 }
             }
-            return self.build_tree(&plan.inputs[0]);
+            return self.build_tree(child);
         }
         // Every aggregate is the sink of its input's region — none ever
         // runs on the tuple engine. A stream aggregate shares the hash
@@ -272,7 +271,7 @@ impl Fuser<'_> {
             }
             _ => {}
         }
-        if let Some(region) = self.build_region(plan, None) {
+        if let Some(region) = self.build_region(plan, None, 1) {
             return Built::B(region);
         }
         // Non-pipelineable root: compile this node on the tuple engine
@@ -296,12 +295,8 @@ impl Fuser<'_> {
         (built.into_batch(schema.len(), self.cfg.batch_size), schema)
     }
 
-    /// Compile an aggregate as the terminal sink of its input's region:
-    /// a pipelineable input runs `scan→filter→project→aggregate` as one
-    /// loop, any other input (a gather, sort, or another aggregate)
-    /// feeds the sink as the region's opaque source.
-    fn build_aggregate(&mut self, plan: &RelPlan, spec: &AggSpec, mode: AggMode) -> Built {
-        let child = &plan.inputs[0];
+    /// The sink of `spec` in `mode` over `input`'s rows.
+    fn agg_sink(&self, input: &RelPlan, spec: &AggSpec, mode: AggMode) -> AggSink {
         let (group, aggs) = match mode {
             // A final aggregate consumes the partial row layout: group
             // keys lead, each aggregate's partial value follows.
@@ -309,22 +304,53 @@ impl Fuser<'_> {
                 (0..spec.group_by.len()).collect::<Vec<_>>(),
                 partial_layout_aggs(spec),
             ),
-            _ => compile_agg_spec(&schema_of_at(self.sch, child), spec),
+            _ => compile_agg_spec(&schema_of_at(self.sch, input), spec),
         };
-        let sink = AggSink { group, aggs, mode };
-        let region = self.build_region(child, Some(sink));
+        AggSink { group, aggs, mode }
+    }
+
+    /// Compile an aggregate as the terminal sink of its input's region:
+    /// a pipelineable input runs `scan→filter→project→aggregate` as one
+    /// loop, any other input (a sort, or another aggregate) feeds the
+    /// sink as the region's opaque source. A gather directly below is
+    /// that region's degree, not a boundary: the sink sits on the
+    /// consumer's side of the exchange and the scans decode only what it
+    /// reads. (Over `gather ← partial aggregate` that lowering finds no
+    /// chain, so the two-phase shape stays two regions.)
+    fn build_aggregate(&mut self, plan: &RelPlan, spec: &AggSpec, mode: AggMode) -> Built {
+        let mut child = &plan.inputs[0];
+        let sink = self.agg_sink(child, spec, mode);
+        if let RelAlg::Gather(n) = child.alg {
+            let below = &child.inputs[0];
+            if n <= 1 {
+                child = below;
+            } else if let Some(region) = self.build_region(below, Some(sink.clone()), n as usize) {
+                return Built::B(region);
+            }
+        }
+        let region = self.build_region(child, Some(sink), 1);
         Built::B(region.expect("an aggregate's input always lowers"))
     }
 
-    /// Decompose the pipelineable region rooted at `plan` and lower it,
-    /// ending its output pipeline in `agg` if given. Inputs the walk
-    /// cannot continue through compile as opaque batch sources — the
-    /// one genuine engine boundary below their pipeline. `None`, with
-    /// nothing compiled, when there is no sink and `plan`'s own root is
+    /// Decompose the pipelineable region rooted at `plan` and lower it to
+    /// run at `degree`, ending its output pipeline in `agg` if given. At
+    /// degree 1, inputs the walk cannot continue through compile as
+    /// opaque batch sources — the one genuine engine boundary below
+    /// their pipeline; at degree `n` every pipeline must start at a scan,
+    /// because morsels are page ranges. `None`, with nothing compiled,
+    /// when that fails, or when there is no sink and `plan`'s own root is
     /// not pipelineable.
-    fn build_region(&mut self, plan: &RelPlan, agg: Option<AggSink>) -> Option<BoxedBatchOperator> {
+    fn build_region(
+        &mut self,
+        plan: &RelPlan,
+        agg: Option<AggSink>,
+        degree: usize,
+    ) -> Option<BoxedBatchOperator> {
         let sch = self.sch;
         let region = Region::lower(sch, plan, agg, &mut |input| {
+            if degree > 1 {
+                return None;
+            }
             let (op, schema) = self.build_batch(input);
             Some(SourceIR::Input {
                 op,
@@ -334,19 +360,17 @@ impl Fuser<'_> {
         // Build pipelines land in the report at `first + slot`, before
         // the output pipeline — harvest hints use those indices.
         let first = self.report.pipelines.len();
-        let (build_pipes, table_shapes) = region
+        let mut inputs = Vec::new();
+        let mut lower = |source, stages, build| {
+            self.lower_pipeline(source, stages, build, first, degree, &mut inputs)
+        };
+        let builds = region
             .builds
             .into_iter()
-            .map(|b| {
-                (
-                    self.lower_pipeline(b.source, b.stages, true, first),
-                    b.table,
-                )
-            })
-            .unzip();
-        let output = self.lower_pipeline(region.source, region.stages, false, first);
-        let mut fused = FusedRegion::new(build_pipes, output, table_shapes, self.cfg.batch_size);
-        if let Some(sink) = region.agg {
+            .map(|b| (lower(b.source, b.stages, true), b.table))
+            .collect();
+        let output = lower(region.source, region.stages, false);
+        if let Some(sink) = &region.agg {
             let info = self.report.pipelines.last_mut().expect("output pipeline");
             info.label.push('→');
             info.label.push_str(match sink.mode {
@@ -356,59 +380,89 @@ impl Fuser<'_> {
             });
             info.operators += 1;
             self.report.agg_sinks += 1;
-            fused = fused.with_agg(sink);
+        }
+        let plan = RegionPlan {
+            builds,
+            output,
+            agg: region.agg,
+            cfg: BatchConfig {
+                batch_size: self.cfg.batch_size.max(1),
+                ..self.cfg
+            },
+        };
+        let fused = FusedRegion::new(plan, inputs, degree);
+        if degree > 1 {
+            self.gathers.push(fused.sched());
+            self.report.parallel_regions += 1;
         }
         Some(Box::new(fused))
     }
 
     /// Lower one pruned pipeline: absorb leading filters into the scan
     /// predicate, monomorphize the kernels, and record the pipeline in
-    /// the report (`first` is the report index of its region's first
-    /// build pipeline).
+    /// the report with its feedback-harvest hints (`first` is the report
+    /// index of its region's first build pipeline; table slot `t` lands
+    /// at `first + t`). An opaque source moves into `inputs`.
     fn lower_pipeline(
         &mut self,
         source: SourceIR,
         mut stages: Vec<StageIR>,
         build: bool,
         first: usize,
+        degree: usize,
+        inputs: &mut Vec<BoxedBatchOperator>,
     ) -> FusedPipeline {
-        let (scan_pred, probe_join) = harvest_hints(&source, &stages, first);
+        // The probe hint is set only when the pipeline has exactly one
+        // probe stage — with several, the shared in/out counters would
+        // conflate the joins.
+        let mut probes = stages.iter().filter_map(|s| match s {
+            StageIR::Probe { table, join, .. } => Some((join.clone(), first + table)),
+            _ => None,
+        });
+        let probe_join = probes.next().filter(|_| probes.next().is_none());
         // Plan operators this pipeline covers, before rewrites merged
         // them: the source, each stage (plus a probe's folded
         // projection, below), and the build sink if any.
         let mut operators = 1 + stages.len() + usize::from(build);
         let mut label = String::new();
-        let mut decoded = None;
+        let (mut decoded, mut scan_pred) = (None, None);
         let src = match source {
             SourceIR::Scan {
                 heap,
                 col_types,
                 keep,
-                mut pred,
-                rel_pred: _,
+                pred,
+                rel_pred,
             } => {
-                // Conjunct order is preserved, so the narrowing matches
-                // filtering stage by stage exactly.
+                // Leading filters merge into the scan predicate, so
+                // selection happens during page decode. Conjunct order is
+                // preserved: the narrowing matches filtering stage by
+                // stage exactly, and the observed `source_out /
+                // source_rows` covers the scan predicate plus the filters.
                 let absorb = stages
                     .iter()
                     .take_while(|s| matches!(s, StageIR::Filter(..)))
                     .count();
                 label.push_str(if absorb > 0 { "scan+filter" } else { "scan" });
+                let mut terms = pred.map(|p| p.terms().to_vec()).unwrap_or_default();
+                let mut rel_terms = rel_pred.map(|p| p.terms().to_vec()).unwrap_or_default();
                 for stage in stages.drain(..absorb) {
-                    let StageIR::Filter(cp, _) = stage else {
+                    let StageIR::Filter(cp, rel) = stage else {
                         unreachable!()
                     };
-                    let mut terms = pred.map(|p| p.terms().to_vec()).unwrap_or_default();
-                    terms.extend(cp.terms().iter().cloned());
-                    pred = Some(CompiledPred::new(terms));
+                    terms.extend_from_slice(cp.terms());
+                    rel_terms.extend_from_slice(rel.terms());
                 }
+                scan_pred = (!rel_terms.is_empty()).then(|| Pred::conj(rel_terms));
                 decoded = Some(keep.clone());
-                let pred = pred.map(|p| FusedPred::compile(&p));
+                let pred =
+                    (!terms.is_empty()).then(|| FusedPred::compile(&CompiledPred::new(terms)));
                 FusedSource::Scan(FusedScan::new(heap, col_types, keep, pred))
             }
             SourceIR::Input { op, .. } => {
                 label.push_str(op.name());
-                FusedSource::Input(op)
+                inputs.push(op);
+                FusedSource::Input(inputs.len() - 1)
             }
         };
         let stages = stages
@@ -446,6 +500,7 @@ impl Fuser<'_> {
             label,
             operators,
             build,
+            degree,
             stats: stats.clone(),
             decoded,
             scan_pred,
@@ -457,49 +512,6 @@ impl Fuser<'_> {
             stats,
         }
     }
-}
-
-/// Compute a pipeline's feedback-harvest hints from its compile-time IR,
-/// before lowering consumes it. Mirrors the filter-absorption rule of
-/// [`Fuser::lower_pipeline`]: every leading filter of a scan-sourced
-/// pipeline merges into the scan predicate, so the observed
-/// `source_out / source_rows` ratio covers the original scan predicate
-/// plus those filters. The probe hint is set only when the pipeline has
-/// exactly one probe stage — with several, the shared in/out counters
-/// would conflate the joins. `first` is the report index of the region's
-/// first build pipeline; table slot `t` lands at `first + t`.
-fn harvest_hints(
-    source: &SourceIR,
-    stages: &[StageIR],
-    first: usize,
-) -> (Option<Pred>, Option<(JoinPred, usize)>) {
-    let scan_pred = match source {
-        SourceIR::Scan { rel_pred, .. } => {
-            let mut terms = rel_pred
-                .as_ref()
-                .map(|p| p.terms().to_vec())
-                .unwrap_or_default();
-            for s in stages {
-                let StageIR::Filter(_, p) = s else { break };
-                terms.extend(p.terms().iter().cloned());
-            }
-            if terms.is_empty() {
-                None
-            } else {
-                Some(Pred::conj(terms))
-            }
-        }
-        SourceIR::Input { .. } => None,
-    };
-    let mut probes = stages.iter().filter_map(|s| match s {
-        StageIR::Probe { table, join, .. } => Some((join.clone(), first + table)),
-        _ => None,
-    });
-    let probe_join = match (probes.next(), probes.next()) {
-        (Some(j), None) => Some(j),
-        _ => None,
-    };
-    (scan_pred, probe_join)
 }
 
 /// Display name of a plan operator the fused engine does not fuse.

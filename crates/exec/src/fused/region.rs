@@ -1,45 +1,70 @@
-//! The fused-pipeline runtime: one [`FusedRegion`] operator executes a
-//! whole fusable plan segment as a handful of tight loops.
+//! The vectorized runtime: a region, a degree, a cursor, an exchange.
 //!
-//! A region holds *build pipelines* (each ending in a serial hash-table
-//! build) and one *output pipeline*, which streams its rows or folds
-//! them into an aggregation sink. Each pipeline is a source — a
-//! projected page scan or an opaque batch subtree — followed by a chain
-//! of [`FusedStage`]s applied batch-at-a-time with plain enum dispatch:
-//! there is no `next_batch` virtual call and no adapter hop between
-//! fused operators, and the scan decodes only the columns the demand
-//! pass of [`crate::pipeline`] kept (via [`decode_record_projected`]).
+//! A [`FusedRegion`] executes a whole pipelineable plan segment: *build
+//! pipelines*, each ending in a hash-table build, then one *output
+//! pipeline*, which streams its rows or folds them into an aggregation
+//! sink. A pipeline is a source — a projected page scan or an opaque
+//! batch subtree — followed by a chain of [`FusedStage`]s applied
+//! batch-at-a-time with plain enum dispatch: no `next_batch` virtual
+//! call and no adapter hop between fused operators, and the scan decodes
+//! only the columns the demand pass of [`crate::pipeline`] kept.
 //!
-//! Semantics are bit-compatible with the tuple engine: predicate
-//! narrowing matches [`crate::kernels::apply_pred`], and probe output is
-//! build columns ++ probe columns in probe order with per-key
-//! build-insertion order, exactly as [`crate::ops::HashJoin`] documents.
+//! One loop runs every pipeline at every degree: a [`Cursor`] pops a
+//! morsel of the scan's pages from the pipeline's queue, decodes it a
+//! batch at a time, runs the stage chain and hands the batch to the
+//! sink. The region's **degree** comes from the plan — `gather(n)` makes
+//! it `n`, everything else is 1 — and decides only who turns that loop:
+//!
+//! * **Degree 1**: the thread that pulls the region, inline. One morsel
+//!   covers the file and a join table has one partition, appended to
+//!   directly, so rows keep scan order and matches keep per-key
+//!   build-insertion order — bit-compatible with the tuple engine's
+//!   [`crate::ops::HashJoin`]. No thread, no channel, no scatter pass.
+//! * **Degree `n`**: `n` workers of [`crate::morsel`]'s exchange, each
+//!   with a cursor of its own over the shared queue. A build phase
+//!   scatters into per-worker partition buffers and merges them in
+//!   parallel ([`crate::fused::table`]); the output phase streams
+//!   batches to the consumer over the bounded channel.
+//!
+//! Which side of the exchange the aggregation sink sits on follows from
+//! what it needs to see. A `Partial` sink is worker-side — each worker
+//! folds its morsels into a group table of its own and ships only the
+//! groups, which is the point of two-phase aggregation. A `Complete` or
+//! `Final` sink has to see every row, so it sits with the one consumer
+//! and drains the exchange; both sides run the same [`GroupSink`].
+//!
+//! Every cursor of a pipeline shares its [`PipelineStats`], so the
+//! counters `EXPLAIN ANALYZE` and the feedback harvest read cover the
+//! whole input at any degree.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use volcano_core::fxhash::FxHashMap;
 use volcano_rel::catalog::ColType;
-use volcano_rel::Value;
 use volcano_store::record::{decode_record_fields, decode_record_projected};
 use volcano_store::{HeapFile, PageId};
 
 use crate::batch::{Batch, BatchOperator, BoxedBatchOperator, Column};
+use crate::compile::BatchConfig;
 use crate::fused::pred::FusedPred;
+use crate::fused::table::{FusedTable, JoinScratch, TablePart, PARTITIONS};
 use crate::kernels::agg::{AggMode, GroupScratch, GroupTable};
-use crate::kernels::hash_join_keys;
+use crate::morsel::{
+    partition_pages, scoped, Exchange, MorselStats, StealQueue, DEFAULT_MORSEL_PAGES,
+};
 use crate::pipeline::{AggSink, ProbeCol, TableShape};
 
-/// Counters of one fused pipeline, shared with the compile-time report
-/// so `EXPLAIN ANALYZE` can read them after the region has executed.
+/// Counters of one fused pipeline, shared by every cursor that runs it
+/// and with the compile-time report, so `EXPLAIN ANALYZE` can read them
+/// after the region has executed.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
     /// Rows the pipeline delivered to its sink.
     rows: AtomicU64,
     /// Source batches processed.
     batches: AtomicU64,
-    /// Wall nanoseconds inside the pipeline's loop.
+    /// Nanoseconds inside the pipeline's loop, summed over its cursors.
     ns: AtomicU64,
     /// Physical rows the source scan decoded, before its predicate.
     source_rows: AtomicU64,
@@ -63,7 +88,8 @@ impl PipelineStats {
         self.batches.load(Ordering::Relaxed)
     }
 
-    /// Wall nanoseconds spent inside the pipeline.
+    /// Nanoseconds spent inside the pipeline: source, stages and sink,
+    /// summed over the threads that ran it (wall time at degree 1).
     pub fn ns(&self) -> u64 {
         self.ns.load(Ordering::Relaxed)
     }
@@ -87,10 +113,25 @@ impl PipelineStats {
     pub fn probe_out(&self) -> u64 {
         self.probe_out.load(Ordering::Relaxed)
     }
+
+    /// Charge the time until the guard drops to [`Self::ns`].
+    fn timed(&self) -> Timed<'_> {
+        Timed(&self.ns, Instant::now())
+    }
+}
+
+struct Timed<'a>(&'a AtomicU64, Instant);
+
+impl Drop for Timed<'_> {
+    fn drop(&mut self) {
+        let ns = self.1.elapsed().as_nanos() as u64;
+        self.0.fetch_add(ns, Ordering::Relaxed);
+    }
 }
 
 /// A page scan that decodes only the kept columns, straight from pinned
-/// page memory (no staging copy of the record bytes).
+/// page memory (no staging copy of the record bytes). Immutable: every
+/// cursor of the pipeline reads through the same one.
 pub(crate) struct FusedScan {
     heap: Arc<HeapFile>,
     /// Types of the columns the scan *produces* (post-pruning).
@@ -102,11 +143,6 @@ pub(crate) struct FusedScan {
     all_int: bool,
     /// Scan-level predicate, positions in the produced (pruned) space.
     pred: Option<FusedPred>,
-    pages: Vec<PageId>,
-    page_idx: usize,
-    scratch: Vec<u32>,
-    pages_read: u64,
-    rows_scanned: u64,
 }
 
 impl FusedScan {
@@ -125,47 +161,33 @@ impl FusedScan {
             keep: Some(keep).filter(|k| !k.iter().all(|&c| c)),
             all_int,
             pred,
-            pages: Vec::new(),
-            page_idx: 0,
-            scratch: Vec::new(),
-            pages_read: 0,
-            rows_scanned: 0,
         }
     }
 
-    fn open(&mut self) {
-        self.pages = self.heap.pages();
-        self.page_idx = 0;
-    }
-
-    /// Scan exactly `pages` next (a morsel worker's page range).
-    pub(crate) fn reset_pages(&mut self, pages: &[PageId]) {
-        self.pages.clear();
-        self.pages.extend_from_slice(pages);
-        self.page_idx = 0;
-    }
-
-    /// Decode whole pages into `out` until at least `batch_size` rows
-    /// are staged, and apply the scan predicate; `false` when the heap
-    /// is exhausted. The page is the atomic decode unit — it stays
-    /// pinned for exactly one pass — so a batch may exceed `batch_size`
-    /// by up to one page of rows. `stats` receives the pre-/post-
-    /// predicate row counts the feedback harvest reads.
-    pub(crate) fn fill(
-        &mut self,
+    /// Decode whole pages of `pages`, advancing `at`, into `out` until
+    /// at least `batch_size` rows are staged, and apply the scan
+    /// predicate; `false` when `pages[*at..]` is empty. The page is the
+    /// atomic decode unit — it stays pinned for exactly one pass — so a
+    /// batch may exceed `batch_size` by up to one page of rows. `stats`
+    /// receives the pre-/post-predicate row counts the feedback harvest
+    /// reads.
+    fn fill(
+        &self,
+        pages: &[PageId],
+        at: &mut usize,
         out: &mut Batch,
         batch_size: usize,
         stats: &PipelineStats,
+        scratch: &mut Vec<u32>,
     ) -> bool {
         out.clear();
         if out.columns.len() != self.col_types.len() {
             *out = Batch::for_types(&self.col_types);
         }
         let mut rows = 0usize;
-        while rows < batch_size && self.page_idx < self.pages.len() {
-            let page = self.pages[self.page_idx];
-            self.page_idx += 1;
-            self.pages_read += 1;
+        while rows < batch_size && *at < pages.len() {
+            let page = pages[*at];
+            *at += 1;
             let cols = &mut out.columns;
             let keep = self.keep.as_deref();
             let all_int = self.all_int;
@@ -194,20 +216,15 @@ impl FusedScan {
         if rows == 0 {
             return false;
         }
-        self.rows_scanned += rows as u64;
         out.set_physical_rows(rows);
         stats.source_rows.fetch_add(rows as u64, Ordering::Relaxed);
         if let Some(pred) = &self.pred {
-            pred.apply(out, &mut self.scratch);
+            pred.apply(out, scratch);
         }
         stats
             .source_out
             .fetch_add(out.live_rows() as u64, Ordering::Relaxed);
         true
-    }
-
-    fn close(&mut self) {
-        self.pages.clear();
     }
 }
 
@@ -299,11 +316,21 @@ fn decode_int_row_inner(bytes: &[u8], keep: Option<&[bool]>, cols: &mut [Column]
 
 /// A pipeline's input.
 pub(crate) enum FusedSource {
-    /// Projected page scan.
+    /// Projected page scan, dealt to the pipeline's cursors as morsels.
     Scan(FusedScan),
-    /// Opaque batch subtree (a non-fusable segment feeding this
-    /// pipeline — the single genuine engine boundary below it).
-    Input(BoxedBatchOperator),
+    /// Opaque batch subtree (a non-fusable segment feeding this pipeline
+    /// — the single genuine engine boundary below it), by its slot in
+    /// the region's inputs. Degree 1 only: morsels are page ranges.
+    Input(usize),
+}
+
+impl FusedSource {
+    fn input(&self) -> Option<usize> {
+        match self {
+            FusedSource::Scan(_) => None,
+            FusedSource::Input(slot) => Some(*slot),
+        }
+    }
 }
 
 /// One fused step, applied to the pipeline's current batch in place.
@@ -322,608 +349,437 @@ pub(crate) enum FusedStage {
 }
 
 /// One fused pipeline: source and stage chain. Its sink is positional —
-/// a pipeline in [`FusedRegion::builds`] feeds the hash table of its own
-/// slot index, the output pipeline streams the region's result.
+/// a build pipeline feeds the hash table of its own slot index, the
+/// output pipeline streams the region's result.
 pub(crate) struct FusedPipeline {
     pub(crate) source: FusedSource,
     pub(crate) stages: Vec<FusedStage>,
     pub(crate) stats: Arc<PipelineStats>,
 }
 
-/// Sentinel for "no row" in [`IntIndex`] slot heads and chain links.
-const NO_ROW: u32 = u32::MAX;
-
-/// Open-addressed hash index monomorphized for a single `Int` join key:
-/// slots hold exact `i64` keys (no hash-then-verify pass), and rows
-/// sharing a key chain through a flat `next` array in build-insertion
-/// order. This is the fused engine's fast path for the overwhelmingly
-/// common equi-join shape; any other key shape uses the generic
-/// value-hash index.
-struct IntIndex {
-    /// Power-of-two slot array; `head == NO_ROW` marks a free slot.
-    slots: Vec<IntSlot>,
-    mask: u64,
-    /// Occupied slots (distinct keys), for the load-factor check.
-    keys_len: usize,
-    /// `next[row]`: the next build row with the same key, or [`NO_ROW`].
-    next: Vec<u32>,
+/// A compiled region: what every thread that runs it shares, read-only.
+pub(crate) struct RegionPlan {
+    /// Build pipelines with what their tables store, in table-slot order
+    /// (a pipeline may probe any earlier slot, never a later one).
+    pub(crate) builds: Vec<(FusedPipeline, TableShape)>,
+    pub(crate) output: FusedPipeline,
+    /// Terminal aggregation sink, if the region ends in an aggregate.
+    pub(crate) agg: Option<AggSink>,
+    /// Rows per batch (≥ 1); at degree `n` also pages per morsel and
+    /// chaos injection.
+    pub(crate) cfg: BatchConfig,
 }
 
-#[derive(Clone, Copy)]
-struct IntSlot {
-    key: i64,
-    /// First build row with this key ([`NO_ROW`] = slot free).
-    head: u32,
-    /// Last build row with this key (chain append point).
-    tail: u32,
+/// One run of one pipeline's source: the scanned heap's pages and the
+/// queue that deals them to cursors as morsels. Both are empty over an
+/// opaque input, which its one cursor pulls directly.
+struct Feed {
+    pages: Vec<PageId>,
+    queue: StealQueue,
 }
 
-const FREE: IntSlot = IntSlot {
-    key: 0,
-    head: NO_ROW,
-    tail: NO_ROW,
-};
-
-/// Fibonacci spread of the key over the full word, folded so the low
-/// bits (the slot mask) see the high-entropy half.
-#[inline]
-fn spread(key: i64) -> u64 {
-    let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^ (h >> 32)
+/// One pipeline being run: what all its cursors read.
+struct Run<'a> {
+    pipe: &'a FusedPipeline,
+    feed: &'a Feed,
+    /// The tables of the earlier build slots.
+    tables: &'a [FusedTable],
+    batch_size: usize,
 }
 
-impl IntIndex {
-    fn new() -> Self {
-        IntIndex {
-            slots: vec![FREE; 16],
-            mask: 15,
-            keys_len: 0,
-            next: Vec::new(),
-        }
-    }
-
-    /// Append build row `row` (must equal the insertion count so far)
-    /// under `key`, preserving per-key insertion order.
-    fn insert(&mut self, key: i64, row: u32) {
-        debug_assert_eq!(row as usize, self.next.len());
-        self.next.push(NO_ROW);
-        if (self.keys_len + 1) * 4 > self.slots.len() * 3 {
-            self.grow();
-        }
-        let mut i = (spread(key) & self.mask) as usize;
-        loop {
-            let s = &mut self.slots[i];
-            if s.head == NO_ROW {
-                *s = IntSlot {
-                    key,
-                    head: row,
-                    tail: row,
-                };
-                self.keys_len += 1;
-                return;
-            }
-            if s.key == key {
-                self.next[s.tail as usize] = row;
-                s.tail = row;
-                return;
-            }
-            i = (i + 1) & self.mask as usize;
-        }
-    }
-
-    /// First build row with `key`, or [`NO_ROW`]; follow [`Self::next`]
-    /// for the rest of the chain.
-    #[inline]
-    fn head(&self, key: i64) -> u32 {
-        let mut i = (spread(key) & self.mask) as usize;
-        loop {
-            let s = &self.slots[i];
-            if s.head == NO_ROW {
-                return NO_ROW;
-            }
-            if s.key == key {
-                return s.head;
-            }
-            i = (i + 1) & self.mask as usize;
-        }
-    }
-
-    fn grow(&mut self) {
-        let old = std::mem::replace(&mut self.slots, vec![FREE; 0]);
-        self.slots = vec![FREE; old.len() * 2];
-        self.mask = (self.slots.len() - 1) as u64;
-        for s in old {
-            if s.head == NO_ROW {
-                continue;
-            }
-            let mut i = (spread(s.key) & self.mask) as usize;
-            while self.slots[i].head != NO_ROW {
-                i = (i + 1) & self.mask as usize;
-            }
-            self.slots[i] = s;
-        }
-    }
-}
-
-/// The key index of a [`FusedTable`].
-enum TableIndex {
-    /// Value-hash buckets with per-pair key verification — correct for
-    /// every key shape (multi-column, demoted, cross-typed).
-    Generic(FxHashMap<u64, Vec<u32>>),
-    /// Monomorphized single-`Int`-key index; chosen when every inserted
-    /// key column arrives as a typed `Int` column.
-    Int(IntIndex),
-}
-
-/// A serial hash table built by one pipeline and probed by later ones.
-/// Build/probe semantics mirror [`crate::ops::HashJoin`]: NULL keys
-/// never enter or match, equality is `Value` equality, bucket order is
-/// build-insertion order.
-pub(crate) struct FusedTable {
-    cols: Vec<Column>,
-    shape: TableShape,
-    index: TableIndex,
-    rows: u32,
-}
-
-impl FusedTable {
-    fn new(shape: &TableShape) -> Self {
-        let index = if shape.keys.len() == 1 {
-            TableIndex::Int(IntIndex::new())
-        } else {
-            TableIndex::Generic(FxHashMap::default())
-        };
-        FusedTable {
-            cols: shape.cols.iter().map(|_| Column::any()).collect(),
-            shape: shape.clone(),
-            index,
-            rows: 0,
-        }
-    }
-
-    /// Append the non-NULL-keyed live rows of `batch`, preserving order.
-    fn insert_batch(&mut self, batch: &Batch, s: &mut Scratch) -> u64 {
-        if batch.live_rows() == 0 {
-            return 0;
-        }
-        if matches!(self.index, TableIndex::Int(_))
-            && !matches!(batch.columns[self.shape.keys[0]], Column::Int { .. })
-        {
-            // The key column stopped arriving typed (demoted data):
-            // re-index what was built so far under value hashing.
-            self.migrate_to_generic();
-        }
-        match &mut self.index {
-            TableIndex::Int(idx) => {
-                let Column::Int { data, valid } = &batch.columns[self.shape.keys[0]] else {
-                    unreachable!("migrated above")
-                };
-                s.keep.clear();
-                let mut row = self.rows;
-                for &i in batch.live_indices(&mut s.sel) {
-                    if valid[i as usize] {
-                        idx.insert(data[i as usize], row);
-                        s.keep.push(i);
-                        row += 1;
-                    }
-                }
-            }
-            TableIndex::Generic(buckets) => {
-                hash_join_keys(batch, &self.shape.keys, &mut s.hashes, &mut s.sel);
-                s.live.clear();
-                s.live.extend_from_slice(batch.live_indices(&mut s.sel));
-                s.keep.clear();
-                for (pos, h) in s.hashes.iter().enumerate() {
-                    if let Some(h) = *h {
-                        s.keep.push(s.live[pos]);
-                        buckets
-                            .entry(h)
-                            .or_default()
-                            .push(self.rows + s.keep.len() as u32 - 1);
-                    }
-                }
-            }
-        }
-        for (dst, &src) in self.cols.iter_mut().zip(&self.shape.cols) {
-            dst.gather_from(&batch.columns[src], Some(&s.keep));
-        }
-        self.rows += s.keep.len() as u32;
-        s.keep.len() as u64
-    }
-
-    /// Rebuild the index under value hashing (every stored row already
-    /// has a non-NULL key, in insertion order, so re-inserting rows
-    /// `0..self.rows` reproduces the generic index exactly).
-    fn migrate_to_generic(&mut self) {
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for row in 0..self.rows {
-            if let Some(h) = crate::kernels::hash::fold_value(
-                0,
-                &self.cols[self.shape.table_keys[0]],
-                row as usize,
-            ) {
-                buckets.entry(h).or_default().push(row);
-            }
-        }
-        self.index = TableIndex::Generic(buckets);
-    }
-
-    /// Does build row `b` share exactly the key of probe row `p`?
-    fn keys_match(&self, b: u32, probe: &Batch, probe_keys: &[usize], p: u32) -> bool {
-        self.shape
-            .table_keys
-            .iter()
-            .zip(probe_keys)
-            .all(|(&bk, &pk)| self.cols[bk].rows_eq(b as usize, &probe.columns[pk], p as usize))
-    }
-}
-
-/// Reusable scratch space shared by every pipeline of a region.
+/// One thread's reader of running pipelines: the unread rest of the
+/// morsel it popped last, and the buffers it reuses across batches and
+/// pipelines.
 #[derive(Default)]
-struct Scratch {
+struct Cursor {
+    at: usize,
+    end: usize,
+    /// The batch in flight of a pipeline whose sink is on this thread.
+    work: Batch,
+    /// Swap space for the stages.
+    tmp: Batch,
     sel: Vec<u32>,
-    live: Vec<u32>,
-    keep: Vec<u32>,
-    hashes: Vec<Option<u64>>,
-    pairs_build: Vec<u32>,
-    pairs_probe: Vec<u32>,
+    join: JoinScratch,
 }
 
-/// Run the stage chain over `cur` in place (`tmp` is swap space).
-/// `stats` collects the probe in/out row counts the feedback harvest
-/// reads (meaningful when the pipeline has exactly one probe stage).
-fn run_stages(
-    stages: &[FusedStage],
-    tables: &[FusedTable],
-    cur: &mut Batch,
-    tmp: &mut Batch,
-    s: &mut Scratch,
-    stats: &PipelineStats,
-) {
-    for stage in stages {
-        match stage {
-            FusedStage::Filter(pred) => {
-                pred.apply(cur, &mut s.sel);
-            }
-            FusedStage::Project(cols) => {
-                tmp.reset_columns(cols.len());
-                let sel = cur.sel.as_deref();
-                for (o, &c) in cols.iter().enumerate() {
-                    tmp.columns[o].gather_from(&cur.columns[c], sel);
+impl Cursor {
+    /// The pipeline's next batch, in `out`: refill it from the source —
+    /// the rest of this cursor's morsel, else of the next one the queue
+    /// deals to `worker`; or the opaque input among `inputs` — and run
+    /// the stage chain over it. `false` once the source is exhausted.
+    fn next(
+        &mut self,
+        run: &Run<'_>,
+        worker: usize,
+        inputs: &mut [BoxedBatchOperator],
+        out: &mut Batch,
+    ) -> bool {
+        let Run { pipe, feed, .. } = run;
+        let stats = &*pipe.stats;
+        let _t = stats.timed();
+        let more = match &pipe.source {
+            FusedSource::Scan(scan) => loop {
+                let pages = &feed.pages[..self.end];
+                if scan.fill(
+                    pages,
+                    &mut self.at,
+                    out,
+                    run.batch_size,
+                    stats,
+                    &mut self.sel,
+                ) {
+                    break true;
                 }
-                tmp.set_physical_rows(cur.live_rows());
-                std::mem::swap(cur, tmp);
-            }
-            FusedStage::Probe { table, keys, out } => {
-                let t = &tables[*table];
-                stats
-                    .probe_in
-                    .fetch_add(cur.live_rows() as u64, Ordering::Relaxed);
-                s.pairs_build.clear();
-                s.pairs_probe.clear();
-                match &t.index {
-                    // Monomorphized probe: exact i64 lookup, no staged
-                    // hash vector, no per-pair key verification.
-                    TableIndex::Int(idx) => match &cur.columns[keys[0]] {
-                        Column::Int { data, valid } => {
-                            for &i in cur.live_indices(&mut s.sel) {
-                                let j = i as usize;
-                                if !valid[j] {
-                                    continue;
-                                }
-                                let mut b = idx.head(data[j]);
-                                while b != NO_ROW {
-                                    s.pairs_build.push(b);
-                                    s.pairs_probe.push(i);
-                                    b = idx.next[b as usize];
-                                }
-                            }
-                        }
-                        // A demoted probe column may still hold Int
-                        // values; anything else can never equal an Int
-                        // build key.
-                        col @ Column::Any(_) => {
-                            for &i in cur.live_indices(&mut s.sel) {
-                                let Value::Int(k) = col.value_at(i as usize) else {
-                                    continue;
-                                };
-                                let mut b = idx.head(k);
-                                while b != NO_ROW {
-                                    s.pairs_build.push(b);
-                                    s.pairs_probe.push(i);
-                                    b = idx.next[b as usize];
-                                }
-                            }
-                        }
-                        _ => {}
-                    },
-                    TableIndex::Generic(buckets) => {
-                        hash_join_keys(cur, keys, &mut s.hashes, &mut s.sel);
-                        s.live.clear();
-                        s.live.extend_from_slice(cur.live_indices(&mut s.sel));
-                        for (pos, h) in s.hashes.iter().enumerate() {
-                            let Some(h) = *h else { continue };
-                            let phys = s.live[pos];
-                            let Some(bucket) = buckets.get(&h) else {
-                                continue;
-                            };
-                            for &b in bucket {
-                                if t.keys_match(b, cur, keys, phys) {
-                                    s.pairs_build.push(b);
-                                    s.pairs_probe.push(phys);
-                                }
-                            }
-                        }
+                let Some(m) = feed.queue.pop(worker) else {
+                    break false;
+                };
+                // The page list was read when the morsels were cut, so
+                // the range is in bounds.
+                (self.at, self.end) = (m.start, m.end);
+            },
+            FusedSource::Input(slot) => inputs[*slot].next_batch(out),
+        };
+        if more {
+            stats.batches.fetch_add(1, Ordering::Relaxed);
+            self.run_stages(run, out);
+        }
+        more
+    }
+
+    /// Run the stage chain over `cur` in place. The probe in/out row
+    /// counts are what the feedback harvest reads (meaningful when the
+    /// pipeline has exactly one probe stage).
+    fn run_stages(&mut self, run: &Run<'_>, cur: &mut Batch) {
+        let (tmp, stats) = (&mut self.tmp, &run.pipe.stats);
+        for stage in &run.pipe.stages {
+            match stage {
+                FusedStage::Filter(pred) => {
+                    pred.apply(cur, &mut self.sel);
+                }
+                FusedStage::Project(cols) => {
+                    tmp.reset_columns(cols.len());
+                    let sel = cur.sel.as_deref();
+                    for (o, &c) in cols.iter().enumerate() {
+                        tmp.columns[o].gather_from(&cur.columns[c], sel);
                     }
+                    tmp.set_physical_rows(cur.live_rows());
+                    std::mem::swap(cur, tmp);
                 }
-                stats
-                    .probe_out
-                    .fetch_add(s.pairs_build.len() as u64, Ordering::Relaxed);
-                tmp.reset_columns(out.len());
-                for (o, pc) in out.iter().enumerate() {
-                    match pc {
-                        ProbeCol::Build(i) => {
-                            tmp.columns[o].gather_from(&t.cols[*i], Some(&s.pairs_build))
-                        }
-                        ProbeCol::Probe(j) => {
-                            tmp.columns[o].gather_from(&cur.columns[*j], Some(&s.pairs_probe))
-                        }
-                    }
+                FusedStage::Probe { table, keys, out } => {
+                    let rows_in = cur.live_rows() as u64;
+                    stats.probe_in.fetch_add(rows_in, Ordering::Relaxed);
+                    run.tables[*table].probe(cur, keys, out, tmp, &mut self.join);
+                    let pairs = tmp.live_rows() as u64;
+                    stats.probe_out.fetch_add(pairs, Ordering::Relaxed);
+                    std::mem::swap(cur, tmp);
                 }
-                tmp.set_physical_rows(s.pairs_build.len());
-                std::mem::swap(cur, tmp);
             }
         }
+    }
+
+    /// Run a build pipeline dry, handing every batch to `sink`, which
+    /// answers with the rows it stored.
+    fn drain_build(
+        &mut self,
+        run: &Run<'_>,
+        worker: usize,
+        inputs: &mut [BoxedBatchOperator],
+        mut sink: impl FnMut(&Batch, &mut JoinScratch) -> u64,
+    ) {
+        (self.at, self.end) = (0, 0);
+        let mut work = std::mem::take(&mut self.work);
+        while self.next(run, worker, inputs, &mut work) {
+            let _t = run.pipe.stats.timed();
+            let stored = sink(&work, &mut self.join);
+            run.pipe.stats.rows.fetch_add(stored, Ordering::Relaxed);
+        }
+        self.work = work;
+    }
+}
+
+/// The aggregation sink's state on the side of the exchange it runs on.
+#[derive(Default)]
+struct GroupSink {
+    /// Filled by the first [`Self::deliver`].
+    table: Option<GroupTable>,
+    /// Groups already streamed out of [`Self::table`].
+    emitted: usize,
+    scratch: GroupScratch,
+}
+
+impl GroupSink {
+    /// Deliver this side's next output batch. Without a `sink` here that
+    /// is simply the next batch `pull` yields. With one, `pull` is first
+    /// drained into the group table (the aggregation is a full-input
+    /// barrier, like a hash-table build) and the groups stream out,
+    /// `batch_size` at a time.
+    fn deliver(
+        &mut self,
+        sink: Option<&AggSink>,
+        batch_size: usize,
+        stats: &PipelineStats,
+        pull: &mut dyn FnMut(&mut Batch) -> bool,
+        out: &mut Batch,
+    ) -> bool {
+        let Some(sink) = sink else { return pull(out) };
+        let table = self.table.get_or_insert_with(|| {
+            let mut table = GroupTable::new(sink.group.len(), &sink.aggs);
+            let mut work = Batch::default();
+            while pull(&mut work) {
+                let _t = stats.timed();
+                match sink.mode {
+                    AggMode::Complete | AggMode::Partial => {
+                        table.accumulate(&work, &sink.group, &sink.aggs, &mut self.scratch)
+                    }
+                    AggMode::Final => table.merge_partial(&work, &sink.aggs, &mut self.scratch),
+                };
+            }
+            // Grand total over an empty input still yields one row — from
+            // the Complete or Final phase, never the per-worker Partial.
+            if sink.group.is_empty() && sink.mode != AggMode::Partial {
+                table.ensure_grand_total();
+            }
+            table
+        });
+        if self.emitted >= table.len() {
+            return false;
+        }
+        let to = (self.emitted + batch_size).min(table.len());
+        let partial = sink.mode == AggMode::Partial;
+        table.emit(self.emitted..to, &sink.aggs, partial, out);
+        self.emitted = to;
+        true
+    }
+}
+
+/// One thread's end of the output pipeline: its cursor and, if the
+/// aggregation sits on its side of the exchange, the group table.
+#[derive(Default)]
+struct Side {
+    cursor: Cursor,
+    groups: GroupSink,
+}
+
+impl Side {
+    /// The next batch this thread delivers from the output pipeline.
+    fn next_batch(
+        &mut self,
+        run: &Run<'_>,
+        worker: usize,
+        inputs: &mut [BoxedBatchOperator],
+        sink: Option<&AggSink>,
+        out: &mut Batch,
+    ) -> bool {
+        let Side { cursor, groups } = self;
+        let stats = &run.pipe.stats;
+        let mut pull = |b: &mut Batch| {
+            let more = cursor.next(run, worker, inputs, b);
+            if more {
+                stats
+                    .rows
+                    .fetch_add(b.live_rows() as u64, Ordering::Relaxed);
+            }
+            more
+        };
+        groups.deliver(sink, run.batch_size, stats, &mut pull, out)
     }
 }
 
 /// The fused-region operator: executes its build pipelines on `open`,
 /// then streams the output pipeline batch by batch.
 pub struct FusedRegion {
-    /// Build pipelines, in table-slot order (a pipeline may probe any
-    /// earlier slot, never a later one).
-    builds: Vec<FusedPipeline>,
-    output: FusedPipeline,
-    /// What each build slot's table stores.
-    table_shapes: Vec<TableShape>,
+    plan: Arc<RegionPlan>,
+    /// The opaque subtrees [`FusedSource::Input`] names.
+    inputs: Vec<BoxedBatchOperator>,
+    /// Cursors per pipeline: 1 runs them inline, `n` on the exchange.
+    degree: usize,
+    sched: Arc<MorselStats>,
+    /// Degree 1: the built tables, the output pipeline's feed and this
+    /// thread's side of it. At degree `n` the workers own tables and
+    /// feed, and only `side.groups` is used, behind the exchange.
     tables: Vec<FusedTable>,
-    batch_size: usize,
-    tmp: Batch,
-    scratch: Scratch,
-    opened: bool,
-    build_rows: u64,
-    rows_out: u64,
-    batches_out: u64,
-    /// Terminal aggregation sink, if the region ends in an aggregate.
-    agg: Option<AggSink>,
-    agg_scratch: GroupScratch,
-    /// Group table filled on the first `next_batch` of an agg region.
-    agg_table: Option<GroupTable>,
-    /// Groups already streamed out of [`Self::agg_table`].
-    agg_emitted: usize,
-    /// Rows the output pipeline delivered to the aggregation sink.
-    agg_rows_in: u64,
-    /// Partial groups merged (Final-phase sink only).
-    agg_groups_in: u64,
+    feed: Option<Feed>,
+    side: Side,
+    exchange: Option<Exchange>,
 }
 
 impl FusedRegion {
-    pub(crate) fn new(
-        builds: Vec<FusedPipeline>,
-        output: FusedPipeline,
-        table_shapes: Vec<TableShape>,
-        batch_size: usize,
-    ) -> Self {
-        debug_assert_eq!(builds.len(), table_shapes.len());
+    pub(crate) fn new(plan: RegionPlan, inputs: Vec<BoxedBatchOperator>, degree: usize) -> Self {
+        debug_assert!(degree == 1 || inputs.is_empty());
+        let sched = Arc::new(MorselStats::default());
+        sched.set_workers(degree as u32);
         FusedRegion {
-            builds,
-            output,
-            table_shapes,
+            plan: Arc::new(plan),
+            inputs,
+            degree,
+            sched,
             tables: Vec::new(),
-            batch_size: batch_size.max(1),
-            tmp: Batch::default(),
-            scratch: Scratch::default(),
-            opened: false,
-            build_rows: 0,
-            rows_out: 0,
-            batches_out: 0,
-            agg: None,
-            agg_scratch: GroupScratch::default(),
-            agg_table: None,
-            agg_emitted: 0,
-            agg_rows_in: 0,
-            agg_groups_in: 0,
+            feed: None,
+            side: Side::default(),
+            exchange: None,
         }
     }
 
-    /// Terminate the region's output pipeline in an aggregation sink.
-    pub(crate) fn with_agg(mut self, sink: AggSink) -> Self {
-        self.agg = Some(sink);
-        self
+    /// The region's scheduling counters (shared, live during execution).
+    pub(crate) fn sched(&self) -> Arc<MorselStats> {
+        self.sched.clone()
     }
 
-    /// Number of pipelines (builds + output).
-    pub fn pipeline_count(&self) -> usize {
-        self.builds.len() + 1
+    /// Cut `pipe`'s source into this run's morsels: at degree 1 one
+    /// morsel covering the file, which keeps scan order (and no chaos
+    /// injection — there is no worker to kill).
+    fn feed(&self, pipe: &FusedPipeline) -> Feed {
+        let pages = match &pipe.source {
+            FusedSource::Scan(scan) => scan.heap.pages(),
+            FusedSource::Input(_) => Vec::new(),
+        };
+        let cfg = &self.plan.cfg;
+        let (morsel_pages, fail_at) = if self.degree == 1 {
+            (usize::MAX, None)
+        } else {
+            let per_morsel = cfg.morsel_pages.unwrap_or(DEFAULT_MORSEL_PAGES);
+            (per_morsel, cfg.fail_morsel)
+        };
+        let morsels = partition_pages(pages.len(), morsel_pages);
+        let queue = StealQueue::new(morsels, self.degree, self.sched.clone(), fail_at);
+        Feed { pages, queue }
     }
 
-    /// Drain the output pipeline into the sink's group table (the
-    /// aggregation is a full-input barrier, like the hash-table builds).
-    fn drain_into_groups(&mut self) {
-        let sink = self.agg.take().expect("agg sink present");
-        let mut table = GroupTable::new(sink.group.len(), &sink.aggs);
-        let mut work = Batch::default();
-        let t0 = Instant::now();
-        loop {
-            let more = match &mut self.output.source {
-                FusedSource::Scan(s) => s.fill(&mut work, self.batch_size, &self.output.stats),
-                FusedSource::Input(op) => op.next_batch(&mut work),
-            };
-            if !more {
-                break;
+    /// Build the table of `run`'s pipeline on the exchange's workers:
+    /// each scatters the batches of its cursor by key hash into buffers
+    /// of its own, then the workers claim partitions and merge them.
+    fn build_partitioned(&self, run: &Run<'_>, shape: &TableShape) -> FusedTable {
+        let sched = &*self.sched;
+        let buffers = scoped(self.degree, sched, |w| {
+            let mut bufs = vec![Batch::default(); PARTITIONS];
+            Cursor::default().drain_build(run, w, &mut [], |b, s| {
+                FusedTable::scatter(shape, b, &mut bufs, s)
+            });
+            bufs
+        });
+        let next = AtomicUsize::new(0);
+        let mergers = self.degree.min(PARTITIONS);
+        sched.record_merge_workers(mergers as u32);
+        let mut parts: Vec<(usize, TablePart)> = scoped(mergers, sched, |_| {
+            let mut mine = Vec::new();
+            loop {
+                let p = next.fetch_add(1, Ordering::Relaxed);
+                if p >= PARTITIONS {
+                    break mine;
+                }
+                mine.push((p, TablePart::merged(shape, p, &buffers)));
+                sched.record_partition_merge();
             }
-            run_stages(
-                &self.output.stages,
-                &self.tables,
-                &mut work,
-                &mut self.tmp,
-                &mut self.scratch,
-                &self.output.stats,
-            );
-            let consumed = match sink.mode {
-                AggMode::Complete | AggMode::Partial => {
-                    table.accumulate(&work, &sink.group, &sink.aggs, &mut self.agg_scratch)
-                }
-                AggMode::Final => {
-                    let n = table.merge_partial(&work, &sink.aggs, &mut self.agg_scratch);
-                    self.agg_groups_in += n as u64;
-                    n
-                }
-            };
-            self.agg_rows_in += consumed as u64;
-            self.output.stats.batches.fetch_add(1, Ordering::Relaxed);
-            self.output
-                .stats
-                .rows
-                .fetch_add(consumed as u64, Ordering::Relaxed);
-        }
-        // Grand total over an empty input still yields one row — from
-        // the Complete or Final phase, never the per-worker Partial.
-        if sink.group.is_empty() && sink.mode != AggMode::Partial {
-            table.ensure_grand_total();
-        }
-        self.output
-            .stats
-            .ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.agg_table = Some(table);
-        self.agg_emitted = 0;
-        self.agg = Some(sink);
-    }
-
-    /// Stream the next batch of aggregated groups.
-    fn next_agg_batch(&mut self, out: &mut Batch) -> bool {
-        if self.agg_table.is_none() {
-            self.drain_into_groups();
-        }
-        let sink = self.agg.as_ref().expect("agg sink present");
-        let table = self.agg_table.as_ref().expect("drained above");
-        if self.agg_emitted >= table.len() {
-            return false;
-        }
-        let to = (self.agg_emitted + self.batch_size).min(table.len());
-        table.emit(
-            self.agg_emitted..to,
-            &sink.aggs,
-            sink.mode == AggMode::Partial,
-            out,
-        );
-        self.agg_emitted = to;
-        self.rows_out += out.live_rows() as u64;
-        self.batches_out += 1;
-        true
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        parts.sort_unstable_by_key(|(p, _)| *p);
+        FusedTable::from_parts(shape, parts.into_iter().map(|(_, part)| part).collect())
     }
 }
 
 impl BatchOperator for FusedRegion {
     fn open(&mut self) {
-        self.tables = self.table_shapes.iter().map(FusedTable::new).collect();
-        let mut work = Batch::default();
-        for (slot, pipe) in self.builds.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            // A build pipeline may probe earlier tables while feeding
-            // its own slot; split so both borrows coexist.
-            let (earlier, rest) = self.tables.split_at_mut(slot);
-            let own = &mut rest[0];
-            match &mut pipe.source {
-                FusedSource::Scan(s) => s.open(),
-                FusedSource::Input(op) => op.open(),
+        self.exchange = None;
+        let plan = self.plan.clone();
+        let batch_size = plan.cfg.batch_size;
+        let mut tables: Vec<FusedTable> = Vec::with_capacity(plan.builds.len());
+        for (pipe, shape) in &plan.builds {
+            let input = pipe.source.input();
+            if let Some(slot) = input {
+                self.inputs[slot].open();
             }
-            loop {
-                let more = match &mut pipe.source {
-                    FusedSource::Scan(s) => s.fill(&mut work, self.batch_size, &pipe.stats),
-                    FusedSource::Input(op) => op.next_batch(&mut work),
+            let feed = self.feed(pipe);
+            let run = Run {
+                pipe,
+                feed: &feed,
+                tables: &tables,
+                batch_size,
+            };
+            let table = if self.degree == 1 {
+                let mut table = FusedTable::new(shape);
+                let (inputs, cursor) = (&mut self.inputs[..], &mut self.side.cursor);
+                cursor.drain_build(&run, 0, inputs, |b, s| table.insert(b, s));
+                table
+            } else {
+                self.build_partitioned(&run, shape)
+            };
+            tables.push(table);
+            if let Some(slot) = input {
+                self.inputs[slot].close();
+            }
+        }
+        if let Some(slot) = plan.output.source.input() {
+            self.inputs[slot].open();
+        }
+        let feed = self.feed(&plan.output);
+        (self.side.cursor.at, self.side.cursor.end) = (0, 0);
+        self.side.groups = GroupSink::default();
+        if self.degree == 1 {
+            self.tables = tables;
+            self.feed = Some(feed);
+        } else {
+            let shared = Arc::new((tables, feed));
+            let work = move |w: usize, emit: &mut dyn FnMut(Batch) -> bool| {
+                let run = Run {
+                    pipe: &plan.output,
+                    feed: &shared.1,
+                    tables: &shared.0,
+                    batch_size,
                 };
-                if !more {
-                    break;
+                // Two-phase aggregation: fold every morsel into a
+                // worker-local group table, then ship the partial groups
+                // once the queue is dry — only summaries cross the
+                // exchange.
+                let sink = plan.agg.as_ref().filter(|s| s.mode == AggMode::Partial);
+                let mut side = Side::default();
+                let mut out = Batch::default();
+                while side.next_batch(&run, w, &mut [], sink, &mut out) {
+                    if out.live_rows() > 0 && !emit(std::mem::take(&mut out)) {
+                        break;
+                    }
                 }
-                pipe.stats.batches.fetch_add(1, Ordering::Relaxed);
-                run_stages(
-                    &pipe.stages,
-                    earlier,
-                    &mut work,
-                    &mut self.tmp,
-                    &mut self.scratch,
-                    &pipe.stats,
-                );
-                let inserted = own.insert_batch(&work, &mut self.scratch);
-                pipe.stats.rows.fetch_add(inserted, Ordering::Relaxed);
-                self.build_rows += inserted;
-            }
-            match &mut pipe.source {
-                FusedSource::Scan(s) => s.close(),
-                FusedSource::Input(op) => op.close(),
-            }
-            pipe.stats
-                .ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            };
+            self.exchange = Some(Exchange::spawn(self.degree, &self.sched, work));
         }
-        match &mut self.output.source {
-            FusedSource::Scan(s) => s.open(),
-            FusedSource::Input(op) => op.open(),
-        }
-        self.agg_table = None;
-        self.agg_emitted = 0;
-        self.opened = true;
     }
 
     fn next_batch(&mut self, out: &mut Batch) -> bool {
-        assert!(self.opened, "next_batch() before open()");
-        if self.agg.is_some() {
-            return self.next_agg_batch(out);
+        let plan = &*self.plan;
+        match &mut self.exchange {
+            // Degree 1: this thread is the one worker.
+            None => {
+                let run = Run {
+                    pipe: &plan.output,
+                    feed: self.feed.as_ref().expect("next_batch() before open()"),
+                    tables: &self.tables,
+                    batch_size: plan.cfg.batch_size,
+                };
+                let sink = plan.agg.as_ref();
+                self.side.next_batch(&run, 0, &mut self.inputs, sink, out)
+            }
+            // Degree n: a Partial sink has run on the workers already;
+            // any other sits here, draining the exchange.
+            Some(exchange) => {
+                let sink = plan.agg.as_ref().filter(|s| s.mode != AggMode::Partial);
+                let stats = &plan.output.stats;
+                let pull = &mut |b: &mut Batch| exchange.recv(b);
+                self.side
+                    .groups
+                    .deliver(sink, plan.cfg.batch_size, stats, pull, out)
+            }
         }
-        let t0 = Instant::now();
-        let more = match &mut self.output.source {
-            FusedSource::Scan(s) => s.fill(out, self.batch_size, &self.output.stats),
-            FusedSource::Input(op) => op.next_batch(out),
-        };
-        if !more {
-            self.output
-                .stats
-                .ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            return false;
-        }
-        run_stages(
-            &self.output.stages,
-            &self.tables,
-            out,
-            &mut self.tmp,
-            &mut self.scratch,
-            &self.output.stats,
-        );
-        self.output.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.output
-            .stats
-            .rows
-            .fetch_add(out.live_rows() as u64, Ordering::Relaxed);
-        self.output
-            .stats
-            .ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.rows_out += out.live_rows() as u64;
-        self.batches_out += 1;
-        true
     }
 
     fn close(&mut self) {
-        match &mut self.output.source {
-            FusedSource::Scan(s) => s.close(),
-            FusedSource::Input(op) => op.close(),
+        if let Some(slot) = self.plan.output.source.input() {
+            self.inputs[slot].close();
         }
+        self.exchange = None;
         self.tables.clear();
-        self.agg_table = None;
-        self.opened = false;
+        self.feed = None;
+        self.side.groups = GroupSink::default();
     }
 
     fn name(&self) -> &'static str {
@@ -931,72 +787,21 @@ impl BatchOperator for FusedRegion {
     }
 
     fn metrics(&self) -> Vec<(&'static str, u64)> {
-        let mut m = vec![
-            ("pipelines", self.pipeline_count() as u64),
-            ("build_rows", self.build_rows),
-            ("batches", self.batches_out),
-            ("rows", self.rows_out),
-        ];
-        if let Some(sink) = &self.agg {
-            m.push(("rows_in", self.agg_rows_in));
-            if sink.mode == AggMode::Final {
-                m.push(("groups_in", self.agg_groups_in));
-            }
-            m.push((
-                "groups_out",
-                self.agg_table.as_ref().map_or(0, |t| t.len()) as u64,
-            ));
-        }
-        if let FusedSource::Scan(s) = &self.output.source {
-            m.push(("pages_read", s.pages_read));
-            m.push(("rows_scanned", s.rows_scanned));
-        }
-        m
+        vec![
+            ("pipelines", self.plan.builds.len() as u64 + 1),
+            ("workers", u64::from(self.sched.workers())),
+            ("threads", self.sched.threads()),
+            ("morsels_dispatched", self.sched.dispatched()),
+            ("morsels_stolen", self.sched.stolen()),
+            ("partition_merges", self.sched.partition_merges()),
+            ("merge_workers", u64::from(self.sched.merge_workers())),
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn int_index_chains_duplicates_in_insertion_order_across_growth() {
-        let mut idx = IntIndex::new();
-        // 1000 inserts over 50 distinct keys force several rehashes;
-        // chains must survive them untouched.
-        for row in 0..1000u32 {
-            idx.insert((row % 50) as i64, row);
-        }
-        for key in 0..50i64 {
-            let mut rows = Vec::new();
-            let mut r = idx.head(key);
-            while r != NO_ROW {
-                rows.push(r);
-                r = idx.next[r as usize];
-            }
-            let expect: Vec<u32> = (0..1000).filter(|r| (r % 50) as i64 == key).collect();
-            assert_eq!(rows, expect, "key {key}");
-        }
-        assert_eq!(idx.head(50), NO_ROW);
-        assert_eq!(idx.head(-1), NO_ROW);
-    }
-
-    #[test]
-    fn int_index_survives_colliding_and_extreme_keys() {
-        let mut idx = IntIndex::new();
-        // Keys congruent modulo a small power of two collide under any
-        // masked hash of the low bits; linear probing must keep them
-        // distinct.
-        let keys = [0i64, 16, 32, 48, 64, i64::MAX, i64::MIN, -16];
-        for (row, &k) in keys.iter().enumerate() {
-            idx.insert(k, row as u32);
-        }
-        for (row, &k) in keys.iter().enumerate() {
-            assert_eq!(idx.head(k), row as u32, "key {k}");
-            assert_eq!(idx.next[row], NO_ROW);
-        }
-        assert_eq!(idx.head(17), NO_ROW);
-    }
 
     #[test]
     fn decode_int_row_matches_generic_and_rolls_back_on_mismatch() {

@@ -26,13 +26,15 @@
 //!   tuple operator tree, resolving attributes to positions.
 //! * [`batch`] / [`kernels`] — columnar batches and the
 //!   column-at-a-time kernels (predicates, key hashing, aggregation).
-//! * [`fused`] — the vectorized lowering and its runtime: fused-region
-//!   operators with monomorphized predicate kernels, projected record
-//!   decoding and terminal aggregation sinks.
-//! * [`morsel`] — morsel-driven parallel execution of `gather(n)`
-//!   regions over the same pipeline decomposition: page-range morsels,
-//!   work-stealing workers, partitioned parallel hash joins, results
-//!   streamed to the consumer over a bounded exchange channel.
+//! * [`fused`] — the vectorized lowering and its one runtime:
+//!   fused-region operators with monomorphized predicate kernels,
+//!   projected record decoding, partitioned join tables and terminal
+//!   aggregation sinks, run by one cursor loop at the degree the plan's
+//!   `gather(n)` gives the region (1 otherwise).
+//! * [`morsel`] — what is about scheduling a region of degree `n`:
+//!   page-range morsels, the work-stealing queue, its counters, and the
+//!   exchange — the only code that starts threads — streaming results
+//!   to the consumer over a bounded channel.
 //! * [`serve`] — the multi-session serving layer: sessions with their
 //!   own prepared statements and `SET` state over one shared
 //!   `Send + Sync` [`database::Database`], with admission control that
@@ -70,7 +72,7 @@ pub use database::{
 };
 pub use fused::{compile_fused, CompiledFused, FusedRegion, FusedReport};
 pub use iterator::{collect, BoxedOperator, Operator};
-pub use morsel::{MorselStats, ParallelGather};
+pub use morsel::MorselStats;
 pub use naive::{assert_same_rows, evaluate_logical, Evaluated};
 pub use plan_cache::{rebind_plan, CacheOutcome, PlanCache, PlanCacheStats};
 pub use serve::{

@@ -1,39 +1,32 @@
-//! Morsel-driven parallel execution for the vectorized engine.
+//! Scheduling for regions of degree `n > 1`: morsels, the work-stealing
+//! queue that deals them out, the counters, and the exchange.
 //!
-//! A `gather(n)` node in a physical plan marks its subtree as a
-//! *parallel region*: the optimizer placed the enforcer there because
-//! dividing the subtree's work across `n` workers paid for the worker
-//! startup and row-gathering overhead the cost model charges. This
-//! module is the execution-side counterpart of that promise, in the
-//! style of morsel-driven parallelism (Leis et al., SIGMOD 2014) layered
-//! over Volcano's exchange-based parallelism model: the region is
-//! decomposed into *pipelines* over shared read-only state, each
-//! pipeline's scan is split into page-range **morsels**, and a
-//! work-stealing scheduler hands morsels to a pool of workers that run
-//! the compiled pipeline stages batch-at-a-time.
+//! A `gather(n)` node in a physical plan is the optimizer's statement
+//! that dividing its subtree's work across `n` workers pays for the
+//! worker startup and row-gathering overhead the cost model charges. The
+//! vectorized lowering ([`crate::fused`]) turns that into the *degree* of
+//! the region it compiles the subtree to; nothing else about the region
+//! changes. In the style of morsel-driven parallelism (Leis et al.,
+//! SIGMOD 2014) layered over Volcano's exchange model, each pipeline's
+//! scan is split into page-range **morsels** ([`partition_pages`]), a
+//! [`StealQueue`] hands them to the region's cursors — one inline cursor
+//! at degree 1, over one morsel covering the file; one cursor per worker
+//! at degree `n` — and `exchange` is the only code that starts threads:
+//! scoped workers for a build phase, detached workers streaming batches
+//! to the consumer over a bounded channel for the output.
 //!
-//! The lowering ([`compile_parallel`]) accepts exactly the plan shapes
-//! the optimizer can place under a gather — scans, filters, projections,
-//! and hash joins (everything else bails out of parallel goals during
-//! search) — and produces a [`ParallelPlan`]: a sequence of build
-//! pipelines that fill partitioned hash-join tables, followed by one
-//! output pipeline. [`ParallelGather`] executes it as a
-//! [`crate::batch::BatchOperator`], so a parallel region composes with
-//! the rest of a (serial) operator tree exactly like any other source.
-//!
-//! Ordering: a parallel region delivers rows in a nondeterministic
-//! interleaving (the optimizer models this — `gather` delivers no sort
-//! order, so sorts are planned above it). The *multiset* of rows is
-//! identical to serial execution, which the differential suite checks.
+//! Ordering: a region of degree `n > 1` delivers rows in a
+//! nondeterministic interleaving (the optimizer models this — `gather`
+//! delivers no sort order, so sorts are planned above it). The *multiset*
+//! of rows is identical to serial execution, which the differential
+//! suite checks.
 
-mod exec;
-mod plan;
+mod exchange;
 mod queue;
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-pub use exec::ParallelGather;
-pub use plan::{compile_parallel, ParallelPlan};
+pub(crate) use exchange::{scoped, Exchange};
 pub use queue::StealQueue;
 
 /// Pages per morsel when [`crate::compile::BatchConfig`] does not
@@ -80,10 +73,10 @@ pub fn partition_pages(n_pages: usize, morsel_pages: usize) -> Vec<Morsel> {
     out
 }
 
-/// Shared counters for one parallel region's morsel scheduling,
-/// aggregated lock-free by the workers. One instance spans all of a
-/// gather's pipelines (build and output phases alike), and survives the
-/// operator for `EXPLAIN ANALYZE` / trace reporting.
+/// Shared counters for one region's morsel scheduling, aggregated
+/// lock-free by its cursors. One instance spans all of the region's
+/// pipelines (build and output phases alike), and survives the operator
+/// for `EXPLAIN ANALYZE` / trace reporting.
 #[derive(Debug, Default)]
 pub struct MorselStats {
     dispatched: AtomicU64,
@@ -91,7 +84,7 @@ pub struct MorselStats {
     workers: AtomicU32,
     partition_merges: AtomicU64,
     merge_workers: AtomicU32,
-    scan_columns: (AtomicU32, AtomicU32),
+    threads: AtomicU64,
 }
 
 impl MorselStats {
@@ -114,20 +107,14 @@ impl MorselStats {
         self.workers.store(n, Ordering::Relaxed);
     }
 
-    /// `(k, n)`: the region's scans decode `k` of their tables' `n`
-    /// columns (summed over its pipelines) — what its sinks, filters
-    /// and probes read.
-    pub fn scan_columns(&self) -> (u32, u32) {
-        let (decoded, total) = &self.scan_columns;
-        (
-            decoded.load(Ordering::Relaxed),
-            total.load(Ordering::Relaxed),
-        )
+    /// Threads the exchange started for the region, over all its phases
+    /// (0 at degree 1: the region runs on the thread that pulls it).
+    pub fn threads(&self) -> u64 {
+        self.threads.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn set_scan_columns(&self, (decoded, total): (usize, usize)) {
-        self.scan_columns.0.store(decoded as u32, Ordering::Relaxed);
-        self.scan_columns.1.store(total as u32, Ordering::Relaxed);
+    pub(crate) fn record_thread(&self) {
+        self.threads.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one dispatch; returns the cumulative dispatch count

@@ -1,22 +1,25 @@
 //! Work-stealing morsel dispenser.
 //!
-//! Morsels are dealt round-robin into per-worker queues up front, so in
-//! the balanced case a worker only ever touches its own queue (one
-//! uncontended lock per morsel). When a worker drains its queue it
-//! steals from the *back* of a peer's queue — the classic deque
-//! discipline: owners consume from the front (preserving page locality),
-//! thieves take from the far end (taking the work the owner would reach
-//! last). There are no producers after construction, so an empty sweep
-//! over every queue means the pipeline's work is exhausted.
+//! Morsels are dealt round-robin to the workers up front — worker `w` of
+//! `n` owns morsels `w, w + n, w + 2n, …` — so in the balanced case a
+//! worker only ever touches its own share (one uncontended lock per
+//! morsel). When a worker drains its share it steals from the *back* of
+//! a peer's — the classic deque discipline: owners consume from the
+//! front (preserving page locality), thieves take from the far end
+//! (taking the work the owner would reach last). There are no producers
+//! after construction, so an empty sweep over every share means the
+//! pipeline's work is exhausted.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use super::{Morsel, MorselStats};
 
-/// A fixed set of morsels dealt across per-worker queues, with stealing.
+/// A fixed set of morsels dealt across per-worker shares, with stealing.
 pub struct StealQueue {
-    locals: Vec<Mutex<VecDeque<Morsel>>>,
+    morsels: Vec<Morsel>,
+    /// Per worker, the unclaimed span `front..back` of its share, counted
+    /// in steps of the deal: step `k` of worker `w` is morsel `w + k·n`.
+    shares: Vec<Mutex<(usize, usize)>>,
     stats: Arc<MorselStats>,
     /// Chaos injection: panic when the cumulative dispatch count (shared
     /// via `stats`, so it spans a region's earlier pipelines) hits this.
@@ -24,7 +27,7 @@ pub struct StealQueue {
 }
 
 impl StealQueue {
-    /// Deal `morsels` round-robin across `workers` queues.
+    /// Deal `morsels` round-robin across `workers` shares.
     pub fn new(
         morsels: Vec<Morsel>,
         workers: usize,
@@ -32,23 +35,23 @@ impl StealQueue {
         fail_at: Option<u64>,
     ) -> Self {
         let workers = workers.max(1);
-        let mut locals: Vec<VecDeque<Morsel>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, m) in morsels.into_iter().enumerate() {
-            locals[i % workers].push_back(m);
-        }
+        let shares = (0..workers)
+            .map(|w| Mutex::new((0, (morsels.len() + workers - 1 - w) / workers)))
+            .collect();
         StealQueue {
-            locals: locals.into_iter().map(Mutex::new).collect(),
+            morsels,
+            shares,
             stats,
             fail_at,
         }
     }
 
-    /// Number of worker queues.
+    /// Number of worker shares.
     pub fn workers(&self) -> usize {
-        self.locals.len()
+        self.shares.len()
     }
 
-    /// Take the next morsel for `worker`: its own queue first, then a
+    /// Take the next morsel for `worker`: its own share first, then a
     /// steal sweep over its peers. `None` means all work is dispensed.
     ///
     /// # Panics
@@ -56,22 +59,26 @@ impl StealQueue {
     /// Panics when chaos injection is armed and this dispatch is the
     /// configured one — simulating a worker dying mid-query.
     pub fn pop(&self, worker: usize) -> Option<Morsel> {
-        let n = self.locals.len();
-        let mut picked = self.locals[worker]
-            .lock()
-            .unwrap()
-            .pop_front()
-            .map(|m| (m, false));
-        if picked.is_none() {
-            for k in 1..n {
-                let peer = (worker + k) % n;
-                if let Some(m) = self.locals[peer].lock().unwrap().pop_back() {
-                    picked = Some((m, true));
-                    break;
-                }
+        let n = self.shares.len();
+        let claim = |owner: usize, steal: bool| {
+            let mut span = self.shares[owner].lock().unwrap();
+            let (front, back) = &mut *span;
+            if front == back {
+                return None;
             }
-        }
-        let (m, stolen) = picked?;
+            let step = if steal {
+                *back -= 1;
+                *back
+            } else {
+                *front += 1;
+                *front - 1
+            };
+            Some(self.morsels[owner + step * n])
+        };
+        let (m, stolen) = match claim(worker, false) {
+            Some(m) => (m, false),
+            None => ((1..n).find_map(|k| claim((worker + k) % n, true))?, true),
+        };
         let count = self.stats.record_dispatch(stolen);
         if self.fail_at == Some(count) {
             panic!("injected worker failure at morsel {count}");
@@ -98,7 +105,7 @@ mod tests {
         assert_eq!(seen, partition_pages(17, 2));
         assert_eq!(stats.dispatched(), 9);
         // 9 morsels round-robined over 4 workers put 2 (indices 3 and
-        // 7) in worker 3's own queue; the rest were steals.
+        // 7) in worker 3's own share; the rest were steals.
         assert_eq!(stats.stolen(), 9 - 2);
     }
 

@@ -34,6 +34,12 @@ impl CompiledPred {
         &self.terms
     }
 
+    /// Move every conjunct from position `p` to `at[p]` (the vectorized
+    /// lowering's column pruning renumbers positions).
+    pub(crate) fn remap(&mut self, at: &[usize]) {
+        self.terms.iter_mut().for_each(|t| t.0 = at[t.0]);
+    }
+
     /// Number of conjuncts.
     pub fn len(&self) -> usize {
         self.terms.len()

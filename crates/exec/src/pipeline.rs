@@ -5,12 +5,13 @@
 //! a subtree of them splits, exactly as in morsel-driven designs, into
 //! one build pipeline per hash join (its left input, ending in a
 //! hash-table build) and a chain that continues through the probe side.
-//! [`Region::lower`] is the only place that split is made. Both
-//! vectorized lowerings consume its IR: [`crate::fused`] monomorphizes
-//! it into a [`crate::fused::FusedRegion`], [`crate::morsel`] maps it to
-//! the pipelines its workers run. They differ in one decision — what to
-//! do with an input whose root is not pipelineable — which is the
-//! `lower_input` argument.
+//! [`Region::lower`] is the only place that split is made, and
+//! [`crate::fused`] the only consumer of its IR: it monomorphizes a
+//! region into a [`crate::fused::FusedRegion`] that runs at the degree
+//! the plan gives it. What to do with an input whose root is not
+//! pipelineable depends on that degree — an opaque batch source at
+//! degree 1, no region at all above it — which is the `lower_input`
+//! argument.
 //!
 //! After the split, one backward pass ([`Region::prune`]) derives what
 //! every pipeline has to carry from what its sink reads:
@@ -117,6 +118,7 @@ pub(crate) struct BuildIR {
 
 /// A terminal aggregation: the output pipeline folds its rows into a
 /// group table instead of streaming them.
+#[derive(Clone)]
 pub(crate) struct AggSink {
     /// Group-by column positions in the pipeline's final batch (for the
     /// `Final` phase these are the leading partial-layout columns).
@@ -175,67 +177,67 @@ impl Region {
     /// The demand pass (module doc): narrow every scan, build table and
     /// stage to the columns the sinks read.
     fn prune(&mut self) {
+        let mut pass = DemandPass::default();
         // Demand on each table's columns, over its build pipeline's final
         // batch; the prober adds what it gathers when its chain is walked.
         let mut tables: Vec<Vec<bool>> = self
             .builds
             .iter()
-            .map(|b| mask(b.table.cols.len(), b.table.keys.iter().copied()))
+            .map(|b| {
+                let mut m = vec![false; b.table.cols.len()];
+                b.table.keys.iter().for_each(|&k| m[k] = true);
+                m
+            })
             .collect();
-        let demand = |width| match &self.agg {
+        let agg = &self.agg;
+        let demand = |m: &mut [bool]| match agg {
             Some(sink) if sink.mode != AggMode::Final => {
                 let inputs = sink.aggs.iter().filter_map(CompiledAgg::input);
-                mask(width, sink.group.iter().copied().chain(inputs))
+                let read = sink.group.iter().copied().chain(inputs);
+                read.for_each(|p| m[p] = true);
             }
-            _ => vec![true; width],
+            _ => m.fill(true),
         };
-        let at = prune_chain(&mut self.source, &mut self.stages, demand, &mut tables);
+        let at = pass.chain(&mut self.source, &mut self.stages, demand, &mut tables);
         if let Some(sink) = &mut self.agg {
             sink.group.iter_mut().for_each(|g| *g = at[*g]);
-            sink.aggs.iter_mut().for_each(|a| *a = a.map_input(&at));
+            sink.aggs.iter_mut().for_each(|a| *a = a.map_input(at));
         }
         for slot in (0..self.builds.len()).rev() {
             let (earlier, own) = tables.split_at_mut(slot);
-            let b = &mut self.builds[slot];
-            let demand = |_| own[0].clone();
-            let at = prune_chain(&mut b.source, &mut b.stages, demand, earlier);
-            let in_table = ranks(&own[0]);
-            let stored = (0..own[0].len()).filter(|&c| own[0][c]);
-            b.table = TableShape {
-                table_keys: b.table.keys.iter().map(|&k| in_table[k]).collect(),
-                keys: b.table.keys.iter().map(|&k| at[k]).collect(),
-                cols: stored.map(|c| at[c]).collect(),
-            };
+            let (b, own) = (&mut self.builds[slot], &own[0]);
+            let demand = |m: &mut [bool]| m.copy_from_slice(own);
+            let at = pass.chain(&mut b.source, &mut b.stages, demand, earlier);
+            let TableShape {
+                keys,
+                cols,
+                table_keys,
+            } = &mut b.table;
+            cols.retain(|&c| own[c]);
+            for (tk, k) in table_keys.iter_mut().zip(keys.iter_mut()) {
+                *tk = cols.iter().position(|c| c == k).expect("keys are stored");
+                *k = at[*k];
+            }
+            cols.iter_mut().for_each(|c| *c = at[*c]);
         }
     }
 }
 
-/// A `width`-wide mask with the given positions set.
-fn mask(width: usize, set: impl Iterator<Item = usize>) -> Vec<bool> {
-    let mut m = vec![false; width];
-    set.for_each(|p| m[p] = true);
-    m
-}
-
 /// Old position → position among the set entries of `keep` (meaningless
-/// where `keep` is false).
-fn ranks(keep: &[bool]) -> Vec<usize> {
+/// where `keep` is false), written over `out`.
+fn ranks(keep: &[bool], out: &mut Vec<usize>) {
     let mut next = 0;
-    keep.iter()
-        .map(|&k| {
-            next += usize::from(k);
-            next.wrapping_sub(1)
-        })
-        .collect()
+    out.clear();
+    out.extend(keep.iter().map(|&k| {
+        next += usize::from(k);
+        next.wrapping_sub(1)
+    }));
 }
 
-fn remap_pred(pred: &CompiledPred, at: &[usize]) -> CompiledPred {
-    let terms = pred.terms().iter();
-    CompiledPred::new(
-        terms
-            .map(|(pos, op, lit)| (at[*pos], *op, lit.clone()))
-            .collect(),
-    )
+/// Keep the entries of `v` whose flag in `keep` is set, in order.
+fn retain_flagged<T>(v: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    v.retain(|_| *flags.next().expect("one flag per entry"));
 }
 
 fn source_width(source: &SourceIR) -> usize {
@@ -253,120 +255,141 @@ fn stage_width(stage: &StageIR, input: usize) -> usize {
     }
 }
 
-/// Prune one chain to what its sink reads — `demand`, given the width of
-/// the chain's final row shape, answers with a mask over it: mark what
-/// its probes gather in `tables`, narrow the source, renumber the stages.
-/// Returns the map from old final-row positions to positions in the
-/// final batch.
-fn prune_chain(
-    source: &mut SourceIR,
-    stages: &mut Vec<StageIR>,
-    demand: impl FnOnce(usize) -> Vec<bool>,
-    tables: &mut [Vec<bool>],
-) -> Vec<usize> {
-    // Backward: `demands[i]` is what stage `i`'s input must carry,
-    // `demands[stages.len()]` what the sink reads.
-    let mut widths = vec![source_width(source)];
-    for s in stages.iter() {
-        widths.push(stage_width(s, *widths.last().expect("seeded")));
-    }
-    let mut demands = vec![demand(*widths.last().expect("seeded"))];
-    for (i, stage) in stages.iter().enumerate().rev() {
-        let above = demands.last().expect("seeded");
-        let input = match stage {
-            StageIR::Filter(pred, _) => {
-                let mut input = above.clone();
-                pred.terms().iter().for_each(|t| input[t.0] = true);
-                input
-            }
-            StageIR::Project(cols) => {
-                let read = cols.iter().zip(above).filter(|(_, &d)| d);
-                mask(widths[i], read.map(|(&c, _)| c))
-            }
-            StageIR::Probe {
-                table, keys, out, ..
-            } => {
-                let mut input = mask(widths[i], keys.iter().copied());
-                for (col, _) in out.iter().zip(above).filter(|(_, &d)| d) {
-                    match *col {
-                        ProbeCol::Build(b) => tables[*table][b] = true,
-                        ProbeCol::Probe(p) => input[p] = true,
+/// The buffers of the demand pass, reused by every chain of a region so
+/// that pruning allocates per region, not per stage.
+#[derive(Default)]
+struct DemandPass {
+    /// The demand masks of the chain being pruned, end to end: what the
+    /// source must produce, then what each stage's output must carry.
+    masks: Vec<bool>,
+    /// Where each mask starts in `masks`, plus the total length.
+    starts: Vec<usize>,
+    /// Positions of the current *unpruned* row shape → positions in the
+    /// physical batch.
+    at: Vec<usize>,
+    /// Positions in a table → positions among its stored columns.
+    in_table: Vec<usize>,
+}
+
+impl DemandPass {
+    /// Prune one chain to what its sink reads — `demand` marks that in a
+    /// cleared mask over the chain's final row shape: mark what its
+    /// probes gather in `tables`, narrow the source, renumber the stages
+    /// in place. Returns the map from old final-row positions to
+    /// positions in the final batch.
+    fn chain(
+        &mut self,
+        source: &mut SourceIR,
+        stages: &mut Vec<StageIR>,
+        demand: impl FnOnce(&mut [bool]),
+        tables: &mut [Vec<bool>],
+    ) -> &[usize] {
+        let DemandPass {
+            masks,
+            starts,
+            at,
+            in_table,
+        } = self;
+        starts.clear();
+        starts.push(0);
+        let mut width = source_width(source);
+        for stage in stages.iter() {
+            starts.push(starts.last().expect("seeded") + width);
+            width = stage_width(stage, width);
+        }
+        let total = starts.last().expect("seeded") + width;
+        starts.push(total);
+        masks.clear();
+        masks.resize(total, false);
+        demand(&mut masks[total - width..]);
+        // Backward: mask `i` is what stage `i`'s input must carry, mask
+        // `i + 1` what is read of its output.
+        for (i, stage) in stages.iter().enumerate().rev() {
+            let (below, above) = masks.split_at_mut(starts[i + 1]);
+            let input = &mut below[starts[i]..];
+            let above = &above[..starts[i + 2] - starts[i + 1]];
+            match stage {
+                StageIR::Filter(pred, _) => {
+                    input.copy_from_slice(above);
+                    pred.terms().iter().for_each(|t| input[t.0] = true);
+                }
+                StageIR::Project(cols) => {
+                    let read = cols.iter().zip(above).filter(|(_, &d)| d);
+                    read.for_each(|(&c, _)| input[c] = true);
+                }
+                StageIR::Probe {
+                    table, keys, out, ..
+                } => {
+                    keys.iter().for_each(|&k| input[k] = true);
+                    for (col, _) in out.iter().zip(above).filter(|(_, &d)| d) {
+                        match *col {
+                            ProbeCol::Build(b) => tables[*table][b] = true,
+                            ProbeCol::Probe(p) => input[p] = true,
+                        }
                     }
                 }
-                input
             }
-        };
-        demands.push(input);
-    }
-    demands.reverse();
-    // Forward: `at` maps positions of the current *unpruned* row shape to
-    // positions in the physical batch.
-    let mut at: Vec<usize> = match source {
-        SourceIR::Scan {
-            col_types,
-            keep,
-            pred,
-            ..
-        } => {
-            let mut read = std::mem::take(&mut demands[0]);
-            if let Some(p) = pred {
-                p.terms().iter().for_each(|t| read[t.0] = true);
-            }
-            let at = ranks(&read);
-            *pred = pred.as_ref().map(|p| remap_pred(p, &at));
-            col_types.retain({
-                let mut produced = read.iter();
-                move |_| *produced.next().expect("one flag per column")
-            });
-            *keep = read;
-            at
         }
-        SourceIR::Input { arity, .. } => (0..*arity).collect(),
-    };
-    let mut batch_width = source_width(source);
-    for (stage, demand) in std::mem::take(stages).into_iter().zip(&demands[1..]) {
-        match stage {
-            StageIR::Filter(pred, rel) => stages.push(StageIR::Filter(remap_pred(&pred, &at), rel)),
-            StageIR::Project(cols) => {
-                let read = cols.iter().zip(demand).filter(|(_, &d)| d);
-                let cols: Vec<usize> = read.map(|(&c, _)| at[c]).collect();
-                let identity =
-                    cols.len() == batch_width && cols.iter().enumerate().all(|(i, &c)| i == c);
-                batch_width = cols.len();
-                at = ranks(demand);
-                if !identity {
-                    stages.push(StageIR::Project(cols));
+        // Forward.
+        let read = &mut masks[..starts[1]];
+        match source {
+            SourceIR::Scan {
+                col_types,
+                keep,
+                pred,
+                ..
+            } => {
+                if let Some(p) = pred {
+                    p.terms().iter().for_each(|t| read[t.0] = true);
+                }
+                ranks(read, at);
+                if let Some(p) = pred {
+                    p.remap(at);
+                }
+                retain_flagged(col_types, read);
+                keep.copy_from_slice(read);
+            }
+            SourceIR::Input { arity, .. } => {
+                at.clear();
+                at.extend(0..*arity);
+            }
+        }
+        let mut batch_width = source_width(source);
+        let mut next = 1;
+        stages.retain_mut(|stage| {
+            next += 1;
+            let demand = &masks[starts[next - 1]..starts[next]];
+            match stage {
+                StageIR::Filter(pred, _) => pred.remap(at),
+                StageIR::Project(cols) => {
+                    retain_flagged(cols, demand);
+                    cols.iter_mut().for_each(|c| *c = at[*c]);
+                    let identity =
+                        cols.len() == batch_width && cols.iter().enumerate().all(|(i, &c)| i == c);
+                    batch_width = cols.len();
+                    ranks(demand, at);
+                    return !identity;
+                }
+                StageIR::Probe {
+                    table, keys, out, ..
+                } => {
+                    ranks(&tables[*table], in_table);
+                    retain_flagged(out, demand);
+                    for col in out.iter_mut() {
+                        *col = match *col {
+                            ProbeCol::Build(b) => ProbeCol::Build(in_table[b]),
+                            ProbeCol::Probe(p) => ProbeCol::Probe(at[p]),
+                        };
+                    }
+                    keys.iter_mut().for_each(|k| *k = at[*k]);
+                    batch_width = out.len();
+                    ranks(demand, at);
                 }
             }
-            StageIR::Probe {
-                table,
-                keys,
-                out,
-                projected,
-                join,
-            } => {
-                let in_table = ranks(&tables[table]);
-                let read = out.iter().zip(demand).filter(|(_, &d)| d);
-                let out: Vec<ProbeCol> = read
-                    .map(|(col, _)| match *col {
-                        ProbeCol::Build(b) => ProbeCol::Build(in_table[b]),
-                        ProbeCol::Probe(p) => ProbeCol::Probe(at[p]),
-                    })
-                    .collect();
-                let keys = keys.iter().map(|&k| at[k]).collect();
-                batch_width = out.len();
-                at = ranks(demand);
-                stages.push(StageIR::Probe {
-                    table,
-                    keys,
-                    out,
-                    projected,
-                    join,
-                });
-            }
-        }
+            true
+        });
+        at
     }
-    at
 }
 
 /// A pipeline's source and stage chain.

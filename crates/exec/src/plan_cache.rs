@@ -96,7 +96,11 @@ pub enum Validation {
     Stale,
 }
 
-/// Monotone counters describing cache behaviour.
+/// Monotone counters describing cache behaviour. They keep two exact
+/// ledgers. Per lookup: `lookups == hits + misses + invalidations`.
+/// Per entry: `len == insertions - evictions` — every entry that leaves
+/// the cache, for whatever reason, is counted in `evictions` exactly
+/// once, under the lock of the shard it leaves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups performed (`hits + misses + invalidations`).
@@ -107,9 +111,12 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Lookups that found an entry and discarded it as stale.
     pub invalidations: u64,
-    /// Entries inserted.
+    /// Entries inserted (a replacing insert counts: the entry it
+    /// displaces is an eviction).
     pub insertions: u64,
-    /// Entries evicted to stay within capacity.
+    /// Entries that left the cache: trimmed to stay within capacity,
+    /// displaced by a replacing insert, discarded by a stale lookup, or
+    /// dropped by [`PlanCache::clear`].
     pub evictions: u64,
 }
 
@@ -227,6 +234,7 @@ impl PlanCache {
                 }
                 Validation::Stale => {
                     shard.entries.remove(&key);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
                     self.invalidations.fetch_add(1, Ordering::Relaxed);
                     CacheOutcome::Invalidated
                 }
@@ -241,7 +249,9 @@ impl PlanCache {
         let mut shard = self.shard(shape).lock().expect("plan-cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
-        shard.entries.insert((shape, goal), (entry, tick));
+        if shard.entries.insert((shape, goal), (entry, tick)).is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
         self.insertions.fetch_add(1, Ordering::Relaxed);
         while shard.entries.len() > cap {
             let victim = shard
@@ -256,14 +266,14 @@ impl PlanCache {
     }
 
     /// Drop every entry (DDL, or `SET PLAN_CACHE OFF`). Counters are
-    /// preserved; invalidation counts only per-lookup discards.
+    /// preserved; the dropped entries count as evictions, not as
+    /// invalidations, which are per-lookup discards only.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard
-                .lock()
-                .expect("plan-cache shard poisoned")
-                .entries
-                .clear();
+            let mut shard = shard.lock().expect("plan-cache shard poisoned");
+            let dropped = shard.entries.len() as u64;
+            shard.entries.clear();
+            self.evictions.fetch_add(dropped, Ordering::Relaxed);
         }
     }
 
@@ -446,6 +456,37 @@ mod tests {
             cache.insert(shard0(i), RelProps::any(), entry(0));
         }
         assert_eq!(cache.len(), 4);
+    }
+
+    /// `len == insertions - evictions` after every way an entry can leave.
+    #[test]
+    fn entry_ledger_counts_every_departure_once() {
+        let cache = PlanCache::new(SHARDS); // one entry per shard
+        let balanced = |cache: &PlanCache, what: &str| {
+            let s = cache.stats();
+            assert_eq!(cache.len() as u64, s.insertions - s.evictions, "{what}");
+            s
+        };
+        cache.insert(1, RelProps::any(), entry(0));
+        cache.insert(2, RelProps::any(), entry(0));
+        assert_eq!(balanced(&cache, "fresh inserts").evictions, 0);
+        // Replace: the displaced entry leaves.
+        cache.insert(1, RelProps::any(), entry(1));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(balanced(&cache, "replace").evictions, 1);
+        // Stale lookup: one invalidation, one departure.
+        cache.lookup(2, &RelProps::any(), |_| Validation::Stale);
+        let s = balanced(&cache, "stale");
+        assert_eq!((cache.len(), s.evictions, s.invalidations), (1, 2, 1));
+        // Capacity: shard 1 holds one entry, the older one goes.
+        cache.insert(1 + SHARDS as u64, RelProps::any(), entry(0));
+        assert_eq!(balanced(&cache, "evict").evictions, 3);
+        // Clear drops what is left.
+        cache.insert(3, RelProps::any(), entry(0));
+        cache.clear();
+        let s = balanced(&cache, "clear");
+        assert_eq!((cache.len(), s.insertions, s.evictions), (0, 5, 5));
+        assert_eq!(s.lookups, s.hits + s.misses + s.invalidations);
     }
 
     #[test]

@@ -16,13 +16,20 @@
 
 mod common;
 
+use std::collections::HashMap;
+
 use common::testkit::{
-    assert_same_multiset, batch_configs, fig4_inputs, mixed_db, mixed_plan, morsel_sizes,
-    optimize_plan, run_fused, run_tuple, sql_cases, thread_counts, MIXED_SCAN_QUERIES,
+    assert_same_multiset, batch_configs, diff_catalog, fig4_inputs, mixed_db, mixed_plan,
+    morsel_sizes, optimize_plan, run_fused, run_tuple, sql_cases, thread_counts,
+    MIXED_SCAN_QUERIES,
 };
-use volcano_exec::{compile_fused, schema_of, BatchConfig, Database};
+use volcano_core::PhysicalProps;
+use volcano_exec::{collect_batches, compile_fused, schema_of, BatchConfig, Database};
 use volcano_rel::value::Tuple;
-use volcano_rel::{RelAlg, RelModel, RelModelOptions, RelPlan};
+use volcano_rel::{
+    AggFunc, AggSpec, AttrId, Catalog, Cmp, JoinPred, Pred, RelAlg, RelModel, RelModelOptions,
+    RelPlan, RelProps,
+};
 
 /// Assert `rows` are non-decreasing on the given key column positions.
 fn assert_sorted_on(rows: &[Tuple], key_positions: &[usize], tag: &str) {
@@ -279,23 +286,24 @@ fn workers_prune_unread_columns_of_every_type() {
     let db = mixed_db();
     for degree in thread_counts().into_iter().filter(|&n| n > 1) {
         for sql in MIXED_SCAN_QUERIES {
-            let serial = mixed_plan(sql, 1);
-            let plan = RelPlan {
-                alg: RelAlg::Gather(degree),
-                inputs: vec![serial.clone()],
-                ..serial
-            };
+            let plan = gathered(mixed_plan(sql, 1), degree);
             let tag = format!("{sql}: gather({degree})");
             let compiled = compile_fused(&db, &plan, BatchConfig::default());
             assert_eq!(
                 compiled.report.parallel_regions, 1,
                 "{tag}: must run on the workers"
             );
-            let (decoded, total) = compiled.gathers[0].scan_columns();
-            assert!(
-                0 < decoded && decoded < total,
-                "{tag}: cols {decoded}/{total}"
-            );
+            for p in &compiled.report.pipelines {
+                let keep = p.decoded.as_ref().expect("scan-sourced");
+                let decoded = keep.iter().filter(|&&k| k).count();
+                assert_eq!(p.degree, degree as usize, "{tag}: {}", p.label);
+                assert!(
+                    0 < decoded && decoded < keep.len(),
+                    "{tag}: {} cols {decoded}/{}",
+                    p.label,
+                    keep.len()
+                );
+            }
             let tuple_rows = run_tuple(&db, &plan);
             for cfg in batch_configs() {
                 let rows = run_fused(&db, &plan, cfg.with_morsel_pages(2));
@@ -307,4 +315,225 @@ fn workers_prune_unread_columns_of_every_type() {
             }
         }
     }
+}
+
+/// `input` under a hand-placed `gather(degree)`.
+fn gathered(input: RelPlan, degree: u32) -> RelPlan {
+    RelPlan {
+        alg: RelAlg::Gather(degree),
+        delivered: PhysicalProps::any(),
+        inputs: vec![input.clone()],
+        ..input
+    }
+}
+
+/// The golden database and hand-assembled plans over it, so every shape
+/// below is exactly the one named (the optimizer rarely places a gather
+/// over tables this small).
+struct Hand {
+    db: Database,
+    catalog: Catalog,
+    like: RelPlan,
+}
+
+impl Hand {
+    fn new() -> Self {
+        let catalog = diff_catalog();
+        let db = Database::in_memory(catalog.clone());
+        db.generate(42);
+        // Any optimized plan serves as the template for cost and group.
+        let q = volcano_sql::plan_query("SELECT emp.id FROM emp", &mut catalog.clone()).unwrap();
+        let model = RelModel::with_defaults(catalog.clone());
+        let like = optimize_plan(&model, &q.expr, RelProps::any(), "template");
+        Hand { db, catalog, like }
+    }
+
+    fn attr(&self, table: &str, col: &str) -> AttrId {
+        let t = self.catalog.table_by_name(table).unwrap();
+        t.columns.iter().find(|c| c.name == col).unwrap().attr
+    }
+
+    fn node(&self, alg: RelAlg, inputs: Vec<RelPlan>) -> RelPlan {
+        RelPlan {
+            alg,
+            inputs,
+            delivered: RelProps::any(),
+            ..self.like.clone()
+        }
+    }
+
+    fn scan(&self, table: &str) -> RelPlan {
+        let id = self.catalog.table_by_name(table).unwrap().id;
+        self.node(RelAlg::FileScan(id), vec![])
+    }
+
+    /// `build ⋈ probe` on `build.0 = probe.0`.
+    fn join(&self, build: (&str, &str), probe: (&str, &str)) -> RelPlan {
+        let on = JoinPred::eq(self.attr(build.0, build.1), self.attr(probe.0, probe.1));
+        let inputs = vec![self.scan(build.0), self.scan(probe.0)];
+        self.node(RelAlg::HybridHashJoin(on), inputs)
+    }
+
+    /// `COUNT(*), SUM(emp.salary)` grouped by `group_by`.
+    fn agg(&self, group_by: Vec<AttrId>) -> AggSpec {
+        let sum = AggFunc::Sum(self.attr("emp", "salary"));
+        AggSpec {
+            group_by,
+            aggs: vec![(AggFunc::CountStar, AttrId(9_000)), (sum, AttrId(9_001))],
+        }
+    }
+}
+
+/// The pipelineable shapes of `fused_differential`'s
+/// `single_operator_regions_over_opaque_inputs_agree`, here over scans
+/// and under a hand-placed `gather(n)`, plus the shapes in which the
+/// gather sits directly under an aggregate and is that region's degree:
+/// each compiles to exactly one region of degree `n` (a serial one at
+/// `n = 1`) and returns the tuple engine's multiset at every batch size.
+#[test]
+fn hand_placed_gathers_agree_at_every_degree_and_batch_size() {
+    let h = Hand::new();
+    let (emp_id, emp_dept, emp_salary) = (
+        h.attr("emp", "id"),
+        h.attr("emp", "dept"),
+        h.attr("emp", "salary"),
+    );
+    let count = AggSpec {
+        group_by: vec![],
+        aggs: vec![(AggFunc::CountStar, AttrId(9_000))],
+    };
+    let filter = RelAlg::Filter(Pred::single(Cmp::lt(emp_salary, 12i64)));
+    let project = RelAlg::ProjectOp(vec![emp_salary, emp_id]);
+    let emp_dept_join = h.join(("dept", "id"), ("emp", "dept"));
+    // (name, the chain under the gather, the aggregate over it and the
+    // label its one pruned pipeline must have).
+    let shapes = [
+        ("filter", h.node(filter, vec![h.scan("emp")]), None),
+        ("project", h.node(project, vec![h.scan("emp")]), None),
+        ("join_build", h.join(("emp", "dept"), ("dept", "id")), None),
+        ("join_probe", emp_dept_join.clone(), None),
+        // The optimizer's grand-total plan at degree 2: the gather is the
+        // aggregate's degree, so the scan decodes nothing.
+        (
+            "stream_aggregate",
+            h.scan("emp"),
+            Some((RelAlg::StreamAggregate(count.clone()), "scan→agg")),
+        ),
+        (
+            "aggregate",
+            h.scan("emp"),
+            Some((RelAlg::HashAggregate(h.agg(vec![emp_dept])), "scan→agg")),
+        ),
+        (
+            "count_over_join",
+            emp_dept_join,
+            Some((RelAlg::HashAggregate(count), "scan→probe→agg")),
+        ),
+    ];
+    for (shape, chain, over) in &shapes {
+        for degree in [1u32, 2, 8] {
+            let plan = match over {
+                Some((agg, _)) => h.node(agg.clone(), vec![gathered(chain.clone(), degree)]),
+                None => gathered(chain.clone(), degree),
+            };
+            let tag = format!("{shape}: gather({degree})");
+            let report = compile_fused(&h.db, &plan, BatchConfig::default()).report;
+            assert_eq!(report.fallback_segments(), 0, "{tag}");
+            assert_eq!(
+                report.parallel_regions,
+                usize::from(degree > 1),
+                "{tag}: one region, of the gather's degree"
+            );
+            for p in &report.pipelines {
+                assert_eq!(p.degree, degree as usize, "{tag}: {}", p.label);
+            }
+            if let Some((_, label)) = over {
+                let p = report.pipelines.last().unwrap();
+                assert_eq!(&p.label, label, "{tag}: the sink ends the scan's region");
+                let keep = p.decoded.as_ref().expect("scan-sourced");
+                assert!(keep.iter().any(|&k| !k), "{tag}: demand crosses the gather");
+            }
+            let tuple_rows = run_tuple(&h.db, &plan);
+            assert!(!tuple_rows.is_empty(), "{tag}: vacuous case");
+            for cfg in batch_configs() {
+                let rows = run_fused(&h.db, &plan, cfg.with_morsel_pages(2));
+                let btag = format!("{tag} batch={}", cfg.batch_size);
+                assert_same_multiset(&tuple_rows, &rows, &btag);
+            }
+        }
+    }
+}
+
+/// A region of degree 2 appears in the report like any other: every
+/// cursor counts into its pipeline's shared counters, so they cover the
+/// whole table (not one worker's share) and the feedback harvest reads
+/// the same observations as from the serial plan.
+#[test]
+fn parallel_regions_report_whole_input_counters_and_serial_observations() {
+    let h = Hand::new();
+    // region ⋈ dept builds first, then dept ⋈ (emp WHERE salary < 50).
+    let cheap = Pred::single(Cmp::lt(h.attr("emp", "salary"), 50i64));
+    let emp = h.catalog.table_by_name("emp").unwrap().id;
+    let on = JoinPred::eq(h.attr("dept", "id"), h.attr("emp", "dept"));
+    let inputs = vec![
+        h.join(("region", "id"), ("dept", "region")),
+        h.node(RelAlg::FilterScan(emp, cheap), vec![]),
+    ];
+    let serial = h.node(RelAlg::HybridHashJoin(on), inputs);
+    let run = |plan: &RelPlan| {
+        let compiled = compile_fused(&h.db, plan, BatchConfig::default().with_morsel_pages(1));
+        let mut op = compiled.operator;
+        (collect_batches(op.as_mut()), compiled.report)
+    };
+    let (serial_rows, serial_report) = run(&serial);
+    let (rows, report) = run(&gathered(serial.clone(), 2));
+    assert_same_multiset(&serial_rows, &rows, "three-way join");
+    let regions = (serial_report.parallel_regions, report.parallel_regions);
+    assert_eq!(regions, (0, 1));
+    assert_eq!(report.pipelines.len(), 3, "two builds and the output");
+    for (s, p) in serial_report.pipelines.iter().zip(&report.pipelines) {
+        assert_eq!((s.degree, p.degree), (1, 2), "{}", p.label);
+        assert_eq!(s.label, p.label);
+        assert!(p.stats.source_rows() > 0, "{}: {:?}", p.label, p.stats);
+        let counters = |st: &volcano_exec::fused::PipelineStats| {
+            let probe = (st.probe_in(), st.probe_out());
+            (st.rows(), st.source_rows(), st.source_out(), probe)
+        };
+        assert_eq!(counters(&s.stats), counters(&p.stats), "{}", p.label);
+    }
+    let observations = report.observations();
+    assert!(observations.len() >= 2, "a scan predicate and a join");
+    assert_eq!(observations, serial_report.observations());
+}
+
+/// Threads and channels belong to the exchange, and a region of degree 1
+/// never goes there: a serial join + aggregate runs every pipeline on
+/// the calling thread through one morsel each, while the same plan under
+/// a gather starts workers for every phase.
+#[test]
+fn a_degree_1_region_never_reaches_the_exchange() {
+    let h = Hand::new();
+    let agg = RelAlg::HashAggregate(h.agg(vec![h.attr("emp", "dept")]));
+    let joined = h.join(("dept", "id"), ("emp", "dept"));
+    let metrics = |plan: RelPlan| -> HashMap<&str, u64> {
+        let cfg = BatchConfig::default().with_morsel_pages(1);
+        let mut op = compile_fused(&h.db, &plan, cfg).operator;
+        assert!(!collect_batches(op.as_mut()).is_empty());
+        op.metrics().into_iter().collect()
+    };
+    let serial = metrics(h.node(agg.clone(), vec![joined.clone()]));
+    assert_eq!(serial["pipelines"], 2);
+    assert_eq!(serial["workers"], 1);
+    assert_eq!(serial["threads"], 0, "{serial:?}");
+    // One morsel per pipeline covers its file; nothing to steal or merge.
+    assert_eq!(serial["morsels_dispatched"], 2);
+    for idle in ["morsels_stolen", "partition_merges", "merge_workers"] {
+        assert_eq!(serial[idle], 0, "{idle}: {serial:?}");
+    }
+    let parallel = metrics(h.node(agg, vec![gathered(joined, 2)]));
+    assert_eq!(parallel["workers"], 2);
+    // Scatter, merge and output phases, two workers each.
+    assert_eq!(parallel["threads"], 6, "{parallel:?}");
+    assert_eq!(parallel["partition_merges"], 32);
+    assert!(parallel["morsels_dispatched"] > 2, "{parallel:?}");
 }

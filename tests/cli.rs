@@ -237,3 +237,31 @@ fn explain_analyze_reports_decoded_columns_per_scan() {
     );
     assert_eq!(out.matches("1 agg sink(s)").count(), 2, "{out}");
 }
+
+/// EXPLAIN ANALYZE reports the plan as it really runs: under
+/// `PARALLEL 2` a gather makes its region one of degree 2, whose
+/// pipelines are listed like any other — marked `×2`, with counters that
+/// cover the whole table — and a gather directly under an aggregate does
+/// not stop the scan from being pruned.
+#[test]
+fn explain_analyze_lists_the_pipelines_of_a_parallel_region() {
+    let (out, stderr, ok) = run_script(
+        "CREATE TABLE t (x INT DISTINCT 50, y INT DISTINCT 5, z INT DISTINCT 9) CARD 20000;\
+         CREATE TABLE d (id INT DISTINCT 50, r INT DISTINCT 4) CARD 50;\
+         GENERATE SEED 3;\
+         SET EXECUTOR FUSED PARALLEL 2;\
+         EXPLAIN ANALYZE SELECT COUNT(*) FROM t;\
+         EXPLAIN ANALYZE SELECT t.z FROM t, d WHERE t.x = d.id AND t.y < 2;",
+    );
+    assert!(ok, "{stderr}");
+    assert!(out.contains("parallel degree 2"), "{out}");
+    assert_eq!(out.matches("gather(2)").count(), 2, "{out}");
+    assert_eq!(out.matches("1 parallel region(s)").count(), 2, "{out}");
+    for golden in [
+        "pipeline 0 ×2: scan→agg · cols 0/3 · 2 op(s) fused · 20000 rows",
+        "pipeline 0 [build] ×2: scan→build · cols 1/2 · 2 op(s) fused · 50 rows",
+        "pipeline 1 ×2: scan→probe+project · cols 3/3 · 3 op(s) fused",
+    ] {
+        assert!(out.contains(golden), "missing {golden:?} in:\n{out}");
+    }
+}
