@@ -524,10 +524,12 @@ impl<M: Model> Memo<M> {
         &mut self,
         model: &M,
         op: M::Op,
-        inputs: Vec<GroupId>,
+        mut inputs: Vec<GroupId>,
         target: Option<GroupId>,
     ) -> (GroupId, bool) {
-        let inputs: Vec<GroupId> = inputs.iter().map(|&g| self.repr(g)).collect();
+        for g in &mut inputs {
+            *g = self.repr(*g);
+        }
         let h = expr_hash::<M>(&op, &inputs);
         let existing = self.indexed(h, &op, &inputs);
         if let Some(existing) = existing {
@@ -541,24 +543,29 @@ impl<M: Model> Memo<M> {
             };
         }
 
-        // Derive logical properties from the input groups.
-        let derived = {
+        // Logical properties from the input groups: a new class keeps
+        // them; an existing class only checks them, in debug builds.
+        let derive = |memo: &Self| {
             let input_props: Vec<&M::LogicalProps> =
-                inputs.iter().map(|&g| self.logical_props(g)).collect();
+                inputs.iter().map(|&g| memo.logical_props(g)).collect();
             model.derive_logical_props(&op, &input_props)
         };
-
         let group = match target {
             Some(t) => {
                 let t = self.repr(t);
-                model.assert_logical_props_consistent(&self.groups[t.index()].logical, &derived);
+                #[cfg(debug_assertions)]
+                model.assert_logical_props_consistent(
+                    &self.groups[t.index()].logical,
+                    &derive(self),
+                );
                 t
             }
             None => {
+                let logical = derive(self);
                 let gid = GroupId(self.groups.len() as u32);
                 self.groups.push(GroupData {
                     exprs: Vec::new(),
-                    logical: derived,
+                    logical,
                     winners: FxHashMap::default(),
                     version: 0,
                     users: Vec::new(),

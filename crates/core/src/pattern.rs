@@ -235,6 +235,22 @@ impl<M: Model> fmt::Debug for BindingChild<M> {
 }
 
 impl<M: Model> Binding<M> {
+    /// Whether `other` binds the same expressions and groups. The
+    /// operators then agree too: each is a clone of its expression's.
+    pub(crate) fn same_as(&self, other: &Binding<M>) -> bool {
+        self.expr == other.expr
+            && self.children.len() == other.children.len()
+            && self
+                .children
+                .iter()
+                .zip(&other.children)
+                .all(|(a, b)| match (a, b) {
+                    (BindingChild::Group(g), BindingChild::Group(h)) => g == h,
+                    (BindingChild::Bound(a), BindingChild::Bound(b)) => a.same_as(b),
+                    _ => false,
+                })
+    }
+
     /// The groups bound by `Any` leaves, in left-to-right order. For an
     /// implementation rule these are the input groups of the resulting
     /// physical operator.

@@ -18,6 +18,26 @@
 //! as parts of larger subqueries, not all equivalent expressions and plans
 //! that are feasible or seem interesting by their sort order".
 //!
+//! ## Move lists are generated once
+//!
+//! Because exploration runs to its fixpoint before costing starts, the
+//! memo's structure is frozen while goals are costed: costing records
+//! winners and interns goals but never inserts or merges an expression.
+//! A goal's moves depend only on that structure (rules see the memo
+//! through [`RuleCtx`], and no rule reads the winner table), so they are
+//! generated — matched, conditioned, `applies`, `promise`, sorted,
+//! truncated — once per (class, goal) and memo version. A goal that ends
+//! without an optimal plan keeps its list, and when it is asked again
+//! with a looser limit (the paper's memoized failure, §3, being
+//! re-optimized) the list is reused. A goal that records an optimal
+//! plan drops its list: the winner table answers every later request.
+//! Any insertion or merge bumps the memo version and clears every list.
+//! The kept lists hold at most half as many moves as the memo has
+//! expressions (at least 256); past that the oldest list goes first, and its goal, if
+//! asked again, generates its moves anew. Reuse is invisible in the
+//! statistics and the trace: a reused list counts and replays its
+//! exclusions exactly as a fresh one would.
+//!
 //! ## Resource governance
 //!
 //! The search honors a [`SearchBudget`] (wall-clock deadline, memo caps,
@@ -32,6 +52,7 @@
 //! a [`TraceEvent::BudgetTripped`] event.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -39,7 +60,7 @@ use crate::budget::{BudgetOutcome, CancelToken, SearchBudget, TripReason};
 use crate::cost::{Cost, Limit};
 use crate::error::OptimizeError;
 use crate::expr::{ExprTree, SubstExpr};
-use crate::fxhash::FxHashSet;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{ExprId, GoalId, GroupId};
 use crate::memo::{InputGoal, Memo, Winner, WinnerPlan};
 use crate::model::Model;
@@ -154,6 +175,113 @@ impl<M: Model> Move<M> {
     }
 }
 
+/// An application skipped because it delivers properties the excluding
+/// vector forbids; kept so a reused move list replays its
+/// [`TraceEvent::MoveExcluded`] events.
+enum Exclusion<M: Model> {
+    Alg {
+        rule_idx: usize,
+        delivers: M::PhysProps,
+    },
+    Enf {
+        enf_idx: usize,
+        delivers: M::PhysProps,
+    },
+}
+
+impl<M: Model> Exclusion<M> {
+    fn reason(&self, model: &M) -> String {
+        match self {
+            Exclusion::Alg { rule_idx, delivers } => format!(
+                "{} delivers {:?}, already enforced",
+                model.implementations()[*rule_idx].name(),
+                delivers
+            ),
+            Exclusion::Enf { enf_idx, delivers } => format!(
+                "enforcer {} delivers {:?}, already enforced",
+                model.enforcers()[*enf_idx].name(),
+                delivers
+            ),
+        }
+    }
+}
+
+/// A goal's moves in the order they are pursued (sorted by promise,
+/// truncated to the move limit), the binding arena `Move::Alg` entries
+/// index into, and the applications the excluding vector removed. Boxed
+/// slices: a kept list carries no spare capacity.
+struct MoveList<M: Model> {
+    moves: Box<[Move<M>]>,
+    bindings: Box<[Binding<M>]>,
+    exclusions: Box<[Exclusion<M>]>,
+}
+
+/// The move lists of goals optimized without recording an optimal plan,
+/// for reuse when such a goal is asked again with a looser limit. Valid
+/// for one memo version. Holds at most [`kept_moves_bound`] moves,
+/// dropping the oldest list first, so its footprint stays proportional to
+/// the memo's.
+struct MoveLists<M: Model> {
+    version: u64,
+    lists: FxHashMap<(GroupId, GoalId), Rc<MoveList<M>>>,
+    /// Keys in the order their lists were kept; a key whose list is gone
+    /// is skipped when it comes up for eviction.
+    order: VecDeque<(GroupId, GoalId)>,
+    /// Moves across `lists`.
+    moves: usize,
+}
+
+impl<M: Model> MoveLists<M> {
+    fn new() -> Self {
+        MoveLists {
+            version: 0,
+            lists: FxHashMap::default(),
+            order: VecDeque::new(),
+            moves: 0,
+        }
+    }
+
+    /// The list kept for `key`, if any, after dropping every list of an
+    /// older memo version: an insertion or merge may add moves to any goal.
+    fn get(&mut self, key: (GroupId, GoalId), version: u64) -> Option<Rc<MoveList<M>>> {
+        if self.version != version {
+            self.lists.clear();
+            self.order.clear();
+            self.moves = 0;
+            self.version = version;
+        }
+        self.lists.get(&key).cloned()
+    }
+
+    fn keep(&mut self, key: (GroupId, GoalId), list: Rc<MoveList<M>>, max_moves: usize) {
+        if self.lists.contains_key(&key) {
+            return;
+        }
+        self.moves += list.moves.len();
+        self.lists.insert(key, list);
+        self.order.push_back(key);
+        while self.moves > max_moves {
+            match self.order.pop_front() {
+                Some(old) => self.remove(old),
+                None => break,
+            }
+        }
+    }
+
+    fn remove(&mut self, key: (GroupId, GoalId)) {
+        if let Some(list) = self.lists.remove(&key) {
+            self.moves -= list.moves.len();
+        }
+    }
+}
+
+/// How many moves the kept lists may hold for a memo of `exprs`
+/// expressions: half as many, and at least 256 (a few tens of KB), so a
+/// small search keeps every list.
+fn kept_moves_bound(exprs: usize) -> usize {
+    (exprs / 2).max(256)
+}
+
 /// RAII "in progress" mark: inserts the (group, goal) key on construction
 /// and removes it on drop, so *every* exit path — straight-line returns,
 /// `?` propagation, and budget-degraded early breaks — unwinds the mark.
@@ -252,6 +380,7 @@ pub struct Optimizer<'m, M: Model> {
     /// which are upper bounds, not optima); see [`Self::set_budget`] for
     /// the one case a fresh budget clears it.
     tripped: Option<TripReason>,
+    move_lists: MoveLists<M>,
     tracer: Box<dyn Tracer>,
 }
 
@@ -274,6 +403,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
             rule_depths,
             deadline: None,
             tripped: None,
+            move_lists: MoveLists::new(),
             tracer: Box::new(NullTracer),
         }
     }
@@ -738,25 +868,14 @@ impl<'m, M: Model> Optimizer<'m, M> {
             });
         }
 
-        let (mut moves, bindings) = self.generate_moves(group, goal);
-        if self.opts.promise_ordering {
-            // Stable sort by descending promise: "order the set of moves
-            // by promise". `total_cmp` gives NaN a fixed position (after
-            // every finite promise in descending order), so a NaN promise
-            // can no longer scramble move order between runs.
-            moves.sort_by(|a, b| b.promise().total_cmp(&a.promise()));
-        }
-        if let Some(k) = self.opts.move_limit {
-            // "for the most promising moves": heuristic move selection.
-            moves.truncate(k);
-        }
-        let moves_pursued = moves.len() as u64;
+        let list = self.move_list(group, goal);
+        let moves_pursued = list.moves.len() as u64;
 
         let mut best: Option<WinnerPlan<M>> = None;
         let mut bound = limit.clone();
         let mut nonmemoizable_failure = false;
 
-        for mv in moves {
+        for mv in &list.moves {
             self.check_budget();
             if self.tripped.is_some() && best.is_some() {
                 // Greedy completion: the budget is exhausted and a
@@ -764,29 +883,26 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 // promise order instead of enumerating the rest.
                 break;
             }
-            match mv {
+            let pursued = match mv {
                 Move::Alg {
                     rule_idx,
                     binding,
                     app,
                     ..
-                } => {
-                    if let Err(nm) = self.pursue_alg(
-                        group,
-                        rule_idx,
-                        &bindings[binding as usize],
-                        app,
-                        &mut best,
-                        &mut bound,
-                    ) {
-                        nonmemoizable_failure |= nm;
-                    }
-                }
+                } => self.pursue_alg(
+                    group,
+                    *rule_idx,
+                    &list.bindings[*binding as usize],
+                    app,
+                    &mut best,
+                    &mut bound,
+                ),
                 Move::Enf { enf_idx, app, .. } => {
-                    if let Err(nm) = self.pursue_enf(group, enf_idx, app, &mut best, &mut bound) {
-                        nonmemoizable_failure |= nm;
-                    }
+                    self.pursue_enf(group, *enf_idx, app, &mut best, &mut bound)
                 }
+            };
+            if let Err(nm) = pursued {
+                nonmemoizable_failure |= nm;
             }
         }
 
@@ -804,6 +920,9 @@ impl<'m, M: Model> Optimizer<'m, M> {
                     self.stats.greedy_goals += 1;
                 }
                 self.memo.set_winner(group, goal, Winner::Optimal(plan));
+                // The winner table answers every later request for this
+                // goal, so its moves are never pursued again.
+                self.move_lists.remove(key);
                 if limit.admits(&cost) {
                     Ok(cost)
                 } else {
@@ -826,6 +945,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         },
                     );
                 }
+                self.move_lists
+                    .keep(key, list, kept_moves_bound(self.memo.num_exprs()));
                 Err(GoalFailure { memoizable })
             }
         };
@@ -844,40 +965,59 @@ impl<'m, M: Model> Optimizer<'m, M> {
         outcome
     }
 
-    /// Generate the algorithm and enforcer moves for a goal, plus the
-    /// binding arena `Move::Alg` entries index into. Bindings stream
-    /// straight out of the matcher into the arena — no intermediate
-    /// `Vec<Binding>` per (expression, rule) pair, no per-move clones; a
-    /// binding is stored only if at least one move uses it, and shared by
-    /// all of that binding's applications.
-    fn generate_moves(&mut self, group: GroupId, goal: GoalId) -> (Vec<Move<M>>, Vec<Binding<M>>) {
-        // Disjoint field borrows: the matcher callback reads `memo` while
-        // mutating the tracer, move list, and arena.
-        let Optimizer {
-            ref memo,
-            model,
-            ref mut tracer,
-            ref rule_index,
-            ..
-        } = *self;
+    /// The goal's move list: reused when the goal was optimized before
+    /// without recording an optimal plan, generated otherwise. Either way
+    /// its exclusions are counted and traced as if just generated, so the
+    /// statistics and the event stream do not depend on reuse.
+    fn move_list(&mut self, group: GroupId, goal: GoalId) -> Rc<MoveList<M>> {
+        // Costing never changes the memo's structure, so within one
+        // `find_best_plan` the version is fixed.
+        let list = match self.move_lists.get((group, goal), self.memo.version()) {
+            Some(list) => list,
+            None => Rc::new(self.generate_moves(group, goal)),
+        };
+        self.stats.moves_excluded += list.exclusions.len() as u64;
+        if self.tracer.enabled() {
+            for x in &list.exclusions {
+                self.tracer.event(TraceEvent::MoveExcluded {
+                    group,
+                    reason: x.reason(self.model),
+                });
+            }
+        }
+        list
+    }
+
+    /// Generate the algorithm and enforcer moves for a goal in the order
+    /// they are pursued. Bindings stream straight out of the matcher into
+    /// the list's arena — no intermediate `Vec<Binding>` per (expression,
+    /// rule) pair, no per-move clones; a binding is stored only if at
+    /// least one move uses it, and once per expression: rules with the
+    /// same pattern bind the same expressions and share one entry.
+    fn generate_moves(&self, group: GroupId, goal: GoalId) -> MoveList<M> {
+        let (memo, model) = (&self.memo, self.model);
         let mut moves: Vec<Move<M>> = Vec::new();
         let mut bindings: Vec<Binding<M>> = Vec::new();
+        let mut exclusions: Vec<Exclusion<M>> = Vec::new();
         let goal = memo.goal(goal);
         let exclude_active = !goal.excluded.is_any();
-        let mut excluded_count = 0u64;
-        let traced = tracer.enabled();
 
         let ctx = RuleCtx::new(memo);
         // "there might be some algorithms that can deliver the logical
         // expression with the desired physical properties".
         for expr in memo.group_exprs(group) {
+            let expr_bindings = bindings.len();
             let disc = model.op_discriminant(memo.expr(expr).0);
-            for &ri in rule_index.impl_candidates(disc) {
+            for &ri in self.rule_index.impl_candidates(disc) {
                 let rule = &model.implementations()[ri];
                 match_pattern_with(memo, rule.pattern(), expr, 0, &mut |binding| {
                     if !rule.condition(&binding, &ctx) {
                         return;
                     }
+                    let idx = bindings[expr_bindings..]
+                        .iter()
+                        .position(|b| b.same_as(&binding))
+                        .map_or(bindings.len(), |i| expr_bindings + i);
                     let mut used = false;
                     for app in rule.applies(&binding, &goal.required, &ctx) {
                         debug_assert!(
@@ -892,29 +1032,22 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         // relaxing the physical properties must not be
                         // explored again" below an enforcer.
                         if exclude_active && app.delivers.satisfies(&goal.excluded) {
-                            excluded_count += 1;
-                            if traced {
-                                tracer.event(TraceEvent::MoveExcluded {
-                                    group,
-                                    reason: format!(
-                                        "{} delivers {:?}, already enforced",
-                                        rule.name(),
-                                        app.delivers
-                                    ),
-                                });
-                            }
+                            exclusions.push(Exclusion::Alg {
+                                rule_idx: ri,
+                                delivers: app.delivers,
+                            });
                             continue;
                         }
                         let promise = rule.promise(&app, &binding, &ctx);
                         moves.push(Move::Alg {
                             rule_idx: ri,
-                            binding: bindings.len() as u32,
+                            binding: idx as u32,
                             app,
                             promise,
                         });
                         used = true;
                     }
-                    if used {
+                    if used && idx == bindings.len() {
                         bindings.push(binding);
                     }
                 });
@@ -925,17 +1058,10 @@ impl<'m, M: Model> Optimizer<'m, M> {
         for (ei, enf) in model.enforcers().iter().enumerate() {
             for app in enf.applies(&goal.required, group, &ctx) {
                 if exclude_active && app.delivers.satisfies(&goal.excluded) {
-                    excluded_count += 1;
-                    if traced {
-                        tracer.event(TraceEvent::MoveExcluded {
-                            group,
-                            reason: format!(
-                                "enforcer {} delivers {:?}, already enforced",
-                                enf.name(),
-                                app.delivers
-                            ),
-                        });
-                    }
+                    exclusions.push(Exclusion::Enf {
+                        enf_idx: ei,
+                        delivers: app.delivers,
+                    });
                     continue;
                 }
                 let promise = enf.promise(&app, group, &ctx);
@@ -946,8 +1072,22 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 });
             }
         }
-        self.stats.moves_excluded += excluded_count;
-        (moves, bindings)
+        if self.opts.promise_ordering {
+            // Stable sort by descending promise: "order the set of moves
+            // by promise". `total_cmp` gives NaN a fixed position (after
+            // every finite promise in descending order), so a NaN promise
+            // can no longer scramble move order between runs.
+            moves.sort_by(|a, b| b.promise().total_cmp(&a.promise()));
+        }
+        if let Some(k) = self.opts.move_limit {
+            // "for the most promising moves": heuristic move selection.
+            moves.truncate(k);
+        }
+        MoveList {
+            moves: moves.into_boxed_slice(),
+            bindings: bindings.into_boxed_slice(),
+            exclusions: exclusions.into_boxed_slice(),
+        }
     }
 
     /// Pursue an algorithm move: cost the algorithm, then optimize each
@@ -958,7 +1098,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         group: GroupId,
         rule_idx: usize,
         binding: &Binding<M>,
-        app: AlgApplication<M>,
+        app: &AlgApplication<M>,
         best: &mut Option<WinnerPlan<M>>,
         bound: &mut Limit<M::Cost>,
     ) -> Result<(), bool> {
@@ -967,7 +1107,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         let rule = &model.implementations()[rule_idx];
         let local = {
             let ctx = RuleCtx::new(&self.memo);
-            rule.cost(&app, binding, &ctx)
+            rule.cost(app, binding, &ctx)
         };
         let traced = self.tracer.enabled();
         if traced {
@@ -1030,8 +1170,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
 
         self.consider_candidate(
             WinnerPlan {
-                alg: app.alg,
-                delivered: app.delivers,
+                alg: app.alg.clone(),
+                delivered: app.delivers.clone(),
                 local_cost: local,
                 total_cost: total,
                 inputs: input_goals,
@@ -1050,7 +1190,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         &mut self,
         group: GroupId,
         enf_idx: usize,
-        app: EnforcerApplication<M>,
+        app: &EnforcerApplication<M>,
         best: &mut Option<WinnerPlan<M>>,
         bound: &mut Limit<M::Cost>,
     ) -> Result<(), bool> {
@@ -1059,7 +1199,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         let enf = &model.enforcers()[enf_idx];
         let local = {
             let ctx = RuleCtx::new(&self.memo);
-            enf.cost(&app, group, &ctx)
+            enf.cost(app, group, &ctx)
         };
         let traced = self.tracer.enabled();
         if traced {
@@ -1094,8 +1234,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
             Ok(c) => {
                 self.consider_candidate(
                     WinnerPlan {
-                        alg: app.alg,
-                        delivered: app.delivers,
+                        alg: app.alg.clone(),
+                        delivered: app.delivers.clone(),
                         local_cost: local.clone(),
                         total_cost: local.add(&c),
                         inputs: vec![InputGoal {
@@ -1169,5 +1309,99 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 })
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::toy::{ToyModel, ToyOp, ToyProps};
+
+    fn join(l: ExprTree<ToyModel>, r: ExprTree<ToyModel>) -> ExprTree<ToyModel> {
+        ExprTree::new(ToyOp::Join, vec![l, r])
+    }
+
+    fn get(name: &str) -> ExprTree<ToyModel> {
+        ExprTree::leaf(ToyOp::Get(name.into()))
+    }
+
+    /// The kept lists hold no goal with an optimal plan, and no more
+    /// moves than the bound.
+    fn check_kept(opt: &Optimizer<'_, ToyModel>) {
+        let kept = &opt.move_lists;
+        assert!(kept
+            .lists
+            .keys()
+            .all(|&(g, goal)| !matches!(opt.memo.winner(g, goal), Some(Winner::Optimal(_)))));
+        let moves: usize = kept.lists.values().map(|l| l.moves.len()).sum();
+        assert_eq!(kept.moves, moves);
+        assert!(moves <= kept_moves_bound(opt.memo.num_exprs()));
+    }
+
+    #[test]
+    fn move_lists_are_kept_for_unsolved_goals_of_the_current_memo_only() {
+        let model = ToyModel::with_tables(&[("A", 100), ("B", 2000), ("C", 30), ("D", 500)]);
+        let mut opt = Optimizer::new(&model, SearchOptions::default());
+        let root = opt.insert_tree(&join(join(get("A"), get("B")), get("C")));
+        let best = opt
+            .find_best_plan(root, ToyProps::sorted(), None)
+            .unwrap()
+            .cost;
+        let mut opt = Optimizer::new(&model, SearchOptions::default());
+        let root = opt.insert_tree(&join(join(get("A"), get("B")), get("C")));
+        assert!(opt
+            .find_best_plan(root, ToyProps::sorted(), Some(0.5 * best))
+            .is_err());
+        assert!(!opt.move_lists.lists.is_empty());
+        check_kept(&opt);
+        let kept: Vec<_> = opt.move_lists.lists.values().cloned().collect();
+        opt.find_best_plan(root, ToyProps::sorted(), None).unwrap();
+        check_kept(&opt);
+
+        // A new relation changes the memo: no list of the old one survives.
+        let wider = opt.insert_tree(&join(get("D"), join(join(get("A"), get("B")), get("C"))));
+        let _ = opt.find_best_plan(wider, ToyProps::sorted(), Some(0.5 * best));
+        assert_eq!(opt.move_lists.version, opt.memo.version());
+        assert!(!opt.move_lists.lists.is_empty());
+        check_kept(&opt);
+        assert!(opt
+            .move_lists
+            .lists
+            .values()
+            .all(|l| kept.iter().all(|k| !Rc::ptr_eq(k, l))));
+    }
+
+    #[test]
+    fn the_oldest_lists_go_first_once_the_moves_exceed_the_bound() {
+        let model = ToyModel::with_tables(&[("A", 100), ("B", 2000), ("C", 30), ("D", 500)]);
+        let tree = join(get("D"), join(join(get("A"), get("B")), get("C")));
+        let mut opt = Optimizer::new(&model, SearchOptions::default());
+        let root = opt.insert_tree(&tree);
+        let best = opt
+            .find_best_plan(root, ToyProps::sorted(), None)
+            .unwrap()
+            .cost;
+        let mut opt = Optimizer::new(&model, SearchOptions::default());
+        let root = opt.insert_tree(&tree);
+        let _ = opt.find_best_plan(root, ToyProps::sorted(), Some(0.5 * best));
+        let mut lists: Vec<_> = opt.move_lists.lists.drain().collect();
+        lists.retain(|(_, l)| !l.moves.is_empty());
+        assert!(lists.len() >= 3);
+        let version = opt.memo.version();
+        let mut kept = MoveLists::new();
+        assert!(kept.get(lists[0].0, version).is_none());
+        let bound = lists[1].1.moves.len() + lists[2].1.moves.len();
+        for (key, list) in &lists[..3] {
+            kept.keep(*key, Rc::clone(list), bound);
+        }
+        assert!(kept.get(lists[0].0, version).is_none());
+        assert!(kept.get(lists[1].0, version).is_some());
+        assert!(kept.get(lists[2].0, version).is_some());
+        assert_eq!(kept.moves, bound);
+        kept.remove(lists[1].0);
+        assert_eq!(kept.moves, lists[2].1.moves.len());
+        // A new memo version drops everything.
+        assert!(kept.get(lists[2].0, version + 1).is_none());
+        assert_eq!((kept.moves, kept.lists.len()), (0, 0));
     }
 }

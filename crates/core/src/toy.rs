@@ -539,6 +539,13 @@ impl ToyModel {
         self.transforms.push(rule);
     }
 
+    /// Append a custom implementation rule. Test support, like
+    /// [`Self::push_transformation`]: e.g. a rule that observes how often
+    /// the engine asks for applications.
+    pub fn push_implementation(&mut self, rule: Box<dyn ImplementationRule<ToyModel>>) {
+        self.impls.push(rule);
+    }
+
     /// Cardinality of a named table.
     pub fn table_card(&self, name: &str) -> f64 {
         *self

@@ -184,6 +184,13 @@ pub(crate) struct JoinScratch {
     routed: Vec<(Vec<u32>, Vec<u64>)>,
 }
 
+/// The partition of `parts` a key hash belongs to, taken from the hash's
+/// high bits: the multiplicative hash leaves its low bits as regular as
+/// the keys (every multiple of 32 has the same five low bits).
+fn partition_of(h: u64, parts: usize) -> usize {
+    ((u128::from(h) * parts as u128) >> 64) as usize
+}
+
 /// Hash the key columns of `batch`'s live rows and list, per partition,
 /// the rows whose key is not NULL, with their hashes.
 fn route(batch: &Batch, keys: &[usize], parts: usize, s: &mut JoinScratch) {
@@ -195,7 +202,7 @@ fn route(batch: &Batch, keys: &[usize], parts: usize, s: &mut JoinScratch) {
     }
     for (&row, h) in batch.live_indices(&mut s.sel).iter().zip(&s.hashes) {
         if let Some(h) = *h {
-            let (rows, hashes) = &mut s.routed[h as usize % parts];
+            let (rows, hashes) = &mut s.routed[partition_of(h, parts)];
             rows.push(row);
             hashes.push(h);
         }
@@ -592,6 +599,26 @@ mod tests {
     }
 
     #[test]
+    fn keys_that_share_their_low_bits_spread_over_the_partitions() {
+        let shape = shape(&[0]);
+        let rows: Vec<Vec<Value>> = (0..256)
+            .map(|k| vec![int(k * 32), int(k), int(k)])
+            .collect();
+        let mut workers = vec![Batch::default(); PARTITIONS];
+        FusedTable::scatter(
+            &shape,
+            &batch(&rows),
+            &mut workers,
+            &mut JoinScratch::default(),
+        );
+        let used = workers.iter().filter(|b| b.live_rows() > 0).count();
+        assert!(
+            used >= PARTITIONS / 2,
+            "{used} of {PARTITIONS} partitions used"
+        );
+    }
+
+    #[test]
     fn one_partition_emits_probe_order_with_per_key_insertion_order() {
         let shape = shape(&[0]);
         let table = appended(&shape, &[batch(&build_rows(0)), batch(&build_rows(200))]);
@@ -612,19 +639,22 @@ mod tests {
         let shape = shape(&[0]);
         let typed = batch(&build_rows(0));
         // A later batch whose key column holds one string: it arrives
-        // demoted, and its 200 rows reach every partition.
+        // demoted, and every partition its rows reach migrates.
         let mut rows = build_rows(200);
         rows[1][0] = text("k");
         let mixed = batch(&rows);
         assert!(matches!(mixed.columns[0], Column::Any(_)));
+        let mut reached = vec![Batch::default(); PARTITIONS];
+        FusedTable::scatter(&shape, &mixed, &mut reached, &mut JoinScratch::default());
         let batches = [typed, mixed];
         let probe = batch(&[vec![int(3), text("a")], vec![text("k"), text("b")]]);
         let one = appended(&shape, &batches);
         let many = partitioned(&shape, &batches);
-        for table in [&one, &many] {
-            for part in &table.parts {
-                assert!(matches!(part.index, TableIndex::Generic(_)));
-            }
+        assert!(matches!(one.parts[0].index, TableIndex::Generic(_)));
+        assert!(reached.iter().any(|b| b.live_rows() > 0));
+        for (part, buf) in many.parts.iter().zip(&reached) {
+            let generic = matches!(part.index, TableIndex::Generic(_));
+            assert_eq!(generic, buf.live_rows() > 0);
         }
         let expect = matches(&one, &probe, &[0]);
         // Rows from before and after the migration, and the string key.
