@@ -279,7 +279,7 @@ impl Fuser<'_> {
         // exactly one adapter at this genuine engine boundary.
         let children: Vec<Built> = plan.inputs.iter().map(|c| self.build_tree(c)).collect();
         self.report.adapters += children.iter().filter(|c| matches!(c, Built::B(_))).count();
-        self.report.fallback_ops.push(fallback_name(&plan.alg));
+        self.report.fallback_ops.push(plan.alg.name());
         let tuple_children = children.into_iter().map(Built::into_tuple).collect();
         Built::T(compile_node_at(self.db, self.sch, plan, tuple_children))
     }
@@ -511,32 +511,5 @@ impl Fuser<'_> {
             stages,
             stats,
         }
-    }
-}
-
-/// Display name of a plan operator the fused engine does not fuse.
-fn fallback_name(alg: &RelAlg) -> &'static str {
-    match alg {
-        RelAlg::FileScan(_) => "file_scan",
-        RelAlg::IndexScan(..) => "index_scan",
-        RelAlg::FilterScan(..) => "filter_scan",
-        RelAlg::Filter(_) => "filter",
-        RelAlg::ProjectOp(_) => "project",
-        RelAlg::Gather(_) => "gather",
-        RelAlg::Sort(_) => "sort",
-        RelAlg::MergeJoin(_) => "merge_join",
-        RelAlg::HybridHashJoin(_) => "cross_hash_join",
-        RelAlg::MultiWayHashJoin { .. } => "multiway_hash_join",
-        RelAlg::NestedLoops(_) => "nested_loops",
-        RelAlg::HashUnion => "hash_union",
-        RelAlg::HashIntersect => "hash_intersect",
-        RelAlg::HashDifference => "hash_difference",
-        RelAlg::MergeUnion => "merge_union",
-        RelAlg::MergeIntersect => "merge_intersect",
-        RelAlg::MergeDifference => "merge_difference",
-        RelAlg::HashAggregate(_)
-        | RelAlg::StreamAggregate(_)
-        | RelAlg::PartialHashAggregate(..)
-        | RelAlg::FinalHashAggregate(_) => unreachable!("every aggregate is a region's sink"),
     }
 }

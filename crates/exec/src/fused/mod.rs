@@ -24,12 +24,11 @@
 //! per genuine engine boundary.
 //!
 //! Semantics are identical to the tuple engine by construction: the
-//! monomorphized kernels defer to the generic ones in
-//! [`crate::kernels`] on any unexpected column shape, and at degree 1
-//! probe output replicates the serial hash join's order contract. The
-//! differential suites (`tests/fused_differential.rs`,
-//! `tests/parallel_differential.rs`) pin this across batch sizes and
-//! degrees.
+//! monomorphized kernels defer to one generic kernel on any unexpected
+//! column shape, and at degree 1 probe output replicates the serial hash
+//! join's order contract. The differential suites
+//! (`tests/fused_differential.rs`, `tests/parallel_differential.rs`) pin
+//! this across batch sizes and degrees.
 
 mod compile;
 mod pred;

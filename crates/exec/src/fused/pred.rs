@@ -8,15 +8,14 @@
 //! materialization, no per-row branching beyond the validity mask. A
 //! conjunct whose column arrives in an unexpected variant at runtime
 //! (demoted to [`Column::Any`], or a cross-typed comparison such as an
-//! `Int` column against a `Float` literal) falls back to the batch
-//! engine's [`filter_term`] kernel, which keeps semantics identical to
-//! the tuple engine's [`CompiledPred::eval`] by construction — in
-//! particular, a comparison involving NULL rejects the row.
+//! `Int` column against a `Float` literal) falls back to the generic
+//! [`filter_term`] kernel, which keeps semantics identical to the tuple
+//! engine's [`CompiledPred::eval`] by construction — in particular, a
+//! comparison involving NULL rejects the row.
 
 use volcano_rel::{CmpOp, Value};
 
 use crate::batch::{Batch, Column};
-use crate::kernels::pred::filter_term;
 use crate::ops::CompiledPred;
 
 /// A monomorphized conjunct kernel: narrow `sel` by comparing one column
@@ -59,8 +58,8 @@ impl FusedPred {
     }
 
     /// Apply the conjunction to `batch`, replacing its selection vector
-    /// with the surviving rows — same contract and same conjunct order
-    /// as [`crate::kernels::apply_pred`]. Returns the surviving count.
+    /// with the surviving rows, conjunct by conjunct in plan order.
+    /// Returns the surviving count.
     pub fn apply(&self, batch: &mut Batch, scratch: &mut Vec<u32>) -> usize {
         for term in &self.terms {
             if batch.live_rows() == 0 {
@@ -212,11 +211,98 @@ fn bool_term(op: CmpOp, l: bool) -> Kernel {
     per_op!(op, k)
 }
 
+/// Narrow one selection vector by `column <op> literal`, appending the
+/// surviving indices to `out`: the fallback of the monomorphized kernels,
+/// for columns that arrive demoted or cross-typed at runtime. Typed
+/// column × literal pairs run on primitive slices; anything else goes
+/// through [`Value::sql_cmp`] per row.
+fn filter_term(col: &Column, op: CmpOp, lit: &Value, sel: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    out.reserve(sel.len());
+    match (col, lit) {
+        (Column::Int { data, valid }, Value::Int(l)) => {
+            for &i in sel {
+                let i = i as usize;
+                if valid[i] && op.eval(data[i].cmp(l)) {
+                    out.push(i as u32);
+                }
+            }
+        }
+        (Column::Int { data, valid }, Value::Float(l)) => {
+            let l = l.get();
+            for &i in sel {
+                let i = i as usize;
+                if valid[i] {
+                    if let Some(ord) = (data[i] as f64).partial_cmp(&l) {
+                        if op.eval(ord) {
+                            out.push(i as u32);
+                        }
+                    }
+                }
+            }
+        }
+        (Column::Float { data, valid }, Value::Int(l)) => {
+            let l = *l as f64;
+            for &i in sel {
+                let i = i as usize;
+                if valid[i] {
+                    if let Some(ord) = data[i].partial_cmp(&l) {
+                        if op.eval(ord) {
+                            out.push(i as u32);
+                        }
+                    }
+                }
+            }
+        }
+        (Column::Float { data, valid }, Value::Float(l)) => {
+            let l = l.get();
+            for &i in sel {
+                let i = i as usize;
+                if valid[i] {
+                    if let Some(ord) = data[i].partial_cmp(&l) {
+                        if op.eval(ord) {
+                            out.push(i as u32);
+                        }
+                    }
+                }
+            }
+        }
+        (Column::Str { data, valid }, Value::Str(l)) => {
+            for &i in sel {
+                let i = i as usize;
+                if valid[i] && op.eval(data[i].as_str().cmp(l.as_str())) {
+                    out.push(i as u32);
+                }
+            }
+        }
+        (Column::Bool { data, valid }, Value::Bool(l)) => {
+            for &i in sel {
+                let i = i as usize;
+                if valid[i] && op.eval(data[i].cmp(l)) {
+                    out.push(i as u32);
+                }
+            }
+        }
+        // NULL literal: SQL comparison with NULL is unknown — rejects
+        // every row, exactly as `sql_cmp` returning `None` does.
+        (_, Value::Null) => {}
+        // Mixed or demoted columns: per-row values through sql_cmp.
+        (col, lit) => {
+            for &i in sel {
+                let v = col.value_at(i as usize);
+                if v.sql_cmp(lit).map(|ord| op.eval(ord)).unwrap_or(false) {
+                    out.push(i);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::apply_pred;
     use volcano_rel::catalog::ColType;
+    use volcano_rel::value::Tuple;
 
     const OPS: [CmpOp; 6] = [
         CmpOp::Eq,
@@ -271,8 +357,28 @@ mod tests {
         b
     }
 
+    /// The tuple engine's verdict, the oracle: the live rows of `batch`
+    /// that [`CompiledPred::eval`] accepts, one materialized row at a
+    /// time.
+    fn row_wise(pred: &CompiledPred, batch: &Batch) -> Vec<u32> {
+        let mut scratch = Vec::new();
+        batch
+            .live_indices(&mut scratch)
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let row: Tuple = batch
+                    .columns
+                    .iter()
+                    .map(|c| c.value_at(i as usize))
+                    .collect();
+                pred.eval(&row)
+            })
+            .collect()
+    }
+
     #[test]
-    fn fused_matches_batch_kernel_on_every_shape() {
+    fn fused_matches_row_wise_eval_on_every_shape() {
         let cases: Vec<(usize, Value)> = vec![
             (1, Value::Int(3)),
             (1, Value::float(2.5)),
@@ -288,33 +394,27 @@ mod tests {
             for &op in &OPS {
                 let pred = CompiledPred::new(vec![(pos, op, lit.clone())]);
                 let fused = FusedPred::compile(&pred);
-                let mut expect = mixed_batch();
                 let mut got = mixed_batch();
-                let mut s1 = Vec::new();
-                let mut s2 = Vec::new();
-                let n_expect = apply_pred(&pred, &mut expect, &mut s1);
-                let n_got = fused.apply(&mut got, &mut s2);
-                assert_eq!(n_got, n_expect, "pos={pos} op={op:?} lit={lit:?}");
-                assert_eq!(got.sel, expect.sel, "pos={pos} op={op:?} lit={lit:?}");
+                let expect = row_wise(&pred, &got);
+                let n_got = fused.apply(&mut got, &mut Vec::new());
+                assert_eq!(n_got, expect.len(), "pos={pos} op={op:?} lit={lit:?}");
+                assert_eq!(got.sel, Some(expect), "pos={pos} op={op:?} lit={lit:?}");
             }
         }
     }
 
     #[test]
-    fn conjunction_narrows_in_order_and_matches_batch_kernel() {
+    fn conjunction_narrows_in_order_and_matches_row_wise_eval() {
         let pred = CompiledPred::new(vec![
             (1, CmpOp::Gt, Value::Int(-10)),
             (2, CmpOp::Lt, Value::float(3.0)),
             (4, CmpOp::Eq, Value::Bool(true)),
         ]);
         let fused = FusedPred::compile(&pred);
-        let mut expect = mixed_batch();
         let mut got = mixed_batch();
-        let mut s = Vec::new();
-        apply_pred(&pred, &mut expect, &mut s);
-        s.clear();
-        fused.apply(&mut got, &mut s);
-        assert_eq!(got.sel, expect.sel);
+        let expect = row_wise(&pred, &got);
+        fused.apply(&mut got, &mut Vec::new());
+        assert_eq!(got.sel, Some(expect));
         assert!(got.live_rows() > 0, "test predicate should keep some rows");
     }
 
@@ -324,11 +424,41 @@ mod tests {
         let fused = FusedPred::compile(&pred);
         let mut b = mixed_batch();
         b.sel = Some((0..41).step_by(2).collect());
-        let mut expect = b.clone();
-        let mut s = Vec::new();
-        apply_pred(&pred, &mut expect, &mut s);
-        s.clear();
-        fused.apply(&mut b, &mut s);
-        assert_eq!(b.sel, expect.sel);
+        let expect = row_wise(&pred, &b);
+        fused.apply(&mut b, &mut Vec::new());
+        assert_eq!(b.sel, Some(expect));
+    }
+
+    fn int_col(vals: &[Option<i64>]) -> Column {
+        let mut c = Column::with_type(ColType::Int);
+        for v in vals {
+            match v {
+                Some(i) => c.push_value(Value::Int(*i)),
+                None => c.push_null(),
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn kernel_matches_scalar_semantics() {
+        let col = int_col(&[Some(1), None, Some(5), Some(10), Some(-3)]);
+        let lits = [Value::Int(5), Value::float(4.5), Value::Null];
+        let sel: Vec<u32> = (0..col.len() as u32).collect();
+        let mut out = Vec::new();
+        for lit in &lits {
+            for &op in &OPS {
+                filter_term(&col, op, lit, &sel, &mut out);
+                let expect: Vec<u32> = sel
+                    .iter()
+                    .copied()
+                    .filter(|&i| {
+                        let v = col.value_at(i as usize);
+                        v.sql_cmp(lit).map(|ord| op.eval(ord)).unwrap_or(false)
+                    })
+                    .collect();
+                assert_eq!(out, expect, "op={op:?} lit={lit:?}");
+            }
+        }
     }
 }

@@ -15,17 +15,18 @@
 //! [`database::Database::execute`] runs a plan on either.
 //!
 //! * [`ops`] — the algorithms the optimizer chooses among: table scan,
-//!   filtered scan, filter, project, sort, merge join, hash join, nested
-//!   loops, set operations, aggregation, and the `exchange` operator for
-//!   pipeline parallelism (crossbeam channels), per the paper's
-//!   parallelism discussion; plus the tuple↔batch adapters.
+//!   index scan, filter, project, external sort (run formation and one
+//!   merge level, §4.2), merge join, hash join, nested loops, set
+//!   operations, aggregation; plus the tuple↔batch adapters. A `gather`
+//!   is a region's degree in the vectorized engine ([`morsel`]); the
+//!   tuple engine runs it serially.
 //! * [`database`] — tables as heap files behind a buffer pool, with data
 //!   generation that honours the catalog's statistics, prepared
 //!   statements and the plan cache.
 //! * [`compile()`] — lowers an optimized [`volcano_rel::RelPlan`] to a
 //!   tuple operator tree, resolving attributes to positions.
 //! * [`batch`] / [`kernels`] — columnar batches and the
-//!   column-at-a-time kernels (predicates, key hashing, aggregation).
+//!   column-at-a-time kernels (key hashing, aggregation).
 //! * [`fused`] — the vectorized lowering and its one runtime:
 //!   fused-region operators with monomorphized predicate kernels,
 //!   projected record decoding, partitioned join tables and terminal

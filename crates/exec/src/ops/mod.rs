@@ -2,7 +2,6 @@
 
 pub mod aggregate;
 pub mod batch_adapter;
-pub mod exchange;
 pub mod external_sort;
 pub mod filter;
 pub mod index_scan;
@@ -10,11 +9,9 @@ pub mod joins;
 pub mod project;
 pub mod scan;
 pub mod set_ops;
-pub mod sort;
 
 pub use aggregate::{AggMode, CompiledAgg, HashAggregate, StreamAggregate};
 pub use batch_adapter::{BatchSource, TupleSource};
-pub use exchange::Exchange;
 pub use external_sort::ExternalSort;
 pub use filter::{CompiledPred, Filter};
 pub use index_scan::IndexScan;
@@ -22,4 +19,3 @@ pub use joins::{HashJoin, MergeJoin, MultiWayHash, NestedLoops};
 pub use project::Project;
 pub use scan::TableScan;
 pub use set_ops::{HashSetOp, MergeSetOp, SetOpKind};
-pub use sort::Sort;

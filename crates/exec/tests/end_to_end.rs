@@ -265,28 +265,6 @@ fn random_queries_match_oracle() {
 }
 
 #[test]
-fn exchange_produces_same_rows() {
-    use volcano_exec::ops::Exchange;
-    use volcano_exec::{collect, compile};
-    let (db, model) = setup();
-    let q = QueryBuilder::new(model.catalog());
-    let expr = join_on(
-        q.scan("emp"),
-        q.scan("dept"),
-        q.attr("emp", "dept"),
-        q.attr("dept", "id"),
-    );
-    let mut opt = RelOptimizer::new(&model, SearchOptions::default());
-    let root = opt.insert_tree(&expr);
-    let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
-    let direct = db.execute(&plan, &ExecOptions::new(), None);
-    let compiled = compile(&db, &plan);
-    let mut exchanged = Exchange::new(compiled.operator, 64);
-    let via_thread = collect(&mut exchanged);
-    assert_same_rows(direct, via_thread);
-}
-
-#[test]
 fn io_counters_reflect_scans() {
     let mut c = Catalog::new();
     c.add_table(

@@ -1,15 +1,18 @@
 //! Direct unit tests of individual execution operators, fed from an
-//! in-memory source — duplicate-key joins, sort-run boundaries, group
-//! boundaries, and the exchange thread.
+//! in-memory source — duplicate-key joins, sort-run boundaries and group
+//! boundaries.
+
+use std::sync::Arc;
 
 use volcano_exec::iterator::collect;
 use volcano_exec::ops::{
-    aggregate::CompiledAgg, Exchange, HashAggregate, HashJoin, MergeJoin, MergeSetOp, NestedLoops,
-    SetOpKind, Sort, StreamAggregate,
+    aggregate::CompiledAgg, ExternalSort, HashAggregate, HashJoin, MergeJoin, MergeSetOp,
+    NestedLoops, SetOpKind, StreamAggregate,
 };
 use volcano_exec::Operator;
 use volcano_rel::value::Tuple;
 use volcano_rel::Value;
+use volcano_store::{BufferPool, MemDisk};
 
 /// A restartable in-memory source.
 struct Rows {
@@ -113,31 +116,48 @@ fn nested_loops_cross_product_preserves_outer_order() {
     assert_eq!(out[4][0], Value::Int(2));
 }
 
+/// The sort every plan runs: an [`ExternalSort`] holding at most
+/// `memory_rows` rows, spilling its runs through a small pool.
+fn external_sort(rows: Vec<Vec<i64>>, keys: Vec<usize>, memory_rows: usize) -> ExternalSort {
+    let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 8));
+    ExternalSort::new(Rows::new(rows), keys, pool, memory_rows)
+}
+
+fn runs_spilled(s: &ExternalSort) -> u64 {
+    let metrics = s.metrics();
+    let (_, n) = metrics.iter().find(|(k, _)| *k == "runs_spilled").unwrap();
+    *n
+}
+
 #[test]
 fn sort_merges_across_run_boundaries() {
-    // More rows than one run (run size is 64Ki — use a seeded shuffle of
-    // a modest size; correctness matters, run boundary is covered by the
-    // multi-run construction below with tiny logical runs via repeated
-    // sorts). Here: verify stability-agnostic total ordering.
     let mut rows: Vec<Vec<i64>> = (0..5000).map(|i| vec![(i * 7919) % 1000, i]).collect();
     rows.reverse();
-    let mut s = Sort::new(Rows::new(rows), vec![0]);
-    let out = collect(&mut s);
-    assert_eq!(out.len(), 5000);
+    let mut expect = ints(rows.clone());
+    // 256 rows per run: the input spills into 20 runs, merged in one level.
+    let mut s = external_sort(rows, vec![0], 256);
+    let mut out = collect(&mut s);
+    assert_eq!(runs_spilled(&s), 20);
     for w in out.windows(2) {
         assert!(w[0][0] <= w[1][0]);
     }
+    // The same rows come back, however ties on the key were broken.
+    out.sort();
+    expect.sort();
+    assert_eq!(out, expect);
 }
 
 #[test]
 fn sort_on_two_keys() {
-    let rows = vec![vec![2, 1], vec![1, 9], vec![2, 0], vec![1, 3]];
-    let mut s = Sort::new(Rows::new(rows), vec![0, 1]);
+    // Every first key recurs in every run of 8 rows, so the merge must
+    // order rows with equal first keys that come from different runs.
+    let rows: Vec<Vec<i64>> = (0..40).map(|i| vec![i % 3, 40 - i]).collect();
+    let mut expect = rows.clone();
+    expect.sort();
+    let mut s = external_sort(rows, vec![0, 1], 8);
     let out = collect(&mut s);
-    assert_eq!(
-        out,
-        ints(vec![vec![1, 3], vec![1, 9], vec![2, 0], vec![2, 1]])
-    );
+    assert_eq!(runs_spilled(&s), 5);
+    assert_eq!(out, ints(expect));
 }
 
 #[test]
@@ -200,26 +220,4 @@ fn merge_set_ops_on_sorted_streams() {
 
     let mut d = MergeSetOp::new(SetOpKind::Difference, Rows::new(l), Rows::new(r));
     assert_eq!(collect(&mut d), ints(vec![vec![1], vec![5]]));
-}
-
-#[test]
-fn exchange_is_transparent_and_reusable() {
-    let rows: Vec<Vec<i64>> = (0..1000).map(|i| vec![i]).collect();
-    let mut ex = Exchange::new(Rows::new(rows.clone()), 8);
-    let out1 = collect(&mut ex);
-    assert_eq!(out1.len(), 1000);
-    // Re-open after close: the child was returned by the thread.
-    let out2 = collect(&mut ex);
-    assert_eq!(out1, out2);
-}
-
-#[test]
-fn exchange_early_close_does_not_hang() {
-    let rows: Vec<Vec<i64>> = (0..100_000).map(|i| vec![i]).collect();
-    let mut ex = Exchange::new(Rows::new(rows), 4);
-    ex.open();
-    let first = ex.next().unwrap();
-    assert_eq!(first[0], Value::Int(0));
-    // Close while the producer is still running: must unblock and join.
-    ex.close();
 }

@@ -92,6 +92,14 @@ pub enum RelAlg {
 
 impl Algorithm for RelAlg {
     fn name(&self) -> &str {
+        RelAlg::name(self)
+    }
+}
+
+impl RelAlg {
+    /// The operator's name: what [`Algorithm::name`] returns, and what
+    /// the vectorized engine reports for an operator it does not fuse.
+    pub fn name(&self) -> &'static str {
         match self {
             RelAlg::FileScan(_) => "file_scan",
             RelAlg::IndexScan(_, _) => "index_scan",
@@ -116,9 +124,7 @@ impl Algorithm for RelAlg {
             RelAlg::Gather(_) => "gather",
         }
     }
-}
 
-impl RelAlg {
     /// Is this operator an enforcer rather than a query processing
     /// algorithm?
     pub fn is_enforcer(&self) -> bool {

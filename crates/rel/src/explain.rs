@@ -5,8 +5,6 @@
 
 use std::fmt::Write as _;
 
-use volcano_core::model::Algorithm as _;
-
 use crate::catalog::Catalog;
 use crate::ids::AttrId;
 use crate::ops::RelOp;

@@ -61,14 +61,13 @@ pub enum BudgetSetting {
 /// SET EXECUTOR FUSED PARALLEL 8;     -- morsel-driven parallel, 8 workers
 /// SET EXECUTOR FUSED 4096 PARALLEL 8; -- both knobs at once
 /// SET EXECUTOR FUSED PARALLEL 1;     -- back to serial vectorized execution
-/// SET EXECUTOR BATCH ...;            -- older spelling of FUSED, same engine
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorSetting {
     /// The tuple-at-a-time iterator engine.
     Tuple,
-    /// The vectorized engine (`FUSED` or `BATCH`), with an optional
-    /// batch size (`None` = the engine default).
+    /// The vectorized engine (`FUSED`), with an optional batch size
+    /// (`None` = the engine default).
     Fused {
         /// Rows per batch, if given explicitly.
         batch_size: Option<usize>,
@@ -516,7 +515,7 @@ fn parse_set_budget(toks: &[Token]) -> Result<Statement, ParseError> {
     Ok(Statement::SetBudget(setting))
 }
 
-const EXECUTOR_USAGE: &str = "SET EXECUTOR <TUPLE|BATCH|FUSED [n] [PARALLEL k]>";
+const EXECUTOR_USAGE: &str = "SET EXECUTOR <TUPLE|FUSED [n] [PARALLEL k]>";
 
 /// Parse the `[n] [PARALLEL k]` tail of the vectorized executor.
 fn parse_executor_knobs(rest: &[Token]) -> Result<(Option<usize>, Option<u32>), ParseError> {
@@ -534,7 +533,7 @@ fn parse_executor_knobs(rest: &[Token]) -> Result<(Option<usize>, Option<u32>), 
 fn parse_set_executor(toks: &[Token]) -> Result<Statement, ParseError> {
     let setting = match toks {
         [_, _, t] if t.is_kw("tuple") => ExecutorSetting::Tuple,
-        [_, _, t, rest @ ..] if t.is_kw("fused") || t.is_kw("batch") => {
+        [_, _, t, rest @ ..] if t.is_kw("fused") => {
             let (batch_size, parallel) = parse_executor_knobs(rest)?;
             ExecutorSetting::Fused {
                 batch_size,
@@ -650,9 +649,7 @@ mod tests {
                 parallel,
             })
         };
-        // `BATCH` and `FUSED` are two spellings of the one vectorized
-        // engine, with the same knobs.
-        for kw in ["batch", "FUSED"] {
+        for kw in ["fused", "FUSED"] {
             let parsed = |tail: &str| parse_statement(&format!("SET EXECUTOR {kw}{tail}")).unwrap();
             assert_eq!(parsed(""), vectorized(None, None));
             assert_eq!(parsed(" 4096"), vectorized(Some(4096), None));
@@ -661,11 +658,11 @@ mod tests {
         }
         assert!(parse_statement("SET EXECUTOR").is_err());
         assert!(parse_statement("SET EXECUTOR ROW").is_err());
-        assert!(parse_statement("SET EXECUTOR BATCH 0").is_err());
-        assert!(parse_statement("SET EXECUTOR BATCH PARALLEL 0").is_err());
-        assert!(parse_statement("SET EXECUTOR BATCH PARALLEL").is_err());
+        // The vectorized engine has one spelling.
+        assert!(parse_statement("SET EXECUTOR BATCH").is_err());
         assert!(parse_statement("SET EXECUTOR FUSED 0").is_err());
         assert!(parse_statement("SET EXECUTOR FUSED PARALLEL 0").is_err());
+        assert!(parse_statement("SET EXECUTOR FUSED PARALLEL").is_err());
     }
 
     #[test]

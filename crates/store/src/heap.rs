@@ -184,29 +184,6 @@ impl HeapFile {
             .with_page(page, |p, _| p.records().map(|(_, r)| r.to_vec()).collect())
     }
 
-    /// All live records of one page, bulk-copied into a caller-owned
-    /// arena; `spans` records each record's `(offset, len)` within it.
-    ///
-    /// One `extend_from_slice` per record into a reused buffer instead
-    /// of one heap allocation per record ([`HeapFile::page_records`]):
-    /// callers that recycle `arena` and `spans` across pages read in an
-    /// allocation-free steady state. Both buffers are cleared first.
-    pub fn page_records_into(
-        &self,
-        page: PageId,
-        arena: &mut Vec<u8>,
-        spans: &mut Vec<(u32, u32)>,
-    ) {
-        arena.clear();
-        spans.clear();
-        self.pool.with_page(page, |p, _| {
-            for (_, rec) in p.records() {
-                spans.push((arena.len() as u32, rec.len() as u32));
-                arena.extend_from_slice(rec);
-            }
-        });
-    }
-
     /// Visit every record of `page` in slot order while the page is
     /// pinned in the pool: the caller decodes straight from page
     /// memory, with no staging copy of the record bytes.
@@ -244,24 +221,6 @@ mod tests {
         assert_eq!(all.len(), 100);
         assert_eq!(all[0], b"record-000");
         assert_eq!(all[99], b"record-099");
-    }
-
-    #[test]
-    fn arena_page_read_matches_per_record_read() {
-        let h = heap(8);
-        for i in 0..100 {
-            h.insert(format!("record-{i:03}").as_bytes());
-        }
-        let mut arena = Vec::new();
-        let mut spans = Vec::new();
-        for page in h.pages() {
-            let individual = h.page_records(page);
-            h.page_records_into(page, &mut arena, &mut spans);
-            assert_eq!(spans.len(), individual.len());
-            for (rec, &(off, len)) in individual.iter().zip(&spans) {
-                assert_eq!(&arena[off as usize..(off + len) as usize], &rec[..]);
-            }
-        }
     }
 
     #[test]
