@@ -55,9 +55,6 @@ fn parse_args() -> Args {
 }
 
 fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
     (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
@@ -139,29 +136,35 @@ fn main() {
 
         let vo = mean(&v_opt);
         let eo = mean(&e_opt);
-        let ve = geomean(&v_exec);
-        let ee = geomean(&e_exec);
+        // Estimated execution: geometric means over the queries both
+        // optimizers completed; none if EXODUS aborted every query.
+        let exec = (!v_exec.is_empty()).then(|| (geomean(&v_exec), geomean(&e_exec)));
         let vm = mean(&v_mem) / 1024.0;
         let em = mean(&e_mem) / 1024.0;
+        let exec_cols = match exec {
+            Some((ve, ee)) => format!("{:>10.1}ms {:>10.1}ms {:>6.2}x", ve, ee, ee / ve),
+            None => format!("{:>12} {:>12} {:>7}", "—", "—", "—"),
+        };
         println!(
-            "{:>4} | {:>10.4}s {:>10.4}s {:>6.1}x | {:>10.1}ms {:>10.1}ms {:>6.2}x | {:>9.0} {:>9.0} {:>7}",
+            "{:>4} | {:>10.4}s {:>10.4}s {:>6.1}x | {exec_cols} | {:>9.0} {:>9.0} {:>7}",
             n,
             vo,
             eo,
             eo / vo,
-            ve,
-            ee,
-            ee / ve,
             vm,
             em,
             aborts
         );
+        let (ve, ee) = exec.unzip();
+        let field = |x: Option<f64>| x.map_or(String::new(), |x| x.to_string());
         let _ = writeln!(
             csv,
-            "{n},{},{vo},{eo},{ve},{ee},{vm},{em},{aborts},{},{}",
+            "{n},{},{vo},{eo},{},{},{vm},{em},{aborts},{},{}",
             args.queries,
+            field(ve),
+            field(ee),
             eo / vo,
-            ee / ve
+            field(exec.map(|(ve, ee)| ee / ve))
         );
         json_levels.push(format!(
             concat!(
@@ -175,8 +178,8 @@ fn main() {
             args.queries,
             j(vo),
             j(eo),
-            j(ve),
-            j(ee),
+            ve.unwrap_or(0.0),
+            ee.unwrap_or(0.0),
             j(vm),
             j(em),
             aborts,

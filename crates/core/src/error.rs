@@ -14,17 +14,6 @@ pub enum OptimizeError {
     /// A plan exists but exceeded the caller-supplied cost limit — the
     /// user-interface facility to "catch" unreasonable queries (§3).
     LimitExceeded,
-    /// A transformation rule's condition/apply code panicked inside a
-    /// parallel exploration worker. The panic is caught per task so a
-    /// buggy rule cannot abort the process; the memo retains only
-    /// fully-installed exploration passes.
-    RulePanicked {
-        /// Name of the rule that panicked (`"<worker>"` if the panic
-        /// escaped task bookkeeping rather than rule code).
-        rule: String,
-        /// Rendered panic payload.
-        message: String,
-    },
 }
 
 impl fmt::Display for OptimizeError {
@@ -35,12 +24,6 @@ impl fmt::Display for OptimizeError {
             }
             OptimizeError::LimitExceeded => {
                 write!(f, "every plan exceeds the supplied cost limit")
-            }
-            OptimizeError::RulePanicked { rule, message } => {
-                write!(
-                    f,
-                    "transformation rule {rule} panicked during exploration: {message}"
-                )
             }
         }
     }

@@ -56,7 +56,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::budget::{BudgetOutcome, CancelToken, SearchBudget, TripReason};
+use crate::budget::{BudgetOutcome, SearchBudget, TripReason};
 use crate::cost::{Cost, Limit};
 use crate::error::OptimizeError;
 use crate::expr::{ExprTree, SubstExpr};
@@ -311,9 +311,8 @@ impl Drop for CycleGuard {
 /// Match one (expression, transformation rule) task against a memo
 /// snapshot and collect its products: the bindings that contain a change
 /// since the task's watermark (every other binding already fired against
-/// identical canonical inputs). Read-only over the memo; both the serial
-/// and the parallel exploration run exactly this per task, so the two
-/// paths produce identical memos and statistics by construction.
+/// identical canonical inputs). Read-only over the memo: every task of a
+/// pass sees the memo as the pass found it.
 fn run_explore_task<M: Model>(
     memo: &Memo<M>,
     rule: &dyn TransformationRule<M>,
@@ -342,17 +341,6 @@ fn run_explore_task<M: Model>(
     }
 }
 
-/// Render a caught panic payload (rule condition/apply code) for an error.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// A generated optimizer: the search engine instantiated for one model.
 pub struct Optimizer<'m, M: Model> {
     model: &'m M,
@@ -373,7 +361,7 @@ pub struct Optimizer<'m, M: Model> {
     /// Transformation pattern depths, cached from the model.
     rule_depths: Vec<usize>,
     /// Absolute deadline, armed from the budget at each public entry
-    /// point (`find_best_plan`, `explore`, `explore_parallel`).
+    /// point (`find_best_plan`, `explore`).
     deadline: Option<Instant>,
     /// First budget trip, if any. Sticky: once a budget trips, this
     /// optimizer stays in greedy mode (its memo may hold greedy winners,
@@ -528,10 +516,14 @@ impl<'m, M: Model> Optimizer<'m, M> {
         self.leave(start);
     }
 
-    /// The serial exploration fixpoint. Each pass snapshots the pending
+    /// The exploration fixpoint. Each pass snapshots the pending
     /// (expression, rule) tasks, matches them all against the frozen
-    /// memo, then installs the products — the same pass structure the
-    /// parallel path uses, so both produce identical memos and stats.
+    /// memo, then installs the products, so a substitute is first seen by
+    /// other rules in the next pass. The pass structure is what the exact
+    /// counts (`explore_passes`, `transform_matches`, memo numbering) are
+    /// defined by; installing each product as it is produced would let
+    /// rules see it sooner, but changes those counts and is a change of
+    /// its own.
     fn explore_fixpoint(&mut self) {
         let model = self.model;
         let rules = model.transformations();
@@ -559,114 +551,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 break;
             }
         }
-    }
-
-    /// Parallel transformation exploration on shared memory — one of the
-    /// paper's stated research directions for the search engine (§6:
-    /// "parallel search (on shared-memory machines)").
-    ///
-    /// Each fixpoint pass fans the pattern matching, condition code, and
-    /// substitute construction — all read-only over the memo — across
-    /// `threads` scoped threads; the produced substitutes are installed
-    /// serially in task order (the memo's hash table and union–find stay
-    /// single-writer). Identical to [`Optimizer::explore`] in resulting
-    /// memo *and statistics*; call it explicitly before
-    /// [`Optimizer::find_best_plan`] to front-load the exploration in
-    /// parallel.
-    ///
-    /// A panic in a rule's condition/apply code is caught per task and
-    /// surfaced as [`OptimizeError::RulePanicked`] instead of aborting
-    /// the process; the pass that panicked installs nothing, so the memo
-    /// retains only fully-installed passes.
-    pub fn explore_parallel(&mut self, threads: usize) -> Result<(), OptimizeError>
-    where
-        M: Sync,
-        M::Op: Send + Sync,
-        M::Alg: Sync,
-        M::LogicalProps: Sync,
-        M::PhysProps: Send + Sync,
-        M::Cost: Sync,
-    {
-        let start = self.enter();
-        let threads = threads.max(1);
-        let model = self.model;
-        let rules = model.transformations();
-        let result = loop {
-            self.check_budget();
-            if self.tripped.is_some() {
-                break Ok(());
-            }
-            self.stats.explore_passes += 1;
-            let tasks = self.collect_explore_tasks();
-            if tasks.is_empty() {
-                break Ok(());
-            }
-            let version_before = self.memo.version();
-            let deadline = self.deadline;
-            let cancel: Option<CancelToken> = self.opts.budget.cancel.clone();
-
-            // Fan the read-only work out over scoped threads. Workers
-            // poll the deadline and cancellation token between tasks so a
-            // budgeted exploration stops promptly; completed products are
-            // still returned and installed.
-            let memo = &self.memo;
-            let chunk = tasks.len().div_ceil(threads).max(1);
-            let mut products: Vec<ExploreProduct<M>> = Vec::with_capacity(tasks.len());
-            let mut worker_error: Option<OptimizeError> = None;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = tasks
-                    .chunks(chunk)
-                    .map(|chunk_tasks| {
-                        let cancel = cancel.clone();
-                        scope.spawn(move || -> Result<Vec<ExploreProduct<M>>, OptimizeError> {
-                            let mut out = Vec::with_capacity(chunk_tasks.len());
-                            for &task in chunk_tasks {
-                                if deadline.is_some_and(|d| Instant::now() >= d)
-                                    || cancel.as_ref().is_some_and(|c| c.is_cancelled())
-                                {
-                                    break;
-                                }
-                                let rule = rules[task.1].as_ref();
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run_explore_task(memo, rule, task)
-                                })) {
-                                    Ok(p) => out.push(p),
-                                    Err(payload) => {
-                                        return Err(OptimizeError::RulePanicked {
-                                            rule: rule.name().to_string(),
-                                            message: panic_message(payload.as_ref()),
-                                        })
-                                    }
-                                }
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    match h.join() {
-                        Ok(Ok(chunk_products)) => products.extend(chunk_products),
-                        Ok(Err(e)) => {
-                            worker_error.get_or_insert(e);
-                        }
-                        Err(payload) => {
-                            worker_error.get_or_insert(OptimizeError::RulePanicked {
-                                rule: "<worker>".to_string(),
-                                message: panic_message(payload.as_ref()),
-                            });
-                        }
-                    }
-                }
-            });
-            if let Some(e) = worker_error {
-                break Err(e);
-            }
-            if !self.install_products(version_before, products) {
-                break Ok(());
-            }
-        };
-        self.leave(start);
-        result
     }
 
     /// Collect the (expression, rule) pairs that require a (re-)match in
@@ -701,8 +585,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
         tasks
     }
 
-    /// Serial install phase shared by both exploration paths: count,
-    /// trace, stamp watermarks, and insert substitutes, in task order.
+    /// Install phase of one exploration pass: count, trace, stamp
+    /// watermarks, and insert substitutes, in task order.
     /// Expressions retired by a group merge earlier in the same install
     /// phase are skipped entirely — no counts, no events, no watermark —
     /// because their live twin (same operator, same canonical inputs)

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use crate::budget::BudgetOutcome;
 
-/// Counters accumulated over one optimizer's `find_best_plan`, `explore`
-/// and `explore_parallel` calls (they keep accumulating if the same
+/// Counters accumulated over one optimizer's `find_best_plan` and
+/// `explore` calls (they keep accumulating if the same
 /// optimizer instance is reused, mirroring the paper's note that partial
 /// results currently live for a single query). The memo snapshots
 /// (`groups_created`, `exprs_created`, `group_merges`, `dead_exprs`,
@@ -65,8 +65,7 @@ pub struct SearchStats {
     /// Whether the search ran to exhaustion or degraded under its
     /// [`crate::SearchBudget`].
     pub outcome: BudgetOutcome,
-    /// Wall-clock time spent inside `find_best_plan`, `explore` and
-    /// `explore_parallel`.
+    /// Wall-clock time spent inside `find_best_plan` and `explore`.
     pub elapsed: Duration,
     /// Memo memory footprint estimate after the search, in bytes.
     pub memo_bytes: usize,
@@ -109,7 +108,7 @@ impl SearchStats {
 
     /// Counter-for-counter equality, ignoring wall-clock time (`elapsed`
     /// is the only nondeterministic field). Used by the differential
-    /// (serial vs parallel exploration) and determinism tests.
+    /// (explicit vs implicit exploration) and determinism tests.
     pub fn counters_eq(&self, other: &SearchStats) -> bool {
         self.groups_created == other.groups_created
             && self.exprs_created == other.exprs_created

@@ -9,8 +9,9 @@ use volcano_core::props::NoProps;
 use volcano_core::rules::{
     AlgApplication, Enforcer, ImplementationRule, RuleCtx, TransformationRule,
 };
+use volcano_core::toy::{ToyModel, ToyOp, ToyProps};
 use volcano_core::trace::{CollectingTracer, TraceEvent};
-use volcano_core::{ExprTree, Optimizer, SearchOptions};
+use volcano_core::{ExprTree, Optimizer, PhysicalProps, SearchOptions};
 
 /// A minimal algebra: leaves, a unary `Wrap` (semantically the identity,
 /// with an elimination rule), and a binary `Pair` with commutativity.
@@ -311,31 +312,41 @@ fn cascading_merges_retire_duplicate_expressions() {
 #[test]
 fn snapshot_stats_are_fresh_after_every_entry_point() {
     let model = MModel::new();
-    let query = pair(wrap(leaf(1)), leaf(2));
+    let mut opt = Optimizer::new(&model, SearchOptions::default());
+    opt.insert_tree(&pair(wrap(leaf(1)), leaf(2)));
+    opt.insert_tree(&pair(leaf(1), leaf(2)));
+    opt.explore();
 
-    let mut serial = Optimizer::new(&model, SearchOptions::default());
-    serial.insert_tree(&query);
-    serial.insert_tree(&pair(leaf(1), leaf(2)));
-    serial.explore();
-    let mut parallel = Optimizer::new(&model, SearchOptions::default());
-    parallel.insert_tree(&query);
-    parallel.insert_tree(&pair(leaf(1), leaf(2)));
-    parallel.explore_parallel(2).unwrap();
+    let (s, m) = (opt.stats(), opt.memo());
+    assert_eq!(s.exprs_created, m.num_exprs());
+    assert_eq!(s.groups_created, m.num_allocated_groups());
+    assert_eq!(s.group_merges, m.merge_count());
+    assert_eq!(s.dead_exprs, m.dead_expr_count());
+    assert_eq!(s.memo_bytes, m.memory_estimate());
+    assert!(s.exprs_created > 0 && s.group_merges > 0 && s.dead_exprs > 0);
+    assert!(s.memo_bytes > 0 && !s.elapsed.is_zero());
+}
 
-    for (tag, opt) in [("explore", &serial), ("explore_parallel", &parallel)] {
-        let (s, m) = (opt.stats(), opt.memo());
-        assert_eq!(s.exprs_created, m.num_exprs(), "{tag}");
-        assert_eq!(s.groups_created, m.num_allocated_groups(), "{tag}");
-        assert_eq!(s.group_merges, m.merge_count(), "{tag}");
-        assert_eq!(s.dead_exprs, m.dead_expr_count(), "{tag}");
-        assert_eq!(s.memo_bytes, m.memory_estimate(), "{tag}");
-        assert!(
-            s.exprs_created > 0 && s.group_merges > 0 && s.dead_exprs > 0,
-            "{tag}"
+/// Exploration runs to a fixpoint: a second `explore` and the costing
+/// that follows add no expression to the memo.
+#[test]
+fn explore_is_idempotent() {
+    let model = ToyModel::with_tables(&[("t0", 100), ("t1", 311), ("t2", 522), ("t3", 733)]);
+    let mut query = ExprTree::leaf(ToyOp::Get("t0".into()));
+    for t in ["t1", "t2", "t3"] {
+        query = ExprTree::new(
+            ToyOp::Join,
+            vec![query, ExprTree::leaf(ToyOp::Get(t.into()))],
         );
-        assert!(s.memo_bytes > 0 && !s.elapsed.is_zero(), "{tag}");
     }
-    assert!(serial.stats().counters_eq(parallel.stats()));
+    let mut opt = Optimizer::new(&model, SearchOptions::default());
+    let root = opt.insert_tree(&query);
+    opt.explore();
+    let exprs = opt.memo().num_exprs();
+    opt.explore();
+    assert_eq!(opt.memo().num_exprs(), exprs, "fixpoint reached once");
+    let _ = opt.find_best_plan(root, ToyProps::any(), None).unwrap();
+    assert_eq!(opt.memo().num_exprs(), exprs, "costing inserts nothing");
 }
 
 #[test]

@@ -131,17 +131,6 @@ impl Column {
         }
     }
 
-    /// Is row `i` SQL NULL?
-    pub fn is_null_at(&self, i: usize) -> bool {
-        match self {
-            Column::Int { valid, .. }
-            | Column::Float { valid, .. }
-            | Column::Bool { valid, .. }
-            | Column::Str { valid, .. } => !valid[i],
-            Column::Any(v) => v[i].is_null(),
-        }
-    }
-
     /// The value at row `i` (clones strings).
     pub fn value_at(&self, i: usize) -> Value {
         match self {
@@ -646,7 +635,6 @@ mod tests {
         c.push_null();
         c.push_value(Value::Int(3));
         assert_eq!(c.len(), 3);
-        assert!(c.is_null_at(1));
         assert_eq!(c.value_at(0), Value::Int(1));
         assert_eq!(c.value_at(1), Value::Null);
         assert_eq!(c.value_at(2), Value::Int(3));
@@ -658,7 +646,7 @@ mod tests {
         c.push_value(Value::str("a"));
         assert!(matches!(c, Column::Str { .. }));
         c.push_value(Value::Null);
-        assert!(c.is_null_at(1));
+        assert_eq!(c.value_at(1), Value::Null);
     }
 
     #[test]

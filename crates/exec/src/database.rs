@@ -244,11 +244,6 @@ impl SchemaSnapshot {
         &self.catalog
     }
 
-    /// Shared handle to the snapshot's catalog.
-    pub fn catalog_arc(&self) -> Arc<Catalog> {
-        self.catalog.clone()
-    }
-
     /// The heap file backing a table. Panics if the table was dropped
     /// as of this snapshot (plans are compiled against the same
     /// snapshot they were lowered on, so a well-formed plan never hits
@@ -960,21 +955,20 @@ impl Database {
             if !snap.has_table(t.id) {
                 continue;
             }
-            let rows: Vec<Tuple> = snap
-                .table(t.id)
-                .scan_all()
-                .iter()
-                .map(|b| decode_row(b))
-                .collect();
+            // One pass over the heap, decoding each record in place: the
+            // only state is the row count and one exact distinct set per
+            // column.
+            let mut rows = 0u64;
             let mut distinct: Vec<HashSet<Value>> = vec![HashSet::new(); t.columns.len()];
-            for row in &rows {
-                for (set, v) in distinct.iter_mut().zip(row) {
-                    set.insert(v.clone());
+            snap.table(t.id).scan(|_, rec| {
+                rows += 1;
+                for (set, v) in distinct.iter_mut().zip(decode_row(rec)) {
+                    set.insert(v);
                 }
-            }
+            });
             let estimates: Vec<Option<f64>> =
                 distinct.iter().map(|s| Some(s.len() as f64)).collect();
-            computed.push((t.id, rows.len() as f64, estimates));
+            computed.push((t.id, rows as f64, estimates));
         }
         {
             let mut guard = self.schema.write();
@@ -1229,6 +1223,30 @@ mod tests {
         assert_eq!(t.card, 30.0);
         assert_eq!(t.columns[0].distinct, 3.0);
         assert_eq!(t.columns[1].distinct, 1.0);
+    }
+
+    /// A table spanning many pages, with repeated values in every column:
+    /// the streamed pass counts every row once and keeps distinct counts
+    /// exact across page boundaries.
+    #[test]
+    fn refresh_stats_is_exact_over_a_multi_page_table() {
+        let db = Database::in_memory(catalog());
+        let id = db.catalog().table_by_name("t").unwrap().id;
+        let mut rows = Vec::new();
+        for i in 0..4_000i64 {
+            let row = vec![Value::Int(i % 37), Value::Str(format!("v{}", i % 11))];
+            db.insert(id, row.clone());
+            rows.push(row);
+        }
+        assert!(db.snapshot().table(id).pages().len() > 1);
+        db.refresh_stats();
+        let cat = db.catalog();
+        let t = cat.table(id);
+        assert_eq!(t.card, rows.len() as f64);
+        for (c, col) in t.columns.iter().enumerate() {
+            let want: std::collections::HashSet<&Value> = rows.iter().map(|r| &r[c]).collect();
+            assert_eq!(col.distinct, want.len() as f64, "column {}", col.name);
+        }
     }
 
     #[test]

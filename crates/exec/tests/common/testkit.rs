@@ -15,8 +15,7 @@ use volcano_exec::{
 };
 use volcano_rel::value::Tuple;
 use volcano_rel::{
-    explain_plan, Catalog, ColumnDef, RelExpr, RelModel, RelModelOptions, RelOptimizer, RelPlan,
-    RelProps, Value,
+    Catalog, ColumnDef, RelExpr, RelModel, RelModelOptions, RelOptimizer, RelPlan, RelProps, Value,
 };
 use volcano_sql::plan_query;
 
@@ -97,39 +96,7 @@ pub fn assert_same_multiset(expected: &[Tuple], actual: &[Tuple], tag: &str) {
     );
 }
 
-/// Optimize `expr` under `goal`, asserting serial and parallel-search
-/// exploration agree on the winning plan (engine-independent plan
-/// choice).
-pub fn optimize_drift_guarded(
-    model: &RelModel,
-    expr: &RelExpr,
-    goal: RelProps,
-    catalog: &Catalog,
-    tag: &str,
-) -> RelPlan {
-    let mut serial = RelOptimizer::new(model, SearchOptions::default());
-    let root = serial.insert_tree(expr);
-    let plan = serial
-        .find_best_plan(root, goal.clone(), None)
-        .unwrap_or_else(|e| panic!("{tag}: serial optimization failed: {e}"));
-
-    let mut parallel = RelOptimizer::new(model, SearchOptions::default());
-    let root = parallel.insert_tree(expr);
-    parallel.explore_parallel(2).unwrap();
-    let pplan = parallel
-        .find_best_plan(root, goal, None)
-        .unwrap_or_else(|e| panic!("{tag}: parallel optimization failed: {e}"));
-
-    assert_eq!(
-        explain_plan(catalog, &plan),
-        explain_plan(catalog, &pplan),
-        "{tag}: serial and parallel exploration chose different plans"
-    );
-    plan
-}
-
-/// Optimize `expr` under `goal` with plain serial search (no drift
-/// guard) — for suites whose subject is execution, not search.
+/// Optimize `expr` under `goal` with the one serial search.
 pub fn optimize_plan(model: &RelModel, expr: &RelExpr, goal: RelProps, tag: &str) -> RelPlan {
     let mut opt = RelOptimizer::new(model, SearchOptions::default());
     let root = opt.insert_tree(expr);

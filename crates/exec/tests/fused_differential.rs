@@ -24,8 +24,8 @@ mod common;
 
 use common::testkit::{
     assert_same_multiset, batch_configs, diff_catalog, fig4_inputs, mixed_db, mixed_plan,
-    optimize_drift_guarded, optimize_plan, run_fused, run_tuple, sql_cases, thread_counts,
-    MIXED_AGG_QUERIES, MIXED_SCAN_QUERIES, SQL_QUERIES,
+    optimize_plan, run_fused, run_tuple, sql_cases, thread_counts, MIXED_AGG_QUERIES,
+    MIXED_SCAN_QUERIES, SQL_QUERIES,
 };
 use volcano_core::PhysicalProps;
 use volcano_exec::{
@@ -133,19 +133,18 @@ fn fig4_sorted_goals_preserve_order_on_fused() {
 }
 
 // ---------------------------------------------------------------------
-// Serial plans under the exploration drift guard: each query is
-// optimized twice — serial and parallel exploration must pick the same
-// plan — before the engines are compared on it.
+// Serial plans (the model's default degree 1), compared whatever degree
+// `VOLCANO_THREADS` pins for the suites above.
 // ---------------------------------------------------------------------
 
 #[test]
-fn drift_guarded_sql_golden_queries_agree() {
+fn serial_sql_golden_queries_agree() {
     for sql in SQL_QUERIES {
         let mut catalog = diff_catalog();
         let q = plan_query(sql, &mut catalog).expect("query must parse");
         let model = RelModel::with_defaults(catalog.clone());
         let goal = RelProps::sorted(q.order_by.clone());
-        let plan = optimize_drift_guarded(&model, &q.expr, goal, &catalog, sql);
+        let plan = optimize_plan(&model, &q.expr, goal, sql);
         let db = Database::in_memory(catalog);
         db.generate(42);
         assert_engines_agree(&db, &plan, sql, 1);
@@ -153,16 +152,10 @@ fn drift_guarded_sql_golden_queries_agree() {
 }
 
 #[test]
-fn drift_guarded_fig4_plans_agree() {
+fn serial_fig4_plans_agree() {
     for input in fig4_inputs(&[2, 3], 0..3, false) {
         let model = RelModel::new(input.catalog.clone(), RelModelOptions::paper_fig4());
-        let plan = optimize_drift_guarded(
-            &model,
-            &input.expr,
-            input.goal.clone(),
-            &input.catalog,
-            &input.tag,
-        );
+        let plan = optimize_plan(&model, &input.expr, input.goal.clone(), &input.tag);
         assert_engines_agree(&input.db, &plan, &input.tag, 1);
     }
 }
@@ -171,16 +164,10 @@ fn drift_guarded_fig4_plans_agree() {
 /// carries a sort property, so the engines must agree on exact row
 /// order (not just the multiset).
 #[test]
-fn drift_guarded_fig4_sorted_goal_agrees() {
+fn serial_fig4_sorted_goal_agrees() {
     for input in fig4_inputs(&[2], 0..2, true) {
         let model = RelModel::new(input.catalog.clone(), RelModelOptions::paper_fig4());
-        let plan = optimize_drift_guarded(
-            &model,
-            &input.expr,
-            input.goal.clone(),
-            &input.catalog,
-            &input.tag,
-        );
+        let plan = optimize_plan(&model, &input.expr, input.goal.clone(), &input.tag);
         assert!(
             !plan.delivered.sort.is_empty(),
             "{}: expected a sort-delivering plan",

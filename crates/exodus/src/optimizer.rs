@@ -136,12 +136,6 @@ impl<'m> ExodusOptimizer<'m> {
         self
     }
 
-    /// Set the rule factors.
-    pub fn with_factors(mut self, factors: RuleFactors) -> Self {
-        self.factors = factors;
-        self
-    }
-
     /// Optimize a query, optionally requiring a final sort order.
     pub fn optimize(
         &self,

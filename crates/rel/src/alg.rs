@@ -125,12 +125,6 @@ impl RelAlg {
         }
     }
 
-    /// Is this operator an enforcer rather than a query processing
-    /// algorithm?
-    pub fn is_enforcer(&self) -> bool {
-        matches!(self, RelAlg::Sort(_) | RelAlg::Gather(_))
-    }
-
     /// Is this one of the join algorithms?
     pub fn is_join(&self) -> bool {
         matches!(
@@ -170,8 +164,6 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(RelAlg::Sort(vec![]).is_enforcer());
-        assert!(!RelAlg::FileScan(TableId(0)).is_enforcer());
         assert!(RelAlg::MergeJoin(JoinPred::cross()).is_join());
         assert!(!RelAlg::HashUnion.is_join());
     }

@@ -29,14 +29,6 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    /// The input attribute, if any.
-    pub fn input_attr(&self) -> Option<AttrId> {
-        match self {
-            AggFunc::CountStar => None,
-            AggFunc::Sum(a) | AggFunc::Min(a) | AggFunc::Max(a) | AggFunc::Avg(a) => Some(*a),
-        }
-    }
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -92,16 +84,6 @@ impl AggSpec {
             }
         }
         out
-    }
-
-    /// The final (user-visible) attribute layout: group-by attributes,
-    /// then one column per aggregate.
-    pub fn output_attrs(&self) -> Vec<AttrId> {
-        self.group_by
-            .iter()
-            .copied()
-            .chain(self.aggs.iter().map(|(_, a)| *a))
-            .collect()
     }
 }
 
@@ -274,9 +256,8 @@ mod tests {
     }
 
     #[test]
-    fn agg_func_input_attr() {
-        assert_eq!(AggFunc::CountStar.input_attr(), None);
-        assert_eq!(AggFunc::Sum(AttrId(3)).input_attr(), Some(AttrId(3)));
+    fn agg_func_names() {
+        assert_eq!(AggFunc::CountStar.name(), "count");
         assert_eq!(AggFunc::Avg(AttrId(4)).name(), "avg");
     }
 }
