@@ -393,6 +393,15 @@ impl<M: Model> Memo<M> {
             .filter(move |&e| !self.exprs[e.index()].dead)
     }
 
+    /// The `i`-th entry of class `g`'s own member list (live or retired),
+    /// or `None` past its end. `g` is not resolved: a class absorbed by a
+    /// merge has an empty list. Positions are stable while the class
+    /// lives, and members added later come after every earlier one, so a
+    /// walk by position sees them too.
+    pub(crate) fn member_at(&self, g: GroupId, i: usize) -> Option<ExprId> {
+        self.groups[g.index()].exprs.get(i).copied()
+    }
+
     /// Logical properties of a group.
     pub fn logical_props(&self, g: GroupId) -> &M::LogicalProps {
         &self.groups[self.repr(g).index()].logical

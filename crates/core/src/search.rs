@@ -18,6 +18,20 @@
 //! as parts of larger subqueries, not all equivalent expressions and plans
 //! that are feasible or seem interesting by their sort order".
 //!
+//! ## Exploration is bottom-up and installs as it goes
+//!
+//! The fixpoint is one depth-first walk over the classes followed by
+//! sweeps over every expression until nothing changes. The walk explores
+//! a member's input classes before the member itself, and each
+//! (expression, rule) task installs its substitutes the moment it has
+//! matched. So a class is complete before anything above it is matched,
+//! and a substitute that names a new class has that class explored before
+//! any other rule can derive the same subset as a class of its own — the
+//! class the memo would later have to merge away. On select–join queries
+//! whose joins all share one attribute no class is merged and no
+//! expression is retired; what other queries and rule sets still merge,
+//! and classes that form a cycle, the sweeps finish.
+//!
 //! ## Move lists are generated once
 //!
 //! Because exploration runs to its fixpoint before costing starts, the
@@ -32,8 +46,8 @@
 //! re-optimized) the list is reused. A goal that records an optimal
 //! plan drops its list: the winner table answers every later request.
 //! Any insertion or merge bumps the memo version and clears every list.
-//! The kept lists hold at most half as many moves as the memo has
-//! expressions (at least 256); past that the oldest list goes first, and its goal, if
+//! The kept lists hold at most as many moves as the memo has expressions
+//! (at least 256); past that the oldest list goes first, and its goal, if
 //! asked again, generates its moves anew. Reuse is invisible in the
 //! statistics and the trace: a reused list counts and replays its
 //! exclusions exactly as a fresh one would.
@@ -59,7 +73,7 @@ use std::time::Instant;
 use crate::budget::{BudgetOutcome, SearchBudget, TripReason};
 use crate::cost::{Cost, Limit};
 use crate::error::OptimizeError;
-use crate::expr::{ExprTree, SubstExpr};
+use crate::expr::ExprTree;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{ExprId, GoalId, GroupId};
 use crate::memo::{InputGoal, Memo, Winner, WinnerPlan};
@@ -68,33 +82,9 @@ use crate::pattern::{changed_since, match_pattern_with, Binding};
 use crate::plan::Plan;
 use crate::props::PhysicalProps;
 use crate::rule_index::RuleIndex;
-use crate::rules::{AlgApplication, EnforcerApplication, RuleCtx, TransformationRule};
+use crate::rules::{AlgApplication, EnforcerApplication, RuleCtx};
 use crate::stats::SearchStats;
 use crate::trace::{MemoHitKind, NullTracer, TraceEvent, Tracer};
-
-/// One exploration task: an expression, a transformation rule index, and
-/// the pair's watermark (0 = never matched; versions start at 1).
-type ExploreTask = (ExprId, usize, u64);
-
-/// One unit of exploration output: everything a single (expression,
-/// transformation rule) match task produced, ready for serial installation.
-struct ExploreProduct<M: Model> {
-    /// The matched expression.
-    expr: ExprId,
-    /// Index of the transformation rule that matched.
-    rule_idx: usize,
-    /// Whether the expression's root operator satisfied the rule's root
-    /// matcher. Drives the `transform_matches` counter, which is defined
-    /// over root-matcher hits precisely so it is invariant under the
-    /// operator-indexed dispatch (a sound index only skips tasks whose
-    /// root matcher would have rejected the operator).
-    root_matched: bool,
-    /// Substitute count per fired binding, in binding order (drives one
-    /// `RuleFired` event per firing, matching the serial path).
-    firings: Vec<u64>,
-    /// All substitutes produced, concatenated in binding order.
-    subs: Vec<SubstExpr<M>>,
-}
 
 /// Goals currently being optimized, shared with RAII cycle guards. Keys
 /// are `(group, interned goal)` — two `u32`s, no property hashing.
@@ -276,10 +266,10 @@ impl<M: Model> MoveLists<M> {
 }
 
 /// How many moves the kept lists may hold for a memo of `exprs`
-/// expressions: half as many, and at least 256 (a few tens of KB), so a
-/// small search keeps every list.
+/// expressions: as many, and at least 256 (a few tens of KB), so a small
+/// search keeps every list.
 fn kept_moves_bound(exprs: usize) -> usize {
-    (exprs / 2).max(256)
+    exprs.max(256)
 }
 
 /// RAII "in progress" mark: inserts the (group, goal) key on construction
@@ -305,39 +295,6 @@ impl CycleGuard {
 impl Drop for CycleGuard {
     fn drop(&mut self) {
         self.set.borrow_mut().remove(&self.key);
-    }
-}
-
-/// Match one (expression, transformation rule) task against a memo
-/// snapshot and collect its products: the bindings that contain a change
-/// since the task's watermark (every other binding already fired against
-/// identical canonical inputs). Read-only over the memo: every task of a
-/// pass sees the memo as the pass found it.
-fn run_explore_task<M: Model>(
-    memo: &Memo<M>,
-    rule: &dyn TransformationRule<M>,
-    (e, ri, since): ExploreTask,
-) -> ExploreProduct<M> {
-    let ctx = RuleCtx::new(memo);
-    let pattern = rule.pattern();
-    let root_matched = pattern.root_matches(memo.expr(e).0);
-    let mut firings = Vec::new();
-    let mut subs = Vec::new();
-    if root_matched {
-        match_pattern_with(memo, pattern, e, since, &mut |b| {
-            if rule.condition(&b, &ctx) {
-                let s = rule.apply(&b, &ctx);
-                firings.push(s.len() as u64);
-                subs.extend(s);
-            }
-        });
-    }
-    ExploreProduct {
-        expr: e,
-        rule_idx: ri,
-        root_matched,
-        firings,
-        subs,
     }
 }
 
@@ -516,119 +473,168 @@ impl<'m, M: Model> Optimizer<'m, M> {
         self.leave(start);
     }
 
-    /// The exploration fixpoint. Each pass snapshots the pending
-    /// (expression, rule) tasks, matches them all against the frozen
-    /// memo, then installs the products, so a substitute is first seen by
-    /// other rules in the next pass. The pass structure is what the exact
-    /// counts (`explore_passes`, `transform_matches`, memo numbering) are
-    /// defined by; installing each product as it is produced would let
-    /// rules see it sooner, but changes those counts and is a change of
-    /// its own.
+    /// The exploration fixpoint (see the module docs): one bottom-up walk
+    /// over the classes, then sweeps over every live expression while the
+    /// previous pass changed the memo. The sweeps make up what the walk
+    /// cannot see: members a merge moved into a class already walked, and
+    /// classes a cycle cut short. A walk that changes nothing is itself a
+    /// sweep that found nothing. The walk and each sweep count as one
+    /// `explore_passes`.
     fn explore_fixpoint(&mut self) {
-        let model = self.model;
-        let rules = model.transformations();
-        loop {
-            self.check_budget();
-            if self.tripped.is_some() {
-                break;
-            }
+        self.check_budget();
+        if self.tripped.is_some() {
+            return;
+        }
+        self.stats.explore_passes += 1;
+        let mut changed = self.explore_walk();
+        while changed && self.tripped.is_none() {
             self.stats.explore_passes += 1;
-            let tasks = self.collect_explore_tasks();
-            if tasks.is_empty() {
-                break;
-            }
-            let version_before = self.memo.version();
-            let mut products = Vec::with_capacity(tasks.len());
-            for &task in &tasks {
-                self.check_budget();
-                if self.tripped.is_some() {
-                    break;
-                }
-                products.push(run_explore_task(&self.memo, rules[task.1].as_ref(), task));
-            }
-            let changed = self.install_products(version_before, products);
-            if !changed {
-                break;
-            }
+            changed = self.explore_sweep();
         }
     }
 
-    /// Collect the (expression, rule) pairs that require a (re-)match in
-    /// this pass, with their watermarks. Depth-1 patterns see only the
-    /// expression's own operator, so matching them once is exhaustive; a
-    /// deeper pattern is re-matched when the expression, or a class under
-    /// one of the pattern's nested positions, changed since the pair's
-    /// watermark — nothing else can give it a binding it has not fired.
-    fn collect_explore_tasks(&mut self) -> Vec<ExploreTask> {
-        let rules = self.model.transformations();
-        self.watermarks
-            .resize(self.memo.num_exprs() * rules.len(), 0);
-        let mut tasks = Vec::new();
-        for i in 0..self.memo.num_exprs() {
-            let e = ExprId::from_index(i);
+    /// The bottom-up walk: every live class not yet entered, in class
+    /// order (including classes the walk creates). Returns whether the
+    /// memo changed.
+    fn explore_walk(&mut self) -> bool {
+        let mut entered = Vec::new();
+        let mut changed = false;
+        let mut i = 0;
+        while i < self.memo.num_allocated_groups() && self.tripped.is_none() {
+            let g = GroupId::from_index(i);
+            if self.memo.repr(g) == g && entered.get(i) != Some(&true) {
+                changed |= self.explore_class(g, &mut entered);
+            }
+            i += 1;
+        }
+        changed
+    }
+
+    /// Explore class `g` depth-first: walk its member list by position,
+    /// so members its own tasks add are reached too, and before running
+    /// a member's tasks explore each of the member's input classes not yet
+    /// entered. A class is marked on entry, so a cycle back into a class
+    /// on the walk's stack is cut there. A class absorbed by a merge hands
+    /// its list to the survivor and its walk ends; the sweeps cover both.
+    fn explore_class(&mut self, g: GroupId, entered: &mut Vec<bool>) -> bool {
+        if entered.len() <= g.index() {
+            entered.resize(self.memo.num_allocated_groups(), false);
+        }
+        entered[g.index()] = true;
+        let mut changed = false;
+        let mut i = 0;
+        while let Some(e) = self.memo.member_at(g, i) {
+            i += 1;
             if !self.memo.is_live(e) {
                 continue;
             }
-            // Candidate rules for this operator, ascending: every rule
-            // minus guaranteed root-matcher rejections.
-            let disc = self.model.op_discriminant(self.memo.expr(e).0);
-            for &ri in self.rule_index.transform_candidates(disc) {
-                let wm = self.watermarks[i * rules.len() + ri];
-                if wm == 0
-                    || (self.rule_depths[ri] > 1
-                        && changed_since(&self.memo, rules[ri].pattern(), e, wm))
-                {
-                    tasks.push((e, ri, wm));
+            for k in 0..self.memo.expr(e).1.len() {
+                let h = self.memo.repr(self.memo.expr(e).1[k]);
+                if entered.get(h.index()) != Some(&true) {
+                    changed |= self.explore_class(h, entered);
                 }
             }
-        }
-        tasks
-    }
-
-    /// Install phase of one exploration pass: count, trace, stamp
-    /// watermarks, and insert substitutes, in task order.
-    /// Expressions retired by a group merge earlier in the same install
-    /// phase are skipped entirely — no counts, no events, no watermark —
-    /// because their live twin (same operator, same canonical inputs)
-    /// yields the same substitutes.
-    fn install_products(&mut self, version_before: u64, products: Vec<ExploreProduct<M>>) -> bool {
-        let model = self.model;
-        let rules = model.transformations();
-        let traced = self.tracer.enabled();
-        let mut changed = false;
-        for p in products {
-            self.check_budget();
+            changed |= self.explore_expr(e);
             if self.tripped.is_some() {
-                // Stop growing the memo; unstamped tasks simply never ran.
                 break;
             }
-            if !self.memo.is_live(p.expr) {
-                continue;
+        }
+        changed
+    }
+
+    /// One sweep: every live expression's pending tasks in id order,
+    /// including expressions the sweep creates. Returns whether the memo
+    /// changed.
+    fn explore_sweep(&mut self) -> bool {
+        let mut changed = false;
+        let mut i = 0;
+        while i < self.memo.num_exprs() && self.tripped.is_none() {
+            changed |= self.explore_expr(ExprId::from_index(i));
+            i += 1;
+        }
+        changed
+    }
+
+    /// Run the pending (expression, rule) tasks of `e`, each after a
+    /// budget poll. Depth-1 patterns see only the expression's own
+    /// operator, so matching them once is exhaustive; a deeper pattern is
+    /// re-matched when the expression, or a class under one of the
+    /// pattern's nested positions, changed since the pair's watermark —
+    /// nothing else can give it a binding it has not fired. A retired
+    /// expression runs nothing: its live twin (same operator, same
+    /// canonical inputs) yields the same substitutes.
+    fn explore_expr(&mut self, e: ExprId) -> bool {
+        let rules = self.model.transformations();
+        let row = e.index() * rules.len();
+        if self.watermarks.len() < row + rules.len() {
+            self.watermarks
+                .resize(self.memo.num_exprs() * rules.len(), 0);
+        }
+        // Candidate rules for this operator, ascending: every rule minus
+        // guaranteed root-matcher rejections.
+        let disc = self.model.op_discriminant(self.memo.expr(e).0);
+        let mut changed = false;
+        for k in 0..self.rule_index.transform_candidates(disc).len() {
+            let ri = self.rule_index.transform_candidates(disc)[k];
+            if !self.memo.is_live(e) {
+                break;
             }
-            if p.root_matched {
-                self.stats.transform_matches += 1;
-            }
-            self.stats.transform_fired += p.firings.len() as u64;
-            if traced {
-                for &n in &p.firings {
-                    self.tracer.event(TraceEvent::RuleFired {
-                        rule: rules[p.rule_idx].name(),
-                        expr: p.expr,
-                        substitutes: n,
-                    });
+            let wm = self.watermarks[row + ri];
+            if wm == 0
+                || (self.rule_depths[ri] > 1
+                    && changed_since(&self.memo, rules[ri].pattern(), e, wm))
+            {
+                self.check_budget();
+                if self.tripped.is_some() {
+                    // Stop growing the memo; unstamped tasks stay pending.
+                    break;
                 }
+                changed |= self.explore_task(e, ri, wm);
             }
-            // Pass-start version: the snapshot this task matched against.
-            // Whatever the pass installs is newer, so a deeper pattern
-            // re-matches against exactly what this task never saw.
-            self.watermarks[p.expr.index() * rules.len() + p.rule_idx] = version_before;
-            if !p.subs.is_empty() {
-                let target = self.memo.group_of(p.expr);
-                for s in &p.subs {
-                    self.stats.substitutes_produced += 1;
-                    changed |= self.memo.insert_subst(model, s, target);
+        }
+        changed
+    }
+
+    /// One (expression, rule) task: fire the bindings that contain a
+    /// change since the watermark `since` (every other binding already
+    /// fired against identical canonical inputs), stamp the watermark
+    /// with the version matched against, then install the substitutes
+    /// into `e`'s class. Returns whether the memo changed.
+    fn explore_task(&mut self, e: ExprId, ri: usize, since: u64) -> bool {
+        let model = self.model;
+        let rule = model.transformations()[ri].as_ref();
+        let pattern = rule.pattern();
+        let mut subs = Vec::new();
+        // `transform_matches` counts root-matcher hits, so the operator-
+        // indexed dispatch (which only skips guaranteed rejections) leaves
+        // it unchanged.
+        if pattern.root_matches(self.memo.expr(e).0) {
+            self.stats.transform_matches += 1;
+            let (memo, stats, tracer) = (&self.memo, &mut self.stats, &self.tracer);
+            let (ctx, traced) = (RuleCtx::new(memo), tracer.enabled());
+            match_pattern_with(memo, pattern, e, since, &mut |b| {
+                if rule.condition(&b, &ctx) {
+                    let s = rule.apply(&b, &ctx);
+                    stats.transform_fired += 1;
+                    if traced {
+                        tracer.event(TraceEvent::RuleFired {
+                            rule: rule.name(),
+                            expr: e,
+                            substitutes: s.len() as u64,
+                        });
+                    }
+                    subs.extend(s);
                 }
-            }
+            });
+        }
+        // Whatever the install adds is newer than this, so a deeper
+        // pattern re-matches against exactly what this task never saw.
+        self.watermarks[e.index() * model.transformations().len() + ri] = self.memo.version();
+        let target = self.memo.group_of(e);
+        let mut changed = false;
+        for s in &subs {
+            self.stats.substitutes_produced += 1;
+            changed |= self.memo.insert_subst(model, s, target);
         }
         changed
     }

@@ -37,7 +37,9 @@ pub struct SearchStats {
     pub transform_fired: u64,
     /// Substitute expressions produced by transformations.
     pub substitutes_produced: u64,
-    /// Full passes of the exploration fixpoint.
+    /// Passes of the exploration fixpoint: each call's bottom-up walk
+    /// over the classes counts as one, and so does each sweep after it
+    /// (sweeps run while the previous pass changed the memo).
     pub explore_passes: u64,
     /// Optimization goals entered (excluding memo hits).
     pub goals_optimized: u64,

@@ -1,25 +1,37 @@
-//! The exploration fixpoint against a naive saturation loop.
+//! The exploration fixpoint against a naive saturation loop, and against
+//! the search space the query's join graph says it must reach.
 //!
 //! The engine fires each (rule, binding) once: a multi-level rule is
 //! re-run on an expression only when a class under one of its nested
 //! pattern positions changed, and then only over the bindings that
-//! contain a change. The loop below knows nothing of that — it re-runs
-//! every rule on every live expression, all bindings, until a whole sweep
-//! leaves the memo unchanged — and is written against the public `Memo` /
-//! `match_pattern` / `insert_subst` API alone. Both must reach the same
-//! logical search space: same live classes, same live expressions, same
-//! members per class (class and expression *numbers* differ, because the
-//! two derive things in different orders).
+//! contain a change; and it explores bottom-up, installing each
+//! substitute as it is produced. The loop below knows nothing of that —
+//! it re-runs every rule on every live expression, all bindings, until a
+//! whole sweep leaves the memo unchanged — and is written against the
+//! public `Memo` / `match_pattern` / `insert_subst` API alone. Both must
+//! reach the same logical search space: same live classes, same live
+//! expressions, same members per class (class and expression *numbers*
+//! differ, because the two derive things in different orders).
+//!
+//! Cases past seven relations are `#[ignore]`d to keep the debug run
+//! short; CI runs them in release with `--include-ignored`.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
-use volcano_bench::workload::{generate_query, WorkloadConfig};
-use volcano_core::toy::{ToyModel, ToyOp};
+use volcano_bench::workload::{generate_query, GeneratedQuery, WorkloadConfig};
+use volcano_core::model::Operator;
+use volcano_core::toy::{ToyAlg, ToyModel, ToyOp, ToyProps};
 use volcano_core::{
-    match_pattern, ExprId, ExprTree, GroupId, Memo, Model, Optimizer, RuleCtx, SearchBudget,
-    SearchOptions, TripReason,
+    match_pattern, Binding, BindingChild, CancelToken, Enforcer, ExprId, ExprTree, GroupId,
+    ImplementationRule, Memo, Model, Optimizer, Pattern, RuleCtx, SearchBudget, SearchOptions,
+    SearchStats, SubstExpr, TraceEvent, Tracer, TransformationRule, TripReason,
 };
-use volcano_rel::{RelModel, RelModelOptions};
+use volcano_rel::builder::select_one;
+use volcano_rel::{
+    AttrId, Catalog, Cmp, CmpOp, ColumnDef, RelExpr, RelModel, RelModelOptions, RelOp, RelOptimizer,
+};
+use volcano_sql::plan_query;
 
 /// Naive saturation: every rule, every live expression, every binding,
 /// until nothing changes.
@@ -148,20 +160,320 @@ fn toy_chains_reach_the_naive_fixpoint() {
     }
 }
 
+/// The generator's queries at `n` relations and `seed`, with every join
+/// edge on the hub's attribute when `star` is set (the `e2e`
+/// benchmark's `fig4_optimize` configuration).
+fn fig4_query(n: usize, seed: u64, star: bool) -> GeneratedQuery {
+    let mut config = WorkloadConfig::relations(n);
+    if star {
+        config.shared_attr_probability = 1.0;
+    }
+    generate_query(&config, seed)
+}
+
+/// A model whose only rules make a merge uncover a binding: `h(x) → f(x)`
+/// proves `h(x)`'s class equal to `f(x)`'s, and `p(h(x)) → w(x)` matches
+/// through that class.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum MergeOp {
+    A,
+    F,
+    H,
+    P,
+    W,
+    Q,
+}
+
+impl Operator for MergeOp {
+    fn arity(&self) -> usize {
+        match self {
+            MergeOp::A => 0,
+            MergeOp::Q => 2,
+            _ => 1,
+        }
+    }
+
+    fn name(&self) -> &str {
+        "merge-op"
+    }
+}
+
+struct MergeModel {
+    rules: Vec<Box<dyn TransformationRule<MergeModel>>>,
+}
+
+impl Model for MergeModel {
+    type Op = MergeOp;
+    type Alg = ToyAlg;
+    type LogicalProps = ();
+    type PhysProps = ToyProps;
+    type Cost = f64;
+
+    fn derive_logical_props(&self, _: &MergeOp, _: &[&()]) {}
+
+    fn transformations(&self) -> &[Box<dyn TransformationRule<Self>>] {
+        &self.rules
+    }
+
+    fn implementations(&self) -> &[Box<dyn ImplementationRule<Self>>] {
+        &[]
+    }
+
+    fn enforcers(&self) -> &[Box<dyn Enforcer<Self>>] {
+        &[]
+    }
+}
+
+/// `from(?x) → to(?x)`, or, with `inner`, `from(inner(?x)) → to(?x)`.
+struct Rewrite {
+    pattern: Pattern<MergeModel>,
+    to: MergeOp,
+}
+
+impl Rewrite {
+    fn new(from: MergeOp, inner: Option<MergeOp>, to: MergeOp) -> Self {
+        let is = |op: MergeOp| move |o: &MergeOp| *o == op;
+        let mut pattern = Pattern::Any;
+        for op in inner.into_iter().chain([from]) {
+            pattern = Pattern::op("op", is(op), vec![pattern]);
+        }
+        Rewrite { pattern, to }
+    }
+}
+
+impl TransformationRule<MergeModel> for Rewrite {
+    fn name(&self) -> &'static str {
+        "rewrite"
+    }
+
+    fn pattern(&self) -> &Pattern<MergeModel> {
+        &self.pattern
+    }
+
+    fn apply(
+        &self,
+        b: &Binding<MergeModel>,
+        _: &RuleCtx<'_, MergeModel>,
+    ) -> Vec<SubstExpr<MergeModel>> {
+        let x = match &b.children[0] {
+            BindingChild::Group(g) => *g,
+            BindingChild::Bound(inner) => inner.input_group(0),
+        };
+        vec![SubstExpr::Node {
+            op: self.to,
+            inputs: vec![SubstExpr::Group(x)],
+        }]
+    }
+}
+
+/// The walk finishes `f(a)`'s class, then matches `p(f(a))` against it and
+/// finds no `h`. Only afterwards does `h(a)` get explored, and its class is
+/// merged into `f(a)`'s. `p(h(a))` is now a binding the walk will not
+/// revisit, and the sweep fires it.
+#[test]
+fn the_sweep_fires_what_a_merge_into_a_walked_class_uncovers() {
+    let model = MergeModel {
+        rules: vec![
+            Box::new(Rewrite::new(MergeOp::H, None, MergeOp::F)),
+            Box::new(Rewrite::new(MergeOp::P, Some(MergeOp::H), MergeOp::W)),
+        ],
+    };
+    let leaf = |op| ExprTree::new(op, vec![ExprTree::leaf(MergeOp::A)]);
+    let query = ExprTree::new(
+        MergeOp::Q,
+        vec![
+            ExprTree::new(MergeOp::P, vec![leaf(MergeOp::F)]),
+            leaf(MergeOp::H),
+        ],
+    );
+    let mut opt = Optimizer::new(&model, SearchOptions::default());
+    opt.insert_tree(&query);
+    opt.explore();
+    assert_eq!(opt.stats().group_merges, 1);
+    // The walk, the sweep that installs `w(a)`, and one that finds nothing.
+    assert_eq!(opt.stats().explore_passes, 3);
+    assert_engine_matches_naive(&model, &query, "merge model");
+}
+
+/// The paper's rule set, and the default one (selection push-down and
+/// merge, filter scans, nested loops) on the same query with one more
+/// selection above the joins, which push-down carries to its relation
+/// and merge folds into the selection already there.
 #[test]
 fn fig4_queries_reach_the_naive_fixpoint() {
-    for n in 2..=6 {
+    for n in 2..=7 {
         for seed in 0..3u64 {
-            let q = generate_query(&WorkloadConfig::relations(n), seed);
+            let q = fig4_query(n, seed, false);
             let model = RelModel::new(q.catalog.clone(), RelModelOptions::paper_fig4());
             assert_engine_matches_naive(&model, &q.expr, &format!("fig4 n={n} seed={seed}"));
+
+            let key = q.catalog.tables()[0].columns[0].attr;
+            let above = select_one(q.expr.clone(), Cmp::new(key, CmpOp::Gt, 7));
+            let model = RelModel::new(q.catalog.clone(), RelModelOptions::default());
+            let tag = format!("fig4 default n={n} seed={seed}");
+            assert_engine_matches_naive(&model, &above, &tag);
         }
     }
 }
 
-/// A budget that runs out in the middle of an install phase stamps only
-/// the tasks it installed; the rest stay re-runnable, so exploring again
-/// on a fresh budget completes the same search space.
+/// A star schema like the `e2e` benchmark's: `fact(id, d1..d6, v)` and
+/// six dimensions `dimK(id, attr)`.
+fn star_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    let mut fact = vec![ColumnDef::int("id", 20_000.0)];
+    for (k, card) in [50.0, 40.0, 30.0, 20.0, 15.0, 10.0].into_iter().enumerate() {
+        fact.push(ColumnDef::int(&format!("d{}", k + 1), card));
+        c.add_table(
+            &format!("dim{}", k + 1),
+            card,
+            vec![ColumnDef::int("id", card), ColumnDef::int("attr", 5.0)],
+        );
+    }
+    fact.push(ColumnDef::int("v", 100.0));
+    c.add_table("fact", 20_000.0, fact);
+    c
+}
+
+/// The `star_cold` statements' shape: the fact table joined to its first
+/// `dims` dimensions, with a selection on the fact table, SQL text in,
+/// under the default rule set that SQL path optimizes with.
+fn star_sql(dims: usize) -> String {
+    let tables: Vec<String> = (1..=dims).map(|k| format!("dim{k}")).collect();
+    let joins: Vec<String> = (1..=dims)
+        .map(|k| format!("fact.d{k} = dim{k}.id"))
+        .collect();
+    format!(
+        "SELECT fact.id FROM fact, {} WHERE {} AND fact.v < 30",
+        tables.join(", "),
+        joins.join(" AND ")
+    )
+}
+
+#[test]
+fn star_sql_queries_reach_the_naive_fixpoint() {
+    for dims in 1..=6 {
+        let mut catalog = star_catalog();
+        let q = plan_query(&star_sql(dims), &mut catalog).expect("star query plans");
+        let model = RelModel::with_defaults(catalog);
+        assert_engine_matches_naive(&model, &q.expr, &format!("star sql dims={dims}"));
+    }
+}
+
+/// The number of connected relation subsets of `q`'s join graph,
+/// singletons included, computed from the join predicates: the classes a
+/// bushy search without Cartesian products must hold above the
+/// selections.
+fn connected_subsets(q: &GeneratedQuery) -> usize {
+    let n = q.num_relations;
+    let relation_of: HashMap<AttrId, usize> = (q.catalog.tables().iter().enumerate())
+        .flat_map(|(i, t)| t.columns.iter().map(move |c| (c.attr, i)))
+        .collect();
+    let mut adjacent = vec![0u32; n];
+    fn edges(e: &RelExpr, relation_of: &HashMap<AttrId, usize>, adjacent: &mut [u32]) {
+        if let RelOp::Join(p) = &e.op {
+            for (l, r) in p.pairs() {
+                let (a, b) = (relation_of[l], relation_of[r]);
+                adjacent[a] |= 1 << b;
+                adjacent[b] |= 1 << a;
+            }
+        }
+        for i in &e.inputs {
+            edges(i, relation_of, adjacent);
+        }
+    }
+    edges(&q.expr, &relation_of, &mut adjacent);
+    let connected = |set: u32| {
+        let mut reached = set & set.wrapping_neg();
+        loop {
+            let next = (0..n)
+                .filter(|&i| reached & 1 << i != 0)
+                .fold(reached, |r, i| r | (adjacent[i] & set));
+            if next == reached {
+                return reached == set;
+            }
+            reached = next;
+        }
+    };
+    (1u32..1 << n).filter(|&s| connected(s)).count()
+}
+
+/// Explore `q` under the paper's rule set, assert that the memo's live
+/// classes are one per connected relation subset plus one `Get` class per
+/// relation (the subset of one relation is its selection's class), and
+/// return the search statistics.
+fn assert_exhaustive(q: &GeneratedQuery, tag: &str) -> SearchStats {
+    let model = RelModel::new(q.catalog.clone(), RelModelOptions::paper_fig4());
+    let mut opt = RelOptimizer::new(&model, SearchOptions::default());
+    opt.insert_tree(&q.expr);
+    opt.explore();
+    assert_eq!(
+        opt.memo().num_groups(),
+        connected_subsets(q) + q.num_relations,
+        "{tag}: live classes"
+    );
+    opt.stats().clone()
+}
+
+fn assert_fig4_exhaustive(sizes: std::ops::RangeInclusive<usize>) {
+    for n in sizes {
+        for seed in 0..4u64 {
+            for star in [false, true] {
+                let tag = format!("n={n} seed={seed} star={star}");
+                assert_exhaustive(&fig4_query(n, seed, star), &tag);
+            }
+        }
+    }
+}
+
+#[test]
+fn fig4_memos_hold_every_connected_subset() {
+    assert_fig4_exhaustive(2..=7);
+}
+
+#[test]
+#[ignore = "eight and nine relations; run in release with --include-ignored"]
+fn fig4_memos_hold_every_connected_subset_at_8_and_9_relations() {
+    assert_fig4_exhaustive(8..=9);
+}
+
+/// Bottom-up exploration derives each class once: on the `e2e`
+/// benchmark's queries no class is merged away and no expression retired.
+#[test]
+fn star_fig4_exploration_merges_no_class() {
+    for n in 2..=7 {
+        for seed in 0..4u64 {
+            let tag = format!("n={n} seed={seed}");
+            let stats = assert_exhaustive(&fig4_query(n, seed, true), &tag);
+            assert_eq!(stats.group_merges, 0, "{tag}: group merges");
+            assert_eq!(stats.dead_exprs, 0, "{tag}: retired expressions");
+        }
+    }
+}
+
+/// Cancels a token once it has seen `after` rule firings: a cancellation
+/// that arrives from outside while the walk is running.
+struct CancelAfter {
+    token: CancelToken,
+    after: u64,
+    fired: Cell<u64>,
+}
+
+impl Tracer for CancelAfter {
+    fn event(&self, e: TraceEvent) {
+        if matches!(e, TraceEvent::RuleFired { .. }) {
+            self.fired.set(self.fired.get() + 1);
+            if self.fired.get() == self.after {
+                self.token.cancel();
+            }
+        }
+    }
+}
+
+/// A budget that runs out inside the bottom-up walk (the first
+/// exploration pass) stamps only the tasks it ran; the rest stay
+/// pending, so exploring again on a fresh budget completes the same
+/// search space. The expression caps trip from inside; a cancellation
+/// arrives from outside, after a number of rule firings.
 #[test]
 fn exploration_resumes_after_a_budget_trip_mid_install() {
     let (model, query) = toy_chain(6);
@@ -169,24 +481,49 @@ fn exploration_resumes_after_a_budget_trip_mid_install() {
     full.insert_tree(&query);
     full.explore();
 
-    for cap in [12usize, 20, 35, 60] {
-        let opts = SearchOptions {
-            budget: SearchBudget::default().with_max_exprs(cap),
-            ..SearchOptions::default()
-        };
-        let mut opt = Optimizer::new(&model, opts);
+    let explore = |budget: SearchBudget, tracer: Option<CancelAfter>| {
+        let mut opt = Optimizer::new(
+            &model,
+            SearchOptions {
+                budget,
+                ..SearchOptions::default()
+            },
+        );
+        if let Some(t) = tracer {
+            opt.set_tracer(Box::new(t));
+        }
         opt.insert_tree(&query);
         opt.explore();
-        assert_eq!(opt.tripped(), Some(TripReason::ExprLimit), "cap={cap}");
-        assert!(
-            opt.memo().num_exprs() < full.memo().num_exprs(),
-            "cap={cap}"
+        opt
+    };
+    let mut tripped = Vec::new();
+    for cap in [12usize, 20, 35, 60] {
+        let opt = explore(SearchBudget::default().with_max_exprs(cap), None);
+        tripped.push((format!("cap={cap}"), TripReason::ExprLimit, opt));
+    }
+    for after in [3u64, 10] {
+        let token = CancelToken::new();
+        let tracer = CancelAfter {
+            token: token.clone(),
+            after,
+            fired: Cell::new(0),
+        };
+        let opt = explore(SearchBudget::default().with_cancel(token), Some(tracer));
+        tripped.push((format!("cancel after {after}"), TripReason::Cancelled, opt));
+    }
+    for (tag, reason, mut opt) in tripped {
+        assert_eq!(opt.tripped(), Some(reason), "{tag}");
+        assert_eq!(
+            opt.stats().explore_passes,
+            1,
+            "{tag}: tripped inside the walk"
         );
+        assert!(opt.memo().num_exprs() < full.memo().num_exprs(), "{tag}");
 
         opt.set_budget(SearchBudget::default());
         opt.explore();
-        assert_eq!(opt.tripped(), None, "cap={cap}");
-        assert!(!opt.stats().outcome.is_degraded(), "cap={cap}");
-        assert_same_search_space(opt.memo(), full.memo(), &format!("resumed cap={cap}"));
+        assert_eq!(opt.tripped(), None, "{tag}");
+        assert!(!opt.stats().outcome.is_degraded(), "{tag}");
+        assert_same_search_space(opt.memo(), full.memo(), &format!("resumed {tag}"));
     }
 }
