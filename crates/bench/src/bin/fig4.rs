@@ -7,13 +7,16 @@
 //!   cargo run -p volcano-bench --release --bin fig4 [-- --queries N] [--max-rel M] [--csv PATH]
 //!
 //! Defaults match the paper: 50 queries per complexity level, 2–8 input
-//! relations. Output: one table row per complexity level plus a CSV.
+//! relations. Output: one table row per complexity level plus a CSV, then
+//! the §3 ablation table over the same queries
+//! (`volcano_bench::ablations`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use volcano_bench::{generate_query, run_exodus, run_volcano, WorkloadConfig};
-use volcano_core::{SearchOptions, SearchStats};
+use volcano_bench::{ablations, fig4_query, geomean, run_exodus, run_volcano};
+use volcano_core::{PhysicalProps, SearchOptions, SearchStats};
+use volcano_rel::{RelModelOptions, RelProps};
 
 struct Args {
     queries: usize,
@@ -52,10 +55,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -114,13 +113,17 @@ fn main() {
         let mut level_stats = SearchStats::default();
 
         for q in 0..args.queries {
-            let seed = (n as u64) * 10_000 + q as u64;
-            let query = generate_query(&WorkloadConfig::relations(n), seed);
-            let v = run_volcano(&query, SearchOptions::default());
+            let query = fig4_query(n, q);
+            let v = run_volcano(
+                &query,
+                RelModelOptions::paper_fig4(),
+                SearchOptions::default(),
+                |_| RelProps::any(),
+            );
             let e = run_exodus(&query, args.exodus_budget);
             level_stats.merge(&v.stats);
             v_opt.push(v.opt_seconds);
-            v_mem.push(v.memo_bytes as f64);
+            v_mem.push(v.stats.memo_bytes as f64);
             e_mem.push(e.mesh_bytes as f64);
             e_opt.push(e.opt_seconds);
             match e.est_exec_ms {
@@ -202,6 +205,7 @@ fn main() {
         std::fs::write(path, json).expect("write json");
         println!("JSON written to {path}");
     }
+    print!("{}", ablations::report(args.queries, args.max_rel));
     println!(
         "total harness time: {:.1}s",
         started.elapsed().as_secs_f64()

@@ -9,14 +9,18 @@
 //! [`runner`] runs one query through both optimizers and returns the
 //! measurements Figure 4 plots: optimization time, estimated execution
 //! time of the produced plan, and memory consumption.
+//!
+//! [`ablations`] counts what each §3 search mechanism costs or saves over
+//! the same query stream.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod ablations;
 pub mod jsonv;
 pub mod runner;
 pub mod workload;
 
 pub use jsonv::{parse_json, Json, JsonError};
-pub use runner::{run_exodus, run_volcano, ExodusMeasurement, VolcanoMeasurement};
-pub use workload::{generate_query, GeneratedQuery, WorkloadConfig};
+pub use runner::{geomean, run_exodus, run_volcano, ExodusMeasurement, VolcanoMeasurement};
+pub use workload::{fig4_query, generate_query, GeneratedQuery, WorkloadConfig};

@@ -4,8 +4,8 @@
 use std::time::Instant;
 
 use exodus::ExodusOptimizer;
-use volcano_core::{PhysicalProps, SearchOptions, SearchStats};
-use volcano_rel::{RelModel, RelModelOptions, RelOptimizer, RelProps};
+use volcano_core::{SearchOptions, SearchStats};
+use volcano_rel::{RelLogical, RelModel, RelModelOptions, RelOptimizer, RelProps};
 
 use crate::workload::GeneratedQuery;
 
@@ -16,13 +16,9 @@ pub struct VolcanoMeasurement {
     pub opt_seconds: f64,
     /// Estimated execution time of the produced plan, in cost-model ms.
     pub est_exec_ms: f64,
-    /// Memo memory estimate in bytes ("less than 1 MB of work space").
-    pub memo_bytes: usize,
-    /// Logical expressions created during the search.
-    pub exprs: usize,
-    /// Equivalence classes created during the search.
-    pub groups: usize,
-    /// Full search statistics for the run (exported to BENCH_*.json).
+    /// Full search statistics for the run (exported to BENCH_*.json);
+    /// `memo_bytes` is the memo memory estimate ("less than 1 MB of work
+    /// space").
     pub stats: SearchStats,
 }
 
@@ -35,29 +31,36 @@ pub struct ExodusMeasurement {
     pub est_exec_ms: Option<f64>,
     /// MESH memory estimate in bytes.
     pub mesh_bytes: usize,
-    /// Reanalysis count — the documented EXODUS time sink.
-    pub reanalyses: u64,
 }
 
-/// Optimize with the Volcano optimizer generator (paper §4.2 model
-/// configuration unless `options` says otherwise).
-pub fn run_volcano(query: &GeneratedQuery, options: SearchOptions) -> VolcanoMeasurement {
-    let model = RelModel::new(query.catalog.clone(), RelModelOptions::paper_fig4());
+/// Optimize `query` with the Volcano optimizer generator under the model
+/// configuration `model`. `goal` maps the root class's logical properties
+/// to the required physical properties; Figure 4 asks for any order under
+/// [`RelModelOptions::paper_fig4`].
+pub fn run_volcano(
+    query: &GeneratedQuery,
+    model: RelModelOptions,
+    options: SearchOptions,
+    goal: fn(&RelLogical) -> RelProps,
+) -> VolcanoMeasurement {
+    let model = RelModel::new(query.catalog.clone(), model);
     let start = Instant::now();
     let mut opt = RelOptimizer::new(&model, options);
     let root = opt.insert_tree(&query.expr);
+    let goal = goal(opt.memo().logical_props(root));
     let plan = opt
-        .find_best_plan(root, RelProps::any(), None)
-        .expect("the fig4 workload is always satisfiable");
-    let opt_seconds = start.elapsed().as_secs_f64();
+        .find_best_plan(root, goal, None)
+        .expect("the benchmark queries are always satisfiable");
     VolcanoMeasurement {
-        opt_seconds,
+        opt_seconds: start.elapsed().as_secs_f64(),
         est_exec_ms: plan.cost.total(),
-        memo_bytes: opt.stats().memo_bytes,
-        exprs: opt.stats().exprs_created,
-        groups: opt.stats().groups_created,
         stats: opt.stats().clone(),
     }
+}
+
+/// Geometric mean, the average Figure 4 uses for estimated plan costs.
+pub fn geomean(xs: &[f64]) -> f64 {
+    (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 /// Optimize with the EXODUS baseline under a MESH memory budget.
@@ -70,13 +73,11 @@ pub fn run_exodus(query: &GeneratedQuery, memory_budget: usize) -> ExodusMeasure
             opt_seconds: start.elapsed().as_secs_f64(),
             est_exec_ms: Some(out.cost.total()),
             mesh_bytes: out.stats.mesh_bytes,
-            reanalyses: out.stats.reanalyses,
         },
         Err(abort) => ExodusMeasurement {
             opt_seconds: start.elapsed().as_secs_f64(),
             est_exec_ms: None,
             mesh_bytes: abort.stats.mesh_bytes,
-            reanalyses: abort.stats.reanalyses,
         },
     }
 }
@@ -85,11 +86,17 @@ pub fn run_exodus(query: &GeneratedQuery, memory_budget: usize) -> ExodusMeasure
 mod tests {
     use super::*;
     use crate::workload::{generate_query, WorkloadConfig};
+    use volcano_core::PhysicalProps;
+
+    fn fig4(q: &GeneratedQuery) -> VolcanoMeasurement {
+        let model = RelModelOptions::paper_fig4();
+        run_volcano(q, model, SearchOptions::default(), |_| RelProps::any())
+    }
 
     #[test]
     fn both_runners_complete_small_queries() {
         let q = generate_query(&WorkloadConfig::relations(3), 1);
-        let v = run_volcano(&q, SearchOptions::default());
+        let v = fig4(&q);
         let e = run_exodus(&q, 64 << 20);
         assert!(v.est_exec_ms > 0.0);
         let e_cost = e.est_exec_ms.expect("3 relations must fit in 64 MiB");
@@ -102,7 +109,7 @@ mod tests {
         for seed in 0..10 {
             for n in 2..=5 {
                 let q = generate_query(&WorkloadConfig::relations(n), seed);
-                let v = run_volcano(&q, SearchOptions::default());
+                let v = fig4(&q);
                 let e = run_exodus(&q, 256 << 20);
                 if let Some(ec) = e.est_exec_ms {
                     assert!(

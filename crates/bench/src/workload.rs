@@ -45,7 +45,7 @@ impl WorkloadConfig {
     }
 }
 
-/// One generated query with its private catalog.
+/// One benchmark query with its private catalog.
 pub struct GeneratedQuery {
     /// The catalog the query runs against.
     pub catalog: Catalog,
@@ -53,6 +53,13 @@ pub struct GeneratedQuery {
     pub expr: RelExpr,
     /// Number of input relations.
     pub num_relations: usize,
+}
+
+/// Query `q` of Figure 4's complexity level `n`: seed `n·10 000 + q`
+/// over [`WorkloadConfig::relations`]. The figure and its ablation
+/// table read this one stream.
+pub fn fig4_query(n: usize, q: usize) -> GeneratedQuery {
+    generate_query(&WorkloadConfig::relations(n), n as u64 * 10_000 + q as u64)
 }
 
 /// Generate one random select–join query.

@@ -107,7 +107,7 @@ fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical]) -
             cols: inputs[0].cols.clone(),
         },
         RelAlg::MergeIntersect | RelAlg::HashIntersect => RelLogical {
-            card: inputs[0].card.min(inputs[1].card) * 0.5,
+            card: inputs[0].card.min(inputs[1].card),
             cols: inputs[0].cols.clone(),
         },
         RelAlg::MergeDifference | RelAlg::HashDifference => RelLogical {

@@ -306,8 +306,11 @@ impl Model for RelModel {
                 card: inputs[0].card + inputs[1].card,
                 cols: inputs[0].cols.clone(),
             },
+            // Containment, as for equi-joins: the smaller input lies in
+            // the larger. `min` is associative, so every association of
+            // an n-ary intersection derives the same cardinality.
             RelOp::Intersect => RelLogical {
-                card: inputs[0].card.min(inputs[1].card) * 0.5,
+                card: inputs[0].card.min(inputs[1].card),
                 cols: inputs[0].cols.clone(),
             },
             RelOp::Difference => RelLogical {

@@ -424,26 +424,73 @@ fn alternative_sort_orders_for_multi_key_merge_join() {
     let ra = c.attr("r", "a");
     let rb = c.attr("r", "b");
 
-    let opts = RelModelOptions {
-        sort_order_variants: 2,
-        ..RelModelOptions::default()
-    };
-    let model = RelModel::new(c, opts);
-    let q = QueryBuilder::new(model.catalog());
-    let expr = volcano_rel::builder::join(
-        q.scan("l"),
-        q.scan("r"),
-        volcano_rel::JoinPred::on(vec![(la, ra), (lb, rb)]),
-    );
     // Ask for the *swapped* key order (b, a): only the alternative
     // application can satisfy it without a final sort.
-    let plan = optimize(&model, &expr, RelProps::sorted(vec![lb, la]));
-    assert!(plan.delivered.satisfies(&RelProps::sorted(vec![lb, la])));
+    let goal = RelProps::sorted(vec![lb, la]);
+    let plan_with = |variants| {
+        let opts = RelModelOptions {
+            sort_order_variants: variants,
+            ..RelModelOptions::default()
+        };
+        let model = RelModel::new(c.clone(), opts);
+        let q = QueryBuilder::new(model.catalog());
+        let expr = volcano_rel::builder::join(
+            q.scan("l"),
+            q.scan("r"),
+            volcano_rel::JoinPred::on(vec![(la, ra), (lb, rb)]),
+        );
+        optimize(&model, &expr, goal.clone())
+    };
+    let plan = plan_with(2);
+    assert!(plan.delivered.satisfies(&goal));
     // With variants enabled, a merge join delivering (b, a) directly
     // avoids the top-level sort.
     assert!(
         matches!(plan.alg, RelAlg::MergeJoin(_)),
         "expected merge join delivering the alternative order, got {}",
         plan.compact()
+    );
+    // The declared order alone must sort the (large) join output, so the
+    // alternative order is a strictly cheaper plan.
+    let declared_only = plan_with(1);
+    assert!(
+        plan.cost.total() < declared_only.cost.total(),
+        "the alternative key order must avoid the output sort: {} vs {}",
+        plan.cost.total(),
+        declared_only.cost.total()
+    );
+}
+
+#[test]
+fn alternative_sort_orders_never_worsen_an_n_ary_intersection() {
+    // §5: an intersection of N sets is optimized like an N-way join; §3:
+    // a sort-based intersection accepts any order both inputs share. With
+    // the goal sorted on the second column, offering the swapped order
+    // can only add plans, so the optimum cannot get worse.
+    let mut c = Catalog::new();
+    for i in 0..4 {
+        c.add_table(
+            &format!("s{i}"),
+            3_000.0 + 500.0 * i as f64,
+            vec![ColumnDef::int("a", 400.0), ColumnDef::int("b", 50.0)],
+        );
+    }
+    let goal = RelProps::sorted(vec![c.attr("s0", "b")]);
+    let cost_with = |variants| {
+        let opts = RelModelOptions {
+            sort_order_variants: variants,
+            ..RelModelOptions::default()
+        };
+        let model = RelModel::new(c.clone(), opts);
+        let q = QueryBuilder::new(model.catalog());
+        let expr = (1..4).fold(q.scan("s0"), |e, i| intersect(e, q.scan(&format!("s{i}"))));
+        let plan = optimize(&model, &expr, goal.clone());
+        assert!(plan.delivered.satisfies(&goal));
+        plan.cost.total()
+    };
+    let (one, two) = (cost_with(1), cost_with(2));
+    assert!(
+        two <= one + 1e-6,
+        "alternatives can only improve: {two} vs {one}"
     );
 }
