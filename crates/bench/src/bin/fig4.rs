@@ -9,7 +9,9 @@
 //! Defaults match the paper: 50 queries per complexity level, 2–8 input
 //! relations. Output: one table row per complexity level plus a CSV, then
 //! the §3 ablation table over the same queries
-//! (`volcano_bench::ablations`).
+//! (`volcano_bench::ablations`), then the "Work space" table: the heap the
+//! Volcano search allocates and holds per query, counted by this binary's
+//! allocator (`counting_alloc.rs`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -17,6 +19,12 @@ use std::time::Instant;
 use volcano_bench::{ablations, fig4_query, geomean, run_exodus, run_volcano};
 use volcano_core::{PhysicalProps, SearchOptions, SearchStats};
 use volcano_rel::{RelModelOptions, RelProps};
+
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
+
+#[global_allocator]
+static ALLOC: counting_alloc::Counting = counting_alloc::Counting;
 
 struct Args {
     queries: usize,
@@ -71,6 +79,54 @@ fn j(x: f64) -> f64 {
     } else {
         0.0
     }
+}
+
+/// The "Work space" table: per level, the mean allocations per query
+/// while exploring and while costing, the mean and maximum peak heap per
+/// query, and the `memo_bytes` estimate beside them. A pass of its own,
+/// so the figure's statistics are those of plain `find_best_plan` runs.
+fn work_space_report(queries: usize, max_rel: usize) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "\nWork space: Volcano's heap per query over the same queries, counted by fig4's allocator"
+    );
+    let _ = writeln!(
+        out,
+        "{:>4} | {:>12} {:>12} {:>12} | {:>13} {:>12} | {:>15}",
+        "rels",
+        "allocs expl",
+        "allocs cost",
+        "allocs total",
+        "peak KB mean",
+        "peak KB max",
+        "memo KB (est.)"
+    );
+    for n in 2..=max_rel {
+        let ws: Vec<_> = (0..queries)
+            .map(|q| counting_alloc::measure(&fig4_query(n, q)))
+            .collect();
+        let per_query = |f: fn(&counting_alloc::WorkSpace) -> u64| {
+            ws.iter().map(f).sum::<u64>() as f64 / ws.len().max(1) as f64
+        };
+        let (explore, cost) = (
+            per_query(|w| w.explore_allocs),
+            per_query(|w| w.cost_allocs),
+        );
+        let max_peak = ws.iter().map(|w| w.peak_bytes).max().unwrap_or(0);
+        let _ = writeln!(
+            out,
+            "{:>4} | {:>12.0} {:>12.0} {:>12.0} | {:>13.0} {:>12.0} | {:>15.0}",
+            n,
+            explore,
+            cost,
+            explore + cost,
+            per_query(|w| w.peak_bytes) / 1024.0,
+            max_peak as f64 / 1024.0,
+            per_query(|w| w.memo_bytes) / 1024.0
+        );
+    }
+    out
 }
 
 fn main() {
@@ -206,6 +262,7 @@ fn main() {
         println!("JSON written to {path}");
     }
     print!("{}", ablations::report(args.queries, args.max_rel));
+    print!("{}", work_space_report(args.queries, args.max_rel));
     println!(
         "total harness time: {:.1}s",
         started.elapsed().as_secs_f64()

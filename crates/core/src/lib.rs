@@ -83,6 +83,7 @@ pub mod error;
 pub mod expr;
 pub mod fxhash;
 pub mod ids;
+mod inline;
 pub mod memo;
 pub mod model;
 pub mod pattern;
@@ -102,7 +103,9 @@ pub use expr::{ExprTree, SubstExpr};
 pub use ids::{ExprId, GoalId, GroupId};
 pub use memo::Memo;
 pub use model::Model;
-pub use pattern::{match_pattern, match_pattern_with, Binding, BindingChild, OpMatcher, Pattern};
+pub use pattern::{
+    match_pattern, match_pattern_with, Binding, BindingChild, BindingChildren, OpMatcher, Pattern,
+};
 pub use plan::Plan;
 pub use props::PhysicalProps;
 pub use rule_index::RuleIndex;

@@ -28,7 +28,11 @@ use crate::cost::Limit;
 use crate::expr::{ExprTree, SubstExpr};
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::ids::{ExprId, GoalId, GroupId};
+use crate::inline::InlineVec;
 use crate::model::Model;
+
+/// An expression's input classes while it is probed for, on the stack.
+type Inputs = InlineVec<GroupId, 4>;
 
 /// An optimization goal fragment: the property vectors a plan for some
 /// group must satisfy ("each optimization goal (and subgoal) is a pair of
@@ -455,13 +459,11 @@ impl<M: Model> Memo<M> {
 
     /// Insert a complete expression tree, returning the root group.
     pub fn insert_tree(&mut self, model: &M, tree: &ExprTree<M>) -> GroupId {
-        let inputs: Vec<GroupId> = tree
-            .inputs
-            .iter()
-            .map(|t| self.insert_tree(model, t))
-            .collect();
-        let (g, _) = self.intern_expr(model, tree.op.clone(), inputs, None);
-        g
+        let mut inputs = Inputs::new(GroupId(0));
+        for t in &tree.inputs {
+            inputs.push(self.insert_tree(model, t));
+        }
+        self.intern_expr(model, &tree.op, &inputs, None).0
     }
 
     /// Insert a substitute expression produced by a transformation rule.
@@ -479,40 +481,32 @@ impl<M: Model> Memo<M> {
                     true
                 }
             }
-            SubstExpr::Node { op, inputs } => {
-                let mut changed = false;
-                let input_groups: Vec<GroupId> = inputs
-                    .iter()
-                    .map(|s| {
-                        let (g, c) = self.insert_subst_sub(model, s);
-                        changed |= c;
-                        g
-                    })
-                    .collect();
-                let (_, c) =
-                    self.intern_expr(model, op.clone(), input_groups, Some(self.repr(target)));
-                changed | c
-            }
+            SubstExpr::Node { .. } => self.insert_node(model, subst, Some(target)).1,
         }
     }
 
-    /// Insert a substitute sub-expression with no target class ("often a
-    /// new equivalence class is created during a transformation", §3 /
-    /// Figure 3).
-    fn insert_subst_sub(&mut self, model: &M, subst: &SubstExpr<M>) -> (GroupId, bool) {
+    /// Insert a substitute (sub-)expression, its root into `target` if one
+    /// is given and into a class of its own otherwise ("often a new
+    /// equivalence class is created during a transformation", §3 /
+    /// Figure 3). Returns the root's class and whether the memo changed.
+    fn insert_node(
+        &mut self,
+        model: &M,
+        subst: &SubstExpr<M>,
+        target: Option<GroupId>,
+    ) -> (GroupId, bool) {
         match subst {
             SubstExpr::Group(g) => (self.repr(*g), false),
             SubstExpr::Node { op, inputs } => {
                 let mut changed = false;
-                let input_groups: Vec<GroupId> = inputs
-                    .iter()
-                    .map(|s| {
-                        let (g, c) = self.insert_subst_sub(model, s);
-                        changed |= c;
-                        g
-                    })
-                    .collect();
-                let (g, c) = self.intern_expr(model, op.clone(), input_groups, None);
+                let mut groups = Inputs::new(GroupId(0));
+                for s in inputs {
+                    let (g, c) = self.insert_node(model, s, None);
+                    changed |= c;
+                    groups.push(g);
+                }
+                let target = target.map(|t| self.repr(t));
+                let (g, c) = self.intern_expr(model, op, &groups, target);
                 (g, changed | c)
             }
         }
@@ -528,19 +522,25 @@ impl<M: Model> Memo<M> {
     ///   target, in a fresh class whose logical properties are derived
     ///   from this expression.
     ///
+    /// The probe canonicalizes the inputs into a stack buffer; the
+    /// operator is cloned and the inputs copied to the heap only when an
+    /// expression is created.
+    ///
     /// Returns the (canonical) owning group and whether the memo changed.
     pub(crate) fn intern_expr(
         &mut self,
         model: &M,
-        op: M::Op,
-        mut inputs: Vec<GroupId>,
+        op: &M::Op,
+        inputs: &[GroupId],
         target: Option<GroupId>,
     ) -> (GroupId, bool) {
-        for g in &mut inputs {
-            *g = self.repr(*g);
+        let mut canonical = Inputs::new(GroupId(0));
+        for &g in inputs {
+            canonical.push(self.repr(g));
         }
-        let h = expr_hash::<M>(&op, &inputs);
-        let existing = self.indexed(h, &op, &inputs);
+        let inputs = &canonical[..];
+        let h = expr_hash::<M>(op, inputs);
+        let existing = self.indexed(h, op, inputs);
         if let Some(existing) = existing {
             let eg = self.group_of(existing);
             return match target {
@@ -557,7 +557,7 @@ impl<M: Model> Memo<M> {
         let derive = |memo: &Self| {
             let input_props: Vec<&M::LogicalProps> =
                 inputs.iter().map(|&g| memo.logical_props(g)).collect();
-            model.derive_logical_props(&op, &input_props)
+            model.derive_logical_props(op, &input_props)
         };
         let group = match target {
             Some(t) => {
@@ -592,8 +592,8 @@ impl<M: Model> Memo<M> {
             }
         }
         self.exprs.push(ExprData {
-            op,
-            inputs,
+            op: op.clone(),
+            inputs: inputs.to_vec(),
             group,
             dead: false,
             version: self.version,
@@ -779,9 +779,14 @@ impl<M: Model> Memo<M> {
         assert_eq!(indexed, live().count(), "retired or repeated index entry");
     }
 
-    /// Rough estimate of the memo's memory footprint in bytes, for the
-    /// paper's "< 1 MB of work space" comparison (§4.2). Counts arena
-    /// entries and hash-table payloads, not allocator overhead.
+    /// Estimate of the memo's memory footprint in bytes, for the paper's
+    /// "< 1 MB of work space" comparison (§4.2). A **lower bound**: it
+    /// adds up arena entries and hash-table payloads, and leaves out the
+    /// heap behind operator payloads, vector slack, hash-table control
+    /// bytes and every table of the optimizer outside the memo (kept move
+    /// lists, watermarks), as well as allocator overhead. The measured
+    /// peak heap of a search is about four times this figure (`fig4`'s
+    /// "Work space" table, EXPERIMENTS.md).
     pub fn memory_estimate(&self) -> usize {
         let expr_bytes: usize = self
             .exprs

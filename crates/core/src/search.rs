@@ -73,9 +73,10 @@ use std::time::Instant;
 use crate::budget::{BudgetOutcome, SearchBudget, TripReason};
 use crate::cost::{Cost, Limit};
 use crate::error::OptimizeError;
-use crate::expr::ExprTree;
+use crate::expr::{ExprTree, SubstExpr};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{ExprId, GoalId, GroupId};
+use crate::inline::InlineVec;
 use crate::memo::{InputGoal, Memo, Winner, WinnerPlan};
 use crate::model::Model;
 use crate::pattern::{changed_since, match_pattern_with, Binding};
@@ -206,6 +207,28 @@ struct MoveList<M: Model> {
     exclusions: Box<[Exclusion<M>]>,
 }
 
+/// The vectors a move list and an exploration task are gathered in,
+/// kept empty between uses so their capacity serves every later goal and
+/// task: a list is then copied out in one exact-size allocation per
+/// slice instead of growing one.
+struct Scratch<M: Model> {
+    moves: Vec<Move<M>>,
+    bindings: Vec<Binding<M>>,
+    exclusions: Vec<Exclusion<M>>,
+    substitutes: Vec<SubstExpr<M>>,
+}
+
+impl<M: Model> Default for Scratch<M> {
+    fn default() -> Self {
+        Scratch {
+            moves: Vec::new(),
+            bindings: Vec::new(),
+            exclusions: Vec::new(),
+            substitutes: Vec::new(),
+        }
+    }
+}
+
 /// The move lists of goals optimized without recording an optimal plan,
 /// for reuse when such a goal is asked again with a looser limit. Valid
 /// for one memo version. Holds at most [`kept_moves_bound`] moves,
@@ -326,6 +349,7 @@ pub struct Optimizer<'m, M: Model> {
     /// the one case a fresh budget clears it.
     tripped: Option<TripReason>,
     move_lists: MoveLists<M>,
+    scratch: Scratch<M>,
     tracer: Box<dyn Tracer>,
 }
 
@@ -349,6 +373,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
             deadline: None,
             tripped: None,
             move_lists: MoveLists::new(),
+            scratch: Scratch::default(),
             tracer: Box::new(NullTracer),
         }
     }
@@ -604,7 +629,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         let model = self.model;
         let rule = model.transformations()[ri].as_ref();
         let pattern = rule.pattern();
-        let mut subs = Vec::new();
+        let mut subs = std::mem::take(&mut self.scratch.substitutes);
         // `transform_matches` counts root-matcher hits, so the operator-
         // indexed dispatch (which only skips guaranteed rejections) leaves
         // it unchanged.
@@ -613,8 +638,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
             let (memo, stats, tracer) = (&self.memo, &mut self.stats, &self.tracer);
             let (ctx, traced) = (RuleCtx::new(memo), tracer.enabled());
             match_pattern_with(memo, pattern, e, since, &mut |b| {
-                if rule.condition(&b, &ctx) {
-                    let s = rule.apply(&b, &ctx);
+                if rule.condition(b, &ctx) {
+                    let s = rule.apply(b, &ctx);
                     stats.transform_fired += 1;
                     if traced {
                         tracer.event(TraceEvent::RuleFired {
@@ -632,10 +657,11 @@ impl<'m, M: Model> Optimizer<'m, M> {
         self.watermarks[e.index() * model.transformations().len() + ri] = self.memo.version();
         let target = self.memo.group_of(e);
         let mut changed = false;
-        for s in &subs {
+        for s in subs.drain(..) {
             self.stats.substitutes_produced += 1;
-            changed |= self.memo.insert_subst(model, s, target);
+            changed |= self.memo.insert_subst(model, &s, target);
         }
+        self.scratch.substitutes = subs;
         changed
     }
 
@@ -864,7 +890,12 @@ impl<'m, M: Model> Optimizer<'m, M> {
         // `find_best_plan` the version is fixed.
         let list = match self.move_lists.get((group, goal), self.memo.version()) {
             Some(list) => list,
-            None => Rc::new(self.generate_moves(group, goal)),
+            None => {
+                let mut scratch = std::mem::take(&mut self.scratch);
+                let list = self.generate_moves(group, goal, &mut scratch);
+                self.scratch = scratch;
+                Rc::new(list)
+            }
         };
         self.stats.moves_excluded += list.exclusions.len() as u64;
         if self.tracer.enabled() {
@@ -879,16 +910,24 @@ impl<'m, M: Model> Optimizer<'m, M> {
     }
 
     /// Generate the algorithm and enforcer moves for a goal in the order
-    /// they are pursued. Bindings stream straight out of the matcher into
-    /// the list's arena — no intermediate `Vec<Binding>` per (expression,
-    /// rule) pair, no per-move clones; a binding is stored only if at
-    /// least one move uses it, and once per expression: rules with the
+    /// they are pursued. Bindings stream out of the matcher by reference —
+    /// no intermediate `Vec<Binding>` per (expression, rule) pair, no
+    /// per-move clones; a binding is cloned into the list's arena only if
+    /// at least one move uses it, and once per expression: rules with the
     /// same pattern bind the same expressions and share one entry.
-    fn generate_moves(&self, group: GroupId, goal: GoalId) -> MoveList<M> {
+    fn generate_moves(
+        &self,
+        group: GroupId,
+        goal: GoalId,
+        scratch: &mut Scratch<M>,
+    ) -> MoveList<M> {
         let (memo, model) = (&self.memo, self.model);
-        let mut moves: Vec<Move<M>> = Vec::new();
-        let mut bindings: Vec<Binding<M>> = Vec::new();
-        let mut exclusions: Vec<Exclusion<M>> = Vec::new();
+        let Scratch {
+            moves,
+            bindings,
+            exclusions,
+            ..
+        } = scratch;
         let goal = memo.goal(goal);
         let exclude_active = !goal.excluded.is_any();
 
@@ -901,15 +940,15 @@ impl<'m, M: Model> Optimizer<'m, M> {
             for &ri in self.rule_index.impl_candidates(disc) {
                 let rule = &model.implementations()[ri];
                 match_pattern_with(memo, rule.pattern(), expr, 0, &mut |binding| {
-                    if !rule.condition(&binding, &ctx) {
+                    if !rule.condition(binding, &ctx) {
                         return;
                     }
                     let idx = bindings[expr_bindings..]
                         .iter()
-                        .position(|b| b.same_as(&binding))
+                        .position(|b| b.same_as(binding))
                         .map_or(bindings.len(), |i| expr_bindings + i);
                     let mut used = false;
-                    for app in rule.applies(&binding, &goal.required, &ctx) {
+                    for app in rule.applies(binding, &goal.required, &ctx) {
                         debug_assert!(
                             app.delivers.satisfies(&goal.required),
                             "applicability function of {} produced properties {:?} that \
@@ -928,7 +967,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
                             });
                             continue;
                         }
-                        let promise = rule.promise(&app, &binding, &ctx);
+                        let promise = rule.promise(&app, binding, &ctx);
                         moves.push(Move::Alg {
                             rule_idx: ri,
                             binding: idx as u32,
@@ -938,7 +977,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         used = true;
                     }
                     if used && idx == bindings.len() {
-                        bindings.push(binding);
+                        bindings.push(binding.clone());
                     }
                 });
             }
@@ -962,21 +1001,24 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 });
             }
         }
-        if self.opts.promise_ordering {
-            // Stable sort by descending promise: "order the set of moves
-            // by promise". `total_cmp` gives NaN a fixed position (after
-            // every finite promise in descending order), so a NaN promise
-            // can no longer scramble move order between runs.
-            moves.sort_by(|a, b| b.promise().total_cmp(&a.promise()));
+        // Stable sort by descending promise: "order the set of moves by
+        // promise". `total_cmp` gives NaN a fixed position (after every
+        // finite promise in descending order), so a NaN promise can no
+        // longer scramble move order between runs. A list already in that
+        // order (every promise equal, as with the shipped rules) is left
+        // as it is, which is what the stable sort would do.
+        let descending = |a: &Move<M>, b: &Move<M>| b.promise().total_cmp(&a.promise());
+        if self.opts.promise_ordering && !moves.is_sorted_by(|a, b| descending(a, b).is_le()) {
+            moves.sort_by(descending);
         }
         if let Some(k) = self.opts.move_limit {
             // "for the most promising moves": heuristic move selection.
             moves.truncate(k);
         }
         MoveList {
-            moves: moves.into_boxed_slice(),
-            bindings: bindings.into_boxed_slice(),
-            exclusions: exclusions.into_boxed_slice(),
+            moves: moves.drain(..).collect(),
+            bindings: bindings.drain(..).collect(),
+            exclusions: exclusions.drain(..).collect(),
         }
     }
 
@@ -1007,7 +1049,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
             });
         }
 
-        let leaves = binding.leaf_groups();
+        let mut leaves = InlineVec::<GroupId, 4>::new(group);
+        binding.for_each_leaf(&mut |g| leaves.push(g));
         assert_eq!(
             leaves.len(),
             app.input_props.len(),
@@ -1021,7 +1064,10 @@ impl<'m, M: Model> Optimizer<'m, M> {
         // TotalCost < Limit ..."
         let any = M::PhysProps::any();
         let mut total = local.clone();
-        let mut input_goals = Vec::with_capacity(leaves.len());
+        let mut input_goals = InlineVec::<InputGoal, 4>::new(InputGoal {
+            group,
+            goal: GoalId::from_index(0),
+        });
         for (g, props) in leaves.iter().zip(app.input_props.iter()) {
             if self.opts.pruning && !bound.admits(&total) {
                 self.stats.moves_pruned += 1;
@@ -1058,18 +1104,16 @@ impl<'m, M: Model> Optimizer<'m, M> {
             }
         }
 
-        self.consider_candidate(
-            WinnerPlan {
+        if self.beats_best(&total, best, bound) {
+            *best = Some(WinnerPlan {
                 alg: app.alg.clone(),
                 delivered: app.delivers.clone(),
                 local_cost: local,
                 total_cost: total,
-                inputs: input_goals,
+                inputs: input_goals.to_vec(),
                 expr: Some(binding.expr),
-            },
-            best,
-            bound,
-        );
+            });
+        }
         Ok(())
     }
 
@@ -1122,47 +1166,45 @@ impl<'m, M: Model> Optimizer<'m, M> {
         };
         match self.optimize_goal(group, child_goal, child_limit) {
             Ok(c) => {
-                self.consider_candidate(
-                    WinnerPlan {
+                let total = local.add(&c);
+                if self.beats_best(&total, best, bound) {
+                    *best = Some(WinnerPlan {
                         alg: app.alg.clone(),
                         delivered: app.delivers.clone(),
-                        local_cost: local.clone(),
-                        total_cost: local.add(&c),
+                        local_cost: local,
+                        total_cost: total,
                         inputs: vec![InputGoal {
                             group,
                             goal: child_goal,
                         }],
                         expr: None,
-                    },
-                    best,
-                    bound,
-                );
+                    });
+                }
                 Ok(())
             }
             Err(f) => Err(!f.memoizable),
         }
     }
 
-    /// Accept a completed candidate if it beats the best plan so far,
-    /// tightening the branch-and-bound limit: "once a complete plan is
-    /// known ... no other plan or partial plan with higher cost can be
-    /// part of the optimal query evaluation plan".
-    fn consider_candidate(
-        &mut self,
-        candidate: WinnerPlan<M>,
-        best: &mut Option<WinnerPlan<M>>,
+    /// Does a completed candidate of cost `total` beat the best plan so
+    /// far? If so, tighten the branch-and-bound limit: "once a complete
+    /// plan is known ... no other plan or partial plan with higher cost
+    /// can be part of the optimal query evaluation plan". The caller
+    /// builds the candidate's [`WinnerPlan`] only when it wins.
+    fn beats_best(
+        &self,
+        total: &M::Cost,
+        best: &Option<WinnerPlan<M>>,
         bound: &mut Limit<M::Cost>,
-    ) {
+    ) -> bool {
         let better = match best {
-            None => !self.opts.pruning || bound.admits(&candidate.total_cost),
-            Some(b) => candidate.total_cost.cheaper_than(&b.total_cost),
+            None => !self.opts.pruning || bound.admits(total),
+            Some(b) => total.cheaper_than(&b.total_cost),
         };
-        if better {
-            if self.opts.pruning {
-                *bound = bound.tighten(&candidate.total_cost);
-            }
-            *best = Some(candidate);
+        if better && self.opts.pruning {
+            *bound = bound.tighten(total);
         }
+        better
     }
 
     /// Materialize the memoized optimal plan for a goal.

@@ -33,7 +33,11 @@ pub struct SearchStats {
     /// under the operator-indexed rule dispatch, which only skips tasks
     /// whose root matcher was guaranteed to reject the operator.
     pub transform_matches: u64,
-    /// Transformation-rule firings (pattern + condition succeeded).
+    /// Transformation-rule firings: bindings whose condition code
+    /// accepted them, each followed by `apply`. A rule that rejects a
+    /// binding in its condition is not counted, so for rules whose
+    /// condition rejects everything `apply` would drop (the relational
+    /// join rules' Cartesian products) every firing produces a substitute.
     pub transform_fired: u64,
     /// Substitute expressions produced by transformations.
     pub substitutes_produced: u64,

@@ -8,6 +8,7 @@
 //! correctly.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::AttrId;
 use crate::value::Value;
@@ -227,22 +228,68 @@ impl fmt::Display for Pred {
 /// An equi-join predicate: a set of attribute equality pairs
 /// `left.a = right.b`, kept sorted for canonical hashing. An empty set is
 /// a Cartesian product.
+///
+/// The pairs are shared (`Arc`), so cloning a join operator or algorithm
+/// copies no pairs: commutativity and associativity re-clone the same
+/// predicate into every expression, binding and plan that holds it. Each
+/// derived predicate is sorted in a stack buffer and built in one
+/// allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct JoinPred {
-    pairs: Vec<(AttrId, AttrId)>,
+    pairs: Arc<[(AttrId, AttrId)]>,
 }
+
+/// Pairs this many or fewer are sorted on the stack.
+const INLINE_PAIRS: usize = 8;
 
 impl JoinPred {
     /// Build from equality pairs `(left attr, right attr)`.
-    pub fn on(mut pairs: Vec<(AttrId, AttrId)>) -> Self {
-        pairs.sort();
-        pairs.dedup();
-        JoinPred { pairs }
+    pub fn on(pairs: Vec<(AttrId, AttrId)>) -> Self {
+        JoinPred::from_pairs(pairs)
+    }
+
+    /// The canonical (sorted, de-duplicated) predicate over `pairs`.
+    fn from_pairs(pairs: impl IntoIterator<Item = (AttrId, AttrId)>) -> Self {
+        let zero = (AttrId(0), AttrId(0));
+        let mut buf = [zero; INLINE_PAIRS];
+        let mut spill = Vec::new();
+        let mut n = 0;
+        for pair in pairs {
+            if n < INLINE_PAIRS {
+                buf[n] = pair;
+            } else {
+                if spill.is_empty() {
+                    spill.extend_from_slice(&buf);
+                }
+                spill.push(pair);
+            }
+            n += 1;
+        }
+        let all = if n <= INLINE_PAIRS {
+            &mut buf[..n]
+        } else {
+            &mut spill[..]
+        };
+        all.sort_unstable();
+        let mut kept = 0;
+        for i in 0..all.len() {
+            if kept == 0 || all[i] != all[kept - 1] {
+                all[kept] = all[i];
+                kept += 1;
+            }
+        }
+        if kept == 0 {
+            // An empty `Arc` slice is a shared constant: no allocation.
+            return JoinPred::cross();
+        }
+        JoinPred {
+            pairs: Arc::from(&all[..kept]),
+        }
     }
 
     /// A single equality pair.
     pub fn eq(l: AttrId, r: AttrId) -> Self {
-        JoinPred::on(vec![(l, r)])
+        JoinPred::from_pairs([(l, r)])
     }
 
     /// The Cartesian product (no predicate).
@@ -273,26 +320,35 @@ impl JoinPred {
 
     /// Swap the sides (for join commutativity).
     pub fn flipped(&self) -> JoinPred {
-        JoinPred::on(self.pairs.iter().map(|&(l, r)| (r, l)).collect())
+        JoinPred::from_pairs(self.pairs.iter().map(|&(l, r)| (r, l)))
     }
 
     /// Split the pairs by a predicate on *both* endpoints' membership:
     /// `classify(l, r)` returns `true` to keep the pair in the first
-    /// result. Used by associativity to re-route predicates.
+    /// result. Used by the join-reordering rules to re-route predicates.
     pub fn partition(&self, classify: impl Fn(AttrId, AttrId) -> bool) -> (JoinPred, JoinPred) {
-        let (yes, no): (Vec<_>, Vec<_>) = self
-            .pairs
-            .iter()
-            .copied()
-            .partition(|&(l, r)| classify(l, r));
-        (JoinPred::on(yes), JoinPred::on(no))
+        let cross = JoinPred::cross();
+        (
+            cross.and_where(self, &classify),
+            cross.and_where(self, |l, r| !classify(l, r)),
+        )
     }
 
     /// Merge two predicates into one.
     pub fn and(&self, other: &JoinPred) -> JoinPred {
-        let mut pairs = self.pairs.clone();
-        pairs.extend(other.pairs.iter().copied());
-        JoinPred::on(pairs)
+        self.and_where(other, |_, _| true)
+    }
+
+    /// This predicate and the pairs of `other` that `keep(l, r)` accepts,
+    /// in one allocation: associativity's new outer predicate without
+    /// building the part of the split it then merges away.
+    pub(crate) fn and_where(
+        &self,
+        other: &JoinPred,
+        keep: impl Fn(AttrId, AttrId) -> bool,
+    ) -> JoinPred {
+        let kept = other.pairs.iter().copied().filter(|&(l, r)| keep(l, r));
+        JoinPred::from_pairs(self.pairs.iter().copied().chain(kept))
     }
 
     /// All attributes referenced on either side.
@@ -360,6 +416,23 @@ mod tests {
         assert_eq!(p.flipped().flipped(), p);
         assert_eq!(p.left_attrs(), vec![a(1), a(2)]);
         assert_eq!(p.flipped().left_attrs(), vec![a(10), a(11)]);
+    }
+
+    #[test]
+    fn join_pred_canonical_form_survives_spilling() {
+        let many: Vec<_> = (0..20)
+            .rev()
+            .map(|i| (a(i % 11), a(100 + i % 11)))
+            .collect();
+        let p = JoinPred::on(many);
+        let want: Vec<_> = (0..11).map(|i| (a(i), a(100 + i))).collect();
+        assert_eq!(p.pairs(), &want[..]);
+        assert_eq!(p.and(&p), p);
+        let (lo, hi) = p.partition(|l, _| l.0 < 3);
+        assert_eq!((lo.pairs().len(), hi.pairs().len()), (3, 8));
+        assert_eq!(lo.and(&hi), p);
+        // Cloning shares the pairs.
+        assert!(std::ptr::eq(p.pairs(), p.clone().pairs()));
     }
 
     #[test]

@@ -135,6 +135,13 @@ impl RelProps {
     pub fn is_parallel(&self) -> bool {
         self.parallel > 1
     }
+
+    /// Would a serial stream sorted on `attrs` satisfy this requirement?
+    /// The answer of `RelProps::sorted(attrs.to_vec()).satisfies(self)`,
+    /// without building the vector.
+    pub(crate) fn met_by_sort(&self, attrs: &[AttrId]) -> bool {
+        self.parallel == 1 && attrs.starts_with(&self.sort)
+    }
 }
 
 impl PhysicalProps for RelProps {
@@ -146,9 +153,7 @@ impl PhysicalProps for RelProps {
     }
 
     fn satisfies(&self, required: &Self) -> bool {
-        self.parallel == required.parallel
-            && required.sort.len() <= self.sort.len()
-            && self.sort[..required.sort.len()] == required.sort[..]
+        self.parallel == required.parallel && self.sort.starts_with(&required.sort)
     }
 }
 
@@ -186,6 +191,12 @@ mod tests {
         assert!(!ab.satisfies(&ba));
         assert!(ab.satisfies(&RelProps::any()));
         assert!(ab.satisfies(&ab));
+        for required in [&ab, &just_a, &ba, &RelProps::any(), &RelProps::parallel(2)] {
+            for attrs in [&ab.sort, &just_a.sort, &ba.sort, &Vec::new()] {
+                let sorted = RelProps::sorted(attrs.clone());
+                assert_eq!(required.met_by_sort(attrs), sorted.satisfies(required));
+            }
+        }
     }
 
     #[test]

@@ -29,25 +29,25 @@ fn input_props<'a>(ctx: &Ctx<'a>, b: &Bind, i: usize) -> &'a RelLogical {
     ctx.logical_props(b.input_group(i))
 }
 
-/// Generate the pair orderings a merge-based binary operator should try:
-/// the declared order always, plus the order with the first two keys
-/// swapped when the model asks for alternatives. This is the §3 facility
-/// for binary operators where "the actual physical properties of the
-/// inputs are not as important as the consistency of physical properties
-/// among the inputs".
-fn key_orders(nkeys: usize, variants: usize) -> Vec<Vec<usize>> {
-    let identity: Vec<usize> = (0..nkeys).collect();
-    let mut orders = vec![identity.clone()];
-    if variants >= 2 && nkeys >= 2 {
-        let mut swapped = identity;
-        swapped.swap(0, 1);
-        orders.push(swapped);
-    }
-    orders
-}
-
-fn permute(attrs: &[AttrId], order: &[usize]) -> Vec<AttrId> {
-    order.iter().map(|&i| attrs[i]).collect()
+/// The key orders a merge-based binary operator should try, as (left
+/// keys, right keys): the declared order always, plus the order with the
+/// first two keys swapped when the model asks for alternatives. This is
+/// the §3 facility for binary operators where "the actual physical
+/// properties of the inputs are not as important as the consistency of
+/// physical properties among the inputs". With one order the given
+/// lists are all that is built.
+fn key_orders(
+    left: Vec<AttrId>,
+    right: Vec<AttrId>,
+    variants: usize,
+) -> impl Iterator<Item = (Vec<AttrId>, Vec<AttrId>)> {
+    let swapped = (variants >= 2 && left.len() >= 2).then(|| {
+        let (mut l, mut r) = (left.clone(), right.clone());
+        l.swap(0, 1);
+        r.swap(0, 1);
+        (l, r)
+    });
+    std::iter::once((left, right)).chain(swapped)
 }
 
 // ---------------------------------------------------------------------
@@ -409,37 +409,29 @@ impl ImplementationRule<RelModel> for MergeJoinRule {
         if p.is_cross() {
             return vec![];
         }
-        let left = p.left_attrs();
-        let right = p.right_attrs();
-        let mut apps = Vec::new();
-        for order in key_orders(p.pairs().len(), self.variants) {
-            // The output is sorted on the left keys AND, because the keys
-            // are pairwise equal, equivalently on the right keys: declare
-            // both, so an order requirement phrased in terms of either
-            // side's attributes is satisfied (attribute equivalence, the
-            // classic interesting-orders subtlety).
-            for delivers in [
-                RelProps::sorted(permute(&left, &order)),
-                RelProps::sorted(permute(&right, &order)),
-            ] {
-                if !delivers.satisfies(required) {
-                    continue;
-                }
-                apps.push(App {
+        key_orders(p.left_attrs(), p.right_attrs(), self.variants)
+            .filter_map(|(left, right)| {
+                // The output is sorted on the left keys AND, because the
+                // keys are pairwise equal, equivalently on the right keys:
+                // either may satisfy the requirement, so an order phrased
+                // in terms of either side's attributes is met (attribute
+                // equivalence, the classic interesting-orders subtlety).
+                // One application per key order suffices when both do
+                // (they share inputs and cost).
+                let delivers = if required.met_by_sort(&left) {
+                    left.clone()
+                } else if required.met_by_sort(&right) {
+                    right.clone()
+                } else {
+                    return None;
+                };
+                Some(App {
                     alg: RelAlg::MergeJoin(p.clone()),
-                    input_props: vec![
-                        RelProps::sorted(permute(&left, &order)),
-                        RelProps::sorted(permute(&right, &order)),
-                    ],
-                    delivers,
-                });
-                // One application per key order suffices when both
-                // deliveries satisfy the requirement (they share inputs
-                // and cost).
-                break;
-            }
-        }
-        apps
+                    input_props: vec![RelProps::sorted(left), RelProps::sorted(right)],
+                    delivers: RelProps::sorted(delivers),
+                })
+            })
+            .collect()
     }
 
     fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
@@ -807,22 +799,14 @@ impl ImplementationRule<RelModel> for MergeSetOpRule {
         if lcols.is_empty() || lcols.len() != rcols.len() {
             return vec![];
         }
-        let mut apps = Vec::new();
-        for order in key_orders(lcols.len(), self.variants) {
-            let delivers = RelProps::sorted(permute(&lcols, &order));
-            if !delivers.satisfies(required) {
-                continue;
-            }
-            apps.push(App {
+        key_orders(lcols, rcols, self.variants)
+            .filter(|(left, _)| required.met_by_sort(left))
+            .map(|(left, right)| App {
                 alg: self.kind.merge_alg(),
-                input_props: vec![
-                    RelProps::sorted(permute(&lcols, &order)),
-                    RelProps::sorted(permute(&rcols, &order)),
-                ],
-                delivers,
-            });
-        }
-        apps
+                input_props: vec![RelProps::sorted(left.clone()), RelProps::sorted(right)],
+                delivers: RelProps::sorted(left),
+            })
+            .collect()
     }
 
     fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {

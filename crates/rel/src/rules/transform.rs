@@ -11,9 +11,10 @@
 
 use volcano_core::{Binding, Pattern, RuleCtx, SubstExpr, TransformationRule};
 
+use crate::ids::AttrId;
 use crate::model::RelModel;
 use crate::ops::{rel_disc, RelOp};
-use crate::predicate::Pred;
+use crate::predicate::{JoinPred, Pred};
 
 type Subst = SubstExpr<RelModel>;
 
@@ -23,6 +24,26 @@ fn is_join(op: &RelOp) -> bool {
 
 fn is_select(op: &RelOp) -> bool {
     matches!(op, RelOp::Select(_))
+}
+
+/// The join predicates of a `Join(Join(?, ?), ?)` binding: the inner
+/// join's, then the outer join's.
+fn join_join_preds(b: &Binding<RelModel>) -> (&JoinPred, &JoinPred) {
+    let (RelOp::Join(outer), RelOp::Join(inner)) = (&b.op, &b.nested(0).op) else {
+        unreachable!("the pattern binds two joins")
+    };
+    (inner, outer)
+}
+
+/// Would moving the outer pairs whose left endpoint satisfies `moves`
+/// into a new inner join leave a Cartesian product? It would if no pair
+/// moves (the new inner join is empty), or if every pair moves and the
+/// old inner predicate is empty (the new outer join is). Counts and
+/// allocates nothing, so a rule's condition code can reject before its
+/// `apply` builds a predicate.
+fn reroute_makes_cross(inner: &JoinPred, outer: &JoinPred, moves: impl Fn(AttrId) -> bool) -> bool {
+    let moved = outer.pairs().iter().filter(|&&(l, _)| moves(l)).count();
+    moved == 0 || (inner.is_cross() && moved == outer.pairs().len())
 }
 
 /// `A ⋈_p B  →  B ⋈_p' A` with the predicate's sides swapped.
@@ -80,7 +101,7 @@ impl TransformationRule<RelModel> for JoinCommute {
 /// join `A` to the new composite, together with the old inner predicate
 /// `p1` (whose right endpoints lie in `B ⊆ B ⋈ C`). The condition code
 /// rejects rewrites that would introduce Cartesian products unless the
-/// model allows them.
+/// model allows them, so a firing always produces a substitute.
 pub struct JoinAssoc {
     pattern: Pattern<RelModel>,
     allow_cross: bool,
@@ -119,24 +140,28 @@ impl TransformationRule<RelModel> for JoinAssoc {
         &self.pattern
     }
 
+    fn condition(&self, b: &Binding<RelModel>, ctx: &RuleCtx<'_, RelModel>) -> bool {
+        if self.allow_cross {
+            return true;
+        }
+        let (p1, p2) = join_join_preds(b);
+        let b_props = ctx.logical_props(b.nested(0).input_group(1));
+        !reroute_makes_cross(p1, p2, |l| b_props.has_attr(l))
+    }
+
     fn apply(&self, b: &Binding<RelModel>, ctx: &RuleCtx<'_, RelModel>) -> Vec<Subst> {
-        let RelOp::Join(p2) = &b.op else {
-            unreachable!()
-        };
+        let (p1, p2) = join_join_preds(b);
         let inner = b.nested(0);
-        let RelOp::Join(p1) = &inner.op else {
-            unreachable!()
-        };
         let a = inner.input_group(0);
         let bb = inner.input_group(1);
         let c = b.input_group(1);
 
         let b_props = ctx.logical_props(bb);
         // Pairs of p2 whose left endpoint lives in B join B to C; the
-        // rest join A to C.
-        let (to_inner, to_outer) = p2.partition(|l, _| b_props.has_attr(l));
-        let q1 = to_inner;
-        let q2 = p1.and(&to_outer);
+        // rest join A to C, together with p1.
+        let in_b = |l, _| b_props.has_attr(l);
+        let q1 = JoinPred::cross().and_where(p2, in_b);
+        let q2 = p1.and_where(p2, |l, r| !in_b(l, r));
 
         if !self.allow_cross && (q1.is_cross() || q2.is_cross()) {
             return vec![];
@@ -153,8 +178,10 @@ impl TransformationRule<RelModel> for JoinAssoc {
 }
 
 /// `(A ⋈_p1 B) ⋈_p2 C  →  (A ⋈_q1 C) ⋈_q2 B`: the *left-join exchange*
-/// rule. Together with commutativity restricted to the bottom-most join,
-/// it enumerates exactly the left-deep join orders — the Volcano way of
+/// rule. Its condition code rejects exchanges that would introduce
+/// Cartesian products, as [`JoinAssoc`]'s does. Together with
+/// commutativity restricted to the bottom-most join, it enumerates
+/// exactly the left-deep join orders — the Volcano way of
 /// expressing Starburst's "restrict the search space to left-deep trees
 /// (no composite inner)" parameter (§5): a different rule set, not a
 /// different search engine.
@@ -196,14 +223,18 @@ impl TransformationRule<RelModel> for JoinLeftExchange {
         &self.pattern
     }
 
+    fn condition(&self, b: &Binding<RelModel>, ctx: &RuleCtx<'_, RelModel>) -> bool {
+        if self.allow_cross {
+            return true;
+        }
+        let (p1, p2) = join_join_preds(b);
+        let a_props = ctx.logical_props(b.nested(0).input_group(0));
+        !reroute_makes_cross(p1, p2, |l| a_props.has_attr(l))
+    }
+
     fn apply(&self, b: &Binding<RelModel>, ctx: &RuleCtx<'_, RelModel>) -> Vec<Subst> {
-        let RelOp::Join(p2) = &b.op else {
-            unreachable!()
-        };
+        let (p1, p2) = join_join_preds(b);
         let inner = b.nested(0);
-        let RelOp::Join(p1) = &inner.op else {
-            unreachable!()
-        };
         let a = inner.input_group(0);
         let bb = inner.input_group(1);
         let c = b.input_group(1);
