@@ -22,7 +22,7 @@ fn num(v: &Json, key: &str) -> Result<f64, String> {
 }
 
 /// The keys every `SearchStats::to_json` export carries.
-const SEARCH_STAT_KEYS: [&str; 20] = [
+const SEARCH_STAT_KEYS: [&str; 21] = [
     "groups_created",
     "exprs_created",
     "group_merges",
@@ -37,6 +37,7 @@ const SEARCH_STAT_KEYS: [&str; 20] = [
     "alg_moves",
     "enforcer_moves",
     "moves_pruned",
+    "goals_floored",
     "moves_excluded",
     "winners_recorded",
     "failures_recorded",

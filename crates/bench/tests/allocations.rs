@@ -20,9 +20,9 @@ static ALLOC: Counting = Counting;
 /// Mean allocations per query (exploring plus costing) this code makes
 /// on the ten queries, with about 10 % headroom.
 const MAX_MEAN_ALLOCS: u64 = if cfg!(debug_assertions) {
-    31_000 // 28 183 measured
+    24_900 // 22 648 measured
 } else {
-    28_250 // 25 679 measured
+    20_800 // 18 892 measured
 };
 
 #[test]

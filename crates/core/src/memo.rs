@@ -187,7 +187,14 @@ pub(crate) struct ExprData<M: Model> {
     /// Memo version at the expression's last change: its creation, a
     /// merge that moved it into another class, or a rewrite of its inputs.
     pub version: u64,
+    /// The next indexed expression whose key has the same hash
+    /// ([`NO_EXPR`] ends the chain); meaningful only while this expression
+    /// is indexed.
+    pub next: ExprId,
 }
+
+/// End of a duplicate-index chain.
+const NO_EXPR: ExprId = ExprId(u32::MAX);
 
 pub(crate) struct GroupData<M: Model> {
     /// Member logical expressions (live and dead; filter via `ExprData`).
@@ -213,11 +220,14 @@ pub struct Memo<M: Model> {
     /// Union–find parents over group indices.
     parent: Vec<u32>,
     /// Duplicate detection: hash of the canonical `(op, input groups)`
-    /// pair → member expressions with that hash. Keying by precomputed
-    /// hash instead of by owned `(op, inputs)` pairs means a probe never
-    /// clones the operator or the input vector; equality is re-checked
-    /// against the expression arena, so collisions are benign.
-    index: FxHashMap<u64, Vec<ExprId>>,
+    /// pair → the first indexed expression with that hash; the others
+    /// with the same hash follow through [`ExprData::next`], so indexing
+    /// an expression allocates nothing beyond the table's own growth.
+    /// Keying by precomputed hash instead of by owned `(op, inputs)` pairs
+    /// means a probe never clones the operator or the input vector;
+    /// equality is re-checked against the expression arena, so collisions
+    /// are benign.
+    index: FxHashMap<u64, ExprId>,
     /// Monotone structural version counter.
     version: u64,
     /// Number of group merges performed (statistic).
@@ -597,9 +607,10 @@ impl<M: Model> Memo<M> {
             group,
             dead: false,
             version: self.version,
+            next: NO_EXPR,
         });
         self.groups[group.index()].exprs.push(eid);
-        self.index.entry(h).or_default().push(eid);
+        self.link(h, eid);
         self.groups[group.index()].version = self.version;
         (group, true)
     }
@@ -607,10 +618,25 @@ impl<M: Model> Memo<M> {
     /// The indexed expression with canonical key `(op, inputs)`, if any.
     /// At most one live expression per key is indexed: the lowest id.
     fn indexed(&self, h: u64, op: &M::Op, inputs: &[GroupId]) -> Option<ExprId> {
-        self.index.get(&h)?.iter().copied().find(|&e| {
+        self.chain(h).find(|&e| {
             let d = &self.exprs[e.index()];
             d.op == *op && d.inputs == inputs
         })
+    }
+
+    /// The indexed expressions whose keys hash to `h`.
+    fn chain(&self, h: u64) -> impl Iterator<Item = ExprId> + '_ {
+        let mut at = self.index.get(&h).copied().unwrap_or(NO_EXPR);
+        std::iter::from_fn(move || {
+            let e = (at != NO_EXPR).then_some(at)?;
+            at = self.exprs[e.index()].next;
+            Some(e)
+        })
+    }
+
+    /// Index `e` under hash `h`, at the head of its chain.
+    fn link(&mut self, h: u64, e: ExprId) {
+        self.exprs[e.index()].next = self.index.insert(h, e).unwrap_or(NO_EXPR);
     }
 
     /// Merge two equivalence classes proven equal, cascading through any
@@ -692,12 +718,18 @@ impl<M: Model> Memo<M> {
     /// Remove `e` from the index under its stored key, if it is there.
     fn unlink(&mut self, e: ExprId) -> Option<()> {
         let d = &self.exprs[e.index()];
-        let h = expr_hash::<M>(&d.op, &d.inputs);
-        let bucket = self.index.get_mut(&h)?;
-        bucket.swap_remove(bucket.iter().position(|&x| x == e)?);
-        if bucket.is_empty() {
-            self.index.remove(&h);
+        let (h, next) = (expr_hash::<M>(&d.op, &d.inputs), d.next);
+        let first = *self.index.get(&h)?;
+        if first == e {
+            if next == NO_EXPR {
+                self.index.remove(&h);
+            } else {
+                self.index.insert(h, next);
+            }
+            return Some(());
         }
+        let before = self.chain(h).find(|&x| self.exprs[x.index()].next == e)?;
+        self.exprs[before.index()].next = next;
         Some(())
     }
 
@@ -708,12 +740,12 @@ impl<M: Model> Memo<M> {
         let d = &self.exprs[e.index()];
         let h = expr_hash::<M>(&d.op, &d.inputs);
         let Some(other) = self.indexed(h, &d.op, &d.inputs) else {
-            self.index.entry(h).or_default().push(e);
+            self.link(h, e);
             return;
         };
         if e < other {
-            let bucket = self.index.get_mut(&h).expect("bucket of an indexed key");
-            *bucket.iter_mut().find(|x| **x == other).expect("indexed") = e;
+            self.unlink(other).expect("indexed");
+            self.link(h, e);
         }
         let later = e.max(other);
         if self.group_of(e) == self.group_of(other) {
@@ -775,7 +807,7 @@ impl<M: Model> Memo<M> {
             let uses = |g: &GroupId| self.groups[g.index()].users.contains(&e);
             assert!(d.inputs.iter().all(uses), "{e}: missing from a use list");
         }
-        let indexed: usize = self.index.values().map(Vec::len).sum();
+        let indexed: usize = self.index.keys().map(|&h| self.chain(h).count()).sum();
         assert_eq!(indexed, live().count(), "retired or repeated index entry");
     }
 
@@ -809,8 +841,7 @@ impl<M: Model> Memo<M> {
                         .sum::<usize>()
             })
             .sum();
-        let index_entries: usize = self.index.values().map(Vec::len).sum();
-        let index_bytes = index_entries * (size_of::<u64>() + size_of::<ExprId>());
+        let index_bytes = self.index.len() * (size_of::<u64>() + size_of::<ExprId>());
         // Each interned goal stores its property vectors once, plus its
         // bucket entry (hash key amortized over the bucket's ids).
         let goal_bytes =

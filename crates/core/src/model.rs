@@ -86,6 +86,27 @@ pub trait Model: Sized {
     ) {
     }
 
+    /// A lower bound on the total cost of **every** plan of a class with
+    /// logical properties `props`, whatever its physical properties:
+    /// branch-and-bound with lower bounds (Shapiro et al., "Exploiting
+    /// Upper and Lower Bounds in Top-Down Query Optimization", the
+    /// Columbia optimizer). With pruning on, the search fails a goal whose
+    /// limit is below its class's floor without generating its moves, and
+    /// charges the floors of a move's not yet optimized inputs against
+    /// the limit.
+    ///
+    /// The contract is soundness: no plan the model's rules and enforcers
+    /// can build for the class may cost less. A floor that is too high
+    /// prunes the optimal plan. It must be a function of the logical
+    /// properties alone, cheap (it is read once per goal and per move
+    /// input), and leave room for the rounding of cost arithmetic: a
+    /// floor computed in another order of summation than the plans' costs
+    /// should be shaved by a relative margin. The default, [`Cost::zero`],
+    /// bounds nothing and leaves the search exactly as without floors.
+    fn cost_floor(&self, _props: &Self::LogicalProps) -> Self::Cost {
+        Self::Cost::zero()
+    }
+
     /// Cheap, total *discriminant* of a logical operator, used by the
     /// operator-indexed rule dispatch ([`crate::RuleIndex`]): rules whose
     /// root [`crate::OpMatcher`] declares the discriminants it accepts are

@@ -39,7 +39,7 @@
 //! winners and interns goals but never inserts or merges an expression.
 //! A goal's moves depend only on that structure (rules see the memo
 //! through [`RuleCtx`], and no rule reads the winner table), so they are
-//! generated — matched, conditioned, `applies`, `promise`, sorted,
+//! generated — matched, conditioned, `applies`, `promise`, costed, sorted,
 //! truncated — once per (class, goal) and memo version. A goal that ends
 //! without an optimal plan keeps its list, and when it is asked again
 //! with a looser limit (the paper's memoized failure, §3, being
@@ -51,6 +51,17 @@
 //! asked again, generates its moves anew. Reuse is invisible in the
 //! statistics and the trace: a reused list counts and replays its
 //! exclusions exactly as a fresh one would.
+//!
+//! ## Cost floors
+//!
+//! With pruning on, a class's [`Model::cost_floor`] (a lower bound on all
+//! its plans) is charged before the cost is spent: a goal whose limit is
+//! below its class's floor fails before its moves are generated, an
+//! algorithm move is abandoned once the accumulated cost plus the floors
+//! of its inputs not yet optimized crosses the bound (and each input is
+//! optimized under what the bound leaves after both), and an enforcer
+//! move once its local cost plus the class's floor does. Zero floors, the
+//! default, leave the search exactly as the paper's.
 //!
 //! ## Resource governance
 //!
@@ -140,7 +151,9 @@ struct GoalFailure {
 }
 
 /// One move the engine may pursue for a goal (§3: "three sets of possible
-/// moves"; transformations are exhausted during exploration).
+/// moves"; transformations are exhausted during exploration). Each move
+/// carries its local cost, computed once when the list is generated, so a
+/// kept list that is pursued again is not costed again.
 enum Move<M: Model> {
     Alg {
         rule_idx: usize,
@@ -149,11 +162,13 @@ enum Move<M: Model> {
         /// move.
         binding: u32,
         app: AlgApplication<M>,
+        local: M::Cost,
         promise: f64,
     },
     Enf {
         enf_idx: usize,
         app: EnforcerApplication<M>,
+        local: M::Cost,
         promise: f64,
     },
 }
@@ -765,6 +780,15 @@ impl<'m, M: Model> Optimizer<'m, M> {
             }
         }
 
+        // Branch-and-bound with lower bounds: no plan of the class costs
+        // less than its floor, so a limit below the floor fails the goal
+        // before any move is generated. A proven fact, hence memoizable;
+        // it is not recorded, because the next request checks it in O(1).
+        if self.opts.pruning && !limit.is_unlimited() && !limit.admits(&self.floor(group)) {
+            self.stats.goals_floored += 1;
+            return Err(GoalFailure { memoizable: true });
+        }
+
         // "the current expression and physical property vector is marked
         // as 'in progress'" — cycle breaking for inverse rules. The RAII
         // guard removes the mark on every exit path.
@@ -804,18 +828,23 @@ impl<'m, M: Model> Optimizer<'m, M> {
                     rule_idx,
                     binding,
                     app,
+                    local,
                     ..
                 } => self.pursue_alg(
                     group,
                     *rule_idx,
                     &list.bindings[*binding as usize],
                     app,
+                    local,
                     &mut best,
                     &mut bound,
                 ),
-                Move::Enf { enf_idx, app, .. } => {
-                    self.pursue_enf(group, *enf_idx, app, &mut best, &mut bound)
-                }
+                Move::Enf {
+                    enf_idx,
+                    app,
+                    local,
+                    ..
+                } => self.pursue_enf(group, *enf_idx, app, local, &mut best, &mut bound),
             };
             if let Err(nm) = pursued {
                 nonmemoizable_failure |= nm;
@@ -968,10 +997,12 @@ impl<'m, M: Model> Optimizer<'m, M> {
                             continue;
                         }
                         let promise = rule.promise(&app, binding, &ctx);
+                        let local = rule.cost(&app, binding, &ctx);
                         moves.push(Move::Alg {
                             rule_idx: ri,
                             binding: idx as u32,
                             app,
+                            local,
                             promise,
                         });
                         used = true;
@@ -994,9 +1025,11 @@ impl<'m, M: Model> Optimizer<'m, M> {
                     continue;
                 }
                 let promise = enf.promise(&app, group, &ctx);
+                let local = enf.cost(&app, group, &ctx);
                 moves.push(Move::Enf {
                     enf_idx: ei,
                     app,
+                    local,
                     promise,
                 });
             }
@@ -1022,25 +1055,37 @@ impl<'m, M: Model> Optimizer<'m, M> {
         }
     }
 
-    /// Pursue an algorithm move: cost the algorithm, then optimize each
-    /// input for its required properties while the accumulated cost stays
-    /// under the bound. Returns `Err(nonmemoizable)` when abandoned.
+    /// The cost floor of class `g` ([`Model::cost_floor`]).
+    fn floor(&self, g: GroupId) -> M::Cost {
+        self.model.cost_floor(self.memo.logical_props(g))
+    }
+
+    /// The sum of the floors of `leaves`, in order.
+    fn floors(&self, leaves: &[GroupId]) -> M::Cost {
+        leaves
+            .iter()
+            .fold(M::Cost::zero(), |sum, &g| sum.add(&self.floor(g)))
+    }
+
+    /// Pursue an algorithm move of local cost `local`: optimize each input
+    /// for its required properties while the accumulated cost plus the
+    /// floors of the inputs not yet optimized stays under the bound; each
+    /// input's limit is what the bound leaves after both. Returns
+    /// `Err(nonmemoizable)` when abandoned.
+    #[allow(clippy::too_many_arguments)]
     fn pursue_alg(
         &mut self,
         group: GroupId,
         rule_idx: usize,
         binding: &Binding<M>,
         app: &AlgApplication<M>,
+        local: &M::Cost,
         best: &mut Option<WinnerPlan<M>>,
         bound: &mut Limit<M::Cost>,
     ) -> Result<(), bool> {
         self.stats.alg_moves += 1;
         let model = self.model;
         let rule = &model.implementations()[rule_idx];
-        let local = {
-            let ctx = RuleCtx::new(&self.memo);
-            rule.cost(app, binding, &ctx)
-        };
         let traced = self.tracer.enabled();
         if traced {
             self.tracer.event(TraceEvent::MoveCosted {
@@ -1061,24 +1106,32 @@ impl<'m, M: Model> Optimizer<'m, M> {
         );
 
         // "TotalCost := cost of the algorithm; for each input I while
-        // TotalCost < Limit ..."
+        // TotalCost < Limit ...", where the inputs not yet optimized are
+        // charged their floors.
         let any = M::PhysProps::any();
         let mut total = local.clone();
         let mut input_goals = InlineVec::<InputGoal, 4>::new(InputGoal {
             group,
             goal: GoalId::from_index(0),
         });
-        for (g, props) in leaves.iter().zip(app.input_props.iter()) {
-            if self.opts.pruning && !bound.admits(&total) {
+        let pruning = self.opts.pruning;
+        let mut rest = if pruning {
+            self.floors(&leaves)
+        } else {
+            M::Cost::zero()
+        };
+        for (i, (g, props)) in leaves.iter().zip(app.input_props.iter()).enumerate() {
+            if pruning && !bound.admits(&total.add(&rest)) {
                 self.stats.moves_pruned += 1;
                 if traced {
                     self.tracer.event(TraceEvent::MovePruned {
                         group,
                         reason: format!(
-                            "{} via {:?}: accumulated cost {:?} over limit",
+                            "{} via {:?}: accumulated cost {:?} plus input floors {:?} over limit",
                             rule.name(),
                             app.alg,
-                            total
+                            total,
+                            rest
                         ),
                     });
                 }
@@ -1087,8 +1140,9 @@ impl<'m, M: Model> Optimizer<'m, M> {
             // Interning clones the property vector only the first time
             // this (required, any) combination is ever requested.
             let child_goal = self.memo.intern_goal(props, &any);
-            let child_limit = if self.opts.pruning {
-                bound.spend(&total)
+            let child_limit = if pruning {
+                rest = self.floors(&leaves[i + 1..]);
+                bound.spend(&total.add(&rest))
             } else {
                 Limit::unlimited()
             };
@@ -1108,7 +1162,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
             *best = Some(WinnerPlan {
                 alg: app.alg.clone(),
                 delivered: app.delivers.clone(),
-                local_cost: local,
+                local_cost: local.clone(),
                 total_cost: total,
                 inputs: input_goals.to_vec(),
                 expr: Some(binding.expr),
@@ -1117,24 +1171,22 @@ impl<'m, M: Model> Optimizer<'m, M> {
         Ok(())
     }
 
-    /// Pursue an enforcer move: cost the enforcer, subtract its cost from
-    /// the bound (§6), and optimize the *same* group for the relaxed
-    /// property vector with the enforced properties excluded.
+    /// Pursue an enforcer move of local cost `local`: unless the bound is
+    /// below `local` plus the class's floor, subtract its cost from the
+    /// bound (§6) and optimize the *same* group for the relaxed property
+    /// vector with the enforced properties excluded.
     fn pursue_enf(
         &mut self,
         group: GroupId,
         enf_idx: usize,
         app: &EnforcerApplication<M>,
+        local: &M::Cost,
         best: &mut Option<WinnerPlan<M>>,
         bound: &mut Limit<M::Cost>,
     ) -> Result<(), bool> {
         self.stats.enforcer_moves += 1;
         let model = self.model;
         let enf = &model.enforcers()[enf_idx];
-        let local = {
-            let ctx = RuleCtx::new(&self.memo);
-            enf.cost(app, group, &ctx)
-        };
         let traced = self.tracer.enabled();
         if traced {
             self.tracer.event(TraceEvent::MoveCosted {
@@ -1143,24 +1195,28 @@ impl<'m, M: Model> Optimizer<'m, M> {
             });
         }
 
-        if self.opts.pruning && !bound.admits(&local) {
-            self.stats.moves_pruned += 1;
-            if traced {
-                self.tracer.event(TraceEvent::MovePruned {
-                    group,
-                    reason: format!(
-                        "enforcer {} as {:?}: local cost {:?} over limit",
-                        enf.name(),
-                        app.alg,
-                        local
-                    ),
-                });
+        if self.opts.pruning {
+            let floor = self.floor(group);
+            if !bound.admits(&local.add(&floor)) {
+                self.stats.moves_pruned += 1;
+                if traced {
+                    self.tracer.event(TraceEvent::MovePruned {
+                        group,
+                        reason: format!(
+                            "enforcer {} as {:?}: local cost {:?} plus floor {:?} over limit",
+                            enf.name(),
+                            app.alg,
+                            local,
+                            floor
+                        ),
+                    });
+                }
+                return Err(false);
             }
-            return Err(false);
         }
         let child_goal = self.memo.intern_goal(&app.relaxed, &app.excluded);
         let child_limit = if self.opts.pruning {
-            bound.spend(&local)
+            bound.spend(local)
         } else {
             Limit::unlimited()
         };
@@ -1171,7 +1227,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
                     *best = Some(WinnerPlan {
                         alg: app.alg.clone(),
                         delivered: app.delivers.clone(),
-                        local_cost: local,
+                        local_cost: local.clone(),
                         total_cost: total,
                         inputs: vec![InputGoal {
                             group,

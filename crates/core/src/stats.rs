@@ -55,9 +55,16 @@ pub struct SearchStats {
     pub alg_moves: u64,
     /// Enforcer moves costed.
     pub enforcer_moves: u64,
-    /// Moves abandoned because the accumulated cost crossed the limit
-    /// (branch-and-bound prunes).
+    /// Moves abandoned because the cost they must reach crossed the limit
+    /// (branch-and-bound prunes): the cost accumulated so far plus the
+    /// [`crate::Model::cost_floor`]s of the inputs not yet optimized, or an
+    /// enforcer's local cost plus its class's floor. With zero floors this
+    /// is the accumulated cost alone.
     pub moves_pruned: u64,
+    /// Goals failed before their moves were generated because the limit
+    /// was below the class's [`crate::Model::cost_floor`] (pruning on). A
+    /// floored goal is neither in `goals_optimized` nor in the winner table.
+    pub goals_floored: u64,
     /// Moves skipped because their delivered properties satisfied the
     /// excluding property vector (redundant below an enforcer).
     pub moves_excluded: u64,
@@ -101,6 +108,7 @@ impl SearchStats {
         self.alg_moves += other.alg_moves;
         self.enforcer_moves += other.enforcer_moves;
         self.moves_pruned += other.moves_pruned;
+        self.goals_floored += other.goals_floored;
         self.moves_excluded += other.moves_excluded;
         self.winners_recorded += other.winners_recorded;
         self.failures_recorded += other.failures_recorded;
@@ -130,6 +138,7 @@ impl SearchStats {
             && self.alg_moves == other.alg_moves
             && self.enforcer_moves == other.enforcer_moves
             && self.moves_pruned == other.moves_pruned
+            && self.goals_floored == other.goals_floored
             && self.moves_excluded == other.moves_excluded
             && self.winners_recorded == other.winners_recorded
             && self.failures_recorded == other.failures_recorded
@@ -151,6 +160,7 @@ impl SearchStats {
                 "\"goals_optimized\":{},\"winner_hits\":{},",
                 "\"failure_hits\":{},\"alg_moves\":{},",
                 "\"enforcer_moves\":{},\"moves_pruned\":{},",
+                "\"goals_floored\":{},",
                 "\"moves_excluded\":{},\"winners_recorded\":{},",
                 "\"failures_recorded\":{},\"greedy_goals\":{},",
                 "\"outcome\":\"{}\",\"elapsed_us\":{},",
@@ -170,6 +180,7 @@ impl SearchStats {
             self.alg_moves,
             self.enforcer_moves,
             self.moves_pruned,
+            self.goals_floored,
             self.moves_excluded,
             self.winners_recorded,
             self.failures_recorded,
@@ -202,8 +213,8 @@ impl fmt::Display for SearchStats {
         )?;
         writeln!(
             f,
-            "search: {} goals, {} winner hits, {} failure hits",
-            self.goals_optimized, self.winner_hits, self.failure_hits
+            "search: {} goals ({} floored), {} winner hits, {} failure hits",
+            self.goals_optimized, self.goals_floored, self.winner_hits, self.failure_hits
         )?;
         writeln!(
             f,

@@ -124,7 +124,10 @@ pub mod formulas {
     use crate::props::RelLogical;
     use volcano_core::cost::Cost as _;
 
-    fn io_pages(l: &RelLogical) -> f64 {
+    /// I/O of reading every page of `l` once: a heap scan's I/O, and
+    /// the least any access path to a stored table pays (the class cost
+    /// floors, [`crate::props::BaseScans`]).
+    pub fn io_pages(l: &RelLogical) -> f64 {
         l.pages(PAGE_SIZE) * IO_PAGE_MS
     }
 

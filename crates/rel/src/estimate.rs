@@ -15,7 +15,6 @@ use volcano_core::cost::Cost as _;
 use crate::alg::RelAlg;
 use crate::catalog::{Catalog, ColType};
 use crate::cost::{formulas, RelCost};
-use crate::ids::TableId;
 use crate::model::RelModelOptions;
 use crate::ops::{AggFunc, AggSpec};
 use crate::predicate::JoinPred;
@@ -23,31 +22,13 @@ use crate::props::{ColInfo, RelLogical};
 use crate::selectivity::{join_selectivity_with, pred_selectivity_with};
 use crate::RelPlan;
 
-fn table_logical(catalog: &Catalog, t: TableId) -> RelLogical {
-    let table = catalog.table(t);
-    RelLogical {
-        card: table.card,
-        cols: Arc::new(
-            table
-                .columns
-                .iter()
-                .map(|c| ColInfo {
-                    attr: c.attr,
-                    ty: c.ty,
-                    width: c.width,
-                    distinct: c.distinct,
-                })
-                .collect(),
-        ),
-    }
-}
-
 fn join(catalog: &Catalog, l: &RelLogical, r: &RelLogical, p: &JoinPred) -> RelLogical {
     let mut cols: Vec<ColInfo> = l.cols.as_ref().clone();
     cols.extend(r.cols.iter().copied());
     RelLogical {
         card: l.card * r.card * join_selectivity_with(p, l, r, catalog.feedback()),
         cols: Arc::new(cols),
+        scans: l.scans.union(&r.scans),
     }
 }
 
@@ -64,20 +45,14 @@ pub fn estimated_logical(catalog: &Catalog, plan: &RelPlan) -> RelLogical {
 
 fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical]) -> RelLogical {
     match alg {
-        RelAlg::FileScan(t) | RelAlg::IndexScan(t, _) => table_logical(catalog, *t),
+        RelAlg::FileScan(t) | RelAlg::IndexScan(t, _) => RelLogical::of_table(catalog, *t),
         RelAlg::FilterScan(t, pred) => {
-            let base = table_logical(catalog, *t);
-            RelLogical {
-                card: base.card * pred_selectivity_with(pred, &base, catalog.feedback()),
-                cols: base.cols.clone(),
-            }
+            let base = RelLogical::of_table(catalog, *t);
+            base.with_card(base.card * pred_selectivity_with(pred, &base, catalog.feedback()))
         }
         RelAlg::Filter(pred) => {
             let input = &inputs[0];
-            RelLogical {
-                card: input.card * pred_selectivity_with(pred, input, catalog.feedback()),
-                cols: input.cols.clone(),
-            }
+            input.with_card(input.card * pred_selectivity_with(pred, input, catalog.feedback()))
         }
         RelAlg::ProjectOp(attrs) => {
             let input = &inputs[0];
@@ -93,6 +68,7 @@ fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical]) -
                         })
                         .collect(),
                 ),
+                scans: input.scans.clone(),
             }
         }
         RelAlg::MergeJoin(p) | RelAlg::HybridHashJoin(p) | RelAlg::NestedLoops(p) => {
@@ -102,18 +78,15 @@ fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical]) -
             let ab = join(catalog, &inputs[0], &inputs[1], inner);
             join(catalog, &ab, &inputs[2], outer)
         }
-        RelAlg::MergeUnion | RelAlg::HashUnion => RelLogical {
-            card: inputs[0].card + inputs[1].card,
-            cols: inputs[0].cols.clone(),
-        },
-        RelAlg::MergeIntersect | RelAlg::HashIntersect => RelLogical {
-            card: inputs[0].card.min(inputs[1].card),
-            cols: inputs[0].cols.clone(),
-        },
-        RelAlg::MergeDifference | RelAlg::HashDifference => RelLogical {
-            card: inputs[0].card * 0.5,
-            cols: inputs[0].cols.clone(),
-        },
+        RelAlg::MergeUnion | RelAlg::HashUnion => {
+            inputs[0].set_op(&inputs[1], inputs[0].card + inputs[1].card)
+        }
+        RelAlg::MergeIntersect | RelAlg::HashIntersect => {
+            inputs[0].set_op(&inputs[1], inputs[0].card.min(inputs[1].card))
+        }
+        RelAlg::MergeDifference | RelAlg::HashDifference => {
+            inputs[0].set_op(&inputs[1], inputs[0].card * 0.5)
+        }
         RelAlg::StreamAggregate(spec) | RelAlg::HashAggregate(spec) => {
             let input = &inputs[0];
             let groups = if spec.group_by.is_empty() {
@@ -153,6 +126,7 @@ fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical]) -
             RelLogical {
                 card: groups,
                 cols: Arc::new(cols),
+                scans: input.scans.clone(),
             }
         }
         RelAlg::PartialHashAggregate(spec, degree) => {
@@ -207,6 +181,7 @@ fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical]) -
             RelLogical {
                 card,
                 cols: Arc::new(cols),
+                scans: input.scans.clone(),
             }
         }
         RelAlg::FinalHashAggregate(spec) => {
@@ -250,6 +225,7 @@ fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical]) -
             RelLogical {
                 card: groups,
                 cols: Arc::new(cols),
+                scans: input.scans.clone(),
             }
         }
         // Enforcers manipulate no logical data: output = input.
@@ -295,7 +271,7 @@ fn plan_cost_rec(
         RelAlg::FileScan(_) => formulas::file_scan(&out),
         RelAlg::IndexScan(_, _) => formulas::index_scan(&out),
         RelAlg::FilterScan(t, pred) => {
-            formulas::filter_scan(&table_logical(catalog, *t), pred.len())
+            formulas::filter_scan(&RelLogical::of_table(catalog, *t), pred.len())
         }
         RelAlg::Filter(pred) => formulas::filter(&inputs[0], pred.len()),
         RelAlg::ProjectOp(_) => formulas::project(&inputs[0]),

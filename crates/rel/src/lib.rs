@@ -60,7 +60,7 @@ pub use ids::{AttrId, TableId};
 pub use model::{JoinSpace, RelModel, RelModelOptions};
 pub use ops::{AggFunc, AggSpec, RelOp};
 pub use predicate::{Cmp, CmpOp, JoinPred, Pred};
-pub use props::{RelLogical, RelProps};
+pub use props::{BaseScans, RelLogical, RelProps};
 pub use value::Value;
 
 /// The logical expression tree type for the relational model.

@@ -21,6 +21,13 @@ use crate::rules::transform::{
 use crate::rules::{GatherEnforcer, SortEnforcer};
 use crate::selectivity::{join_selectivity_with, pred_selectivity_with};
 
+/// The relative margin [`RelModel`]'s cost floors are shaved by. A floor
+/// sums the tables' scan I/O in table-id order, a plan in the order of its
+/// tree, and a parallel scan divides each table's I/O apart; the margin,
+/// far above the rounding of a few dozen additions, keeps such a
+/// difference from ever pruning the optimal plan.
+const FLOOR_MARGIN: f64 = 1.0 - 1e-9;
+
 /// Which join orders the transformation rules enumerate — Starburst's
 /// search-space parameter (§5), expressed Volcano-style as a rule-set
 /// choice.
@@ -252,30 +259,12 @@ impl Model for RelModel {
 
     fn derive_logical_props(&self, op: &RelOp, inputs: &[&RelLogical]) -> RelLogical {
         match op {
-            RelOp::Get(t) => {
-                let table = self.catalog.table(*t);
-                RelLogical {
-                    card: table.card,
-                    cols: Arc::new(
-                        table
-                            .columns
-                            .iter()
-                            .map(|c| ColInfo {
-                                attr: c.attr,
-                                ty: c.ty,
-                                width: c.width,
-                                distinct: c.distinct,
-                            })
-                            .collect(),
-                    ),
-                }
-            }
+            RelOp::Get(t) => RelLogical::of_table(&self.catalog, *t),
             RelOp::Select(p) => {
                 let input = inputs[0];
-                RelLogical {
-                    card: input.card * pred_selectivity_with(p, input, self.catalog.feedback()),
-                    cols: input.cols.clone(),
-                }
+                input.with_card(
+                    input.card * pred_selectivity_with(p, input, self.catalog.feedback()),
+                )
             }
             RelOp::Project(attrs) => {
                 let input = inputs[0];
@@ -291,6 +280,7 @@ impl Model for RelModel {
                             })
                             .collect(),
                     ),
+                    scans: input.scans.clone(),
                 }
             }
             RelOp::Join(p) => {
@@ -300,23 +290,15 @@ impl Model for RelModel {
                 RelLogical {
                     card: l.card * r.card * join_selectivity_with(p, l, r, self.catalog.feedback()),
                     cols: Arc::new(cols),
+                    scans: l.scans.union(&r.scans),
                 }
             }
-            RelOp::Union => RelLogical {
-                card: inputs[0].card + inputs[1].card,
-                cols: inputs[0].cols.clone(),
-            },
+            RelOp::Union => inputs[0].set_op(inputs[1], inputs[0].card + inputs[1].card),
             // Containment, as for equi-joins: the smaller input lies in
             // the larger. `min` is associative, so every association of
             // an n-ary intersection derives the same cardinality.
-            RelOp::Intersect => RelLogical {
-                card: inputs[0].card.min(inputs[1].card),
-                cols: inputs[0].cols.clone(),
-            },
-            RelOp::Difference => RelLogical {
-                card: inputs[0].card * 0.5,
-                cols: inputs[0].cols.clone(),
-            },
+            RelOp::Intersect => inputs[0].set_op(inputs[1], inputs[0].card.min(inputs[1].card)),
+            RelOp::Difference => inputs[0].set_op(inputs[1], inputs[0].card * 0.5),
             RelOp::Aggregate(spec) => {
                 let input = inputs[0];
                 let groups = if spec.group_by.is_empty() {
@@ -356,6 +338,7 @@ impl Model for RelModel {
                 RelLogical {
                     card: groups,
                     cols: Arc::new(cols),
+                    scans: input.scans.clone(),
                 }
             }
             RelOp::PartialAggregate(spec) => {
@@ -411,6 +394,7 @@ impl Model for RelModel {
                 RelLogical {
                     card,
                     cols: Arc::new(cols),
+                    scans: input.scans.clone(),
                 }
             }
             RelOp::FinalAggregate(spec) => {
@@ -455,6 +439,7 @@ impl Model for RelModel {
                 RelLogical {
                     card: groups,
                     cols: Arc::new(cols),
+                    scans: input.scans.clone(),
                 }
             }
         }
@@ -469,6 +454,26 @@ impl Model for RelModel {
             existing.card,
             derived.card
         );
+        // The floor must not depend on the derivation either.
+        debug_assert!(
+            existing.scans.io().to_bits() == derived.scans.io().to_bits()
+                && existing.scans.tables().eq(derived.scans.tables()),
+            "equivalent expressions read different base tables: {:?} vs {:?}",
+            existing.scans,
+            derived.scans
+        );
+    }
+
+    /// The heap-scan I/O of the class's base tables
+    /// ([`BaseScans`](crate::props::BaseScans)),
+    /// divided by the parallel degree the model may deliver and shaved by
+    /// `FLOOR_MARGIN`: every plan reads each base table at least once,
+    /// and the cheapest read of a table is a scan of its heap split
+    /// across that many workers. Read in O(1): the sum is derived once per
+    /// class.
+    fn cost_floor(&self, props: &RelLogical) -> RelCost {
+        let degree = f64::from(self.options.parallel_degree.max(1));
+        RelCost::io(props.scans.io() / degree * FLOOR_MARGIN)
     }
 
     fn op_discriminant(&self, op: &RelOp) -> Option<usize> {

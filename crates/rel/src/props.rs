@@ -19,8 +19,9 @@ use std::sync::Arc;
 
 use volcano_core::props::PhysicalProps;
 
-use crate::catalog::ColType;
-use crate::ids::AttrId;
+use crate::catalog::{Catalog, ColType};
+use crate::cost::formulas;
+use crate::ids::{AttrId, TableId};
 
 /// Statistics for one output column.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,9 +43,111 @@ pub struct RelLogical {
     pub card: f64,
     /// Output schema with per-column statistics, in output order.
     pub cols: Arc<Vec<ColInfo>>,
+    /// The stored tables every plan of the class reads, whatever its
+    /// algorithms: the class's cost floor.
+    pub scans: BaseScans,
+}
+
+/// The stored tables under a class, ascending by id, each with the I/O of
+/// one heap scan of it ([`crate::cost::formulas::io_pages`]), and that
+/// I/O summed in table-id order. Every access path reads each of them
+/// whole at least once (a file scan or filter scan reads the heap, an
+/// index scan 1.25× the heap's pages, a `d`-way parallel scan a `d`-th per
+/// worker), so the sum bounds every plan of the class from below; the
+/// model divides it by its parallel degree ([`crate::RelModel`]'s
+/// `cost_floor`). Derived once per class, shared by cloning.
+#[derive(Debug, Clone, Default)]
+pub struct BaseScans {
+    tables: Arc<[(TableId, f64)]>,
+    io: f64,
+}
+
+impl BaseScans {
+    /// One stored table whose heap scan costs `io`.
+    pub(crate) fn table(t: TableId, io: f64) -> Self {
+        BaseScans {
+            tables: Arc::new([(t, io)]),
+            io,
+        }
+    }
+
+    /// The tables of both, each once.
+    pub(crate) fn union(&self, other: &BaseScans) -> BaseScans {
+        let (a, b) = (&self.tables[..], &other.tables[..]);
+        let mut tables = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            tables.push(if x.0 <= y.0 { x } else { y });
+            i += usize::from(x.0 <= y.0);
+            j += usize::from(y.0 <= x.0);
+        }
+        tables.extend_from_slice(&a[i..]);
+        tables.extend_from_slice(&b[j..]);
+        let io = tables.iter().fold(0.0, |sum, (_, io)| sum + io);
+        BaseScans {
+            tables: tables.into(),
+            io,
+        }
+    }
+
+    /// The heap-scan I/O of every table, summed in table-id order.
+    pub fn io(&self) -> f64 {
+        self.io
+    }
+
+    /// The tables, ascending by id.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = TableId> + '_ {
+        self.tables.iter().map(|(t, _)| *t)
+    }
 }
 
 impl RelLogical {
+    /// The properties of stored table `t`: its catalog statistics, and
+    /// itself as the one base table.
+    pub fn of_table(catalog: &Catalog, t: TableId) -> RelLogical {
+        let table = catalog.table(t);
+        let mut get = RelLogical {
+            card: table.card,
+            cols: Arc::new(
+                table
+                    .columns
+                    .iter()
+                    .map(|c| ColInfo {
+                        attr: c.attr,
+                        ty: c.ty,
+                        width: c.width,
+                        distinct: c.distinct,
+                    })
+                    .collect(),
+            ),
+            scans: BaseScans::default(),
+        };
+        get.scans = BaseScans::table(t, formulas::io_pages(&get));
+        get
+    }
+
+    /// The properties of a class with this class's schema and base
+    /// tables and `card` rows (a filter of this class).
+    pub fn with_card(&self, card: f64) -> RelLogical {
+        RelLogical {
+            card,
+            cols: self.cols.clone(),
+            scans: self.scans.clone(),
+        }
+    }
+
+    /// The properties of a set operation of `card` rows over this class
+    /// and `right`: positional, so this class's schema, and both inputs'
+    /// base tables.
+    pub fn set_op(&self, right: &RelLogical, card: f64) -> RelLogical {
+        RelLogical {
+            card,
+            cols: self.cols.clone(),
+            scans: self.scans.union(&right.scans),
+        }
+    }
+
     /// Average output row width in bytes.
     pub fn row_width(&self) -> f64 {
         self.cols.iter().map(|c| c.width as f64).sum()
@@ -178,6 +281,7 @@ mod tests {
                     })
                     .collect(),
             ),
+            scans: BaseScans::default(),
         }
     }
 
@@ -227,6 +331,24 @@ mod tests {
         assert_eq!(l.position(a(2)), Some(1));
         assert_eq!(l.distinct(a(1)), 10.0);
         assert_eq!(l.distinct(a(9)), 1.0);
+    }
+
+    #[test]
+    fn base_scans_union_each_table_once_in_id_order() {
+        let t = |i, io| BaseScans::table(TableId(i), io);
+        let ab = t(2, 3.0).union(&t(1, 0.1));
+        assert_eq!(ab.tables().collect::<Vec<_>>(), [TableId(1), TableId(2)]);
+        assert_eq!(ab.io(), 0.1 + 3.0);
+        let abcd = t(4, 7.0).union(&t(3, 5.0)).union(&ab).union(&ab);
+        let ids: Vec<_> = abcd.tables().map(|t| t.0).collect();
+        assert_eq!(ids, [1, 2, 3, 4]);
+        // Summed in id order whatever the order of the unions.
+        assert_eq!(abcd.io(), ((0.1 + 3.0) + 5.0) + 7.0);
+        let overlap = t(1, 0.1)
+            .union(&t(3, 5.0))
+            .union(&t(3, 5.0).union(&t(4, 7.0)));
+        assert_eq!(overlap.tables().map(|t| t.0).collect::<Vec<_>>(), [1, 3, 4]);
+        assert_eq!(BaseScans::default().union(&ab).io(), ab.io());
     }
 
     #[test]

@@ -127,6 +127,7 @@ mod tests {
                     })
                     .collect(),
             ),
+            scans: Default::default(),
         }
     }
 

@@ -131,6 +131,7 @@ mod selectivity_bounds {
                     })
                     .collect(),
             ),
+            scans: Default::default(),
         }
     }
 

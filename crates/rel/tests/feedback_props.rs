@@ -39,6 +39,7 @@ fn logical(cols: Vec<(u32, f64)>, card: f64) -> RelLogical {
                 })
                 .collect(),
         ),
+        scans: Default::default(),
     }
 }
 
