@@ -285,6 +285,6 @@ mod tests {
         let s = volcano_core::SearchStats::default().to_json();
         let v = parse_json(&s).unwrap();
         assert!(v.get("goals_optimized").and_then(Json::as_num).is_some());
-        assert_eq!(v.get("outcome").and_then(Json::as_str), Some("exhaustive"));
+        assert_eq!(v.get("memo_bytes").and_then(Json::as_num), Some(0.0));
     }
 }

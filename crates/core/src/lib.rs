@@ -77,7 +77,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod budget;
 pub mod cost;
 pub mod error;
 pub mod expr;
@@ -96,7 +95,6 @@ pub mod stats;
 pub mod toy;
 pub mod trace;
 
-pub use budget::{BudgetOutcome, CancelToken, SearchBudget, TripReason};
 pub use cost::Cost;
 pub use error::OptimizeError;
 pub use expr::{ExprTree, SubstExpr};

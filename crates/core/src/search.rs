@@ -39,8 +39,8 @@
 //! winners and interns goals but never inserts or merges an expression.
 //! A goal's moves depend only on that structure (rules see the memo
 //! through [`RuleCtx`], and no rule reads the winner table), so they are
-//! generated — matched, conditioned, `applies`, `promise`, costed, sorted,
-//! truncated — once per (class, goal) and memo version. A goal that ends
+//! generated — matched, conditioned, `applies`, `promise`, costed,
+//! sorted — once per (class, goal) and memo version. A goal that ends
 //! without an optimal plan keeps its list, and when it is asked again
 //! with a looser limit (the paper's memoized failure, §3, being
 //! re-optimized) the list is reused. A goal that records an optimal
@@ -63,25 +63,23 @@
 //! move once its local cost plus the class's floor does. Zero floors, the
 //! default, leave the search exactly as the paper's.
 //!
-//! ## Resource governance
+//! ## Move selection
 //!
-//! The search honors a [`SearchBudget`] (wall-clock deadline, memo caps,
-//! goal cap, cancellation), polled at goal entries, move boundaries, and
-//! exploration tasks. When the budget trips the engine does **not** error
-//! out: exploration stops, and every in-flight goal completes *greedily* —
-//! the first feasible move in promise order wins, with no further
-//! enumeration — so `find_best_plan` still returns a valid plan whose cost
-//! is an upper bound on the optimum. Failures observed while degraded are
-//! never memoized (they may be artifacts of greedy completion, not proven
-//! facts). The outcome is reported via [`crate::SearchStats::outcome`] and
-//! a [`TraceEvent::BudgetTripped`] event.
+//! "Pursuing all moves or only a selected few is a major heuristic placed
+//! into the hands of the optimizer implementor" (§3): with
+//! [`SearchOptions::move_limit`] `Some(k)`, a goal pursues its moves in
+//! promise order and stops once `k` of them have set its best plan, so
+//! every goal completes *greedily* and `find_best_plan` returns a valid
+//! plan whose cost is an upper bound on the optimum. Exploration still runs
+//! to its fixpoint. A failure found under a move limit is never memoized:
+//! it may be an artifact of an input's greedy plan overshooting a limit an
+//! optimal plan would meet, not a proven fact.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::budget::{BudgetOutcome, SearchBudget, TripReason};
 use crate::cost::{Cost, Limit};
 use crate::error::OptimizeError;
 use crate::expr::{ExprTree, SubstExpr};
@@ -118,15 +116,10 @@ pub struct SearchOptions {
     /// Memoize optimization *failures* so a later request with the same
     /// or a lower cost limit fails without search.
     pub failure_memo: bool,
-    /// Order moves by descending promise before pursuing them.
-    pub promise_ordering: bool,
-    /// Pursue only the `k` most promising moves per goal (heuristic,
-    /// sacrifices optimality). `None` = exhaustive.
+    /// Greedy completion: each goal pursues its moves in promise order and
+    /// stops once `k` of them have set its best plan (heuristic, an upper
+    /// bound on the optimum; see the module docs). `None` = exhaustive.
     pub move_limit: Option<usize>,
-    /// Resource budget. The default is unlimited (the paper's exhaustive
-    /// search); any finite axis makes the search *anytime* — see the
-    /// module documentation.
-    pub budget: SearchBudget,
 }
 
 impl Default for SearchOptions {
@@ -134,9 +127,7 @@ impl Default for SearchOptions {
         SearchOptions {
             pruning: true,
             failure_memo: true,
-            promise_ordering: true,
             move_limit: None,
-            budget: SearchBudget::default(),
         }
     }
 }
@@ -146,7 +137,7 @@ struct GoalFailure {
     /// `true` when the failure is a proven fact for this goal and limit
     /// (safe to memoize); `false` when it is an artifact of cycle
     /// breaking ("in progress" marks) or of greedy completion under a
-    /// tripped budget, and must not poison the memo.
+    /// move limit, and must not poison the memo.
     memoizable: bool,
 }
 
@@ -212,10 +203,10 @@ impl<M: Model> Exclusion<M> {
     }
 }
 
-/// A goal's moves in the order they are pursued (sorted by promise,
-/// truncated to the move limit), the binding arena `Move::Alg` entries
-/// index into, and the applications the excluding vector removed. Boxed
-/// slices: a kept list carries no spare capacity.
+/// A goal's moves in the order they are pursued (sorted by promise), the
+/// binding arena `Move::Alg` entries index into, and the applications the
+/// excluding vector removed. Boxed slices: a kept list carries no spare
+/// capacity.
 struct MoveList<M: Model> {
     moves: Box<[Move<M>]>,
     bindings: Box<[Binding<M>]>,
@@ -312,7 +303,7 @@ fn kept_moves_bound(exprs: usize) -> usize {
 
 /// RAII "in progress" mark: inserts the (group, goal) key on construction
 /// and removes it on drop, so *every* exit path — straight-line returns,
-/// `?` propagation, and budget-degraded early breaks — unwinds the mark.
+/// `?` propagation, and greedy early breaks — unwinds the mark.
 /// A leaked mark would permanently poison its key: all later requests for
 /// that goal would report a (non-memoizable) cycle failure.
 struct CycleGuard {
@@ -355,14 +346,6 @@ pub struct Optimizer<'m, M: Model> {
     watermarks: Vec<u64>,
     /// Transformation pattern depths, cached from the model.
     rule_depths: Vec<usize>,
-    /// Absolute deadline, armed from the budget at each public entry
-    /// point (`find_best_plan`, `explore`).
-    deadline: Option<Instant>,
-    /// First budget trip, if any. Sticky: once a budget trips, this
-    /// optimizer stays in greedy mode (its memo may hold greedy winners,
-    /// which are upper bounds, not optima); see [`Self::set_budget`] for
-    /// the one case a fresh budget clears it.
-    tripped: Option<TripReason>,
     move_lists: MoveLists<M>,
     scratch: Scratch<M>,
     tracer: Box<dyn Tracer>,
@@ -385,8 +368,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
             rule_index: RuleIndex::new(model),
             watermarks: Vec::new(),
             rule_depths,
-            deadline: None,
-            tripped: None,
             move_lists: MoveLists::new(),
             scratch: Scratch::default(),
             tracer: Box::new(NullTracer),
@@ -420,30 +401,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
         &self.stats
     }
 
-    /// The first budget trip, if the budget has tripped.
-    pub fn tripped(&self) -> Option<TripReason> {
-        self.tripped
-    }
-
-    /// Replace the resource budget. A trip is forgotten only while no goal
-    /// has been completed greedily: a budget that ran out during
-    /// exploration leaves a smaller but sound memo, which a later call can
-    /// finish exploring, whereas greedy winners stay upper bounds for good.
-    pub fn set_budget(&mut self, budget: SearchBudget) {
-        self.opts.budget = budget;
-        if self.stats.greedy_goals == 0 {
-            self.tripped = None;
-        }
-    }
-
-    /// Entry of every public search call: arm the wall-clock deadline and
-    /// start the call's clock.
-    fn enter(&mut self) -> Instant {
-        let start = Instant::now();
-        self.deadline = self.opts.budget.deadline.map(|d| start + d);
-        start
-    }
-
     /// Exit of every public search call: refresh the statistics that are
     /// snapshots of the memo or the clock rather than running counters.
     fn leave(&mut self, start: Instant) {
@@ -453,52 +410,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
         self.stats.group_merges = self.memo.merge_count();
         self.stats.dead_exprs = self.memo.dead_expr_count();
         self.stats.memo_bytes = self.memo.memory_estimate();
-        self.stats.outcome = match self.tripped {
-            None => BudgetOutcome::Exhaustive,
-            Some(r) => BudgetOutcome::Degraded(r),
-        };
-    }
-
-    /// Poll the budget; on the first violation, record the trip (sticky)
-    /// and emit a [`TraceEvent::BudgetTripped`]. An unlimited budget
-    /// costs one branch.
-    fn check_budget(&mut self) {
-        if self.tripped.is_some() {
-            return;
-        }
-        let b = &self.opts.budget;
-        if b.is_unlimited() {
-            return;
-        }
-        let reason = if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            Some(TripReason::Deadline)
-        } else if b.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            Some(TripReason::Cancelled)
-        } else if b.max_exprs.is_some_and(|m| self.memo.num_exprs() > m) {
-            Some(TripReason::ExprLimit)
-        } else if b
-            .max_groups
-            .is_some_and(|m| self.memo.num_allocated_groups() > m)
-        {
-            Some(TripReason::GroupLimit)
-        } else if b.max_goals.is_some_and(|m| self.stats.goals_optimized > m) {
-            Some(TripReason::GoalLimit)
-        } else {
-            None
-        };
-        if let Some(r) = reason {
-            self.trip(r);
-        }
-    }
-
-    fn trip(&mut self, reason: TripReason) {
-        self.tripped = Some(reason);
-        self.stats.outcome = BudgetOutcome::Degraded(reason);
-        if self.tracer.enabled() {
-            self.tracer.event(TraceEvent::BudgetTripped {
-                reason: reason.as_str(),
-            });
-        }
     }
 
     /// Run the transformation exploration fixpoint without any costing —
@@ -508,7 +419,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
     /// analysis" (§4.1): Starburst's query-rewrite level as a *choice*,
     /// not a mandatory layer.
     pub fn explore(&mut self) {
-        let start = self.enter();
+        let start = Instant::now();
         self.explore_fixpoint();
         self.leave(start);
     }
@@ -521,13 +432,9 @@ impl<'m, M: Model> Optimizer<'m, M> {
     /// sweep that found nothing. The walk and each sweep count as one
     /// `explore_passes`.
     fn explore_fixpoint(&mut self) {
-        self.check_budget();
-        if self.tripped.is_some() {
-            return;
-        }
         self.stats.explore_passes += 1;
         let mut changed = self.explore_walk();
-        while changed && self.tripped.is_none() {
+        while changed {
             self.stats.explore_passes += 1;
             changed = self.explore_sweep();
         }
@@ -540,7 +447,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         let mut entered = Vec::new();
         let mut changed = false;
         let mut i = 0;
-        while i < self.memo.num_allocated_groups() && self.tripped.is_none() {
+        while i < self.memo.num_allocated_groups() {
             let g = GroupId::from_index(i);
             if self.memo.repr(g) == g && entered.get(i) != Some(&true) {
                 changed |= self.explore_class(g, &mut entered);
@@ -575,9 +482,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 }
             }
             changed |= self.explore_expr(e);
-            if self.tripped.is_some() {
-                break;
-            }
         }
         changed
     }
@@ -588,21 +492,20 @@ impl<'m, M: Model> Optimizer<'m, M> {
     fn explore_sweep(&mut self) -> bool {
         let mut changed = false;
         let mut i = 0;
-        while i < self.memo.num_exprs() && self.tripped.is_none() {
+        while i < self.memo.num_exprs() {
             changed |= self.explore_expr(ExprId::from_index(i));
             i += 1;
         }
         changed
     }
 
-    /// Run the pending (expression, rule) tasks of `e`, each after a
-    /// budget poll. Depth-1 patterns see only the expression's own
-    /// operator, so matching them once is exhaustive; a deeper pattern is
-    /// re-matched when the expression, or a class under one of the
-    /// pattern's nested positions, changed since the pair's watermark —
-    /// nothing else can give it a binding it has not fired. A retired
-    /// expression runs nothing: its live twin (same operator, same
-    /// canonical inputs) yields the same substitutes.
+    /// Run the pending (expression, rule) tasks of `e`. Depth-1 patterns
+    /// see only the expression's own operator, so matching them once is
+    /// exhaustive; a deeper pattern is re-matched when the expression, or a
+    /// class under one of the pattern's nested positions, changed since the
+    /// pair's watermark — nothing else can give it a binding it has not
+    /// fired. A retired expression runs nothing: its live twin (same
+    /// operator, same canonical inputs) yields the same substitutes.
     fn explore_expr(&mut self, e: ExprId) -> bool {
         let rules = self.model.transformations();
         let row = e.index() * rules.len();
@@ -624,11 +527,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 || (self.rule_depths[ri] > 1
                     && changed_since(&self.memo, rules[ri].pattern(), e, wm))
             {
-                self.check_budget();
-                if self.tripped.is_some() {
-                    // Stop growing the memo; unstamped tasks stay pending.
-                    break;
-                }
                 changed |= self.explore_task(e, ri, wm);
             }
         }
@@ -683,16 +581,16 @@ impl<'m, M: Model> Optimizer<'m, M> {
     /// Optimize `root` for the required physical properties under an
     /// optional cost limit ("typically infinity for a user query, but the
     /// user interface may permit users to set their own limits to 'catch'
-    /// unreasonable queries", §3) and return the optimal plan — or, when
-    /// the [`SearchBudget`] trips mid-search, the best plan greedy
-    /// completion produced (a valid upper bound; see the module docs).
+    /// unreasonable queries", §3) and return the optimal plan — or, under
+    /// a [`SearchOptions::move_limit`], the plan greedy completion
+    /// produced (a valid upper bound; see the module docs).
     pub fn find_best_plan(
         &mut self,
         root: GroupId,
         required: M::PhysProps,
         limit: Option<M::Cost>,
     ) -> Result<Plan<M>, OptimizeError> {
-        let start = self.enter();
+        let start = Instant::now();
         self.explore_fixpoint();
         let goal = self.memo.intern_goal(&required, &M::PhysProps::any());
         let had_limit = limit.is_some();
@@ -703,9 +601,9 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 .extract_plan(root, goal)
                 .expect("winner recorded for successful goal")),
             Err(_) => {
-                // With an unlimited budget the failure is structural (the
-                // model cannot implement the expression); with a finite
-                // budget the plan may simply be too expensive.
+                // With no cost limit the failure is structural (the model
+                // cannot implement the expression); with a limit the plan
+                // may simply be too expensive.
                 if had_limit {
                     Err(OptimizeError::LimitExceeded)
                 } else {
@@ -798,7 +696,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
         }
         let _cycle_mark = CycleGuard::mark(&self.in_progress, key);
         self.stats.goals_optimized += 1;
-        self.check_budget();
         let traced = self.tracer.enabled();
         let goal_start = traced.then(Instant::now);
         if traced {
@@ -814,13 +711,12 @@ impl<'m, M: Model> Optimizer<'m, M> {
         let mut best: Option<WinnerPlan<M>> = None;
         let mut bound = limit.clone();
         let mut nonmemoizable_failure = false;
+        // Greedy completion: under a move limit of `k`, the goal ends once
+        // `k` moves have set its best plan.
+        let mut improvements_left = self.opts.move_limit.unwrap_or(usize::MAX);
 
         for mv in &list.moves {
-            self.check_budget();
-            if self.tripped.is_some() && best.is_some() {
-                // Greedy completion: the budget is exhausted and a
-                // feasible plan is in hand — take the first success in
-                // promise order instead of enumerating the rest.
+            if improvements_left == 0 {
                 break;
             }
             let pursued = match mv {
@@ -846,8 +742,10 @@ impl<'m, M: Model> Optimizer<'m, M> {
                     ..
                 } => self.pursue_enf(group, *enf_idx, app, local, &mut best, &mut bound),
             };
-            if let Err(nm) = pursued {
-                nonmemoizable_failure |= nm;
+            match pursued {
+                Ok(true) => improvements_left -= 1,
+                Ok(false) => {}
+                Err(nm) => nonmemoizable_failure |= nm,
             }
         }
 
@@ -861,9 +759,6 @@ impl<'m, M: Model> Optimizer<'m, M> {
                     self.memo.goal(goal).required
                 );
                 self.stats.winners_recorded += 1;
-                if self.tripped.is_some() {
-                    self.stats.greedy_goals += 1;
-                }
                 self.memo.set_winner(group, goal, Winner::Optimal(plan));
                 // The winner table answers every later request for this
                 // goal, so its moves are never pursued again.
@@ -875,11 +770,11 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 }
             }
             None => {
-                // A failure observed while the budget is tripped may be
-                // an artifact of greedy completion (an input's greedy
-                // plan overshooting a limit an optimal plan would meet),
-                // not a proven fact — never memoize it.
-                let memoizable = !nonmemoizable_failure && self.tripped.is_none();
+                // A failure observed under a move limit may be an artifact
+                // of greedy completion (an input's greedy plan overshooting
+                // a limit an optimal plan would meet), not a proven fact —
+                // never memoize it.
+                let memoizable = !nonmemoizable_failure && self.opts.move_limit.is_none();
                 if memoizable && self.opts.failure_memo {
                     self.stats.failures_recorded += 1;
                     self.memo.set_winner(
@@ -1041,12 +936,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
         // order (every promise equal, as with the shipped rules) is left
         // as it is, which is what the stable sort would do.
         let descending = |a: &Move<M>, b: &Move<M>| b.promise().total_cmp(&a.promise());
-        if self.opts.promise_ordering && !moves.is_sorted_by(|a, b| descending(a, b).is_le()) {
+        if !moves.is_sorted_by(|a, b| descending(a, b).is_le()) {
             moves.sort_by(descending);
-        }
-        if let Some(k) = self.opts.move_limit {
-            // "for the most promising moves": heuristic move selection.
-            moves.truncate(k);
         }
         MoveList {
             moves: moves.drain(..).collect(),
@@ -1070,8 +961,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
     /// Pursue an algorithm move of local cost `local`: optimize each input
     /// for its required properties while the accumulated cost plus the
     /// floors of the inputs not yet optimized stays under the bound; each
-    /// input's limit is what the bound leaves after both. Returns
-    /// `Err(nonmemoizable)` when abandoned.
+    /// input's limit is what the bound leaves after both. Returns whether
+    /// the move set the best plan, or `Err(nonmemoizable)` when abandoned.
     #[allow(clippy::too_many_arguments)]
     fn pursue_alg(
         &mut self,
@@ -1082,7 +973,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         local: &M::Cost,
         best: &mut Option<WinnerPlan<M>>,
         bound: &mut Limit<M::Cost>,
-    ) -> Result<(), bool> {
+    ) -> Result<bool, bool> {
         self.stats.alg_moves += 1;
         let model = self.model;
         let rule = &model.implementations()[rule_idx];
@@ -1158,7 +1049,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
             }
         }
 
-        if self.beats_best(&total, best, bound) {
+        let better = self.beats_best(&total, best, bound);
+        if better {
             *best = Some(WinnerPlan {
                 alg: app.alg.clone(),
                 delivered: app.delivers.clone(),
@@ -1168,13 +1060,14 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 expr: Some(binding.expr),
             });
         }
-        Ok(())
+        Ok(better)
     }
 
     /// Pursue an enforcer move of local cost `local`: unless the bound is
     /// below `local` plus the class's floor, subtract its cost from the
     /// bound (§6) and optimize the *same* group for the relaxed property
-    /// vector with the enforced properties excluded.
+    /// vector with the enforced properties excluded. Returns as
+    /// [`Self::pursue_alg`] does.
     fn pursue_enf(
         &mut self,
         group: GroupId,
@@ -1183,7 +1076,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         local: &M::Cost,
         best: &mut Option<WinnerPlan<M>>,
         bound: &mut Limit<M::Cost>,
-    ) -> Result<(), bool> {
+    ) -> Result<bool, bool> {
         self.stats.enforcer_moves += 1;
         let model = self.model;
         let enf = &model.enforcers()[enf_idx];
@@ -1223,7 +1116,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
         match self.optimize_goal(group, child_goal, child_limit) {
             Ok(c) => {
                 let total = local.add(&c);
-                if self.beats_best(&total, best, bound) {
+                let better = self.beats_best(&total, best, bound);
+                if better {
                     *best = Some(WinnerPlan {
                         alg: app.alg.clone(),
                         delivered: app.delivers.clone(),
@@ -1236,7 +1130,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         expr: None,
                     });
                 }
-                Ok(())
+                Ok(better)
             }
             Err(f) => Err(!f.memoizable),
         }

@@ -8,14 +8,12 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::budget::BudgetOutcome;
-
 /// Counters accumulated over one optimizer's `find_best_plan` and
 /// `explore` calls (they keep accumulating if the same
 /// optimizer instance is reused, mirroring the paper's note that partial
 /// results currently live for a single query). The memo snapshots
 /// (`groups_created`, `exprs_created`, `group_merges`, `dead_exprs`,
-/// `memo_bytes`), `outcome` and `elapsed` are refreshed whenever one of
+/// `memo_bytes`) and `elapsed` are refreshed whenever one of
 /// those calls returns.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
@@ -72,12 +70,6 @@ pub struct SearchStats {
     pub winners_recorded: u64,
     /// Failure entries recorded.
     pub failures_recorded: u64,
-    /// Goals completed greedily (first feasible move) after the budget
-    /// tripped. Zero for an exhaustive search.
-    pub greedy_goals: u64,
-    /// Whether the search ran to exhaustion or degraded under its
-    /// [`crate::SearchBudget`].
-    pub outcome: BudgetOutcome,
     /// Wall-clock time spent inside `find_best_plan` and `explore`.
     pub elapsed: Duration,
     /// Memo memory footprint estimate after the search, in bytes.
@@ -112,10 +104,6 @@ impl SearchStats {
         self.moves_excluded += other.moves_excluded;
         self.winners_recorded += other.winners_recorded;
         self.failures_recorded += other.failures_recorded;
-        self.greedy_goals += other.greedy_goals;
-        if other.outcome.is_degraded() && !self.outcome.is_degraded() {
-            self.outcome = other.outcome;
-        }
         self.elapsed += other.elapsed;
         self.memo_bytes += other.memo_bytes;
     }
@@ -142,8 +130,6 @@ impl SearchStats {
             && self.moves_excluded == other.moves_excluded
             && self.winners_recorded == other.winners_recorded
             && self.failures_recorded == other.failures_recorded
-            && self.greedy_goals == other.greedy_goals
-            && self.outcome == other.outcome
             && self.memo_bytes == other.memo_bytes
     }
 
@@ -162,8 +148,7 @@ impl SearchStats {
                 "\"enforcer_moves\":{},\"moves_pruned\":{},",
                 "\"goals_floored\":{},",
                 "\"moves_excluded\":{},\"winners_recorded\":{},",
-                "\"failures_recorded\":{},\"greedy_goals\":{},",
-                "\"outcome\":\"{}\",\"elapsed_us\":{},",
+                "\"failures_recorded\":{},\"elapsed_us\":{},",
                 "\"memo_bytes\":{}}}"
             ),
             self.groups_created,
@@ -184,8 +169,6 @@ impl SearchStats {
             self.moves_excluded,
             self.winners_recorded,
             self.failures_recorded,
-            self.greedy_goals,
-            self.outcome.as_token(),
             self.elapsed.as_micros(),
             self.memo_bytes
         )
@@ -223,12 +206,8 @@ impl fmt::Display for SearchStats {
         )?;
         write!(
             f,
-            "results: {} winners ({} greedy), {} failures, {}, elapsed {:?}",
-            self.winners_recorded,
-            self.greedy_goals,
-            self.failures_recorded,
-            self.outcome,
-            self.elapsed
+            "results: {} winners, {} failures, elapsed {:?}",
+            self.winners_recorded, self.failures_recorded, self.elapsed
         )
     }
 }

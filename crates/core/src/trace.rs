@@ -95,13 +95,6 @@ pub enum TraceEvent {
         /// Whether the hit produced a plan or a proven failure.
         kind: MemoHitKind,
     },
-    /// The search budget tripped; from here on the engine completes
-    /// in-flight goals greedily (first feasible move, promise order).
-    BudgetTripped {
-        /// Which budget axis tripped (`deadline`, `expr-limit`,
-        /// `group-limit`, `goal-limit`, or `cancelled`).
-        reason: &'static str,
-    },
     /// The cross-query plan cache was consulted for a query shape. Emitted
     /// by the serving layer (not the search engine), before any
     /// optimization work: a `hit` outcome means `find_best_plan` was
@@ -143,7 +136,6 @@ impl TraceEvent {
     pub fn group(&self) -> Option<GroupId> {
         match self {
             TraceEvent::RuleFired { .. }
-            | TraceEvent::BudgetTripped { .. }
             | TraceEvent::PlanCacheLookup { .. }
             | TraceEvent::MorselPhase { .. }
             | TraceEvent::FeedbackApplied { .. } => None,
@@ -601,11 +593,9 @@ impl Tracer for MetricsTracer {
                 inner.totals.memo_hits += 1;
                 inner.per_group.entry(*group).or_default().memo_hits += 1;
             }
-            // Budget trips are not per-group counters (SearchStats carries
-            // the outcome), cache lookups precede any search, and morsel
-            // phases and feedback merges are execution-time signals.
-            TraceEvent::BudgetTripped { .. }
-            | TraceEvent::PlanCacheLookup { .. }
+            // Cache lookups precede any search, and morsel phases and
+            // feedback merges are execution-time signals.
+            TraceEvent::PlanCacheLookup { .. }
             | TraceEvent::MorselPhase { .. }
             | TraceEvent::FeedbackApplied { .. } => {}
         }

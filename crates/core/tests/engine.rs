@@ -405,9 +405,9 @@ fn move_limit_heuristic_still_produces_plans() {
     };
     let mut opt = Optimizer::new(&model, opts);
     let root = opt.insert_tree(&pair(pair(leaf(1), leaf(2)), leaf(3)));
-    // With only the single most promising move pursued per goal the
-    // search stays complete enough here (every group has at least one
-    // implementation), though optimality is no longer guaranteed.
+    // Each goal ends at the first move, in promise order, that yields a
+    // plan: the search still finds one whenever a goal has a feasible
+    // move, though optimality is no longer guaranteed.
     let plan = opt.find_best_plan(root, NoProps, None).unwrap();
     assert!(plan.cost > 0.0);
 }

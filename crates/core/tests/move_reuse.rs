@@ -11,7 +11,7 @@ use volcano_core::toy::{toy_disc, ToyAlg, ToyModel, ToyOp, ToyProps};
 use volcano_core::trace::{CollectingTracer, TraceEvent};
 use volcano_core::{
     AlgApplication, Binding, ExprTree, GoalId, ImplementationRule, Optimizer, Pattern,
-    PhysicalProps, Plan, RuleCtx, SearchBudget, SearchOptions, SearchStats,
+    PhysicalProps, Plan, RuleCtx, SearchOptions, SearchStats,
 };
 
 type Tree = ExprTree<ToyModel>;
@@ -225,31 +225,21 @@ fn reused_lists_replay_their_exclusions_to_the_tracer() {
 }
 
 #[test]
-fn move_limits_and_tripped_budgets_repeat_exactly() {
+fn move_limits_repeat_exactly() {
     let m = model();
     let best = optimum(&m, &five_way(), ToyProps::sorted());
-    let variants = [
-        SearchOptions {
-            move_limit: Some(2),
+    for k in [1, 2] {
+        let opts = SearchOptions {
+            move_limit: Some(k),
             ..SearchOptions::default()
-        },
-        SearchOptions {
-            budget: SearchBudget::default().with_max_goals(40),
-            ..SearchOptions::default()
-        },
-    ];
-    for opts in variants {
+        };
         let run = || {
             let mut opt = Optimizer::new(&m, opts.clone());
             let root = opt.insert_tree(&five_way());
             let first = opt.find_best_plan(root, ToyProps::sorted(), Some(0.9 * best));
             let second = opt.find_best_plan(root, ToyProps::sorted(), None).unwrap();
-            let tripped = opt.tripped().is_some();
-            assert_eq!(
-                tripped,
-                opts.move_limit.is_none(),
-                "the budget variant trips"
-            );
+            // Failures found under a move limit are never memoized.
+            assert_eq!(opt.stats().failures_recorded, 0);
             (first.map(|p| p.cost), second, counters(opt.stats()))
         };
         let (first, plan, stats) = run();

@@ -172,13 +172,13 @@ pub struct PreparedOutcome {
 pub struct ExecOptions {
     /// Which engine executes the plan (tuple or vectorized).
     pub engine: Engine,
-    /// Search budget applied when this execution has to optimize
-    /// (admission control degrades overloaded traffic to anytime
-    /// search). `None` = unlimited. A *degraded* optimization's plan is
-    /// never inserted into the plan cache: it is an upper bound chosen
-    /// under pressure, and caching it would serve the pessimized plan
-    /// to unpressured executions too.
-    pub budget: Option<volcano_core::SearchBudget>,
+    /// The [`SearchOptions::move_limit`] this execution optimizes under
+    /// when it has to optimize (admission control degrades overloaded
+    /// traffic to greedy search). `None` = exhaustive. A plan found under
+    /// a move limit is never inserted into the plan cache: it is an upper
+    /// bound chosen under pressure, and caching it would serve the
+    /// pessimized plan to unpressured executions too.
+    pub move_limit: Option<usize>,
     /// Bypass the plan cache for this execution only (a session-level
     /// `SET PLAN_CACHE OFF`); the database-wide switch stays untouched
     /// and nothing is cleared.
@@ -190,7 +190,7 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// Tuple-engine execution, unlimited search, cache on — the
+    /// Tuple-engine execution, exhaustive search, cache on — the
     /// defaults.
     pub fn new() -> Self {
         Self::default()
@@ -208,9 +208,9 @@ impl ExecOptions {
         self
     }
 
-    /// Bound optimization by `budget`.
-    pub fn with_budget(mut self, budget: volcano_core::SearchBudget) -> Self {
-        self.budget = Some(budget);
+    /// Optimize greedily, under a move limit of `k`.
+    pub fn with_move_limit(mut self, k: usize) -> Self {
+        self.move_limit = Some(k);
         self
     }
 
@@ -503,7 +503,7 @@ impl Database {
     }
 
     /// Execute an optimized physical plan on `opts.engine`, returning
-    /// all result tuples (`opts.budget` and `opts.bypass_cache` concern
+    /// all result tuples (`opts.move_limit` and `opts.bypass_cache` concern
     /// planning and do not apply). Both engines produce the same
     /// multiset of rows, in the same order for serial plans; a plan with
     /// `gather(n>1)` regions delivers a nondeterministic interleaving on
@@ -723,7 +723,7 @@ impl Database {
     /// with **no optimizer involvement**; the returned outcome carries
     /// `search: None` as evidence. A miss (or an entry killed by the
     /// epoch/drift guard) optimizes as usual and caches the result.
-    /// `opts` carries the per-execution controls (engine, search budget,
+    /// `opts` carries the per-execution controls (engine, move limit,
     /// cache bypass, feedback).
     ///
     /// `tracer` receives one [`TraceEvent::PlanCacheLookup`] per call,
@@ -762,7 +762,7 @@ impl Database {
                     outcome: "bypass",
                 });
             }
-            let (plan, stats) = self.optimize(&catalog, &q.expr, goal, opts.budget.clone())?;
+            let (plan, stats) = self.optimize(&catalog, &q.expr, goal, opts.move_limit)?;
             return Ok(PreparedOutcome {
                 rows: self.run_at(&snap, &plan, opts.engine, feedback, tracer),
                 cache: "bypass",
@@ -802,12 +802,12 @@ impl Database {
             CacheOutcome::Miss | CacheOutcome::Invalidated => {
                 let label = outcome.label();
                 let (plan, stats) =
-                    self.optimize(&catalog, &q.expr, goal.clone(), opts.budget.clone())?;
-                // A budget-degraded plan is an under-pressure upper
-                // bound; caching it would pessimize every later
-                // execution of this shape. Let the next unpressured
-                // execution optimize and cache properly.
-                if !stats.outcome.is_degraded() {
+                    self.optimize(&catalog, &q.expr, goal.clone(), opts.move_limit)?;
+                // A greedy plan is an under-pressure upper bound; caching
+                // it would pessimize every later execution of this shape.
+                // Let the next unpressured execution optimize and cache
+                // properly.
+                if opts.move_limit.is_none() {
                     self.plan_cache.insert(
                         shape,
                         goal,
@@ -834,13 +834,13 @@ impl Database {
         catalog: &Catalog,
         expr: &volcano_rel::RelExpr,
         goal: RelProps,
-        budget: Option<volcano_core::SearchBudget>,
+        move_limit: Option<usize>,
     ) -> Result<(RelPlan, SearchStats), PrepareError> {
         let model = RelModel::new(catalog.clone(), self.model_options());
-        let mut search = SearchOptions::default();
-        if let Some(b) = budget {
-            search.budget = b;
-        }
+        let search = SearchOptions {
+            move_limit,
+            ..SearchOptions::default()
+        };
         let mut opt = RelOptimizer::new(&model, search);
         let root = opt.insert_tree(expr);
         let plan = opt

@@ -39,8 +39,8 @@
 //! * [`serve`] — the multi-session serving layer: sessions with their
 //!   own prepared statements and `SET` state over one shared
 //!   `Send + Sync` [`database::Database`], with admission control that
-//!   degrades overloaded search to greedy completion instead of
-//!   queueing unboundedly.
+//!   degrades overloaded search to greedy completion (a move limit of
+//!   one, never cached) instead of queueing unboundedly.
 //! * [`naive`] — a direct evaluator for *logical* algebra expressions:
 //!   the correctness oracle that every optimized-and-executed plan is
 //!   tested against.

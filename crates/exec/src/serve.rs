@@ -2,8 +2,8 @@
 //!
 //! A [`Server`] wraps an `Arc<Database>` with admission control and
 //! hands out [`Session`]s. Each session owns its prepared statements
-//! and its own `SET EXECUTOR` / `SET BUDGET` / `SET PLAN_CACHE` /
-//! `SET FEEDBACK` state —
+//! and its own `SET EXECUTOR` / `SET PLAN_CACHE` / `SET FEEDBACK`
+//! state —
 //! the per-connection knobs a SQL shell exposes — while all sessions
 //! share one catalog, one buffer pool, and one plan cache. Sessions are
 //! plain values: move one per thread and execute concurrently; the
@@ -11,15 +11,17 @@
 //!
 //! # Admission control
 //!
-//! The paper's search budgets make optimization an *anytime* activity:
-//! a tripped budget degrades search to greedy promise-first completion
-//! instead of failing. The serving layer uses exactly that degree of
-//! freedom for overload: a fixed number of concurrency tickets bounds
-//! how many executions run full exhaustive search at once, and what
-//! happens when no ticket is free depends on the traffic class:
+//! The paper leaves "pursuing all moves or only a selected few" to the
+//! optimizer implementor (§3), and a move limit of one makes every goal
+//! take the first move in promise order that yields a plan: greedy
+//! completion, an upper bound on the optimum found in a fraction of the
+//! search. The serving layer uses exactly that degree of freedom for
+//! overload: a fixed number of concurrency tickets bounds how many
+//! executions run full exhaustive search at once, and what happens when
+//! no ticket is free depends on the traffic class:
 //!
 //! - [`TrafficClass::Interactive`] never waits: it proceeds immediately
-//!   with the *degraded* budget (greedy search). Latency is bounded by
+//!   with greedy search (`move_limit: Some(1)`). Latency is bounded by
 //!   doing less work, not by queueing behind other queries.
 //! - [`TrafficClass::Batch`] waits up to the configured patience for a
 //!   ticket, then degrades and proceeds.
@@ -28,7 +30,7 @@
 //!
 //! Overload therefore degrades plan quality — bounded, observable (the
 //! [`SessionOutcome`] says so), and never cached (see
-//! [`ExecOptions::budget`]) — rather than growing an unbounded queue.
+//! [`ExecOptions::move_limit`]) — rather than growing an unbounded queue.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +38,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use volcano_core::trace::Tracer;
-use volcano_core::SearchBudget;
 use volcano_rel::value::Tuple;
 use volcano_rel::Value;
 use volcano_sql::AstQuery;
@@ -77,11 +78,6 @@ pub struct ServerConfig {
     /// How long [`TrafficClass::Batch`] waits for a ticket before
     /// degrading.
     pub batch_patience: Duration,
-    /// The budget applied to an execution admitted *without* a ticket.
-    /// The default trips after one optimization goal, which completes
-    /// the search greedily (promise-first) — the paper's anytime
-    /// degradation.
-    pub degraded_budget: SearchBudget,
 }
 
 impl Default for ServerConfig {
@@ -89,7 +85,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_concurrent: 8,
             batch_patience: Duration::from_millis(50),
-            degraded_budget: SearchBudget::unlimited().with_max_goals(1),
         }
     }
 }
@@ -102,7 +97,7 @@ impl Default for ServerConfig {
 pub struct AdmissionStats {
     /// Executions admitted with a ticket (full search quality).
     pub admitted_full: u64,
-    /// Executions admitted without a ticket (degraded budget).
+    /// Executions admitted without a ticket (greedy search).
     pub admitted_degraded: u64,
     /// Tickets currently held.
     pub in_flight: usize,
@@ -273,9 +268,7 @@ impl Server {
             admission: self.admission.clone(),
             class,
             batch_patience: self.config.batch_patience,
-            degraded_budget: self.config.degraded_budget.clone(),
             engine: Engine::Tuple,
-            budget: None,
             use_cache: true,
             feedback: false,
             prepared: HashMap::new(),
@@ -320,8 +313,8 @@ impl From<PrepareError> for SessionError {
 pub struct SessionOutcome {
     /// Rows, cache verdict, search stats, plan cost.
     pub outcome: PreparedOutcome,
-    /// `true` when this execution ran under the degraded budget
-    /// (admitted without a ticket).
+    /// `true` when this execution was admitted without a ticket and
+    /// optimized greedily (under a move limit of one).
     pub degraded: bool,
 }
 
@@ -341,12 +334,8 @@ pub struct Session {
     admission: Arc<AdmissionControl>,
     class: TrafficClass,
     batch_patience: Duration,
-    degraded_budget: SearchBudget,
     /// `SET EXECUTOR` — tuple or vectorized.
     engine: Engine,
-    /// `SET BUDGET` — session-chosen search budget for full-quality
-    /// admissions; `None` = unlimited.
-    budget: Option<SearchBudget>,
     /// `SET PLAN_CACHE` — `false` bypasses the shared cache for this
     /// session only.
     use_cache: bool,
@@ -380,17 +369,6 @@ impl Session {
     /// The engine subsequent executions run on.
     pub fn executor(&self) -> Engine {
         self.engine
-    }
-
-    /// `SET BUDGET`: bound search for subsequent full-quality
-    /// executions (`None` = unlimited).
-    pub fn set_budget(&mut self, budget: Option<SearchBudget>) {
-        self.budget = budget;
-    }
-
-    /// The session budget, if any.
-    pub fn budget(&self) -> Option<&SearchBudget> {
-        self.budget.as_ref()
     }
 
     /// `SET PLAN_CACHE`: enable/bypass the shared plan cache for this
@@ -489,16 +467,11 @@ impl Session {
         // whole optimize + execute span and is released when `admission`
         // drops at the end of this call.
         let admission = self.admission.admit(self.class, self.batch_patience);
-        let budget = if admission.degraded() {
-            Some(self.degraded_budget.clone())
-        } else {
-            self.budget.clone()
-        };
         let mut opts = ExecOptions::new()
             .with_executor(self.engine)
             .with_cache_bypass(!self.use_cache)
             .with_feedback(self.feedback);
-        opts.budget = budget;
+        opts.move_limit = admission.degraded().then_some(1);
         let outcome = self
             .db
             .execute_prepared_opts(stmt, params, &opts, tracer)

@@ -197,6 +197,31 @@ pub fn thread_counts() -> Vec<u32> {
     }
 }
 
+/// The degrees `fused_differential` and `parallel_differential` sweep:
+/// [`thread_counts`], cut to {1, 2} in a debug build with
+/// `VOLCANO_THREADS` unset. The full ladder runs in release (CI's
+/// "every degree" step and its pinned legs).
+pub fn swept_degrees() -> Vec<u32> {
+    let all = thread_counts();
+    if cfg!(debug_assertions) && std::env::var("VOLCANO_THREADS").is_err() {
+        all.into_iter().filter(|&n| n <= 2).collect()
+    } else {
+        all
+    }
+}
+
+/// The batch sizes `fused_differential` and `parallel_differential`
+/// sweep: [`batch_configs`], cut to {1, default} in a debug build. The
+/// full set runs in release.
+pub fn swept_batch_configs() -> Vec<BatchConfig> {
+    let [one, four, default, wide] = batch_configs();
+    if cfg!(debug_assertions) {
+        vec![one, default]
+    } else {
+        vec![one, four, default, wide]
+    }
+}
+
 /// The morsel granularities a parallel suite should sweep: one page per
 /// morsel (maximal scheduling pressure), the engine default, and one
 /// morsel spanning the whole table (degenerates to at most one busy

@@ -3,7 +3,9 @@
 //! Every golden SQL query and fig4-style generated plan is executed on
 //! both engines — tuple (the oracle) and vectorized — across batch
 //! sizes {1, 4, default, 1024} and the parallel-degree ladder
-//! (`VOLCANO_THREADS` pins one degree per CI leg). Batch size 1 is the
+//! (`VOLCANO_THREADS` pins one degree per CI leg); a debug build sweeps
+//! only degrees {1, 2} and batch sizes {1, default}, and CI runs the
+//! full sweep in release. Batch size 1 is the
 //! degenerate case whose behaviour must collapse to tuple-at-a-time
 //! semantics. Whatever the configuration, the vectorized engine must
 //! produce the identical row *multiset*; at degree 1 the exact sequence
@@ -23,8 +25,8 @@
 mod common;
 
 use common::testkit::{
-    assert_same_multiset, batch_configs, diff_catalog, fig4_inputs, mixed_db, mixed_plan,
-    optimize_plan, run_fused, run_tuple, sql_cases, thread_counts, MIXED_AGG_QUERIES,
+    assert_same_multiset, diff_catalog, fig4_inputs, mixed_db, mixed_plan, optimize_plan,
+    run_fused, run_tuple, sql_cases, swept_batch_configs, swept_degrees, MIXED_AGG_QUERIES,
     MIXED_SCAN_QUERIES, SQL_QUERIES,
 };
 use volcano_core::PhysicalProps;
@@ -67,7 +69,7 @@ fn assert_engines_agree(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
             })
             .collect()
     };
-    for cfg in batch_configs() {
+    for cfg in swept_batch_configs() {
         let fused_rows = run_fused(db, plan, cfg);
         let mtag = format!("{tag}: deg={degree} batch={}", cfg.batch_size);
         assert_same_multiset(&tuple_rows, &fused_rows, &mtag);
@@ -89,7 +91,7 @@ fn options(degree: u32) -> RelModelOptions {
 
 #[test]
 fn sql_golden_queries_agree_on_both_engines() {
-    for degree in thread_counts() {
+    for degree in swept_degrees() {
         for case in sql_cases(options(degree)) {
             assert_engines_agree(&case.db, &case.plan, &case.tag, degree);
         }
@@ -99,7 +101,7 @@ fn sql_golden_queries_agree_on_both_engines() {
 #[test]
 fn fig4_plans_agree_on_both_engines() {
     for input in fig4_inputs(&[2, 3], 0..2, false) {
-        for degree in thread_counts() {
+        for degree in swept_degrees() {
             let model = RelModel::new(
                 input.catalog.clone(),
                 RelModelOptions::paper_fig4().with_parallel_degree(degree),
@@ -116,7 +118,7 @@ fn fig4_plans_agree_on_both_engines() {
 #[test]
 fn fig4_sorted_goals_preserve_order_on_fused() {
     for input in fig4_inputs(&[2], 0..2, true) {
-        for degree in thread_counts() {
+        for degree in swept_degrees() {
             let model = RelModel::new(
                 input.catalog.clone(),
                 RelModelOptions::paper_fig4().with_parallel_degree(degree),
@@ -556,9 +558,9 @@ fn plan_cache_hit_executes_on_fused_engine() {
     assert_eq!(oracle.rows, warm.rows, "fused cache-hit run diverged");
 }
 
-/// Degraded (budget-tripped) optimizations still execute on the fused
-/// engine — admission control degrading search quality must never
-/// change what the chosen engine computes.
+/// Greedy (move-limited) optimizations still execute on the fused engine
+/// — admission control degrading search quality must never change what
+/// the chosen engine computes.
 #[test]
 fn degraded_search_executes_on_fused_engine() {
     let case = &sql_cases(options(1))[2]; // the 3-way join
@@ -570,32 +572,26 @@ fn degraded_search_executes_on_fused_engine() {
              ORDER BY emp.id",
         )
         .unwrap();
-    let tight = volcano_core::SearchBudget::unlimited().with_max_goals(1);
-    let opts = ExecOptions::new()
-        .with_executor(Engine::Fused(BatchConfig::default()))
-        .with_budget(tight)
+    let greedy = ExecOptions::new()
+        .with_move_limit(1)
         .with_cache_bypass(true);
-    let degraded = db.execute_prepared_opts(&stmt, &[], &opts, None).unwrap();
-    assert!(
-        degraded
-            .search
+    let run = |opts: &ExecOptions| db.execute_prepared_opts(&stmt, &[], opts, None).unwrap();
+    let degraded = run(&greedy
+        .clone()
+        .with_executor(Engine::Fused(BatchConfig::default())));
+    let exhaustive = run(&ExecOptions::new().with_cache_bypass(true));
+    let goals = |o: &volcano_exec::PreparedOutcome| {
+        o.search
             .as_ref()
             .expect("bypass always optimizes")
-            .outcome
-            .is_degraded(),
-        "a one-goal budget must trip on a 3-way join"
+            .goals_optimized
+    };
+    assert!(
+        goals(&degraded) < goals(&exhaustive),
+        "a move limit of one must cut the search on a 3-way join"
     );
-    let oracle = db
-        .execute_prepared_opts(
-            &stmt,
-            &[],
-            &ExecOptions::new()
-                .with_budget(volcano_core::SearchBudget::unlimited().with_max_goals(1))
-                .with_cache_bypass(true),
-            None,
-        )
-        .unwrap();
-    // Same (degraded) plan on both engines: identical rows, and the
+    let oracle = run(&greedy);
+    // Same (greedy) plan on both engines: identical rows, and the
     // ORDER BY makes the sequence deterministic.
     assert_eq!(oracle.rows, degraded.rows, "degraded fused run diverged");
     assert!(!degraded.rows.is_empty(), "query should return rows");

@@ -12,15 +12,17 @@
 //! through it; only the relative order of sort-key *ties* may differ).
 //!
 //! `VOLCANO_THREADS=<n>` pins the sweep to one degree (used by the CI
-//! serial and 8-way legs).
+//! serial and 8-way legs). A debug build with it unset sweeps only
+//! degrees {1, 2} and batch sizes {1, default}; CI runs the full sweep
+//! in release.
 
 mod common;
 
 use std::collections::HashMap;
 
 use common::testkit::{
-    assert_same_multiset, batch_configs, diff_catalog, fig4_inputs, mixed_db, mixed_plan,
-    morsel_sizes, optimize_plan, run_fused, run_tuple, sql_cases, thread_counts,
+    assert_same_multiset, diff_catalog, fig4_inputs, mixed_db, mixed_plan, morsel_sizes,
+    optimize_plan, run_fused, run_tuple, sql_cases, swept_batch_configs, swept_degrees,
     MIXED_SCAN_QUERIES,
 };
 use volcano_core::PhysicalProps;
@@ -101,7 +103,7 @@ fn fig4_options(degree: u32) -> RelModelOptions {
 
 #[test]
 fn sql_golden_queries_agree_at_every_degree() {
-    for degree in thread_counts() {
+    for degree in swept_degrees() {
         for case in sql_cases(options(degree)) {
             assert_parallel_agrees(&case.db, &case.plan, &case.tag, degree);
         }
@@ -114,7 +116,7 @@ fn fig4_plans_agree_at_every_degree() {
     // degree sweep — only the optimization (and hence the plan's
     // gather placement) changes with the degree.
     for input in fig4_inputs(&[2, 3], 0..2, false) {
-        for degree in thread_counts() {
+        for degree in swept_degrees() {
             let model = RelModel::new(input.catalog.clone(), fig4_options(degree));
             let tag = format!("{} deg={degree}", input.tag);
             let plan = optimize_plan(&model, &input.expr, input.goal.clone(), &tag);
@@ -128,7 +130,7 @@ fn fig4_plans_agree_at_every_degree() {
 #[test]
 fn fig4_sorted_goals_preserve_order_at_every_degree() {
     for input in fig4_inputs(&[2], 0..2, true) {
-        for degree in thread_counts() {
+        for degree in swept_degrees() {
             let model = RelModel::new(input.catalog.clone(), fig4_options(degree));
             let tag = format!("{} deg={degree}", input.tag);
             let plan = optimize_plan(&model, &input.expr, input.goal.clone(), &tag);
@@ -284,7 +286,7 @@ fn traced_prepared_execution_reports_morsel_phases() {
 #[test]
 fn workers_prune_unread_columns_of_every_type() {
     let db = mixed_db();
-    for degree in thread_counts().into_iter().filter(|&n| n > 1) {
+    for degree in swept_degrees().into_iter().filter(|&n| n > 1) {
         for sql in MIXED_SCAN_QUERIES {
             let plan = gathered(mixed_plan(sql, 1), degree);
             let tag = format!("{sql}: gather({degree})");
@@ -305,7 +307,7 @@ fn workers_prune_unread_columns_of_every_type() {
                 );
             }
             let tuple_rows = run_tuple(&db, &plan);
-            for cfg in batch_configs() {
+            for cfg in swept_batch_configs() {
                 let rows = run_fused(&db, &plan, cfg.with_morsel_pages(2));
                 assert_same_multiset(
                     &tuple_rows,
@@ -455,7 +457,7 @@ fn hand_placed_gathers_agree_at_every_degree_and_batch_size() {
             }
             let tuple_rows = run_tuple(&h.db, &plan);
             assert!(!tuple_rows.is_empty(), "{tag}: vacuous case");
-            for cfg in batch_configs() {
+            for cfg in swept_batch_configs() {
                 let rows = run_fused(&h.db, &plan, cfg.with_morsel_pages(2));
                 let btag = format!("{tag} batch={}", cfg.batch_size);
                 assert_same_multiset(&tuple_rows, &rows, &btag);

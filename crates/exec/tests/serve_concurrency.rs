@@ -85,7 +85,6 @@ fn sessions_under_ddl_chaos_reconcile_exactly() {
         ServerConfig {
             max_concurrent: 2.min(workers),
             batch_patience: Duration::from_millis(5),
-            ..ServerConfig::default()
         },
     );
 
@@ -350,7 +349,6 @@ fn feedback_under_chaos_reconciles_exactly() {
         ServerConfig {
             max_concurrent: 2.min(workers),
             batch_patience: Duration::from_millis(5),
-            ..ServerConfig::default()
         },
     );
     let epoch_start = db.epoch();
@@ -485,4 +483,146 @@ fn feedback_under_chaos_reconciles_exactly() {
     let a = server.admission().stats();
     assert_eq!(a.admitted_full + a.admitted_degraded, total_admissions);
     assert_eq!(a.in_flight, 0, "tickets leaked");
+}
+
+const JOIN3_SQL: &str = "SELECT emp.id FROM emp, dept, region \
+     WHERE emp.dept = dept.id AND dept.region = region.id AND emp.salary < 50";
+
+/// An interactive admission with no ticket free optimizes greedily: the
+/// outcome says so, nothing enters the plan cache, and the rows are the
+/// logical-algebra oracle's. The next full-quality execution of the same
+/// statement misses again and caches its plan.
+#[test]
+fn degraded_admission_is_never_cached_and_returns_the_oracle_rows() {
+    let db = Arc::new(Database::in_memory(diff_catalog()));
+    db.generate(29);
+    let server = Server::over(
+        db.clone(),
+        ServerConfig {
+            max_concurrent: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut session = server.session(TrafficClass::Interactive);
+    session.prepare("q", JOIN3_SQL).unwrap();
+
+    let held = server
+        .admission()
+        .admit(TrafficClass::Background, Duration::ZERO);
+    let degraded = session.execute("q", &[]).unwrap();
+    drop(held);
+    assert!(degraded.degraded);
+    assert_eq!(degraded.outcome.cache, "miss");
+    assert_eq!(db.plan_cache().stats().insertions, 0);
+    assert_eq!(db.plan_cache().len(), 0);
+
+    let mut catalog = (*db.catalog()).clone();
+    let q = volcano_sql::plan_query(JOIN3_SQL, &mut catalog).unwrap();
+    let oracle = volcano_exec::evaluate_logical(&db, &q.expr);
+    assert_eq!(oracle.schema.len(), 1);
+    assert!(!oracle.rows.is_empty(), "vacuous query");
+    volcano_exec::assert_same_rows(degraded.outcome.rows, oracle.rows.clone());
+
+    let full = session.execute("q", &[]).unwrap();
+    assert!(!full.degraded);
+    assert_eq!(full.outcome.cache, "miss");
+    assert_eq!(db.plan_cache().stats().insertions, 1);
+    volcano_exec::assert_same_rows(full.outcome.rows, oracle.rows);
+}
+
+/// The overload probe behind keeping the degrade path: 8 sessions share 2
+/// tickets, each running cold (cache-bypassing) 5- and 7-way star joins
+/// back to back, once as interactive sessions (no ticket: greedy search)
+/// and once as background sessions (no ticket: wait for one). Prints
+/// ops/s, p95 latency and the degraded share per class; it asserts only
+/// that every execution returned rows. Starts 8 threads.
+///
+/// `cargo test --release -p volcano-exec --test serve_concurrency -- --ignored overload --nocapture`
+#[test]
+#[ignore = "a measurement: 2 × 5 s, run in release"]
+fn overload_probe_degrade_vs_wait() {
+    const SESSIONS: usize = 8;
+    const TICKETS: usize = 2;
+    const SECONDS: u64 = 5;
+    let dims = [50.0, 40.0, 30.0, 20.0, 15.0, 10.0];
+    let mut catalog = volcano_rel::Catalog::new();
+    let mut fact = vec![volcano_rel::ColumnDef::int("id", 1_000.0)];
+    for (k, &d) in dims.iter().enumerate() {
+        fact.push(volcano_rel::ColumnDef::int(&format!("d{}", k + 1), d));
+    }
+    fact.push(volcano_rel::ColumnDef::int("v", 100.0));
+    catalog.add_table("fact", 1_000.0, fact);
+    for (k, &d) in dims.iter().enumerate() {
+        let cols = vec![
+            volcano_rel::ColumnDef::int("id", d),
+            volcano_rel::ColumnDef::int("attr", 5.0),
+        ];
+        catalog.add_table(&format!("dim{}", k + 1), d, cols);
+    }
+    let star = |dims: usize, bound: i64| {
+        let from: Vec<String> = (1..=dims).map(|k| format!("dim{k}")).collect();
+        let on: Vec<String> = (1..=dims)
+            .map(|k| format!("fact.d{k} = dim{k}.id"))
+            .collect();
+        format!(
+            "SELECT fact.id FROM fact, {} WHERE {} AND fact.v < {bound}",
+            from.join(", "),
+            on.join(" AND ")
+        )
+    };
+    let statements: Vec<String> = [4, 6]
+        .iter()
+        .flat_map(|&dims| [3, 7, 11].map(|bound| star(dims, bound)))
+        .collect();
+    let db = Arc::new(Database::in_memory(catalog));
+    db.generate(1);
+
+    println!("class        ops/s    p95 ms  degraded");
+    for class in [TrafficClass::Interactive, TrafficClass::Background] {
+        let server = Server::over(
+            db.clone(),
+            ServerConfig {
+                max_concurrent: TICKETS,
+                ..ServerConfig::default()
+            },
+        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(SECONDS);
+        let started = std::time::Instant::now();
+        let runs: Vec<(Vec<f64>, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..SESSIONS)
+                .map(|s| {
+                    let mut session = server.session(class);
+                    session.set_plan_cache(false);
+                    let statements = &statements;
+                    scope.spawn(move || {
+                        let (mut latencies, mut degraded) = (Vec::new(), 0);
+                        let mut i = s;
+                        while std::time::Instant::now() < deadline {
+                            let t = std::time::Instant::now();
+                            let out = session.query(&statements[i % statements.len()]).unwrap();
+                            latencies.push(t.elapsed().as_secs_f64() * 1e3);
+                            degraded += out.degraded as u64;
+                            assert!(!out.outcome.rows.is_empty());
+                            i += 1;
+                        }
+                        (latencies, degraded)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let wall = started.elapsed().as_secs_f64();
+        let mut latencies: Vec<f64> = runs.iter().flat_map(|(l, _)| l.clone()).collect();
+        latencies.sort_by(f64::total_cmp);
+        let degraded: u64 = runs.iter().map(|(_, d)| d).sum();
+        let ops = latencies.len();
+        let p95 = latencies[(ops * 95 / 100).min(ops - 1)];
+        println!(
+            "{:<11} {:>6.0} {:>9.1} {:>8.0}%",
+            class.label(),
+            ops as f64 / wall,
+            p95,
+            100.0 * degraded as f64 / ops as f64
+        );
+    }
 }

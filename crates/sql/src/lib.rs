@@ -52,8 +52,7 @@ pub use lower::{lower, lower_with_params, LowerError, Query};
 pub use param::{parameterize, shape_key, BindError, ParamQuery};
 pub use parser::{parse, ParseError};
 pub use stmt::{
-    parse_script, parse_statement, BudgetSetting, ColumnSpec, ExecutorSetting, PlanCacheSetting,
-    Statement,
+    parse_script, parse_statement, ColumnSpec, ExecutorSetting, PlanCacheSetting, Statement,
 };
 
 /// Parse and lower in one step.

@@ -29,29 +29,6 @@ pub struct ColumnSpec {
     pub indexed: bool,
 }
 
-/// One knob of the search budget, as set from the CLI.
-///
-/// ```text
-/// SET BUDGET TIMEOUT 50;   -- wall-clock deadline in milliseconds
-/// SET BUDGET GOALS 200;    -- cap on optimization goals started
-/// SET BUDGET EXPRS 5000;   -- cap on memo expressions
-/// SET BUDGET GROUPS 1000;  -- cap on memo groups
-/// SET BUDGET OFF;          -- back to unlimited, exhaustive search
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetSetting {
-    /// Wall-clock deadline in milliseconds.
-    TimeoutMs(u64),
-    /// Maximum optimization goals started.
-    Goals(u64),
-    /// Maximum memo expressions.
-    Exprs(usize),
-    /// Maximum memo groups.
-    Groups(usize),
-    /// Clear every budget knob: unlimited, exhaustive search.
-    Off,
-}
-
 /// The execution engine choice, as set from the CLI.
 ///
 /// ```text
@@ -116,10 +93,6 @@ pub enum Statement {
     /// facility to "catch" unreasonable queries — subsequent queries fail
     /// when no plan fits the limit (cost-model milliseconds).
     SetCostLimit(Option<f64>),
-    /// `SET BUDGET <knob> <n> | SET BUDGET OFF`: bound the optimizer's
-    /// search effort; tripped budgets degrade to greedy completion and
-    /// still return a valid (if possibly suboptimal) plan.
-    SetBudget(BudgetSetting),
     /// `SET EXECUTOR TUPLE | FUSED [n] [PARALLEL k]`: choose the execution engine
     /// for subsequent queries (results are engine-invariant; only the
     /// unit of transfer between operators changes).
@@ -438,9 +411,6 @@ fn parse_execute(input: &str) -> Result<Statement, ParseError> {
 
 fn parse_set(input: &str) -> Result<Statement, ParseError> {
     let toks = tokenize(input).map_err(ParseError::Lex)?;
-    if matches!(toks.get(1), Some(t) if t.is_kw("budget")) {
-        return parse_set_budget(&toks);
-    }
     if matches!(toks.get(1), Some(t) if t.is_kw("executor")) {
         return parse_set_executor(&toks);
     }
@@ -484,35 +454,6 @@ fn parse_set(input: &str) -> Result<Statement, ParseError> {
         }
         _ => Err(unexpected("SET COST LIMIT <n|OFF>", toks.get(1).cloned())),
     }
-}
-
-fn parse_set_budget(toks: &[Token]) -> Result<Statement, ParseError> {
-    let setting = match toks {
-        [_, _, off] if off.is_kw("off") => BudgetSetting::Off,
-        [_, _, knob, Token::Int(n)] if *n >= 0 => {
-            if knob.is_kw("timeout") {
-                BudgetSetting::TimeoutMs(*n as u64)
-            } else if knob.is_kw("goals") {
-                BudgetSetting::Goals(*n as u64)
-            } else if knob.is_kw("exprs") {
-                BudgetSetting::Exprs(*n as usize)
-            } else if knob.is_kw("groups") {
-                BudgetSetting::Groups(*n as usize)
-            } else {
-                return Err(unexpected(
-                    "SET BUDGET <TIMEOUT|GOALS|EXPRS|GROUPS> <n> | OFF",
-                    toks.get(2).cloned(),
-                ));
-            }
-        }
-        _ => {
-            return Err(unexpected(
-                "SET BUDGET <TIMEOUT|GOALS|EXPRS|GROUPS> <n> | OFF",
-                toks.get(2).cloned(),
-            ))
-        }
-    };
-    Ok(Statement::SetBudget(setting))
 }
 
 const EXECUTOR_USAGE: &str = "SET EXECUTOR <TUPLE|FUSED [n] [PARALLEL k]>";
@@ -608,33 +549,6 @@ mod tests {
             Statement::SetCostLimit(None)
         );
         assert!(parse_statement("SET COST").is_err());
-    }
-
-    #[test]
-    fn set_budget() {
-        assert_eq!(
-            parse_statement("SET BUDGET TIMEOUT 50").unwrap(),
-            Statement::SetBudget(BudgetSetting::TimeoutMs(50))
-        );
-        assert_eq!(
-            parse_statement("SET BUDGET GOALS 200").unwrap(),
-            Statement::SetBudget(BudgetSetting::Goals(200))
-        );
-        assert_eq!(
-            parse_statement("set budget exprs 5000").unwrap(),
-            Statement::SetBudget(BudgetSetting::Exprs(5000))
-        );
-        assert_eq!(
-            parse_statement("SET BUDGET GROUPS 1000").unwrap(),
-            Statement::SetBudget(BudgetSetting::Groups(1000))
-        );
-        assert_eq!(
-            parse_statement("SET BUDGET OFF").unwrap(),
-            Statement::SetBudget(BudgetSetting::Off)
-        );
-        assert!(parse_statement("SET BUDGET").is_err());
-        assert!(parse_statement("SET BUDGET MOVES 5").is_err());
-        assert!(parse_statement("SET BUDGET TIMEOUT x").is_err());
     }
 
     #[test]

@@ -14,16 +14,14 @@
 //! `cargo run --bin volcano -- script.sql`.
 //!
 //! The shell is one [`Session`] of the serving layer: `SET EXECUTOR`,
-//! `SET BUDGET`, `SET PLAN_CACHE`, and `SET FEEDBACK` are session
-//! state, and `PREPARE`
+//! `SET PLAN_CACHE`, and `SET FEEDBACK` are session state, and `PREPARE`
 //! / `EXECUTE` go through the session (and so through admission
 //! control, like any other client of the shared database).
 
 use std::io::Read;
 use std::sync::Arc;
-use std::time::Duration;
 
-use volcano::core::{SearchBudget, SearchOptions};
+use volcano::core::SearchOptions;
 use volcano::exec::{
     BatchConfig, Database, Engine, ExecOptions, Server, ServerConfig, Session, TrafficClass,
 };
@@ -32,9 +30,7 @@ use volcano::rel::{
     explain_expr, explain_plan, Catalog, ColumnDef, RelModel, RelModelOptions, RelOptimizer,
     RelProps,
 };
-use volcano::sql::{
-    lower, parse_script, BudgetSetting, ExecutorSetting, PlanCacheSetting, Statement,
-};
+use volcano::sql::{lower, parse_script, ExecutorSetting, PlanCacheSetting, Statement};
 
 struct Shell {
     catalog: Catalog,
@@ -46,10 +42,6 @@ struct Shell {
     /// User-supplied cost limit (§3): queries whose best plan exceeds it
     /// are rejected instead of executed.
     cost_limit: Option<f64>,
-    /// Search budget for subsequent queries; tripped budgets degrade to
-    /// greedy completion instead of failing. Mirrored into the session
-    /// (it may be set before the database exists).
-    budget: SearchBudget,
     /// Execution engine for subsequent queries (tuple or vectorized).
     /// Mirrored into the session.
     executor: Engine,
@@ -67,16 +59,8 @@ impl Shell {
             catalog: Catalog::new(),
             session: None,
             cost_limit: None,
-            budget: SearchBudget::default(),
             executor: Engine::Tuple,
             parallel_degree: 1,
-        }
-    }
-
-    fn search_options(&self) -> SearchOptions {
-        SearchOptions {
-            budget: self.budget.clone(),
-            ..SearchOptions::default()
         }
     }
 
@@ -91,7 +75,6 @@ impl Shell {
             db.set_parallel_degree(self.parallel_degree);
             let server = Server::new(db, ServerConfig::default());
             let mut session = server.session(TrafficClass::Interactive);
-            session.set_budget(Some(self.budget.clone()));
             session.set_executor(self.executor);
             self.session = Some(session);
         }
@@ -155,35 +138,6 @@ impl Shell {
                 }
                 Ok(())
             }
-            Statement::SetBudget(setting) => {
-                match setting {
-                    BudgetSetting::TimeoutMs(ms) => {
-                        self.budget.deadline = Some(Duration::from_millis(ms));
-                        println!("budget: timeout {ms} ms");
-                    }
-                    BudgetSetting::Goals(n) => {
-                        self.budget.max_goals = Some(n);
-                        println!("budget: max {n} goals");
-                    }
-                    BudgetSetting::Exprs(n) => {
-                        self.budget.max_exprs = Some(n);
-                        println!("budget: max {n} memo expressions");
-                    }
-                    BudgetSetting::Groups(n) => {
-                        self.budget.max_groups = Some(n);
-                        println!("budget: max {n} memo groups");
-                    }
-                    BudgetSetting::Off => {
-                        self.budget = SearchBudget::default();
-                        println!("budget off (exhaustive search)");
-                    }
-                }
-                let budget = self.budget.clone();
-                if let Some(session) = &mut self.session {
-                    session.set_budget(Some(budget));
-                }
-                Ok(())
-            }
             Statement::SetExecutor(setting) => {
                 match setting {
                     ExecutorSetting::Tuple => {
@@ -236,7 +190,7 @@ impl Shell {
                 println!("-- logical algebra --");
                 print!("{}", explain_expr(&catalog, &q.expr));
                 let model = RelModel::new(catalog.clone(), self.model_options());
-                let mut opt = RelOptimizer::new(&model, self.search_options());
+                let mut opt = RelOptimizer::new(&model, SearchOptions::default());
                 let root = opt.insert_tree(&q.expr);
                 let goal = RelProps::sorted(q.order_by.clone());
                 let plan = opt
@@ -245,11 +199,10 @@ impl Shell {
                 println!("-- physical plan --");
                 print!("{}", explain_plan(&catalog, &plan));
                 println!(
-                    "-- search: {} goals, {} moves, memo ~{} KB, {} --",
+                    "-- search: {} goals, {} moves, memo ~{} KB --",
                     opt.stats().goals_optimized,
                     opt.stats().total_moves(),
-                    opt.stats().memo_bytes / 1024,
-                    opt.stats().outcome
+                    opt.stats().memo_bytes / 1024
                 );
                 if analyze {
                     let stats_json = opt.stats().to_json();
@@ -289,12 +242,11 @@ impl Shell {
                 let mut catalog = self.catalog.clone();
                 let q = lower(&ast, &mut catalog).map_err(|e| e.to_string())?;
                 let cost_limit = self.cost_limit;
-                let options = self.search_options();
                 let model_options = self.model_options();
                 let executor = self.executor;
                 let db = self.db();
                 let model = RelModel::new(catalog.clone(), model_options);
-                let mut opt = RelOptimizer::new(&model, options);
+                let mut opt = RelOptimizer::new(&model, SearchOptions::default());
                 let root = opt.insert_tree(&q.expr);
                 let goal = RelProps::sorted(q.order_by.clone());
                 let limit = cost_limit.map(|l| volcano::rel::RelCost::new(0.0, l));
@@ -304,12 +256,6 @@ impl Shell {
                         Some(l) => format!("{e} (cost limit {l} ms)"),
                         None => e.to_string(),
                     })?;
-                if opt.stats().outcome.is_degraded() {
-                    println!(
-                        "-- note: search budget tripped; plan is {} --",
-                        opt.stats().outcome
-                    );
-                }
                 let rows = db.execute(&plan, &ExecOptions::new().with_executor(executor), None);
                 for row in &rows {
                     let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();

@@ -103,49 +103,6 @@ fn explain_analyze_reports_actual_rows() {
 }
 
 #[test]
-fn budget_degrades_search_but_query_still_runs() {
-    // A tiny goal budget on a 5-way join chain trips mid-search; the
-    // shell reports the degraded outcome and still returns rows.
-    let (stdout, stderr, ok) = run_script(
-        "CREATE TABLE t0 (a INT DISTINCT 5, b INT DISTINCT 5) CARD 20;\
-         CREATE TABLE t1 (a INT DISTINCT 5, b INT DISTINCT 5) CARD 20;\
-         CREATE TABLE t2 (a INT DISTINCT 5, b INT DISTINCT 5) CARD 20;\
-         CREATE TABLE t3 (a INT DISTINCT 5, b INT DISTINCT 5) CARD 20;\
-         CREATE TABLE t4 (a INT DISTINCT 5, b INT DISTINCT 5) CARD 20;\
-         GENERATE SEED 3;\
-         SET BUDGET GOALS 5;\
-         EXPLAIN SELECT COUNT(*) FROM t0, t1, t2, t3, t4 \
-           WHERE t0.b = t1.a AND t1.b = t2.a AND t2.b = t3.a AND t3.b = t4.a;\
-         SELECT COUNT(*) FROM t0, t1, t2, t3, t4 \
-           WHERE t0.b = t1.a AND t1.b = t2.a AND t2.b = t3.a AND t3.b = t4.a;",
-    );
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("budget: max 5 goals"), "{stdout}");
-    assert!(stdout.contains("degraded (goal-limit)"), "{stdout}");
-    assert!(
-        stdout.contains("search budget tripped"),
-        "query path must surface degradation: {stdout}"
-    );
-    assert!(stdout.contains("(1 rows)"), "{stdout}");
-}
-
-#[test]
-fn budget_off_restores_exhaustive_search() {
-    let (stdout, stderr, ok) = run_script(
-        "CREATE TABLE t0 (a INT DISTINCT 5, b INT DISTINCT 5) CARD 20;\
-         CREATE TABLE t1 (a INT DISTINCT 5, b INT DISTINCT 5) CARD 20;\
-         GENERATE SEED 3;\
-         SET BUDGET GOALS 1;\
-         SET BUDGET OFF;\
-         EXPLAIN SELECT COUNT(*) FROM t0, t1 WHERE t0.b = t1.a;",
-    );
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("budget off"), "{stdout}");
-    assert!(stdout.contains("exhaustive"), "{stdout}");
-    assert!(!stdout.contains("degraded"), "{stdout}");
-}
-
-#[test]
 fn cost_limit_catches_unreasonable_queries() {
     // §3: "the user interface may permit users to set their own limits
     // to 'catch' unreasonable queries".

@@ -16,16 +16,15 @@
 //! Cases past seven relations are `#[ignore]`d to keep the debug run
 //! short; CI runs them in release with `--include-ignored`.
 
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 use volcano_bench::workload::{generate_query, GeneratedQuery, WorkloadConfig};
 use volcano_core::model::Operator;
 use volcano_core::toy::{ToyAlg, ToyModel, ToyOp, ToyProps};
 use volcano_core::{
-    match_pattern, Binding, BindingChild, CancelToken, Enforcer, ExprId, ExprTree, GroupId,
-    ImplementationRule, Memo, Model, Optimizer, Pattern, RuleCtx, SearchBudget, SearchOptions,
-    SearchStats, SubstExpr, TraceEvent, Tracer, TransformationRule, TripReason,
+    match_pattern, Binding, BindingChild, Enforcer, ExprId, ExprTree, GroupId, ImplementationRule,
+    Memo, Model, Optimizer, Pattern, RuleCtx, SearchOptions, SearchStats, SubstExpr,
+    TransformationRule,
 };
 use volcano_rel::builder::select_one;
 use volcano_rel::{
@@ -447,83 +446,5 @@ fn star_fig4_exploration_merges_no_class() {
             assert_eq!(stats.group_merges, 0, "{tag}: group merges");
             assert_eq!(stats.dead_exprs, 0, "{tag}: retired expressions");
         }
-    }
-}
-
-/// Cancels a token once it has seen `after` rule firings: a cancellation
-/// that arrives from outside while the walk is running.
-struct CancelAfter {
-    token: CancelToken,
-    after: u64,
-    fired: Cell<u64>,
-}
-
-impl Tracer for CancelAfter {
-    fn event(&self, e: TraceEvent) {
-        if matches!(e, TraceEvent::RuleFired { .. }) {
-            self.fired.set(self.fired.get() + 1);
-            if self.fired.get() == self.after {
-                self.token.cancel();
-            }
-        }
-    }
-}
-
-/// A budget that runs out inside the bottom-up walk (the first
-/// exploration pass) stamps only the tasks it ran; the rest stay
-/// pending, so exploring again on a fresh budget completes the same
-/// search space. The expression caps trip from inside; a cancellation
-/// arrives from outside, after a number of rule firings.
-#[test]
-fn exploration_resumes_after_a_budget_trip_mid_install() {
-    let (model, query) = toy_chain(6);
-    let mut full = Optimizer::new(&model, SearchOptions::default());
-    full.insert_tree(&query);
-    full.explore();
-
-    let explore = |budget: SearchBudget, tracer: Option<CancelAfter>| {
-        let mut opt = Optimizer::new(
-            &model,
-            SearchOptions {
-                budget,
-                ..SearchOptions::default()
-            },
-        );
-        if let Some(t) = tracer {
-            opt.set_tracer(Box::new(t));
-        }
-        opt.insert_tree(&query);
-        opt.explore();
-        opt
-    };
-    let mut tripped = Vec::new();
-    for cap in [12usize, 20, 35, 60] {
-        let opt = explore(SearchBudget::default().with_max_exprs(cap), None);
-        tripped.push((format!("cap={cap}"), TripReason::ExprLimit, opt));
-    }
-    for after in [3u64, 10] {
-        let token = CancelToken::new();
-        let tracer = CancelAfter {
-            token: token.clone(),
-            after,
-            fired: Cell::new(0),
-        };
-        let opt = explore(SearchBudget::default().with_cancel(token), Some(tracer));
-        tripped.push((format!("cancel after {after}"), TripReason::Cancelled, opt));
-    }
-    for (tag, reason, mut opt) in tripped {
-        assert_eq!(opt.tripped(), Some(reason), "{tag}");
-        assert_eq!(
-            opt.stats().explore_passes,
-            1,
-            "{tag}: tripped inside the walk"
-        );
-        assert!(opt.memo().num_exprs() < full.memo().num_exprs(), "{tag}");
-
-        opt.set_budget(SearchBudget::default());
-        opt.explore();
-        assert_eq!(opt.tripped(), None, "{tag}");
-        assert!(!opt.stats().outcome.is_degraded(), "{tag}");
-        assert_same_search_space(opt.memo(), full.memo(), &format!("resumed {tag}"));
     }
 }

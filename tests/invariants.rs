@@ -47,7 +47,6 @@ proptest! {
         let raw = SearchOptions {
             pruning: false,
             failure_memo: false,
-            promise_ordering: false,
             ..SearchOptions::default()
         };
         let without = optimize(&q, raw);
