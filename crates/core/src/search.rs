@@ -147,11 +147,10 @@ struct GoalFailure {
 /// kept list that is pursued again is not costed again.
 enum Move<M: Model> {
     Alg {
-        rule_idx: usize,
-        /// Index into the per-goal binding arena built alongside the move
-        /// list — bindings are stored once and shared, never cloned per
-        /// move.
-        binding: u32,
+        /// Index into the class's [`Candidates`]: the rule and its
+        /// binding, matched and conditioned once for every goal of the
+        /// class.
+        cand: u32,
         app: AlgApplication<M>,
         local: M::Cost,
         promise: f64,
@@ -203,23 +202,36 @@ impl<M: Model> Exclusion<M> {
     }
 }
 
+/// A class's implementation-rule candidates: every (rule, binding) pair
+/// the matcher streams over the class's expressions whose binding passes
+/// the rule's condition code, in match order. Neither depends on the goal,
+/// so they are found once per class and memo version and shared by every
+/// goal of the class. A binding is stored once per expression: rules with
+/// the same pattern bind the same expressions and share one entry.
+struct Candidates<M: Model> {
+    /// (implementation rule index, index into `bindings`).
+    pairs: Box<[(u32, u32)]>,
+    bindings: Box<[Binding<M>]>,
+}
+
 /// A goal's moves in the order they are pursued (sorted by promise), the
-/// binding arena `Move::Alg` entries index into, and the applications the
-/// excluding vector removed. Boxed slices: a kept list carries no spare
-/// capacity.
+/// class candidates `Move::Alg` entries index into, and the applications
+/// the excluding vector removed. Boxed slices: a kept list carries no
+/// spare capacity.
 struct MoveList<M: Model> {
     moves: Box<[Move<M>]>,
-    bindings: Box<[Binding<M>]>,
+    candidates: Rc<Candidates<M>>,
     exclusions: Box<[Exclusion<M>]>,
 }
 
-/// The vectors a move list and an exploration task are gathered in,
-/// kept empty between uses so their capacity serves every later goal and
-/// task: a list is then copied out in one exact-size allocation per
-/// slice instead of growing one.
+/// The vectors candidates, a move list and an exploration task are
+/// gathered in, kept empty between uses so their capacity serves every
+/// later class, goal and task: each is then copied out in one exact-size
+/// allocation per slice instead of growing one.
 struct Scratch<M: Model> {
-    moves: Vec<Move<M>>,
+    pairs: Vec<(u32, u32)>,
     bindings: Vec<Binding<M>>,
+    moves: Vec<Move<M>>,
     exclusions: Vec<Exclusion<M>>,
     substitutes: Vec<SubstExpr<M>>,
 }
@@ -227,21 +239,24 @@ struct Scratch<M: Model> {
 impl<M: Model> Default for Scratch<M> {
     fn default() -> Self {
         Scratch {
-            moves: Vec::new(),
+            pairs: Vec::new(),
             bindings: Vec::new(),
+            moves: Vec::new(),
             exclusions: Vec::new(),
             substitutes: Vec::new(),
         }
     }
 }
 
-/// The move lists of goals optimized without recording an optimal plan,
-/// for reuse when such a goal is asked again with a looser limit. Valid
-/// for one memo version. Holds at most [`kept_moves_bound`] moves,
-/// dropping the oldest list first, so its footprint stays proportional to
-/// the memo's.
+/// What costing keeps for reuse within one memo version: each class's
+/// [`Candidates`], and the move lists of goals optimized without
+/// recording an optimal plan, for when such a goal is asked again with a
+/// looser limit. The lists hold at most [`kept_moves_bound`] moves,
+/// dropping the oldest list first, so their footprint stays proportional
+/// to the memo's; the candidates are at most one entry per class.
 struct MoveLists<M: Model> {
     version: u64,
+    candidates: FxHashMap<GroupId, Rc<Candidates<M>>>,
     lists: FxHashMap<(GroupId, GoalId), Rc<MoveList<M>>>,
     /// Keys in the order their lists were kept; a key whose list is gone
     /// is skipped when it comes up for eviction.
@@ -254,21 +269,28 @@ impl<M: Model> MoveLists<M> {
     fn new() -> Self {
         MoveLists {
             version: 0,
+            candidates: FxHashMap::default(),
             lists: FxHashMap::default(),
             order: VecDeque::new(),
             moves: 0,
         }
     }
 
-    /// The list kept for `key`, if any, after dropping every list of an
-    /// older memo version: an insertion or merge may add moves to any goal.
-    fn get(&mut self, key: (GroupId, GoalId), version: u64) -> Option<Rc<MoveList<M>>> {
+    /// Drop everything kept for an older memo version: an insertion or
+    /// merge may add candidates to any class and moves to any goal.
+    fn sync(&mut self, version: u64) {
         if self.version != version {
+            self.candidates.clear();
             self.lists.clear();
             self.order.clear();
             self.moves = 0;
             self.version = version;
         }
+    }
+
+    /// The list kept for `key` under memo `version`, if any.
+    fn get(&mut self, key: (GroupId, GoalId), version: u64) -> Option<Rc<MoveList<M>>> {
+        self.sync(version);
         self.lists.get(&key).cloned()
     }
 
@@ -721,20 +743,19 @@ impl<'m, M: Model> Optimizer<'m, M> {
             }
             let pursued = match mv {
                 Move::Alg {
-                    rule_idx,
-                    binding,
-                    app,
-                    local,
-                    ..
-                } => self.pursue_alg(
-                    group,
-                    *rule_idx,
-                    &list.bindings[*binding as usize],
-                    app,
-                    local,
-                    &mut best,
-                    &mut bound,
-                ),
+                    cand, app, local, ..
+                } => {
+                    let (rule_idx, binding) = list.candidates.pairs[*cand as usize];
+                    self.pursue_alg(
+                        group,
+                        rule_idx as usize,
+                        &list.candidates.bindings[binding as usize],
+                        app,
+                        local,
+                        &mut best,
+                        &mut bound,
+                    )
+                }
                 Move::Enf {
                     enf_idx,
                     app,
@@ -816,7 +837,15 @@ impl<'m, M: Model> Optimizer<'m, M> {
             Some(list) => list,
             None => {
                 let mut scratch = std::mem::take(&mut self.scratch);
-                let list = self.generate_moves(group, goal, &mut scratch);
+                let candidates = match self.move_lists.candidates.get(&group) {
+                    Some(c) => Rc::clone(c),
+                    None => {
+                        let c = Rc::new(self.match_candidates(group, &mut scratch));
+                        self.move_lists.candidates.insert(group, Rc::clone(&c));
+                        c
+                    }
+                };
+                let list = self.generate_moves(group, goal, candidates, &mut scratch);
                 self.scratch = scratch;
                 Rc::new(list)
             }
@@ -833,31 +862,16 @@ impl<'m, M: Model> Optimizer<'m, M> {
         list
     }
 
-    /// Generate the algorithm and enforcer moves for a goal in the order
-    /// they are pursued. Bindings stream out of the matcher by reference —
-    /// no intermediate `Vec<Binding>` per (expression, rule) pair, no
-    /// per-move clones; a binding is cloned into the list's arena only if
-    /// at least one move uses it, and once per expression: rules with the
-    /// same pattern bind the same expressions and share one entry.
-    fn generate_moves(
-        &self,
-        group: GroupId,
-        goal: GoalId,
-        scratch: &mut Scratch<M>,
-    ) -> MoveList<M> {
+    /// Match the implementation rules against every expression of class
+    /// `group` and keep the bindings their condition code accepts.
+    /// Bindings stream out of the matcher by reference and are cloned into
+    /// the arena only when accepted, once per expression.
+    fn match_candidates(&self, group: GroupId, scratch: &mut Scratch<M>) -> Candidates<M> {
         let (memo, model) = (&self.memo, self.model);
         let Scratch {
-            moves,
-            bindings,
-            exclusions,
-            ..
+            pairs, bindings, ..
         } = scratch;
-        let goal = memo.goal(goal);
-        let exclude_active = !goal.excluded.is_any();
-
         let ctx = RuleCtx::new(memo);
-        // "there might be some algorithms that can deliver the logical
-        // expression with the desired physical properties".
         for expr in memo.group_exprs(group) {
             let expr_bindings = bindings.len();
             let disc = model.op_discriminant(memo.expr(expr).0);
@@ -871,40 +885,68 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         .iter()
                         .position(|b| b.same_as(binding))
                         .map_or(bindings.len(), |i| expr_bindings + i);
-                    let mut used = false;
-                    for app in rule.applies(binding, &goal.required, &ctx) {
-                        debug_assert!(
-                            app.delivers.satisfies(&goal.required),
-                            "applicability function of {} produced properties {:?} that \
-                             do not satisfy {:?}",
-                            rule.name(),
-                            app.delivers,
-                            goal.required
-                        );
-                        // "algorithms that already applied before
-                        // relaxing the physical properties must not be
-                        // explored again" below an enforcer.
-                        if exclude_active && app.delivers.satisfies(&goal.excluded) {
-                            exclusions.push(Exclusion::Alg {
-                                rule_idx: ri,
-                                delivers: app.delivers,
-                            });
-                            continue;
-                        }
-                        let promise = rule.promise(&app, binding, &ctx);
-                        let local = rule.cost(&app, binding, &ctx);
-                        moves.push(Move::Alg {
-                            rule_idx: ri,
-                            binding: idx as u32,
-                            app,
-                            local,
-                            promise,
-                        });
-                        used = true;
-                    }
-                    if used && idx == bindings.len() {
+                    if idx == bindings.len() {
                         bindings.push(binding.clone());
                     }
+                    pairs.push((ri as u32, idx as u32));
+                });
+            }
+        }
+        Candidates {
+            pairs: pairs.drain(..).collect(),
+            bindings: bindings.drain(..).collect(),
+        }
+    }
+
+    /// Generate the algorithm and enforcer moves for a goal in the order
+    /// they are pursued: each of the class's candidates is asked what it
+    /// `applies` for the goal, and each application its promise and cost.
+    fn generate_moves(
+        &self,
+        group: GroupId,
+        goal: GoalId,
+        candidates: Rc<Candidates<M>>,
+        scratch: &mut Scratch<M>,
+    ) -> MoveList<M> {
+        let (memo, model) = (&self.memo, self.model);
+        let Scratch {
+            moves, exclusions, ..
+        } = scratch;
+        let goal = memo.goal(goal);
+        let exclude_active = !goal.excluded.is_any();
+
+        let ctx = RuleCtx::new(memo);
+        // "there might be some algorithms that can deliver the logical
+        // expression with the desired physical properties".
+        for (k, &(ri, bi)) in candidates.pairs.iter().enumerate() {
+            let rule = &model.implementations()[ri as usize];
+            let binding = &candidates.bindings[bi as usize];
+            for app in rule.applies(binding, &goal.required, &ctx) {
+                debug_assert!(
+                    app.delivers.satisfies(&goal.required),
+                    "applicability function of {} produced properties {:?} that \
+                     do not satisfy {:?}",
+                    rule.name(),
+                    app.delivers,
+                    goal.required
+                );
+                // "algorithms that already applied before relaxing the
+                // physical properties must not be explored again" below an
+                // enforcer.
+                if exclude_active && app.delivers.satisfies(&goal.excluded) {
+                    exclusions.push(Exclusion::Alg {
+                        rule_idx: ri as usize,
+                        delivers: app.delivers,
+                    });
+                    continue;
+                }
+                let promise = rule.promise(&app, binding, &ctx);
+                let local = rule.cost(&app, binding, &ctx);
+                moves.push(Move::Alg {
+                    cand: k as u32,
+                    app,
+                    local,
+                    promise,
                 });
             }
         }
@@ -941,7 +983,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         }
         MoveList {
             moves: moves.drain(..).collect(),
-            bindings: bindings.drain(..).collect(),
+            candidates,
             exclusions: exclusions.drain(..).collect(),
         }
     }

@@ -233,7 +233,7 @@ fn single_operator_regions_over_opaque_inputs_agree() {
     let sort = |input: RelPlan, keys: Vec<AttrId>| {
         node(
             &like,
-            RelAlg::Sort(keys.clone()),
+            RelAlg::Sort(keys.as_slice().into()),
             vec![input],
             RelProps::sorted(keys),
         )

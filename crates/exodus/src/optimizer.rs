@@ -541,8 +541,8 @@ impl<'m> Search<'m> {
         let sort_cost = formulas::sort(logical);
         let total = plan.cost.add(&sort_cost);
         let sorted = Plan {
-            alg: RelAlg::Sort(order_by.to_vec()),
-            delivered: RelProps::sorted(order_by.to_vec()),
+            alg: RelAlg::Sort(order_by.into()),
+            delivered: RelProps::sorted(order_by),
             local_cost: sort_cost,
             cost: total,
             group: GroupId::from_index(root.0 as usize),
@@ -580,7 +580,7 @@ impl<'m> Search<'m> {
                     _ => vec![],
                 };
                 child = Plan {
-                    alg: RelAlg::Sort(keys.clone()),
+                    alg: RelAlg::Sort(keys.as_slice().into()),
                     delivered: RelProps::sorted(keys),
                     local_cost: sc,
                     cost: total,

@@ -15,6 +15,7 @@ use volcano_core::model::Algorithm;
 use crate::ids::{AttrId, TableId};
 use crate::ops::AggSpec;
 use crate::predicate::{JoinPred, Pred};
+use crate::props::SortOrder;
 
 /// Physical operators of the relational model.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -81,7 +82,7 @@ pub enum RelAlg {
     FinalHashAggregate(AggSpec),
     /// The sort **enforcer**: performs no logical data manipulation, only
     /// establishes an ordering (§2.2).
-    Sort(Vec<AttrId>),
+    Sort(SortOrder),
     /// The gather **enforcer**: merges the `n` partitions of a parallel
     /// subplan back into one serial stream — the paper's exchange
     /// operator, restricted to the merge direction. Like `Sort`, it

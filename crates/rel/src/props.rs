@@ -180,6 +180,114 @@ impl RelLogical {
     }
 }
 
+/// How many attributes a [`SortOrder`] holds in place.
+const INLINE: usize = 4;
+
+/// A sort order, major attribute first: what [`RelProps::sort`] and the
+/// sort enforcer ([`crate::RelAlg::Sort`]) hold.
+///
+/// Up to four attributes are stored in place, so building, cloning and
+/// dropping such an order never allocates; a longer order is shared, so
+/// cloning it is a reference-count increment. It dereferences to its
+/// attributes, and compares, hashes and prints exactly as that slice (and
+/// so as a `Vec<AttrId>` of the same attributes): goal interning, EXPLAIN
+/// and plan output do not see the representation.
+#[derive(Clone)]
+pub struct SortOrder(Order);
+
+#[derive(Clone)]
+enum Order {
+    /// The first `len` slots are the order; the rest are filler.
+    Inline(u8, [AttrId; INLINE]),
+    Shared(Arc<[AttrId]>),
+}
+
+impl SortOrder {
+    /// The empty order: no requirement.
+    pub const fn empty() -> Self {
+        SortOrder(Order::Inline(0, [AttrId(0); INLINE]))
+    }
+}
+
+impl Default for SortOrder {
+    fn default() -> Self {
+        SortOrder::empty()
+    }
+}
+
+impl std::ops::Deref for SortOrder {
+    type Target = [AttrId];
+
+    fn deref(&self) -> &[AttrId] {
+        match &self.0 {
+            Order::Inline(len, slots) => &slots[..usize::from(*len)],
+            Order::Shared(attrs) => attrs,
+        }
+    }
+}
+
+impl FromIterator<AttrId> for SortOrder {
+    /// Collects in place while the order fits, and spills to a shared
+    /// slice only past four attributes.
+    fn from_iter<I: IntoIterator<Item = AttrId>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut slots = [AttrId(0); INLINE];
+        for len in 0..=INLINE {
+            let Some(a) = iter.next() else {
+                return SortOrder(Order::Inline(len as u8, slots));
+            };
+            if len == INLINE {
+                let spilled: Vec<AttrId> = slots.into_iter().chain([a]).chain(iter).collect();
+                return SortOrder(Order::Shared(spilled.into()));
+            }
+            slots[len] = a;
+        }
+        unreachable!("the loop returns once the order is complete or spilled")
+    }
+}
+
+impl From<&[AttrId]> for SortOrder {
+    fn from(attrs: &[AttrId]) -> Self {
+        attrs.iter().copied().collect()
+    }
+}
+
+impl From<Vec<AttrId>> for SortOrder {
+    fn from(attrs: Vec<AttrId>) -> Self {
+        if attrs.len() <= INLINE {
+            attrs.as_slice().into()
+        } else {
+            SortOrder(Order::Shared(attrs.into()))
+        }
+    }
+}
+
+impl<const N: usize> From<[AttrId; N]> for SortOrder {
+    fn from(attrs: [AttrId; N]) -> Self {
+        attrs.into_iter().collect()
+    }
+}
+
+impl PartialEq for SortOrder {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SortOrder {}
+
+impl std::hash::Hash for SortOrder {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl std::fmt::Debug for SortOrder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// The relational physical property vector: an ordering requirement and
 /// a parallel degree.
 ///
@@ -200,7 +308,7 @@ impl RelLogical {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RelProps {
     /// Required/delivered sort order, major attribute first.
-    pub sort: Vec<AttrId>,
+    pub sort: SortOrder,
     /// Required/delivered parallel degree (1 = serial).
     pub parallel: u32,
 }
@@ -213,9 +321,9 @@ impl Default for RelProps {
 
 impl RelProps {
     /// A sort requirement (serial, like all sorted streams here).
-    pub fn sorted(attrs: Vec<AttrId>) -> Self {
+    pub fn sorted(attrs: impl Into<SortOrder>) -> Self {
         RelProps {
-            sort: attrs,
+            sort: attrs.into(),
             parallel: 1,
         }
     }
@@ -224,7 +332,7 @@ impl RelProps {
     /// morsels, no ordering.
     pub fn parallel(n: u32) -> Self {
         RelProps {
-            sort: Vec::new(),
+            sort: SortOrder::empty(),
             parallel: n.max(1),
         }
     }
@@ -240,8 +348,8 @@ impl RelProps {
     }
 
     /// Would a serial stream sorted on `attrs` satisfy this requirement?
-    /// The answer of `RelProps::sorted(attrs.to_vec()).satisfies(self)`,
-    /// without building the vector.
+    /// The answer of `RelProps::sorted(attrs).satisfies(self)`, without
+    /// building the vector.
     pub(crate) fn met_by_sort(&self, attrs: &[AttrId]) -> bool {
         self.parallel == 1 && attrs.starts_with(&self.sort)
     }
@@ -250,7 +358,7 @@ impl RelProps {
 impl PhysicalProps for RelProps {
     fn any() -> Self {
         RelProps {
-            sort: Vec::new(),
+            sort: SortOrder::empty(),
             parallel: 1,
         }
     }
@@ -263,6 +371,7 @@ impl PhysicalProps for RelProps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RelAlg;
 
     fn a(i: u32) -> AttrId {
         AttrId(i)
@@ -296,9 +405,67 @@ mod tests {
         assert!(ab.satisfies(&RelProps::any()));
         assert!(ab.satisfies(&ab));
         for required in [&ab, &just_a, &ba, &RelProps::any(), &RelProps::parallel(2)] {
-            for attrs in [&ab.sort, &just_a.sort, &ba.sort, &Vec::new()] {
+            for attrs in [&ab.sort, &just_a.sort, &ba.sort, &SortOrder::empty()] {
                 let sorted = RelProps::sorted(attrs.clone());
                 assert_eq!(required.met_by_sort(attrs), sorted.satisfies(required));
+            }
+        }
+    }
+
+    fn hash_of<T: std::hash::Hash + ?Sized>(x: &T) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(x)
+    }
+
+    /// Orders of every length from empty to well past the inline
+    /// capacity, descending and ascending.
+    fn orders() -> Vec<Vec<AttrId>> {
+        (0..=7)
+            .flat_map(|n| [(0..n).map(|i| a(10 - i)).collect(), (0..n).map(a).collect()])
+            .collect()
+    }
+
+    #[test]
+    fn sort_orders_equal_hash_and_print_as_their_attributes() {
+        for attrs in orders() {
+            let built = [
+                SortOrder::from(attrs.clone()),
+                SortOrder::from(attrs.as_slice()),
+                attrs.iter().copied().collect(),
+            ];
+            for o in &built {
+                assert_eq!(&o[..], &attrs[..]);
+                assert_eq!(o, &built[0]);
+                // Hashing as the slice: a `Vec` of the same attributes
+                // hashes the same, so goal interning does not change.
+                assert_eq!(hash_of(o), hash_of(&attrs));
+                assert_eq!(format!("{o:?}"), format!("{attrs:?}"));
+                let props = RelProps::sorted(o.clone());
+                assert_eq!(format!("{props:?}"), format!("{:?}", RelProps::sorted(attrs.clone())));
+                assert_eq!(hash_of(&props), hash_of(&RelProps::sorted(attrs.clone())));
+            }
+            // A clone is equal whether it copied the order or shared it.
+            assert_eq!(built[0].clone(), built[0]);
+        }
+        assert_eq!(SortOrder::from([a(1), a(2)]), SortOrder::from(vec![a(1), a(2)]));
+        assert_ne!(SortOrder::from([a(1), a(2)]), SortOrder::from([a(2), a(1)]));
+        assert_eq!(format!("{:?}", SortOrder::empty()), "[]");
+        assert_eq!(
+            format!("{:?}", RelAlg::Sort(SortOrder::from([a(3), a(4)]))),
+            format!("Sort({:?})", vec![a(3), a(4)])
+        );
+    }
+
+    #[test]
+    fn satisfies_and_met_by_sort_are_prefix_cover_at_every_length() {
+        let orders = orders();
+        for req in &orders {
+            for have in &orders {
+                let expected = have.starts_with(req);
+                let (r, h) = (RelProps::sorted(req.clone()), RelProps::sorted(have.clone()));
+                assert_eq!(h.satisfies(&r), expected, "{have:?} for {req:?}");
+                assert_eq!(r.met_by_sort(have), expected, "{have:?} for {req:?}");
+                assert!(!h.satisfies(&RelProps::parallel(2)));
             }
         }
     }

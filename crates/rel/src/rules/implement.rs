@@ -12,10 +12,9 @@ use volcano_core::{AlgApplication, Binding, ImplementationRule, Pattern, Physica
 
 use crate::alg::RelAlg;
 use crate::cost::{formulas, RelCost};
-use crate::ids::AttrId;
 use crate::model::RelModel;
 use crate::ops::{rel_disc, RelOp};
-use crate::props::{RelLogical, RelProps};
+use crate::props::{RelLogical, RelProps, SortOrder};
 
 type App = AlgApplication<RelModel>;
 type Ctx<'a> = RuleCtx<'a, RelModel>;
@@ -35,18 +34,20 @@ fn input_props<'a>(ctx: &Ctx<'a>, b: &Bind, i: usize) -> &'a RelLogical {
 /// the §3 facility for binary operators where "the actual physical
 /// properties of the inputs are not as important as the consistency of
 /// physical properties among the inputs". With one order the given
-/// lists are all that is built.
+/// orders are all that is built; orders of up to four keys never
+/// allocate.
 fn key_orders(
-    left: Vec<AttrId>,
-    right: Vec<AttrId>,
+    left: SortOrder,
+    right: SortOrder,
     variants: usize,
-) -> impl Iterator<Item = (Vec<AttrId>, Vec<AttrId>)> {
-    let swapped = (variants >= 2 && left.len() >= 2).then(|| {
-        let (mut l, mut r) = (left.clone(), right.clone());
-        l.swap(0, 1);
-        r.swap(0, 1);
-        (l, r)
-    });
+) -> impl Iterator<Item = (SortOrder, SortOrder)> {
+    let swap = |o: &SortOrder| -> SortOrder {
+        [o[1], o[0]]
+            .into_iter()
+            .chain(o[2..].iter().copied())
+            .collect()
+    };
+    let swapped = (variants >= 2 && left.len() >= 2).then(|| (swap(&left), swap(&right)));
     std::iter::once((left, right)).chain(swapped)
 }
 
@@ -153,7 +154,7 @@ impl ImplementationRule<RelModel> for IndexScanRule {
             .iter()
             .filter(|c| c.indexed)
             .filter_map(|c| {
-                let delivers = RelProps::sorted(vec![c.attr]);
+                let delivers = RelProps::sorted([c.attr]);
                 if !delivers.satisfies(required) {
                     return None;
                 }
@@ -409,7 +410,9 @@ impl ImplementationRule<RelModel> for MergeJoinRule {
         if p.is_cross() {
             return vec![];
         }
-        key_orders(p.left_attrs(), p.right_attrs(), self.variants)
+        let left = p.pairs().iter().map(|&(l, _)| l).collect();
+        let right = p.pairs().iter().map(|&(_, r)| r).collect();
+        key_orders(left, right, self.variants)
             .filter_map(|(left, right)| {
                 // The output is sorted on the left keys AND, because the
                 // keys are pairwise equal, equivalently on the right keys:
@@ -784,13 +787,13 @@ impl ImplementationRule<RelModel> for MergeSetOpRule {
     }
 
     fn applies(&self, b: &Bind, required: &RelProps, ctx: &Ctx<'_>) -> Vec<App> {
-        let lcols: Vec<AttrId> = ctx
+        let lcols: SortOrder = ctx
             .logical_props(b.input_group(0))
             .cols
             .iter()
             .map(|c| c.attr)
             .collect();
-        let rcols: Vec<AttrId> = ctx
+        let rcols: SortOrder = ctx
             .logical_props(b.input_group(1))
             .cols
             .iter()
@@ -919,13 +922,13 @@ impl ImplementationRule<RelModel> for StreamAggRule {
         let RelOp::Aggregate(spec) = &b.op else {
             unreachable!()
         };
-        let delivers = RelProps::sorted(spec.group_by.clone());
+        let delivers = RelProps::sorted(spec.group_by.as_slice());
         if !delivers.satisfies(required) {
             return vec![];
         }
         vec![App {
             alg: RelAlg::StreamAggregate(spec.clone()),
-            input_props: vec![RelProps::sorted(spec.group_by.clone())],
+            input_props: vec![delivers.clone()],
             delivers,
         }]
     }
