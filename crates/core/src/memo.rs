@@ -147,11 +147,16 @@ impl<M: Model> std::fmt::Debug for WinnerPlan<M> {
 pub enum Winner<M: Model> {
     /// The optimal plan and its cost.
     Optimal(WinnerPlan<M>),
-    /// No plan exists within `tried`: any future request with the same or
-    /// a lower cost limit can fail immediately.
+    /// No plan exists within `tried`, and none costs less than `bound`:
+    /// any future request whose cost limit is no more permissive than
+    /// `tried`, or does not admit `bound`, can fail immediately.
     Failure {
         /// The most permissive limit under which optimization has failed.
         tried: Limit<M::Cost>,
+        /// The least cost the failed search proved every plan of the goal
+        /// needs (a lower bound on its optimum); `None` when it proved
+        /// that the goal has no plan at any cost.
+        bound: Option<M::Cost>,
     },
 }
 
@@ -159,8 +164,9 @@ impl<M: Model> Clone for Winner<M> {
     fn clone(&self) -> Self {
         match self {
             Winner::Optimal(p) => Winner::Optimal(p.clone()),
-            Winner::Failure { tried } => Winner::Failure {
+            Winner::Failure { tried, bound } => Winner::Failure {
                 tried: tried.clone(),
+                bound: bound.clone(),
             },
         }
     }
@@ -170,7 +176,9 @@ impl<M: Model> std::fmt::Debug for Winner<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Winner::Optimal(p) => write!(f, "Optimal({p:?})"),
-            Winner::Failure { tried } => write!(f, "Failure(tried={tried:?})"),
+            Winner::Failure { tried, bound } => {
+                write!(f, "Failure(tried={tried:?}, bound={bound:?})")
+            }
         }
     }
 }
@@ -777,12 +785,24 @@ impl<M: Model> Memo<M> {
             }
             (Some(Winner::Optimal(a)), Winner::Failure { .. }) => Winner::Optimal(a),
             (Some(Winner::Failure { .. }), Winner::Optimal(b)) => Winner::Optimal(b),
-            (Some(Winner::Failure { tried: a }), Winner::Failure { tried: b }) => {
-                if b.at_least_as_permissive_as(&a) {
-                    Winner::Failure { tried: b }
-                } else {
-                    Winner::Failure { tried: a }
-                }
+            (
+                Some(Winner::Failure {
+                    tried: a,
+                    bound: a_bound,
+                }),
+                Winner::Failure {
+                    tried: b,
+                    bound: b_bound,
+                },
+            ) => {
+                // The merged class's plans are both classes' plans, so only
+                // the lesser bound holds for all of them.
+                let bound = match (a_bound, b_bound) {
+                    (Some(x), Some(y)) => Some(if y.cheaper_than(&x) { y } else { x }),
+                    (x, y) => x.or(y),
+                };
+                let tried = if b.at_least_as_permissive_as(&a) { b } else { a };
+                Winner::Failure { tried, bound }
             }
         };
         self.groups[gi].winners.insert(goal, merged);

@@ -133,12 +133,43 @@ impl Default for SearchOptions {
 }
 
 /// Why a goal could not be satisfied (internal).
-struct GoalFailure {
+struct GoalFailure<C> {
     /// `true` when the failure is a proven fact for this goal and limit
     /// (safe to memoize); `false` when it is an artifact of cycle
     /// breaking ("in progress" marks) or of greedy completion under a
     /// move limit, and must not poison the memo.
     memoizable: bool,
+    /// The least cost the failure proved every plan of the goal needs;
+    /// `None` when it proved there is no plan at any cost. Meaningful
+    /// only when `memoizable`.
+    bound: Option<C>,
+}
+
+impl<C> GoalFailure<C> {
+    /// A proven failure: no plan of the goal costs less than `bound`.
+    fn proven(bound: Option<C>) -> Self {
+        GoalFailure {
+            memoizable: true,
+            bound,
+        }
+    }
+
+    /// A failure that proves nothing (see `memoizable`).
+    fn artifact() -> Self {
+        GoalFailure {
+            memoizable: false,
+            bound: None,
+        }
+    }
+}
+
+/// Lower `least`, the least cost a failing goal's moves have been proven
+/// to need so far (`None`: no move has proven any, so no plan yet), to
+/// `c`.
+fn lower<C: Cost>(least: &mut Option<C>, c: C) {
+    if least.as_ref().is_none_or(|l| c.cheaper_than(l)) {
+        *least = Some(c);
+    }
 }
 
 /// One move the engine may pursue for a goal (§3: "three sets of possible
@@ -652,7 +683,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         group: GroupId,
         goal: GoalId,
         limit: Limit<M::Cost>,
-    ) -> Result<M::Cost, GoalFailure> {
+    ) -> Result<M::Cost, GoalFailure<M::Cost>> {
         let group = self.memo.repr(group);
 
         // "if the pair LogExpr and PhysProp is in the look-up table ..."
@@ -680,11 +711,15 @@ impl<'m, M: Model> Optimizer<'m, M> {
                                 kind: MemoHitKind::Failure,
                             });
                         }
-                        Err(GoalFailure { memoizable: true })
+                        Err(GoalFailure::proven(Some(p.total_cost.clone())))
                     };
                 }
-                Winner::Failure { tried } => {
-                    if tried.at_least_as_permissive_as(&limit) {
+                Winner::Failure { tried, bound } => {
+                    // Either fact answers the request: no plan within a
+                    // limit as permissive, or none as cheap as the limit.
+                    let below_bound = bound.as_ref().is_none_or(|b| !limit.admits(b));
+                    if below_bound || tried.at_least_as_permissive_as(&limit) {
+                        let bound = bound.clone();
                         self.stats.failure_hits += 1;
                         if self.tracer.enabled() {
                             self.tracer.event(TraceEvent::MemoHit {
@@ -692,10 +727,11 @@ impl<'m, M: Model> Optimizer<'m, M> {
                                 kind: MemoHitKind::Failure,
                             });
                         }
-                        return Err(GoalFailure { memoizable: true });
+                        return Err(GoalFailure::proven(bound));
                     }
-                    // A more permissive budget than any tried before:
-                    // actual (re-)optimization is required.
+                    // A limit that admits the bound and is more permissive
+                    // than any tried before: actual (re-)optimization is
+                    // required.
                 }
             }
         }
@@ -704,9 +740,12 @@ impl<'m, M: Model> Optimizer<'m, M> {
         // less than its floor, so a limit below the floor fails the goal
         // before any move is generated. A proven fact, hence memoizable;
         // it is not recorded, because the next request checks it in O(1).
-        if self.opts.pruning && !limit.is_unlimited() && !limit.admits(&self.floor(group)) {
-            self.stats.goals_floored += 1;
-            return Err(GoalFailure { memoizable: true });
+        if self.opts.pruning && !limit.is_unlimited() {
+            let floor = self.floor(group);
+            if !limit.admits(&floor) {
+                self.stats.goals_floored += 1;
+                return Err(GoalFailure::proven(Some(floor)));
+            }
         }
 
         // "the current expression and physical property vector is marked
@@ -714,7 +753,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         // guard removes the mark on every exit path.
         let key = (group, goal);
         if self.in_progress.borrow().contains(&key) {
-            return Err(GoalFailure { memoizable: false });
+            return Err(GoalFailure::artifact());
         }
         let _cycle_mark = CycleGuard::mark(&self.in_progress, key);
         self.stats.goals_optimized += 1;
@@ -733,6 +772,9 @@ impl<'m, M: Model> Optimizer<'m, M> {
         let mut best: Option<WinnerPlan<M>> = None;
         let mut bound = limit.clone();
         let mut nonmemoizable_failure = false;
+        // The least cost any move was proven to need, for the failure's
+        // bound should no move find a plan within the limit.
+        let mut least: Option<M::Cost> = None;
         // Greedy completion: under a move limit of `k`, the goal ends once
         // `k` moves have set its best plan.
         let mut improvements_left = self.opts.move_limit.unwrap_or(usize::MAX);
@@ -754,6 +796,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         local,
                         &mut best,
                         &mut bound,
+                        &mut least,
                     )
                 }
                 Move::Enf {
@@ -761,7 +804,9 @@ impl<'m, M: Model> Optimizer<'m, M> {
                     app,
                     local,
                     ..
-                } => self.pursue_enf(group, *enf_idx, app, local, &mut best, &mut bound),
+                } => self.pursue_enf(
+                    group, *enf_idx, app, local, &mut best, &mut bound, &mut least,
+                ),
             };
             match pursued {
                 Ok(true) => improvements_left -= 1,
@@ -787,7 +832,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 if limit.admits(&cost) {
                     Ok(cost)
                 } else {
-                    Err(GoalFailure { memoizable: true })
+                    Err(GoalFailure::proven(Some(cost)))
                 }
             }
             None => {
@@ -803,12 +848,17 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         goal,
                         Winner::Failure {
                             tried: limit.clone(),
+                            bound: least.clone(),
                         },
                     );
                 }
                 self.move_lists
                     .keep(key, list, kept_moves_bound(self.memo.num_exprs()));
-                Err(GoalFailure { memoizable })
+                if memoizable {
+                    Err(GoalFailure::proven(least))
+                } else {
+                    Err(GoalFailure::artifact())
+                }
             }
         };
 
@@ -1005,6 +1055,10 @@ impl<'m, M: Model> Optimizer<'m, M> {
     /// floors of the inputs not yet optimized stays under the bound; each
     /// input's limit is what the bound leaves after both. Returns whether
     /// the move set the best plan, or `Err(nonmemoizable)` when abandoned.
+    /// A move that does not set the best plan lowers `least` to the cost it
+    /// was proven to need: its total if it completed, the accumulated cost
+    /// plus the floors left if it was pruned, and the accumulated cost plus
+    /// the input's bound plus the floors after it if an input failed.
     #[allow(clippy::too_many_arguments)]
     fn pursue_alg(
         &mut self,
@@ -1015,6 +1069,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         local: &M::Cost,
         best: &mut Option<WinnerPlan<M>>,
         bound: &mut Limit<M::Cost>,
+        least: &mut Option<M::Cost>,
     ) -> Result<bool, bool> {
         self.stats.alg_moves += 1;
         let model = self.model;
@@ -1054,21 +1109,25 @@ impl<'m, M: Model> Optimizer<'m, M> {
             M::Cost::zero()
         };
         for (i, (g, props)) in leaves.iter().zip(app.input_props.iter()).enumerate() {
-            if pruning && !bound.admits(&total.add(&rest)) {
-                self.stats.moves_pruned += 1;
-                if traced {
-                    self.tracer.event(TraceEvent::MovePruned {
-                        group,
-                        reason: format!(
-                            "{} via {:?}: accumulated cost {:?} plus input floors {:?} over limit",
-                            rule.name(),
-                            app.alg,
-                            total,
-                            rest
-                        ),
-                    });
+            if pruning {
+                let needed = total.add(&rest);
+                if !bound.admits(&needed) {
+                    self.stats.moves_pruned += 1;
+                    if traced {
+                        self.tracer.event(TraceEvent::MovePruned {
+                            group,
+                            reason: format!(
+                                "{} via {:?}: accumulated cost {:?} plus input floors {:?} over limit",
+                                rule.name(),
+                                app.alg,
+                                total,
+                                rest
+                            ),
+                        });
+                    }
+                    lower(least, needed);
+                    return Err(false);
                 }
-                return Err(false);
             }
             // Interning clones the property vector only the first time
             // this (required, any) combination is ever requested.
@@ -1087,7 +1146,12 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         goal: child_goal,
                     });
                 }
-                Err(f) => return Err(!f.memoizable),
+                Err(f) => {
+                    if let Some(b) = &f.bound {
+                        lower(least, total.add(b).add(&rest));
+                    }
+                    return Err(!f.memoizable);
+                }
             }
         }
 
@@ -1101,6 +1165,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
                 inputs: input_goals.to_vec(),
                 expr: Some(binding.expr),
             });
+        } else {
+            lower(least, total);
         }
         Ok(better)
     }
@@ -1108,8 +1174,9 @@ impl<'m, M: Model> Optimizer<'m, M> {
     /// Pursue an enforcer move of local cost `local`: unless the bound is
     /// below `local` plus the class's floor, subtract its cost from the
     /// bound (§6) and optimize the *same* group for the relaxed property
-    /// vector with the enforced properties excluded. Returns as
-    /// [`Self::pursue_alg`] does.
+    /// vector with the enforced properties excluded. Returns and lowers
+    /// `least` as [`Self::pursue_alg`] does.
+    #[allow(clippy::too_many_arguments)]
     fn pursue_enf(
         &mut self,
         group: GroupId,
@@ -1118,6 +1185,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
         local: &M::Cost,
         best: &mut Option<WinnerPlan<M>>,
         bound: &mut Limit<M::Cost>,
+        least: &mut Option<M::Cost>,
     ) -> Result<bool, bool> {
         self.stats.enforcer_moves += 1;
         let model = self.model;
@@ -1132,7 +1200,8 @@ impl<'m, M: Model> Optimizer<'m, M> {
 
         if self.opts.pruning {
             let floor = self.floor(group);
-            if !bound.admits(&local.add(&floor)) {
+            let needed = local.add(&floor);
+            if !bound.admits(&needed) {
                 self.stats.moves_pruned += 1;
                 if traced {
                     self.tracer.event(TraceEvent::MovePruned {
@@ -1146,6 +1215,7 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         ),
                     });
                 }
+                lower(least, needed);
                 return Err(false);
             }
         }
@@ -1171,10 +1241,17 @@ impl<'m, M: Model> Optimizer<'m, M> {
                         }],
                         expr: None,
                     });
+                } else {
+                    lower(least, total);
                 }
                 Ok(better)
             }
-            Err(f) => Err(!f.memoizable),
+            Err(f) => {
+                if let Some(b) = &f.bound {
+                    lower(least, local.add(b));
+                }
+                Err(!f.memoizable)
+            }
         }
     }
 
