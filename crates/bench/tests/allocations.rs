@@ -20,9 +20,9 @@ static ALLOC: Counting = Counting;
 /// Mean allocations per query (exploring plus costing) this code makes
 /// on the ten queries, with about 10 % headroom.
 const MAX_MEAN_ALLOCS: u64 = if cfg!(debug_assertions) {
-    24_900 // 22 648 measured
+    20_200 // 18 364 measured
 } else {
-    20_800 // 18 892 measured
+    16_100 // 14 608 measured
 };
 
 #[test]

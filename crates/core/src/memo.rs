@@ -786,23 +786,22 @@ impl<M: Model> Memo<M> {
             (Some(Winner::Optimal(a)), Winner::Failure { .. }) => Winner::Optimal(a),
             (Some(Winner::Failure { .. }), Winner::Optimal(b)) => Winner::Optimal(b),
             (
-                Some(Winner::Failure {
-                    tried: a,
-                    bound: a_bound,
-                }),
-                Winner::Failure {
-                    tried: b,
-                    bound: b_bound,
-                },
+                Some(Winner::Failure { tried: a, bound: x }),
+                Winner::Failure { tried: b, bound: y },
             ) => {
-                // The merged class's plans are both classes' plans, so only
-                // the lesser bound holds for all of them.
-                let bound = match (a_bound, b_bound) {
-                    (Some(x), Some(y)) => Some(if y.cheaper_than(&x) { y } else { x }),
-                    (x, y) => x.or(y),
-                };
-                let tried = if b.at_least_as_permissive_as(&a) { b } else { a };
-                Winner::Failure { tried, bound }
+                Winner::Failure {
+                    tried: if b.at_least_as_permissive_as(&a) {
+                        b
+                    } else {
+                        a
+                    },
+                    // The merged class's plans are both classes' plans, so
+                    // only the lesser bound holds for all of them.
+                    bound: match (x, y) {
+                        (Some(x), Some(y)) => Some(if y.cheaper_than(&x) { y } else { x }),
+                        (x, y) => x.or(y),
+                    },
+                }
             }
         };
         self.groups[gi].winners.insert(goal, merged);
@@ -836,7 +835,7 @@ impl<M: Model> Memo<M> {
     /// adds up arena entries and hash-table payloads, and leaves out the
     /// heap behind operator payloads, vector slack, hash-table control
     /// bytes and every table of the optimizer outside the memo (kept move
-    /// lists, watermarks), as well as allocator overhead. The measured
+    /// lists, class candidates, watermarks), as well as allocator overhead. The measured
     /// peak heap of a search is about four times this figure (`fig4`'s
     /// "Work space" table, EXPERIMENTS.md).
     pub fn memory_estimate(&self) -> usize {

@@ -1,7 +1,7 @@
 //! Operator-indexed rule dispatch.
 //!
 //! The inner loops of both exploration (`explore_fixpoint`) and move
-//! generation (`generate_moves`) historically tried *every* rule against
+//! generation (`match_candidates`) historically tried *every* rule against
 //! *every* expression — a Get expression would pattern-match every join
 //! rule just to fail at the root matcher. A [`RuleIndex`] is built once
 //! per [`crate::Optimizer`] and maps each operator *discriminant* (see

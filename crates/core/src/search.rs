@@ -32,25 +32,32 @@
 //! expression is retired; what other queries and rule sets still merge,
 //! and classes that form a cycle, the sweeps finish.
 //!
-//! ## Move lists are generated once
+//! ## Move candidates are matched once per class
 //!
 //! Because exploration runs to its fixpoint before costing starts, the
 //! memo's structure is frozen while goals are costed: costing records
 //! winners and interns goals but never inserts or merges an expression.
 //! A goal's moves depend only on that structure (rules see the memo
-//! through [`RuleCtx`], and no rule reads the winner table), so they are
-//! generated — matched, conditioned, `applies`, `promise`, costed,
-//! sorted — once per (class, goal) and memo version. A goal that ends
-//! without an optimal plan keeps its list, and when it is asked again
-//! with a looser limit (the paper's memoized failure, §3, being
-//! re-optimized) the list is reused. A goal that records an optimal
-//! plan drops its list: the winner table answers every later request.
-//! Any insertion or merge bumps the memo version and clears every list.
-//! The kept lists hold at most as many moves as the memo has expressions
-//! (at least 256); past that the oldest list goes first, and its goal, if
-//! asked again, generates its moves anew. Reuse is invisible in the
-//! statistics and the trace: a reused list counts and replays its
-//! exclusions exactly as a fresh one would.
+//! through [`RuleCtx`], and no rule reads the winner table), and the part
+//! of them that does not depend on the goal does not depend on anything
+//! else: a class's implementation-rule bindings that pass their rule's
+//! `condition` are matched once per class and memo version and shared
+//! (`Rc`) by every goal of the class. Generating a goal's moves then runs
+//! only `applies`, `promise` and `cost` over those candidates, and the
+//! enforcers, and sorts the result.
+//!
+//! That list in turn is generated once per (class, goal) and memo
+//! version. A goal that ends without an optimal plan keeps its list, and
+//! when it is asked again with a looser limit (the paper's memoized
+//! failure, §3, being re-optimized) the list is reused. A goal that
+//! records an optimal plan drops its list: the winner table answers every
+//! later request. Any insertion or merge bumps the memo version and
+//! clears every list and every class's candidates. The kept lists hold at
+//! most as many moves as the memo has expressions (at least 256); past
+//! that the oldest list goes first, and its goal, if asked again,
+//! generates its moves anew. Reuse is invisible in the statistics and the
+//! trace: a reused list counts and replays its exclusions exactly as a
+//! fresh one would, and move order is the matcher's order either way.
 //!
 //! ## Cost floors
 //!
@@ -62,6 +69,20 @@
 //! optimized under what the bound leaves after both), and an enforcer
 //! move once its local cost plus the class's floor does. Zero floors, the
 //! default, leave the search exactly as the paper's.
+//!
+//! A memoized failure carries a bound of the same kind (after Shapiro et
+//! al.'s lower bounds for failed goals). While a goal fails, each of its
+//! moves proves a least cost for every plan through it: the accumulated
+//! cost plus the input floors when the move is pruned, the accumulated
+//! cost plus the failed input's own bound plus the floors after it when an
+//! input fails, and the total when it completes over the limit. The
+//! minimum over the moves is recorded with the failure
+//! ([`Winner::Failure`]'s `bound`; none at all when the goal has no move,
+//! so no plan at any cost). A later request whose limit does not admit
+//! the bound fails at once, where the limit alone would have re-optimized
+//! the goal; one that admits it searches again. Only failures that are
+//! proven facts carry a bound: cycle marks and failures under a move limit
+//! are never memoized, so neither is affected.
 //!
 //! ## Move selection
 //!
@@ -1370,6 +1391,57 @@ mod tests {
             .lists
             .values()
             .all(|l| kept.iter().all(|k| !Rc::ptr_eq(k, l))));
+    }
+
+    #[test]
+    fn a_failure_bound_answers_a_looser_request_below_it() {
+        let model = ToyModel::with_tables(&[("A", 100), ("B", 2000), ("C", 30)]);
+        let tree = join(join(get("A"), get("B")), get("C"));
+        let mut opt = Optimizer::new(&model, SearchOptions::default());
+        let root = opt.insert_tree(&tree);
+        let best = opt
+            .find_best_plan(root, ToyProps::sorted(), None)
+            .unwrap()
+            .cost;
+
+        let mut opt = Optimizer::new(&model, SearchOptions::default());
+        let root = opt.insert_tree(&tree);
+        let tight = 0.5 * best;
+        assert!(opt
+            .find_best_plan(root, ToyProps::sorted(), Some(tight))
+            .is_err());
+        let goal = opt
+            .memo
+            .find_goal(&ToyProps::sorted(), &ToyProps::any())
+            .unwrap();
+        let Some(Winner::Failure {
+            tried,
+            bound: Some(bound),
+        }) = opt.memo.winner(root, goal).cloned()
+        else {
+            panic!("the root's failure was not memoized with a bound");
+        };
+        assert_eq!(tried, Limit::at_most(tight));
+        assert!(
+            tight < bound && bound <= best,
+            "{tight} < {bound} <= {best}"
+        );
+
+        // A limit between the one tried and the bound: the tried limit
+        // alone would re-optimize the root, the bound fails it at once.
+        let between = (tight + bound) / 2.0;
+        assert!(!tried.at_least_as_permissive_as(&Limit::at_most(between)));
+        let (goals, hits) = (opt.stats.goals_optimized, opt.stats.failure_hits);
+        assert!(opt
+            .find_best_plan(root, ToyProps::sorted(), Some(between))
+            .is_err());
+        assert_eq!(opt.stats.goals_optimized, goals);
+        assert_eq!(opt.stats.failure_hits, hits + 1);
+
+        // A limit that admits the bound searches again and finds the plan.
+        let plan = opt.find_best_plan(root, ToyProps::sorted(), Some(best));
+        assert_eq!(plan.unwrap().cost, best);
+        assert!(opt.stats.goals_optimized > goals);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! A goal's moves are generated once per memo version: re-optimizing a
 //! goal after a memoized failure reuses its move list, while the plans,
 //! the statistics and the trace stay those of a search that regenerates
-//! the moves every time.
+//! the moves every time. The implementation-rule bindings behind them are
+//! matched and conditioned once per class and memo version, whatever the
+//! number of goals asked of the class.
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,7 +12,7 @@ use std::sync::Arc;
 use volcano_core::toy::{toy_disc, ToyAlg, ToyModel, ToyOp, ToyProps};
 use volcano_core::trace::{CollectingTracer, TraceEvent};
 use volcano_core::{
-    AlgApplication, Binding, ExprTree, GoalId, ImplementationRule, Optimizer, Pattern,
+    AlgApplication, Binding, ExprTree, GoalId, GroupId, ImplementationRule, Optimizer, Pattern,
     PhysicalProps, Plan, RuleCtx, SearchOptions, SearchStats,
 };
 
@@ -61,10 +63,46 @@ fn optimum(m: &ToyModel, tree: &Tree, required: ToyProps) -> f64 {
 }
 
 /// An implementation rule for `get` that offers no algorithm and counts
-/// how often the engine asks it for applications.
+/// how often the engine asks it for applications (`calls`) and runs its
+/// condition code (`conditions`).
 struct CountingGetRule {
     pattern: Pattern<ToyModel>,
     calls: Arc<AtomicU64>,
+    conditions: Arc<AtomicU64>,
+}
+
+impl CountingGetRule {
+    fn new(calls: &Arc<AtomicU64>, conditions: &Arc<AtomicU64>) -> Self {
+        CountingGetRule {
+            pattern: Pattern::op_disc(
+                "get",
+                vec![toy_disc::GET],
+                |op: &ToyOp| matches!(op, ToyOp::Get(_)),
+                vec![],
+            ),
+            calls: Arc::clone(calls),
+            conditions: Arc::clone(conditions),
+        }
+    }
+}
+
+/// The classes whose every member is a `get`, and how many goals of
+/// theirs the winner table holds.
+fn get_classes(opt: &Optimizer<'_, ToyModel>) -> Vec<(GroupId, usize)> {
+    let memo = opt.memo();
+    memo.group_ids()
+        .into_iter()
+        .filter(|&g| {
+            memo.group_exprs(g)
+                .all(|e| matches!(memo.expr(e).0, ToyOp::Get(_)))
+        })
+        .map(|g| {
+            let goals = (0..memo.num_goals())
+                .filter(|&i| memo.winner(g, GoalId::from_index(i)).is_some())
+                .count();
+            (g, goals)
+        })
+        .collect()
 }
 
 impl ImplementationRule<ToyModel> for CountingGetRule {
@@ -74,6 +112,11 @@ impl ImplementationRule<ToyModel> for CountingGetRule {
 
     fn pattern(&self) -> &Pattern<ToyModel> {
         &self.pattern
+    }
+
+    fn condition(&self, _b: &Binding<ToyModel>, _ctx: &RuleCtx<'_, ToyModel>) -> bool {
+        self.conditions.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     fn applies(
@@ -100,15 +143,8 @@ impl ImplementationRule<ToyModel> for CountingGetRule {
 fn applicability_runs_once_per_goal_however_often_the_goal_is_reoptimized() {
     let mut m = model();
     let calls = Arc::new(AtomicU64::new(0));
-    m.push_implementation(Box::new(CountingGetRule {
-        pattern: Pattern::op_disc(
-            "get",
-            vec![toy_disc::GET],
-            |op: &ToyOp| matches!(op, ToyOp::Get(_)),
-            vec![],
-        ),
-        calls: Arc::clone(&calls),
-    }));
+    let conditions = Arc::new(AtomicU64::new(0));
+    m.push_implementation(Box::new(CountingGetRule::new(&calls, &conditions)));
     let best = optimum(&m, &five_way(), ToyProps::sorted());
     calls.store(0, Ordering::Relaxed);
     let mut opt = Optimizer::new(&m, SearchOptions::default());
@@ -120,26 +156,47 @@ fn applicability_runs_once_per_goal_however_often_the_goal_is_reoptimized() {
     for limit in [0.5 * best, 0.9 * best, best] {
         let _ = opt.find_best_plan(root, ToyProps::sorted(), Some(limit));
     }
-    let memo = opt.memo();
     let s = opt.stats();
     // Every goal entered records a plan or a failure, so more entries
     // than winner-table rows means some goals were optimized again.
-    assert!(s.goals_optimized > memo.winner_count() as u64);
-    let get_goals: usize = memo
-        .group_ids()
-        .into_iter()
-        .filter(|&g| {
-            memo.group_exprs(g)
-                .all(|e| matches!(memo.expr(e).0, ToyOp::Get(_)))
-        })
-        .map(|g| {
-            (0..memo.num_goals())
-                .filter(|&i| memo.winner(g, GoalId::from_index(i)).is_some())
-                .count()
-        })
-        .sum();
+    assert!(s.goals_optimized > opt.memo().winner_count() as u64);
+    let get_goals: usize = get_classes(&opt).iter().map(|&(_, goals)| goals).sum();
     assert!(get_goals > 0);
     assert_eq!(calls.load(Ordering::Relaxed), get_goals as u64);
+}
+
+#[test]
+fn conditions_run_once_per_class_and_memo_version_applicability_once_per_goal() {
+    let mut m = model();
+    let calls = Arc::new(AtomicU64::new(0));
+    let conditions = Arc::new(AtomicU64::new(0));
+    m.push_implementation(Box::new(CountingGetRule::new(&calls, &conditions)));
+    let best = optimum(&m, &five_way(), ToyProps::sorted());
+    calls.store(0, Ordering::Relaxed);
+    conditions.store(0, Ordering::Relaxed);
+
+    let mut opt = Optimizer::new(&m, SearchOptions::default());
+    let root = opt.insert_tree(&five_way());
+    for limit in [0.5 * best, 0.9 * best, best] {
+        let _ = opt.find_best_plan(root, ToyProps::sorted(), Some(limit));
+    }
+    // Each `get` class has one member and so one binding; a class some
+    // goal was costed for holds a winner-table entry per such goal.
+    let costed = get_classes(&opt);
+    let classes = costed.iter().filter(|&&(_, goals)| goals > 0).count() as u64;
+    let goals: usize = costed.iter().map(|&(_, goals)| goals).sum();
+    assert!(
+        goals as u64 > classes,
+        "every get class was asked one goal only"
+    );
+    assert_eq!(conditions.load(Ordering::Relaxed), classes);
+    assert_eq!(calls.load(Ordering::Relaxed), goals as u64);
+
+    // A new relation changes the memo: the next goal costed for a class
+    // matches and conditions its bindings again.
+    let wider = opt.insert_tree(&join(get("F"), five_way()));
+    opt.find_best_plan(wider, ToyProps::sorted(), None).unwrap();
+    assert!(conditions.load(Ordering::Relaxed) > classes);
 }
 
 #[test]

@@ -209,12 +209,6 @@ impl SortOrder {
     }
 }
 
-impl Default for SortOrder {
-    fn default() -> Self {
-        SortOrder::empty()
-    }
-}
-
 impl std::ops::Deref for SortOrder {
     type Target = [AttrId];
 
@@ -232,17 +226,16 @@ impl FromIterator<AttrId> for SortOrder {
     fn from_iter<I: IntoIterator<Item = AttrId>>(iter: I) -> Self {
         let mut iter = iter.into_iter();
         let mut slots = [AttrId(0); INLINE];
-        for len in 0..=INLINE {
-            let Some(a) = iter.next() else {
-                return SortOrder(Order::Inline(len as u8, slots));
-            };
+        let mut len = 0;
+        while let Some(a) = iter.next() {
             if len == INLINE {
                 let spilled: Vec<AttrId> = slots.into_iter().chain([a]).chain(iter).collect();
                 return SortOrder(Order::Shared(spilled.into()));
             }
             slots[len] = a;
+            len += 1;
         }
-        unreachable!("the loop returns once the order is complete or spilled")
+        SortOrder(Order::Inline(len as u8, slots))
     }
 }
 
@@ -254,11 +247,7 @@ impl From<&[AttrId]> for SortOrder {
 
 impl From<Vec<AttrId>> for SortOrder {
     fn from(attrs: Vec<AttrId>) -> Self {
-        if attrs.len() <= INLINE {
-            attrs.as_slice().into()
-        } else {
-            SortOrder(Order::Shared(attrs.into()))
-        }
+        attrs.into_iter().collect()
     }
 }
 
@@ -441,13 +430,19 @@ mod tests {
                 assert_eq!(hash_of(o), hash_of(&attrs));
                 assert_eq!(format!("{o:?}"), format!("{attrs:?}"));
                 let props = RelProps::sorted(o.clone());
-                assert_eq!(format!("{props:?}"), format!("{:?}", RelProps::sorted(attrs.clone())));
+                assert_eq!(
+                    format!("{props:?}"),
+                    format!("{:?}", RelProps::sorted(attrs.clone()))
+                );
                 assert_eq!(hash_of(&props), hash_of(&RelProps::sorted(attrs.clone())));
             }
             // A clone is equal whether it copied the order or shared it.
             assert_eq!(built[0].clone(), built[0]);
         }
-        assert_eq!(SortOrder::from([a(1), a(2)]), SortOrder::from(vec![a(1), a(2)]));
+        assert_eq!(
+            SortOrder::from([a(1), a(2)]),
+            SortOrder::from(vec![a(1), a(2)])
+        );
         assert_ne!(SortOrder::from([a(1), a(2)]), SortOrder::from([a(2), a(1)]));
         assert_eq!(format!("{:?}", SortOrder::empty()), "[]");
         assert_eq!(
@@ -462,7 +457,10 @@ mod tests {
         for req in &orders {
             for have in &orders {
                 let expected = have.starts_with(req);
-                let (r, h) = (RelProps::sorted(req.clone()), RelProps::sorted(have.clone()));
+                let (r, h) = (
+                    RelProps::sorted(req.clone()),
+                    RelProps::sorted(have.clone()),
+                );
                 assert_eq!(h.satisfies(&r), expected, "{have:?} for {req:?}");
                 assert_eq!(r.met_by_sort(have), expected, "{have:?} for {req:?}");
                 assert!(!h.satisfies(&RelProps::parallel(2)));

@@ -6,8 +6,15 @@
 //! bound is checked against the optimum of every class of the memo, for
 //! every goal the search can ask of a class (serial, and the parallel
 //! degree the model offers), from a search with pruning off.
+//!
+//! The same holds for the bound a memoized failure keeps
+//! (`Winner::Failure::bound`): a later request whose limit does not admit
+//! it fails without search, so a bound above the goal's optimum would
+//! lose that plan. Every recorded bound is checked against the optimum
+//! of its (class, goal) from a search with pruning off.
 
-use volcano::core::{Cost, PhysicalProps, SearchOptions};
+use volcano::core::memo::Winner;
+use volcano::core::{Cost, GoalId, PhysicalProps, SearchOptions};
 use volcano::rel::{
     Catalog, ColumnDef, RelCost, RelExpr, RelModel, RelModelOptions, RelOptimizer, RelPlan,
     RelProps,
@@ -118,6 +125,109 @@ fn star_sql_class_floors_bound_every_optimum() {
             assert_floors_hold(&model, &q.expr, &goals[..degree as usize], &tag);
         }
     }
+}
+
+/// Optimize `expr` for each of `goals` with pruning on, under no limit
+/// and under limits below the optimum (each in a fresh optimizer, so the
+/// root is searched, not answered by its winner), and assert that every
+/// failure the searches memoized keeps a bound no higher than the
+/// optimum an unpruned search finds for the same class and goal — and,
+/// when the bound says the goal has no plan at all, that the unpruned
+/// search found none. Returns how many recorded failures were checked.
+fn assert_failure_bounds_hold(
+    model: &RelModel,
+    expr: &RelExpr,
+    goals: &[RelProps],
+    tag: &str,
+) -> usize {
+    let mut plain = RelOptimizer::new(model, unpruned());
+    let plain_root = plain.insert_tree(expr);
+    let mut optima = Vec::new();
+    for goal in goals {
+        let plan = plain.find_best_plan(plain_root, goal.clone(), None);
+        optima.push(plan.map(|p| p.cost));
+    }
+    let mut checked = 0;
+    for (goal, optimum) in goals.iter().zip(&optima) {
+        let Ok(optimum) = optimum else { continue };
+        for factor in [None, Some(0.9), Some(0.5)] {
+            let mut opt = RelOptimizer::new(model, SearchOptions::default());
+            let root = opt.insert_tree(expr);
+            assert_eq!(root, plain_root);
+            let limit = factor.map(|f| RelCost::io(optimum.total() * f));
+            let _ = opt.find_best_plan(root, goal.clone(), limit);
+            let memo = opt.memo();
+            // Exploration does not depend on pruning, so both memos number
+            // their classes alike; goals are matched by their properties.
+            assert_eq!(
+                memo.num_allocated_groups(),
+                plain.memo().num_allocated_groups()
+            );
+            for g in memo.group_ids() {
+                for i in 0..memo.num_goals() {
+                    let id = GoalId::from_index(i);
+                    let Some(Winner::Failure { bound, .. }) = memo.winner(g, id) else {
+                        continue;
+                    };
+                    let want = memo.goal(id);
+                    let Some(pid) = plain.memo().find_goal(&want.required, &want.excluded) else {
+                        continue;
+                    };
+                    let Some(Winner::Optimal(best)) = plain.memo().winner(g, pid) else {
+                        continue;
+                    };
+                    let bound = bound.as_ref().unwrap_or_else(|| {
+                        panic!("{tag}: class {g:?} {want:?} has a plan, yet its failure found none")
+                    });
+                    assert!(
+                        bound.cheaper_or_equal(&best.total_cost),
+                        "{tag} limit {factor:?}: class {g:?} {want:?} failure bound {} above its \
+                         optimum {}",
+                        bound.total(),
+                        best.total_cost.total()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    checked
+}
+
+#[test]
+fn fig4_failure_bounds_bound_every_optimum() {
+    let model_opts = RelModelOptions::paper_fig4();
+    let mut checked = 0;
+    for n in 2..=7 {
+        for seed in 0..4 {
+            let q = generate_query(&WorkloadConfig::relations(n), seed);
+            let model = RelModel::new(q.catalog.clone(), model_opts.clone());
+            let tag = format!("fig4 n={n} seed={seed}");
+            checked += assert_failure_bounds_hold(&model, &q.expr, &[RelProps::any()], &tag);
+        }
+    }
+    println!("{checked} fig4 failure bounds checked");
+    assert!(checked >= 1000, "only {checked} failure bounds checked");
+}
+
+#[test]
+fn star_sql_failure_bounds_bound_every_optimum() {
+    let mut checked = 0;
+    for degree in [1, 2] {
+        for dims in 1..=6 {
+            let mut catalog = star_catalog();
+            let q = plan_query(&star_sql(dims), &mut catalog).expect("star query plans");
+            let model = RelModel::new(
+                catalog,
+                RelModelOptions::default().with_parallel_degree(degree),
+            );
+            let goals = [RelProps::any(), RelProps::parallel(degree)];
+            let tag = format!("star dims={dims} degree={degree}");
+            checked += assert_failure_bounds_hold(&model, &q.expr, &goals[..degree as usize], &tag);
+        }
+    }
+    println!("{checked} star failure bounds checked");
+    assert!(checked >= 1500, "only {checked} failure bounds checked");
 }
 
 fn best(model: &RelModel, expr: &RelExpr, opts: SearchOptions) -> RelPlan {
