@@ -186,7 +186,7 @@ impl<C> GoalFailure<C> {
 
 /// Lower `least`, the least cost a failing goal's moves have been proven
 /// to need so far (`None`: no move has proven any, so no plan yet), to
-/// `c`.
+/// `c` if `c` is cheaper.
 fn lower<C: Cost>(least: &mut Option<C>, c: C) {
     if least.as_ref().is_none_or(|l| c.cheaper_than(l)) {
         *least = Some(c);
