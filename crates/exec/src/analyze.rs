@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use volcano_rel::value::Tuple;
-use volcano_rel::{Catalog, RelPlan};
+use volcano_rel::{Catalog, RelLogical, RelPlan};
 
 use crate::batch::collect_batches;
 use crate::compile::{compile_node_at, BatchConfig};
@@ -246,7 +246,9 @@ impl Analyzed {
 }
 
 /// Build the instrumented operator tree; measurements are recorded in
-/// pre-order (parent before children).
+/// pre-order (parent before children). Returns the operator with the
+/// node's estimated logical properties, derived once from its children's
+/// ([`volcano_rel::logical_from_inputs`]).
 fn instrument(
     db: &Database,
     sch: &crate::database::SchemaSnapshot,
@@ -254,7 +256,7 @@ fn instrument(
     plan: &RelPlan,
     depth: usize,
     counters: &mut Vec<(NodeMeasurement, Arc<Cell>)>,
-) -> BoxedOperator {
+) -> (BoxedOperator, RelLogical) {
     let cell = Arc::new(Cell::default());
     let slot = counters.len();
     counters.push((
@@ -262,7 +264,7 @@ fn instrument(
             description: volcano_rel::explain::alg_description(catalog, &plan.alg),
             operator: "",
             depth,
-            est_rows: volcano_rel::estimate::estimated_rows(catalog, plan),
+            est_rows: 0.0,
             est_cost: plan.cost.total(),
             actual_rows: 0,
             opens: 0,
@@ -272,14 +274,16 @@ fn instrument(
         },
         cell.clone(),
     ));
-    let children: Vec<BoxedOperator> = plan
+    let (children, inputs): (Vec<BoxedOperator>, Vec<RelLogical>) = plan
         .inputs
         .iter()
         .map(|c| instrument(db, sch, catalog, c, depth + 1, counters))
-        .collect();
+        .unzip();
+    let est = volcano_rel::logical_from_inputs(catalog, &plan.alg, &inputs);
     let op = compile_node_at(db, sch, plan, children);
     counters[slot].0.operator = op.name();
-    Box::new(Instrumented { child: op, cell })
+    counters[slot].0.est_rows = est.card;
+    (Box::new(Instrumented { child: op, cell }), est)
 }
 
 fn drain_counters(counters: Vec<(NodeMeasurement, Arc<Cell>)>) -> Vec<NodeMeasurement> {
@@ -313,7 +317,7 @@ pub fn execute_analyzed_at(
     plan: &RelPlan,
 ) -> Analyzed {
     let mut counters = Vec::new();
-    let mut op = instrument(db, sch, catalog, plan, 0, &mut counters);
+    let (mut op, _) = instrument(db, sch, catalog, plan, 0, &mut counters);
     let rows = collect(op.as_mut());
     Analyzed {
         rows,

@@ -356,11 +356,6 @@ impl Session {
         self.class
     }
 
-    /// Change this session's traffic class.
-    pub fn set_class(&mut self, class: TrafficClass) {
-        self.class = class;
-    }
-
     /// `SET EXECUTOR`: choose the engine for subsequent executions.
     pub fn set_executor(&mut self, engine: Engine) {
         self.engine = engine;
@@ -411,21 +406,9 @@ impl Session {
         n
     }
 
-    /// `DEALLOCATE name`; returns whether the statement existed.
-    pub fn deallocate(&mut self, name: &str) -> bool {
-        self.prepared.remove(name).is_some()
-    }
-
     /// The prepared statement stored under `name`, if any.
     pub fn statement(&self, name: &str) -> Option<&PreparedStatement> {
         self.prepared.get(name)
-    }
-
-    /// Names of this session's prepared statements (sorted).
-    pub fn statement_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.prepared.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names
     }
 
     /// `EXECUTE name (params...)` through admission control.

@@ -1,241 +1,55 @@
-//! Per-node row estimates for *physical* plans.
+//! Per-node estimates for *physical* plans.
 //!
 //! The memo attaches logical properties (including estimated cardinality)
 //! to equivalence classes, but an extracted [`RelPlan`] carries only
-//! algorithms and costs. `EXPLAIN ANALYZE` wants the optimizer's estimate
-//! next to each operator's actual row count, so this module recomputes
-//! the estimates bottom-up over the physical tree with the same
-//! selectivity model the optimizer used — by construction the numbers
-//! match what the search saw.
-
-use std::sync::Arc;
+//! algorithms and costs. `EXPLAIN ANALYZE`, the feedback harvest and the
+//! plan cache's cost-drift guard want each node's estimate, so this module
+//! re-derives them bottom-up over the physical tree with the model's own
+//! derivation: each algorithm maps to the [`RelLogical`] constructor of
+//! the logical operator it implements, the one the search derived its
+//! class with, so under unchanged statistics the numbers are the ones the
+//! search saw.
 
 use volcano_core::cost::Cost as _;
 
 use crate::alg::RelAlg;
-use crate::catalog::{Catalog, ColType};
+use crate::catalog::Catalog;
 use crate::cost::{formulas, RelCost};
 use crate::model::RelModelOptions;
-use crate::ops::{AggFunc, AggSpec};
-use crate::predicate::JoinPred;
-use crate::props::{ColInfo, RelLogical};
-use crate::selectivity::{join_selectivity_with, pred_selectivity_with};
+use crate::props::{AggPhase, RelLogical};
 use crate::RelPlan;
 
-fn join(catalog: &Catalog, l: &RelLogical, r: &RelLogical, p: &JoinPred) -> RelLogical {
-    let mut cols: Vec<ColInfo> = l.cols.as_ref().clone();
-    cols.extend(r.cols.iter().copied());
-    RelLogical {
-        card: l.card * r.card * join_selectivity_with(p, l, r, catalog.feedback()),
-        cols: Arc::new(cols),
-        scans: l.scans.union(&r.scans),
-    }
-}
-
-/// Estimated logical properties of a physical plan node, recomputed
-/// bottom-up from the catalog with the optimizer's selectivity model.
-pub fn estimated_logical(catalog: &Catalog, plan: &RelPlan) -> RelLogical {
-    let inputs: Vec<RelLogical> = plan
-        .inputs
-        .iter()
-        .map(|c| estimated_logical(catalog, c))
-        .collect();
-    logical_from_inputs(catalog, &plan.alg, &inputs)
-}
-
-fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical]) -> RelLogical {
+/// The estimated logical properties of a physical plan node running
+/// `alg` over inputs with the properties `inputs`, under the catalog's
+/// statistics and selectivity memory.
+pub fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical]) -> RelLogical {
+    let memory = catalog.feedback();
     match alg {
         RelAlg::FileScan(t) | RelAlg::IndexScan(t, _) => RelLogical::of_table(catalog, *t),
-        RelAlg::FilterScan(t, pred) => {
-            let base = RelLogical::of_table(catalog, *t);
-            base.with_card(base.card * pred_selectivity_with(pred, &base, catalog.feedback()))
-        }
-        RelAlg::Filter(pred) => {
-            let input = &inputs[0];
-            input.with_card(input.card * pred_selectivity_with(pred, input, catalog.feedback()))
-        }
-        RelAlg::ProjectOp(attrs) => {
-            let input = &inputs[0];
-            RelLogical {
-                card: input.card,
-                cols: Arc::new(
-                    attrs
-                        .iter()
-                        .map(|a| {
-                            *input.col(*a).unwrap_or_else(|| {
-                                panic!("projection references unknown attribute {a:?}")
-                            })
-                        })
-                        .collect(),
-                ),
-                scans: input.scans.clone(),
-            }
-        }
+        RelAlg::FilterScan(t, pred) => RelLogical::of_table(catalog, *t).select(pred, memory),
+        RelAlg::Filter(pred) => inputs[0].select(pred, memory),
+        RelAlg::ProjectOp(attrs) => inputs[0].project(attrs),
         RelAlg::MergeJoin(p) | RelAlg::HybridHashJoin(p) | RelAlg::NestedLoops(p) => {
-            join(catalog, &inputs[0], &inputs[1], p)
+            inputs[0].join(&inputs[1], p, memory)
         }
-        RelAlg::MultiWayHashJoin { inner, outer } => {
-            let ab = join(catalog, &inputs[0], &inputs[1], inner);
-            join(catalog, &ab, &inputs[2], outer)
-        }
-        RelAlg::MergeUnion | RelAlg::HashUnion => {
-            inputs[0].set_op(&inputs[1], inputs[0].card + inputs[1].card)
-        }
-        RelAlg::MergeIntersect | RelAlg::HashIntersect => {
-            inputs[0].set_op(&inputs[1], inputs[0].card.min(inputs[1].card))
-        }
-        RelAlg::MergeDifference | RelAlg::HashDifference => {
-            inputs[0].set_op(&inputs[1], inputs[0].card * 0.5)
-        }
+        RelAlg::MultiWayHashJoin { inner, outer } => inputs[0]
+            .join(&inputs[1], inner, memory)
+            .join(&inputs[2], outer, memory),
+        RelAlg::MergeUnion | RelAlg::HashUnion => inputs[0].union(&inputs[1]),
+        RelAlg::MergeIntersect | RelAlg::HashIntersect => inputs[0].intersect(&inputs[1]),
+        RelAlg::MergeDifference | RelAlg::HashDifference => inputs[0].difference(&inputs[1]),
         RelAlg::StreamAggregate(spec) | RelAlg::HashAggregate(spec) => {
-            let input = &inputs[0];
-            let groups = if spec.group_by.is_empty() {
-                1.0
-            } else {
-                spec.group_by
-                    .iter()
-                    .map(|a| input.distinct(*a))
-                    .product::<f64>()
-                    .min(input.card)
-                    .max(1.0)
-            };
-            let mut cols: Vec<ColInfo> = spec
-                .group_by
-                .iter()
-                .map(|a| {
-                    *input
-                        .col(*a)
-                        .unwrap_or_else(|| panic!("group-by references unknown attribute {a:?}"))
-                })
-                .collect();
-            for (func, out) in &spec.aggs {
-                let ty = match func {
-                    AggFunc::CountStar => ColType::Int,
-                    AggFunc::Avg(_) => ColType::Float,
-                    AggFunc::Sum(a) | AggFunc::Min(a) | AggFunc::Max(a) => {
-                        input.col(*a).map(|c| c.ty).unwrap_or(ColType::Int)
-                    }
-                };
-                cols.push(ColInfo {
-                    attr: *out,
-                    ty,
-                    width: 8,
-                    distinct: groups,
-                });
-            }
-            RelLogical {
-                card: groups,
-                cols: Arc::new(cols),
-                scans: input.scans.clone(),
-            }
+            inputs[0].aggregate(spec, AggPhase::Complete)
         }
+        // The degree rides on the algorithm, so the estimate needs no
+        // optimizer context.
         RelAlg::PartialHashAggregate(spec, degree) => {
-            // Mirrors the model's `PartialAggregate` derivation: up to
-            // `degree` per-worker copies of each group, capped by the
-            // input size. The degree rides on the algorithm so the
-            // re-coster reproduces the search-time estimate without the
-            // optimizer context.
-            let input = &inputs[0];
-            let d_groups = if spec.group_by.is_empty() {
-                1.0
-            } else {
-                spec.group_by
-                    .iter()
-                    .map(|a| input.distinct(*a))
-                    .product::<f64>()
-            };
-            let card = (d_groups * f64::from((*degree).max(1)))
-                .min(input.card)
-                .max(1.0);
-            let mut cols: Vec<ColInfo> = spec
-                .group_by
-                .iter()
-                .map(|a| {
-                    *input
-                        .col(*a)
-                        .unwrap_or_else(|| panic!("group-by references unknown attribute {a:?}"))
-                })
-                .collect();
-            for (func, out) in &spec.aggs {
-                let ty = match func {
-                    AggFunc::CountStar => ColType::Int,
-                    AggFunc::Sum(a) | AggFunc::Min(a) | AggFunc::Max(a) | AggFunc::Avg(a) => {
-                        input.col(*a).map(|c| c.ty).unwrap_or(ColType::Int)
-                    }
-                };
-                cols.push(ColInfo {
-                    attr: *out,
-                    ty,
-                    width: 8,
-                    distinct: card,
-                });
-                if matches!(func, AggFunc::Avg(_)) {
-                    cols.push(ColInfo {
-                        attr: AggSpec::companion_attr(*out),
-                        ty: ColType::Int,
-                        width: 8,
-                        distinct: card,
-                    });
-                }
-            }
-            RelLogical {
-                card,
-                cols: Arc::new(cols),
-                scans: input.scans.clone(),
-            }
+            inputs[0].aggregate(spec, AggPhase::Partial(*degree))
         }
-        RelAlg::FinalHashAggregate(spec) => {
-            // The input carries the partial layout: aggregate
-            // intermediates already sit at the output attribute ids.
-            let input = &inputs[0];
-            let groups = if spec.group_by.is_empty() {
-                1.0
-            } else {
-                spec.group_by
-                    .iter()
-                    .map(|a| input.distinct(*a))
-                    .product::<f64>()
-                    .min(input.card)
-                    .max(1.0)
-            };
-            let mut cols: Vec<ColInfo> = spec
-                .group_by
-                .iter()
-                .map(|a| {
-                    *input
-                        .col(*a)
-                        .unwrap_or_else(|| panic!("group-by references unknown attribute {a:?}"))
-                })
-                .collect();
-            for (func, out) in &spec.aggs {
-                let ty = match func {
-                    AggFunc::CountStar => ColType::Int,
-                    AggFunc::Avg(_) => ColType::Float,
-                    AggFunc::Sum(_) | AggFunc::Min(_) | AggFunc::Max(_) => {
-                        input.col(*out).map(|c| c.ty).unwrap_or(ColType::Int)
-                    }
-                };
-                cols.push(ColInfo {
-                    attr: *out,
-                    ty,
-                    width: 8,
-                    distinct: groups,
-                });
-            }
-            RelLogical {
-                card: groups,
-                cols: Arc::new(cols),
-                scans: input.scans.clone(),
-            }
-        }
+        RelAlg::FinalHashAggregate(spec) => inputs[0].aggregate(spec, AggPhase::Final),
         // Enforcers manipulate no logical data: output = input.
         RelAlg::Sort(_) | RelAlg::Gather(_) => inputs[0].clone(),
     }
-}
-
-/// Estimated output rows of a physical plan node.
-pub fn estimated_rows(catalog: &Catalog, plan: &RelPlan) -> f64 {
-    estimated_logical(catalog, plan).card
 }
 
 /// Re-estimate the total cost of an already-extracted physical plan under
@@ -260,12 +74,11 @@ fn plan_cost_rec(
     options: &RelModelOptions,
     plan: &RelPlan,
 ) -> (RelLogical, RelCost) {
-    let children: Vec<(RelLogical, RelCost)> = plan
+    let (inputs, costs): (Vec<RelLogical>, Vec<RelCost>) = plan
         .inputs
         .iter()
         .map(|c| plan_cost_rec(catalog, options, c))
-        .collect();
-    let inputs: Vec<RelLogical> = children.iter().map(|(l, _)| l.clone()).collect();
+        .unzip();
     let out = logical_from_inputs(catalog, &plan.alg, &inputs);
     let local = match &plan.alg {
         RelAlg::FileScan(_) => formulas::file_scan(&out),
@@ -286,7 +99,7 @@ fn plan_cost_rec(
             formulas::nested_loops(&inputs[0], &inputs[1], &out, p.pairs().len())
         }
         RelAlg::MultiWayHashJoin { inner, .. } => {
-            let mid = join(catalog, &inputs[0], &inputs[1], inner);
+            let mid = inputs[0].join(&inputs[1], inner, catalog.feedback());
             formulas::multiway_hash_join(&inputs[0], &inputs[1], &inputs[2], &mid, &out)
         }
         RelAlg::MergeUnion | RelAlg::MergeIntersect | RelAlg::MergeDifference => {
@@ -307,7 +120,7 @@ fn plan_cost_rec(
     // re-coster must apply the same scaling or the drift guard would see
     // phantom drift on every parallel plan.
     let local = formulas::parallelize(local, plan.delivered.parallel);
-    let total = children.iter().fold(local, |acc, (_, c)| acc.add(c));
+    let total = costs.iter().fold(local, |acc, c| acc.add(c));
     (out, total)
 }
 
@@ -341,20 +154,19 @@ mod tests {
         let root = opt.insert_tree(&expr);
         let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
 
+        // Every node has a positive estimate.
+        fn walk(catalog: &Catalog, p: &RelPlan) -> RelLogical {
+            let inputs: Vec<RelLogical> = p.inputs.iter().map(|c| walk(catalog, c)).collect();
+            let out = logical_from_inputs(catalog, &p.alg, &inputs);
+            assert!(out.card > 0.0);
+            out
+        }
         // Root estimate: 1000 × 1/3 (range) × 20 × 1/20 (join) = 333.3…
-        let est = estimated_rows(&c, &plan);
+        let est = walk(&c, &plan).card;
         assert!(
             (est - 1000.0 / 3.0).abs() < 1e-6,
             "unexpected root estimate {est}"
         );
-        // Every node has a positive estimate.
-        fn walk(catalog: &Catalog, p: &RelPlan) {
-            assert!(estimated_rows(catalog, p) > 0.0);
-            for c in &p.inputs {
-                walk(catalog, c);
-            }
-        }
-        walk(&c, &plan);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use alg::RelAlg;
 pub use builder::QueryBuilder;
 pub use catalog::{Catalog, ColumnDef, TableDef};
 pub use cost::RelCost;
-pub use estimate::{estimated_logical, estimated_plan_cost, estimated_rows};
+pub use estimate::{estimated_plan_cost, logical_from_inputs};
 pub use explain::{explain_expr, explain_plan};
 pub use feedback::{
     geometric_share, join_observations, join_pair_key, observations, pred_observations, term_key,
@@ -60,7 +60,7 @@ pub use ids::{AttrId, TableId};
 pub use model::{JoinSpace, RelModel, RelModelOptions};
 pub use ops::{AggFunc, AggSpec, RelOp};
 pub use predicate::{Cmp, CmpOp, JoinPred, Pred};
-pub use props::{BaseScans, RelLogical, RelProps, SortOrder};
+pub use props::{AggPhase, BaseScans, RelLogical, RelProps, SortOrder};
 pub use value::Value;
 
 /// The logical expression tree type for the relational model.

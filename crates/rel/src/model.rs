@@ -1,14 +1,12 @@
 //! The assembled relational model specification.
 
-use std::sync::Arc;
-
 use volcano_core::model::Model;
 use volcano_core::rules::{Enforcer, ImplementationRule, TransformationRule};
 
-use crate::catalog::{Catalog, ColType};
+use crate::catalog::Catalog;
 use crate::cost::RelCost;
-use crate::ops::{AggFunc, AggSpec, RelOp};
-use crate::props::{ColInfo, RelLogical, RelProps};
+use crate::ops::RelOp;
+use crate::props::{AggPhase, RelLogical, RelProps};
 use crate::rules::implement::{
     FileScanRule, FilterRule, FilterScanRule, FinalHashAggRule, HashAggRule, HashJoinRule,
     HashSetOpRule, IndexScanRule, MergeJoinRule, MergeSetOpRule, MultiWayJoinRule, NestedLoopsRule,
@@ -19,7 +17,6 @@ use crate::rules::transform::{
     SelectPushdown, SetOpAssoc, SetOpCommute,
 };
 use crate::rules::{GatherEnforcer, SortEnforcer};
-use crate::selectivity::{join_selectivity_with, pred_selectivity_with};
 
 /// The relative margin [`RelModel`]'s cost floors are shaved by. A floor
 /// sums the tables' scan I/O in table-id order, a plan in the order of its
@@ -258,190 +255,20 @@ impl Model for RelModel {
     type Cost = RelCost;
 
     fn derive_logical_props(&self, op: &RelOp, inputs: &[&RelLogical]) -> RelLogical {
+        let memory = self.catalog.feedback();
         match op {
             RelOp::Get(t) => RelLogical::of_table(&self.catalog, *t),
-            RelOp::Select(p) => {
-                let input = inputs[0];
-                input.with_card(
-                    input.card * pred_selectivity_with(p, input, self.catalog.feedback()),
-                )
-            }
-            RelOp::Project(attrs) => {
-                let input = inputs[0];
-                RelLogical {
-                    card: input.card,
-                    cols: Arc::new(
-                        attrs
-                            .iter()
-                            .map(|a| {
-                                *input.col(*a).unwrap_or_else(|| {
-                                    panic!("projection references unknown attribute {a:?}")
-                                })
-                            })
-                            .collect(),
-                    ),
-                    scans: input.scans.clone(),
-                }
-            }
-            RelOp::Join(p) => {
-                let (l, r) = (inputs[0], inputs[1]);
-                let mut cols: Vec<ColInfo> = l.cols.as_ref().clone();
-                cols.extend(r.cols.iter().copied());
-                RelLogical {
-                    card: l.card * r.card * join_selectivity_with(p, l, r, self.catalog.feedback()),
-                    cols: Arc::new(cols),
-                    scans: l.scans.union(&r.scans),
-                }
-            }
-            RelOp::Union => inputs[0].set_op(inputs[1], inputs[0].card + inputs[1].card),
-            // Containment, as for equi-joins: the smaller input lies in
-            // the larger. `min` is associative, so every association of
-            // an n-ary intersection derives the same cardinality.
-            RelOp::Intersect => inputs[0].set_op(inputs[1], inputs[0].card.min(inputs[1].card)),
-            RelOp::Difference => inputs[0].set_op(inputs[1], inputs[0].card * 0.5),
-            RelOp::Aggregate(spec) => {
-                let input = inputs[0];
-                let groups = if spec.group_by.is_empty() {
-                    1.0
-                } else {
-                    spec.group_by
-                        .iter()
-                        .map(|a| input.distinct(*a))
-                        .product::<f64>()
-                        .min(input.card)
-                        .max(1.0)
-                };
-                let mut cols: Vec<ColInfo> = spec
-                    .group_by
-                    .iter()
-                    .map(|a| {
-                        *input.col(*a).unwrap_or_else(|| {
-                            panic!("group-by references unknown attribute {a:?}")
-                        })
-                    })
-                    .collect();
-                for (func, out) in &spec.aggs {
-                    let ty = match func {
-                        AggFunc::CountStar => ColType::Int,
-                        AggFunc::Avg(_) => ColType::Float,
-                        AggFunc::Sum(a) | AggFunc::Min(a) | AggFunc::Max(a) => {
-                            input.col(*a).map(|c| c.ty).unwrap_or(ColType::Int)
-                        }
-                    };
-                    cols.push(ColInfo {
-                        attr: *out,
-                        ty,
-                        width: 8,
-                        distinct: groups,
-                    });
-                }
-                RelLogical {
-                    card: groups,
-                    cols: Arc::new(cols),
-                    scans: input.scans.clone(),
-                }
-            }
+            RelOp::Select(p) => inputs[0].select(p, memory),
+            RelOp::Project(attrs) => inputs[0].project(attrs),
+            RelOp::Join(p) => inputs[0].join(inputs[1], p, memory),
+            RelOp::Union => inputs[0].union(inputs[1]),
+            RelOp::Intersect => inputs[0].intersect(inputs[1]),
+            RelOp::Difference => inputs[0].difference(inputs[1]),
+            RelOp::Aggregate(spec) => inputs[0].aggregate(spec, AggPhase::Complete),
             RelOp::PartialAggregate(spec) => {
-                // Per-worker local grouping: up to `degree` copies of each
-                // group survive (one per worker), capped by the input
-                // size. For any degree this keeps the *final* group count
-                // identical to the single-phase derivation —
-                // min(D, min(D·n, card)) = min(D, card) — so the split is
-                // derivation-invariant.
-                let input = inputs[0];
-                let d_groups = if spec.group_by.is_empty() {
-                    1.0
-                } else {
-                    spec.group_by
-                        .iter()
-                        .map(|a| input.distinct(*a))
-                        .product::<f64>()
-                };
-                let degree = f64::from(self.options.parallel_degree.max(1));
-                let card = (d_groups * degree).min(input.card).max(1.0);
-                let mut cols: Vec<ColInfo> = spec
-                    .group_by
-                    .iter()
-                    .map(|a| {
-                        *input.col(*a).unwrap_or_else(|| {
-                            panic!("group-by references unknown attribute {a:?}")
-                        })
-                    })
-                    .collect();
-                for (func, out) in &spec.aggs {
-                    let ty = match func {
-                        AggFunc::CountStar => ColType::Int,
-                        AggFunc::Sum(a) | AggFunc::Min(a) | AggFunc::Max(a) | AggFunc::Avg(a) => {
-                            input.col(*a).map(|c| c.ty).unwrap_or(ColType::Int)
-                        }
-                    };
-                    cols.push(ColInfo {
-                        attr: *out,
-                        ty,
-                        width: 8,
-                        distinct: card,
-                    });
-                    if matches!(func, AggFunc::Avg(_)) {
-                        // AVG ships a (sum, count) pair across the gather.
-                        cols.push(ColInfo {
-                            attr: AggSpec::companion_attr(*out),
-                            ty: ColType::Int,
-                            width: 8,
-                            distinct: card,
-                        });
-                    }
-                }
-                RelLogical {
-                    card,
-                    cols: Arc::new(cols),
-                    scans: input.scans.clone(),
-                }
+                inputs[0].aggregate(spec, AggPhase::Partial(self.options.parallel_degree))
             }
-            RelOp::FinalAggregate(spec) => {
-                // The input is the partial layout: group columns carry the
-                // original distinct counts, aggregate intermediates sit at
-                // the output attribute ids.
-                let input = inputs[0];
-                let groups = if spec.group_by.is_empty() {
-                    1.0
-                } else {
-                    spec.group_by
-                        .iter()
-                        .map(|a| input.distinct(*a))
-                        .product::<f64>()
-                        .min(input.card)
-                        .max(1.0)
-                };
-                let mut cols: Vec<ColInfo> = spec
-                    .group_by
-                    .iter()
-                    .map(|a| {
-                        *input.col(*a).unwrap_or_else(|| {
-                            panic!("group-by references unknown attribute {a:?}")
-                        })
-                    })
-                    .collect();
-                for (func, out) in &spec.aggs {
-                    let ty = match func {
-                        AggFunc::CountStar => ColType::Int,
-                        AggFunc::Avg(_) => ColType::Float,
-                        AggFunc::Sum(_) | AggFunc::Min(_) | AggFunc::Max(_) => {
-                            input.col(*out).map(|c| c.ty).unwrap_or(ColType::Int)
-                        }
-                    };
-                    cols.push(ColInfo {
-                        attr: *out,
-                        ty,
-                        width: 8,
-                        distinct: groups,
-                    });
-                }
-                RelLogical {
-                    card: groups,
-                    cols: Arc::new(cols),
-                    scans: input.scans.clone(),
-                }
-            }
+            RelOp::FinalAggregate(spec) => inputs[0].aggregate(spec, AggPhase::Final),
         }
     }
 

@@ -14,6 +14,18 @@
 //! factor commutes, and the transformation rules preserve the *multiset*
 //! of predicates, so any derivation order yields the same estimate (this
 //! is debug-asserted on every duplicate derivation).
+//!
+//! **One derivation per operator.** Each logical operator's property
+//! function is a [`RelLogical`] constructor here: [`RelLogical::of_table`],
+//! [`select`](RelLogical::select), [`project`](RelLogical::project),
+//! [`join`](RelLogical::join), [`union`](RelLogical::union),
+//! [`intersect`](RelLogical::intersect),
+//! [`difference`](RelLogical::difference) and
+//! [`aggregate`](RelLogical::aggregate). The search derives each class
+//! through them ([`crate::RelModel`]'s `derive_logical_props`), and so
+//! does every re-derivation over a physical plan ([`crate::estimate`]:
+//! the plan cache's cost-drift guard, EXPLAIN ANALYZE, the feedback
+//! harvest), so the estimates cannot drift apart.
 
 use std::sync::Arc;
 
@@ -21,7 +33,23 @@ use volcano_core::props::PhysicalProps;
 
 use crate::catalog::{Catalog, ColType};
 use crate::cost::formulas;
+use crate::feedback::SelectivityMemory;
 use crate::ids::{AttrId, TableId};
+use crate::ops::{AggFunc, AggSpec};
+use crate::predicate::{JoinPred, Pred};
+use crate::selectivity::{join_selectivity_with, pred_selectivity_with};
+
+/// Which phase of an aggregation a class holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggPhase {
+    /// The whole aggregation in one operator.
+    Complete,
+    /// The per-worker phase of a split aggregation at this parallel
+    /// degree: partial results, AVG as a (sum, count) pair.
+    Partial(u32),
+    /// The phase that merges the partial results into the final ones.
+    Final,
+}
 
 /// Statistics for one output column.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,24 +155,145 @@ impl RelLogical {
         get
     }
 
-    /// The properties of a class with this class's schema and base
-    /// tables and `card` rows (a filter of this class).
-    pub fn with_card(&self, card: f64) -> RelLogical {
+    /// A selection of this class by `pred`: the schema unchanged, the
+    /// cardinality scaled by the predicate's selectivity (observed in
+    /// `memory`, else System R's).
+    pub fn select(&self, pred: &Pred, memory: &SelectivityMemory) -> RelLogical {
         RelLogical {
-            card,
+            card: self.card * pred_selectivity_with(pred, self, memory),
             cols: self.cols.clone(),
             scans: self.scans.clone(),
         }
     }
 
-    /// The properties of a set operation of `card` rows over this class
-    /// and `right`: positional, so this class's schema, and both inputs'
-    /// base tables.
-    pub fn set_op(&self, right: &RelLogical, card: f64) -> RelLogical {
+    /// A projection of this class onto `attrs`, in that order.
+    pub fn project(&self, attrs: &[AttrId]) -> RelLogical {
+        RelLogical {
+            card: self.card,
+            cols: Arc::new(
+                attrs
+                    .iter()
+                    .map(|a| {
+                        *self.col(*a).unwrap_or_else(|| {
+                            panic!("projection references unknown attribute {a:?}")
+                        })
+                    })
+                    .collect(),
+            ),
+            scans: self.scans.clone(),
+        }
+    }
+
+    /// The join of this class (outer, its columns first) with `right` on
+    /// `pred`: the product of the cardinalities and the predicate's
+    /// selectivity (observed in `memory`, else System R's).
+    pub fn join(
+        &self,
+        right: &RelLogical,
+        pred: &JoinPred,
+        memory: &SelectivityMemory,
+    ) -> RelLogical {
+        let mut cols = Vec::with_capacity(self.cols.len() + right.cols.len());
+        cols.extend(self.cols.iter().chain(right.cols.iter()).copied());
+        RelLogical {
+            card: self.card * right.card * join_selectivity_with(pred, self, right, memory),
+            cols: Arc::new(cols),
+            scans: self.scans.union(&right.scans),
+        }
+    }
+
+    /// A set operation of `card` rows over this class and `right`:
+    /// positional, so this class's schema, and both inputs' base tables.
+    fn set_op(&self, right: &RelLogical, card: f64) -> RelLogical {
         RelLogical {
             card,
             cols: self.cols.clone(),
             scans: self.scans.union(&right.scans),
+        }
+    }
+
+    /// The union (bag semantics) of this class and `right`.
+    pub fn union(&self, right: &RelLogical) -> RelLogical {
+        self.set_op(right, self.card + right.card)
+    }
+
+    /// The intersection of this class and `right`. Containment, as for
+    /// equi-joins: the smaller input lies in the larger. `min` is
+    /// associative, so every association of an n-ary intersection
+    /// derives the same cardinality.
+    pub fn intersect(&self, right: &RelLogical) -> RelLogical {
+        self.set_op(right, self.card.min(right.card))
+    }
+
+    /// This class minus `right`: half of this class survives.
+    pub fn difference(&self, right: &RelLogical) -> RelLogical {
+        self.set_op(right, self.card * 0.5)
+    }
+
+    /// The `phase` of aggregating this class by `spec`: the group-by
+    /// columns, then one column per aggregate at its output id.
+    ///
+    /// The group count is the product of the grouping columns' distinct
+    /// counts, capped by the input's cardinality. A partial phase keeps
+    /// up to one copy of each group per worker, so its count is that
+    /// product times the degree, capped the same way; the final phase
+    /// over it then derives min(D, min(D·n, card)) = min(D, card) groups,
+    /// the complete phase's count, so the split is derivation-invariant.
+    pub fn aggregate(&self, spec: &AggSpec, phase: AggPhase) -> RelLogical {
+        let copies = match phase {
+            AggPhase::Partial(degree) => f64::from(degree.max(1)),
+            AggPhase::Complete | AggPhase::Final => 1.0,
+        };
+        let groups = spec
+            .group_by
+            .iter()
+            .map(|a| self.distinct(*a))
+            .product::<f64>();
+        let card = (groups * copies).min(self.card).max(1.0);
+        let ty_of = |a: AttrId| self.col(a).map(|c| c.ty).unwrap_or(ColType::Int);
+        let mut cols: Vec<ColInfo> = spec
+            .group_by
+            .iter()
+            .map(|a| {
+                *self
+                    .col(*a)
+                    .unwrap_or_else(|| panic!("group-by references unknown attribute {a:?}"))
+            })
+            .collect();
+        for (func, out) in &spec.aggs {
+            let ty = match (func, phase) {
+                (AggFunc::CountStar, _) => ColType::Int,
+                // A partial AVG ships its running sum, typed as the column
+                // it sums; see below for its count.
+                (AggFunc::Avg(a), AggPhase::Partial(_)) => ty_of(*a),
+                (AggFunc::Avg(_), _) => ColType::Float,
+                // The final phase reads the partial layout, whose
+                // intermediates sit at the output attribute ids.
+                (AggFunc::Sum(_) | AggFunc::Min(_) | AggFunc::Max(_), AggPhase::Final) => {
+                    ty_of(*out)
+                }
+                (AggFunc::Sum(a) | AggFunc::Min(a) | AggFunc::Max(a), _) => ty_of(*a),
+            };
+            cols.push(ColInfo {
+                attr: *out,
+                ty,
+                width: 8,
+                distinct: card,
+            });
+            if let (AggFunc::Avg(_), AggPhase::Partial(_)) = (func, phase) {
+                // AVG ships a (sum, count) pair across the gather.
+                cols.push(ColInfo {
+                    attr: AggSpec::companion_attr(*out),
+                    ty: ColType::Int,
+                    width: 8,
+                    distinct: card,
+                });
+            }
+        }
+        RelLogical {
+            card,
+            cols: Arc::new(cols),
+            scans: self.scans.clone(),
         }
     }
 

@@ -5,9 +5,11 @@
 //! `1/distinct` for equality with a literal, `1/3` for range predicates,
 //! `1/max(d_left, d_right)` per equi-join pair.
 //!
-//! All estimators consume *base-table* distinct counts (see
-//! [`crate::props`] for why that keeps logical properties
-//! derivation-invariant) and clamp to `[MIN_SELECTIVITY, 1]`.
+//! Each estimator consults the selectivity memory ([`crate::feedback`])
+//! first, per term or join pair, and falls back to its formula; with an
+//! empty memory it is the formula exactly. All consume *base-table*
+//! distinct counts (see [`crate::props`] for why that keeps logical
+//! properties derivation-invariant) and clamp to `[MIN_SELECTIVITY, 1]`.
 
 use crate::feedback::{join_pair_key, term_key, SelectivityMemory};
 use crate::predicate::{Cmp, CmpOp, JoinPred, Pred};
@@ -34,31 +36,6 @@ pub fn cmp_selectivity(cmp: &Cmp, input: &RelLogical) -> f64 {
     clamp(s)
 }
 
-/// Selectivity of a conjunction (independence assumption).
-pub fn pred_selectivity(pred: &Pred, input: &RelLogical) -> f64 {
-    clamp(
-        pred.terms()
-            .iter()
-            .map(|c| cmp_selectivity(c, input))
-            .product(),
-    )
-}
-
-/// Selectivity of an equi-join predicate (independence across pairs,
-/// `1/max(d_l, d_r)` per pair). A Cartesian product has selectivity 1.
-pub fn join_selectivity(pred: &JoinPred, left: &RelLogical, right: &RelLogical) -> f64 {
-    clamp(
-        pred.pairs()
-            .iter()
-            .map(|&(l, r)| {
-                let dl = left.distinct(l).max(1.0);
-                let dr = right.distinct(r).max(1.0);
-                1.0 / dl.max(dr)
-            })
-            .product(),
-    )
-}
-
 /// [`cmp_selectivity`], consulting the selectivity memory first: an
 /// observed value for this term's key wins over the System R formula.
 /// With an empty memory every lookup misses and the result is the exact
@@ -70,9 +47,9 @@ pub fn cmp_selectivity_with(cmp: &Cmp, input: &RelLogical, memory: &SelectivityM
     }
 }
 
-/// [`pred_selectivity`] with per-term memory lookups (see
-/// [`cmp_selectivity_with`]); terms without observations keep their
-/// static estimates inside the same independence product.
+/// Selectivity of a conjunction (independence assumption), with
+/// per-term memory lookups (see [`cmp_selectivity_with`]): terms without
+/// observations keep their static estimates inside the same product.
 pub fn pred_selectivity_with(pred: &Pred, input: &RelLogical, memory: &SelectivityMemory) -> f64 {
     clamp(
         pred.terms()
@@ -82,9 +59,10 @@ pub fn pred_selectivity_with(pred: &Pred, input: &RelLogical, memory: &Selectivi
     )
 }
 
-/// [`join_selectivity`] with per-pair memory lookups; pairs without
-/// observations keep the `1/max(d_l, d_r)` estimate inside the same
-/// product.
+/// Selectivity of an equi-join predicate (independence across pairs),
+/// with per-pair memory lookups: a pair without an observation keeps
+/// System R's `1/max(d_l, d_r)` inside the same product. A Cartesian
+/// product has selectivity 1.
 pub fn join_selectivity_with(
     pred: &JoinPred,
     left: &RelLogical,
@@ -114,6 +92,11 @@ mod tests {
     use crate::props::ColInfo;
     use std::sync::Arc;
 
+    /// With nothing observed every estimator is System R's formula.
+    fn none() -> SelectivityMemory {
+        SelectivityMemory::new()
+    }
+
     fn logical(cols: Vec<(u32, f64)>, card: f64) -> RelLogical {
         RelLogical {
             card,
@@ -134,21 +117,21 @@ mod tests {
     #[test]
     fn equality_uses_distinct() {
         let l = logical(vec![(1, 100.0)], 1000.0);
-        let s = cmp_selectivity(&Cmp::eq(AttrId(1), 5i64), &l);
+        let s = cmp_selectivity_with(&Cmp::eq(AttrId(1), 5i64), &l, &none());
         assert!((s - 0.01).abs() < 1e-12);
     }
 
     #[test]
     fn range_is_one_third() {
         let l = logical(vec![(1, 100.0)], 1000.0);
-        let s = cmp_selectivity(&Cmp::lt(AttrId(1), 5i64), &l);
+        let s = cmp_selectivity_with(&Cmp::lt(AttrId(1), 5i64), &l, &none());
         assert!((s - RANGE_SELECTIVITY).abs() < 1e-12);
     }
 
     #[test]
     fn ne_is_complement() {
         let l = logical(vec![(1, 4.0)], 1000.0);
-        let s = cmp_selectivity(&Cmp::new(AttrId(1), CmpOp::Ne, 5i64), &l);
+        let s = cmp_selectivity_with(&Cmp::new(AttrId(1), CmpOp::Ne, 5i64), &l, &none());
         assert!((s - 0.75).abs() < 1e-12);
     }
 
@@ -156,7 +139,7 @@ mod tests {
     fn conjunction_multiplies() {
         let l = logical(vec![(1, 10.0), (2, 10.0)], 1000.0);
         let p = Pred::conj(vec![Cmp::eq(AttrId(1), 1i64), Cmp::eq(AttrId(2), 2i64)]);
-        assert!((pred_selectivity(&p, &l) - 0.01).abs() < 1e-12);
+        assert!((pred_selectivity_with(&p, &l, &none()) - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -164,14 +147,17 @@ mod tests {
         let l = logical(vec![(1, 50.0)], 1000.0);
         let r = logical(vec![(10, 200.0)], 500.0);
         let p = JoinPred::eq(AttrId(1), AttrId(10));
-        assert!((join_selectivity(&p, &l, &r) - 1.0 / 200.0).abs() < 1e-12);
+        assert!((join_selectivity_with(&p, &l, &r, &none()) - 1.0 / 200.0).abs() < 1e-12);
     }
 
     #[test]
     fn cross_product_selectivity_is_one() {
         let l = logical(vec![(1, 50.0)], 1000.0);
         let r = logical(vec![(10, 200.0)], 500.0);
-        assert_eq!(join_selectivity(&JoinPred::cross(), &l, &r), 1.0);
+        assert_eq!(
+            join_selectivity_with(&JoinPred::cross(), &l, &r, &none()),
+            1.0
+        );
     }
 
     #[test]
@@ -188,7 +174,7 @@ mod tests {
                 .map(|i| Cmp::eq(AttrId(1), i as i64))
                 .collect::<Vec<_>>(),
         );
-        assert!(pred_selectivity(&p, &l) >= MIN_SELECTIVITY);
-        assert!(pred_selectivity(&p2, &l) >= MIN_SELECTIVITY);
+        assert!(pred_selectivity_with(&p, &l, &none()) >= MIN_SELECTIVITY);
+        assert!(pred_selectivity_with(&p2, &l, &none()) >= MIN_SELECTIVITY);
     }
 }

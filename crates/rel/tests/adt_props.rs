@@ -114,7 +114,8 @@ mod selectivity_bounds {
     use std::sync::Arc;
     use volcano_rel::catalog::ColType;
     use volcano_rel::props::{ColInfo, RelLogical};
-    use volcano_rel::selectivity::{join_selectivity, pred_selectivity};
+    use volcano_rel::selectivity::{join_selectivity_with, pred_selectivity_with};
+    use volcano_rel::SelectivityMemory;
 
     fn logical(distinct: Vec<f64>, card: f64) -> RelLogical {
         RelLogical {
@@ -148,12 +149,13 @@ mod selectivity_bounds {
                 .into_iter()
                 .map(|mut c| { c.attr = AttrId(c.attr.0 % n as u32); c })
                 .collect();
-            let s = pred_selectivity(&Pred::conj(terms), &l);
+            let empty = SelectivityMemory::new();
+            let s = pred_selectivity_with(&Pred::conj(terms), &l, &empty);
             prop_assert!(s > 0.0 && s <= 1.0);
 
             let r = logical(distincts, 1e5);
             let jp = JoinPred::eq(AttrId(0), AttrId(1));
-            let js = join_selectivity(&jp, &l, &r);
+            let js = join_selectivity_with(&jp, &l, &r, &empty);
             prop_assert!(js > 0.0 && js <= 1.0);
         }
     }

@@ -6,7 +6,7 @@
 //! the observation range), lookups must stay inside `[MIN_SELECTIVITY, 1]`
 //! for any observation stream including exact-zero and exact-total
 //! selectivities, and with an *empty* memory the `_with` estimators must
-//! be bit-identical to the static System R formulas — that is the
+//! be bit-identical to System R's closed-form formulas — that is the
 //! feedback-off ablation guarantee.
 
 use std::sync::Arc;
@@ -17,8 +17,8 @@ use volcano_rel::catalog::ColType;
 use volcano_rel::feedback::{geometric_share, term_key, SelectivityMemory, SMOOTHING_WARMUP};
 use volcano_rel::props::ColInfo;
 use volcano_rel::selectivity::{
-    cmp_selectivity, cmp_selectivity_with, join_selectivity, join_selectivity_with,
-    pred_selectivity, pred_selectivity_with, MIN_SELECTIVITY,
+    cmp_selectivity, cmp_selectivity_with, join_selectivity_with, pred_selectivity_with,
+    MIN_SELECTIVITY,
 };
 use volcano_rel::{AttrId, Cmp, CmpOp, JoinPred, Pred, RelLogical};
 
@@ -126,8 +126,10 @@ proptest! {
     }
 
     /// Feedback-off ablation: with an empty memory the `_with` estimators
-    /// are bit-identical (exact f64 equality) to the static formulas, for
-    /// arbitrary predicates and statistics.
+    /// are bit-identical (exact f64 equality) to System R's closed forms
+    /// (`1/distinct`, `1 - 1/distinct`, `1/3` per term, their product for
+    /// a conjunction, `1/max(d_l, d_r)` per join pair), for arbitrary
+    /// predicates and statistics.
     #[test]
     fn empty_memory_is_bit_identical_to_static(
         distincts in proptest::collection::vec(1.0f64..1e6, 2..5),
@@ -139,24 +141,35 @@ proptest! {
             .map(|(i, &d)| (i as u32, d)).collect();
         let input = logical(cols.clone(), card);
         let empty = SelectivityMemory::new();
+        let clamp = |s: f64| s.clamp(MIN_SELECTIVITY, 1.0);
+        let system_r = |t: &Cmp| {
+            let d = distincts[t.attr.0 as usize];
+            clamp(match t.op {
+                CmpOp::Eq => 1.0 / d,
+                CmpOp::Ne => 1.0 - 1.0 / d,
+                _ => 1.0 / 3.0,
+            })
+        };
         let terms: Vec<Cmp> = ops.iter().zip(&values).enumerate()
             .map(|(i, (&op, &v))| Cmp::new(AttrId((i % distincts.len()) as u32), cmp_op(op), v))
             .collect();
         for t in &terms {
+            prop_assert_eq!(system_r(t).to_bits(), cmp_selectivity(t, &input).to_bits());
             prop_assert_eq!(
-                cmp_selectivity(t, &input).to_bits(),
+                system_r(t).to_bits(),
                 cmp_selectivity_with(t, &input, &empty).to_bits()
             );
         }
         let pred = Pred::conj(terms);
+        let product = clamp(pred.terms().iter().map(system_r).product());
         prop_assert_eq!(
-            pred_selectivity(&pred, &input).to_bits(),
+            product.to_bits(),
             pred_selectivity_with(&pred, &input, &empty).to_bits()
         );
-        let right = logical(vec![(100, distincts[0])], card);
+        let right = logical(vec![(100, distincts[1])], card);
         let jp = JoinPred::eq(AttrId(0), AttrId(100));
         prop_assert_eq!(
-            join_selectivity(&jp, &input, &right).to_bits(),
+            clamp(1.0 / distincts[0].max(distincts[1])).to_bits(),
             join_selectivity_with(&jp, &input, &right, &empty).to_bits()
         );
     }

@@ -195,11 +195,6 @@ impl BTree {
         }
     }
 
-    /// The current root page (persist to re-open).
-    pub fn root_page(&self) -> PageId {
-        *self.root.lock()
-    }
-
     fn read(&self, id: PageId) -> Node {
         self.pool.with_page(id, |p, _| Node::from_page(p.clone()))
     }
