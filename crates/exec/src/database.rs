@@ -292,11 +292,6 @@ pub struct Database {
     stats_epoch: AtomicU64,
     /// The cross-query plan cache.
     plan_cache: PlanCache,
-    /// Whether prepared executions consult the cache at all.
-    cache_enabled: AtomicBool,
-    /// Cost-drift tolerance (see [`DEFAULT_DRIFT_FACTOR`]), stored as
-    /// `f64` bits so it can sit in an atomic next to the epoch.
-    drift_factor: AtomicU64,
     /// Worker-pool degree the optimizer's gather enforcer may offer
     /// (morsel-driven vectorized execution); `1` = serial planning.
     parallel_degree: AtomicU32,
@@ -362,8 +357,6 @@ impl Database {
             sort_memory_rows: AtomicUsize::new(1 << 20),
             stats_epoch: AtomicU64::new(0),
             plan_cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
-            cache_enabled: AtomicBool::new(true),
-            drift_factor: AtomicU64::new(DEFAULT_DRIFT_FACTOR.to_bits()),
             parallel_degree: AtomicU32::new(1),
             feedback_enabled: AtomicBool::new(false),
             feedback_observations: AtomicU64::new(0),
@@ -539,33 +532,14 @@ impl Database {
         &self.plan_cache
     }
 
-    /// Enable or disable the plan cache; disabling clears it.
-    pub fn set_plan_cache_enabled(&self, on: bool) {
-        self.cache_enabled.store(on, Ordering::Release);
-        if !on {
-            self.plan_cache.clear();
-        }
-    }
-
     /// Resize the plan cache (existing entries trim lazily).
     pub fn set_plan_cache_capacity(&self, capacity: usize) {
         self.plan_cache.set_capacity(capacity);
     }
 
-    /// Whether prepared executions consult the plan cache.
-    pub fn plan_cache_enabled(&self) -> bool {
-        self.cache_enabled.load(Ordering::Acquire)
-    }
-
-    /// Set the cost-drift tolerance factor (values < 1 make every stale
-    /// entry re-optimize).
-    pub fn set_drift_factor(&self, factor: f64) {
-        self.drift_factor.store(factor.to_bits(), Ordering::Release);
-    }
-
-    /// The cost-drift tolerance factor.
+    /// The cost-drift tolerance factor: [`DEFAULT_DRIFT_FACTOR`].
     pub fn drift_factor(&self) -> f64 {
-        f64::from_bits(self.drift_factor.load(Ordering::Acquire))
+        DEFAULT_DRIFT_FACTOR
     }
 
     // -----------------------------------------------------------------
@@ -755,7 +729,7 @@ impl Database {
         let shape = shape_key(&q.expr, &q.order_by);
         let feedback = opts.feedback || self.feedback_enabled();
 
-        if opts.bypass_cache || !self.plan_cache_enabled() {
+        if opts.bypass_cache {
             if let Some(t) = tracer {
                 t.event(TraceEvent::PlanCacheLookup {
                     shape,
@@ -1182,9 +1156,14 @@ mod tests {
         let out = run(&db, &stmt, &[]).unwrap();
         assert_eq!(out.cache, "hit");
         assert!(out.search.is_none());
-        // Force every stale entry to re-optimize.
-        db.set_drift_factor(0.0);
-        db.bump_epoch();
+        // Ten times the rows: the re-cost drifts past the tolerance, so
+        // the entry re-optimizes.
+        let id = db.catalog().table_by_name("t").unwrap().id;
+        let rows = db.snapshot().table(id).scan_all().len();
+        for i in 0..9 * rows as i64 {
+            db.insert(id, vec![Value::Int(i % 10), Value::Str("s".into())]);
+        }
+        db.refresh_stats();
         let out = run(&db, &stmt, &[]).unwrap();
         assert_eq!(out.cache, "invalidated");
         assert!(out.search.is_some());
@@ -1330,22 +1309,6 @@ mod tests {
         // Corrupt bytes degrade to a cold start.
         assert_eq!(db2.import_feedback(b"garbage"), 0);
         assert_eq!(db2.feedback_stats().cells, cells, "memory untouched");
-    }
-
-    #[test]
-    fn disabling_the_cache_bypasses_and_clears() {
-        let db = Database::in_memory(catalog());
-        db.generate(9);
-        let stmt = db.prepare("SELECT a FROM t WHERE a < 5").unwrap();
-        run(&db, &stmt, &[]).unwrap();
-        assert_eq!(db.plan_cache().len(), 1);
-        db.set_plan_cache_enabled(false);
-        assert_eq!(db.plan_cache().len(), 0);
-        let out = run(&db, &stmt, &[]).unwrap();
-        assert_eq!(out.cache, "bypass");
-        assert!(out.search.is_some());
-        // Bypassed lookups touch no counters.
-        assert_eq!(db.plan_cache().stats().lookups, 1);
     }
 }
 

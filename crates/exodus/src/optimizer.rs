@@ -8,8 +8,8 @@ use std::time::Instant;
 use volcano_core::cost::Cost;
 use volcano_core::ids::GroupId;
 use volcano_core::Plan;
-use volcano_rel::cost::formulas;
-use volcano_rel::{AttrId, RelAlg, RelCost, RelExpr, RelModel, RelOp, RelProps};
+use volcano_rel::cost::local_cost;
+use volcano_rel::{AttrId, RelAlg, RelCost, RelExpr, RelLogical, RelModel, RelOp, RelProps};
 
 use crate::mesh::{ClassId, Mesh, NodeId, PlanRecord};
 use crate::stats::ExodusStats;
@@ -43,7 +43,6 @@ pub struct ExodusOptimizer<'m> {
     factors: RuleFactors,
     /// Abort threshold for the MESH memory estimate, in bytes.
     memory_budget: usize,
-    allow_cross_products: bool,
 }
 
 /// A successful optimization.
@@ -105,7 +104,6 @@ impl Ord for OpenEntry {
 struct Search<'m> {
     model: &'m RelModel,
     factors: RuleFactors,
-    allow_cross: bool,
     memory_budget: usize,
     mesh: Mesh,
     open: BinaryHeap<OpenEntry>,
@@ -119,14 +117,12 @@ const NO_INNER: NodeId = NodeId(u32::MAX);
 
 impl<'m> ExodusOptimizer<'m> {
     /// Create an optimizer over the shared relational model (catalog,
-    /// property derivation, and cost formulas are identical to the
-    /// Volcano side).
+    /// property derivation, and cost functions are the Volcano side's).
     pub fn new(model: &'m RelModel) -> Self {
         ExodusOptimizer {
             model,
             factors: RuleFactors::default(),
             memory_budget: 64 << 20,
-            allow_cross_products: model.options().allow_cross_products,
         }
     }
 
@@ -146,7 +142,6 @@ impl<'m> ExodusOptimizer<'m> {
         let mut search = Search {
             model: self.model,
             factors: self.factors,
-            allow_cross: self.allow_cross_products,
             memory_budget: self.memory_budget,
             mesh: Mesh::new(),
             open: BinaryHeap::new(),
@@ -301,7 +296,7 @@ impl<'m> Search<'m> {
             let b_logical = &self.mesh.class(b).logical;
             let (q1, to_outer) = p2.partition(|l, _| b_logical.has_attr(l));
             let q2 = p1.and(&to_outer);
-            if !self.allow_cross && (q1.is_cross() || q2.is_cross()) {
+            if q1.is_cross() || q2.is_cross() {
                 continue;
             }
             self.stats.transformations += 1;
@@ -345,113 +340,76 @@ impl<'m> Search<'m> {
                 None => return,
             }
         }
-        let out = self.mesh.class(self.mesh.node(node).class).logical.clone();
-        let in_logical: Vec<_> = inputs
+        let out = &self.mesh.class(self.mesh.node(node).class).logical;
+        let reads: Vec<&RelLogical> = inputs
             .iter()
-            .map(|&i| self.mesh.class(i).logical.clone())
+            .map(|&i| &self.mesh.class(i).logical)
             .collect();
+        // A record of `alg` delivering `order`, sorting first the inputs
+        // `input_sorts` marks; its total is completed below.
+        let record = |alg: RelAlg, order: Vec<AttrId>, input_sorts: Vec<bool>| PlanRecord {
+            local: self.cost(&alg, &reads, out),
+            alg,
+            total: RelCost::zero(),
+            order,
+            input_sorts,
+        };
 
         let mut records: Vec<PlanRecord> = Vec::new();
         match &op {
-            RelOp::Get(_) => {
-                records.push(PlanRecord {
-                    alg: RelAlg::FileScan(match op {
-                        RelOp::Get(t) => t,
-                        _ => unreachable!(),
-                    }),
-                    local: formulas::file_scan(&out),
-                    total: RelCost::zero(),
-                    order: vec![],
-                    input_sorts: vec![],
-                });
-            }
-            RelOp::Select(p) => {
-                records.push(PlanRecord {
-                    alg: RelAlg::Filter(p.clone()),
-                    local: formulas::filter(&in_logical[0], p.len()),
-                    total: RelCost::zero(),
-                    // Filter passes its input through: a useful order is
-                    // exploited when the input happens to have one.
-                    order: input_best[0].1.clone(),
-                    input_sorts: vec![false],
-                });
-            }
+            RelOp::Get(t) => records.push(record(RelAlg::FileScan(*t), vec![], vec![])),
+            // Filter passes its input through: a useful order is
+            // exploited when the input happens to have one.
+            RelOp::Select(p) => records.push(record(
+                RelAlg::Filter(p.clone()),
+                input_best[0].1.clone(),
+                vec![false],
+            )),
             RelOp::Project(attrs) => {
-                let order: Vec<AttrId> = {
-                    let o = &input_best[0].1;
-                    if o.iter().all(|a| attrs.contains(a)) {
-                        o.clone()
-                    } else {
-                        vec![]
-                    }
+                let o = &input_best[0].1;
+                let order = if o.iter().all(|a| attrs.contains(a)) {
+                    o.clone()
+                } else {
+                    vec![]
                 };
-                records.push(PlanRecord {
-                    alg: RelAlg::ProjectOp(attrs.clone()),
-                    local: formulas::project(&in_logical[0]),
-                    total: RelCost::zero(),
-                    order,
-                    input_sorts: vec![false],
-                });
+                records.push(record(RelAlg::ProjectOp(attrs.clone()), order, vec![false]));
             }
-            RelOp::Join(p) => {
-                if !p.is_cross() {
-                    records.push(PlanRecord {
-                        alg: RelAlg::HybridHashJoin(p.clone()),
-                        local: formulas::hash_join(&in_logical[0], &in_logical[1], &out),
-                        total: RelCost::zero(),
-                        order: vec![],
-                        input_sorts: vec![false, false],
-                    });
-                    // Merge join: "the cost of enforcers had to be
-                    // included in the cost function" — fold in a sort for
-                    // every input whose current best order does not
-                    // already cover the join keys.
-                    let lkeys = p.left_attrs();
-                    let rkeys = p.right_attrs();
-                    let covers = |have: &[AttrId], need: &[AttrId]| {
-                        need.len() <= have.len() && have[..need.len()] == need[..]
-                    };
-                    let mut local = formulas::merge_join(&in_logical[0], &in_logical[1], &out);
-                    let l_sort = !covers(&input_best[0].1, &lkeys);
-                    let r_sort = !covers(&input_best[1].1, &rkeys);
-                    if l_sort {
-                        local = local.add(&formulas::sort(&in_logical[0]));
-                    }
-                    if r_sort {
-                        local = local.add(&formulas::sort(&in_logical[1]));
-                    }
-                    records.push(PlanRecord {
-                        alg: RelAlg::MergeJoin(p.clone()),
-                        local,
-                        total: RelCost::zero(),
-                        order: lkeys,
-                        input_sorts: vec![l_sort, r_sort],
-                    });
+            RelOp::Join(p) if !p.is_cross() => {
+                records.push(record(
+                    RelAlg::HybridHashJoin(p.clone()),
+                    vec![],
+                    vec![false, false],
+                ));
+                // Merge join: "the cost of enforcers had to be included
+                // in the cost function" — fold in a sort for every input
+                // whose current best order does not already cover the
+                // join keys.
+                let keys = [p.left_attrs(), p.right_attrs()];
+                let sorts = [0, 1].map(|i| !input_best[i].1.starts_with(&keys[i]));
+                let mut merge = record(
+                    RelAlg::MergeJoin(p.clone()),
+                    keys[0].clone(),
+                    sorts.to_vec(),
+                );
+                for i in (0..2).filter(|&i| sorts[i]) {
+                    let sort = RelAlg::Sort(keys[i].as_slice().into());
+                    merge.local = merge.local.add(&self.cost(&sort, &[reads[i]], reads[i]));
                 }
+                records.push(merge);
             }
-            RelOp::Union | RelOp::Intersect | RelOp::Difference => {
-                let alg = match &op {
-                    RelOp::Union => RelAlg::HashUnion,
-                    RelOp::Intersect => RelAlg::HashIntersect,
-                    _ => RelAlg::HashDifference,
-                };
-                records.push(PlanRecord {
-                    alg,
-                    local: formulas::hash_set_op(&in_logical[0], &in_logical[1], &out),
-                    total: RelCost::zero(),
-                    order: vec![],
-                    input_sorts: vec![false, false],
-                });
+            RelOp::Join(_) => {}
+            RelOp::Union => records.push(record(RelAlg::HashUnion, vec![], vec![false, false])),
+            RelOp::Intersect => {
+                records.push(record(RelAlg::HashIntersect, vec![], vec![false, false]))
             }
-            RelOp::Aggregate(spec) => {
-                records.push(PlanRecord {
-                    alg: RelAlg::HashAggregate(spec.clone()),
-                    local: formulas::hash_agg(&in_logical[0], &out),
-                    total: RelCost::zero(),
-                    order: vec![],
-                    input_sorts: vec![false],
-                });
+            RelOp::Difference => {
+                records.push(record(RelAlg::HashDifference, vec![], vec![false, false]))
             }
+            RelOp::Aggregate(spec) => records.push(record(
+                RelAlg::HashAggregate(spec.clone()),
+                vec![],
+                vec![false],
+            )),
             // Split aggregates exist only inside the Volcano optimizer's
             // search space (the aggregate-split transformation); they
             // never reach this greedy mesh, whose input is the user's
@@ -489,6 +447,18 @@ impl<'m> Search<'m> {
             }
         };
         self.mesh.node_mut(node).best = Some(best_idx);
+    }
+
+    /// The model's one cost function for a serial algorithm, under the
+    /// model's hash-join memory.
+    fn cost(&self, alg: &RelAlg, reads: &[&RelLogical], out: &RelLogical) -> RelCost {
+        local_cost(
+            alg,
+            reads,
+            out,
+            1,
+            self.model.options().hash_join_memory_bytes,
+        )
     }
 
     /// If `node`'s plan improves its class best, reanalyze all consumer
@@ -538,10 +508,11 @@ impl<'m> Search<'m> {
             return (plan, cost);
         }
         let logical = &self.mesh.class(root).logical;
-        let sort_cost = formulas::sort(logical);
+        let alg = RelAlg::Sort(order_by.into());
+        let sort_cost = self.cost(&alg, &[logical], logical);
         let total = plan.cost.add(&sort_cost);
         let sorted = Plan {
-            alg: RelAlg::Sort(order_by.into()),
+            alg,
             delivered: RelProps::sorted(order_by),
             local_cost: sort_cost,
             cost: total,
@@ -565,10 +536,6 @@ impl<'m> Search<'m> {
         for (i, &ic) in nd.inputs.iter().enumerate() {
             let mut child = self.extract_class(ic);
             if *rec.input_sorts.get(i).unwrap_or(&false) {
-                let logical = &self.mesh.class(ic).logical;
-                let sc = formulas::sort(logical);
-                base_local = base_local.sub_saturating(&sc);
-                let total = child.cost.add(&sc);
                 let keys = match &rec.alg {
                     RelAlg::MergeJoin(p) => {
                         if i == 0 {
@@ -579,8 +546,13 @@ impl<'m> Search<'m> {
                     }
                     _ => vec![],
                 };
+                let logical = &self.mesh.class(ic).logical;
+                let alg = RelAlg::Sort(keys.as_slice().into());
+                let sc = self.cost(&alg, &[logical], logical);
+                base_local = base_local.sub_saturating(&sc);
+                let total = child.cost.add(&sc);
                 child = Plan {
-                    alg: RelAlg::Sort(keys.as_slice().into()),
+                    alg,
                     delivered: RelProps::sorted(keys),
                     local_cost: sc,
                     cost: total,

@@ -1,9 +1,17 @@
-//! The relational cost ADT and cost-model constants.
+//! The relational cost ADT, the cost-model constants and the one cost
+//! function per algorithm.
 //!
 //! "The cost functions included both I/O and CPU costs" (§4.2): cost is a
 //! record of the two components, as in System R \[15\], demonstrating the
 //! engine's cost-as-ADT design — the search engine never looks inside,
 //! it only calls the trait functions.
+//!
+//! [`local_cost`] maps each algorithm and enforcer to its formula. The
+//! implementation rules and enforcers call it during search,
+//! [`crate::estimated_plan_cost`] folds it over an extracted plan, and the
+//! EXODUS baseline costs its plan records with it, so all three price an
+//! algorithm the same way. The formulas themselves are private to the
+//! crate, so no second mapping can grow outside it.
 //!
 //! Units are abstract milliseconds calibrated to early-90s hardware
 //! (a SparcStation-class machine with a slow disk), which puts estimated
@@ -14,6 +22,9 @@
 use std::fmt;
 
 use volcano_core::cost::Cost;
+
+use crate::alg::RelAlg;
+use crate::props::RelLogical;
 
 /// Page size assumed by the cost model (bytes).
 pub const PAGE_SIZE: f64 = 4096.0;
@@ -111,17 +122,64 @@ impl fmt::Display for RelCost {
     }
 }
 
-/// Shared cost formulas, used by *both* the Volcano implementation rules
-/// and the EXODUS baseline so the two optimizers are compared under an
-/// identical cost model ("we specified ... the same property and cost
-/// functions", §4.2). Each formula returns the *local* cost of the
-/// algorithm; input plan costs are accumulated by the search engines.
-pub mod formulas {
-    use super::{
-        RelCost, CPU_CMP_MS, CPU_HASH_MS, CPU_PRED_MS, CPU_TUPLE_MS, GATHER_TUPLE_MS, IO_PAGE_MS,
-        PAGE_SIZE, WORKER_STARTUP_MS,
+/// The local cost of running `alg` at parallel degree `degree`: the
+/// model's one cost function per algorithm and enforcer (§2.2), which the
+/// Volcano search, the plan re-coster and the EXODUS baseline share ("the
+/// same property and cost functions", §4.2). Input plan costs are
+/// accumulated by the callers.
+///
+/// `reads` are the logical properties the algorithm reads, in input
+/// order, with two exceptions: a `FilterScan` reads its stored table, and
+/// a `MultiWayHashJoin` reads its three inputs and then the intermediate
+/// `a ⋈ b`. `out` is the output's. `memory_bytes` is the memory a hybrid
+/// hash join may use (§4.1); no other algorithm reads it. Every cost is
+/// scaled to its per-worker share at `degree`, the identity at degree 1.
+pub fn local_cost(
+    alg: &RelAlg,
+    reads: &[&RelLogical],
+    out: &RelLogical,
+    degree: u32,
+    memory_bytes: f64,
+) -> RelCost {
+    use formulas as f;
+    let local = match alg {
+        RelAlg::FileScan(_) => f::file_scan(out),
+        RelAlg::IndexScan(_, _) => f::index_scan(out),
+        RelAlg::FilterScan(_, pred) => f::filter_scan(reads[0], pred.len()),
+        RelAlg::Filter(pred) => f::filter(reads[0], pred.len()),
+        RelAlg::ProjectOp(_) => f::project(reads[0]),
+        RelAlg::MergeJoin(_) => f::merge_join(reads[0], reads[1], out),
+        RelAlg::HybridHashJoin(_) => {
+            f::hash_join_with_memory(reads[0], reads[1], out, memory_bytes)
+        }
+        RelAlg::NestedLoops(p) => f::nested_loops(reads[0], reads[1], out, p.pairs().len()),
+        RelAlg::MultiWayHashJoin { .. } => {
+            f::multiway_hash_join(reads[0], reads[1], reads[2], reads[3], out)
+        }
+        RelAlg::MergeUnion | RelAlg::MergeIntersect | RelAlg::MergeDifference => {
+            f::merge_set_op(reads[0], reads[1], out)
+        }
+        RelAlg::HashUnion | RelAlg::HashIntersect | RelAlg::HashDifference => {
+            f::hash_set_op(reads[0], reads[1], out)
+        }
+        RelAlg::StreamAggregate(_) => f::stream_agg(reads[0], out),
+        RelAlg::HashAggregate(_) => f::hash_agg(reads[0], out),
+        RelAlg::PartialHashAggregate(_, _) => f::partial_hash_agg(reads[0], out),
+        RelAlg::FinalHashAggregate(_) => f::final_hash_agg(reads[0], out),
+        RelAlg::Sort(_) => f::sort(reads[0]),
+        RelAlg::Gather(n) => f::gather(reads[0], *n),
     };
-    use crate::props::RelLogical;
+    f::parallelize(local, degree)
+}
+
+/// The cost formulas. Each returns the *local* cost of one algorithm;
+/// [`local_cost`] is their only caller, apart from the class cost floors'
+/// [`io_pages`](formulas::io_pages).
+pub(crate) mod formulas {
+    use super::{
+        RelCost, RelLogical, CPU_CMP_MS, CPU_HASH_MS, CPU_PRED_MS, CPU_TUPLE_MS, GATHER_TUPLE_MS,
+        IO_PAGE_MS, PAGE_SIZE, WORKER_STARTUP_MS,
+    };
     use volcano_core::cost::Cost as _;
 
     /// I/O of reading every page of `l` once: a heap scan's I/O, and
@@ -270,9 +328,7 @@ pub mod formulas {
     /// delivered parallel degree. Both I/O and CPU divide by the degree:
     /// workers process disjoint morsels, and with `degree` outstanding
     /// page reads the I/O waits overlap. Degree 1 is the identity, so
-    /// serial costing is bit-identical to the pre-parallel model. Used by
-    /// the implementation rules *and* the plan re-coster (`estimate`), so
-    /// the two can never drift.
+    /// serial costing is bit-identical to the pre-parallel model.
     pub fn parallelize(cost: RelCost, degree: u32) -> RelCost {
         if degree <= 1 {
             return cost;

@@ -8,13 +8,14 @@
 //! derivation: each algorithm maps to the [`RelLogical`] constructor of
 //! the logical operator it implements, the one the search derived its
 //! class with, so under unchanged statistics the numbers are the ones the
-//! search saw.
+//! search saw. The re-cost applies the one per-algorithm cost function the
+//! search used ([`local_cost`]) to those numbers.
 
 use volcano_core::cost::Cost as _;
 
 use crate::alg::RelAlg;
 use crate::catalog::Catalog;
-use crate::cost::{formulas, RelCost};
+use crate::cost::{local_cost, RelCost};
 use crate::model::RelModelOptions;
 use crate::props::{AggPhase, RelLogical};
 use crate::RelPlan;
@@ -53,8 +54,9 @@ pub fn logical_from_inputs(catalog: &Catalog, alg: &RelAlg, inputs: &[RelLogical
 }
 
 /// Re-estimate the total cost of an already-extracted physical plan under
-/// the *current* catalog statistics, applying the same per-algorithm
-/// formulas the implementation rules used during search.
+/// the *current* catalog statistics: the model's one cost function
+/// ([`local_cost`]) folded over the plan, on the properties
+/// [`logical_from_inputs`] re-derives.
 ///
 /// This is the plan cache's cost-drift guard: a cached template was
 /// optimal under the statistics at optimization time, but after data
@@ -80,46 +82,27 @@ fn plan_cost_rec(
         .map(|c| plan_cost_rec(catalog, options, c))
         .unzip();
     let out = logical_from_inputs(catalog, &plan.alg, &inputs);
-    let local = match &plan.alg {
-        RelAlg::FileScan(_) => formulas::file_scan(&out),
-        RelAlg::IndexScan(_, _) => formulas::index_scan(&out),
-        RelAlg::FilterScan(t, pred) => {
-            formulas::filter_scan(&RelLogical::of_table(catalog, *t), pred.len())
-        }
-        RelAlg::Filter(pred) => formulas::filter(&inputs[0], pred.len()),
-        RelAlg::ProjectOp(_) => formulas::project(&inputs[0]),
-        RelAlg::MergeJoin(_) => formulas::merge_join(&inputs[0], &inputs[1], &out),
-        RelAlg::HybridHashJoin(_) => formulas::hash_join_with_memory(
-            &inputs[0],
-            &inputs[1],
-            &out,
-            options.hash_join_memory_bytes,
-        ),
-        RelAlg::NestedLoops(p) => {
-            formulas::nested_loops(&inputs[0], &inputs[1], &out, p.pairs().len())
-        }
+    // What an algorithm reads besides its inputs: the stored table of a
+    // fused filter-scan, the intermediate of the three-way join.
+    let extra = match &plan.alg {
+        RelAlg::FilterScan(t, _) => Some(RelLogical::of_table(catalog, *t)),
         RelAlg::MultiWayHashJoin { inner, .. } => {
-            let mid = inputs[0].join(&inputs[1], inner, catalog.feedback());
-            formulas::multiway_hash_join(&inputs[0], &inputs[1], &inputs[2], &mid, &out)
+            Some(inputs[0].join(&inputs[1], inner, catalog.feedback()))
         }
-        RelAlg::MergeUnion | RelAlg::MergeIntersect | RelAlg::MergeDifference => {
-            formulas::merge_set_op(&inputs[0], &inputs[1], &out)
-        }
-        RelAlg::HashUnion | RelAlg::HashIntersect | RelAlg::HashDifference => {
-            formulas::hash_set_op(&inputs[0], &inputs[1], &out)
-        }
-        RelAlg::StreamAggregate(_) => formulas::stream_agg(&inputs[0], &out),
-        RelAlg::HashAggregate(_) => formulas::hash_agg(&inputs[0], &out),
-        RelAlg::PartialHashAggregate(_, _) => formulas::partial_hash_agg(&inputs[0], &out),
-        RelAlg::FinalHashAggregate(_) => formulas::final_hash_agg(&inputs[0], &out),
-        RelAlg::Sort(_) => formulas::sort(&inputs[0]),
-        RelAlg::Gather(n) => formulas::gather(&inputs[0], *n),
+        _ => None,
     };
-    // Mirror the implementation rules exactly: a node delivering parallel
-    // degree n was costed at its per-worker share during search, so the
-    // re-coster must apply the same scaling or the drift guard would see
-    // phantom drift on every parallel plan.
-    let local = formulas::parallelize(local, plan.delivered.parallel);
+    let mut reads = [&out; 4];
+    let n = inputs.len() + usize::from(extra.is_some());
+    for (slot, l) in reads.iter_mut().zip(inputs.iter().chain(&extra)) {
+        *slot = l;
+    }
+    let local = local_cost(
+        &plan.alg,
+        &reads[..n],
+        &out,
+        plan.delivered.parallel,
+        options.hash_join_memory_bytes,
+    );
     let total = costs.iter().fold(local, |acc, c| acc.add(c));
     (out, total)
 }

@@ -16,9 +16,10 @@
 //!   hash aggregation, and the **sort enforcer** ([`alg`]),
 //! * **physical properties**: sort order with prefix cover ([`props`]),
 //! * a System-R-style **cost model** with separate I/O and CPU components
-//!   ([`cost`]) and **selectivity estimation** ([`selectivity`]),
+//!   and one cost function per algorithm ([`cost`]), and **selectivity
+//!   estimation** ([`selectivity`]),
 //! * the **rule set**: join commutativity and associativity, select
-//!   push-down/merge, set-operation commutativity, and one implementation
+//!   push-down/merge, set-operation associativity, and one implementation
 //!   rule per algorithm ([`rules`]),
 //! * an ergonomic **query builder** ([`builder`]).
 //!

@@ -14,7 +14,7 @@ use crate::rules::implement::{
 };
 use crate::rules::transform::{
     AggSplit, BottomJoinCommute, JoinAssoc, JoinCommute, JoinLeftExchange, SelectMerge,
-    SelectPushdown, SetOpAssoc, SetOpCommute,
+    SelectPushdown, SetOpAssoc,
 };
 use crate::rules::{GatherEnforcer, SortEnforcer};
 
@@ -48,8 +48,6 @@ pub enum JoinSpace {
 /// edited model specification.
 #[derive(Debug, Clone)]
 pub struct RelModelOptions {
-    /// Permit associativity rewrites that introduce Cartesian products.
-    pub allow_cross_products: bool,
     /// Join-order search space (bushy vs. left-deep).
     pub join_space: JoinSpace,
     /// Include the selection push-down rule.
@@ -72,12 +70,6 @@ pub struct RelModelOptions {
     pub hash_join_memory_bytes: f64,
     /// Include set-operation associativity rules (union, intersection).
     pub enable_set_op_transforms: bool,
-    /// Include set-operation *commutativity*. Off by default: commuting a
-    /// set operation changes the nominal output attribute ids (set
-    /// operations are positional), which confuses consumers that resolve
-    /// attributes by id. Enable only for pure plan-space experiments that
-    /// do not execute the resulting plans.
-    pub enable_set_op_commute: bool,
     /// How many alternative consistent key orders merge-based binary
     /// operators offer (1 = declared order only, 2 = also the order with
     /// the first two keys swapped; §3's alternative property vectors).
@@ -92,7 +84,6 @@ pub struct RelModelOptions {
 impl Default for RelModelOptions {
     fn default() -> Self {
         RelModelOptions {
-            allow_cross_products: false,
             join_space: JoinSpace::Bushy,
             enable_select_pushdown: true,
             enable_select_merge: true,
@@ -101,7 +92,6 @@ impl Default for RelModelOptions {
             enable_multiway_join: false,
             hash_join_memory_bytes: f64::INFINITY,
             enable_set_op_transforms: true,
-            enable_set_op_commute: false,
             sort_order_variants: 1,
             parallel_degree: 1,
         }
@@ -115,7 +105,6 @@ impl RelModelOptions {
     /// including bushy ones; selections arrive already placed on scans.
     pub fn paper_fig4() -> Self {
         RelModelOptions {
-            allow_cross_products: false,
             join_space: JoinSpace::Bushy,
             enable_select_pushdown: false,
             enable_select_merge: false,
@@ -124,7 +113,6 @@ impl RelModelOptions {
             enable_multiway_join: false,
             hash_join_memory_bytes: f64::INFINITY,
             enable_set_op_transforms: false,
-            enable_set_op_commute: false,
             sort_order_variants: 1,
             parallel_degree: 1,
         }
@@ -152,13 +140,10 @@ impl RelModel {
     /// the given options.
     pub fn new(catalog: Catalog, options: RelModelOptions) -> Self {
         let mut transforms: Vec<Box<dyn TransformationRule<RelModel>>> = match options.join_space {
-            JoinSpace::Bushy => vec![
-                Box::new(JoinCommute::new()),
-                Box::new(JoinAssoc::new(options.allow_cross_products)),
-            ],
+            JoinSpace::Bushy => vec![Box::new(JoinCommute::new()), Box::new(JoinAssoc::new())],
             JoinSpace::LeftDeep => vec![
                 Box::new(BottomJoinCommute::new()),
-                Box::new(JoinLeftExchange::new(options.allow_cross_products)),
+                Box::new(JoinLeftExchange::new()),
             ],
         };
         if options.enable_select_pushdown {
@@ -170,10 +155,6 @@ impl RelModel {
         if options.enable_set_op_transforms {
             transforms.push(Box::new(SetOpAssoc::union()));
             transforms.push(Box::new(SetOpAssoc::intersect()));
-            if options.enable_set_op_commute {
-                transforms.push(Box::new(SetOpCommute::union()));
-                transforms.push(Box::new(SetOpCommute::intersect()));
-            }
         }
         if options.parallel_degree > 1 {
             // Two-phase aggregation only pays off when there are workers

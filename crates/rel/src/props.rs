@@ -77,7 +77,7 @@ pub struct RelLogical {
 }
 
 /// The stored tables under a class, ascending by id, each with the I/O of
-/// one heap scan of it ([`crate::cost::formulas::io_pages`]), and that
+/// one heap scan of it (the cost model's `formulas::io_pages`), and that
 /// I/O summed in table-id order. Every access path reads each of them
 /// whole at least once (a file scan or filter scan reads the heap, an
 /// index scan 1.25× the heap's pages, a `d`-way parallel scan a `d`-th per

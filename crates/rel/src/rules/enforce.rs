@@ -8,12 +8,15 @@
 //! parallel-degree property: it is the merge direction of the paper's
 //! exchange operator, letting the optimizer — not the executor — decide
 //! where a plan switches between parallel and serial execution.
+//!
+//! Each enforcer's cost is the model's one [`local_cost`], reading the
+//! class it is applied to: an enforcer changes no logical property.
 
 use volcano_core::ids::GroupId;
 use volcano_core::{Enforcer, EnforcerApplication, PhysicalProps, RuleCtx};
 
 use crate::alg::RelAlg;
-use crate::cost::{formulas, RelCost};
+use crate::cost::{local_cost, RelCost};
 use crate::model::RelModel;
 use crate::props::RelProps;
 
@@ -49,13 +52,12 @@ impl Enforcer<RelModel> for SortEnforcer {
 
     fn cost(
         &self,
-        _app: &EnforcerApplication<RelModel>,
+        app: &EnforcerApplication<RelModel>,
         group: GroupId,
         ctx: &RuleCtx<'_, RelModel>,
     ) -> RelCost {
-        // "Sorting costs were calculated based on a single-level merge"
-        // (§4.2): write sorted runs, read them back for one merge pass.
-        formulas::sort(ctx.logical_props(group))
+        let p = ctx.logical_props(group);
+        local_cost(&app.alg, &[p], p, app.delivers.parallel, f64::INFINITY)
     }
 }
 
@@ -112,10 +114,7 @@ impl Enforcer<RelModel> for GatherEnforcer {
         group: GroupId,
         ctx: &RuleCtx<'_, RelModel>,
     ) -> RelCost {
-        let degree = match &app.alg {
-            RelAlg::Gather(n) => *n,
-            _ => self.degree,
-        };
-        formulas::gather(ctx.logical_props(group), degree)
+        let p = ctx.logical_props(group);
+        local_cost(&app.alg, &[p], p, app.delivers.parallel, f64::INFINITY)
     }
 }

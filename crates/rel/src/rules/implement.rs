@@ -3,18 +3,22 @@
 //!
 //! Each rule supplies the paper's per-algorithm *applicability function*
 //! (can this algorithm deliver the required physical properties, and what
-//! must its inputs satisfy?) and *cost function*. `FilterScanRule` is a
-//! multi-operator rule (`Select(Get)` → one physical operator); the merge
-//! join and merge set-operation rules demonstrate *alternative* input
-//! property vectors (§3).
+//! must its inputs satisfy?). Its *cost function* is the model's one
+//! [`local_cost`], applied to the classes the rule bound. `FilterScanRule`
+//! is a multi-operator rule (`Select(Get)` → one physical operator); the
+//! merge join and merge set-operation rules demonstrate *alternative*
+//! input property vectors (§3).
 
-use volcano_core::{AlgApplication, Binding, ImplementationRule, Pattern, PhysicalProps, RuleCtx};
+use volcano_core::{
+    AlgApplication, Binding, BindingChild, ImplementationRule, Pattern, PhysicalProps, RuleCtx,
+};
 
 use crate::alg::RelAlg;
-use crate::cost::{formulas, RelCost};
+use crate::cost::{local_cost, RelCost};
 use crate::model::RelModel;
 use crate::ops::{rel_disc, RelOp};
 use crate::props::{RelLogical, RelProps, SortOrder};
+use crate::rules::{join, join_join, pat};
 
 type App = AlgApplication<RelModel>;
 type Ctx<'a> = RuleCtx<'a, RelModel>;
@@ -24,8 +28,30 @@ fn out_props<'a>(ctx: &Ctx<'a>, b: &Bind) -> &'a RelLogical {
     ctx.memo().logical_props(ctx.memo().group_of(b.expr))
 }
 
-fn input_props<'a>(ctx: &Ctx<'a>, b: &Bind, i: usize) -> &'a RelLogical {
-    ctx.logical_props(b.input_group(i))
+/// The logical properties of the class bound at child `i` of `b`, whether
+/// a wildcard bound the class or a nested pattern one of its members.
+fn child_props<'a>(ctx: &Ctx<'a>, b: &Bind, i: usize) -> &'a RelLogical {
+    match &b.children[i] {
+        BindingChild::Group(g) => ctx.logical_props(*g),
+        BindingChild::Bound(nested) => out_props(ctx, nested),
+    }
+}
+
+/// A rule's cost: [`local_cost`] of the application reading the classes
+/// bound at `b`'s children (a fused filter-scan's is its stored table) and
+/// producing `b`'s class, at the degree the application delivers. Only a
+/// hash join reads a memory bound, and its rule passes its own.
+fn app_cost(app: &App, b: &Bind, ctx: &Ctx<'_>, memory_bytes: f64) -> RelCost {
+    let out = out_props(ctx, b);
+    let n = b.children.len();
+    let reads = [0, 1].map(|i| if i < n { child_props(ctx, b, i) } else { out });
+    local_cost(
+        &app.alg,
+        &reads[..n],
+        out,
+        app.delivers.parallel,
+        memory_bytes,
+    )
 }
 
 /// The key orders a merge-based binary operator should try, as (left
@@ -64,12 +90,7 @@ impl FileScanRule {
     /// Construct the rule.
     pub fn new() -> Self {
         FileScanRule {
-            pattern: Pattern::op_disc(
-                "get",
-                vec![rel_disc::GET],
-                |op: &RelOp| matches!(op, RelOp::Get(_)),
-                vec![],
-            ),
+            pattern: pat::<{ rel_disc::GET }>("get", vec![]),
         }
     }
 }
@@ -106,10 +127,7 @@ impl ImplementationRule<RelModel> for FileScanRule {
     }
 
     fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::parallelize(
-            formulas::file_scan(out_props(ctx, b)),
-            app.delivers.parallel,
-        )
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -126,12 +144,7 @@ impl IndexScanRule {
     /// Construct the rule over the model's catalog.
     pub fn new(catalog: crate::Catalog) -> Self {
         IndexScanRule {
-            pattern: Pattern::op_disc(
-                "get",
-                vec![rel_disc::GET],
-                |op: &RelOp| matches!(op, RelOp::Get(_)),
-                vec![],
-            ),
+            pattern: pat::<{ rel_disc::GET }>("get", vec![]),
             catalog,
         }
     }
@@ -167,8 +180,8 @@ impl ImplementationRule<RelModel> for IndexScanRule {
             .collect()
     }
 
-    fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::index_scan(out_props(ctx, b))
+    fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -183,16 +196,9 @@ impl FilterScanRule {
     /// Construct the rule.
     pub fn new() -> Self {
         FilterScanRule {
-            pattern: Pattern::op_disc(
+            pattern: pat::<{ rel_disc::SELECT }>(
                 "select",
-                vec![rel_disc::SELECT],
-                |op: &RelOp| matches!(op, RelOp::Select(_)),
-                vec![Pattern::op_disc(
-                    "get",
-                    vec![rel_disc::GET],
-                    |op: &RelOp| matches!(op, RelOp::Get(_)),
-                    vec![],
-                )],
+                vec![pat::<{ rel_disc::GET }>("get", vec![])],
             ),
         }
     }
@@ -233,15 +239,7 @@ impl ImplementationRule<RelModel> for FilterScanRule {
     }
 
     fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        let RelOp::Select(p) = &b.op else {
-            unreachable!()
-        };
-        let table = ctx
-            .memo()
-            .logical_props(ctx.memo().group_of(b.nested(0).expr));
-        // One pass over the stored table, evaluating the predicate on the
-        // fly: the whole point of fusing the two logical operators.
-        formulas::parallelize(formulas::filter_scan(table, p.len()), app.delivers.parallel)
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -258,12 +256,7 @@ impl FilterRule {
     /// Construct the rule.
     pub fn new() -> Self {
         FilterRule {
-            pattern: Pattern::op_disc(
-                "select",
-                vec![rel_disc::SELECT],
-                |op: &RelOp| matches!(op, RelOp::Select(_)),
-                vec![Pattern::Any],
-            ),
+            pattern: pat::<{ rel_disc::SELECT }>("select", vec![Pattern::Any]),
         }
     }
 }
@@ -298,13 +291,7 @@ impl ImplementationRule<RelModel> for FilterRule {
     }
 
     fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        let RelOp::Select(p) = &b.op else {
-            unreachable!()
-        };
-        formulas::parallelize(
-            formulas::filter(input_props(ctx, b, 0), p.len()),
-            app.delivers.parallel,
-        )
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -318,12 +305,7 @@ impl ProjectRule {
     /// Construct the rule.
     pub fn new() -> Self {
         ProjectRule {
-            pattern: Pattern::op_disc(
-                "project",
-                vec![rel_disc::PROJECT],
-                |op: &RelOp| matches!(op, RelOp::Project(_)),
-                vec![Pattern::Any],
-            ),
+            pattern: pat::<{ rel_disc::PROJECT }>("project", vec![Pattern::Any]),
         }
     }
 }
@@ -360,10 +342,7 @@ impl ImplementationRule<RelModel> for ProjectRule {
     }
 
     fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::parallelize(
-            formulas::project(input_props(ctx, b, 0)),
-            app.delivers.parallel,
-        )
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -383,12 +362,7 @@ impl MergeJoinRule {
     /// the first two join attributes swapped.
     pub fn new(variants: usize) -> Self {
         MergeJoinRule {
-            pattern: Pattern::op_disc(
-                "join",
-                vec![rel_disc::JOIN],
-                |op: &RelOp| matches!(op, RelOp::Join(_)),
-                vec![Pattern::Any, Pattern::Any],
-            ),
+            pattern: join(),
             variants,
         }
     }
@@ -437,12 +411,8 @@ impl ImplementationRule<RelModel> for MergeJoinRule {
             .collect()
     }
 
-    fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::merge_join(
-            input_props(ctx, b, 0),
-            input_props(ctx, b, 1),
-            out_props(ctx, b),
-        )
+    fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -458,12 +428,7 @@ impl HashJoinRule {
     /// Construct the rule with the memory available per hash join.
     pub fn new(memory_bytes: f64) -> Self {
         HashJoinRule {
-            pattern: Pattern::op_disc(
-                "join",
-                vec![rel_disc::JOIN],
-                |op: &RelOp| matches!(op, RelOp::Join(_)),
-                vec![Pattern::Any, Pattern::Any],
-            ),
+            pattern: join(),
             memory_bytes,
         }
     }
@@ -510,15 +475,7 @@ impl ImplementationRule<RelModel> for HashJoinRule {
     fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
         // With infinite memory: in-memory build + probe, no partition
         // files (§4.2). With finite memory the overflow spills.
-        formulas::parallelize(
-            formulas::hash_join_with_memory(
-                input_props(ctx, b, 0),
-                input_props(ctx, b, 1),
-                out_props(ctx, b),
-                self.memory_bytes,
-            ),
-            app.delivers.parallel,
-        )
+        app_cost(app, b, ctx, self.memory_bytes)
     }
 }
 
@@ -537,22 +494,8 @@ pub struct MultiWayJoinRule {
 impl MultiWayJoinRule {
     /// Construct the rule.
     pub fn new() -> Self {
-        let is_join = |op: &RelOp| matches!(op, RelOp::Join(_));
         MultiWayJoinRule {
-            pattern: Pattern::op_disc(
-                "join",
-                vec![rel_disc::JOIN],
-                is_join,
-                vec![
-                    Pattern::op_disc(
-                        "join",
-                        vec![rel_disc::JOIN],
-                        is_join,
-                        vec![Pattern::Any, Pattern::Any],
-                    ),
-                    Pattern::Any,
-                ],
-            ),
+            pattern: join_join(),
         }
     }
 }
@@ -609,15 +552,21 @@ impl ImplementationRule<RelModel> for MultiWayJoinRule {
         }]
     }
 
-    fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        let inner_binding = b.nested(0);
-        let a = ctx.logical_props(inner_binding.input_group(0));
-        let bb = ctx.logical_props(inner_binding.input_group(1));
-        let c = ctx.logical_props(b.input_group(1));
-        let mid = ctx
-            .memo()
-            .logical_props(ctx.memo().group_of(inner_binding.expr));
-        formulas::multiway_hash_join(a, bb, c, mid, out_props(ctx, b))
+    fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
+        let inner = b.nested(0);
+        let reads = [
+            ctx.logical_props(inner.input_group(0)),
+            ctx.logical_props(inner.input_group(1)),
+            ctx.logical_props(b.input_group(1)),
+            out_props(ctx, inner),
+        ];
+        local_cost(
+            &app.alg,
+            &reads,
+            out_props(ctx, b),
+            app.delivers.parallel,
+            f64::INFINITY,
+        )
     }
 }
 
@@ -630,14 +579,7 @@ pub struct NestedLoopsRule {
 impl NestedLoopsRule {
     /// Construct the rule.
     pub fn new() -> Self {
-        NestedLoopsRule {
-            pattern: Pattern::op_disc(
-                "join",
-                vec![rel_disc::JOIN],
-                |op: &RelOp| matches!(op, RelOp::Join(_)),
-                vec![Pattern::Any, Pattern::Any],
-            ),
-        }
+        NestedLoopsRule { pattern: join() }
     }
 }
 
@@ -679,16 +621,8 @@ impl ImplementationRule<RelModel> for NestedLoopsRule {
         }]
     }
 
-    fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        let RelOp::Join(p) = &b.op else {
-            unreachable!()
-        };
-        formulas::nested_loops(
-            input_props(ctx, b, 0),
-            input_props(ctx, b, 1),
-            out_props(ctx, b),
-            p.pairs().len(),
-        )
+    fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -708,20 +642,12 @@ pub enum SetOpKind {
 }
 
 impl SetOpKind {
-    fn matches(self, op: &RelOp) -> bool {
-        matches!(
-            (self, op),
-            (SetOpKind::Union, RelOp::Union)
-                | (SetOpKind::Intersect, RelOp::Intersect)
-                | (SetOpKind::Difference, RelOp::Difference)
-        )
-    }
-
-    fn discriminant(self) -> usize {
+    fn pattern(self) -> Pattern<RelModel> {
+        let inputs = vec![Pattern::Any, Pattern::Any];
         match self {
-            SetOpKind::Union => rel_disc::UNION,
-            SetOpKind::Intersect => rel_disc::INTERSECT,
-            SetOpKind::Difference => rel_disc::DIFFERENCE,
+            SetOpKind::Union => pat::<{ rel_disc::UNION }>("union", inputs),
+            SetOpKind::Intersect => pat::<{ rel_disc::INTERSECT }>("intersect", inputs),
+            SetOpKind::Difference => pat::<{ rel_disc::DIFFERENCE }>("difference", inputs),
         }
     }
 
@@ -758,18 +684,13 @@ pub struct MergeSetOpRule {
 impl MergeSetOpRule {
     /// Construct the rule for one set operation.
     pub fn new(kind: SetOpKind, variants: usize) -> Self {
-        let (name, pname): (&'static str, &'static str) = match kind {
-            SetOpKind::Union => ("union_to_merge_union", "union"),
-            SetOpKind::Intersect => ("intersect_to_merge_intersect", "intersect"),
-            SetOpKind::Difference => ("difference_to_merge_difference", "difference"),
+        let name = match kind {
+            SetOpKind::Union => "union_to_merge_union",
+            SetOpKind::Intersect => "intersect_to_merge_intersect",
+            SetOpKind::Difference => "difference_to_merge_difference",
         };
         MergeSetOpRule {
-            pattern: Pattern::op_disc(
-                pname,
-                vec![kind.discriminant()],
-                move |op: &RelOp| kind.matches(op),
-                vec![Pattern::Any, Pattern::Any],
-            ),
+            pattern: kind.pattern(),
             kind,
             variants,
             name,
@@ -812,12 +733,8 @@ impl ImplementationRule<RelModel> for MergeSetOpRule {
             .collect()
     }
 
-    fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::merge_set_op(
-            input_props(ctx, b, 0),
-            input_props(ctx, b, 1),
-            out_props(ctx, b),
-        )
+    fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -831,18 +748,13 @@ pub struct HashSetOpRule {
 impl HashSetOpRule {
     /// Construct the rule for one set operation.
     pub fn new(kind: SetOpKind) -> Self {
-        let (name, pname): (&'static str, &'static str) = match kind {
-            SetOpKind::Union => ("union_to_hash_union", "union"),
-            SetOpKind::Intersect => ("intersect_to_hash_intersect", "intersect"),
-            SetOpKind::Difference => ("difference_to_hash_difference", "difference"),
+        let name = match kind {
+            SetOpKind::Union => "union_to_hash_union",
+            SetOpKind::Intersect => "intersect_to_hash_intersect",
+            SetOpKind::Difference => "difference_to_hash_difference",
         };
         HashSetOpRule {
-            pattern: Pattern::op_disc(
-                pname,
-                vec![kind.discriminant()],
-                move |op: &RelOp| kind.matches(op),
-                vec![Pattern::Any, Pattern::Any],
-            ),
+            pattern: kind.pattern(),
             kind,
             name,
         }
@@ -870,12 +782,8 @@ impl ImplementationRule<RelModel> for HashSetOpRule {
         }]
     }
 
-    fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::hash_set_op(
-            input_props(ctx, b, 0),
-            input_props(ctx, b, 1),
-            out_props(ctx, b),
-        )
+    fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -893,12 +801,7 @@ impl StreamAggRule {
     /// Construct the rule.
     pub fn new() -> Self {
         StreamAggRule {
-            pattern: Pattern::op_disc(
-                "aggregate",
-                vec![rel_disc::AGGREGATE],
-                |op: &RelOp| matches!(op, RelOp::Aggregate(_)),
-                vec![Pattern::Any],
-            ),
+            pattern: pat::<{ rel_disc::AGGREGATE }>("aggregate", vec![Pattern::Any]),
         }
     }
 }
@@ -933,8 +836,8 @@ impl ImplementationRule<RelModel> for StreamAggRule {
         }]
     }
 
-    fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::stream_agg(input_props(ctx, b, 0), out_props(ctx, b))
+    fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -947,12 +850,7 @@ impl HashAggRule {
     /// Construct the rule.
     pub fn new() -> Self {
         HashAggRule {
-            pattern: Pattern::op_disc(
-                "aggregate",
-                vec![rel_disc::AGGREGATE],
-                |op: &RelOp| matches!(op, RelOp::Aggregate(_)),
-                vec![Pattern::Any],
-            ),
+            pattern: pat::<{ rel_disc::AGGREGATE }>("aggregate", vec![Pattern::Any]),
         }
     }
 }
@@ -988,8 +886,8 @@ impl ImplementationRule<RelModel> for HashAggRule {
         }]
     }
 
-    fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::hash_agg(input_props(ctx, b, 0), out_props(ctx, b))
+    fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -1009,10 +907,8 @@ impl PartialHashAggRule {
     /// Construct the rule for a model with `degree` workers.
     pub fn new(degree: u32) -> Self {
         PartialHashAggRule {
-            pattern: Pattern::op_disc(
+            pattern: pat::<{ rel_disc::PARTIAL_AGGREGATE }>(
                 "partial_aggregate",
-                vec![rel_disc::PARTIAL_AGGREGATE],
-                |op: &RelOp| matches!(op, RelOp::PartialAggregate(_)),
                 vec![Pattern::Any],
             ),
             degree,
@@ -1045,10 +941,7 @@ impl ImplementationRule<RelModel> for PartialHashAggRule {
     }
 
     fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::parallelize(
-            formulas::partial_hash_agg(input_props(ctx, b, 0), out_props(ctx, b)),
-            app.delivers.parallel,
-        )
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }
 
@@ -1062,12 +955,7 @@ impl FinalHashAggRule {
     /// Construct the rule.
     pub fn new() -> Self {
         FinalHashAggRule {
-            pattern: Pattern::op_disc(
-                "final_aggregate",
-                vec![rel_disc::FINAL_AGGREGATE],
-                |op: &RelOp| matches!(op, RelOp::FinalAggregate(_)),
-                vec![Pattern::Any],
-            ),
+            pattern: pat::<{ rel_disc::FINAL_AGGREGATE }>("final_aggregate", vec![Pattern::Any]),
         }
     }
 }
@@ -1101,7 +989,7 @@ impl ImplementationRule<RelModel> for FinalHashAggRule {
         }]
     }
 
-    fn cost(&self, _app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
-        formulas::final_hash_agg(input_props(ctx, b, 0), out_props(ctx, b))
+    fn cost(&self, app: &App, b: &Bind, ctx: &Ctx<'_>) -> RelCost {
+        app_cost(app, b, ctx, f64::INFINITY)
     }
 }

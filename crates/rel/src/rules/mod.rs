@@ -14,3 +14,31 @@ pub mod transform;
 pub use enforce::{GatherEnforcer, SortEnforcer};
 pub use implement::*;
 pub use transform::*;
+
+use volcano_core::Pattern;
+
+use crate::model::RelModel;
+use crate::ops::rel_disc;
+
+/// The pattern node matching the operators of discriminant `DISC`
+/// ([`crate::ops::rel_disc`]), named `name`, over `inputs`. The
+/// discriminant is a constant so the matcher captures nothing: building a
+/// model allocates no closure.
+fn pat<const DISC: usize>(name: &'static str, inputs: Vec<Pattern<RelModel>>) -> Pattern<RelModel> {
+    Pattern::op_disc(
+        name,
+        vec![DISC],
+        |op: &crate::RelOp| op.discriminant() == DISC,
+        inputs,
+    )
+}
+
+/// `Join(?, ?)`.
+fn join() -> Pattern<RelModel> {
+    pat::<{ rel_disc::JOIN }>("join", vec![Pattern::Any, Pattern::Any])
+}
+
+/// `Join(Join(?, ?), ?)`.
+fn join_join() -> Pattern<RelModel> {
+    pat::<{ rel_disc::JOIN }>("join", vec![join(), Pattern::Any])
+}

@@ -15,16 +15,9 @@ use crate::ids::AttrId;
 use crate::model::RelModel;
 use crate::ops::{rel_disc, RelOp};
 use crate::predicate::{JoinPred, Pred};
+use crate::rules::{join, join_join, pat};
 
 type Subst = SubstExpr<RelModel>;
-
-fn is_join(op: &RelOp) -> bool {
-    matches!(op, RelOp::Join(_))
-}
-
-fn is_select(op: &RelOp) -> bool {
-    matches!(op, RelOp::Select(_))
-}
 
 /// The join predicates of a `Join(Join(?, ?), ?)` binding: the inner
 /// join's, then the outer join's.
@@ -54,14 +47,7 @@ pub struct JoinCommute {
 impl JoinCommute {
     /// Construct the rule.
     pub fn new() -> Self {
-        JoinCommute {
-            pattern: Pattern::op_disc(
-                "join",
-                vec![rel_disc::JOIN],
-                is_join,
-                vec![Pattern::Any, Pattern::Any],
-            ),
-        }
+        JoinCommute { pattern: join() }
     }
 }
 
@@ -100,34 +86,24 @@ impl TransformationRule<RelModel> for JoinCommute {
 /// endpoint lies in `B` become the new inner predicate `q1`, the rest
 /// join `A` to the new composite, together with the old inner predicate
 /// `p1` (whose right endpoints lie in `B ⊆ B ⋈ C`). The condition code
-/// rejects rewrites that would introduce Cartesian products unless the
-/// model allows them, so a firing always produces a substitute.
+/// rejects rewrites that would introduce Cartesian products, so a firing
+/// always produces a substitute.
 pub struct JoinAssoc {
     pattern: Pattern<RelModel>,
-    allow_cross: bool,
 }
 
 impl JoinAssoc {
-    /// Construct the rule; `allow_cross` admits rewrites that create
-    /// Cartesian products.
-    pub fn new(allow_cross: bool) -> Self {
+    /// Construct the rule.
+    pub fn new() -> Self {
         JoinAssoc {
-            pattern: Pattern::op_disc(
-                "join",
-                vec![rel_disc::JOIN],
-                is_join,
-                vec![
-                    Pattern::op_disc(
-                        "join",
-                        vec![rel_disc::JOIN],
-                        is_join,
-                        vec![Pattern::Any, Pattern::Any],
-                    ),
-                    Pattern::Any,
-                ],
-            ),
-            allow_cross,
+            pattern: join_join(),
         }
+    }
+}
+
+impl Default for JoinAssoc {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -141,9 +117,6 @@ impl TransformationRule<RelModel> for JoinAssoc {
     }
 
     fn condition(&self, b: &Binding<RelModel>, ctx: &RuleCtx<'_, RelModel>) -> bool {
-        if self.allow_cross {
-            return true;
-        }
         let (p1, p2) = join_join_preds(b);
         let b_props = ctx.logical_props(b.nested(0).input_group(1));
         !reroute_makes_cross(p1, p2, |l| b_props.has_attr(l))
@@ -162,8 +135,7 @@ impl TransformationRule<RelModel> for JoinAssoc {
         let in_b = |l, _| b_props.has_attr(l);
         let q1 = JoinPred::cross().and_where(p2, in_b);
         let q2 = p1.and_where(p2, |l, r| !in_b(l, r));
-
-        if !self.allow_cross && (q1.is_cross() || q2.is_cross()) {
+        if q1.is_cross() || q2.is_cross() {
             return vec![];
         }
 
@@ -187,30 +159,20 @@ impl TransformationRule<RelModel> for JoinAssoc {
 /// different search engine.
 pub struct JoinLeftExchange {
     pattern: Pattern<RelModel>,
-    allow_cross: bool,
 }
 
 impl JoinLeftExchange {
-    /// Construct the rule; `allow_cross` admits exchanges that create
-    /// Cartesian products.
-    pub fn new(allow_cross: bool) -> Self {
+    /// Construct the rule.
+    pub fn new() -> Self {
         JoinLeftExchange {
-            pattern: Pattern::op_disc(
-                "join",
-                vec![rel_disc::JOIN],
-                is_join,
-                vec![
-                    Pattern::op_disc(
-                        "join",
-                        vec![rel_disc::JOIN],
-                        is_join,
-                        vec![Pattern::Any, Pattern::Any],
-                    ),
-                    Pattern::Any,
-                ],
-            ),
-            allow_cross,
+            pattern: join_join(),
         }
+    }
+}
+
+impl Default for JoinLeftExchange {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -224,9 +186,6 @@ impl TransformationRule<RelModel> for JoinLeftExchange {
     }
 
     fn condition(&self, b: &Binding<RelModel>, ctx: &RuleCtx<'_, RelModel>) -> bool {
-        if self.allow_cross {
-            return true;
-        }
         let (p1, p2) = join_join_preds(b);
         let a_props = ctx.logical_props(b.nested(0).input_group(0));
         !reroute_makes_cross(p1, p2, |l| a_props.has_attr(l))
@@ -245,8 +204,7 @@ impl TransformationRule<RelModel> for JoinLeftExchange {
         let a_props = ctx.logical_props(a);
         let (q1, from_b) = p2.partition(|l, _| a_props.has_attr(l));
         let q2 = p1.and(&from_b.flipped());
-
-        if !self.allow_cross && (q1.is_cross() || q2.is_cross()) {
+        if q1.is_cross() || q2.is_cross() {
             return vec![];
         }
 
@@ -270,14 +228,7 @@ pub struct BottomJoinCommute {
 impl BottomJoinCommute {
     /// Construct the rule.
     pub fn new() -> Self {
-        BottomJoinCommute {
-            pattern: Pattern::op_disc(
-                "join",
-                vec![rel_disc::JOIN],
-                is_join,
-                vec![Pattern::Any, Pattern::Any],
-            ),
-        }
+        BottomJoinCommute { pattern: join() }
     }
 }
 
@@ -330,17 +281,7 @@ impl SelectPushdown {
     /// Construct the rule.
     pub fn new() -> Self {
         SelectPushdown {
-            pattern: Pattern::op_disc(
-                "select",
-                vec![rel_disc::SELECT],
-                is_select,
-                vec![Pattern::op_disc(
-                    "join",
-                    vec![rel_disc::JOIN],
-                    is_join,
-                    vec![Pattern::Any, Pattern::Any],
-                )],
-            ),
+            pattern: pat::<{ rel_disc::SELECT }>("select", vec![join()]),
         }
     }
 }
@@ -404,16 +345,9 @@ impl SelectMerge {
     /// Construct the rule.
     pub fn new() -> Self {
         SelectMerge {
-            pattern: Pattern::op_disc(
+            pattern: pat::<{ rel_disc::SELECT }>(
                 "select",
-                vec![rel_disc::SELECT],
-                is_select,
-                vec![Pattern::op_disc(
-                    "select",
-                    vec![rel_disc::SELECT],
-                    is_select,
-                    vec![Pattern::Any],
-                )],
+                vec![pat::<{ rel_disc::SELECT }>("select", vec![Pattern::Any])],
             ),
         }
     }
@@ -466,12 +400,7 @@ impl AggSplit {
     /// Construct the rule.
     pub fn new() -> Self {
         AggSplit {
-            pattern: Pattern::op_disc(
-                "aggregate",
-                vec![rel_disc::AGGREGATE],
-                |op: &RelOp| matches!(op, RelOp::Aggregate(_)),
-                vec![Pattern::Any],
-            ),
+            pattern: pat::<{ rel_disc::AGGREGATE }>("aggregate", vec![Pattern::Any]),
         }
     }
 }
@@ -505,69 +434,6 @@ impl TransformationRule<RelModel> for AggSplit {
     }
 }
 
-/// Commutativity for a symmetric set operation (union or intersection).
-pub struct SetOpCommute {
-    pattern: Pattern<RelModel>,
-    op: RelOp,
-    name: &'static str,
-}
-
-impl SetOpCommute {
-    /// Commutativity of `UNION`.
-    pub fn union() -> Self {
-        SetOpCommute {
-            pattern: Pattern::op_disc(
-                "union",
-                vec![rel_disc::UNION],
-                |op: &RelOp| matches!(op, RelOp::Union),
-                vec![Pattern::Any, Pattern::Any],
-            ),
-            op: RelOp::Union,
-            name: "union_commute",
-        }
-    }
-
-    /// Commutativity of `INTERSECT`.
-    pub fn intersect() -> Self {
-        SetOpCommute {
-            pattern: Pattern::op_disc(
-                "intersect",
-                vec![rel_disc::INTERSECT],
-                |op: &RelOp| matches!(op, RelOp::Intersect),
-                vec![Pattern::Any, Pattern::Any],
-            ),
-            op: RelOp::Intersect,
-            name: "intersect_commute",
-        }
-    }
-}
-
-impl TransformationRule<RelModel> for SetOpCommute {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn pattern(&self) -> &Pattern<RelModel> {
-        &self.pattern
-    }
-
-    fn apply(&self, b: &Binding<RelModel>, _ctx: &RuleCtx<'_, RelModel>) -> Vec<Subst> {
-        // NOTE: commuting a set operation is only valid when both sides
-        // share one schema; the logical property derivation uses the left
-        // input's attribute ids, so commuting inputs with *different*
-        // attribute ids would change the nominal output schema. The
-        // builder constructs set operations over union-compatible inputs;
-        // positional semantics make the result equivalent.
-        vec![Subst::node(
-            self.op.clone(),
-            vec![
-                Subst::group(b.input_group(1)),
-                Subst::group(b.input_group(0)),
-            ],
-        )]
-    }
-}
-
 /// Associativity for a symmetric set operation:
 /// `(A op B) op C  →  A op (B op C)`.
 pub struct SetOpAssoc {
@@ -579,19 +445,11 @@ pub struct SetOpAssoc {
 impl SetOpAssoc {
     /// Associativity of `UNION`.
     pub fn union() -> Self {
-        let m = |op: &RelOp| matches!(op, RelOp::Union);
         SetOpAssoc {
-            pattern: Pattern::op_disc(
+            pattern: pat::<{ rel_disc::UNION }>(
                 "union",
-                vec![rel_disc::UNION],
-                m,
                 vec![
-                    Pattern::op_disc(
-                        "union",
-                        vec![rel_disc::UNION],
-                        m,
-                        vec![Pattern::Any, Pattern::Any],
-                    ),
+                    pat::<{ rel_disc::UNION }>("union", vec![Pattern::Any, Pattern::Any]),
                     Pattern::Any,
                 ],
             ),
@@ -602,19 +460,11 @@ impl SetOpAssoc {
 
     /// Associativity of `INTERSECT`.
     pub fn intersect() -> Self {
-        let m = |op: &RelOp| matches!(op, RelOp::Intersect);
         SetOpAssoc {
-            pattern: Pattern::op_disc(
+            pattern: pat::<{ rel_disc::INTERSECT }>(
                 "intersect",
-                vec![rel_disc::INTERSECT],
-                m,
                 vec![
-                    Pattern::op_disc(
-                        "intersect",
-                        vec![rel_disc::INTERSECT],
-                        m,
-                        vec![Pattern::Any, Pattern::Any],
-                    ),
+                    pat::<{ rel_disc::INTERSECT }>("intersect", vec![Pattern::Any, Pattern::Any]),
                     Pattern::Any,
                 ],
             ),

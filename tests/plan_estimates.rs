@@ -5,11 +5,14 @@
 //! harvest re-derive estimates over physical plans
 //! ([`volcano::rel::logical_from_inputs`]), after the search has thrown
 //! its memo away. Both go through the same per-operator constructors of
-//! `RelLogical`, so under unchanged statistics each plan node's estimate
-//! is its class's: the cardinality within the model's own invariance
-//! tolerance, the columns the same, and the re-costed plan
-//! ([`volcano::rel::estimated_plan_cost`]) as costly as the search found
-//! it. The queries are chosen so that every algorithm appears.
+//! `RelLogical`, and the re-costed plan
+//! ([`volcano::rel::estimated_plan_cost`]) goes through the search's one
+//! cost function per algorithm. So under unchanged statistics each plan
+//! node's estimate is its class's, with the same columns, and the plan
+//! re-costs to what the search found, both to 1e-12 relative: a join
+//! class multiplies its selectivities in the order of the member that
+//! derived it first, so another association order may move the last bits.
+//! The queries are chosen so that every algorithm appears.
 
 use std::collections::BTreeSet;
 
@@ -74,7 +77,7 @@ const ALL_ARMS: [&str; 21] = [
 ];
 
 fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0)
+    (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0)
 }
 
 /// Re-derive `plan` bottom-up, asserting at each node that the estimate
