@@ -1,32 +1,100 @@
-//! EXPLAIN ANALYZE support: execute a plan with per-operator
-//! instrumentation — row counts, open/next invocation counts and
-//! wall-clock time — and report the actuals next to the optimizer's
-//! estimated cardinalities and costs, a direct check of the
-//! selectivity and cost models. Per-operator seams exist on the tuple
-//! engine only; the vectorized engine reports per pipeline
-//! ([`execute_analyzed_fused`]).
+//! EXPLAIN ANALYZE support: execute a plan on either engine and report,
+//! per plan node in pre-order, the optimizer's estimated cardinality and
+//! cost next to the rows the node actually produced — a direct check of
+//! the selectivity and cost models, and the actuals the feedback harvest
+//! ([`volcano_rel::observations`]) reads. Both engines count into one
+//! cell per plan node: the tuple engine, and the vectorized one's
+//! fallback operators, per row around each operator (with its calls,
+//! wall-clock and own counters); a fused region per batch, on the step
+//! that produces the node's output ([`crate::fused`]).
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use volcano_rel::value::Tuple;
-use volcano_rel::{Catalog, RelLogical, RelPlan};
+use volcano_rel::{Catalog, RelAlg, RelLogical, RelPlan};
 
 use crate::batch::collect_batches;
-use crate::compile::{compile_node_at, BatchConfig};
-use crate::database::Database;
+use crate::compile::{compile_node_at, Engine};
+use crate::database::{Database, SchemaSnapshot};
+use crate::fused::FusedReport;
 use crate::iterator::{collect, BoxedOperator, Operator};
 
-/// Shared measurement cell for one plan node.
+/// Measurement cell of one plan node.
 #[derive(Default)]
 struct Cell {
     rows: AtomicU64,
     opens: AtomicU64,
     next_calls: AtomicU64,
     elapsed_ns: AtomicU64,
+    /// The executable operator's name; unset for a node a fused region
+    /// runs.
+    operator: OnceLock<&'static str>,
     extra: Mutex<Vec<(&'static str, u64)>>,
+}
+
+/// The measurement cells of one compiled plan, one per plan node in
+/// pre-order, allocated when the plan is compiled.
+pub(crate) struct NodeCells(Box<[Cell]>);
+
+impl NodeCells {
+    /// One empty cell per node of `plan`.
+    pub(crate) fn new(plan: &RelPlan) -> Arc<Self> {
+        Arc::new(NodeCells(
+            (0..plan.node_count()).map(|_| Cell::default()).collect(),
+        ))
+    }
+
+    /// Add `rows` to the output of each node in `nodes` (a fused step
+    /// calls this once per batch).
+    pub(crate) fn count(&self, nodes: &[usize], rows: usize) {
+        for &n in nodes {
+            self.0[n].rows.fetch_add(rows as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Per-node output rows of `plan`, in pre-order. A gather passes its
+    /// input's rows — the vectorized engine runs it as the degree of the
+    /// region below, which counts them — so it reads its input's count.
+    pub(crate) fn rows(&self, plan: &RelPlan) -> Vec<u64> {
+        fn gathers(plan: &RelPlan, slot: usize, rows: &mut [u64]) {
+            for (input, at) in input_slots(plan, slot) {
+                gathers(input, at, rows);
+            }
+            if let RelAlg::Gather(_) = plan.alg {
+                rows[slot] = rows[slot + 1];
+            }
+        }
+        let mut rows: Vec<u64> = self
+            .0
+            .iter()
+            .map(|c| c.rows.load(Ordering::Relaxed))
+            .collect();
+        gathers(plan, 0, &mut rows);
+        rows
+    }
+
+    /// Measure `op`, the operator of node `slot`.
+    pub(crate) fn wrap(self: &Arc<Self>, op: BoxedOperator, slot: usize) -> BoxedOperator {
+        let _ = self.0[slot].operator.set(op.name());
+        let cells = self.clone();
+        Box::new(Instrumented {
+            child: op,
+            cells,
+            slot,
+        })
+    }
+}
+
+/// The pre-order slots of `plan`'s inputs, given `plan`'s own.
+pub(crate) fn input_slots(plan: &RelPlan, slot: usize) -> impl Iterator<Item = (&RelPlan, usize)> {
+    plan.inputs.iter().scan(slot + 1, |next, input| {
+        let at = *next;
+        *next += input.node_count();
+        Some((input, at))
+    })
 }
 
 /// Pass-through operator measuring the operator beneath it: rows
@@ -35,28 +103,29 @@ struct Cell {
 /// ([`Operator::metrics`]).
 struct Instrumented {
     child: BoxedOperator,
-    cell: Arc<Cell>,
+    cells: Arc<NodeCells>,
+    slot: usize,
 }
 
 impl Operator for Instrumented {
     fn open(&mut self) {
         let start = Instant::now();
         self.child.open();
-        self.cell.opens.fetch_add(1, Ordering::Relaxed);
-        self.cell
-            .elapsed_ns
+        let cell = &self.cells.0[self.slot];
+        cell.opens.fetch_add(1, Ordering::Relaxed);
+        cell.elapsed_ns
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     fn next(&mut self) -> Option<Tuple> {
         let start = Instant::now();
         let t = self.child.next();
-        self.cell.next_calls.fetch_add(1, Ordering::Relaxed);
+        let cell = &self.cells.0[self.slot];
+        cell.next_calls.fetch_add(1, Ordering::Relaxed);
         if t.is_some() {
-            self.cell.rows.fetch_add(1, Ordering::Relaxed);
+            cell.rows.fetch_add(1, Ordering::Relaxed);
         }
-        self.cell
-            .elapsed_ns
+        cell.elapsed_ns
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         t
     }
@@ -64,14 +133,14 @@ impl Operator for Instrumented {
     fn close(&mut self) {
         let start = Instant::now();
         self.child.close();
-        self.cell
-            .elapsed_ns
+        let cell = &self.cells.0[self.slot];
+        cell.elapsed_ns
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         // The operator tree is torn down after execution; capture the
         // operator's counters while they are still reachable. Operators
         // that are closed more than once just overwrite with the latest
         // (cumulative) values.
-        *self.cell.extra.lock().unwrap() = self.child.metrics();
+        *cell.extra.lock().expect("no thread panics holding a cell") = self.child.metrics();
     }
 
     fn name(&self) -> &'static str {
@@ -83,12 +152,15 @@ impl Operator for Instrumented {
     }
 }
 
-/// Per-operator measurement, in plan pre-order.
+/// Per-node measurement, in plan pre-order. A node a fused region runs
+/// has no iterator of its own: its rows are counted, its `opens`,
+/// `next_calls`, `elapsed` and `extra` stay zero.
 #[derive(Debug, Clone)]
 pub struct NodeMeasurement {
     /// Operator description (with catalog names).
     pub description: String,
-    /// Executable operator name (e.g. `hash_join`).
+    /// Executable operator name (e.g. `hash_join`; `fused_region` for a
+    /// node a fused region runs).
     pub operator: &'static str,
     /// Depth in the plan tree.
     pub depth: usize,
@@ -112,8 +184,11 @@ pub struct NodeMeasurement {
 pub struct Analyzed {
     /// The query result.
     pub rows: Vec<Tuple>,
-    /// Per-operator measurements, in plan pre-order.
+    /// Per-node measurements, in plan pre-order.
     pub nodes: Vec<NodeMeasurement>,
+    /// On the vectorized engine, its compile report with the pipeline
+    /// counters populated.
+    pub fused: Option<FusedReport>,
 }
 
 fn fmt_dur(d: Duration) -> String {
@@ -174,25 +249,34 @@ impl Analyzed {
         out
     }
 
-    /// Render an `EXPLAIN ANALYZE`-style report: one line per operator,
-    /// estimated cost and rows next to actual rows and timings.
+    /// Render an `EXPLAIN ANALYZE`-style report: one line per plan node,
+    /// estimated cost and rows next to actual rows (and, for an
+    /// operator of its own, calls and timings), then the vectorized
+    /// engine's pipeline lines.
     pub fn report(&self) -> String {
         let selfs = self.self_times();
         let mut out = String::new();
         for (n, self_time) in self.nodes.iter().zip(selfs) {
             let _ = write!(
                 out,
-                "{:indent$}{}  (cost={:.2} est {:.0} rows) (actual {} rows, {} nexts, {} total, {} self)",
+                "{:indent$}{}  (cost={:.2} est {:.0} rows) (actual {} rows",
                 "",
                 n.description,
                 n.est_cost,
                 n.est_rows,
                 n.actual_rows,
-                n.next_calls,
-                fmt_dur(n.elapsed),
-                fmt_dur(self_time),
                 indent = n.depth * 2
             );
+            if n.opens > 0 {
+                let _ = write!(
+                    out,
+                    ", {} nexts, {} total, {} self",
+                    n.next_calls,
+                    fmt_dur(n.elapsed),
+                    fmt_dur(self_time),
+                );
+            }
+            out.push(')');
             if !n.extra.is_empty() {
                 let _ = write!(out, " [");
                 for (i, (k, v)) in n.extra.iter().enumerate() {
@@ -201,6 +285,10 @@ impl Analyzed {
                 }
                 let _ = write!(out, "]");
             }
+            out.push('\n');
+        }
+        for line in self.fused.iter().flat_map(FusedReport::lines) {
+            out.push_str(&line);
             out.push('\n');
         }
         out
@@ -245,118 +333,87 @@ impl Analyzed {
     }
 }
 
-/// Build the instrumented operator tree; measurements are recorded in
-/// pre-order (parent before children). Returns the operator with the
-/// node's estimated logical properties, derived once from its children's
-/// ([`volcano_rel::logical_from_inputs`]).
-fn instrument(
+/// The tuple operator tree of `plan` (pre-order slot `slot`), every
+/// node measured into its cell.
+pub(crate) fn instrument(
     db: &Database,
-    sch: &crate::database::SchemaSnapshot,
+    sch: &SchemaSnapshot,
+    plan: &RelPlan,
+    slot: usize,
+    cells: &Arc<NodeCells>,
+) -> BoxedOperator {
+    let children = input_slots(plan, slot)
+        .map(|(input, at)| instrument(db, sch, input, at, cells))
+        .collect();
+    cells.wrap(compile_node_at(db, sch, plan, children), slot)
+}
+
+/// Read the cells and `rows`, their output rows, into measurements in
+/// pre-order, each node with the estimated logical properties derived
+/// from its children's ([`volcano_rel::logical_from_inputs`]), which it
+/// returns.
+fn measure(
     catalog: &Catalog,
     plan: &RelPlan,
     depth: usize,
-    counters: &mut Vec<(NodeMeasurement, Arc<Cell>)>,
-) -> (BoxedOperator, RelLogical) {
-    let cell = Arc::new(Cell::default());
-    let slot = counters.len();
-    counters.push((
-        NodeMeasurement {
-            description: volcano_rel::explain::alg_description(catalog, &plan.alg),
-            operator: "",
-            depth,
-            est_rows: 0.0,
-            est_cost: plan.cost.total(),
-            actual_rows: 0,
-            opens: 0,
-            next_calls: 0,
-            elapsed: Duration::ZERO,
-            extra: Vec::new(),
-        },
-        cell.clone(),
-    ));
-    let (children, inputs): (Vec<BoxedOperator>, Vec<RelLogical>) = plan
+    cells: &NodeCells,
+    rows: &[u64],
+    out: &mut Vec<NodeMeasurement>,
+) -> RelLogical {
+    let slot = out.len();
+    let cell = &cells.0[slot];
+    out.push(NodeMeasurement {
+        description: volcano_rel::explain::alg_description(catalog, &plan.alg),
+        operator: cell.operator.get().copied().unwrap_or("fused_region"),
+        depth,
+        est_rows: 0.0,
+        est_cost: plan.cost.total(),
+        actual_rows: rows[slot],
+        opens: cell.opens.load(Ordering::Relaxed),
+        next_calls: cell.next_calls.load(Ordering::Relaxed),
+        elapsed: Duration::from_nanos(cell.elapsed_ns.load(Ordering::Relaxed)),
+        extra: std::mem::take(&mut cell.extra.lock().expect("no thread panics holding a cell")),
+    });
+    let inputs: Vec<RelLogical> = plan
         .inputs
         .iter()
-        .map(|c| instrument(db, sch, catalog, c, depth + 1, counters))
-        .unzip();
+        .map(|input| measure(catalog, input, depth + 1, cells, rows, out))
+        .collect();
     let est = volcano_rel::logical_from_inputs(catalog, &plan.alg, &inputs);
-    let op = compile_node_at(db, sch, plan, children);
-    counters[slot].0.operator = op.name();
-    counters[slot].0.est_rows = est.card;
-    (Box::new(Instrumented { child: op, cell }), est)
+    out[slot].est_rows = est.card;
+    est
 }
 
-fn drain_counters(counters: Vec<(NodeMeasurement, Arc<Cell>)>) -> Vec<NodeMeasurement> {
-    counters
-        .into_iter()
-        .map(|(mut m, cell)| {
-            m.actual_rows = cell.rows.load(Ordering::Relaxed);
-            m.opens = cell.opens.load(Ordering::Relaxed);
-            m.next_calls = cell.next_calls.load(Ordering::Relaxed);
-            m.elapsed = Duration::from_nanos(cell.elapsed_ns.load(Ordering::Relaxed));
-            m.extra = std::mem::take(&mut cell.extra.lock().unwrap());
-            m
-        })
-        .collect()
-}
-
-/// Execute a plan with per-operator instrumentation.
-pub fn execute_analyzed(db: &Database, catalog: &Catalog, plan: &RelPlan) -> Analyzed {
-    let sch = db.snapshot();
-    execute_analyzed_at(db, &sch, catalog, plan)
-}
-
-/// [`execute_analyzed`] against a caller-pinned schema snapshot — the
-/// feedback path instruments the same snapshot the prepared execution
-/// lowered on, so concurrent DDL cannot change the plan's tables
-/// between planning and measurement.
-pub fn execute_analyzed_at(
+/// Execute a plan on `engine`, measuring every plan node.
+pub fn execute_analyzed(
     db: &Database,
-    sch: &crate::database::SchemaSnapshot,
     catalog: &Catalog,
     plan: &RelPlan,
+    engine: Engine,
 ) -> Analyzed {
-    let mut counters = Vec::new();
-    let (mut op, _) = instrument(db, sch, catalog, plan, 0, &mut counters);
-    let rows = collect(op.as_mut());
-    Analyzed {
-        rows,
-        nodes: drain_counters(counters),
-    }
-}
-
-/// `EXPLAIN ANALYZE` output for the vectorized engine: the result
-/// rows plus the fused compilation/execution report (pipelines fused,
-/// operators per pipeline, fallback segments, adapters, per-pipeline
-/// row/batch/time counters).
-#[derive(Debug)]
-pub struct AnalyzedFused {
-    /// Result rows.
-    pub rows: Vec<Tuple>,
-    /// The fused report, its per-pipeline counters now populated.
-    pub report: crate::fused::FusedReport,
-}
-
-/// Execute a plan on the vectorized engine and report fused-pipeline
-/// metrics. A fused region is a single compiled loop — there are no
-/// per-plan-node seams to instrument — so the analysis is per *pipeline*
-/// (rows, batches, time), not per operator. The plan runs as it really
-/// runs: every cursor of a region of degree `n` counts into its
-/// pipeline's shared counters, so they cover the whole input.
-pub fn execute_analyzed_fused(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> AnalyzedFused {
-    let sch = db.snapshot();
-    let compiled = crate::fused::compile_fused_at(db, &sch, plan, cfg);
-    let mut op = compiled.operator;
-    let rows = collect_batches(op.as_mut());
-    AnalyzedFused {
-        rows,
-        report: compiled.report,
-    }
+    let sch = &db.snapshot();
+    let (rows, cells, fused) = match engine {
+        Engine::Tuple => {
+            let cells = NodeCells::new(plan);
+            let mut op = instrument(db, sch, plan, 0, &cells);
+            (collect(op.as_mut()), cells, None)
+        }
+        Engine::Fused(cfg) => {
+            let compiled = crate::fused::compile_fused_at(db, sch, plan, cfg, true);
+            let mut op = compiled.operator;
+            let rows = collect_batches(op.as_mut());
+            (rows, compiled.cells, Some(compiled.report))
+        }
+    };
+    let mut nodes = Vec::with_capacity(plan.node_count());
+    measure(catalog, plan, 0, &cells, &cells.rows(plan), &mut nodes);
+    Analyzed { rows, nodes, fused }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::BatchConfig;
     use volcano_core::{PhysicalProps, SearchOptions};
     use volcano_rel::builder::{join_on, select_one};
     use volcano_rel::{Cmp, ColumnDef, QueryBuilder, RelModel, RelOptimizer, RelProps};
@@ -384,7 +441,7 @@ mod tests {
         let root = opt.insert_tree(&expr);
         let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
 
-        let analyzed = execute_analyzed(&db, &c, &plan);
+        let analyzed = execute_analyzed(&db, &c, &plan, Engine::Tuple);
         // One measurement per plan node, root first.
         assert_eq!(analyzed.nodes.len(), plan.node_count());
         assert_eq!(analyzed.nodes[0].depth, 0);
@@ -417,6 +474,13 @@ mod tests {
             report.contains("dept") || report.contains("emp"),
             "{report}"
         );
+        // The vectorized engine counts the same rows per node, against
+        // the same estimates, and adds its pipeline lines.
+        let fused = execute_analyzed(&db, &c, &plan, Engine::Fused(BatchConfig::default()));
+        assert_eq!(fused.actual_rows(), analyzed.actual_rows());
+        let est = |a: &Analyzed| a.nodes.iter().map(|n| n.est_rows).collect::<Vec<_>>();
+        assert_eq!(est(&fused), est(&analyzed));
+        assert!(fused.report().contains("pipeline 0"), "{}", fused.report());
     }
 
     #[test]
@@ -432,7 +496,7 @@ mod tests {
         let root = opt.insert_tree(&expr);
         let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
 
-        let analyzed = execute_analyzed(&db, &c, &plan);
+        let analyzed = execute_analyzed(&db, &c, &plan, Engine::Tuple);
         let json = analyzed.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"result_rows\":50"), "{json}");

@@ -2,7 +2,7 @@
 //!
 //! Compilation walks the plan bottom-up, tracking each node's output
 //! schema (a vector of attribute ids) so predicates, join keys, sort keys
-//! and projections can be resolved to tuple positions. [`compile_node`]
+//! and projections can be resolved to tuple positions. [`compile_node_at`]
 //! builds a single operator over pre-built children, which the
 //! EXPLAIN-ANALYZE instrumentation uses to interpose row counters at
 //! every operator boundary.
@@ -225,12 +225,8 @@ pub(crate) fn partial_layout_aggs(spec: &AggSpec) -> Vec<CompiledAgg> {
 }
 
 /// Build the operator for `plan`'s root over pre-built `children`
-/// (which must correspond to `plan.inputs`, in order).
-pub fn compile_node(db: &Database, plan: &RelPlan, children: Vec<BoxedOperator>) -> BoxedOperator {
-    compile_node_at(db, &db.snapshot(), plan, children)
-}
-
-/// [`compile_node`] against a pinned schema snapshot.
+/// (which must correspond to `plan.inputs`, in order), against a pinned
+/// schema snapshot.
 pub fn compile_node_at(
     db: &Database,
     sch: &SchemaSnapshot,

@@ -824,9 +824,8 @@ impl Database {
     }
 
     /// Execute `plan` against a pinned snapshot (the one it was lowered
-    /// on). With `feedback`, the run is instrumented — per operator on
-    /// the tuple engine, per pipeline on the vectorized one — and the
-    /// observed selectivities are merged into the catalog's memory.
+    /// on). With `feedback`, the observed selectivities are harvested
+    /// from the per-node rows and merged into the catalog's memory.
     fn run_at(
         &self,
         snap: &Arc<SchemaSnapshot>,
@@ -835,21 +834,20 @@ impl Database {
         feedback: bool,
         tracer: Option<&dyn Tracer>,
     ) -> Vec<Tuple> {
-        let (rows, observations) = match engine {
+        // With feedback on, every plan node counts its output rows, on
+        // either engine, and one harvest reads them.
+        let (rows, cells) = match engine {
+            Engine::Tuple if feedback => {
+                let cells = crate::analyze::NodeCells::new(plan);
+                let mut op = crate::analyze::instrument(self, snap, plan, 0, &cells);
+                (collect(op.as_mut()), Some(cells))
+            }
             Engine::Tuple => {
-                if feedback {
-                    let analyzed =
-                        crate::analyze::execute_analyzed_at(self, snap, &snap.catalog, plan);
-                    let obs =
-                        volcano_rel::observations(&snap.catalog, plan, &analyzed.actual_rows());
-                    (analyzed.rows, obs)
-                } else {
-                    let mut op = crate::compile::compile_at(self, snap, plan).operator;
-                    (collect(op.as_mut()), Vec::new())
-                }
+                let mut op = crate::compile::compile_at(self, snap, plan).operator;
+                (collect(op.as_mut()), None)
             }
             Engine::Fused(cfg) => {
-                let compiled = crate::fused::compile_fused_at(self, snap, plan, cfg);
+                let compiled = crate::fused::compile_fused_at(self, snap, plan, cfg, feedback);
                 let mut op = compiled.operator;
                 let rows = collect_batches(op.as_mut());
                 if let Some(t) = tracer.filter(|t| t.enabled()) {
@@ -861,18 +859,12 @@ impl Database {
                         });
                     }
                 }
-                // The pipeline counters exist either way; the report's
-                // harvest hints map them back to predicate terms and
-                // join pairs.
-                let obs = if feedback {
-                    compiled.report.observations()
-                } else {
-                    Vec::new()
-                };
-                (rows, obs)
+                (rows, feedback.then_some(compiled.cells))
             }
         };
-        if feedback {
+        if let Some(cells) = cells {
+            let actuals = cells.rows(plan);
+            let observations = volcano_rel::observations(&snap.catalog, plan, &actuals);
             let epoch_bumped = self.apply_feedback(&observations);
             if let Some(t) = tracer {
                 t.event(TraceEvent::FeedbackApplied {
@@ -1004,6 +996,7 @@ mod rand_like {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::BatchConfig;
     use volcano_rel::ColumnDef;
 
     fn catalog() -> Catalog {
@@ -1286,6 +1279,32 @@ mod tests {
         assert_eq!(db.feedback_stats().epoch_bumps, 1);
         // Unknown keys are never restored.
         assert_eq!(ObservationKey::from_parts(7, 1), None);
+    }
+
+    /// `emp.dept = 3` over 20 departments is estimated at 1/20; the
+    /// harvest judges the observed selectivity against that estimate,
+    /// so a first execution that confirms it invalidates no cached plan.
+    #[test]
+    fn a_confirmed_estimate_does_not_bump_the_epoch() {
+        let mut c = Catalog::new();
+        let cols = vec![ColumnDef::int("id", 2000.0), ColumnDef::int("dept", 20.0)];
+        c.add_table("emp", 2000.0, cols);
+        for engine in [Engine::Tuple, Engine::Fused(BatchConfig::default())] {
+            let db = Database::in_memory(c.clone());
+            db.generate(7);
+            db.set_feedback_enabled(true);
+            let stmt = db
+                .prepare("SELECT emp.id FROM emp WHERE emp.dept = 3")
+                .unwrap();
+            let epoch = db.epoch();
+            let opts = ExecOptions::new().with_executor(engine);
+            let out = db.execute_prepared_opts(&stmt, &[], &opts, None).unwrap();
+            let rows = out.rows.len();
+            assert!((67..150).contains(&rows), "{rows} rows, estimated 100");
+            let s = db.feedback_stats();
+            assert_eq!((s.observations, s.epoch_bumps), (1, 0), "{s:?}");
+            assert_eq!(db.epoch(), epoch, "{}", engine.label());
+        }
     }
 
     #[test]

@@ -18,18 +18,26 @@
 //! engine boundary; a pipelineable chain *above* such an operator still
 //! fuses, treating the fallback subtree as an opaque batch input.
 //!
-//! Three plan-time rewrites shape a pipeline:
+//! Two plan-time rewrites shape a pipeline, both in [`crate::pipeline`]:
 //!
-//! 1. **Filter absorption** (here) — leading filter stages merge into
-//!    the scan predicate, so selection happens during page decode.
-//! 2. **Column demand** ([`crate::pipeline`]'s backward pass) — every
-//!    scan decodes exactly the columns its pipeline's sink, filters and
-//!    probes read (via `decode_record_projected`; skipped string
-//!    payloads are never UTF-8 validated or copied), and every build
-//!    table stores its keys plus the columns its prober gathers.
-//! 3. **Probe/project fusion** ([`crate::pipeline`]) — a probe carries an
-//!    output map, so a join gathers only the columns read above it,
-//!    never the full build ++ probe concatenation.
+//! 1. **Column demand** (its backward pass) — every scan decodes exactly
+//!    the columns its pipeline's sink, filters and probes read (via
+//!    `decode_record_projected`; skipped string payloads are never UTF-8
+//!    validated or copied), and every build table stores its keys plus
+//!    the columns its prober gathers.
+//! 2. **Probe/project fusion** — a probe carries an output map, so a
+//!    join gathers only the columns read above it, never the full
+//!    build ++ probe concatenation.
+//!
+//! Neither hides a plan node's rows. The lowering walks the plan with
+//! each node's pre-order slot, and every pipeline step carries the slots
+//! of the nodes whose output it produces: a scan its scan node, a filter
+//! or probe its own, the aggregation sink its aggregate, and a
+//! projection — kept, pruned or folded into a probe — shares the step
+//! below it. The runtime adds each batch's live rows to those nodes'
+//! cells ([`crate::analyze`]); a gather reads its input's count, and a
+//! fallback tuple operator is measured as on the tuple engine when the
+//! caller asks for every node.
 //!
 //! A `Gather(n)` node is not an operator of its own: it is the *degree*
 //! of the region below it — or, directly under an aggregate, of the
@@ -42,8 +50,9 @@
 
 use std::sync::Arc;
 
-use volcano_rel::{AggSpec, AttrId, JoinPred, Pred, RelAlg, RelPlan};
+use volcano_rel::{AggSpec, AttrId, RelAlg, RelPlan};
 
+use crate::analyze::{input_slots, NodeCells};
 use crate::batch::BoxedBatchOperator;
 use crate::compile::{
     compile_agg_spec, compile_node_at, partial_layout_aggs, schema_of_at, BatchConfig, Built,
@@ -54,16 +63,15 @@ use crate::fused::region::{
     FusedPipeline, FusedRegion, FusedScan, FusedSource, FusedStage, PipelineStats, RegionPlan,
 };
 use crate::kernels::agg::AggMode;
-use crate::ops::CompiledPred;
 use crate::pipeline::{AggSink, Region, SourceIR, StageIR};
 
 /// What the fused compiler did to one pipeline, with live counters.
 #[derive(Debug)]
 pub struct PipelineInfo {
-    /// Human-readable shape, e.g. `scan+filter→probe+project`.
+    /// Human-readable shape, e.g. `scan→filter→probe+project`.
     pub label: String,
     /// Plan operators fused into this pipeline (source + stages + build
-    /// sink), counted before rewrites merge them.
+    /// sink), a projection folded into a probe included.
     pub operators: usize,
     /// Does this pipeline feed a hash-table build?
     pub build: bool,
@@ -76,14 +84,6 @@ pub struct PipelineInfo {
     /// what the pipeline's sink, filters and probes read. `None` when
     /// the source is an opaque input.
     pub decoded: Option<Vec<bool>>,
-    /// The relational predicate the pipeline's source scan applies
-    /// (original scan predicate plus any absorbed leading filters).
-    /// Observed scan selectivity is `stats.source_out / stats.source_rows`.
-    pub scan_pred: Option<Pred>,
-    /// When the pipeline has exactly one probe stage: its join predicate
-    /// and the report index of the build pipeline it probes. Observed
-    /// join selectivity is `probe_out / (probe_in × build.stats.rows)`.
-    pub probe_join: Option<(JoinPred, usize)>,
 }
 
 /// Compile-time report of the whole fused plan: what fused, what fell
@@ -107,37 +107,6 @@ impl FusedReport {
     /// Number of fused pipelines in the plan.
     pub fn pipelines_fused(&self) -> usize {
         self.pipelines.len()
-    }
-
-    /// Harvest selectivity observations from the per-pipeline counters
-    /// (meaningful after the plan executed): scan predicates from the
-    /// pre-/post-predicate source counts, single-probe joins from the
-    /// probe in/out counts against the build pipeline's inserted rows.
-    /// Pipelines without harvest hints contribute nothing.
-    pub fn observations(&self) -> Vec<volcano_rel::Observation> {
-        let mut out = Vec::new();
-        for p in &self.pipelines {
-            if let Some(pred) = &p.scan_pred {
-                volcano_rel::pred_observations(
-                    pred,
-                    p.stats.source_out(),
-                    p.stats.source_rows(),
-                    &mut out,
-                );
-            }
-            if let Some((join, build_idx)) = &p.probe_join {
-                if let Some(b) = self.pipelines.get(*build_idx) {
-                    volcano_rel::join_observations(
-                        join,
-                        p.stats.probe_out(),
-                        b.stats.rows(),
-                        p.stats.probe_in(),
-                        &mut out,
-                    );
-                }
-            }
-        }
-        out
     }
 
     /// Number of non-fusable plan segments (fallback operators).
@@ -194,34 +163,43 @@ pub struct CompiledFused {
     pub gathers: Vec<Arc<crate::morsel::MorselStats>>,
     /// What fused, what fell back.
     pub report: FusedReport,
+    /// Output rows per plan node, in pre-order; live while the plan
+    /// executes.
+    pub(crate) cells: Arc<NodeCells>,
 }
 
 /// Compile a plan for the vectorized engine (the current schema
 /// snapshot).
 pub fn compile_fused(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> CompiledFused {
-    compile_fused_at(db, &db.snapshot(), plan, cfg)
+    compile_fused_at(db, &db.snapshot(), plan, cfg, false)
 }
 
-/// [`compile_fused`] against a pinned schema snapshot.
+/// [`compile_fused`] against a pinned schema snapshot. Fused regions
+/// always count their nodes' rows; with `measure`, every fallback tuple
+/// operator is measured too, so every node is.
 pub(crate) fn compile_fused_at(
     db: &Database,
     sch: &SchemaSnapshot,
     plan: &RelPlan,
     cfg: BatchConfig,
+    measure: bool,
 ) -> CompiledFused {
     let mut f = Fuser {
         db,
         sch,
         cfg,
+        cells: NodeCells::new(plan),
+        measure,
         gathers: Vec::new(),
         report: FusedReport::default(),
     };
-    let (operator, schema) = f.build_batch(plan);
+    let (operator, schema) = f.build_batch(plan, 0);
     CompiledFused {
         operator,
         schema,
         gathers: f.gathers,
         report: f.report,
+        cells: f.cells,
     }
 }
 
@@ -229,74 +207,88 @@ struct Fuser<'a> {
     db: &'a Database,
     sch: &'a SchemaSnapshot,
     cfg: BatchConfig,
+    cells: Arc<NodeCells>,
+    measure: bool,
     gathers: Vec<Arc<crate::morsel::MorselStats>>,
     report: FusedReport,
 }
 
+/// The one input of `plan` (pre-order slot `slot`) with its slot.
+fn only_input(plan: &RelPlan, slot: usize) -> (&RelPlan, usize) {
+    input_slots(plan, slot).next().expect("one input")
+}
+
 impl Fuser<'_> {
-    /// Compile `plan` into a [`Built`] subtree, fusing the maximal
-    /// region rooted at each pipelineable node.
-    fn build_tree(&mut self, plan: &RelPlan) -> Built {
+    /// Compile `plan` (pre-order slot `slot`) into a [`Built`] subtree,
+    /// fusing the maximal region rooted at each pipelineable node.
+    fn build_tree(&mut self, plan: &RelPlan, slot: usize) -> Built {
         // A gather is the degree of the region below it. Under a partial
         // aggregate that region ends in the per-worker sink.
         if let RelAlg::Gather(n) = &plan.alg {
-            let child = &plan.inputs[0];
+            let (child, at) = only_input(plan, slot);
             if *n > 1 {
                 let region = match &child.alg {
                     RelAlg::PartialHashAggregate(spec, _) => {
-                        let sink = self.agg_sink(&child.inputs[0], spec, AggMode::Partial);
-                        self.build_region(&child.inputs[0], Some(sink), *n as usize)
+                        let (input, below) = only_input(child, at);
+                        let sink = self.agg_sink(input, spec, AggMode::Partial, at);
+                        self.build_region(input, below, Some(sink), *n as usize)
                     }
-                    _ => self.build_region(child, None, *n as usize),
+                    _ => self.build_region(child, at, None, *n as usize),
                 };
                 if let Some(region) = region {
                     return Built::B(region);
                 }
             }
-            return self.build_tree(child);
+            return self.build_tree(child, at);
         }
         // Every aggregate is the sink of its input's region — none ever
         // runs on the tuple engine. A stream aggregate shares the hash
         // sink: groups leave in first-seen order, which over its
         // key-sorted input is the key order it must deliver.
-        match &plan.alg {
+        let mode = match &plan.alg {
             RelAlg::HashAggregate(spec) | RelAlg::StreamAggregate(spec) => {
-                return self.build_aggregate(plan, spec, AggMode::Complete)
+                Some((spec, AggMode::Complete))
             }
-            RelAlg::PartialHashAggregate(spec, _) => {
-                return self.build_aggregate(plan, spec, AggMode::Partial)
-            }
-            RelAlg::FinalHashAggregate(spec) => {
-                return self.build_aggregate(plan, spec, AggMode::Final)
-            }
-            _ => {}
+            RelAlg::PartialHashAggregate(spec, _) => Some((spec, AggMode::Partial)),
+            RelAlg::FinalHashAggregate(spec) => Some((spec, AggMode::Final)),
+            _ => None,
+        };
+        if let Some((spec, mode)) = mode {
+            return self.build_aggregate(plan, slot, spec, mode);
         }
-        if let Some(region) = self.build_region(plan, None, 1) {
+        if let Some(region) = self.build_region(plan, slot, None, 1) {
             return Built::B(region);
         }
         // Non-pipelineable root: compile this node on the tuple engine
         // over recursively built children; each batch child costs
         // exactly one adapter at this genuine engine boundary.
-        let children: Vec<Built> = plan.inputs.iter().map(|c| self.build_tree(c)).collect();
+        let children: Vec<Built> = input_slots(plan, slot)
+            .map(|(input, at)| self.build_tree(input, at))
+            .collect();
         self.report.adapters += children.iter().filter(|c| matches!(c, Built::B(_))).count();
         self.report.fallback_ops.push(plan.alg.name());
         let tuple_children = children.into_iter().map(Built::into_tuple).collect();
-        Built::T(compile_node_at(self.db, self.sch, plan, tuple_children))
+        let op = compile_node_at(self.db, self.sch, plan, tuple_children);
+        Built::T(match self.measure {
+            true => self.cells.wrap(op, slot),
+            false => op,
+        })
     }
 
-    /// Compile `plan` to a batch operator (returned with its output
-    /// schema); a tuple root costs one adapter.
-    fn build_batch(&mut self, plan: &RelPlan) -> (BoxedBatchOperator, Vec<AttrId>) {
+    /// Compile `plan` (pre-order slot `slot`) to a batch operator
+    /// (returned with its output schema); a tuple root costs one adapter.
+    fn build_batch(&mut self, plan: &RelPlan, slot: usize) -> (BoxedBatchOperator, Vec<AttrId>) {
         let schema = schema_of_at(self.sch, plan);
-        let built = self.build_tree(plan);
+        let built = self.build_tree(plan, slot);
         if matches!(built, Built::T(_)) {
             self.report.adapters += 1;
         }
         (built.into_batch(schema.len(), self.cfg.batch_size), schema)
     }
 
-    /// The sink of `spec` in `mode` over `input`'s rows.
-    fn agg_sink(&self, input: &RelPlan, spec: &AggSpec, mode: AggMode) -> AggSink {
+    /// The sink of `spec` in `mode` over `input`'s rows, counting its
+    /// groups as the output of plan node `node`.
+    fn agg_sink(&self, input: &RelPlan, spec: &AggSpec, mode: AggMode, node: usize) -> AggSink {
         let (group, aggs) = match mode {
             // A final aggregate consumes the partial row layout: group
             // keys lead, each aggregate's partial value follows.
@@ -306,7 +298,12 @@ impl Fuser<'_> {
             ),
             _ => compile_agg_spec(&schema_of_at(self.sch, input), spec),
         };
-        AggSink { group, aggs, mode }
+        AggSink {
+            group,
+            aggs,
+            mode,
+            node,
+        }
     }
 
     /// Compile an aggregate as the terminal sink of its input's region:
@@ -317,53 +314,59 @@ impl Fuser<'_> {
     /// consumer's side of the exchange and the scans decode only what it
     /// reads. (Over `gather ← partial aggregate` that lowering finds no
     /// chain, so the two-phase shape stays two regions.)
-    fn build_aggregate(&mut self, plan: &RelPlan, spec: &AggSpec, mode: AggMode) -> Built {
-        let mut child = &plan.inputs[0];
-        let sink = self.agg_sink(child, spec, mode);
+    fn build_aggregate(
+        &mut self,
+        plan: &RelPlan,
+        slot: usize,
+        spec: &AggSpec,
+        mode: AggMode,
+    ) -> Built {
+        let (mut child, mut at) = only_input(plan, slot);
+        let sink = self.agg_sink(child, spec, mode, slot);
         if let RelAlg::Gather(n) = child.alg {
-            let below = &child.inputs[0];
+            let (below, below_at) = only_input(child, at);
             if n <= 1 {
-                child = below;
-            } else if let Some(region) = self.build_region(below, Some(sink.clone()), n as usize) {
+                (child, at) = (below, below_at);
+            } else if let Some(region) =
+                self.build_region(below, below_at, Some(sink.clone()), n as usize)
+            {
                 return Built::B(region);
             }
         }
-        let region = self.build_region(child, Some(sink), 1);
+        let region = self.build_region(child, at, Some(sink), 1);
         Built::B(region.expect("an aggregate's input always lowers"))
     }
 
-    /// Decompose the pipelineable region rooted at `plan` and lower it to
-    /// run at `degree`, ending its output pipeline in `agg` if given. At
-    /// degree 1, inputs the walk cannot continue through compile as
-    /// opaque batch sources — the one genuine engine boundary below
-    /// their pipeline; at degree `n` every pipeline must start at a scan,
-    /// because morsels are page ranges. `None`, with nothing compiled,
-    /// when that fails, or when there is no sink and `plan`'s own root is
-    /// not pipelineable.
+    /// Decompose the pipelineable region rooted at `plan` (pre-order
+    /// slot `slot`) and lower it to run at `degree`, ending its output
+    /// pipeline in `agg` if given. At degree 1, inputs the walk cannot
+    /// continue through compile as opaque batch sources — the one genuine
+    /// engine boundary below their pipeline; at degree `n` every pipeline
+    /// must start at a scan, because morsels are page ranges. `None`,
+    /// with nothing compiled, when that fails, or when there is no sink
+    /// and `plan`'s own root is not pipelineable.
     fn build_region(
         &mut self,
         plan: &RelPlan,
+        slot: usize,
         agg: Option<AggSink>,
         degree: usize,
     ) -> Option<BoxedBatchOperator> {
         let sch = self.sch;
-        let region = Region::lower(sch, plan, agg, &mut |input| {
+        let region = Region::lower(sch, plan, slot, agg, &mut |input, at| {
             if degree > 1 {
                 return None;
             }
-            let (op, schema) = self.build_batch(input);
+            let (op, schema) = self.build_batch(input, at);
             Some(SourceIR::Input {
                 op,
                 arity: schema.len(),
+                nodes: Vec::new(),
             })
         })?;
-        // Build pipelines land in the report at `first + slot`, before
-        // the output pipeline — harvest hints use those indices.
-        let first = self.report.pipelines.len();
         let mut inputs = Vec::new();
-        let mut lower = |source, stages, build| {
-            self.lower_pipeline(source, stages, build, first, degree, &mut inputs)
-        };
+        let mut lower =
+            |source, stages, build| self.lower_pipeline(source, stages, build, degree, &mut inputs);
         let builds = region
             .builds
             .into_iter()
@@ -385,6 +388,7 @@ impl Fuser<'_> {
             builds,
             output,
             agg: region.agg,
+            cells: self.cells.clone(),
             cfg: BatchConfig {
                 batch_size: self.cfg.batch_size.max(1),
                 ..self.cfg
@@ -398,71 +402,40 @@ impl Fuser<'_> {
         Some(Box::new(fused))
     }
 
-    /// Lower one pruned pipeline: absorb leading filters into the scan
-    /// predicate, monomorphize the kernels, and record the pipeline in
-    /// the report with its feedback-harvest hints (`first` is the report
-    /// index of its region's first build pipeline; table slot `t` lands
-    /// at `first + t`). An opaque source moves into `inputs`.
+    /// Lower one pruned pipeline: monomorphize the kernels and record the
+    /// pipeline in the report. An opaque source moves into `inputs`.
     fn lower_pipeline(
         &mut self,
         source: SourceIR,
-        mut stages: Vec<StageIR>,
+        stages: Vec<StageIR>,
         build: bool,
-        first: usize,
         degree: usize,
         inputs: &mut Vec<BoxedBatchOperator>,
     ) -> FusedPipeline {
-        // The probe hint is set only when the pipeline has exactly one
-        // probe stage — with several, the shared in/out counters would
-        // conflate the joins.
-        let mut probes = stages.iter().filter_map(|s| match s {
-            StageIR::Probe { table, join, .. } => Some((join.clone(), first + table)),
-            _ => None,
-        });
-        let probe_join = probes.next().filter(|_| probes.next().is_none());
-        // Plan operators this pipeline covers, before rewrites merged
-        // them: the source, each stage (plus a probe's folded
-        // projection, below), and the build sink if any.
+        // Plan operators this pipeline covers: the source, each stage
+        // (plus a probe's folded projection, below), and the build sink
+        // if any.
         let mut operators = 1 + stages.len() + usize::from(build);
         let mut label = String::new();
-        let (mut decoded, mut scan_pred) = (None, None);
-        let src = match source {
+        let mut decoded = None;
+        let (source, nodes) = match source {
             SourceIR::Scan {
                 heap,
                 col_types,
                 keep,
                 pred,
-                rel_pred,
+                nodes,
             } => {
-                // Leading filters merge into the scan predicate, so
-                // selection happens during page decode. Conjunct order is
-                // preserved: the narrowing matches filtering stage by
-                // stage exactly, and the observed `source_out /
-                // source_rows` covers the scan predicate plus the filters.
-                let absorb = stages
-                    .iter()
-                    .take_while(|s| matches!(s, StageIR::Filter(..)))
-                    .count();
-                label.push_str(if absorb > 0 { "scan+filter" } else { "scan" });
-                let mut terms = pred.map(|p| p.terms().to_vec()).unwrap_or_default();
-                let mut rel_terms = rel_pred.map(|p| p.terms().to_vec()).unwrap_or_default();
-                for stage in stages.drain(..absorb) {
-                    let StageIR::Filter(cp, rel) = stage else {
-                        unreachable!()
-                    };
-                    terms.extend_from_slice(cp.terms());
-                    rel_terms.extend_from_slice(rel.terms());
-                }
-                scan_pred = (!rel_terms.is_empty()).then(|| Pred::conj(rel_terms));
+                label.push_str("scan");
                 decoded = Some(keep.clone());
-                let pred =
-                    (!terms.is_empty()).then(|| FusedPred::compile(&CompiledPred::new(terms)));
-                FusedSource::Scan(FusedScan::new(heap, col_types, keep, pred))
+                let pred = pred.map(|p| FusedPred::compile(&p));
+                let scan = FusedScan::new(heap, col_types, keep, pred);
+                (FusedSource::Scan(scan), nodes)
             }
-            SourceIR::Input { op, .. } => {
+            SourceIR::Input { op, nodes, .. } => {
                 label.push_str(op.name());
                 inputs.push(op);
-                FusedSource::Input(inputs.len() - 1)
+                (FusedSource::Input(inputs.len() - 1), nodes)
             }
         };
         let stages = stages
@@ -470,24 +443,24 @@ impl Fuser<'_> {
             .map(|stage| {
                 label.push('→');
                 match stage {
-                    StageIR::Filter(cp, _) => {
+                    StageIR::Filter(cp, nodes) => {
                         label.push_str("filter");
-                        FusedStage::Filter(FusedPred::compile(&cp))
+                        (FusedStage::Filter(FusedPred::compile(&cp)), nodes)
                     }
                     StageIR::Project(cols) => {
                         label.push_str("project");
-                        FusedStage::Project(cols)
+                        (FusedStage::Project(cols), Vec::new())
                     }
                     StageIR::Probe {
                         table,
                         keys,
                         out,
                         projected,
-                        join: _,
+                        nodes,
                     } => {
                         label.push_str(if projected { "probe+project" } else { "probe" });
                         operators += usize::from(projected);
-                        FusedStage::Probe { table, keys, out }
+                        (FusedStage::Probe { table, keys, out }, nodes)
                     }
                 }
             })
@@ -503,11 +476,10 @@ impl Fuser<'_> {
             degree,
             stats: stats.clone(),
             decoded,
-            scan_pred,
-            probe_join,
         });
         FusedPipeline {
-            source: src,
+            source,
+            nodes,
             stages,
             stats,
         }

@@ -33,9 +33,13 @@
 //! `Final` sink has to see every row, so it sits with the one consumer
 //! and drains the exchange; both sides run the same [`GroupSink`].
 //!
-//! Every cursor of a pipeline shares its [`PipelineStats`], so the
-//! counters `EXPLAIN ANALYZE` and the feedback harvest read cover the
-//! whole input at any degree.
+//! Every step of a pipeline — its source, each stage, the aggregation
+//! sink — names the plan nodes whose output rows it produces, in plan
+//! pre-order, and adds its batch's live rows to their cells once per
+//! batch ([`NodeCells`]). Every cursor of a region counts into the same
+//! cells, and of a pipeline into the same [`PipelineStats`], so the rows
+//! `EXPLAIN ANALYZE` and the feedback harvest read cover the whole input
+//! at any degree.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -45,6 +49,7 @@ use volcano_rel::catalog::ColType;
 use volcano_store::record::{decode_record_fields, decode_record_projected};
 use volcano_store::{HeapFile, PageId};
 
+use crate::analyze::NodeCells;
 use crate::batch::{Batch, BatchOperator, BoxedBatchOperator, Column};
 use crate::compile::BatchConfig;
 use crate::fused::pred::FusedPred;
@@ -66,15 +71,6 @@ pub struct PipelineStats {
     batches: AtomicU64,
     /// Nanoseconds inside the pipeline's loop, summed over its cursors.
     ns: AtomicU64,
-    /// Physical rows the source scan decoded, before its predicate.
-    source_rows: AtomicU64,
-    /// Rows that survived the scan predicate (equals [`Self::source_rows`]
-    /// for an unpredicated scan).
-    source_out: AtomicU64,
-    /// Rows that entered a probe stage.
-    probe_in: AtomicU64,
-    /// Join pairs a probe stage produced.
-    probe_out: AtomicU64,
 }
 
 impl PipelineStats {
@@ -92,26 +88,6 @@ impl PipelineStats {
     /// summed over the threads that ran it (wall time at degree 1).
     pub fn ns(&self) -> u64 {
         self.ns.load(Ordering::Relaxed)
-    }
-
-    /// Physical rows the source scan decoded, before its predicate.
-    pub fn source_rows(&self) -> u64 {
-        self.source_rows.load(Ordering::Relaxed)
-    }
-
-    /// Rows that survived the scan predicate.
-    pub fn source_out(&self) -> u64 {
-        self.source_out.load(Ordering::Relaxed)
-    }
-
-    /// Rows that entered a probe stage.
-    pub fn probe_in(&self) -> u64 {
-        self.probe_in.load(Ordering::Relaxed)
-    }
-
-    /// Join pairs a probe stage produced.
-    pub fn probe_out(&self) -> u64 {
-        self.probe_out.load(Ordering::Relaxed)
     }
 
     /// Charge the time until the guard drops to [`Self::ns`].
@@ -168,16 +144,13 @@ impl FusedScan {
     /// at least `batch_size` rows are staged, and apply the scan
     /// predicate; `false` when `pages[*at..]` is empty. The page is the
     /// atomic decode unit — it stays pinned for exactly one pass — so a
-    /// batch may exceed `batch_size` by up to one page of rows. `stats`
-    /// receives the pre-/post-predicate row counts the feedback harvest
-    /// reads.
+    /// batch may exceed `batch_size` by up to one page of rows.
     fn fill(
         &self,
         pages: &[PageId],
         at: &mut usize,
         out: &mut Batch,
         batch_size: usize,
-        stats: &PipelineStats,
         scratch: &mut Vec<u32>,
     ) -> bool {
         out.clear();
@@ -217,13 +190,9 @@ impl FusedScan {
             return false;
         }
         out.set_physical_rows(rows);
-        stats.source_rows.fetch_add(rows as u64, Ordering::Relaxed);
         if let Some(pred) = &self.pred {
             pred.apply(out, scratch);
         }
-        stats
-            .source_out
-            .fetch_add(out.live_rows() as u64, Ordering::Relaxed);
         true
     }
 }
@@ -348,12 +317,14 @@ pub(crate) enum FusedStage {
     },
 }
 
-/// One fused pipeline: source and stage chain. Its sink is positional —
-/// a build pipeline feeds the hash table of its own slot index, the
-/// output pipeline streams the region's result.
+/// One fused pipeline: source and stage chain, each step with the plan
+/// nodes whose output is its own. Its sink is positional — a build
+/// pipeline feeds the hash table of its own slot index, the output
+/// pipeline streams the region's result.
 pub(crate) struct FusedPipeline {
     pub(crate) source: FusedSource,
-    pub(crate) stages: Vec<FusedStage>,
+    pub(crate) nodes: Vec<usize>,
+    pub(crate) stages: Vec<(FusedStage, Vec<usize>)>,
     pub(crate) stats: Arc<PipelineStats>,
 }
 
@@ -365,6 +336,8 @@ pub(crate) struct RegionPlan {
     pub(crate) output: FusedPipeline,
     /// Terminal aggregation sink, if the region ends in an aggregate.
     pub(crate) agg: Option<AggSink>,
+    /// The plan's per-node row counts.
+    pub(crate) cells: Arc<NodeCells>,
     /// Rows per batch (≥ 1); at degree `n` also pages per morsel and
     /// chaos injection.
     pub(crate) cfg: BatchConfig,
@@ -384,6 +357,7 @@ struct Run<'a> {
     feed: &'a Feed,
     /// The tables of the earlier build slots.
     tables: &'a [FusedTable],
+    cells: &'a NodeCells,
     batch_size: usize,
 }
 
@@ -420,14 +394,7 @@ impl Cursor {
         let more = match &pipe.source {
             FusedSource::Scan(scan) => loop {
                 let pages = &feed.pages[..self.end];
-                if scan.fill(
-                    pages,
-                    &mut self.at,
-                    out,
-                    run.batch_size,
-                    stats,
-                    &mut self.sel,
-                ) {
+                if scan.fill(pages, &mut self.at, out, run.batch_size, &mut self.sel) {
                     break true;
                 }
                 let Some(m) = feed.queue.pop(worker) else {
@@ -441,17 +408,17 @@ impl Cursor {
         };
         if more {
             stats.batches.fetch_add(1, Ordering::Relaxed);
+            run.cells.count(&pipe.nodes, out.live_rows());
             self.run_stages(run, out);
         }
         more
     }
 
-    /// Run the stage chain over `cur` in place. The probe in/out row
-    /// counts are what the feedback harvest reads (meaningful when the
-    /// pipeline has exactly one probe stage).
+    /// Run the stage chain over `cur` in place, counting each stage's
+    /// output rows for its nodes.
     fn run_stages(&mut self, run: &Run<'_>, cur: &mut Batch) {
-        let (tmp, stats) = (&mut self.tmp, &run.pipe.stats);
-        for stage in &run.pipe.stages {
+        let tmp = &mut self.tmp;
+        for (stage, nodes) in &run.pipe.stages {
             match stage {
                 FusedStage::Filter(pred) => {
                     pred.apply(cur, &mut self.sel);
@@ -466,14 +433,11 @@ impl Cursor {
                     std::mem::swap(cur, tmp);
                 }
                 FusedStage::Probe { table, keys, out } => {
-                    let rows_in = cur.live_rows() as u64;
-                    stats.probe_in.fetch_add(rows_in, Ordering::Relaxed);
                     run.tables[*table].probe(cur, keys, out, tmp, &mut self.join);
-                    let pairs = tmp.live_rows() as u64;
-                    stats.probe_out.fetch_add(pairs, Ordering::Relaxed);
                     std::mem::swap(cur, tmp);
                 }
             }
+            run.cells.count(nodes, cur.live_rows());
         }
     }
 
@@ -512,12 +476,12 @@ impl GroupSink {
     /// is simply the next batch `pull` yields. With one, `pull` is first
     /// drained into the group table (the aggregation is a full-input
     /// barrier, like a hash-table build) and the groups stream out,
-    /// `batch_size` at a time.
+    /// `batch_size` at a time, counted for the sink's nodes.
     fn deliver(
         &mut self,
         sink: Option<&AggSink>,
         batch_size: usize,
-        stats: &PipelineStats,
+        (stats, cells): (&PipelineStats, &NodeCells),
         pull: &mut dyn FnMut(&mut Batch) -> bool,
         out: &mut Batch,
     ) -> bool {
@@ -547,6 +511,7 @@ impl GroupSink {
         let to = (self.emitted + batch_size).min(table.len());
         let partial = sink.mode == AggMode::Partial;
         table.emit(self.emitted..to, &sink.aggs, partial, out);
+        cells.count(&[sink.node], to - self.emitted);
         self.emitted = to;
         true
     }
@@ -581,7 +546,7 @@ impl Side {
             }
             more
         };
-        groups.deliver(sink, run.batch_size, stats, &mut pull, out)
+        groups.deliver(sink, run.batch_size, (stats, run.cells), &mut pull, out)
     }
 }
 
@@ -695,6 +660,7 @@ impl BatchOperator for FusedRegion {
                 pipe,
                 feed: &feed,
                 tables: &tables,
+                cells: &plan.cells,
                 batch_size,
             };
             let table = if self.degree == 1 {
@@ -726,6 +692,7 @@ impl BatchOperator for FusedRegion {
                     pipe: &plan.output,
                     feed: &shared.1,
                     tables: &shared.0,
+                    cells: &plan.cells,
                     batch_size,
                 };
                 // Two-phase aggregation: fold every morsel into a
@@ -754,6 +721,7 @@ impl BatchOperator for FusedRegion {
                     pipe: &plan.output,
                     feed: self.feed.as_ref().expect("next_batch() before open()"),
                     tables: &self.tables,
+                    cells: &plan.cells,
                     batch_size: plan.cfg.batch_size,
                 };
                 let sink = plan.agg.as_ref();
@@ -763,11 +731,11 @@ impl BatchOperator for FusedRegion {
             // any other sits here, draining the exchange.
             Some(exchange) => {
                 let sink = plan.agg.as_ref().filter(|s| s.mode != AggMode::Partial);
-                let stats = &plan.output.stats;
+                let counters = (&*plan.output.stats, &*plan.cells);
                 let pull = &mut |b: &mut Batch| exchange.recv(b);
                 self.side
                     .groups
-                    .deliver(sink, plan.cfg.batch_size, stats, pull, out)
+                    .deliver(sink, plan.cfg.batch_size, counters, pull, out)
             }
         }
     }

@@ -36,6 +36,9 @@
 //!   page-range morsels, the work-stealing queue, its counters, and the
 //!   exchange — the only code that starts threads — streaming results
 //!   to the consumer over a bounded channel.
+//! * [`analyze`] — `EXPLAIN ANALYZE` on either engine: the rows every
+//!   plan node produced beside its estimate, the counts the feedback
+//!   harvest reads.
 //! * [`serve`] — the multi-session serving layer: sessions with their
 //!   own prepared statements and `SET` state over one shared
 //!   `Send + Sync` [`database::Database`], with admission control that
@@ -62,10 +65,10 @@ mod pipeline;
 pub mod plan_cache;
 pub mod serve;
 
-pub use analyze::{execute_analyzed, execute_analyzed_fused, Analyzed, AnalyzedFused};
+pub use analyze::{execute_analyzed, Analyzed, NodeMeasurement};
 pub use batch::{collect_batches, Batch, BatchOperator, BoxedBatchOperator, Column};
 pub use compile::{
-    compile, compile_node, compile_node_at, schema_of, schema_of_at, BatchConfig, Compiled, Engine,
+    compile, compile_node_at, schema_of, schema_of_at, BatchConfig, Compiled, Engine,
 };
 pub use database::{
     Database, ExecOptions, FeedbackStats, PrepareError, PreparedOutcome, PreparedStatement,

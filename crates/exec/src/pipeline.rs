@@ -34,11 +34,15 @@
 //! became the identity. Positions always index the *physical* batch: a
 //! column only a filter needed stays in the batch, ungathered, until the
 //! next projection or probe leaves it behind.
+//!
+//! The IR names plan nodes, not their predicates: each source, filter
+//! and probe carries the pre-order slots of the nodes whose rows it
+//! produces, a projection's among those of the step before it.
 
 use std::sync::Arc;
 
 use volcano_rel::catalog::ColType;
-use volcano_rel::{JoinPred, Pred, RelAlg, RelPlan};
+use volcano_rel::{Pred, RelAlg, RelPlan};
 use volcano_store::HeapFile;
 
 use crate::batch::BoxedBatchOperator;
@@ -58,15 +62,15 @@ pub(crate) enum SourceIR {
         keep: Vec<bool>,
         /// Scan predicate; positions index the produced columns.
         pred: Option<CompiledPred>,
-        /// The relational-level scan predicate, kept alongside the
-        /// compiled one so the feedback harvest can key observed
-        /// selectivities by term.
-        rel_pred: Option<Pred>,
+        /// The plan nodes whose output the scan's is (module doc).
+        nodes: Vec<usize>,
     },
-    /// Opaque batch subtree of the given arity.
+    /// Opaque batch subtree of the given arity; its root counts its own
+    /// rows, `nodes` only projections directly above it.
     Input {
         op: BoxedBatchOperator,
         arity: usize,
+        nodes: Vec<usize>,
     },
 }
 
@@ -80,10 +84,10 @@ pub(crate) enum ProbeCol {
 }
 
 /// One step of a pipeline. Positions are plain `usize`s into the batch
-/// the previous step produces; filters and probes carry their
-/// relational-level predicate for the feedback harvest.
+/// the previous step produces; filters and probes carry the plan nodes
+/// whose output theirs is (module doc), projections none.
 pub(crate) enum StageIR {
-    Filter(CompiledPred, Pred),
+    Filter(CompiledPred, Vec<usize>),
     Project(Vec<usize>),
     /// Probe the table of build slot `table`; `out` maps each output
     /// column to its side, so the join gathers only what is read above.
@@ -93,7 +97,7 @@ pub(crate) enum StageIR {
         out: Vec<ProbeCol>,
         /// A projection above the join was folded into `out`.
         projected: bool,
-        join: JoinPred,
+        nodes: Vec<usize>,
     },
 }
 
@@ -127,6 +131,8 @@ pub(crate) struct AggSink {
     pub(crate) aggs: Vec<CompiledAgg>,
     /// Phase: one-shot, per-worker partial, or partial-merging final.
     pub(crate) mode: AggMode,
+    /// The aggregate's plan node, whose output the groups are.
+    pub(crate) node: usize,
 }
 
 /// A decomposed, pruned pipelineable region: build pipelines in
@@ -140,28 +146,29 @@ pub(crate) struct Region {
     pub(crate) agg: Option<AggSink>,
 }
 
-/// Decides what a non-pipelineable input becomes: `Some(source)` feeds
-/// the pipeline from it, `None` abandons the decomposition.
-pub(crate) type LowerInput<'a> = dyn FnMut(&RelPlan) -> Option<SourceIR> + 'a;
+/// Decides what a non-pipelineable input (and pre-order slot) becomes:
+/// `Some(source)` feeds the pipeline from it, `None` abandons it.
+pub(crate) type LowerInput<'a> = dyn FnMut(&RelPlan, usize) -> Option<SourceIR> + 'a;
 
 impl Region {
-    /// Decompose the pipelineable region rooted at `plan` and prune it to
-    /// what is read. With `agg`, `plan` is the aggregate's *input* and
-    /// the output chain ends in that sink; a root that is not
-    /// pipelineable then still yields a one-source region over
-    /// `lower_input(plan)`. `None` when `lower_input` refused an input,
-    /// or when there is no sink and `plan`'s own root is not
-    /// pipelineable (nothing was lowered in that case).
+    /// Decompose the pipelineable region rooted at `plan`, pre-order
+    /// slot `slot`, and prune it to what is read. With `agg`, `plan` is
+    /// the aggregate's *input* and the output chain ends in that sink; a
+    /// root that is not pipelineable then still yields a one-source
+    /// region over `lower_input(plan, slot)`. `None` when `lower_input`
+    /// refused an input, or when there is no sink and `plan`'s own root
+    /// is not pipelineable (nothing was lowered in that case).
     pub(crate) fn lower(
         sch: &SchemaSnapshot,
         plan: &RelPlan,
+        slot: usize,
         agg: Option<AggSink>,
         lower_input: &mut LowerInput<'_>,
     ) -> Option<Region> {
         let mut builds = Vec::new();
-        let (source, stages) = match decompose(sch, plan, &mut builds, lower_input) {
+        let (source, stages) = match decompose(sch, plan, slot, &mut builds, lower_input) {
             Ok(chain) => chain,
-            Err(NoChain::Root) if agg.is_some() => (lower_input(plan)?, Vec::new()),
+            Err(NoChain::Root) if agg.is_some() => (lower_input(plan, slot)?, Vec::new()),
             Err(_) => return None,
         };
         let mut region = Region {
@@ -403,23 +410,38 @@ enum NoChain {
     Input,
 }
 
-/// Split the pipelineable region rooted at `plan`: build sides are pushed
-/// onto `builds` in dependency order, the chain that ends at `plan` is
-/// returned. Every scan decodes every column and every table stores its
-/// whole row until [`Region::prune`] narrows them.
+/// The nodes of a chain's last step that counts rows: a projection keeps
+/// its input's row count, so it shares the count of the step before it.
+fn output_nodes<'a>(source: &'a mut SourceIR, stages: &'a mut [StageIR]) -> &'a mut Vec<usize> {
+    let last = stages.iter_mut().rev().find_map(|stage| match stage {
+        StageIR::Filter(_, nodes) | StageIR::Probe { nodes, .. } => Some(nodes),
+        StageIR::Project(_) => None,
+    });
+    last.unwrap_or(match source {
+        SourceIR::Scan { nodes, .. } | SourceIR::Input { nodes, .. } => nodes,
+    })
+}
+
+/// Split the pipelineable region rooted at `plan`, at pre-order `slot`:
+/// build sides are pushed onto `builds` in dependency order, the chain
+/// that ends at `plan` is returned. Every scan decodes every column and
+/// every table stores its whole row until [`Region::prune`] narrows them.
 fn decompose(
     sch: &SchemaSnapshot,
     plan: &RelPlan,
+    slot: usize,
     builds: &mut Vec<BuildIR>,
     lower_input: &mut LowerInput<'_>,
 ) -> Result<Chain, NoChain> {
-    let mut input =
-        |p: &RelPlan, builds: &mut Vec<BuildIR>| match decompose(sch, p, builds, lower_input) {
-            Err(NoChain::Root) => lower_input(p)
-                .map(|source| (source, Vec::new()))
+    let mut input = |(p, at): (&RelPlan, usize), builds: &mut Vec<BuildIR>| {
+        decompose(sch, p, at, builds, lower_input).or_else(|no| match no {
+            NoChain::Root => lower_input(p, at)
+                .map(|s| (s, Vec::new()))
                 .ok_or(NoChain::Input),
-            chain => chain,
-        };
+            NoChain::Input => Err(no),
+        })
+    };
+    let mut inputs = crate::analyze::input_slots(plan, slot);
     let scan = |t, pred: Option<&Pred>| {
         let col_types = table_col_types(sch, t);
         SourceIR::Scan {
@@ -427,20 +449,21 @@ fn decompose(
             keep: vec![true; col_types.len()],
             col_types,
             pred: pred.map(|p| compile_pred(&table_schema(sch, t), p)),
-            rel_pred: pred.cloned(),
+            nodes: vec![slot],
         }
     };
     match &plan.alg {
         RelAlg::FileScan(t) => Ok((scan(*t, None), Vec::new())),
         RelAlg::FilterScan(t, pred) => Ok((scan(*t, Some(pred)), Vec::new())),
         RelAlg::Filter(pred) => {
-            let (source, mut stages) = input(&plan.inputs[0], builds)?;
+            let (source, mut stages) = input(inputs.next().expect("one input"), builds)?;
             let schema = schema_of_at(sch, &plan.inputs[0]);
-            stages.push(StageIR::Filter(compile_pred(&schema, pred), pred.clone()));
+            stages.push(StageIR::Filter(compile_pred(&schema, pred), vec![slot]));
             Ok((source, stages))
         }
         RelAlg::ProjectOp(attrs) => {
-            let (source, mut stages) = input(&plan.inputs[0], builds)?;
+            let (mut source, mut stages) = input(inputs.next().expect("one input"), builds)?;
+            output_nodes(&mut source, &mut stages).push(slot);
             let schema = schema_of_at(sch, &plan.inputs[0]);
             let cols = attrs.iter().map(|&a| position(&schema, a));
             // A projection directly above a join folds into the probe's
@@ -457,7 +480,7 @@ fn decompose(
         // A cross product has no key to build a table on.
         RelAlg::HybridHashJoin(p) if !p.pairs().is_empty() => {
             let bschema = schema_of_at(sch, &plan.inputs[0]);
-            let (source, stages) = input(&plan.inputs[0], builds)?;
+            let (source, stages) = input(inputs.next().expect("build input"), builds)?;
             let table = builds.len();
             let keys: Vec<usize> = p
                 .pairs()
@@ -474,7 +497,7 @@ fn decompose(
                 },
             });
             let pschema = schema_of_at(sch, &plan.inputs[1]);
-            let (source, mut stages) = input(&plan.inputs[1], builds)?;
+            let (source, mut stages) = input(inputs.next().expect("probe input"), builds)?;
             stages.push(StageIR::Probe {
                 table,
                 keys: p
@@ -487,7 +510,7 @@ fn decompose(
                     .chain((0..pschema.len()).map(ProbeCol::Probe))
                     .collect(),
                 projected: false,
-                join: p.clone(),
+                nodes: vec![slot],
             });
             Ok((source, stages))
         }
@@ -500,7 +523,9 @@ fn decompose(
 mod tests {
     use super::*;
     use volcano_core::{PhysicalProps, SearchOptions};
-    use volcano_rel::{AttrId, Catalog, Cmp, ColumnDef, RelModel, RelOptimizer, RelProps};
+    use volcano_rel::{
+        AttrId, Catalog, Cmp, ColumnDef, JoinPred, RelModel, RelOptimizer, RelProps,
+    };
 
     use crate::database::Database;
 
@@ -556,13 +581,19 @@ mod tests {
         /// Lower `plan` (under `agg`, given over `plan`'s output
         /// positions) with every input required to be pipelineable.
         fn lower(&self, plan: &RelPlan, agg: Option<AggSink>) -> Region {
-            Region::lower(&self.db.snapshot(), plan, agg, &mut |_| None).expect("pipelineable")
+            let mut opaque = |_: &RelPlan, _| None;
+            Region::lower(&self.db.snapshot(), plan, 0, agg, &mut opaque).expect("pipelineable")
         }
     }
 
     fn agg(group: Vec<usize>, aggs: Vec<CompiledAgg>) -> Option<AggSink> {
-        let mode = AggMode::Complete;
-        Some(AggSink { group, aggs, mode })
+        let (mode, node) = (AggMode::Complete, 0);
+        Some(AggSink {
+            group,
+            aggs,
+            mode,
+            node,
+        })
     }
 
     fn keep_of(source: &SourceIR) -> (&[bool], usize) {
@@ -717,6 +748,7 @@ mod tests {
             group: vec![0],
             aggs: vec![CompiledAgg::Sum(1)],
             mode: AggMode::Final,
+            node: 0,
         };
         let r = f.lower(&f.scan("u"), Some(merge));
         assert_eq!(keep_of(&r.source), (&[true; 3][..], 3));

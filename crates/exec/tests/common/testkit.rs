@@ -11,11 +11,13 @@
 use volcano_bench::workload::{generate_query, WorkloadConfig};
 use volcano_core::{PhysicalProps, SearchOptions};
 use volcano_exec::{
-    BatchConfig, Database, Engine, ExecOptions, PrepareError, PreparedOutcome, PreparedStatement,
+    execute_analyzed, BatchConfig, Database, Engine, ExecOptions, PrepareError, PreparedOutcome,
+    PreparedStatement,
 };
 use volcano_rel::value::Tuple;
 use volcano_rel::{
-    Catalog, ColumnDef, RelExpr, RelModel, RelModelOptions, RelOptimizer, RelPlan, RelProps, Value,
+    Catalog, ColumnDef, RelAlg, RelExpr, RelModel, RelModelOptions, RelOptimizer, RelPlan,
+    RelProps, Value,
 };
 use volcano_sql::plan_query;
 
@@ -56,6 +58,39 @@ pub const SQL_QUERIES: &[&str] = &[
 /// Execute `plan` on the tuple engine — the oracle of every suite.
 pub fn run_tuple(db: &Database, plan: &RelPlan) -> Vec<Tuple> {
     db.execute(plan, &ExecOptions::new(), None)
+}
+
+/// Execute `plan` on `engine` with every plan node measured: the rows,
+/// and each node's output rows in plan pre-order.
+pub fn run_analyzed(db: &Database, plan: &RelPlan, engine: Engine) -> (Vec<Tuple>, Vec<u64>) {
+    let analyzed = execute_analyzed(db, &db.catalog(), plan, engine);
+    let nodes = analyzed.actual_rows();
+    (analyzed.rows, nodes)
+}
+
+/// Assert a vectorized run counted each plan node's output rows exactly
+/// as the tuple run did — except a partial aggregate under a gather of
+/// degree > 1 and that gather: their groups are per worker.
+pub fn assert_same_node_rows(plan: &RelPlan, tuple: &[u64], fused: &[u64], tag: &str) {
+    fn per_worker(plan: &RelPlan, under_gather: bool, out: &mut Vec<bool>) {
+        let gather = matches!(plan.alg, RelAlg::Gather(n) if n > 1);
+        let partial = |p: &RelPlan| matches!(p.alg, RelAlg::PartialHashAggregate(..));
+        out.push((under_gather && partial(plan)) || (gather && partial(&plan.inputs[0])));
+        for input in &plan.inputs {
+            per_worker(input, gather, out);
+        }
+    }
+    let mut skip = Vec::new();
+    per_worker(plan, false, &mut skip);
+    assert_eq!(tuple.len(), skip.len(), "{tag}: one count per plan node");
+    assert_eq!(fused.len(), skip.len(), "{tag}: one count per plan node");
+    for (i, ((t, f), skip)) in tuple.iter().zip(fused).zip(skip).enumerate() {
+        assert!(
+            skip || t == f,
+            "{tag}: node {i} counted {f} rows, the tuple engine {t} ({tuple:?} vs {fused:?})\n{}",
+            plan.explain()
+        );
+    }
 }
 
 /// Execute `plan` on the vectorized engine under `cfg`.

@@ -25,11 +25,16 @@ mod common;
 
 use std::sync::Mutex;
 
-use common::testkit::{assert_same_multiset, converges_within, sorted_copy, zipf_keys};
+use common::testkit::{
+    assert_same_multiset, converges_within, optimize_plan, sorted_copy, zipf_keys,
+};
 use volcano_core::trace::{TraceEvent, Tracer};
-use volcano_exec::{BatchConfig, Database, Engine, ExecOptions};
+use volcano_core::PhysicalProps;
+use volcano_exec::{execute_analyzed, BatchConfig, Database, Engine, ExecOptions};
 use volcano_rel::value::Tuple;
-use volcano_rel::{explain_plan, Catalog, Cmp, CmpOp, ColumnDef, Observation, RelPlan, Value};
+use volcano_rel::{
+    explain_plan, Catalog, Cmp, CmpOp, ColumnDef, Observation, RelModel, RelPlan, RelProps, Value,
+};
 
 /// The convergence bar: the oracle plan must be reached within this
 /// many executions of the prepared statement.
@@ -317,4 +322,48 @@ fn exported_memory_primes_a_cold_database() {
         oracle,
         "imported memory must produce the oracle plan on the first try"
     );
+}
+
+/// Both engines learn the same: for one plan, the observations the
+/// harvest reads off a vectorized run equal those of a tuple run — for
+/// this suite's statement, and for a 3-way star join whose two join
+/// pairs run as two probes of one pipeline.
+#[test]
+fn both_engines_harvest_the_same_observations() {
+    let learn = |db: &Database, plan: &RelPlan| {
+        let catalog = db.catalog();
+        engines().map(|engine| {
+            let nodes = execute_analyzed(db, &catalog, plan, engine).actual_rows();
+            volcano_rel::observations(&catalog, plan, &nodes)
+        })
+    };
+    let (db, _) = populated_db();
+    let stmt = db.prepare(SQL).unwrap();
+    let out = db
+        .execute_prepared_opts(&stmt, &[Value::Int(0)], &ExecOptions::new(), None)
+        .unwrap();
+    let [tuple, fused] = learn(&db, &out.plan);
+    assert_eq!(tuple.len(), 2, "the status term and the join pair");
+    assert_eq!(tuple, fused);
+
+    let mut star = Catalog::new();
+    let int = ColumnDef::int;
+    let fact = vec![int("a", 50.0), int("b", 40.0), int("v", 100.0)];
+    star.add_table("fact", 5000.0, fact);
+    star.add_table("dim1", 50.0, vec![int("id", 50.0), int("x", 5.0)]);
+    star.add_table("dim2", 40.0, vec![int("id", 40.0), int("y", 4.0)]);
+    let db = Database::in_memory(star.clone());
+    db.generate(5);
+    let sql = "SELECT dim1.x, dim2.y FROM fact, dim1, dim2 \
+               WHERE fact.a = dim1.id AND fact.b = dim2.id AND fact.v < 10";
+    let q = volcano_sql::plan_query(sql, &mut star).unwrap();
+    let plan = optimize_plan(
+        &RelModel::with_defaults(star),
+        &q.expr,
+        RelProps::any(),
+        sql,
+    );
+    let [tuple, fused] = learn(&db, &plan);
+    assert_eq!(tuple.len(), 3, "the scan term and both join pairs");
+    assert_eq!(tuple, fused);
 }

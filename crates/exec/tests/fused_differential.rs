@@ -25,9 +25,9 @@
 mod common;
 
 use common::testkit::{
-    assert_same_multiset, diff_catalog, fig4_inputs, mixed_db, mixed_plan, optimize_plan,
-    run_fused, run_tuple, sql_cases, swept_batch_configs, swept_degrees, MIXED_AGG_QUERIES,
-    MIXED_SCAN_QUERIES, SQL_QUERIES,
+    assert_same_multiset, assert_same_node_rows, diff_catalog, fig4_inputs, mixed_db, mixed_plan,
+    optimize_plan, run_analyzed, run_tuple, sql_cases, swept_batch_configs, swept_degrees,
+    MIXED_AGG_QUERIES, MIXED_SCAN_QUERIES, SQL_QUERIES,
 };
 use volcano_core::PhysicalProps;
 use volcano_exec::{
@@ -53,9 +53,10 @@ fn assert_sorted_on(rows: &[Tuple], key_positions: &[usize], tag: &str) {
 }
 
 /// Run `plan` on both engines at every batch size and assert the
-/// cross-engine discipline holds.
+/// cross-engine discipline holds: the same rows, and the same output
+/// rows counted for every plan node.
 fn assert_engines_agree(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
-    let tuple_rows = run_tuple(db, plan);
+    let (tuple_rows, tuple_nodes) = run_analyzed(db, plan, Engine::Tuple);
     let key_positions: Vec<usize> = {
         let schema = schema_of(db, plan);
         plan.delivered
@@ -70,9 +71,10 @@ fn assert_engines_agree(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
             .collect()
     };
     for cfg in swept_batch_configs() {
-        let fused_rows = run_fused(db, plan, cfg);
+        let (fused_rows, fused_nodes) = run_analyzed(db, plan, Engine::Fused(cfg));
         let mtag = format!("{tag}: deg={degree} batch={}", cfg.batch_size);
         assert_same_multiset(&tuple_rows, &fused_rows, &mtag);
+        assert_same_node_rows(plan, &tuple_nodes, &fused_nodes, &mtag);
         if !key_positions.is_empty() {
             assert_sorted_on(&fused_rows, &key_positions, &mtag);
         }

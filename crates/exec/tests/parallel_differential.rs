@@ -21,12 +21,14 @@ mod common;
 use std::collections::HashMap;
 
 use common::testkit::{
-    assert_same_multiset, diff_catalog, fig4_inputs, mixed_db, mixed_plan, morsel_sizes,
-    optimize_plan, run_fused, run_tuple, sql_cases, swept_batch_configs, swept_degrees,
-    MIXED_SCAN_QUERIES,
+    assert_same_multiset, assert_same_node_rows, diff_catalog, fig4_inputs, mixed_db, mixed_plan,
+    morsel_sizes, optimize_plan, run_analyzed, run_fused, run_tuple, sql_cases,
+    swept_batch_configs, swept_degrees, MIXED_SCAN_QUERIES,
 };
 use volcano_core::PhysicalProps;
-use volcano_exec::{collect_batches, compile_fused, schema_of, BatchConfig, Database};
+use volcano_exec::{
+    collect_batches, compile_fused, execute_analyzed, schema_of, BatchConfig, Database, Engine,
+};
 use volcano_rel::value::Tuple;
 use volcano_rel::{
     AggFunc, AggSpec, AttrId, Catalog, Cmp, JoinPred, Pred, RelAlg, RelModel, RelModelOptions,
@@ -47,12 +49,13 @@ fn assert_sorted_on(rows: &[Tuple], key_positions: &[usize], tag: &str) {
 
 /// Execute `plan` under the tuple engine (the serial oracle) and the
 /// vectorized engine at every morsel granularity; assert the multisets
-/// always agree, the sequence agrees at degree 1, and the delivered
-/// sort order holds at every degree.
+/// always agree, every plan node counts the same output rows (but a
+/// partial aggregate's per-worker groups), the sequence agrees at
+/// degree 1, and the delivered sort order holds at every degree.
 fn assert_parallel_agrees(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
     // The tuple engine executes a gather as a serial pass-through, so
     // the same (possibly parallel) plan serves as its own oracle.
-    let tuple_rows = run_tuple(db, plan);
+    let (tuple_rows, tuple_nodes) = run_analyzed(db, plan, Engine::Tuple);
     let key_positions: Vec<usize> = {
         let schema = schema_of(db, plan);
         plan.delivered
@@ -78,9 +81,10 @@ fn assert_parallel_agrees(db: &Database, plan: &RelPlan, tag: &str, degree: u32)
             Some(pages) => BatchConfig::default().with_morsel_pages(pages),
             None => BatchConfig::default(),
         };
-        let rows = run_fused(db, plan, cfg);
+        let (rows, nodes) = run_analyzed(db, plan, Engine::Fused(cfg));
         let mtag = format!("{tag}: deg={degree} morsel={morsel:?}");
         assert_same_multiset(&tuple_rows, &rows, &mtag);
+        assert_same_node_rows(plan, &tuple_nodes, &nodes, &mtag);
         if !key_positions.is_empty() {
             assert_sorted_on(&rows, &key_positions, &mtag);
         }
@@ -467,9 +471,10 @@ fn hand_placed_gathers_agree_at_every_degree_and_batch_size() {
 }
 
 /// A region of degree 2 appears in the report like any other: every
-/// cursor counts into its pipeline's shared counters, so they cover the
-/// whole table (not one worker's share) and the feedback harvest reads
-/// the same observations as from the serial plan.
+/// cursor counts into its pipeline's shared counters and the plan's
+/// per-node cells, so they cover the whole table (not one worker's
+/// share), every node counts the rows it counts serially, and the
+/// feedback harvest reads the same observations as from the serial plan.
 #[test]
 fn parallel_regions_report_whole_input_counters_and_serial_observations() {
     let h = Hand::new();
@@ -483,29 +488,35 @@ fn parallel_regions_report_whole_input_counters_and_serial_observations() {
     ];
     let serial = h.node(RelAlg::HybridHashJoin(on), inputs);
     let run = |plan: &RelPlan| {
-        let compiled = compile_fused(&h.db, plan, BatchConfig::default().with_morsel_pages(1));
-        let mut op = compiled.operator;
-        (collect_batches(op.as_mut()), compiled.report)
+        let engine = Engine::Fused(BatchConfig::default().with_morsel_pages(1));
+        execute_analyzed(&h.db, &h.catalog, plan, engine)
     };
-    let (serial_rows, serial_report) = run(&serial);
-    let (rows, report) = run(&gathered(serial.clone(), 2));
-    assert_same_multiset(&serial_rows, &rows, "three-way join");
+    let (serial_run, gathered_plan) = (run(&serial), gathered(serial.clone(), 2));
+    let parallel_run = run(&gathered_plan);
+    assert_same_multiset(&serial_run.rows, &parallel_run.rows, "three-way join");
+    let (serial_report, report) = (
+        serial_run.fused.as_ref().unwrap(),
+        parallel_run.fused.as_ref().unwrap(),
+    );
     let regions = (serial_report.parallel_regions, report.parallel_regions);
     assert_eq!(regions, (0, 1));
     assert_eq!(report.pipelines.len(), 3, "two builds and the output");
     for (s, p) in serial_report.pipelines.iter().zip(&report.pipelines) {
         assert_eq!((s.degree, p.degree), (1, 2), "{}", p.label);
         assert_eq!(s.label, p.label);
-        assert!(p.stats.source_rows() > 0, "{}: {:?}", p.label, p.stats);
-        let counters = |st: &volcano_exec::fused::PipelineStats| {
-            let probe = (st.probe_in(), st.probe_out());
-            (st.rows(), st.source_rows(), st.source_out(), probe)
-        };
-        assert_eq!(counters(&s.stats), counters(&p.stats), "{}", p.label);
+        assert!(p.stats.rows() > 0, "{}: {:?}", p.label, p.stats);
+        assert_eq!(s.stats.rows(), p.stats.rows(), "{}", p.label);
     }
-    let observations = report.observations();
-    assert!(observations.len() >= 2, "a scan predicate and a join");
-    assert_eq!(observations, serial_report.observations());
+    // The gather shares its region's output count; below it, every node
+    // counts what it counts serially.
+    let (actuals, serial_actuals) = (parallel_run.actual_rows(), serial_run.actual_rows());
+    assert_eq!(actuals[0], actuals[1], "the gather passes its input");
+    assert_eq!(actuals[1..], serial_actuals[..]);
+    assert!(serial_actuals.iter().all(|&n| n > 0), "{serial_actuals:?}");
+    let observations = volcano_rel::observations(&h.catalog, &gathered_plan, &actuals);
+    assert_eq!(observations.len(), 3, "a scan predicate and both joins");
+    let serial_observations = volcano_rel::observations(&h.catalog, &serial, &serial_actuals);
+    assert_eq!(observations, serial_observations);
 }
 
 /// Threads and channels belong to the exchange, and a region of degree 1

@@ -35,9 +35,11 @@ use volcano_core::fxhash::FxHasher;
 
 use crate::alg::RelAlg;
 use crate::catalog::Catalog;
+use crate::estimate::logical_from_inputs;
 use crate::ids::AttrId;
 use crate::predicate::{Cmp, JoinPred, Pred};
-use crate::selectivity::MIN_SELECTIVITY;
+use crate::props::RelLogical;
+use crate::selectivity::{cmp_selectivity_with, join_selectivity_with, MIN_SELECTIVITY};
 use crate::RelPlan;
 
 /// Observations are exact running means for the first `WARMUP`
@@ -154,7 +156,7 @@ pub struct Observation {
     pub key: ObservationKey,
     /// Observed selectivity (actual output / actual input), in `[0, 1]`.
     pub observed: f64,
-    /// What the estimator predicted for the same key at harvest time —
+    /// What the plan's estimator gives the same key at harvest time —
     /// the materiality baseline for deciding whether the memory moved
     /// enough to invalidate cached plans.
     pub estimated: f64,
@@ -240,10 +242,10 @@ impl SelectivityMemory {
 ///
 /// `actuals` are the per-node actual output row counts in plan
 /// *pre-order* (parent before children, children left to right) —
-/// exactly the order EXPLAIN ANALYZE measures. Nodes whose actual
-/// inputs are zero are skipped (nothing was observed, and zero
-/// denominators are meaningless); so are operators whose output is not
-/// a selectivity statement about a memorized key (projections,
+/// exactly the order EXPLAIN ANALYZE measures, on either engine. Nodes
+/// whose actual inputs are zero are skipped (nothing was observed, and
+/// zero denominators are meaningless); so are operators whose output is
+/// not a selectivity statement about a memorized key (projections,
 /// aggregates, set operations, multi-way joins).
 ///
 /// Observed selectivities:
@@ -253,6 +255,11 @@ impl SelectivityMemory {
 /// * binary joins — output / (left actual × right actual), one
 ///   geometric share per equi-join pair; cross products are skipped.
 /// * `Sort` / `Gather` enforcers pass their input through untouched.
+///
+/// Each observation's `estimated` is the selectivity the plan's own
+/// estimator gives its key over the node's estimated inputs
+/// ([`logical_from_inputs`]), so materiality is judged against the
+/// estimate the plan was chosen with.
 pub fn observations(catalog: &Catalog, plan: &RelPlan, actuals: &[u64]) -> Vec<Observation> {
     let mut out = Vec::new();
     harvest(catalog, plan, actuals, 0, &mut out);
@@ -260,74 +267,63 @@ pub fn observations(catalog: &Catalog, plan: &RelPlan, actuals: &[u64]) -> Vec<O
 }
 
 /// Recursive harvest; returns the number of pre-order slots the subtree
-/// occupies. Out-of-range indexes (a truncated `actuals`) harvest
-/// nothing but still size the tree correctly.
+/// occupies and its estimated properties. Out-of-range indexes (a
+/// truncated `actuals`) harvest nothing but still size the tree
+/// correctly.
 fn harvest(
     catalog: &Catalog,
     plan: &RelPlan,
     actuals: &[u64],
     idx: usize,
     out: &mut Vec<Observation>,
-) -> usize {
+) -> (usize, RelLogical) {
     // Pre-order: children start right after this node, each offset by
     // the sizes of its elder siblings.
-    let mut child_starts = Vec::with_capacity(plan.inputs.len());
+    let mut child_rows = Vec::with_capacity(plan.inputs.len());
+    let mut inputs = Vec::with_capacity(plan.inputs.len());
     let mut consumed = 1;
     for c in &plan.inputs {
-        child_starts.push(idx + consumed);
-        consumed += harvest(catalog, c, actuals, idx + consumed, out);
+        child_rows.push(actuals.get(idx + consumed).copied());
+        let (size, logical) = harvest(catalog, c, actuals, idx + consumed, out);
+        consumed += size;
+        inputs.push(logical);
     }
-    let Some(&rows_out) = actuals.get(idx) else {
-        return consumed;
-    };
-    match &plan.alg {
-        RelAlg::Filter(pred) => {
-            if let Some(&rows_in) = actuals.get(child_starts[0]) {
-                harvest_pred(pred, rows_out, rows_in, out);
+    let memory = catalog.feedback();
+    if let Some(&rows_out) = actuals.get(idx) {
+        match &plan.alg {
+            RelAlg::Filter(pred) => {
+                if let Some(rows_in) = child_rows[0] {
+                    harvest_pred(pred, &inputs[0], memory, rows_out, rows_in, out);
+                }
             }
-        }
-        RelAlg::FilterScan(t, pred) => {
-            let rows_in = catalog.table(*t).card.round() as u64;
-            harvest_pred(pred, rows_out, rows_in, out);
-        }
-        RelAlg::MergeJoin(p) | RelAlg::HybridHashJoin(p) | RelAlg::NestedLoops(p) => {
-            let (l, r) = (actuals.get(child_starts[0]), actuals.get(child_starts[1]));
-            if let (Some(&l), Some(&r)) = (l, r) {
-                harvest_join(p, rows_out, l, r, out);
+            RelAlg::FilterScan(t, pred) => {
+                let table = RelLogical::of_table(catalog, *t);
+                let rows_in = table.card.round() as u64;
+                harvest_pred(pred, &table, memory, rows_out, rows_in, out);
             }
+            RelAlg::MergeJoin(p) | RelAlg::HybridHashJoin(p) | RelAlg::NestedLoops(p) => {
+                if let [Some(l), Some(r)] = child_rows[..] {
+                    let sides = (&inputs[0], &inputs[1]);
+                    harvest_join(p, sides, memory, rows_out, (l, r), out);
+                }
+            }
+            // Everything else either passes rows through (enforcers), or
+            // its output cardinality is not a statement about a memorized
+            // selectivity key.
+            _ => {}
         }
-        // Everything else either passes rows through (enforcers), or
-        // its output cardinality is not a statement about a memorized
-        // selectivity key.
-        _ => {}
     }
-    consumed
+    (consumed, logical_from_inputs(catalog, &plan.alg, &inputs))
 }
 
-/// Harvest observations for one predicate applied to a measured input —
-/// the fused engine's per-pipeline entry point, where pipeline counters
-/// (rows scanned / rows surviving the scan predicate) stand in for the
-/// per-node actuals of [`observations`]. Same skip rules: empty
-/// predicates and zero inputs harvest nothing.
-pub fn pred_observations(pred: &Pred, rows_out: u64, rows_in: u64, out: &mut Vec<Observation>) {
-    harvest_pred(pred, rows_out, rows_in, out);
-}
-
-/// Harvest observations for one equi-join with measured input sides —
-/// the fused engine's probe-stage entry point (`l`/`r` are the two
-/// input cardinalities; order is irrelevant, the pair keys are
-/// commutative). Cross products and zero inputs harvest nothing.
-pub fn join_observations(
-    pred: &JoinPred,
+fn harvest_pred(
+    pred: &Pred,
+    input: &RelLogical,
+    memory: &SelectivityMemory,
     rows_out: u64,
-    l: u64,
-    r: u64,
+    rows_in: u64,
     out: &mut Vec<Observation>,
 ) {
-    harvest_join(pred, rows_out, l, r, out);
-}
-
-fn harvest_pred(pred: &Pred, rows_out: u64, rows_in: u64, out: &mut Vec<Observation>) {
     let terms = pred.terms();
     if terms.is_empty() || rows_in == 0 {
         return;
@@ -338,28 +334,19 @@ fn harvest_pred(pred: &Pred, rows_out: u64, rows_in: u64, out: &mut Vec<Observat
         out.push(Observation {
             key: term_key(term),
             observed: share,
-            estimated: static_term_estimate(term),
+            estimated: cmp_selectivity_with(term, input, memory),
         });
     }
 }
 
-// The static estimator needs the input's logical properties for its
-// distinct counts; at harvest time the plan no longer carries them, so
-// the materiality baseline uses the coarse System R defaults (1/3 for
-// ranges, and a conservative mid-range guess for equalities). The
-// baseline only decides *materiality* relative to the prior; cached
-// plans are actually judged by the full re-cost in the drift guard.
-fn static_term_estimate(term: &Cmp) -> f64 {
-    use crate::predicate::CmpOp;
-    use crate::selectivity::RANGE_SELECTIVITY;
-    match term.op {
-        CmpOp::Eq => 0.01,
-        CmpOp::Ne => 0.99,
-        CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => RANGE_SELECTIVITY,
-    }
-}
-
-fn harvest_join(pred: &JoinPred, rows_out: u64, l: u64, r: u64, out: &mut Vec<Observation>) {
+fn harvest_join(
+    pred: &JoinPred,
+    (left, right): (&RelLogical, &RelLogical),
+    memory: &SelectivityMemory,
+    rows_out: u64,
+    (l, r): (u64, u64),
+    out: &mut Vec<Observation>,
+) {
     let pairs = pred.pairs();
     if pairs.is_empty() || l == 0 || r == 0 {
         return;
@@ -371,7 +358,7 @@ fn harvest_join(pred: &JoinPred, rows_out: u64, l: u64, r: u64, out: &mut Vec<Ob
         out.push(Observation {
             key: join_pair_key(a, b),
             observed: share,
-            estimated: share, // joins judge materiality against the prior
+            estimated: join_selectivity_with(&JoinPred::eq(a, b), left, right, memory),
         });
     }
 }
@@ -470,6 +457,83 @@ mod tests {
         }
         assert_eq!(geometric_share(0.7, 1), 0.7);
         assert_eq!(geometric_share(f64::NAN, 2), 0.0);
+    }
+
+    /// `emp(id, dept)` with 2 000 rows and 20 departments, `dept(id)`
+    /// with 20, and a plan node template to assemble plans by hand.
+    fn emp_dept() -> (Catalog, RelPlan) {
+        use crate::{ColumnDef, QueryBuilder, RelModel, RelProps};
+        use volcano_core::{Optimizer, PhysicalProps, SearchOptions};
+        let mut c = Catalog::new();
+        let cols = vec![ColumnDef::int("id", 2000.0), ColumnDef::int("dept", 20.0)];
+        c.add_table("emp", 2000.0, cols);
+        c.add_table("dept", 20.0, vec![ColumnDef::int("id", 20.0)]);
+        let model = RelModel::with_defaults(c.clone());
+        let mut opt = Optimizer::new(&model, SearchOptions::default());
+        let root = opt.insert_tree(&QueryBuilder::new(&c).scan("dept"));
+        let like = opt.find_best_plan(root, RelProps::any(), None).unwrap();
+        (c, like)
+    }
+
+    fn node(like: &RelPlan, alg: RelAlg, inputs: Vec<RelPlan>) -> RelPlan {
+        RelPlan {
+            alg,
+            inputs,
+            ..like.clone()
+        }
+    }
+
+    /// `emp.dept = 3` is estimated at 1/20 of 2 000 rows, 100; 113 came
+    /// back. The baseline is the plan's own 1/20, not a fixed guess, so
+    /// an estimate that was right is not a surprise.
+    #[test]
+    fn a_term_is_judged_against_the_plans_own_estimate() {
+        let (c, like) = emp_dept();
+        let q = crate::QueryBuilder::new(&c);
+        let emp = c.table_by_name("emp").unwrap().id;
+        let pred = Pred::single(Cmp::eq(q.attr("emp", "dept"), 3i64));
+        let plan = node(&like, RelAlg::FilterScan(emp, pred), vec![]);
+        let [o] = observations(&c, &plan, &[113])[..] else {
+            panic!("one term")
+        };
+        assert!((o.estimated - 1.0 / 20.0).abs() < 1e-12, "{o:?}");
+        assert!((o.observed - 113.0 / 2000.0).abs() < 1e-12, "{o:?}");
+        assert!(o.observed / o.estimated < 1.5, "not material: {o:?}");
+    }
+
+    /// A join pair's baseline is System R's `1/max(d_l, d_r)` over the
+    /// join's estimated inputs, so a fresh cell that observes 100× that
+    /// is material (it used to be its own baseline, never material).
+    #[test]
+    fn a_join_pair_is_judged_against_the_plans_own_estimate() {
+        let (c, like) = emp_dept();
+        let q = crate::QueryBuilder::new(&c);
+        let scan = |t: &str| {
+            node(
+                &like,
+                RelAlg::FileScan(c.table_by_name(t).unwrap().id),
+                vec![],
+            )
+        };
+        let on = JoinPred::eq(q.attr("dept", "id"), q.attr("emp", "dept"));
+        let plan = node(
+            &like,
+            RelAlg::HybridHashJoin(on),
+            vec![scan("dept"), scan("emp")],
+        );
+        // Every emp row matched every dept row: selectivity 1.
+        let [o] = observations(&c, &plan, &[40_000, 20, 2000])[..] else {
+            panic!("one pair")
+        };
+        assert!((o.estimated - 1.0 / 20.0).abs() < 1e-12, "{o:?}");
+        assert_eq!(o.observed, 1.0);
+        // With the pair observed, the plan's estimate is the memory's.
+        let mut observed = c.clone();
+        observed.feedback_mut().observe(o.key, 0.5);
+        let [o] = observations(&observed, &plan, &[40_000, 20, 2000])[..] else {
+            panic!("one pair")
+        };
+        assert_eq!(o.estimated, 0.5);
     }
 
     #[test]

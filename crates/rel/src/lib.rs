@@ -54,8 +54,8 @@ pub use cost::RelCost;
 pub use estimate::{estimated_plan_cost, logical_from_inputs};
 pub use explain::{explain_expr, explain_plan};
 pub use feedback::{
-    geometric_share, join_observations, join_pair_key, observations, pred_observations, term_key,
-    Observation, ObservationKey, SelectivityMemory,
+    geometric_share, join_pair_key, observations, term_key, Observation, ObservationKey,
+    SelectivityMemory,
 };
 pub use ids::{AttrId, TableId};
 pub use model::{JoinSpace, RelModel, RelModelOptions};

@@ -30,7 +30,9 @@ use volcano::rel::{
     explain_expr, explain_plan, Catalog, ColumnDef, RelModel, RelModelOptions, RelOptimizer,
     RelProps,
 };
-use volcano::sql::{lower, parse_script, ExecutorSetting, PlanCacheSetting, Statement};
+use volcano::sql::{
+    lower, parse_script, AstQuery, ExecutorSetting, PlanCacheSetting, Query, Statement,
+};
 
 struct Shell {
     catalog: Catalog,
@@ -83,6 +85,19 @@ impl Shell {
 
     fn db(&mut self) -> Arc<Database> {
         self.session().db().clone()
+    }
+
+    /// Lower a query against the catalog it will be planned with: the
+    /// database's once it exists (its statistics and feedback memory),
+    /// the shell's own before. Lowering may allocate aggregate attrs, so
+    /// the caller plans and executes against the returned copy.
+    fn lower(&self, ast: &AstQuery) -> Result<(Catalog, Query), String> {
+        let mut catalog = match &self.session {
+            Some(session) => (*session.db().catalog()).clone(),
+            None => self.catalog.clone(),
+        };
+        let q = lower(ast, &mut catalog).map_err(|e| e.to_string())?;
+        Ok((catalog, q))
     }
 
     fn run(&mut self, stmt: Statement) -> Result<(), String> {
@@ -185,8 +200,7 @@ impl Shell {
                 query: ast,
                 analyze,
             } => {
-                let mut catalog = self.catalog.clone();
-                let q = lower(&ast, &mut catalog).map_err(|e| e.to_string())?;
+                let (catalog, q) = self.lower(&ast)?;
                 println!("-- logical algebra --");
                 print!("{}", explain_expr(&catalog, &q.expr));
                 let model = RelModel::new(catalog.clone(), self.model_options());
@@ -205,31 +219,18 @@ impl Shell {
                     opt.stats().memo_bytes / 1024
                 );
                 if analyze {
-                    let stats_json = opt.stats().to_json();
-                    let executor = self.executor;
                     let db = self.db();
-                    // The vectorized engine has no per-plan-node seams
-                    // to instrument: report per-pipeline metrics instead
-                    // of the per-operator table.
-                    if let Engine::Fused(cfg) = executor {
-                        let analyzed = volcano::exec::execute_analyzed_fused(&db, &plan, cfg);
-                        println!("-- analyze ({} result rows) --", analyzed.rows.len());
-                        for line in analyzed.report.lines() {
-                            println!("{line}");
-                        }
-                        return Ok(());
-                    }
-                    let analyzed = volcano::exec::execute_analyzed(&db, &catalog, &plan);
+                    let analyzed =
+                        volcano::exec::execute_analyzed(&db, &catalog, &plan, self.executor);
                     println!("-- analyze ({} result rows) --", analyzed.rows.len());
                     print!("{}", analyzed.report());
-                    // Machine-readable export: per-operator measurements
-                    // plus the search and plan-cache statistics, one JSON
-                    // object.
+                    // Machine-readable export: per-node measurements plus
+                    // the search and plan-cache statistics, one JSON object.
                     println!("-- json --");
                     println!(
                         "{{\"analyze\":{},\"search\":{},\"plan_cache\":{},\"feedback\":{}}}",
                         analyzed.to_json(),
-                        stats_json,
+                        opt.stats().to_json(),
                         db.plan_cache().stats().to_json(),
                         db.feedback_stats().to_json()
                     );
@@ -237,15 +238,9 @@ impl Shell {
                 Ok(())
             }
             Statement::Query(ast) => {
-                // Lowering may allocate aggregate attrs: the execution
-                // catalog must match the planning catalog.
-                let mut catalog = self.catalog.clone();
-                let q = lower(&ast, &mut catalog).map_err(|e| e.to_string())?;
+                let (catalog, q) = self.lower(&ast)?;
                 let cost_limit = self.cost_limit;
-                let model_options = self.model_options();
-                let executor = self.executor;
-                let db = self.db();
-                let model = RelModel::new(catalog.clone(), model_options);
+                let model = RelModel::new(catalog, self.model_options());
                 let mut opt = RelOptimizer::new(&model, SearchOptions::default());
                 let root = opt.insert_tree(&q.expr);
                 let goal = RelProps::sorted(q.order_by.clone());
@@ -256,7 +251,11 @@ impl Shell {
                         Some(l) => format!("{e} (cost limit {l} ms)"),
                         None => e.to_string(),
                     })?;
-                let rows = db.execute(&plan, &ExecOptions::new().with_executor(executor), None);
+                let session = self.session();
+                let opts = ExecOptions::new()
+                    .with_executor(session.executor())
+                    .with_feedback(session.feedback_enabled());
+                let rows = session.db().execute(&plan, &opts, None);
                 for row in &rows {
                     let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
                     println!("{}", cells.join(" | "));

@@ -131,19 +131,49 @@ fn cost_limit_catches_unreasonable_queries() {
     assert!(stdout.contains("cost limit off"), "{stdout}");
 }
 
-/// `SET EXECUTOR FUSED` selects the one vectorized engine: same rows
-/// as the tuple engine and a per-pipeline (not per-operator) EXPLAIN
-/// ANALYZE. `BATCH`, its retired spelling, is a parse error that shows
-/// the usage.
+/// The `actual_rows` of every node in the `-- json --` export, in plan
+/// pre-order.
+fn json_actual_rows(stdout: &str) -> Vec<u64> {
+    let json = stdout
+        .lines()
+        .skip_while(|l| *l != "-- json --")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no json export in:\n{stdout}"));
+    json.split("\"actual_rows\":")
+        .skip(1)
+        .map(|rest| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("a row count")
+        })
+        .collect()
+}
+
+/// The `observations` counter of the last `-- json --` export.
+fn json_observations(stdout: &str) -> u64 {
+    let json = stdout
+        .lines()
+        .rfind(|l| l.starts_with("{\"analyze\""))
+        .unwrap();
+    let rest = json.split("\"observations\":").nth(1).unwrap();
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+/// `SET EXECUTOR FUSED` selects the one vectorized engine: same rows as
+/// the tuple engine and the same per-node EXPLAIN ANALYZE — estimated
+/// and actual rows per plan node, the JSON export with the tuple run's
+/// `actual_rows` — followed by its pipeline lines. `BATCH`, its retired
+/// spelling, is a parse error that shows the usage.
 #[test]
 fn set_executor_selects_one_vectorized_engine() {
     let script = |setting: &str| {
         format!(
             "CREATE TABLE t (x INT DISTINCT 50, y INT DISTINCT 5) CARD 300;\
+             CREATE TABLE d (id INT DISTINCT 50, r INT DISTINCT 4) CARD 50;\
              GENERATE SEED 3;\
              {setting}\
              SELECT x FROM t WHERE y < 2 ORDER BY x;\
-             EXPLAIN ANALYZE SELECT x FROM t WHERE y < 2;"
+             EXPLAIN ANALYZE SELECT t.x, d.r FROM t, d WHERE t.x = d.id AND t.y < 2;"
         )
     };
     let rows = |stdout: &str| -> Vec<String> {
@@ -156,7 +186,6 @@ fn set_executor_selects_one_vectorized_engine() {
     let (tuple, stderr, ok) = run_script(&script("SET EXECUTOR TUPLE;"));
     assert!(ok, "{stderr}");
     assert!(tuple.contains("executor: tuple"), "{tuple}");
-    assert!(tuple.contains("-- json --"), "{tuple}");
     assert!(!rows(&tuple).is_empty(), "{tuple}");
     let (out, stderr, ok) = run_script(&script("SET EXECUTOR FUSED 64;"));
     assert!(ok, "{stderr}");
@@ -165,7 +194,19 @@ fn set_executor_selects_one_vectorized_engine() {
         "{out}"
     );
     assert_eq!(rows(&tuple), rows(&out));
-    assert!(out.contains("fused: 1 pipeline(s)"), "{out}");
+    assert!(out.contains("fused: 2 pipeline(s)"), "{out}");
+    // One line per plan node with its estimate and its actual rows.
+    let node_lines = |stdout: &str| -> Vec<String> {
+        let lines = stdout.lines().filter(|l| l.contains(" rows) (actual "));
+        lines
+            .map(|l| l.split(" (actual ").next().unwrap().to_string())
+            .collect()
+    };
+    assert!(node_lines(&out).len() >= 4, "{out}");
+    assert_eq!(node_lines(&out), node_lines(&tuple));
+    let actual = json_actual_rows(&out);
+    assert_eq!(actual, json_actual_rows(&tuple), "{out}");
+    assert!(actual.iter().all(|&n| n > 0), "{out}");
 
     let (_, stderr, ok) = run_script("SET EXECUTOR BATCH 64;");
     assert!(!ok);
@@ -174,6 +215,69 @@ fn set_executor_selects_one_vectorized_engine() {
         stderr.contains("SET EXECUTOR <TUPLE|FUSED [n] [PARALLEL k]>"),
         "{stderr}"
     );
+}
+
+/// Both engines learn the same from the same plan: a 3-way star join
+/// executed with feedback on harvests one observation per scan term and
+/// per join pair, on the tuple engine and on the vectorized one.
+#[test]
+fn both_engines_harvest_every_node_of_a_star_join() {
+    let script = |setting: &str| {
+        format!(
+            "CREATE TABLE fact (a INT DISTINCT 50, b INT DISTINCT 40, v INT DISTINCT 100) CARD 5000;\
+             CREATE TABLE dim1 (id INT DISTINCT 50, x INT DISTINCT 5) CARD 50;\
+             CREATE TABLE dim2 (id INT DISTINCT 40, y INT DISTINCT 4) CARD 40;\
+             GENERATE SEED 5;\
+             {setting}\
+             SET FEEDBACK ON;\
+             PREPARE q AS SELECT dim1.x, dim2.y FROM fact, dim1, dim2 \
+               WHERE fact.a = dim1.id AND fact.b = dim2.id AND fact.v < 10;\
+             EXECUTE q;\
+             EXPLAIN ANALYZE SELECT COUNT(*) FROM dim1;"
+        )
+    };
+    let (tuple, stderr, ok) = run_script(&script("SET EXECUTOR TUPLE;"));
+    assert!(ok, "{stderr}");
+    let (fused, stderr, ok) = run_script(&script("SET EXECUTOR FUSED;"));
+    assert!(ok, "{stderr}");
+    assert_eq!(json_observations(&tuple), 3, "{tuple}");
+    assert_eq!(json_observations(&fused), 3, "{fused}");
+}
+
+/// A plain `SELECT` runs with the session's `SET FEEDBACK` and is
+/// planned against the database's catalog, so what it observes reaches
+/// the selectivity memory the next plan is estimated with.
+#[test]
+fn select_harvests_feedback_into_the_database_catalog() {
+    let (out, stderr, ok) = run_script(
+        "CREATE TABLE t (x INT DISTINCT 50, y INT DISTINCT 5) CARD 300;\
+         GENERATE SEED 3;\
+         SET FEEDBACK ON;\
+         SELECT x FROM t WHERE y < 2;\
+         EXPLAIN ANALYZE SELECT x FROM t WHERE y < 2;",
+    );
+    assert!(ok, "{stderr}");
+    assert_eq!(json_observations(&out), 1, "{out}");
+    // The estimate now is the observed selectivity: est equals actual.
+    let line = out
+        .lines()
+        .find(|l| l.contains("filter_scan") && l.contains("(actual "))
+        .unwrap_or_else(|| panic!("no analyzed filter scan in:\n{out}"));
+    let est = line
+        .split(" est ")
+        .nth(1)
+        .unwrap()
+        .split(' ')
+        .next()
+        .unwrap();
+    let actual = line
+        .split("(actual ")
+        .nth(1)
+        .unwrap()
+        .split(' ')
+        .next()
+        .unwrap();
+    assert_eq!(est, actual, "{out}");
 }
 
 /// EXPLAIN ANALYZE on the vectorized engine says how many of a table's
@@ -219,7 +323,10 @@ fn explain_analyze_lists_the_pipelines_of_a_parallel_region() {
     );
     assert!(ok, "{stderr}");
     assert!(out.contains("parallel degree 2"), "{out}");
-    assert_eq!(out.matches("gather(2)").count(), 2, "{out}");
+    // Each placed gather shows in the physical plan and in the analyze
+    // lines, its per-node rows.
+    assert_eq!(out.matches("gather(2)  (cost ").count(), 2, "{out}");
+    assert_eq!(out.matches("gather(2)  (cost=").count(), 2, "{out}");
     assert_eq!(out.matches("1 parallel region(s)").count(), 2, "{out}");
     for golden in [
         "pipeline 0 ×2: scan→agg · cols 0/3 · 2 op(s) fused · 20000 rows",
