@@ -75,6 +75,11 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
+/// The allocations this thread has made so far.
+pub fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
 /// What one query cost the optimizer in heap, under Figure 4's
 /// configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,15 +102,14 @@ pub struct WorkSpace {
 pub fn measure(query: &GeneratedQuery) -> WorkSpace {
     let base = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(base));
-    let allocs = || ALLOCS.with(Cell::get);
     let model = RelModel::new(query.catalog.clone(), RelModelOptions::paper_fig4());
     let mut opt = RelOptimizer::new(&model, SearchOptions::default());
     let root = opt.insert_tree(&query.expr);
-    let explore_start = allocs();
+    let explore_start = allocations();
     opt.explore();
-    let cost_start = allocs();
+    let cost_start = allocations();
     let plan = opt.find_best_plan(root, RelProps::any(), None);
-    let cost_end = allocs();
+    let cost_end = allocations();
     assert!(plan.is_ok(), "the benchmark queries are always satisfiable");
     WorkSpace {
         explore_allocs: cost_start - explore_start,

@@ -7,6 +7,15 @@
 //! fallback operators, per row around each operator (with its calls,
 //! wall-clock and own counters); a fused region per batch, on the step
 //! that produces the node's output ([`crate::fused`]).
+//!
+//! The two engines count the same rows per node but in two cases. A
+//! partial aggregate under a gather of degree `n`, and that gather, count
+//! per-worker groups. A node below an operator that stops reading once
+//! one input is exhausted (a merge join, merge intersect or merge
+//! difference) counts on the vectorized engine at least the tuple
+//! engine's rows and fewer than one batch more: a region counts each
+//! batch it hands on whole, where the tuple engine stops at the last row
+//! the operator read.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -476,6 +476,9 @@ pub struct Batch {
     /// Live physical rows (ascending indices); `None` = all rows.
     pub sel: Option<Vec<u32>>,
     rows: usize,
+    /// The buffer of the selection [`Batch::clear`] last dropped, empty,
+    /// for [`Batch::take_spare_sel`] to hand out again.
+    spare_sel: Vec<u32>,
 }
 
 impl Batch {
@@ -483,8 +486,7 @@ impl Batch {
     pub fn with_columns(n: usize) -> Self {
         Batch {
             columns: (0..n).map(|_| Column::any()).collect(),
-            sel: None,
-            rows: 0,
+            ..Batch::default()
         }
     }
 
@@ -492,8 +494,7 @@ impl Batch {
     pub fn for_types(types: &[ColType]) -> Self {
         Batch {
             columns: types.iter().map(|&t| Column::with_type(t)).collect(),
-            sel: None,
-            rows: 0,
+            ..Batch::default()
         }
     }
 
@@ -518,13 +519,23 @@ impl Batch {
     }
 
     /// Remove all rows and the selection, keeping column variants and
-    /// capacity.
+    /// capacity, the selection's too.
     pub fn clear(&mut self) {
         for c in &mut self.columns {
             c.clear();
         }
-        self.sel = None;
+        if let Some(mut sel) = self.sel.take() {
+            sel.clear();
+            self.spare_sel = sel;
+        }
         self.rows = 0;
+    }
+
+    /// An empty selection buffer with the capacity of the selection the
+    /// last [`Batch::clear`] removed, so a predicate that selects a fresh
+    /// batch allocates nothing once the first batch has grown it.
+    pub(crate) fn take_spare_sel(&mut self) -> Vec<u32> {
+        std::mem::take(&mut self.spare_sel)
     }
 
     /// Reset to exactly `n` cleared columns (reusing existing ones).

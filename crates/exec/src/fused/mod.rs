@@ -26,9 +26,9 @@
 //! Semantics are identical to the tuple engine by construction: the
 //! monomorphized kernels defer to one generic kernel on any unexpected
 //! column shape, and at degree 1 probe output replicates the serial hash
-//! join's order contract. The differential suites
-//! (`tests/fused_differential.rs`, `tests/parallel_differential.rs`) pin
-//! this across batch sizes and degrees.
+//! join's order contract. The engine differential
+//! (`tests/engine_differential.rs`) pins this across batch sizes,
+//! morsel sizes and degrees.
 
 mod compile;
 mod pred;

@@ -72,10 +72,13 @@ impl FusedPred {
                     *scratch = sel; // recycle the old allocation
                 }
                 None => {
-                    let all: Vec<u32> = (0..batch.physical_rows() as u32).collect();
-                    (term.kernel)(&batch.columns[term.pos], &all, scratch);
-                    batch.sel = Some(std::mem::take(scratch));
-                    *scratch = all;
+                    // Every row is live: list them in `scratch`, select
+                    // into the buffer of the batch's last selection.
+                    scratch.clear();
+                    scratch.extend(0..batch.physical_rows() as u32);
+                    let mut sel = batch.take_spare_sel();
+                    (term.kernel)(&batch.columns[term.pos], scratch, &mut sel);
+                    batch.sel = Some(sel);
                 }
             }
         }

@@ -1,11 +1,12 @@
 //! Differential tests for vectorized two-phase parallel aggregation.
 //!
 //! Every aggregate query shape (grouped and grand-total, each aggregate
-//! function, NULL-bearing inputs) is executed on both engines — tuple
-//! (the oracle) and vectorized — across the parallel-degree
+//! function, NULL-bearing inputs) runs through the engine differential's
+//! oracle (`testkit::assert_differential`) across the parallel-degree
 //! ladder {1, 2, 4, 8} and batch sizes {1, default, 1024}, over skewed
-//! and high-cardinality group distributions. Whatever the
-//! configuration, the row *multiset* must be identical: integer sums
+//! and high-cardinality group distributions, with the naive evaluator
+//! checking the tuple engine. Whatever the configuration, the row
+//! *multiset* and the per-node row counts must be identical: integer sums
 //! accumulate exactly (i64 with checked overflow promotion), so even
 //! `SUM`/`AVG` results are bit-identical between the serial plan and
 //! the two-phase parallel plan that splits them into per-worker
@@ -22,17 +23,17 @@
 mod common;
 
 use common::testkit::{
-    assert_same_multiset, batch_configs, high_cardinality_rows, mixed_db, mixed_plan, run_fused,
-    run_tuple, skewed_rows, thread_counts, Lcg, MIXED_AGG_QUERIES,
+    assert_differential, batch_configs, high_cardinality_rows, mixed_db, mixed_query,
+    optimize_plan, run_tuple, skewed_rows, thread_counts, Lcg, MIXED_AGG_QUERIES,
 };
 use proptest::prelude::*;
-use volcano_core::PhysicalProps;
 use volcano_exec::kernels::agg::{CompiledAgg, GroupScratch, GroupTable};
 use volcano_exec::{Batch, BatchConfig, Column, Database};
 use volcano_rel::catalog::ColType;
 use volcano_rel::value::Tuple;
 use volcano_rel::{
-    explain_plan, Catalog, ColumnDef, RelAlg, RelModel, RelModelOptions, RelPlan, RelProps, Value,
+    explain_plan, Catalog, ColumnDef, RelAlg, RelExpr, RelModel, RelModelOptions, RelPlan,
+    RelProps, Value,
 };
 use volcano_sql::plan_query;
 
@@ -89,25 +90,24 @@ fn is_two_phase(plan: &RelPlan) -> bool {
     matches!(plan.alg, RelAlg::FinalHashAggregate(_)) || plan.inputs.iter().any(walk)
 }
 
-/// Optimize `sql` at `degree` and execute it on all three engines at
-/// every batch size, asserting identical multisets. Integer columns
-/// make the assertion exact even for SUM/AVG under parallelism.
-fn assert_agg_agrees(db: &Database, sql: &str, degree: u32) {
+/// `sql` over [`sales_catalog`]: its logical expression and its plan
+/// optimized at `degree`, with the statement's ORDER BY as the goal.
+fn sales_query(sql: &str, degree: u32) -> (RelExpr, RelPlan) {
     let mut catalog = sales_catalog();
     let q = plan_query(sql, &mut catalog).expect("query must parse");
-    let model = RelModel::new(
-        catalog.clone(),
-        RelModelOptions::default().with_parallel_degree(degree),
-    );
-    let goal = RelProps::sorted(q.order_by.clone());
-    let plan = {
-        use volcano_core::SearchOptions;
-        use volcano_rel::RelOptimizer;
-        let mut opt = RelOptimizer::new(&model, SearchOptions::default());
-        let root = opt.insert_tree(&q.expr);
-        opt.find_best_plan(root, goal, None)
-            .unwrap_or_else(|e| panic!("{sql}: optimization failed: {e}"))
-    };
+    let options = RelModelOptions::default().with_parallel_degree(degree);
+    let model = RelModel::new(catalog.clone(), options);
+    let plan = optimize_plan(&model, &q.expr, RelProps::sorted(q.order_by.clone()), sql);
+    (q.expr, plan)
+}
+
+/// Optimize `sql` at `degree` and run it through the oracle at batch
+/// sizes {1, default, 1024}, comparing multisets (hash aggregates hand
+/// on their groups in no shared order) and checking the tuple engine
+/// against the naive evaluator. Integer columns make the comparison
+/// exact even for SUM/AVG under parallelism.
+fn assert_agg_agrees(db: &Database, sql: &str, degree: u32) {
+    let (expr, plan) = sales_query(sql, degree);
     // Grouped queries must split under a parallel model. Grand totals
     // (no group keys) may legitimately stay single-phase: with one
     // output row, the optimizer is free to price a stream aggregate
@@ -116,18 +116,16 @@ fn assert_agg_agrees(db: &Database, sql: &str, degree: u32) {
         assert!(
             is_two_phase(&plan),
             "{sql} deg={degree}: expected a two-phase parallel aggregation, got\n{}",
-            explain_plan(&catalog, &plan)
+            explain_plan(&sales_catalog(), &plan)
         );
     }
-    let tuple_rows = run_tuple(db, &plan);
-    for batch_size in [Some(1), None, Some(1024)] {
-        let cfg = match batch_size {
-            Some(n) => BatchConfig::with_batch_size(n),
-            None => BatchConfig::default(),
-        };
-        let tag = format!("{sql}: deg={degree} batch={batch_size:?}");
-        assert_same_multiset(&tuple_rows, &run_fused(db, &plan, cfg), &tag);
-    }
+    let sizes = [
+        BatchConfig::with_batch_size(1),
+        BatchConfig::default(),
+        BatchConfig::with_batch_size(1024),
+    ];
+    let tag = format!("{sql}: deg={degree}");
+    assert_differential(db, &plan, &tag, &sizes, false, Some(&expr));
 }
 
 #[test]
@@ -162,16 +160,7 @@ fn empty_input_grand_total_yields_one_row_everywhere() {
         }
     }
     // The grand total over no rows is exactly one row on the oracle.
-    let mut catalog = sales_catalog();
-    let q = plan_query("SELECT COUNT(*), SUM(amount) FROM sales", &mut catalog).unwrap();
-    let model = RelModel::new(catalog, RelModelOptions::default());
-    let plan = {
-        use volcano_core::SearchOptions;
-        use volcano_rel::RelOptimizer;
-        let mut opt = RelOptimizer::new(&model, SearchOptions::default());
-        let root = opt.insert_tree(&q.expr);
-        opt.find_best_plan(root, RelProps::any(), None).unwrap()
-    };
+    let (expr, plan) = sales_query("SELECT COUNT(*), SUM(amount) FROM sales", 1);
     assert_eq!(
         run_tuple(&db, &plan),
         vec![vec![Value::Int(0), Value::Null]],
@@ -183,9 +172,8 @@ fn empty_input_grand_total_yields_one_row_everywhere() {
         matches!(p.alg, RelAlg::StreamAggregate(_)) || p.inputs.iter().any(streams)
     }
     assert!(streams(&plan), "expected a stream aggregate");
-    for cfg in batch_configs() {
-        assert_eq!(run_fused(&db, &plan, cfg), run_tuple(&db, &plan));
-    }
+    let tag = "grand total over no rows";
+    assert_differential(&db, &plan, tag, &batch_configs(), true, Some(&expr));
 }
 
 /// Aggregates over string, float and NULL-bearing columns read only
@@ -198,14 +186,11 @@ fn mixed_type_aggregates_agree_across_engines_and_degrees() {
     let mut parallel = 0usize;
     for degree in thread_counts() {
         for sql in MIXED_AGG_QUERIES {
-            let plan = mixed_plan(sql, degree);
+            let (expr, plan) = mixed_query(sql, degree);
             parallel += usize::from(is_two_phase(&plan));
-            let tuple_rows = run_tuple(&db, &plan);
-            assert!(!tuple_rows.is_empty(), "{sql}: vacuous case");
-            for cfg in batch_configs() {
-                let tag = format!("{sql}: deg={degree} batch={}", cfg.batch_size);
-                assert_same_multiset(&tuple_rows, &run_fused(&db, &plan, cfg), &tag);
-            }
+            assert!(!run_tuple(&db, &plan).is_empty(), "{sql}: vacuous case");
+            let tag = format!("{sql}: deg={degree}");
+            assert_differential(&db, &plan, &tag, &batch_configs(), false, Some(&expr));
         }
     }
     if thread_counts().iter().any(|&n| n > 1) {
@@ -230,20 +215,7 @@ fn huge_integer_sums_are_exact_at_every_degree() {
     }
     // The values themselves stay exact integers (no float rounding):
     // group 0 sums 16 terms of ~2^53, far past f64's exact range.
-    let mut catalog = sales_catalog();
-    let q = plan_query(
-        "SELECT cust, SUM(amount) FROM sales GROUP BY cust",
-        &mut catalog,
-    )
-    .unwrap();
-    let model = RelModel::new(catalog, RelModelOptions::default());
-    let plan = {
-        use volcano_core::SearchOptions;
-        use volcano_rel::RelOptimizer;
-        let mut opt = RelOptimizer::new(&model, SearchOptions::default());
-        let root = opt.insert_tree(&q.expr);
-        opt.find_best_plan(root, RelProps::any(), None).unwrap()
-    };
+    let (_, plan) = sales_query("SELECT cust, SUM(amount) FROM sales GROUP BY cust", 1);
     for row in run_tuple(&db, &plan) {
         let Value::Int(k) = row[0] else {
             panic!("integer group key")

@@ -1,18 +1,26 @@
 //! The differential/concurrency test kit.
 //!
-//! Every cross-engine suite (`fused_differential`, `cache_differential`,
-//! `parallel_differential`, ...) compares engines over the same golden
-//! catalog and query list, with the same multiset/order discipline:
-//! row *multisets* must always match, and the row *sequence* must match
-//! whenever the plan delivers a sort property. This module is the single
-//! home for that machinery so new engines (and new axes, like parallel
-//! degree) extend the matrix instead of copying it.
+//! Its centre is the executor's one differential oracle,
+//! [`assert_differential`]: `engine_differential` and `agg_differential`
+//! hand it a plan and the vectorized configurations to run it under.
+//! Given the query's logical expression it also checks the tuple engine
+//! against [`evaluate_logical`], which shares no operator code with
+//! either engine. Only cases small enough for its nested-loop joins pass
+//! one (the golden SQL statements, the mixed-type fixtures, the
+//! aggregate tables): a 3-relation fig4 query would pair 7 200² rows per
+//! join, so fig4 stays engine against engine. Around the oracle: the
+//! golden catalog and queries, the fig4 case builder, the axes (degrees,
+//! batch and morsel sizes) and the data generators the concurrency and
+//! feedback suites share.
+
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 use volcano_bench::workload::{generate_query, WorkloadConfig};
 use volcano_core::{PhysicalProps, SearchOptions};
 use volcano_exec::{
-    execute_analyzed, BatchConfig, Database, Engine, ExecOptions, PrepareError, PreparedOutcome,
-    PreparedStatement,
+    evaluate_logical, execute_analyzed, schema_of, BatchConfig, Database, Engine, ExecOptions,
+    PrepareError, PreparedOutcome, PreparedStatement,
 };
 use volcano_rel::value::Tuple;
 use volcano_rel::{
@@ -60,39 +68,6 @@ pub fn run_tuple(db: &Database, plan: &RelPlan) -> Vec<Tuple> {
     db.execute(plan, &ExecOptions::new(), None)
 }
 
-/// Execute `plan` on `engine` with every plan node measured: the rows,
-/// and each node's output rows in plan pre-order.
-pub fn run_analyzed(db: &Database, plan: &RelPlan, engine: Engine) -> (Vec<Tuple>, Vec<u64>) {
-    let analyzed = execute_analyzed(db, &db.catalog(), plan, engine);
-    let nodes = analyzed.actual_rows();
-    (analyzed.rows, nodes)
-}
-
-/// Assert a vectorized run counted each plan node's output rows exactly
-/// as the tuple run did — except a partial aggregate under a gather of
-/// degree > 1 and that gather: their groups are per worker.
-pub fn assert_same_node_rows(plan: &RelPlan, tuple: &[u64], fused: &[u64], tag: &str) {
-    fn per_worker(plan: &RelPlan, under_gather: bool, out: &mut Vec<bool>) {
-        let gather = matches!(plan.alg, RelAlg::Gather(n) if n > 1);
-        let partial = |p: &RelPlan| matches!(p.alg, RelAlg::PartialHashAggregate(..));
-        out.push((under_gather && partial(plan)) || (gather && partial(&plan.inputs[0])));
-        for input in &plan.inputs {
-            per_worker(input, gather, out);
-        }
-    }
-    let mut skip = Vec::new();
-    per_worker(plan, false, &mut skip);
-    assert_eq!(tuple.len(), skip.len(), "{tag}: one count per plan node");
-    assert_eq!(fused.len(), skip.len(), "{tag}: one count per plan node");
-    for (i, ((t, f), skip)) in tuple.iter().zip(fused).zip(skip).enumerate() {
-        assert!(
-            skip || t == f,
-            "{tag}: node {i} counted {f} rows, the tuple engine {t} ({tuple:?} vs {fused:?})\n{}",
-            plan.explain()
-        );
-    }
-}
-
 /// Execute `plan` on the vectorized engine under `cfg`.
 pub fn run_fused(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> Vec<Tuple> {
     let opts = ExecOptions::new().with_executor(Engine::Fused(cfg));
@@ -131,6 +106,211 @@ pub fn assert_same_multiset(expected: &[Tuple], actual: &[Tuple], tag: &str) {
     );
 }
 
+// ---------------------------------------------------------------------
+// The differential oracle.
+// ---------------------------------------------------------------------
+
+/// The vectorized configurations a plan optimized at `degree` runs
+/// under: every [`swept_batch_configs`] size at the default morsel size
+/// and, at degree > 1, every [`morsel_sizes`] granularity at the default
+/// batch size (the default pair runs once). A degree-1 plan has no
+/// gather, so the morsel size is inert there.
+pub fn sweep_at(degree: u32) -> Vec<BatchConfig> {
+    let mut configs = swept_batch_configs();
+    if degree > 1 {
+        let morsels = morsel_sizes().into_iter().flatten();
+        configs.extend(morsels.map(|pages| BatchConfig::default().with_morsel_pages(pages)));
+    }
+    configs
+}
+
+/// The differential oracle. Runs `plan` on the tuple engine once and on
+/// the vectorized engine under each of `configs`, all with every plan
+/// node measured, and asserts for each vectorized run:
+///
+/// * the tuple engine's rows: the same sequence if `sequence` (a plan
+///   of degree 1 without a hash aggregate), else the same multiset;
+/// * the plan's delivered sort order (the tuple run's too);
+/// * the tuple engine's output rows per plan node ([`assert_node_rows`]).
+///
+/// With `logical`, the query's logical expression, it also asserts the
+/// tuple engine's multiset equals [`evaluate_logical`]'s.
+///
+/// One result at most is alive at a time, and none is copied: of the
+/// tuple engine's rows the oracle keeps one 64-bit hash each, compared
+/// in order or, for a multiset, sorted in place once. Only on a mismatch
+/// does it run the tuple engine again, to name the first differing row.
+pub fn assert_differential(
+    db: &Database,
+    plan: &RelPlan,
+    tag: &str,
+    configs: &[BatchConfig],
+    sequence: bool,
+    logical: Option<&RelExpr>,
+) {
+    let catalog = db.catalog();
+    let schema = schema_of(db, plan);
+    let keys: Vec<usize> = plan
+        .delivered
+        .sort
+        .iter()
+        .map(|a| {
+            schema
+                .iter()
+                .position(|s| s == a)
+                .unwrap_or_else(|| panic!("{tag}: sort key {a:?} missing from output schema"))
+        })
+        .collect();
+    let (mut expected, tuple_nodes) = {
+        let tuple = execute_analyzed(db, &catalog, plan, Engine::Tuple);
+        assert_sorted_on(&tuple.rows, &keys, &format!("{tag}: tuple"));
+        (row_hashes(&tuple.rows), tuple.actual_rows())
+    };
+    let mut sorted = false;
+    for &cfg in configs {
+        let what = format!(
+            "{tag}: batch={} morsel={:?}",
+            cfg.batch_size, cfg.morsel_pages
+        );
+        let run = execute_analyzed(db, &catalog, plan, Engine::Fused(cfg));
+        assert_node_rows(
+            plan,
+            &tuple_nodes,
+            &run.actual_rows(),
+            cfg.batch_size,
+            &what,
+        );
+        assert_sorted_on(&run.rows, &keys, &what);
+        let mut hashes = row_hashes(&run.rows);
+        if !sequence {
+            if !sorted {
+                expected.sort_unstable();
+                sorted = true;
+            }
+            hashes.sort_unstable();
+        }
+        if hashes != expected {
+            report_difference(db, plan, run.rows, sequence, &what);
+        }
+    }
+    if let Some(expr) = logical {
+        if !sorted {
+            expected.sort_unstable();
+        }
+        let naive = evaluate_logical(db, expr);
+        let positions: Vec<usize> = schema
+            .iter()
+            .map(|a| naive.schema.iter().position(|b| b == a).unwrap())
+            .collect();
+        let rows: Vec<Tuple> = naive
+            .rows
+            .into_iter()
+            .map(|t| positions.iter().map(|&i| t[i].clone()).collect())
+            .collect();
+        let mut hashes = row_hashes(&rows);
+        hashes.sort_unstable();
+        if hashes != expected {
+            report_difference(db, plan, rows, false, &format!("{tag}: naive evaluator"));
+        }
+    }
+}
+
+/// One 64-bit hash per row, in order: what the oracle keeps of a result
+/// once it is read, a few bytes a row where the row takes hundreds.
+fn row_hashes(rows: &[Tuple]) -> Vec<u64> {
+    rows.iter()
+        .map(|row| {
+            let mut h = DefaultHasher::new();
+            row.hash(&mut h);
+            h.finish()
+        })
+        .collect()
+}
+
+/// Panic naming the first row at which `actual` departs from the tuple
+/// engine's rows (both sorted unless `sequence`), run again for it.
+fn report_difference(
+    db: &Database,
+    plan: &RelPlan,
+    mut actual: Vec<Tuple>,
+    sequence: bool,
+    what: &str,
+) -> ! {
+    let mut expected = run_tuple(db, plan);
+    if !sequence {
+        expected.sort_unstable();
+        actual.sort_unstable();
+    }
+    let shorter = expected.len().min(actual.len());
+    let i = (0..shorter)
+        .find(|&i| expected[i] != actual[i])
+        .unwrap_or(shorter);
+    panic!(
+        "{what}: row {i} reads {:?} where the tuple engine's reads {:?} ({} rows against {})",
+        actual.get(i),
+        expected.get(i),
+        actual.len(),
+        expected.len()
+    );
+}
+
+/// Assert `rows` are non-decreasing on the columns at `keys`.
+fn assert_sorted_on(rows: &[Tuple], keys: &[usize], what: &str) {
+    fn key<'a>(row: &'a Tuple, keys: &'a [usize]) -> impl Iterator<Item = &'a Value> {
+        keys.iter().map(move |&k| &row[k])
+    }
+    if let Some(pair) = rows
+        .windows(2)
+        .find(|p| key(&p[0], keys).gt(key(&p[1], keys)))
+    {
+        panic!(
+            "{what}: output violates the delivered sort order ({:?} before {:?})",
+            key(&pair[0], keys).collect::<Vec<_>>(),
+            key(&pair[1], keys).collect::<Vec<_>>()
+        );
+    }
+}
+
+/// Assert a vectorized run counted each plan node's output rows as the
+/// tuple run did, but a partial aggregate under a gather of degree > 1
+/// and that gather (per-worker groups: not compared), and a node below
+/// a merge join, intersect or difference, which stops reading early: at
+/// least the tuple engine's rows and fewer than one batch more.
+fn assert_node_rows(plan: &RelPlan, tuple: &[u64], fused: &[u64], batch: usize, what: &str) {
+    /// Per node: `None` if not compared, else how far above the tuple
+    /// engine's count it may read (0: not at all).
+    fn slack(
+        plan: &RelPlan,
+        under_gather: bool,
+        early: u64,
+        batch: u64,
+        out: &mut Vec<Option<u64>>,
+    ) {
+        let gather = matches!(plan.alg, RelAlg::Gather(n) if n > 1);
+        let partial = |p: &RelPlan| matches!(p.alg, RelAlg::PartialHashAggregate(..));
+        let per_worker = (under_gather && partial(plan)) || (gather && partial(&plan.inputs[0]));
+        out.push((!per_worker).then_some(early));
+        let stops = matches!(
+            plan.alg,
+            RelAlg::MergeJoin(_) | RelAlg::MergeIntersect | RelAlg::MergeDifference
+        );
+        for input in &plan.inputs {
+            slack(input, gather, if stops { batch } else { early }, batch, out);
+        }
+    }
+    let mut slacks = Vec::new();
+    slack(plan, false, 0, batch as u64, &mut slacks);
+    assert_eq!(tuple.len(), slacks.len(), "{what}: one count per plan node");
+    assert_eq!(fused.len(), slacks.len(), "{what}: one count per plan node");
+    for (i, ((&t, &f), slack)) in tuple.iter().zip(fused).zip(slacks).enumerate() {
+        assert!(
+            slack.is_none_or(|s| t <= f && f - t < s.max(1)),
+            "{what}: node {i} counted {f} rows, the tuple engine {t} ({tuple:?} vs {fused:?})\n{}",
+            plan.explain()
+        );
+    }
+}
+
 /// Optimize `expr` under `goal` with the one serial search.
 pub fn optimize_plan(model: &RelModel, expr: &RelExpr, goal: RelProps, tag: &str) -> RelPlan {
     let mut opt = RelOptimizer::new(model, SearchOptions::default());
@@ -140,9 +320,11 @@ pub fn optimize_plan(model: &RelModel, expr: &RelExpr, goal: RelProps, tag: &str
 }
 
 /// One ready-to-execute differential case: a populated database, the
-/// optimized plan, and a tag for failure messages.
+/// query's logical expression, the optimized plan, and a tag for
+/// failure messages.
 pub struct DiffCase {
     pub db: Database,
+    pub expr: RelExpr,
     pub plan: RelPlan,
     pub tag: String,
 }
@@ -161,6 +343,7 @@ pub fn sql_cases(options: RelModelOptions) -> Vec<DiffCase> {
             db.generate(42);
             DiffCase {
                 db,
+                expr: q.expr,
                 plan,
                 tag: (*sql).to_string(),
             }
@@ -232,22 +415,23 @@ pub fn thread_counts() -> Vec<u32> {
     }
 }
 
-/// The degrees `fused_differential` and `parallel_differential` sweep:
+/// The degrees the engine differential sweeps: degree 1 always, and
 /// [`thread_counts`], cut to {1, 2} in a debug build with
 /// `VOLCANO_THREADS` unset. The full ladder runs in release (CI's
 /// "every degree" step and its pinned legs).
 pub fn swept_degrees() -> Vec<u32> {
-    let all = thread_counts();
+    let mut degrees = thread_counts();
     if cfg!(debug_assertions) && std::env::var("VOLCANO_THREADS").is_err() {
-        all.into_iter().filter(|&n| n <= 2).collect()
-    } else {
-        all
+        degrees.retain(|&n| n <= 2);
     }
+    if !degrees.contains(&1) {
+        degrees.insert(0, 1);
+    }
+    degrees
 }
 
-/// The batch sizes `fused_differential` and `parallel_differential`
-/// sweep: [`batch_configs`], cut to {1, default} in a debug build. The
-/// full set runs in release.
+/// The batch sizes the engine differential sweeps: [`batch_configs`],
+/// cut to {1, default} in a debug build. The full set runs in release.
 pub fn swept_batch_configs() -> Vec<BatchConfig> {
     let [one, four, default, wide] = batch_configs();
     if cfg!(debug_assertions) {
@@ -493,14 +677,16 @@ pub const MIXED_AGG_QUERIES: &[&str] = &[
     "SELECT mix.g, SUM(mix.k) FROM mix GROUP BY mix.g ORDER BY mix.g",
 ];
 
-/// Optimize `sql` over [`mixed_catalog`] at parallel `degree`, with the
-/// statement's ORDER BY as the goal.
-pub fn mixed_plan(sql: &str, degree: u32) -> RelPlan {
+/// `sql` over [`mixed_catalog`]: its logical expression, and its plan
+/// optimized at parallel `degree` with the statement's ORDER BY as the
+/// goal.
+pub fn mixed_query(sql: &str, degree: u32) -> (RelExpr, RelPlan) {
     let mut catalog = mixed_catalog();
     let q = plan_query(sql, &mut catalog).expect("query must parse");
     let options = RelModelOptions::default().with_parallel_degree(degree);
     let model = RelModel::new(catalog, options);
-    optimize_plan(&model, &q.expr, RelProps::sorted(q.order_by.clone()), sql)
+    let plan = optimize_plan(&model, &q.expr, RelProps::sorted(q.order_by.clone()), sql);
+    (q.expr, plan)
 }
 
 /// The batch-size axis: degenerate single-row batches, a size that

@@ -59,7 +59,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 #[test]
 fn injected_worker_panic_fails_cleanly_and_poisons_nothing() {
     for case in gather_cases() {
-        let DiffCase { db, plan, tag } = &case;
+        let DiffCase { db, plan, tag, .. } = &case;
         let expected = run_tuple(db, plan);
         // Several injection points: the very first morsel (dies during
         // a build pipeline if the gather has one), and later ones (dies
@@ -104,7 +104,7 @@ fn injected_worker_panic_fails_cleanly_and_poisons_nothing() {
 #[test]
 fn unreached_injection_is_inert() {
     for case in gather_cases() {
-        let DiffCase { db, plan, tag } = &case;
+        let DiffCase { db, plan, tag, .. } = &case;
         let expected = run_tuple(db, plan);
         let cfg = BatchConfig::default().with_fail_morsel(u64::MAX);
         let rows = run_fused(db, plan, cfg);

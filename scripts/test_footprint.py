@@ -15,6 +15,10 @@ With `--per-test NAME` the binaries whose target name is NAME are run
 once per test instead (`--exact`, one test at a time, ignored tests
 left out, as `cargo test` does), which shows the test that peaks.
 
+It exits non-zero when a binary fails or peaks above `MAX_RSS_MB`, and
+prints the output of every binary that did; a passing binary's output
+is not shown.
+
     python3 scripts/test_footprint.py [--release] [--only NAME ...] [--per-test NAME]
 
 Run it from the repository root. It changes no machine setting and
@@ -27,7 +31,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+
+# The most a test binary may hold resident, in MB.
+MAX_RSS_MB = 1024
 
 
 def test_binaries(release):
@@ -57,18 +65,37 @@ def test_binaries(release):
 
 def run(executable, args, package_dir):
     """Run one binary to completion from its package's directory, as
-    `cargo test` does; return (exit code, wall s, peak RSS MB)."""
+    `cargo test` does; return (exit code, wall s, peak RSS MB, output).
+    The output (stdout and stderr together) goes to a temporary file,
+    not a pipe, so reading it cannot stall the child."""
     env = dict(os.environ, CARGO_MANIFEST_DIR=package_dir)
-    start = time.monotonic()
-    child = subprocess.Popen(
-        [executable, *args], stdout=subprocess.DEVNULL, cwd=package_dir, env=env
-    )
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.monotonic() - start
-    # `Popen` would wait again otherwise; the child is already reaped.
-    child.returncode = os.waitstatus_to_exitcode(status)
+    with tempfile.TemporaryFile() as out:
+        start = time.monotonic()
+        child = subprocess.Popen(
+            [executable, *args], stdout=out, stderr=subprocess.STDOUT, cwd=package_dir, env=env
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.monotonic() - start
+        # `Popen` would wait again otherwise; the child is already reaped.
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        output = out.read().decode(errors="replace")
     # Linux reports ru_maxrss in KiB.
-    return child.returncode, wall, usage.ru_maxrss / 1024.0
+    return child.returncode, wall, usage.ru_maxrss / 1024.0, output
+
+
+def measure(label, executable, args, package_dir):
+    """Run one binary (or one test of it) and print its row; print its
+    output too when it failed or peaked above the limit. Returns the
+    row and whether it passed."""
+    code, wall, rss, output = run(executable, args, package_dir)
+    print(f"{wall:9.1f} s {rss:9.1f} MB  {label}", flush=True)
+    ok = code == 0 and rss <= MAX_RSS_MB
+    if not ok:
+        print(output, flush=True)
+        if rss > MAX_RSS_MB:
+            print(f"{label} peaked at {rss:.0f} MB, above {MAX_RSS_MB} MB", flush=True)
+    return (label, code, wall, rss), ok
 
 
 def list_tests(executable):
@@ -86,18 +113,18 @@ def main():
     opts = ap.parse_args()
 
     rows = []
+    passed = True
     for label, name, exe, package_dir in test_binaries(opts.release):
         if opts.only and name not in opts.only:
             continue
         if opts.per_test == name:
-            for test in list_tests(exe):
-                code, wall, rss = run(exe, ["--exact", test, "-q"], package_dir)
-                rows.append((f"{label} {test}", code, wall, rss))
-                print(f"{wall:9.1f} s {rss:9.1f} MB  {label} {test}", flush=True)
+            runs = [(f"{label} {test}", ["--exact", test, "-q"]) for test in list_tests(exe)]
         else:
-            code, wall, rss = run(exe, ["-q"], package_dir)
-            rows.append((label, code, wall, rss))
-            print(f"{wall:9.1f} s {rss:9.1f} MB  {label}", flush=True)
+            runs = [(label, ["-q"])]
+        for run_label, args in runs:
+            row, ok = measure(run_label, exe, args, package_dir)
+            rows.append(row)
+            passed = passed and ok
     if not rows:
         sys.exit("no test binary matched")
 
@@ -108,7 +135,7 @@ def main():
         print(f"| {label} | {wall:.1f} | {rss:.0f} | {code} |")
     label, _, _, rss = max(rows, key=lambda r: r[3])
     print(f"\ntotal {sum(r[2] for r in rows):.1f} s; peak {rss:.0f} MB in {label}")
-    sys.exit(max(1 if r[1] else 0 for r in rows))
+    sys.exit(0 if passed else 1)
 
 
 if __name__ == "__main__":
