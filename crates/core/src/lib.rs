@@ -113,6 +113,5 @@ pub use rules::{
 pub use search::{Optimizer, SearchOptions};
 pub use stats::SearchStats;
 pub use trace::{
-    build_span_tree, CollectingTracer, MetricsSnapshot, MetricsTracer, NullTracer, Span, SpanTree,
-    TraceEvent, Tracer,
+    build_span_tree, CollectingTracer, NullTracer, Span, SpanTree, TraceEvent, Tracer,
 };

@@ -1,12 +1,14 @@
-//! Optimization tracing: events, spans, and aggregated metrics.
+//! Optimization tracing: events and spans.
 //!
 //! A [`Tracer`] receives structured events as the search runs; the default
 //! [`NullTracer`] compiles to nothing (the engine checks
 //! [`Tracer::enabled`] before rendering event payloads, so a disabled
 //! tracer costs one virtual call per site and no formatting).
 //! [`CollectingTracer`] records events for tests, debugging, and
-//! `EXPLAIN`-style tooling; [`MetricsTracer`] aggregates per-group counters
-//! and a goal-latency histogram instead of storing every event.
+//! `EXPLAIN`-style tooling. The tracer is an observer, not a tally: the
+//! search's work is counted once, in [`crate::SearchStats`], and the
+//! event stream is checked against it (each counter equals a count of
+//! one event kind).
 //!
 //! The event stream is *hierarchical*: every [`TraceEvent::GoalBegin`] is
 //! eventually matched by a [`TraceEvent::GoalEnd`] for the same group, and
@@ -14,7 +16,6 @@
 //! reconstructs the goal recursion as a [`SpanTree`].
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -383,225 +384,6 @@ pub fn build_span_tree(events: &[TraceEvent]) -> SpanTree {
     tree
 }
 
-/// Fixed-bucket log₂ histogram of goal latencies. Bucket `i` counts
-/// durations in `[2^i, 2^(i+1))` microseconds, with bucket 0 additionally
-/// holding sub-microsecond goals and the last bucket holding everything
-/// longer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DurationHistogram {
-    buckets: [u64; Self::BUCKETS],
-    total: Duration,
-    count: u64,
-}
-
-impl DurationHistogram {
-    /// Number of buckets (covers 1 µs .. ~2 s in powers of two).
-    pub const BUCKETS: usize = 22;
-
-    /// Record one duration.
-    pub fn record(&mut self, d: Duration) {
-        let us = d.as_micros() as u64;
-        let idx = if us == 0 {
-            0
-        } else {
-            ((63 - us.leading_zeros()) as usize).min(Self::BUCKETS - 1)
-        };
-        self.buckets[idx] += 1;
-        self.total += d;
-        self.count += 1;
-    }
-
-    /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; Self::BUCKETS] {
-        &self.buckets
-    }
-
-    /// Number of recorded durations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded durations.
-    pub fn total(&self) -> Duration {
-        self.total
-    }
-
-    /// Mean recorded duration (zero when empty).
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
-    }
-}
-
-/// Counters aggregated per group (and in total) by [`MetricsTracer`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GoalMetrics {
-    /// Goals actually optimized (searches entered).
-    pub goals: u64,
-    /// Goals answered from the winner table.
-    pub memo_hits: u64,
-    /// Rule firings attributed to this group's expressions (totals only;
-    /// the per-group map does not track firings, which are keyed by
-    /// expression).
-    pub rules_fired: u64,
-    /// Substitute expressions produced by those firings.
-    pub substitutes: u64,
-    /// Moves costed (algorithms + enforcers).
-    pub moves_costed: u64,
-    /// Moves abandoned by branch-and-bound pruning.
-    pub moves_pruned: u64,
-    /// Moves skipped via the excluding property vector.
-    pub moves_excluded: u64,
-    /// Inclusive wall-clock time across this group's goals.
-    pub elapsed: Duration,
-}
-
-/// Aggregated view of a finished [`MetricsTracer`] run.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// Per-group counters, keyed by group.
-    pub per_group: BTreeMap<GroupId, GoalMetrics>,
-    /// Counters summed over all groups (plus expression-keyed rule
-    /// firings, which have no group attribution).
-    pub totals: GoalMetrics,
-    /// Histogram of per-goal inclusive latencies.
-    pub goal_latency: DurationHistogram,
-    /// Deepest goal nesting observed.
-    pub max_depth: usize,
-}
-
-impl MetricsSnapshot {
-    /// Render a compact human-readable report.
-    pub fn report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let t = &self.totals;
-        let _ = writeln!(
-            out,
-            "goals: {} optimized, {} memo hits, max depth {}",
-            t.goals, t.memo_hits, self.max_depth
-        );
-        let _ = writeln!(
-            out,
-            "rules: {} fired, {} substitutes",
-            t.rules_fired, t.substitutes
-        );
-        let _ = writeln!(
-            out,
-            "moves: {} costed, {} pruned, {} excluded",
-            t.moves_costed, t.moves_pruned, t.moves_excluded
-        );
-        let _ = writeln!(
-            out,
-            "goal latency: {} samples, mean {:?}, total {:?}",
-            self.goal_latency.count(),
-            self.goal_latency.mean(),
-            self.goal_latency.total()
-        );
-        let mut groups: Vec<_> = self.per_group.iter().collect();
-        groups.sort_by(|a, b| b.1.elapsed.cmp(&a.1.elapsed).then(a.0.cmp(b.0)));
-        for (g, m) in groups.into_iter().take(10) {
-            let _ = writeln!(
-                out,
-                "  {:?}: {} goals, {} hits, {} moves ({} pruned, {} excluded), {:?}",
-                g,
-                m.goals,
-                m.memo_hits,
-                m.moves_costed,
-                m.moves_pruned,
-                m.moves_excluded,
-                m.elapsed
-            );
-        }
-        out
-    }
-}
-
-#[derive(Debug, Default)]
-struct MetricsInner {
-    per_group: BTreeMap<GroupId, GoalMetrics>,
-    totals: GoalMetrics,
-    goal_latency: DurationHistogram,
-    depth: usize,
-    max_depth: usize,
-}
-
-/// A tracer that aggregates counters instead of storing events: per-group
-/// goal/move/prune counts, total rule firings, a histogram of per-goal
-/// latencies, and the deepest goal nesting. Suitable for long searches
-/// where a [`CollectingTracer`] would retain millions of events.
-#[derive(Debug, Default)]
-pub struct MetricsTracer {
-    inner: RefCell<MetricsInner>,
-}
-
-impl MetricsTracer {
-    /// Create an empty metrics aggregator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot the aggregated metrics so far.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.borrow();
-        MetricsSnapshot {
-            per_group: inner.per_group.clone(),
-            totals: inner.totals.clone(),
-            goal_latency: inner.goal_latency.clone(),
-            max_depth: inner.max_depth,
-        }
-    }
-}
-
-impl Tracer for MetricsTracer {
-    fn event(&self, e: TraceEvent) {
-        let mut inner = self.inner.borrow_mut();
-        match &e {
-            TraceEvent::RuleFired { substitutes, .. } => {
-                inner.totals.rules_fired += 1;
-                inner.totals.substitutes += substitutes;
-            }
-            TraceEvent::GoalBegin { .. } => {
-                inner.depth += 1;
-                inner.max_depth = inner.max_depth.max(inner.depth);
-            }
-            TraceEvent::GoalEnd { group, elapsed, .. } => {
-                inner.depth = inner.depth.saturating_sub(1);
-                inner.totals.goals += 1;
-                inner.totals.elapsed += *elapsed;
-                inner.goal_latency.record(*elapsed);
-                let m = inner.per_group.entry(*group).or_default();
-                m.goals += 1;
-                m.elapsed += *elapsed;
-            }
-            TraceEvent::MoveCosted { group, .. } => {
-                inner.totals.moves_costed += 1;
-                inner.per_group.entry(*group).or_default().moves_costed += 1;
-            }
-            TraceEvent::MovePruned { group, .. } => {
-                inner.totals.moves_pruned += 1;
-                inner.per_group.entry(*group).or_default().moves_pruned += 1;
-            }
-            TraceEvent::MoveExcluded { group, .. } => {
-                inner.totals.moves_excluded += 1;
-                inner.per_group.entry(*group).or_default().moves_excluded += 1;
-            }
-            TraceEvent::MemoHit { group, .. } => {
-                inner.totals.memo_hits += 1;
-                inner.per_group.entry(*group).or_default().memo_hits += 1;
-            }
-            // Cache lookups precede any search, and morsel phases and
-            // feedback merges are execution-time signals.
-            TraceEvent::PlanCacheLookup { .. }
-            | TraceEvent::MorselPhase { .. }
-            | TraceEvent::FeedbackApplied { .. } => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -705,77 +487,5 @@ mod tests {
         assert_eq!(tree.roots.len(), 1);
         assert_eq!(tree.roots[0].children.len(), 1);
         assert!(tree.roots[0].outcome.is_empty());
-    }
-
-    #[test]
-    fn duration_histogram_buckets() {
-        let mut h = DurationHistogram::default();
-        h.record(Duration::from_nanos(100)); // bucket 0
-        h.record(Duration::from_micros(1)); // bucket 0 (2^0)
-        h.record(Duration::from_micros(9)); // bucket 3 (8..16)
-        h.record(Duration::from_secs(60)); // clamped to last bucket
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[3], 1);
-        assert_eq!(h.buckets()[DurationHistogram::BUCKETS - 1], 1);
-        assert!(h.mean() > Duration::ZERO);
-    }
-
-    #[test]
-    fn metrics_tracer_aggregates() {
-        let t = MetricsTracer::new();
-        t.event(TraceEvent::RuleFired {
-            rule: "r",
-            expr: ExprId::from_index(0),
-            substitutes: 3,
-        });
-        t.event(TraceEvent::GoalBegin {
-            group: g(0),
-            required: "any".into(),
-        });
-        t.event(TraceEvent::GoalBegin {
-            group: g(1),
-            required: "any".into(),
-        });
-        t.event(TraceEvent::MoveCosted {
-            group: g(1),
-            description: "scan".into(),
-        });
-        t.event(TraceEvent::MovePruned {
-            group: g(1),
-            reason: "over limit".into(),
-        });
-        t.event(TraceEvent::GoalEnd {
-            group: g(1),
-            outcome: "optimal".into(),
-            elapsed: Duration::from_micros(4),
-            moves: 2,
-        });
-        t.event(TraceEvent::MemoHit {
-            group: g(1),
-            kind: MemoHitKind::Winner,
-        });
-        t.event(TraceEvent::GoalEnd {
-            group: g(0),
-            outcome: "optimal".into(),
-            elapsed: Duration::from_micros(10),
-            moves: 1,
-        });
-        let snap = t.snapshot();
-        assert_eq!(snap.totals.goals, 2);
-        assert_eq!(snap.totals.rules_fired, 1);
-        assert_eq!(snap.totals.substitutes, 3);
-        assert_eq!(snap.totals.moves_costed, 1);
-        assert_eq!(snap.totals.moves_pruned, 1);
-        assert_eq!(snap.totals.memo_hits, 1);
-        assert_eq!(snap.max_depth, 2);
-        assert_eq!(snap.goal_latency.count(), 2);
-        let g1 = &snap.per_group[&g(1)];
-        assert_eq!(g1.goals, 1);
-        assert_eq!(g1.moves_costed, 1);
-        assert_eq!(g1.memo_hits, 1);
-        let report = snap.report();
-        assert!(report.contains("goals: 2 optimized"));
-        assert!(report.contains("moves: 1 costed, 1 pruned"));
     }
 }

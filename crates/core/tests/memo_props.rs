@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use volcano_core::cost::Limit;
 use volcano_core::toy::{ToyModel, ToyOp, ToyProps};
-use volcano_core::trace::MetricsTracer;
+use volcano_core::trace::{build_span_tree, CollectingTracer, TraceEvent};
 use volcano_core::{
     ExprTree, GroupId, Memo, Optimizer, PhysicalProps, Plan, SearchOptions, SubstExpr,
 };
@@ -146,30 +146,43 @@ proptest! {
         check_node(&plan);
     }
 
-    /// The aggregating tracer and the engine's own statistics are two
-    /// independent observers of the same search; their totals must agree
-    /// on every shared counter, for any tree shape and either goal.
+    /// The event stream and the engine's own statistics are two
+    /// independent observers of the same search; each counter must equal
+    /// a count of one event kind, for any tree shape and either goal.
     #[test]
-    fn metrics_tracer_totals_reconcile_with_stats(t in join_tree(4), sorted in any::<bool>()) {
+    fn trace_event_counts_reconcile_with_stats(t in join_tree(4), sorted in any::<bool>()) {
         let m = model(4);
-        let tracer = std::rc::Rc::new(MetricsTracer::new());
+        let tracer = std::rc::Rc::new(CollectingTracer::new());
         let mut opt = Optimizer::new(&m, SearchOptions::default());
         opt.set_tracer(Box::new(tracer.clone()));
         let root = opt.insert_tree(&t);
         let goal = if sorted { ToyProps::sorted() } else { ToyProps::any() };
         let _ = opt.find_best_plan(root, goal, None).unwrap();
-        let snap = tracer.snapshot();
+        let events = tracer.take();
         let s = opt.stats();
-        prop_assert_eq!(snap.totals.goals, s.goals_optimized);
-        prop_assert_eq!(snap.totals.memo_hits, s.winner_hits + s.failure_hits);
-        prop_assert_eq!(snap.totals.moves_costed, s.alg_moves + s.enforcer_moves);
-        prop_assert_eq!(snap.totals.moves_pruned, s.moves_pruned);
-        prop_assert_eq!(snap.totals.moves_excluded, s.moves_excluded);
-        prop_assert_eq!(snap.totals.rules_fired, s.transform_fired);
-        prop_assert_eq!(snap.totals.substitutes, s.substitutes_produced);
-        prop_assert_eq!(snap.goal_latency.count(), s.goals_optimized);
-        let per_group: u64 = snap.per_group.values().map(|g| g.goals).sum();
-        prop_assert_eq!(per_group, s.goals_optimized);
+        let n = |kind: fn(&TraceEvent) -> bool| events.iter().filter(|e| kind(e)).count() as u64;
+        prop_assert_eq!(n(|e| matches!(e, TraceEvent::GoalEnd { .. })), s.goals_optimized);
+        prop_assert_eq!(
+            n(|e| matches!(e, TraceEvent::MemoHit { .. })),
+            s.winner_hits + s.failure_hits
+        );
+        prop_assert_eq!(
+            n(|e| matches!(e, TraceEvent::MoveCosted { .. })),
+            s.alg_moves + s.enforcer_moves
+        );
+        prop_assert_eq!(n(|e| matches!(e, TraceEvent::MovePruned { .. })), s.moves_pruned);
+        prop_assert_eq!(n(|e| matches!(e, TraceEvent::MoveExcluded { .. })), s.moves_excluded);
+        prop_assert_eq!(n(|e| matches!(e, TraceEvent::RuleFired { .. })), s.transform_fired);
+        let substitutes: u64 = events
+            .iter()
+            .map(|e| match e {
+                TraceEvent::RuleFired { substitutes, .. } => *substitutes,
+                _ => 0,
+            })
+            .sum();
+        prop_assert_eq!(substitutes, s.substitutes_produced);
+        prop_assert_eq!(n(|e| matches!(e, TraceEvent::GoalBegin { .. })), s.goals_optimized);
+        prop_assert_eq!(build_span_tree(&events).size() as u64, s.goals_optimized);
     }
 
     /// Cost-limit boundary on the toy model: limits strictly below the

@@ -1,14 +1,13 @@
 //! Integration tests of the span-based tracing subsystem against real
 //! searches over the toy model: span nesting mirrors the goal recursion
-//! of Figure 2, the aggregating tracer reconciles exactly with
-//! `SearchStats`, and the default `NullTracer` observes nothing while
-//! changing nothing.
+//! of Figure 2, the event stream reconciles exactly with `SearchStats`,
+//! and the default `NullTracer` observes nothing while changing nothing.
 
 use std::rc::Rc;
 
 use volcano_core::toy::{ToyModel, ToyOp, ToyProps};
 use volcano_core::trace::{
-    build_span_tree, CollectingTracer, MetricsTracer, NullTracer, Span, TraceEvent, Tracer,
+    build_span_tree, CollectingTracer, NullTracer, Span, TraceEvent, Tracer,
 };
 use volcano_core::{ExprTree, Optimizer, PhysicalProps, SearchOptions};
 
@@ -143,34 +142,62 @@ fn null_tracer_is_disabled_and_observation_free() {
     assert_eq!(traced_stats.exprs_created, null_stats.exprs_created);
 }
 
+/// The event stream and `SearchStats` are two independent observers of
+/// the same search: each counter equals a count of one event kind.
 #[test]
-fn metrics_tracer_reconciles_with_search_stats() {
+fn trace_events_reconcile_with_search_stats() {
     let model = model3();
-    let tracer = Rc::new(MetricsTracer::new());
+    let tracer = Rc::new(CollectingTracer::new());
     let mut opt = Optimizer::new(&model, SearchOptions::default());
     opt.set_tracer(Box::new(tracer.clone()));
     let root = opt.insert_tree(&three_way());
     let _ = opt.find_best_plan(root, ToyProps::sorted(), None).unwrap();
     // A second query reuses the memo: the winner hits must show up as
-    // memo hits in the metrics too.
+    // memo-hit events too.
     let _ = opt.find_best_plan(root, ToyProps::sorted(), None).unwrap();
 
-    let snap = tracer.snapshot();
+    let events = tracer.take();
     let s = opt.stats();
-    assert_eq!(snap.totals.goals, s.goals_optimized);
-    assert_eq!(snap.totals.memo_hits, s.winner_hits + s.failure_hits);
-    assert_eq!(snap.totals.moves_costed, s.alg_moves + s.enforcer_moves);
-    assert_eq!(snap.totals.moves_pruned, s.moves_pruned);
-    assert_eq!(snap.totals.moves_excluded, s.moves_excluded);
-    assert_eq!(snap.totals.rules_fired, s.transform_fired);
-    assert_eq!(snap.totals.substitutes, s.substitutes_produced);
-    // One latency sample per goal; per-group goals sum to the total.
-    assert_eq!(snap.goal_latency.count(), s.goals_optimized);
-    let per_group_goals: u64 = snap.per_group.values().map(|m| m.goals).sum();
-    assert_eq!(per_group_goals, s.goals_optimized);
-    assert!(snap.max_depth >= 2);
-    // The report is renderable and mentions the headline counters.
-    let report = snap.report();
-    assert!(report.contains("goals:"), "{report}");
-    assert!(report.contains("moves:"), "{report}");
+    let n = |kind: fn(&TraceEvent) -> bool| events.iter().filter(|e| kind(e)).count() as u64;
+    assert_eq!(
+        n(|e| matches!(e, TraceEvent::GoalEnd { .. })),
+        s.goals_optimized
+    );
+    assert_eq!(
+        n(|e| matches!(e, TraceEvent::GoalBegin { .. })),
+        s.goals_optimized
+    );
+    assert_eq!(
+        n(|e| matches!(e, TraceEvent::MemoHit { .. })),
+        s.winner_hits + s.failure_hits
+    );
+    assert!(s.winner_hits > 0, "the second query hit no winner");
+    assert_eq!(
+        n(|e| matches!(e, TraceEvent::MoveCosted { .. })),
+        s.alg_moves + s.enforcer_moves
+    );
+    assert_eq!(
+        n(|e| matches!(e, TraceEvent::MovePruned { .. })),
+        s.moves_pruned
+    );
+    assert_eq!(
+        n(|e| matches!(e, TraceEvent::MoveExcluded { .. })),
+        s.moves_excluded
+    );
+    assert_eq!(
+        n(|e| matches!(e, TraceEvent::RuleFired { .. })),
+        s.transform_fired
+    );
+    let substitutes: u64 = events
+        .iter()
+        .map(|e| match e {
+            TraceEvent::RuleFired { substitutes, .. } => *substitutes,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(substitutes, s.substitutes_produced);
+    // Every goal is one span, and the goals nest.
+    let tree = build_span_tree(&events);
+    assert_eq!(tree.size() as u64, s.goals_optimized);
+    assert!(tree.depth() >= 2);
 }

@@ -370,17 +370,22 @@ struct Cursor {
     end: usize,
     /// The batch in flight of a pipeline whose sink is on this thread.
     work: Batch,
-    /// Swap space for the stages.
-    tmp: Batch,
+    /// What the source fills when a later stage writes a new batch: it
+    /// keeps the source's columns from batch to batch.
+    src: Batch,
+    /// One output buffer per stage but the last that writes a new batch
+    /// (a projection or a probe), indexed by stage.
+    bufs: Vec<Batch>,
     sel: Vec<u32>,
     join: JoinScratch,
 }
 
 impl Cursor {
-    /// The pipeline's next batch, in `out`: refill it from the source —
-    /// the rest of this cursor's morsel, else of the next one the queue
-    /// deals to `worker`; or the opaque input among `inputs` — and run
-    /// the stage chain over it. `false` once the source is exhausted.
+    /// The pipeline's next batch, in `out`: refill the source batch —
+    /// from the rest of this cursor's morsel, else of the next one the
+    /// queue deals to `worker`; or from the opaque input among `inputs` —
+    /// and run the stage chain over it. `false` once the source is
+    /// exhausted.
     fn next(
         &mut self,
         run: &Run<'_>,
@@ -391,10 +396,19 @@ impl Cursor {
         let Run { pipe, feed, .. } = run;
         let stats = &*pipe.stats;
         let _t = stats.timed();
+        // The last stage that writes a new batch: a projection or a probe.
+        let last = pipe
+            .stages
+            .iter()
+            .rposition(|(stage, _)| !matches!(stage, FusedStage::Filter(_)));
+        let src = match last {
+            Some(_) => &mut self.src,
+            None => &mut *out,
+        };
         let more = match &pipe.source {
             FusedSource::Scan(scan) => loop {
                 let pages = &feed.pages[..self.end];
-                if scan.fill(pages, &mut self.at, out, run.batch_size, &mut self.sel) {
+                if scan.fill(pages, &mut self.at, src, run.batch_size, &mut self.sel) {
                     break true;
                 }
                 let Some(m) = feed.queue.pop(worker) else {
@@ -404,37 +418,61 @@ impl Cursor {
                 // the range is in bounds.
                 (self.at, self.end) = (m.start, m.end);
             },
-            FusedSource::Input(slot) => inputs[*slot].next_batch(out),
+            FusedSource::Input(slot) => inputs[*slot].next_batch(src),
         };
         if more {
             stats.batches.fetch_add(1, Ordering::Relaxed);
-            run.cells.count(&pipe.nodes, out.live_rows());
-            self.run_stages(run, out);
+            run.cells.count(&pipe.nodes, src.live_rows());
+            self.run_stages(run, last, out);
         }
         more
     }
 
-    /// Run the stage chain over `cur` in place, counting each stage's
-    /// output rows for its nodes.
-    fn run_stages(&mut self, run: &Run<'_>, cur: &mut Batch) {
-        let tmp = &mut self.tmp;
-        for (stage, nodes) in &run.pipe.stages {
+    /// Run the stage chain over the source batch, counting each stage's
+    /// output rows for its nodes. A filter selects in place; a projection
+    /// or a probe writes a new batch: into `out` if it is the `last` to,
+    /// else into its own buffer, so every buffer, the source's among
+    /// them, keeps one shape from batch to batch. With no such stage the
+    /// source filled `out` itself.
+    fn run_stages(&mut self, run: &Run<'_>, last: Option<usize>, out: &mut Batch) {
+        let stages = &run.pipe.stages;
+        if self.bufs.len() < stages.len() {
+            self.bufs.resize_with(stages.len(), Batch::default);
+        }
+        let Cursor {
+            src,
+            bufs,
+            sel,
+            join,
+            ..
+        } = self;
+        let (mut cur, mut out) = match last {
+            Some(_) => (src, Some(out)),
+            None => (out, None),
+        };
+        for (i, ((stage, nodes), buf)) in stages.iter().zip(bufs).enumerate() {
+            // `last` indexes a projection or a probe, never a filter.
+            let into = if Some(i) == last {
+                out.take().expect("one last writing stage")
+            } else {
+                buf
+            };
             match stage {
                 FusedStage::Filter(pred) => {
-                    pred.apply(cur, &mut self.sel);
+                    pred.apply(cur, sel);
                 }
                 FusedStage::Project(cols) => {
-                    tmp.reset_columns(cols.len());
+                    into.reset_columns(cols.len());
                     let sel = cur.sel.as_deref();
                     for (o, &c) in cols.iter().enumerate() {
-                        tmp.columns[o].gather_from(&cur.columns[c], sel);
+                        into.columns[o].gather_from(&cur.columns[c], sel);
                     }
-                    tmp.set_physical_rows(cur.live_rows());
-                    std::mem::swap(cur, tmp);
+                    into.set_physical_rows(cur.live_rows());
+                    cur = into;
                 }
                 FusedStage::Probe { table, keys, out } => {
-                    run.tables[*table].probe(cur, keys, out, tmp, &mut self.join);
-                    std::mem::swap(cur, tmp);
+                    run.tables[*table].probe(cur, keys, out, into, join);
+                    cur = into;
                 }
             }
             run.cells.count(nodes, cur.live_rows());

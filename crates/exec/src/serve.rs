@@ -17,25 +17,18 @@
 //! completion, an upper bound on the optimum found in a fraction of the
 //! search. The serving layer uses exactly that degree of freedom for
 //! overload: a fixed number of concurrency tickets bounds how many
-//! executions run full exhaustive search at once, and what happens when
-//! no ticket is free depends on the traffic class:
-//!
-//! - [`TrafficClass::Interactive`] never waits: it proceeds immediately
-//!   with greedy search (`move_limit: Some(1)`). Latency is bounded by
-//!   doing less work, not by queueing behind other queries.
-//! - [`TrafficClass::Batch`] waits up to the configured patience for a
-//!   ticket, then degrades and proceeds.
-//! - [`TrafficClass::Background`] always waits for a ticket and always
-//!   runs at full search quality.
+//! executions run full exhaustive search at once, and an execution that
+//! finds no ticket free never waits for one: it proceeds immediately
+//! with greedy search (`move_limit: Some(1)`). Latency is bounded by
+//! doing less work, not by queueing behind other queries.
 //!
 //! Overload therefore degrades plan quality — bounded, observable (the
 //! [`SessionOutcome`] says so), and never cached (see
-//! [`ExecOptions::move_limit`]) — rather than growing an unbounded queue.
+//! [`ExecOptions::move_limit`]) — rather than growing a queue.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use volcano_core::trace::Tracer;
 use volcano_rel::value::Tuple;
@@ -45,28 +38,13 @@ use volcano_sql::AstQuery;
 use crate::compile::Engine;
 use crate::database::{Database, ExecOptions, PrepareError, PreparedOutcome, PreparedStatement};
 
-/// The latency class of a request, deciding how admission overload is
-/// absorbed: by degrading search (interactive), by bounded waiting
-/// (batch), or by unbounded waiting (background).
+/// The latency class of a session. Every session is interactive: an
+/// execution that finds no ticket free degrades its search rather than
+/// queueing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Latency-sensitive: never queues; degrades search under load.
     Interactive,
-    /// Throughput-oriented: waits a bounded patience, then degrades.
-    Batch,
-    /// Maintenance: waits for a ticket, always full search quality.
-    Background,
-}
-
-impl TrafficClass {
-    /// Stable lowercase label (JSON exports, logs).
-    pub fn label(&self) -> &'static str {
-        match self {
-            TrafficClass::Interactive => "interactive",
-            TrafficClass::Batch => "batch",
-            TrafficClass::Background => "background",
-        }
-    }
 }
 
 /// Serving-layer tunables.
@@ -75,17 +53,11 @@ pub struct ServerConfig {
     /// Concurrency tickets: how many executions may run full-quality
     /// search at once.
     pub max_concurrent: usize,
-    /// How long [`TrafficClass::Batch`] waits for a ticket before
-    /// degrading.
-    pub batch_patience: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            max_concurrent: 8,
-            batch_patience: Duration::from_millis(50),
-        }
+        ServerConfig { max_concurrent: 8 }
     }
 }
 
@@ -110,13 +82,11 @@ struct AdmState {
     peak: usize,
 }
 
-/// A counting semaphore with class-dependent acquisition: try-once
-/// (interactive), bounded wait (batch), or unbounded wait (background).
+/// A counting semaphore that is tried once and never waited on.
 /// Failure to acquire is not an error — the caller proceeds degraded.
 pub struct AdmissionControl {
     max: usize,
     state: Mutex<AdmState>,
-    available: Condvar,
     admitted_full: AtomicU64,
     admitted_degraded: AtomicU64,
 }
@@ -128,10 +98,14 @@ pub struct Ticket<'a> {
 
 impl Drop for Ticket<'_> {
     fn drop(&mut self) {
-        let mut st = self.ctl.state.lock().unwrap();
+        // Every update leaves the counts valid, so a poisoned lock is
+        // still safe to read, and a drop must not panic.
+        let mut st = self
+            .ctl
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         st.in_use -= 1;
-        drop(st);
-        self.ctl.available.notify_one();
     }
 }
 
@@ -155,63 +129,30 @@ impl AdmissionControl {
         AdmissionControl {
             max: max_concurrent,
             state: Mutex::new(AdmState { in_use: 0, peak: 0 }),
-            available: Condvar::new(),
             admitted_full: AtomicU64::new(0),
             admitted_degraded: AtomicU64::new(0),
         }
     }
 
-    /// Admit one execution of the given class; see the module docs for
-    /// the per-class policy. Never fails — the result says whether the
-    /// execution runs full-quality or degraded.
-    pub fn admit(&self, class: TrafficClass, patience: Duration) -> Admission<'_> {
-        let ticket = match class {
-            TrafficClass::Interactive => self.try_ticket(),
-            TrafficClass::Batch => self.wait_ticket(Some(patience)),
-            TrafficClass::Background => self.wait_ticket(None),
+    /// Admit one execution: with a ticket if one is free, else degraded
+    /// at once. Never fails and never waits.
+    pub fn admit(&self) -> Admission<'_> {
+        let mut st = self
+            .state
+            .lock()
+            .expect("no admission panics holding the lock");
+        let ticket = (st.in_use < self.max).then(|| {
+            st.in_use += 1;
+            st.peak = st.peak.max(st.in_use);
+            Ticket { ctl: self }
+        });
+        drop(st);
+        let tally = match ticket {
+            Some(_) => &self.admitted_full,
+            None => &self.admitted_degraded,
         };
-        match ticket {
-            Some(t) => {
-                self.admitted_full.fetch_add(1, Ordering::Relaxed);
-                Admission { ticket: Some(t) }
-            }
-            None => {
-                self.admitted_degraded.fetch_add(1, Ordering::Relaxed);
-                Admission { ticket: None }
-            }
-        }
-    }
-
-    fn grant(&self, st: &mut AdmState) -> Ticket<'_> {
-        st.in_use += 1;
-        st.peak = st.peak.max(st.in_use);
-        Ticket { ctl: self }
-    }
-
-    fn try_ticket(&self) -> Option<Ticket<'_>> {
-        let mut st = self.state.lock().unwrap();
-        (st.in_use < self.max).then(|| self.grant(&mut st))
-    }
-
-    /// Wait for a ticket, up to `patience` (`None` = forever).
-    fn wait_ticket(&self, patience: Option<Duration>) -> Option<Ticket<'_>> {
-        let deadline = patience.map(|p| Instant::now() + p);
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.in_use < self.max {
-                return Some(self.grant(&mut st));
-            }
-            match deadline {
-                None => st = self.available.wait(st).unwrap(),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return None;
-                    }
-                    st = self.available.wait_timeout(st, d - now).unwrap().0;
-                }
-            }
-        }
+        tally.fetch_add(1, Ordering::Relaxed);
+        Admission { ticket }
     }
 
     /// Current counters.
@@ -230,7 +171,6 @@ impl AdmissionControl {
 pub struct Server {
     db: Arc<Database>,
     admission: Arc<AdmissionControl>,
-    config: ServerConfig,
 }
 
 impl Server {
@@ -242,11 +182,7 @@ impl Server {
     /// Serve an already-shared database.
     pub fn over(db: Arc<Database>, config: ServerConfig) -> Self {
         let admission = Arc::new(AdmissionControl::new(config.max_concurrent));
-        Server {
-            db,
-            admission,
-            config,
-        }
+        Server { db, admission }
     }
 
     /// The served database.
@@ -259,15 +195,13 @@ impl Server {
         &self.admission
     }
 
-    /// Open a session of the given traffic class. Sessions are
-    /// independent values (own their prepared statements and settings)
-    /// and can be moved to other threads.
-    pub fn session(&self, class: TrafficClass) -> Session {
+    /// Open a session ([`TrafficClass::Interactive`] is the only
+    /// class). Sessions are independent values (own their prepared
+    /// statements and settings) and can be moved to other threads.
+    pub fn session(&self, _class: TrafficClass) -> Session {
         Session {
             db: self.db.clone(),
             admission: self.admission.clone(),
-            class,
-            batch_patience: self.config.batch_patience,
             engine: Engine::Tuple,
             use_cache: true,
             feedback: false,
@@ -332,8 +266,6 @@ impl SessionOutcome {
 pub struct Session {
     db: Arc<Database>,
     admission: Arc<AdmissionControl>,
-    class: TrafficClass,
-    batch_patience: Duration,
     /// `SET EXECUTOR` — tuple or vectorized.
     engine: Engine,
     /// `SET PLAN_CACHE` — `false` bypasses the shared cache for this
@@ -351,11 +283,6 @@ impl Session {
         &self.db
     }
 
-    /// This session's traffic class.
-    pub fn class(&self) -> TrafficClass {
-        self.class
-    }
-
     /// `SET EXECUTOR`: choose the engine for subsequent executions.
     pub fn set_executor(&mut self, engine: Engine) {
         self.engine = engine;
@@ -370,11 +297,6 @@ impl Session {
     /// session (the database-wide switch is untouched).
     pub fn set_plan_cache(&mut self, on: bool) {
         self.use_cache = on;
-    }
-
-    /// Whether this session uses the shared plan cache.
-    pub fn plan_cache_enabled(&self) -> bool {
-        self.use_cache
     }
 
     /// `SET FEEDBACK`: enable adaptive-feedback harvesting for this
@@ -406,29 +328,13 @@ impl Session {
         n
     }
 
-    /// The prepared statement stored under `name`, if any.
-    pub fn statement(&self, name: &str) -> Option<&PreparedStatement> {
-        self.prepared.get(name)
-    }
-
     /// `EXECUTE name (params...)` through admission control.
     pub fn execute(&self, name: &str, params: &[Value]) -> Result<SessionOutcome, SessionError> {
-        self.execute_traced(name, params, None)
-    }
-
-    /// [`Session::execute`] with a tracer receiving the plan-cache
-    /// lookup event.
-    pub fn execute_traced(
-        &self,
-        name: &str,
-        params: &[Value],
-        tracer: Option<&dyn Tracer>,
-    ) -> Result<SessionOutcome, SessionError> {
         let stmt = self
             .prepared
             .get(name)
             .ok_or_else(|| SessionError::UnknownStatement(name.to_string()))?;
-        self.run(stmt, params, tracer)
+        self.run(stmt, params, None)
     }
 
     /// One-shot: prepare `sql` anonymously and execute it immediately
@@ -449,7 +355,7 @@ impl Session {
         // Admit first: the ticket (or the degraded verdict) covers the
         // whole optimize + execute span and is released when `admission`
         // drops at the end of this call.
-        let admission = self.admission.admit(self.class, self.batch_patience);
+        let admission = self.admission.admit();
         let mut opts = ExecOptions::new()
             .with_executor(self.engine)
             .with_cache_bypass(!self.use_cache)
@@ -471,59 +377,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interactive_degrades_instead_of_queueing() {
+    fn admission_degrades_instead_of_queueing() {
         let ctl = AdmissionControl::new(1);
-        let held = ctl.admit(TrafficClass::Interactive, Duration::ZERO);
+        let held = ctl.admit();
         assert!(!held.degraded());
-        // Ticket exhausted: the next interactive request proceeds
-        // degraded without blocking.
-        let overload = ctl.admit(TrafficClass::Interactive, Duration::ZERO);
+        // Ticket exhausted: the next request proceeds degraded without
+        // blocking.
+        let overload = ctl.admit();
         assert!(overload.degraded());
         drop(overload);
         drop(held);
         // Ticket released: full admission again.
-        assert!(!ctl
-            .admit(TrafficClass::Interactive, Duration::ZERO)
-            .degraded());
+        assert!(!ctl.admit().degraded());
         let s = ctl.stats();
         assert_eq!(s.admitted_full, 2);
         assert_eq!(s.admitted_degraded, 1);
-        assert_eq!(s.peak_in_flight, 1);
-    }
-
-    #[test]
-    fn batch_waits_then_degrades() {
-        let ctl = AdmissionControl::new(1);
-        let held = ctl.admit(TrafficClass::Batch, Duration::ZERO);
-        assert!(!held.degraded());
-        let start = Instant::now();
-        let second = ctl.admit(TrafficClass::Batch, Duration::from_millis(30));
-        assert!(second.degraded());
-        assert!(
-            start.elapsed() >= Duration::from_millis(30),
-            "batch must wait its patience"
-        );
-    }
-
-    #[test]
-    fn background_waits_for_release() {
-        let ctl = Arc::new(AdmissionControl::new(1));
-        let held = ctl.admit(TrafficClass::Background, Duration::ZERO);
-        assert!(!held.degraded());
-        std::thread::scope(|s| {
-            let ctl2 = ctl.clone();
-            let waiter = s.spawn(move || {
-                // Blocks until the main thread releases.
-                let a = ctl2.admit(TrafficClass::Background, Duration::ZERO);
-                assert!(!a.degraded(), "background never degrades");
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            drop(held);
-            waiter.join().unwrap();
-        });
-        let s = ctl.stats();
-        assert_eq!(s.admitted_full, 2);
-        assert_eq!(s.admitted_degraded, 0);
         assert_eq!(s.in_flight, 0);
+        assert_eq!(s.peak_in_flight, 1);
     }
 }

@@ -3,7 +3,7 @@
 //! Every aggregate query shape (grouped and grand-total, each aggregate
 //! function, NULL-bearing inputs) runs through the engine differential's
 //! oracle (`testkit::assert_differential`) across the parallel-degree
-//! ladder {1, 2, 4, 8} and batch sizes {1, default, 1024}, over skewed
+//! ladder {1, 2, 4, 8} and batch sizes {1, default (1 024), 4 096}, over skewed
 //! and high-cardinality group distributions, with the naive evaluator
 //! checking the tuple engine. Whatever the configuration, the row
 //! *multiset* and the per-node row counts must be identical: integer sums
@@ -102,7 +102,7 @@ fn sales_query(sql: &str, degree: u32) -> (RelExpr, RelPlan) {
 }
 
 /// Optimize `sql` at `degree` and run it through the oracle at batch
-/// sizes {1, default, 1024}, comparing multisets (hash aggregates hand
+/// sizes {1, default, 4 × default}, comparing multisets (hash aggregates hand
 /// on their groups in no shared order) and checking the tuple engine
 /// against the naive evaluator. Integer columns make the comparison
 /// exact even for SUM/AVG under parallelism.
@@ -122,7 +122,7 @@ fn assert_agg_agrees(db: &Database, sql: &str, degree: u32) {
     let sizes = [
         BatchConfig::with_batch_size(1),
         BatchConfig::default(),
-        BatchConfig::with_batch_size(1024),
+        BatchConfig::with_batch_size(4_096),
     ];
     let tag = format!("{sql}: deg={degree}");
     assert_differential(db, &plan, &tag, &sizes, false, Some(&expr));

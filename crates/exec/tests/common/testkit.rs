@@ -690,12 +690,13 @@ pub fn mixed_query(sql: &str, degree: u32) -> (RelExpr, RelPlan) {
 }
 
 /// The batch-size axis: degenerate single-row batches, a size that
-/// splits every page, the engine default, and an explicit large batch.
+/// splits every page, the engine default (1 024 rows), and a batch four
+/// times the default.
 pub fn batch_configs() -> [BatchConfig; 4] {
     [
         BatchConfig::with_batch_size(1),
         BatchConfig::with_batch_size(4),
         BatchConfig::default(),
-        BatchConfig::with_batch_size(1024),
+        BatchConfig::with_batch_size(4_096),
     ]
 }
