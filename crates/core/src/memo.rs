@@ -15,12 +15,11 @@
 //!
 //! Equivalence classes that are discovered to be equal (a transformation
 //! produces an expression that already exists in a different class) are
-//! *merged* through a union–find structure. Each class keeps the list of
-//! expressions that use it as an input, so a merge re-canonicalizes and
-//! re-hashes only the absorbed class's users — its fan-in, not the whole
-//! arena — and that can cascade into further merges.
+//! *merged* through a union–find structure. A merge then re-canonicalizes
+//! every live expression in id order, which retires duplicates and can
+//! prove further classes equal, so merges cascade until every key is
+//! unique again.
 
-use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 
@@ -216,9 +215,6 @@ pub(crate) struct GroupData<M: Model> {
     /// Memo version at the last structural change to this group: the
     /// newest `ExprData::version` among its members.
     pub version: u64,
-    /// Expressions with this class as an input, each listed once (retired
-    /// ones are dropped when a merge next walks the list).
-    pub users: Vec<ExprId>,
 }
 
 /// The memo structure. See the module documentation.
@@ -595,7 +591,6 @@ impl<M: Model> Memo<M> {
                     logical,
                     winners: FxHashMap::default(),
                     version: 0,
-                    users: Vec::new(),
                 });
                 self.parent.push(gid.0);
                 gid
@@ -604,11 +599,6 @@ impl<M: Model> Memo<M> {
 
         let eid = ExprId(self.exprs.len() as u32);
         self.version += 1;
-        for (i, g) in inputs.iter().enumerate() {
-            if !inputs[..i].contains(g) {
-                self.groups[g.index()].users.push(eid);
-            }
-        }
         self.exprs.push(ExprData {
             op: op.clone(),
             inputs: inputs.to_vec(),
@@ -648,36 +638,20 @@ impl<M: Model> Memo<M> {
     }
 
     /// Merge two equivalence classes proven equal, cascading through any
-    /// further merges triggered by key re-canonicalization.
-    ///
-    /// `twins` holds the live expressions a union left with the key of a
-    /// lower-numbered expression of *another* class — proof that those
-    /// classes are equal too. The highest twin is settled first, against
-    /// whatever the index then holds for its key (the key's lowest id):
-    /// the pair a re-canonicalization of the whole arena in id order would
-    /// pick, so classes unite, and member lists grow, in that same order.
+    /// further merges the re-canonicalization proves: each pass that
+    /// finds a key in two classes unites the pair of its highest id, and
+    /// the pass runs again until every key is unique.
     pub(crate) fn merge(&mut self, a: GroupId, b: GroupId) {
-        let mut twins = BinaryHeap::new();
-        self.union(a, b, &mut twins);
-        while let Some(&twin) = twins.peek() {
-            let d = &self.exprs[twin.index()];
-            let first = self
-                .indexed(expr_hash::<M>(&d.op, &d.inputs), &d.op, &d.inputs)
-                .expect("a twin's key stays indexed");
-            let (fg, tg) = (self.group_of(first), self.group_of(twin));
-            if fg == tg {
-                // True duplicate within one class: retire it.
-                twins.pop();
-                self.retire(twin);
-            } else {
-                self.union(fg, tg, &mut twins);
-            }
+        let mut pair = Some((a, b));
+        while let Some((a, b)) = pair {
+            self.union(a, b);
+            pair = self.recanonicalize();
         }
     }
 
     /// One union step: absorb the higher-numbered class into the lower,
-    /// then rewrite, re-hash and de-duplicate the absorbed class's users.
-    fn union(&mut self, a: GroupId, b: GroupId, twins: &mut BinaryHeap<ExprId>) {
+    /// moving its members (appended after the kept class's) and winners.
+    fn union(&mut self, a: GroupId, b: GroupId) {
         let (ra, rb) = (self.repr(a), self.repr(b));
         debug_assert_ne!(ra, rb, "callers merge distinct classes only");
         // Keep the lower index as representative for stability.
@@ -698,69 +672,36 @@ impl<M: Model> Memo<M> {
             self.merge_winner(keep, goal, w);
         }
         self.groups[keep.index()].version = version;
+    }
 
-        for u in std::mem::take(&mut self.groups[gone.index()].users) {
-            if self.exprs[u.index()].dead {
+    /// Rewrite every live expression's inputs to their representatives and
+    /// re-index it, in id order, into a cleared index. A key met again in
+    /// the same class retires the later id; met in another class, the
+    /// later id stays live and unindexed, and the last such pair of
+    /// classes (the highest id's) is returned to be united next.
+    fn recanonicalize(&mut self) -> Option<(GroupId, GroupId)> {
+        self.index.clear();
+        let mut equal = None;
+        for i in 0..self.exprs.len() {
+            let d = &self.exprs[i];
+            if d.dead {
                 continue;
             }
-            // A twin awaiting its merge is not indexed; it is only rewritten.
-            let was_indexed = self.unlink(u).is_some();
-            let d = &mut self.exprs[u.index()];
-            if !d.inputs.contains(&keep) {
-                self.groups[keep.index()].users.push(u);
+            if d.inputs.iter().any(|&g| self.repr(g) != g) {
+                let inputs = d.inputs.iter().map(|&g| self.repr(g)).collect();
+                let d = &mut self.exprs[i];
+                (d.inputs, d.version) = (inputs, self.version);
+                self.groups[d.group.index()].version = self.version;
             }
-            for g in &mut d.inputs {
-                if *g == gone {
-                    *g = keep;
-                }
-            }
-            d.version = version;
-            let ug = d.group;
-            self.groups[ug.index()].version = version;
-            if was_indexed {
-                self.reindex(u, twins);
+            let (e, d) = (ExprId(i as u32), &self.exprs[i]);
+            let h = expr_hash::<M>(&d.op, &d.inputs);
+            match self.indexed(h, &d.op, &d.inputs) {
+                None => self.link(h, e),
+                Some(first) if self.group_of(first) == d.group => self.retire(e),
+                Some(first) => equal = Some((self.group_of(first), d.group)),
             }
         }
-    }
-
-    /// Remove `e` from the index under its stored key, if it is there.
-    fn unlink(&mut self, e: ExprId) -> Option<()> {
-        let d = &self.exprs[e.index()];
-        let (h, next) = (expr_hash::<M>(&d.op, &d.inputs), d.next);
-        let first = *self.index.get(&h)?;
-        if first == e {
-            if next == NO_EXPR {
-                self.index.remove(&h);
-            } else {
-                self.index.insert(h, next);
-            }
-            return Some(());
-        }
-        let before = self.chain(h).find(|&x| self.exprs[x.index()].next == e)?;
-        self.exprs[before.index()].next = next;
-        Some(())
-    }
-
-    /// Index `e` under its rewritten key. If the key is taken, the lower id
-    /// keeps (or takes) the slot and the higher one is retired (same
-    /// class) or queued as a twin (the two classes are equal).
-    fn reindex(&mut self, e: ExprId, twins: &mut BinaryHeap<ExprId>) {
-        let d = &self.exprs[e.index()];
-        let h = expr_hash::<M>(&d.op, &d.inputs);
-        let Some(other) = self.indexed(h, &d.op, &d.inputs) else {
-            self.link(h, e);
-            return;
-        };
-        if e < other {
-            self.unlink(other).expect("indexed");
-            self.link(h, e);
-        }
-        let later = e.max(other);
-        if self.group_of(e) == self.group_of(other) {
-            self.retire(later);
-        } else {
-            twins.push(later);
-        }
+        equal
     }
 
     fn retire(&mut self, e: ExprId) {
@@ -810,7 +751,7 @@ impl<M: Model> Memo<M> {
     /// Panic unless the duplicate-detection structures are consistent
     /// (debug builds only, O(memo)): stored inputs and owners canonical, no
     /// two live expressions with one key, every live expression indexed
-    /// exactly once and no retired one, use lists covering every reference.
+    /// exactly once and no retired one.
     #[cfg(debug_assertions)]
     pub fn check_invariants(&self) {
         let live = || (0..self.exprs.len()).filter(|&i| !self.exprs[i].dead);
@@ -823,8 +764,6 @@ impl<M: Model> Memo<M> {
             assert!(owner.exprs.contains(&e) && owner.version >= d.version);
             let h = expr_hash::<M>(&d.op, &d.inputs);
             assert_eq!(self.indexed(h, &d.op, &d.inputs), Some(e), "{e}: twin");
-            let uses = |g: &GroupId| self.groups[g.index()].users.contains(&e);
-            assert!(d.inputs.iter().all(uses), "{e}: missing from a use list");
         }
         let indexed: usize = self.index.keys().map(|&h| self.chain(h).count()).sum();
         assert_eq!(indexed, live().count(), "retired or repeated index entry");
@@ -849,7 +788,7 @@ impl<M: Model> Memo<M> {
             .iter()
             .map(|g| {
                 size_of::<GroupData<M>>()
-                    + (g.exprs.len() + g.users.len()) * size_of::<ExprId>()
+                    + g.exprs.len() * size_of::<ExprId>()
                     + g.winners.len() * (size_of::<GoalId>() + size_of::<Winner<M>>())
                     + g.winners
                         .values()

@@ -5,9 +5,7 @@ use proptest::prelude::*;
 use volcano_core::cost::Limit;
 use volcano_core::toy::{ToyModel, ToyOp, ToyProps};
 use volcano_core::trace::{build_span_tree, CollectingTracer, TraceEvent};
-use volcano_core::{
-    ExprTree, GroupId, Memo, Optimizer, PhysicalProps, Plan, SearchOptions, SubstExpr,
-};
+use volcano_core::{ExprTree, Optimizer, PhysicalProps, Plan, SearchOptions};
 
 type Tree = ExprTree<ToyModel>;
 
@@ -223,15 +221,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The incremental merge: after any sequence of insertions and class
-// merges the duplicate-detection index, the stored keys and the use lists
-// must be what a from-scratch re-canonicalization would leave.
+// Class merges: after any sequence of insertions and merges (each one a
+// union followed by a re-canonicalization of the whole memo, repeated
+// while it proves further classes equal) every stored key is canonical,
+// no two live expressions share a key, and the duplicate-detection index
+// holds every live expression exactly once.
 // `Memo::check_invariants` exists in debug builds only.
 // ---------------------------------------------------------------------
 
 #[cfg(debug_assertions)]
-mod incremental_merge {
+mod class_merges {
     use super::*;
+    use volcano_core::{GroupId, Memo, SubstExpr};
 
     /// Every table is empty, so every class derives cardinality 0 and the
     /// toy model lets any two classes be declared equal.
@@ -251,9 +252,9 @@ mod incremental_merge {
     }
 
     /// Two towers Select(Select(Get t)) over different tables: declaring
-    /// the tables equal leaves Select(t0)/Select(t1) as twins in
-    /// *different* classes, whose queued merge in turn makes the outer
-    /// Selects twins — each pair settled only once its merge has landed.
+    /// the tables equal gives Select(t0)/Select(t1) one key in two
+    /// *different* classes (twins), whose merge in turn makes the outer
+    /// Selects twins — each pair settled by the pass after its merge.
     #[test]
     fn cascade_settles_twins_of_different_classes() {
         let m = empty_tables();

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -12,15 +12,15 @@ use volcano_core::{SearchOptions, SearchStats};
 use volcano_rel::catalog::ColType;
 use volcano_rel::value::Tuple;
 use volcano_rel::{
-    AttrId, Catalog, Observation, ObservationKey, RelCost, RelModel, RelModelOptions, RelOptimizer,
-    RelPlan, RelProps, TableId, Value,
+    AttrId, Catalog, Observation, RelCost, RelModel, RelModelOptions, RelOptimizer, RelPlan,
+    RelProps, TableId, Value,
 };
 use volcano_sql::{
     lower_with_params, parameterize, parse, shape_key, AstQuery, BindError, LowerError, ParamQuery,
     ParseError,
 };
 use volcano_store::record::{decode_record, encode_record, Field};
-use volcano_store::{BTree, BufferPool, DiskManager, FileDisk, HeapFile, MemDisk, MetaEntry};
+use volcano_store::{BTree, BufferPool, DiskManager, HeapFile, MemDisk};
 
 use crate::batch::collect_batches;
 use crate::compile::Engine;
@@ -81,8 +81,6 @@ pub const FEEDBACK_MATERIAL_RATIO: f64 = 1.5;
 /// [`Database::feedback_stats`]); rendered in `EXPLAIN ANALYZE`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedbackStats {
-    /// Whether database-wide feedback is enabled.
-    pub enabled: bool,
     /// Selectivity observations merged into the memory so far.
     pub observations: u64,
     /// Executions that harvested at least one observation.
@@ -97,9 +95,8 @@ impl FeedbackStats {
     /// Render as a JSON object (the CLI's `EXPLAIN ANALYZE` embeds it).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"enabled\":{},\"observations\":{},\"applications\":{},\
-             \"epoch_bumps\":{},\"cells\":{}}}",
-            self.enabled, self.observations, self.applications, self.epoch_bumps, self.cells
+            "{{\"observations\":{},\"applications\":{},\"epoch_bumps\":{},\"cells\":{}}}",
+            self.observations, self.applications, self.epoch_bumps, self.cells
         )
     }
 }
@@ -185,7 +182,7 @@ pub struct ExecOptions {
     pub bypass_cache: bool,
     /// Harvest observed selectivities from this execution and merge them
     /// into the catalog's memory (a session-level `SET FEEDBACK ON`).
-    /// Feedback also applies when the database-wide switch is on.
+    /// Off by default: feedback changes plans, so it is strictly opt-in.
     pub feedback: bool,
 }
 
@@ -295,9 +292,6 @@ pub struct Database {
     /// Worker-pool degree the optimizer's gather enforcer may offer
     /// (morsel-driven vectorized execution); `1` = serial planning.
     parallel_degree: AtomicU32,
-    /// Database-wide adaptive-feedback switch (off by default: feedback
-    /// changes plans, so it is strictly opt-in).
-    feedback_enabled: AtomicBool,
     /// Selectivity observations merged into the memory.
     feedback_observations: AtomicU64,
     /// Executions that harvested at least one observation.
@@ -310,18 +304,6 @@ impl Database {
     /// Create an in-memory database for a catalog (empty tables).
     pub fn in_memory(catalog: Catalog) -> Self {
         Self::with_pool_size(catalog, 4096)
-    }
-
-    /// Create a file-backed database (a single page file on disk).
-    /// Table placement is not persisted across re-opens in this build;
-    /// the on-disk variant exists to exercise real file I/O.
-    pub fn on_disk(
-        catalog: Catalog,
-        path: impl AsRef<std::path::Path>,
-        pool_pages: usize,
-    ) -> std::io::Result<Self> {
-        let disk: Arc<dyn DiskManager> = Arc::new(FileDisk::open(path)?);
-        Ok(Self::with_disk(catalog, disk, pool_pages))
     }
 
     /// Create an in-memory database with a specific buffer-pool capacity
@@ -358,7 +340,6 @@ impl Database {
             stats_epoch: AtomicU64::new(0),
             plan_cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
             parallel_degree: AtomicU32::new(1),
-            feedback_enabled: AtomicBool::new(false),
             feedback_observations: AtomicU64::new(0),
             feedback_applications: AtomicU64::new(0),
             feedback_epoch_bumps: AtomicU64::new(0),
@@ -508,8 +489,7 @@ impl Database {
         opts: &ExecOptions,
         tracer: Option<&dyn Tracer>,
     ) -> Vec<Tuple> {
-        let feedback = opts.feedback || self.feedback_enabled();
-        self.run_at(&self.snapshot(), plan, opts.engine, feedback, tracer)
+        self.run_at(&self.snapshot(), plan, opts.engine, opts.feedback, tracer)
     }
 
     // -----------------------------------------------------------------
@@ -548,22 +528,9 @@ impl Database {
     // stats epoch so the drift guard re-judges cached plans under the
     // observed statistics.
 
-    /// Enable or disable database-wide adaptive feedback. Off by
-    /// default; a session can also opt in per execution via
-    /// [`ExecOptions::with_feedback`].
-    pub fn set_feedback_enabled(&self, on: bool) {
-        self.feedback_enabled.store(on, Ordering::Release);
-    }
-
-    /// Whether database-wide adaptive feedback is enabled.
-    pub fn feedback_enabled(&self) -> bool {
-        self.feedback_enabled.load(Ordering::Acquire)
-    }
-
     /// The adaptive-feedback counters.
     pub fn feedback_stats(&self) -> FeedbackStats {
         FeedbackStats {
-            enabled: self.feedback_enabled(),
             observations: self.feedback_observations.load(Ordering::Acquire),
             applications: self.feedback_applications.load(Ordering::Acquire),
             epoch_bumps: self.feedback_epoch_bumps.load(Ordering::Acquire),
@@ -620,60 +587,6 @@ impl Database {
         material
     }
 
-    /// Export the catalog's selectivity memory in the model-agnostic
-    /// sidecar codec of `volcano_store::meta` (deterministic byte
-    /// order). Observed selectivities were paid for with real
-    /// executions; persisting them lets a re-opened database skip the
-    /// cold-start convergence.
-    pub fn export_feedback(&self) -> Vec<u8> {
-        let snap = self.snapshot();
-        let mut entries: Vec<MetaEntry> = snap
-            .catalog
-            .feedback()
-            .iter()
-            .map(|(k, e)| MetaEntry {
-                tag: k.tag(),
-                key: k.raw(),
-                value: e.sel,
-                count: e.n,
-            })
-            .collect();
-        entries.sort_by_key(|a| (a.tag, a.key));
-        volcano_store::meta::encode(&entries)
-    }
-
-    /// Restore a memory exported by [`Database::export_feedback`],
-    /// replacing any overlapping cells, and bump the stats epoch if
-    /// anything was restored. Returns the number of cells restored —
-    /// zero for corrupt bytes (a bad sidecar degrades to a cold start)
-    /// and for entries written by an unknown newer tag.
-    pub fn import_feedback(&self, bytes: &[u8]) -> usize {
-        let Some(entries) = volcano_store::meta::decode(bytes) else {
-            return 0;
-        };
-        let mut restored = 0usize;
-        {
-            let mut guard = self.schema.write();
-            let mut catalog = (*guard.catalog).clone();
-            for e in &entries {
-                if let Some(key) = ObservationKey::from_parts(e.tag, e.key) {
-                    catalog.feedback_mut().insert_raw(key, e.value, e.count);
-                    restored += 1;
-                }
-            }
-            if restored == 0 {
-                return 0;
-            }
-            *guard = Arc::new(SchemaSnapshot {
-                catalog: Arc::new(catalog),
-                tables: guard.tables.clone(),
-                indexes: guard.indexes.clone(),
-            });
-        }
-        self.bump_epoch();
-        restored
-    }
-
     /// Prepare a SQL statement: parse, then auto-parameterize every
     /// WHERE-clause literal (explicit `$n` placeholders keep their
     /// slots). Name resolution happens at execution time, so preparing
@@ -727,7 +640,6 @@ impl Database {
             .map_err(PrepareError::Lower)?;
         let goal = RelProps::sorted(q.order_by.clone());
         let shape = shape_key(&q.expr, &q.order_by);
-        let feedback = opts.feedback || self.feedback_enabled();
 
         if opts.bypass_cache {
             if let Some(t) = tracer {
@@ -738,7 +650,7 @@ impl Database {
             }
             let (plan, stats) = self.optimize(&catalog, &q.expr, goal, opts.move_limit)?;
             return Ok(PreparedOutcome {
-                rows: self.run_at(&snap, &plan, opts.engine, feedback, tracer),
+                rows: self.run_at(&snap, &plan, opts.engine, opts.feedback, tracer),
                 cache: "bypass",
                 cost: plan.cost,
                 search: Some(stats),
@@ -766,7 +678,7 @@ impl Database {
             CacheOutcome::Hit(entry) => {
                 let plan = rebind_plan(&entry.plan, &full);
                 Ok(PreparedOutcome {
-                    rows: self.run_at(&snap, &plan, opts.engine, feedback, tracer),
+                    rows: self.run_at(&snap, &plan, opts.engine, opts.feedback, tracer),
                     cache: "hit",
                     cost: entry.cost,
                     search: None,
@@ -793,7 +705,7 @@ impl Database {
                     );
                 }
                 Ok(PreparedOutcome {
-                    rows: self.run_at(&snap, &plan, opts.engine, feedback, tracer),
+                    rows: self.run_at(&snap, &plan, opts.engine, opts.feedback, tracer),
                     cache: label,
                     cost: plan.cost,
                     search: Some(stats),
@@ -962,11 +874,6 @@ impl Database {
     /// Reset the physical I/O counters (e.g. after loading data).
     pub fn reset_io_stats(&self) {
         self.pool.disk().stats().reset();
-    }
-
-    /// Write all dirty buffered pages back to the disk manager.
-    pub fn flush(&self) {
-        self.pool.flush_all();
     }
 }
 
@@ -1228,35 +1135,22 @@ mod tests {
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
         run(&db, &stmt, &[]).unwrap();
         let s = db.feedback_stats();
-        assert!(!s.enabled);
         assert_eq!((s.observations, s.applications, s.cells), (0, 0, 0));
-        db.set_feedback_enabled(true);
-        run(&db, &stmt, &[]).unwrap();
+        let opts = ExecOptions::new().with_feedback(true);
+        let out = db.execute_prepared_opts(&stmt, &[], &opts, None).unwrap();
+        assert!(!out.rows.is_empty());
         let s = db.feedback_stats();
-        assert!(s.enabled);
         assert!(s.observations > 0, "{s:?}");
         assert_eq!(s.applications, 1, "{s:?}");
         assert!(s.cells > 0, "{s:?}");
         let json = s.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"enabled\":true"), "{json}");
-    }
-
-    #[test]
-    fn session_feedback_opt_in_works_without_the_global_switch() {
-        let db = Database::in_memory(catalog());
-        db.generate(11);
-        let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
-        let opts = ExecOptions::new().with_feedback(true);
-        let out = db.execute_prepared_opts(&stmt, &[], &opts, None).unwrap();
-        assert!(!out.rows.is_empty());
-        assert!(!db.feedback_enabled(), "global switch untouched");
-        assert!(db.feedback_stats().observations > 0);
+        assert!(json.contains("\"applications\":1"), "{json}");
     }
 
     #[test]
     fn immaterial_feedback_does_not_bump_the_epoch() {
-        use volcano_rel::{Cmp, ObservationKey};
+        use volcano_rel::Cmp;
         let db = Database::in_memory(catalog());
         let key = volcano_rel::term_key(&Cmp::eq(AttrId(0), 1i64));
         // First merge agrees with its own estimate: immaterial.
@@ -1277,8 +1171,6 @@ mod tests {
         assert!(db.apply_feedback(&obs));
         assert_eq!(db.epoch(), before + 1);
         assert_eq!(db.feedback_stats().epoch_bumps, 1);
-        // Unknown keys are never restored.
-        assert_eq!(ObservationKey::from_parts(7, 1), None);
     }
 
     /// `emp.dept = 3` over 20 departments is estimated at 1/20; the
@@ -1292,12 +1184,11 @@ mod tests {
         for engine in [Engine::Tuple, Engine::Fused(BatchConfig::default())] {
             let db = Database::in_memory(c.clone());
             db.generate(7);
-            db.set_feedback_enabled(true);
             let stmt = db
                 .prepare("SELECT emp.id FROM emp WHERE emp.dept = 3")
                 .unwrap();
             let epoch = db.epoch();
-            let opts = ExecOptions::new().with_executor(engine);
+            let opts = ExecOptions::new().with_executor(engine).with_feedback(true);
             let out = db.execute_prepared_opts(&stmt, &[], &opts, None).unwrap();
             let rows = out.rows.len();
             assert!((67..150).contains(&rows), "{rows} rows, estimated 100");
@@ -1305,56 +1196,5 @@ mod tests {
             assert_eq!((s.observations, s.epoch_bumps), (1, 0), "{s:?}");
             assert_eq!(db.epoch(), epoch, "{}", engine.label());
         }
-    }
-
-    #[test]
-    fn feedback_memory_roundtrips_through_the_sidecar_codec() {
-        let db = Database::in_memory(catalog());
-        db.generate(11);
-        db.set_feedback_enabled(true);
-        let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
-        run(&db, &stmt, &[]).unwrap();
-        let cells = db.feedback_stats().cells;
-        assert!(cells > 0);
-        let bytes = db.export_feedback();
-        // A fresh database restores the memory verbatim.
-        let db2 = Database::in_memory(catalog());
-        assert_eq!(db2.import_feedback(&bytes), cells as usize);
-        assert_eq!(db2.feedback_stats().cells, cells);
-        assert_eq!(
-            db2.snapshot().catalog.feedback(),
-            db.snapshot().catalog.feedback()
-        );
-        // Corrupt bytes degrade to a cold start.
-        assert_eq!(db2.import_feedback(b"garbage"), 0);
-        assert_eq!(db2.feedback_stats().cells, cells, "memory untouched");
-    }
-}
-
-#[cfg(test)]
-mod disk_tests {
-    use super::*;
-    use volcano_rel::ColumnDef;
-
-    #[test]
-    fn file_backed_database_round_trips() {
-        let dir = std::env::temp_dir().join(format!("volcano_db_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut c = Catalog::new();
-        c.add_table("t", 50.0, vec![ColumnDef::int("x", 10.0)]);
-        let id = c.table_by_name("t").unwrap().id;
-        let db = Database::on_disk(c, dir.join("db.pages"), 4).unwrap();
-        db.generate(3);
-        let rows: Vec<Tuple> = db
-            .table(id)
-            .scan_all()
-            .iter()
-            .map(|b| decode_row(b))
-            .collect();
-        assert_eq!(rows.len(), 50);
-        db.flush();
-        let (_, writes) = db.io_stats();
-        assert!(writes > 0, "flush must write dirty pages to the file");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -300,7 +300,7 @@ impl Session {
     }
 
     /// `SET FEEDBACK`: enable adaptive-feedback harvesting for this
-    /// session's executions (the database-wide switch is untouched).
+    /// session's executions.
     pub fn set_feedback(&mut self, on: bool) {
         self.feedback = on;
     }

@@ -168,9 +168,8 @@ impl Tracer for FeedbackTracer {
 fn assert_converges(engine: Engine) {
     let (db, true_sel) = populated_db();
     let oracle = oracle_explain(engine, true_sel);
-    db.set_feedback_enabled(true);
     let stmt = db.prepare(SQL).unwrap();
-    let opts = ExecOptions::new().with_executor(engine);
+    let opts = ExecOptions::new().with_executor(engine).with_feedback(true);
     let tracer = FeedbackTracer::default();
     let tag = format!("engine {}", engine.label());
 
@@ -214,7 +213,7 @@ fn assert_converges(engine: Engine) {
         "{tag}: convergence must go through drift invalidation, got {lookups:?}"
     );
     let stats = db.feedback_stats();
-    assert!(stats.enabled && stats.cells > 0 && stats.epoch_bumps > 0);
+    assert!(stats.cells > 0 && stats.epoch_bumps > 0);
 }
 
 #[test]
@@ -274,11 +273,11 @@ fn first_feedback_execution_plans_like_feedback_off() {
     for engine in engines() {
         let (db_off, _) = populated_db();
         let (db_on, _) = populated_db();
-        db_on.set_feedback_enabled(true);
         let opts = ExecOptions::new().with_executor(engine);
         let off = db_off
             .execute_prepared_opts(&db_off.prepare(SQL).unwrap(), &[Value::Int(0)], &opts, None)
             .unwrap();
+        let opts = opts.with_feedback(true);
         let on = db_on
             .execute_prepared_opts(&db_on.prepare(SQL).unwrap(), &[Value::Int(0)], &opts, None)
             .unwrap();
@@ -290,38 +289,6 @@ fn first_feedback_execution_plans_like_feedback_off() {
         );
         assert_same_multiset(&off.rows, &on.rows, engine.label());
     }
-}
-
-/// Feedback persists: exporting the converged memory and importing it
-/// into a cold database makes its *first* optimization pick the oracle
-/// plan — the restart story for adaptive statistics.
-#[test]
-fn exported_memory_primes_a_cold_database() {
-    let engine = Engine::Tuple;
-    let (db, true_sel) = populated_db();
-    let oracle = oracle_explain(engine, true_sel);
-    db.set_feedback_enabled(true);
-    let stmt = db.prepare(SQL).unwrap();
-    let opts = ExecOptions::new().with_executor(engine);
-    let converged = converges_within(K + 1, |_| {
-        let out = db
-            .execute_prepared_opts(&stmt, &[Value::Int(0)], &opts, None)
-            .unwrap();
-        explain(&db, &out.plan) == oracle
-    });
-    assert!(converged.is_some());
-
-    let bytes = db.export_feedback();
-    let (cold, _) = populated_db();
-    assert!(cold.import_feedback(&bytes) > 0);
-    let out = cold
-        .execute_prepared_opts(&cold.prepare(SQL).unwrap(), &[Value::Int(0)], &opts, None)
-        .unwrap();
-    assert_eq!(
-        explain(&cold, &out.plan),
-        oracle,
-        "imported memory must produce the oracle plan on the first try"
-    );
 }
 
 /// Both engines learn the same: for one plan, the observations the

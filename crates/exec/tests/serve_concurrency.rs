@@ -339,7 +339,6 @@ fn feedback_under_chaos_reconciles_exactly() {
 
     let db = Arc::new(Database::in_memory(diff_catalog()));
     db.generate(31);
-    db.set_feedback_enabled(true);
     let emp = db.catalog().table_by_name("emp").unwrap().id;
     let server = Server::over(
         db.clone(),
@@ -358,6 +357,7 @@ fn feedback_under_chaos_reconciles_exactly() {
                 0 => Engine::Tuple,
                 _ => Engine::Fused(BatchConfig::default()),
             });
+            session.set_feedback(true);
             let db = db.clone();
             handles.push(scope.spawn(move || {
                 let mut ledger = WorkerLedger::default();

@@ -241,8 +241,7 @@ impl Catalog {
         &self.feedback
     }
 
-    /// Mutable access to the selectivity memory (feedback application and
-    /// persistence restore).
+    /// Mutable access to the selectivity memory (feedback application).
     pub fn feedback_mut(&mut self) -> &mut SelectivityMemory {
         &mut self.feedback
     }

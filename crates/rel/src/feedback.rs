@@ -55,40 +55,13 @@ pub const SMOOTHING_WARMUP: u64 = 8;
 /// deterministic across runs and platforms) rather than the term
 /// itself: the memory never needs to enumerate its subjects, only to
 /// answer point lookups, and a fixed-width key keeps the catalog clone
-/// cheap and the persistence codec (`volcano-store`) model-agnostic.
+/// cheap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObservationKey {
     /// One comparison term of a selection predicate (see [`term_key`]).
     Term(u64),
     /// One equi-join pair (see [`join_pair_key`]).
     Join(u64),
-}
-
-impl ObservationKey {
-    /// Codec tag for persistence (0 = term, 1 = join).
-    pub fn tag(&self) -> u8 {
-        match self {
-            ObservationKey::Term(_) => 0,
-            ObservationKey::Join(_) => 1,
-        }
-    }
-
-    /// The raw 64-bit key.
-    pub fn raw(&self) -> u64 {
-        match self {
-            ObservationKey::Term(k) | ObservationKey::Join(k) => *k,
-        }
-    }
-
-    /// Rebuild a key from its persisted `(tag, raw)` form; `None` for an
-    /// unknown tag (a newer writer).
-    pub fn from_parts(tag: u8, raw: u64) -> Option<Self> {
-        match tag {
-            0 => Some(ObservationKey::Term(raw)),
-            1 => Some(ObservationKey::Join(raw)),
-            _ => None,
-        }
-    }
 }
 
 /// The memory key of one comparison term: attribute, operator, and
@@ -209,19 +182,7 @@ impl SelectivityMemory {
         self.cells.get(key).copied()
     }
 
-    /// Restore a persisted cell verbatim (see `volcano-store`'s meta
-    /// codec); replaces any existing cell for `key`.
-    pub fn insert_raw(&mut self, key: ObservationKey, sel: f64, n: u64) {
-        self.cells.insert(
-            key,
-            SelEntry {
-                sel: sel.clamp(0.0, 1.0),
-                n: n.max(1),
-            },
-        );
-    }
-
-    /// Iterate over all cells (persistence export).
+    /// Iterate over all cells.
     pub fn iter(&self) -> impl Iterator<Item = (&ObservationKey, &SelEntry)> {
         self.cells.iter()
     }
@@ -534,13 +495,5 @@ mod tests {
             panic!("one pair")
         };
         assert_eq!(o.estimated, 0.5);
-    }
-
-    #[test]
-    fn key_roundtrips_through_parts() {
-        for key in [ObservationKey::Term(42), ObservationKey::Join(7)] {
-            assert_eq!(ObservationKey::from_parts(key.tag(), key.raw()), Some(key));
-        }
-        assert_eq!(ObservationKey::from_parts(9, 1), None);
     }
 }

@@ -1,11 +1,8 @@
 //! Disk managers: where pages live when they are not in the buffer pool.
 //!
-//! Both implementations count physical page reads and writes so the
+//! A disk manager counts physical page reads and writes so the
 //! optimizer's I/O estimates can be validated against observation.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -93,114 +90,6 @@ impl DiskManager for MemDisk {
     }
 }
 
-/// A wrapper that adds a fixed latency to every page *read* of an inner
-/// disk manager — a stand-in for storage with real access latency, used
-/// to measure how well parallel execution overlaps I/O. The sleep
-/// happens outside any lock of the wrapper itself, so concurrent readers
-/// genuinely overlap (the buffer pool releases its lock across misses
-/// for exactly this reason). Writes are passed through untouched.
-pub struct LatencyDisk {
-    inner: std::sync::Arc<dyn DiskManager>,
-    read_latency: std::time::Duration,
-}
-
-impl LatencyDisk {
-    /// Wrap `inner`, delaying every read by `read_latency`.
-    pub fn new(inner: std::sync::Arc<dyn DiskManager>, read_latency: std::time::Duration) -> Self {
-        LatencyDisk {
-            inner,
-            read_latency,
-        }
-    }
-}
-
-impl DiskManager for LatencyDisk {
-    fn allocate(&self) -> PageId {
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId) -> Page {
-        std::thread::sleep(self.read_latency);
-        self.inner.read(id)
-    }
-
-    fn write(&self, id: PageId, page: &Page) {
-        self.inner.write(id, page)
-    }
-
-    fn num_pages(&self) -> usize {
-        self.inner.num_pages()
-    }
-
-    fn stats(&self) -> &DiskStats {
-        self.inner.stats()
-    }
-}
-
-/// A file-backed disk manager (one file, page-addressed).
-pub struct FileDisk {
-    file: Mutex<File>,
-    num_pages: Mutex<usize>,
-    stats: DiskStats,
-}
-
-impl FileDisk {
-    /// Open (or create) a database file.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let len = file.metadata()?.len() as usize;
-        Ok(FileDisk {
-            file: Mutex::new(file),
-            num_pages: Mutex::new(len / PAGE_SIZE),
-            stats: DiskStats::default(),
-        })
-    }
-}
-
-impl DiskManager for FileDisk {
-    fn allocate(&self) -> PageId {
-        let mut n = self.num_pages.lock();
-        let id = PageId(*n as u32);
-        *n += 1;
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start((id.0 as u64) * PAGE_SIZE as u64))
-            .expect("seek");
-        file.write_all(&[0u8; PAGE_SIZE]).expect("extend file");
-        id
-    }
-
-    fn read(&self, id: PageId) -> Page {
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start((id.0 as u64) * PAGE_SIZE as u64))
-            .expect("seek");
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        file.read_exact(&mut buf[..]).expect("read page");
-        Page::from_bytes(buf)
-    }
-
-    fn write(&self, id: PageId, page: &Page) {
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start((id.0 as u64) * PAGE_SIZE as u64))
-            .expect("seek");
-        file.write_all(&page.bytes()[..]).expect("write page");
-    }
-
-    fn num_pages(&self) -> usize {
-        *self.num_pages.lock()
-    }
-
-    fn stats(&self) -> &DiskStats {
-        &self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,20 +111,6 @@ mod tests {
     #[test]
     fn mem_disk_roundtrip() {
         exercise(&MemDisk::new());
-    }
-
-    #[test]
-    fn file_disk_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("volcano_store_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.pages");
-        exercise(&FileDisk::open(&path).unwrap());
-        // Re-open and verify persistence.
-        let disk = FileDisk::open(&path).unwrap();
-        assert_eq!(disk.num_pages(), 2);
-        let p = disk.read(PageId(1));
-        assert_eq!(p.get(0), Some(&b"on disk"[..]));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

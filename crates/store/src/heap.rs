@@ -60,33 +60,6 @@ impl HeapFile {
         }
     }
 
-    /// Re-open an existing heap file given its first page.
-    pub fn open(pool: Arc<BufferPool>, first: PageId) -> Self {
-        // Walk the chain once to find the tail (so inserts append) and
-        // to seed the cached page list.
-        let mut chain = vec![first];
-        let mut last = first;
-        loop {
-            let next = pool.with_page(last, |p, _| p.next_page());
-            if next == NO_PAGE {
-                break;
-            }
-            last = PageId(next);
-            chain.push(last);
-        }
-        HeapFile {
-            pool,
-            first,
-            last: Mutex::new(last),
-            chain: Mutex::new(chain),
-        }
-    }
-
-    /// The first page (persist this to re-open the file).
-    pub fn first_page(&self) -> PageId {
-        self.first
-    }
-
     /// Append a record; returns its id.
     pub fn insert(&self, record: &[u8]) -> RecordId {
         let mut last = self.last.lock();
@@ -322,21 +295,5 @@ mod tests {
             writers * per_writer,
             "records lost or duplicated"
         );
-    }
-
-    #[test]
-    fn reopen_appends_at_tail() {
-        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 8));
-        let h = HeapFile::create(pool.clone());
-        let big = vec![1u8; 1500];
-        for _ in 0..5 {
-            h.insert(&big);
-        }
-        let first = h.first_page();
-        let reopened = HeapFile::open(pool, first);
-        reopened.insert(b"tail record");
-        let all = reopened.scan_all();
-        assert_eq!(all.len(), 6);
-        assert_eq!(all.last().unwrap(), b"tail record");
     }
 }

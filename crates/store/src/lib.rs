@@ -1,12 +1,12 @@
 //! # volcano-store — paged storage for the Volcano execution engine
 //!
 //! A small but real storage layer: fixed-size **slotted pages**
-//! ([`page`]), a pluggable **disk manager** with an in-memory and a
-//! file-backed implementation ([`disk`]), a pin/unpin **buffer pool**
+//! ([`page`]), a pluggable **disk manager** with an in-memory
+//! implementation ([`disk`]), a pin/unpin **buffer pool**
 //! with LRU eviction ([`buffer`]), **heap files** of variable-length
 //! records ([`heap`]), and record (de)serialization ([`record`]).
 //!
-//! The disk managers count physical reads and writes, which is how the
+//! The disk manager counts physical reads and writes, which is how the
 //! repository validates the optimizer's I/O estimates against observed
 //! behaviour (see `volcano-exec` and the `end_to_end` example).
 
@@ -17,13 +17,11 @@ pub mod btree;
 pub mod buffer;
 pub mod disk;
 pub mod heap;
-pub mod meta;
 pub mod page;
 pub mod record;
 
 pub use btree::BTree;
 pub use buffer::BufferPool;
-pub use disk::{DiskManager, DiskStats, FileDisk, LatencyDisk, MemDisk};
+pub use disk::{DiskManager, DiskStats, MemDisk};
 pub use heap::{HeapFile, RecordId};
-pub use meta::MetaEntry;
 pub use page::{Page, PageId, PAGE_SIZE};

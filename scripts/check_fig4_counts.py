@@ -17,7 +17,10 @@ to be classified here first.
 
 The expected file defaults to `scripts/fig4_counts.expected.csv`, which
 that command wrote. Regenerate it only with a change that is meant to
-move plans, costs or search counts, and say which moved and why.
+move plans, costs or search counts, and say which moved and why. A
+change to what the memo stores per expression or per class moves
+`volcano_memo_kb` (`Memo::memory_estimate`) too, with no plan or count
+moving.
 """
 
 import csv

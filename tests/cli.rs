@@ -246,7 +246,9 @@ fn both_engines_harvest_every_node_of_a_star_join() {
 
 /// A plain `SELECT` runs with the session's `SET FEEDBACK` and is
 /// planned against the database's catalog, so what it observes reaches
-/// the selectivity memory the next plan is estimated with.
+/// the selectivity memory the next plan is estimated with. The
+/// EXPLAIN ANALYZE JSON reports the feedback counters, and never
+/// reports feedback as disabled in a session that turned it on.
 #[test]
 fn select_harvests_feedback_into_the_database_catalog() {
     let (out, stderr, ok) = run_script(
@@ -258,6 +260,7 @@ fn select_harvests_feedback_into_the_database_catalog() {
     );
     assert!(ok, "{stderr}");
     assert_eq!(json_observations(&out), 1, "{out}");
+    assert!(!out.contains("\"enabled\":false"), "{out}");
     // The estimate now is the observed selectivity: est equals actual.
     let line = out
         .lines()

@@ -120,7 +120,9 @@ fn assert_same_search_space<M: Model>(a: &Memo<M>, b: &Memo<M>, tag: &str) {
     assert_eq!(image.len(), a.num_groups(), "{tag}: unmapped classes");
 }
 
-fn assert_engine_matches_naive<M: Model>(model: &M, query: &ExprTree<M>, tag: &str) {
+/// Explore `query` with the engine and with the naive loop, assert both
+/// reach the same search space, and return the engine's statistics.
+fn assert_engine_matches_naive<M: Model>(model: &M, query: &ExprTree<M>, tag: &str) -> SearchStats {
     let mut opt = Optimizer::new(model, SearchOptions::default());
     opt.insert_tree(query);
     opt.explore();
@@ -130,6 +132,7 @@ fn assert_engine_matches_naive<M: Model>(model: &M, query: &ExprTree<M>, tag: &s
     saturate(model, &mut naive);
 
     assert_same_search_space(opt.memo(), &naive, tag);
+    opt.stats().clone()
 }
 
 fn toy_chain(n: usize) -> (ToyModel, ExprTree<ToyModel>) {
@@ -159,16 +162,24 @@ fn toy_chains_reach_the_naive_fixpoint() {
     }
 }
 
-/// The generator's queries at `n` relations and `seed`, with every join
-/// edge on the hub's attribute when `star` is set (the `e2e`
-/// benchmark's `fig4_optimize` configuration).
-fn fig4_query(n: usize, seed: u64, star: bool) -> GeneratedQuery {
+/// The generator's queries at `n` relations and `seed`, with a join edge
+/// on the hub's attribute with probability `hub` (the share of edges
+/// that run through the hub; [`STAR`] is the `e2e` benchmark's
+/// `fig4_optimize` configuration).
+fn fig4_query(n: usize, seed: u64, hub: f64) -> GeneratedQuery {
     let mut config = WorkloadConfig::relations(n);
-    if star {
-        config.shared_attr_probability = 1.0;
-    }
+    config.shared_attr_probability = hub;
     generate_query(&config, seed)
 }
+
+/// Every join edge on the hub's attribute.
+const STAR: f64 = 1.0;
+/// The generator's default hub share.
+const DEFAULT_HUB: f64 = 0.8;
+/// A hub share whose queries merge classes during exploration: with most
+/// edges off the hub, two derivations of one relation subset can start
+/// in different classes, and a merge then cascades.
+const SPARSE_HUB: f64 = 0.3;
 
 /// A model whose only rules make a merge uncover a binding: `h(x) → f(x)`
 /// proves `h(x)`'s class equal to `f(x)`'s, and `p(h(x)) → w(x)` matches
@@ -297,22 +308,54 @@ fn the_sweep_fires_what_a_merge_into_a_walked_class_uncovers() {
 /// The paper's rule set, and the default one (selection push-down and
 /// merge, filter scans, nested loops) on the same query with one more
 /// selection above the joins, which push-down carries to its relation
-/// and merge folds into the selection already there.
-#[test]
-fn fig4_queries_reach_the_naive_fixpoint() {
-    for n in 2..=7 {
+/// and merge folds into the selection already there. Returns the
+/// engine's statistics of every search at [`SPARSE_HUB`].
+fn assert_fig4_reach_the_naive_fixpoint(
+    sizes: std::ops::RangeInclusive<usize>,
+) -> Vec<SearchStats> {
+    let mut sparse = Vec::new();
+    for n in sizes {
         for seed in 0..3u64 {
-            let q = fig4_query(n, seed, false);
-            let model = RelModel::new(q.catalog.clone(), RelModelOptions::paper_fig4());
-            assert_engine_matches_naive(&model, &q.expr, &format!("fig4 n={n} seed={seed}"));
+            for hub in [DEFAULT_HUB, SPARSE_HUB] {
+                let q = fig4_query(n, seed, hub);
+                let model = RelModel::new(q.catalog.clone(), RelModelOptions::paper_fig4());
+                let tag = format!("fig4 n={n} seed={seed} hub={hub}");
+                let paper = assert_engine_matches_naive(&model, &q.expr, &tag);
 
-            let key = q.catalog.tables()[0].columns[0].attr;
-            let above = select_one(q.expr.clone(), Cmp::new(key, CmpOp::Gt, 7));
-            let model = RelModel::new(q.catalog.clone(), RelModelOptions::default());
-            let tag = format!("fig4 default n={n} seed={seed}");
-            assert_engine_matches_naive(&model, &above, &tag);
+                let key = q.catalog.tables()[0].columns[0].attr;
+                let above = select_one(q.expr.clone(), Cmp::new(key, CmpOp::Gt, 7));
+                let model = RelModel::new(q.catalog.clone(), RelModelOptions::default());
+                let tag = format!("fig4 default n={n} seed={seed} hub={hub}");
+                let default = assert_engine_matches_naive(&model, &above, &tag);
+                if hub == SPARSE_HUB {
+                    sparse.extend([paper, default]);
+                }
+            }
         }
     }
+    sparse
+}
+
+/// The sparse-hub queries exercise the memo's class merge: some of their
+/// searches merge classes, and at least one merge cascades into another.
+fn assert_merges_cascade(sparse: &[SearchStats]) {
+    let merges: u64 = sparse.iter().map(|s| s.group_merges).sum();
+    assert!(merges > 0, "no sparse-hub search merged a class");
+    assert!(
+        sparse.iter().any(|s| s.group_merges >= 2),
+        "no sparse-hub search merged twice"
+    );
+}
+
+#[test]
+fn fig4_queries_reach_the_naive_fixpoint() {
+    assert_merges_cascade(&assert_fig4_reach_the_naive_fixpoint(2..=7));
+}
+
+#[test]
+#[ignore = "eight and nine relations; run in release with --include-ignored"]
+fn fig4_queries_reach_the_naive_fixpoint_at_8_and_9_relations() {
+    assert_merges_cascade(&assert_fig4_reach_the_naive_fixpoint(8..=9));
 }
 
 /// A star schema like the `e2e` benchmark's: `fact(id, d1..d6, v)` and
@@ -416,9 +459,9 @@ fn assert_exhaustive(q: &GeneratedQuery, tag: &str) -> SearchStats {
 fn assert_fig4_exhaustive(sizes: std::ops::RangeInclusive<usize>) {
     for n in sizes {
         for seed in 0..4u64 {
-            for star in [false, true] {
-                let tag = format!("n={n} seed={seed} star={star}");
-                assert_exhaustive(&fig4_query(n, seed, star), &tag);
+            for hub in [DEFAULT_HUB, STAR, SPARSE_HUB] {
+                let tag = format!("n={n} seed={seed} hub={hub}");
+                assert_exhaustive(&fig4_query(n, seed, hub), &tag);
             }
         }
     }
@@ -442,7 +485,7 @@ fn star_fig4_exploration_merges_no_class() {
     for n in 2..=7 {
         for seed in 0..4u64 {
             let tag = format!("n={n} seed={seed}");
-            let stats = assert_exhaustive(&fig4_query(n, seed, true), &tag);
+            let stats = assert_exhaustive(&fig4_query(n, seed, STAR), &tag);
             assert_eq!(stats.group_merges, 0, "{tag}: group merges");
             assert_eq!(stats.dead_exprs, 0, "{tag}: retired expressions");
         }
