@@ -177,8 +177,8 @@ pub struct ExecOptions {
     /// pessimized plan to unpressured executions too.
     pub move_limit: Option<usize>,
     /// Bypass the plan cache for this execution only (a session-level
-    /// `SET PLAN_CACHE OFF`); the database-wide switch stays untouched
-    /// and nothing is cleared.
+    /// `SET PLAN_CACHE OFF`): the cache is neither probed nor filled,
+    /// and nothing in it is cleared.
     pub bypass_cache: bool,
     /// Harvest observed selectivities from this execution and merge them
     /// into the catalog's memory (a session-level `SET FEEDBACK ON`).

@@ -294,7 +294,8 @@ impl Session {
     }
 
     /// `SET PLAN_CACHE`: enable/bypass the shared plan cache for this
-    /// session (the database-wide switch is untouched).
+    /// session's executions; other sessions and the cache's contents
+    /// are untouched.
     pub fn set_plan_cache(&mut self, on: bool) {
         self.use_cache = on;
     }

@@ -1,33 +1,37 @@
-//! A pin/unpin buffer pool with LRU eviction.
+//! A pin/unpin buffer pool with exact LRU eviction.
 //!
 //! The pool caches a bounded number of pages; pinned pages cannot be
-//! evicted. Dirty pages are written back on eviction and on
-//! [`BufferPool::flush_all`].
+//! evicted, and a dirty page is written back when its frame is reused.
+//!
+//! - **Frames** are created on first use up to the capacity. Each owns
+//!   one page buffer, reused for every page the frame holds, so a miss
+//!   in a full pool allocates nothing.
+//! - The **page table** is a `Vec` indexed by page id (disk managers
+//!   hand out dense ids) holding the frame a page is cached in.
+//! - The **recency queue** gets `(frame, stamp)` on every pin, and a
+//!   frame's newest entry is its live one. The victim, the least
+//!   recently used unpinned frame, is the oldest live unpinned entry:
+//!   stale entries are dropped at the old end, and pinned frames found
+//!   there wait in `held`, so no pass over the pool is needed. A hit
+//!   writes only its frame and the queue's tail, where relinking a list
+//!   would make threads hitting the same pages contend.
 //!
 //! # Concurrency
 //!
-//! Two locks protect two different things:
+//! The **pool lock** guards the frame table (page ids, pins, stamps,
+//! queue, counters); a **per-frame latch** guards a frame's bytes and
+//! dirty flag. [`BufferPool::with_page`] pins under the pool lock and
+//! runs the caller's closure on the page in place under the latch alone,
+//! so accesses to one page serialize on that page only.
 //!
-//! - the **pool lock** guards the frame table (pin counts, LRU clock,
-//!   the in-flight `loading` set, hit/miss/eviction counters);
-//! - a **per-frame latch** guards each cached page's bytes.
-//!
-//! [`BufferPool::with_page`] pins under the pool lock, then runs the
-//! caller's closure *in place* under the frame latch with the pool lock
-//! released. Concurrent accesses to the same page therefore serialize
-//! on that page only, and mutations can never be lost: before this
-//! design the page was cloned out, mutated lock-free, and installed
-//! back, so two concurrent mutators of one page would silently drop one
-//! of the two updates (last install wins).
-//!
-//! Lock order: a frame latch is only ever acquired *after* releasing or
-//! while holding the pool lock, and no code path acquires the pool lock
-//! while holding a frame latch — closures run under a frame latch alone
-//! and must not touch the pool. Eviction and flush lock victim latches
-//! while holding the pool lock; that cannot deadlock because latch
-//! holders never wait on the pool lock.
+//! A miss picks and writes back its victim, re-points the table and
+//! latches the frame under the pool lock, then releases the pool lock
+//! and reads: reads of different pages overlap, and a concurrent
+//! requester of the same page pins the frame and waits on its latch for
+//! the one read. No path takes the pool lock while holding a latch; the
+//! only latches taken under it are unpinned frames', which no one holds.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -35,32 +39,79 @@ use parking_lot::Mutex;
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
 
+/// An unmapped page-table entry.
+const NIL: u32 = u32::MAX;
+
 /// The latched part of a frame: the page bytes plus the write-back flag.
+#[derive(Default)]
 struct PageSlot {
     page: Page,
     dirty: bool,
 }
 
 struct Frame {
-    /// Shared handle to the page contents; `with_page` clones the `Arc`
-    /// under the pool lock and latches it after releasing the lock.
+    /// The page buffer; `with_page` clones the `Arc` to latch it unlocked.
     slot: Arc<Mutex<PageSlot>>,
+    page: PageId,
     pins: u32,
-    /// LRU clock: larger = more recently used.
+    /// The clock at the frame's last pin: its live queue entry's stamp.
     last_used: u64,
 }
 
+#[derive(Default)]
 struct PoolState {
-    frames: HashMap<PageId, Frame>,
-    /// Pages currently being read from disk with the state lock
-    /// *released*, so concurrent misses on other pages overlap their
-    /// I/O. A second requester of an in-flight page waits for the
-    /// loader instead of issuing a duplicate read.
-    loading: HashSet<PageId>,
+    frames: Vec<Frame>,
+    /// Page id → frame index, `NIL` when the page is not cached.
+    table: Vec<u32>,
     tick: u64,
+    /// `(frame, stamp)` in stamp order, oldest first.
+    queue: VecDeque<(u32, u64)>,
+    /// Live entries that were pinned when they reached the queue's old
+    /// end, oldest first; all are older than any entry in `queue`.
+    held: Vec<(u32, u64)>,
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+impl PoolState {
+    /// Record a pin of `f`: its newest stamp makes it most recent.
+    fn stamp(&mut self, f: usize) {
+        self.tick += 1;
+        self.frames[f].last_used = self.tick;
+        self.queue.push_back((f as u32, self.tick));
+        // Compact once the queue doubles the live entries: O(1) per pin.
+        if self.queue.len() > 2 * self.frames.len() + 16 {
+            let frames = &self.frames;
+            self.queue
+                .retain(|&(f, s)| frames[f as usize].last_used == s);
+        }
+    }
+
+    /// The unpinned frame with the smallest stamp, if any frame is
+    /// unpinned. Costs O(1) amortized plus the frames pinned now.
+    fn victim(&mut self) -> Option<usize> {
+        let frames = &self.frames;
+        let live = |&(f, s): &(u32, u64)| frames[f as usize].last_used == s;
+        self.held.retain(live);
+        if let Some(i) = self
+            .held
+            .iter()
+            .position(|&(f, _)| frames[f as usize].pins == 0)
+        {
+            return Some(self.held.remove(i).0 as usize);
+        }
+        while let Some(entry) = self.queue.pop_front() {
+            if !live(&entry) {
+                continue;
+            }
+            if frames[entry.0 as usize].pins == 0 {
+                return Some(entry.0 as usize);
+            }
+            self.held.push(entry);
+        }
+        None
+    }
 }
 
 /// A fixed-capacity page cache over a [`DiskManager`].
@@ -77,14 +128,7 @@ impl BufferPool {
         BufferPool {
             disk,
             capacity,
-            state: Mutex::new(PoolState {
-                frames: HashMap::new(),
-                loading: HashSet::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            state: Mutex::new(PoolState::default()),
         }
     }
 
@@ -98,20 +142,10 @@ impl BufferPool {
     pub fn allocate(&self) -> PageId {
         let id = self.disk.allocate();
         let mut st = self.state.lock();
-        Self::make_room(&self.disk, &mut st, self.capacity);
-        st.tick += 1;
-        let tick = st.tick;
-        st.frames.insert(
-            id,
-            Frame {
-                slot: Arc::new(Mutex::new(PageSlot {
-                    page: Page::new(),
-                    dirty: true,
-                })),
-                pins: 0,
-                last_used: tick,
-            },
-        );
+        let f = self.claim(&mut st, id);
+        let mut slot = st.frames[f].slot.lock();
+        slot.page.reset();
+        slot.dirty = true;
         id
     }
 
@@ -123,59 +157,33 @@ impl BufferPool {
     /// serialize on its latch — so `f` must not mutate unless it also
     /// sets the flag. `f` must not re-enter the pool (lock order).
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&mut Page, &mut bool) -> R) -> R {
-        // Pin. On a miss the disk read happens with the lock released
-        // (the page is marked in `loading` so no one duplicates the
-        // read), which lets concurrent workers overlap their I/O — the
-        // difference between serialized and parallel scans.
-        let slot = {
-            let mut st = self.state.lock();
-            loop {
-                st.tick += 1;
-                let tick = st.tick;
-                if let Some(fr) = st.frames.get_mut(&id) {
-                    fr.pins += 1;
-                    fr.last_used = tick;
-                    let slot = fr.slot.clone();
-                    st.hits += 1;
-                    break slot;
-                }
-                if st.loading.contains(&id) {
-                    // Another thread is reading this very page; retry
-                    // once it lands in the frame table.
-                    drop(st);
-                    std::thread::yield_now();
-                    st = self.state.lock();
-                    continue;
-                }
+        let mut st = self.state.lock();
+        let (frame, miss) = match st.table.get(id.0 as usize) {
+            Some(&f) if f != NIL => {
+                st.hits += 1;
+                st.stamp(f as usize);
+                (f as usize, false)
+            }
+            cached => {
+                // Past the table's end: a page from before this pool, or none.
+                let known = cached.is_some() || (id.0 as usize) < self.disk.num_pages();
+                assert!(known, "page {id:?} was never allocated");
                 st.misses += 1;
-                st.loading.insert(id);
-                drop(st);
-                let page = self.disk.read(id);
-                st = self.state.lock();
-                st.loading.remove(&id);
-                // A missed page is not in the frame table, so disk was
-                // authoritative during the unlocked window (a dirty copy
-                // can only exist *in* the table, pinned or evicted under
-                // this lock with write-back).
-                Self::make_room(&self.disk, &mut st, self.capacity);
-                st.tick += 1;
-                let tick = st.tick;
-                let slot = Arc::new(Mutex::new(PageSlot { page, dirty: false }));
-                st.frames.insert(
-                    id,
-                    Frame {
-                        slot: slot.clone(),
-                        pins: 1,
-                        last_used: tick,
-                    },
-                );
-                break slot;
+                (self.claim(&mut st, id), true)
             }
         };
-        // Use, in place, under the frame latch only. The frame stays
-        // pinned so it cannot be evicted.
+        st.frames[frame].pins += 1;
+        let slot = st.frames[frame].slot.clone();
+        // Use, in place, under the frame latch only; the pin keeps the
+        // frame from eviction. A miss latches before the pool lock goes,
+        // so requesters of this page wait for the read.
         let r = {
-            let mut guard = slot.lock();
+            let latched = miss.then(|| slot.lock());
+            drop(st);
+            let mut guard = latched.unwrap_or_else(|| slot.lock());
+            if miss {
+                self.disk.read(id, &mut guard.page);
+            }
             let mut dirty = false;
             let r = f(&mut guard.page, &mut dirty);
             if dirty {
@@ -185,55 +193,46 @@ impl BufferPool {
         };
         // Unpin (after the latch is released — never hold a frame latch
         // while taking the pool lock).
-        {
-            let mut st = self.state.lock();
-            let fr = st.frames.get_mut(&id).expect("pinned frame present");
-            fr.pins -= 1;
-        }
+        self.state.lock().frames[frame].pins -= 1;
         r
     }
 
-    /// Evict the least-recently-used unpinned frame if at capacity.
-    ///
-    /// The victim's latch is taken under the pool lock; with zero pins
-    /// no thread can hold or re-acquire it (a holder is pinned for the
-    /// whole latched window), so the lock is uncontended and write-back
-    /// stays atomic with removal from the table.
-    fn make_room(disk: &Arc<dyn DiskManager>, st: &mut PoolState, capacity: usize) {
-        while st.frames.len() >= capacity {
-            let victim = st
-                .frames
-                .iter()
-                .filter(|(_, fr)| fr.pins == 0)
-                .min_by_key(|(_, fr)| fr.last_used)
-                .map(|(&id, _)| id);
-            match victim {
-                None => panic!(
-                    "buffer pool exhausted: all {} frames pinned",
-                    st.frames.len()
-                ),
-                Some(id) => {
-                    let fr = st.frames.remove(&id).expect("victim exists");
-                    let slot = fr.slot.lock();
-                    if slot.dirty {
-                        disk.write(id, &slot.page);
-                    }
-                    st.evictions += 1;
-                }
-            }
-        }
-    }
-
-    /// Write all dirty pages back to disk (frames stay cached).
-    pub fn flush_all(&self) {
-        let st = self.state.lock();
-        for (&id, fr) in st.frames.iter() {
-            let mut slot = fr.slot.lock();
+    /// A frame for `id`, mapped and most recent, for the caller to fill:
+    /// a new one below capacity, else the least recently used unpinned
+    /// frame, written back if dirty. Its latch is free (no pins), so the
+    /// write-back is atomic with the table update.
+    fn claim(&self, st: &mut PoolState, id: PageId) -> usize {
+        let f = if st.frames.len() < self.capacity {
+            st.frames.push(Frame {
+                slot: Arc::default(),
+                page: id,
+                pins: 0,
+                last_used: 0,
+            });
+            st.frames.len() - 1
+        } else {
+            let v = st
+                .victim()
+                .expect("buffer pool exhausted: every frame is pinned");
+            let old = st.frames[v].page;
+            let mut slot = st.frames[v].slot.lock();
             if slot.dirty {
-                self.disk.write(id, &slot.page);
+                self.disk.write(old, &slot.page);
                 slot.dirty = false;
             }
+            drop(slot);
+            st.table[old.0 as usize] = NIL;
+            st.frames[v].page = id;
+            st.evictions += 1;
+            v
+        };
+        st.stamp(f);
+        let i = id.0 as usize;
+        if i >= st.table.len() {
+            st.table.resize(i + 1, NIL);
         }
+        st.table[i] = f as u32;
+        f
     }
 
     /// (hits, misses, evictions) counters.
@@ -289,19 +288,38 @@ mod tests {
         assert!(misses >= 1);
     }
 
+    /// A frame pinned when it is the least recent is passed over, and
+    /// once unpinned it is evicted before any frame used after it.
     #[test]
-    fn flush_all_persists_without_eviction() {
-        let disk = Arc::new(MemDisk::new());
-        let p = BufferPool::new(disk.clone(), 8);
-        let id = p.allocate();
-        p.with_page(id, |pg, dirty| {
-            pg.insert(b"durable").unwrap();
-            *dirty = true;
+    fn a_frame_pinned_at_the_old_end_is_evicted_once_unpinned() {
+        let p = pool(2);
+        let [a, b, c, d] = [(); 4].map(|_| p.allocate());
+        p.with_page(a, |_, _| ());
+        p.with_page(b, |_, _| ());
+        let (pinned_tx, pinned) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let p = &p;
+            let holder = s.spawn(move || {
+                p.with_page(a, |_, _| {
+                    pinned_tx.send(()).expect("main thread waits");
+                    release_rx.recv().expect("main thread releases");
+                })
+            });
+            pinned.recv().expect("holder pins a");
+            // Using `b` leaves `a` least recent but pinned: `b` goes.
+            p.with_page(b, |_, _| ());
+            p.with_page(c, |_, _| ());
+            release.send(()).expect("holder waits");
+            holder.join().expect("holder thread");
         });
-        p.flush_all();
-        // Read straight from disk, bypassing the pool.
-        let raw = disk.read(id);
-        assert_eq!(raw.get(0), Some(&b"durable"[..]));
+        // Unpinned, `a` is older than `c`, so it goes next.
+        p.with_page(d, |_, _| ());
+        let (hits, misses, _) = p.stats();
+        p.with_page(c, |_, _| ());
+        assert_eq!(p.stats().0, hits + 1, "c is still cached");
+        p.with_page(a, |_, _| ());
+        assert_eq!(p.stats().1, misses + 1, "a was evicted");
     }
 
     #[test]

@@ -36,10 +36,10 @@ impl DiskStats {
 
 /// A page-granular backing store.
 pub trait DiskManager: Send + Sync {
-    /// Allocate a fresh page; returns its id.
+    /// Allocate a fresh page and return its id; ids count up from 0.
     fn allocate(&self) -> PageId;
-    /// Read a page.
-    fn read(&self, id: PageId) -> Page;
+    /// Read a page into `into`, overwriting all of its bytes.
+    fn read(&self, id: PageId, into: &mut Page);
     /// Write a page.
     fn write(&self, id: PageId, page: &Page);
     /// Number of pages allocated so far.
@@ -69,10 +69,10 @@ impl DiskManager for MemDisk {
         PageId(pages.len() as u32 - 1)
     }
 
-    fn read(&self, id: PageId) -> Page {
+    fn read(&self, id: PageId, into: &mut Page) {
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         let pages = self.pages.lock();
-        Page::from_bytes(pages[id.0 as usize].clone())
+        *into.bytes_mut() = *pages[id.0 as usize];
     }
 
     fn write(&self, id: PageId, page: &Page) {
@@ -101,7 +101,8 @@ mod tests {
         let mut p = Page::new();
         p.insert(b"on disk").unwrap();
         disk.write(b, &p);
-        let back = disk.read(b);
+        let mut back = Page::new();
+        disk.read(b, &mut back);
         assert_eq!(back.get(0), Some(&b"on disk"[..]));
         assert_eq!(disk.num_pages(), 2);
         assert!(disk.stats().reads() >= 1);
@@ -118,7 +119,7 @@ mod tests {
         let d = MemDisk::new();
         let id = d.allocate();
         d.write(id, &Page::new());
-        d.read(id);
+        d.read(id, &mut Page::new());
         d.stats().reset();
         assert_eq!(d.stats().reads(), 0);
         assert_eq!(d.stats().writes(), 0);

@@ -53,15 +53,16 @@ impl Page {
         let mut p = Page {
             data: Box::new([0u8; PAGE_SIZE]),
         };
-        p.set_slot_count(0);
-        p.set_free_end(PAGE_SIZE as u16);
-        p.set_next_page(NO_PAGE);
+        p.reset();
         p
     }
 
-    /// Interpret raw bytes as a page.
-    pub fn from_bytes(data: Box<[u8; PAGE_SIZE]>) -> Self {
-        Page { data }
+    /// Empty this page in place, leaving the bytes of a fresh page.
+    pub fn reset(&mut self) {
+        self.data.fill(0);
+        self.set_slot_count(0);
+        self.set_free_end(PAGE_SIZE as u16);
+        self.set_next_page(NO_PAGE);
     }
 
     /// The raw bytes.
@@ -246,8 +247,12 @@ mod tests {
     fn survives_byte_roundtrip() {
         let mut p = Page::new();
         p.insert(b"persist me").unwrap();
-        let bytes = *p.bytes();
-        let p2 = Page::from_bytes(Box::new(bytes));
+        // What a disk read does: overwrite a reused page's bytes.
+        let mut p2 = Page::new();
+        p2.insert(b"stale").unwrap();
+        *p2.bytes_mut() = *p.bytes();
         assert_eq!(p2.get(0), Some(&b"persist me"[..]));
+        p2.reset();
+        assert_eq!(p2.bytes(), Page::new().bytes());
     }
 }

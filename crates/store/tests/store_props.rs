@@ -1,11 +1,13 @@
-//! Property-based tests of the storage layer: pages and heap files
-//! behave like their obvious in-memory models under arbitrary operation
-//! sequences, and records survive arbitrary round trips.
+//! Property-based tests of the storage layer: pages, heap files and the
+//! buffer pool behave like their obvious in-memory models under
+//! arbitrary operation sequences, and records survive arbitrary round
+//! trips.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 use volcano_store::record::{decode_record, encode_record, Field};
-use volcano_store::{BufferPool, HeapFile, MemDisk, Page};
+use volcano_store::{BufferPool, DiskManager, HeapFile, MemDisk, Page, PageId};
 
 fn arb_field() -> impl Strategy<Value = Field> {
     prop_oneof![
@@ -109,5 +111,124 @@ proptest! {
             heap.insert(r);
         }
         prop_assert_eq!(heap.scan_all(), recs);
+    }
+
+    /// The pool evicts exactly as a plain LRU that scans every frame for
+    /// the smallest last-use stamp: the same hits, misses, evictions,
+    /// disk reads and write-backs, and the same page contents, over
+    /// traces of allocations, reads and dirtying writes.
+    #[test]
+    fn pool_matches_reference_lru(
+        capacity in 1usize..7,
+        ops in proptest::collection::vec((0u8..3, any::<u32>(), any::<u8>()), 1..80),
+    ) {
+        let disk = Arc::new(MemDisk::new());
+        let pool = BufferPool::new(disk.clone(), capacity);
+        let mut model = ReferenceLru::new(capacity);
+        // The records each page holds, whether cached or on disk.
+        let mut contents: Vec<Vec<Vec<u8>>> = Vec::new();
+        for (kind, pick, byte) in ops {
+            if kind == 0 || contents.is_empty() {
+                let id = pool.allocate();
+                prop_assert_eq!(id.0 as usize, contents.len());
+                model.allocate(id.0);
+                contents.push(Vec::new());
+                continue;
+            }
+            let i = pick as usize % contents.len();
+            let id = PageId(i as u32);
+            let write = kind == 2 && contents[i].len() < 40;
+            let record = vec![byte; 1 + byte as usize % 24];
+            let seen = pool.with_page(id, |page, dirty| {
+                if write {
+                    page.insert(&record).expect("a page of at most 40 short records has room");
+                    *dirty = true;
+                }
+                page.records().map(|(_, r)| r.to_vec()).collect::<Vec<_>>()
+            });
+            model.pin(id.0, write);
+            if write {
+                contents[i].push(record);
+            }
+            prop_assert_eq!(&seen, &contents[i]);
+        }
+        prop_assert_eq!(pool.stats(), (model.hits, model.misses, model.evictions));
+        prop_assert_eq!(disk.stats().reads(), model.reads);
+        prop_assert_eq!(disk.stats().writes(), model.writes);
+    }
+}
+
+/// The buffer pool's replacement rule written the obvious way: every
+/// pin and every load stamps the frame with a clock, and a full pool
+/// evicts the frame with the smallest stamp, found by scanning them all.
+/// Single-threaded, so no frame is pinned when a victim is chosen.
+struct ReferenceLru {
+    capacity: usize,
+    /// Cached page → (last-use stamp, dirty).
+    frames: HashMap<u32, (u64, bool)>,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    reads: u64,
+    writes: u64,
+}
+
+impl ReferenceLru {
+    fn new(capacity: usize) -> Self {
+        ReferenceLru {
+            capacity,
+            frames: HashMap::new(),
+            clock: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            reads: 0,
+            writes: 0,
+        }
+    }
+
+    fn make_room(&mut self) {
+        while self.frames.len() >= self.capacity {
+            let (&victim, &(_, dirty)) = self
+                .frames
+                .iter()
+                .min_by_key(|(_, (stamp, _))| *stamp)
+                .expect("a full pool has a frame");
+            self.frames.remove(&victim);
+            self.evictions += 1;
+            if dirty {
+                self.writes += 1;
+            }
+        }
+    }
+
+    fn load(&mut self, page: u32, dirty: bool) {
+        self.make_room();
+        self.clock += 1;
+        self.frames.insert(page, (self.clock, dirty));
+    }
+
+    fn allocate(&mut self, page: u32) {
+        self.load(page, true);
+    }
+
+    fn pin(&mut self, page: u32, write: bool) {
+        self.clock += 1;
+        let clock = self.clock;
+        match self.frames.get_mut(&page) {
+            Some(frame) => {
+                self.hits += 1;
+                frame.0 = clock;
+            }
+            None => {
+                self.misses += 1;
+                self.reads += 1;
+                self.load(page, false);
+            }
+        }
+        if write {
+            self.frames.get_mut(&page).expect("pinned page is cached").1 = true;
+        }
     }
 }
